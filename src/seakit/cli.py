@@ -127,7 +127,7 @@ def _classify(kind: str, raw: np.ndarray, tol: Tolerances
               ) -> tuple[str, float | None]:
     """("effect"|"projection", None) or raises _DomainError."""
     if kind == "fuzzy":
-        bad = raw[(raw < 0.0) | (raw > 1.0)]
+        bad = raw[~((raw >= 0.0) & (raw <= 1.0))]
         if bad.size:
             raise _DomainError(f"not an effect (λ={float(bad[0]):g})")
         if np.all((raw == 0.0) | (raw == 1.0)):
@@ -136,7 +136,7 @@ def _classify(kind: str, raw: np.ndarray, tol: Tolerances
     try:
         eff = mx.validate_effect(raw, tol)
     except NotHermitianError as exc:
-        raise _DomainError("not an effect (not hermitian)") from exc
+        raise _DomainError(f"not an effect ({exc})") from exc
     except mx.NotAnEffectError as exc:
         raise _DomainError(f"not an effect (λ={exc.eigenvalue:g})") from exc
     defect = frobenius(eff.matrix @ eff.matrix - eff.matrix)
@@ -188,8 +188,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
 def cmd_spectrum(args: argparse.Namespace) -> int:
     kind, raw = _load_element(_single_input(args))
     tol = _tolerances(args)
-    if args.mesh <= 0.0:
-        raise _UsageError("--mesh must be positive")
+    if not 0.0 < args.mesh < float("inf"):
+        raise _UsageError("--mesh must be positive and finite")
     effect = _as_effect(kind, raw, tol)
     fam = sp.spectral_family(effect, tol=tol)
     bounds = sp.spectral_bounds(effect, tol=tol)
@@ -247,7 +247,9 @@ def cmd_decompose(args: argparse.Namespace) -> int:
             from .linalg import require_hermitian
             raw = require_hermitian(raw)
         except NotHermitianError as exc:
-            raise _DomainError("input is not hermitian") from exc
+            raise _DomainError(str(exc)) from exc
+    elif not np.all(np.isfinite(raw)):
+        raise _DomainError("values must be finite")
     dec = sp.orthogonal_decomposition(raw, tol=tol)
     doc = {
         "model": "fuzzy" if kind == "fuzzy" else "matrix",
@@ -342,6 +344,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     tol = _tolerances(args)
     model = args.model
     dim_or_size = args.size if model == "mv" else args.dim
+    if args.samples < 1:
+        raise _UsageError("--samples must be positive")
+    if model == "matrix" and args.dim < 1:
+        raise _UsageError("--dim must be positive")
+    if model == "mv" and not 1 <= args.size <= fz.MAX_SPACE:
+        raise _UsageError(f"--size must be between 1 and {fz.MAX_SPACE}")
     if args.product != "standard":
         if args.suite != "sea":
             raise _UsageError("--product applies to the sea suite only")

@@ -15,8 +15,6 @@ class Tolerances:
 
     psd      : slack allowed below zero when testing positive semidefiniteness
     proj     : Frobenius bound on ||P @ P - P|| for admissible projections
-    eig      : relative bound on ||A - Q L Q*|| for the eigensolver output
-    jacobi   : relative off-diagonal Frobenius target for Jacobi sweeps
     cluster  : eigenvalues closer than this (relative) share a cluster
     kernel   : absolute threshold below which an eigenvalue counts as zero
     comm     : Frobenius bound on commutation residuals
@@ -26,8 +24,6 @@ class Tolerances:
 
     psd: float = 1e-9
     proj: float = 1e-8
-    eig: float = 1e-10
-    jacobi: float = 1e-12
     cluster: float = 1e-8
     kernel: float = 1e-8
     comm: float = 1e-9

@@ -41,7 +41,7 @@ class FuzzySet:
         if arr.ndim != 1 or not 1 <= arr.shape[0] <= MAX_SPACE:
             raise NotAFuzzySetError(
                 f"need a 1-d value list with at most {MAX_SPACE} points")
-        if np.any(arr < 0.0) or np.any(arr > 1.0):
+        if not np.all((arr >= 0.0) & (arr <= 1.0)):
             raise NotAFuzzySetError("values must lie in [0, 1]")
         arr.flags.writeable = False
         self.values = arr
@@ -297,10 +297,6 @@ class FuzzyContext:
 
     def proj_rank(self, p) -> int:
         return int(round(float(np.sum(self.raw(p)))))
-
-    def proj_json(self, p) -> dict:
-        raw = self.raw(p)
-        return {"space": int(raw.shape[0]), "values": raw.tolist()}
 
 
 @dataclass(frozen=True)

@@ -1,31 +1,20 @@
-"""Self-contained cyclic Jacobi eigensolver for complex Hermitian matrices.
+"""Eigensystems of complex Hermitian matrices, with eigenvalue clustering.
 
-Rotations are applied in a fixed row-major order, so the computation is a
-pure function of the input matrix: identical input gives identical output.
-The solver targets the small dimensions used throughout this package
-(matrices up to 64 x 64).
-
-If numba is installed the sweep kernel is jit-compiled; otherwise a
-vectorized numpy fallback runs the same arithmetic.
+Every decomposition goes through LAPACK (``numpy.linalg.eigh``) and is then
+sorted and clustered in one place, ``decomposition_from``.  With the same
+numpy and LAPACK build, identical input gives identical output.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import DEFAULT, Tolerances
 
-MAX_SWEEPS = 30
-
 
 class NotHermitianError(ValueError):
     """Input matrix is not Hermitian within tolerance."""
-
-
-class ConvergenceError(RuntimeError):
-    """Jacobi sweeps failed to reach the off-diagonal target."""
 
 
 def frobenius(m: np.ndarray) -> float:
@@ -42,6 +31,8 @@ def require_hermitian(m: np.ndarray, rel: float = 1e-10) -> np.ndarray:
     m = np.asarray(m, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NotHermitianError(f"expected a square matrix, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise NotHermitianError("matrix has non-finite entries")
     scale = max(1.0, frobenius(m))
     defect = frobenius(m - m.conj().T)
     if defect > rel * scale:
@@ -49,134 +40,6 @@ def require_hermitian(m: np.ndarray, rel: float = 1e-10) -> np.ndarray:
             f"matrix is not Hermitian: ||M - M*|| = {defect:.3e}"
         )
     return hermitian_part(m)
-
-
-def offdiag_norm(m: np.ndarray) -> float:
-    off = m - np.diag(np.diag(m))
-    return frobenius(off)
-
-
-def _sweep_numpy(m: np.ndarray, q: np.ndarray, skip: float) -> None:
-    # One cyclic-by-row sweep.  Each rotation annihilates m[p, r] with a
-    # unitary plane rotation U = D(phase) @ R(theta).  With
-    # tau = (m_rr - m_pp) / (2 |m_pr|), the smaller root of
-    # t^2 + 2 tau t - 1 = 0 keeps the rotation angle below pi/4.
-    n = m.shape[0]
-    for p in range(n - 1):
-        for r in range(p + 1, n):
-            mpr = m[p, r]
-            amp = abs(mpr)
-            if amp <= skip:
-                continue
-            phase = mpr / amp
-            tau = (m[r, r].real - m[p, p].real) / (2.0 * amp)
-            if tau >= 0.0:
-                t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-            else:
-                t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-            c = 1.0 / math.sqrt(1.0 + t * t)
-            s = t * c
-            cp = c * phase
-            sp = s * phase
-            colp = m[:, p].copy()
-            colr = m[:, r].copy()
-            m[:, p] = cp * colp - s * colr
-            m[:, r] = sp * colp + c * colr
-            rowp = m[p, :].copy()
-            rowr = m[r, :].copy()
-            m[p, :] = np.conj(cp) * rowp - s * rowr
-            m[r, :] = np.conj(sp) * rowp + c * rowr
-            # Clean up what the rotation guarantees analytically.
-            m[p, r] = 0.0
-            m[r, p] = 0.0
-            m[p, p] = m[p, p].real
-            m[r, r] = m[r, r].real
-            vp = q[:, p].copy()
-            vr = q[:, r].copy()
-            q[:, p] = cp * vp - s * vr
-            q[:, r] = sp * vp + c * vr
-
-
-try:  # pragma: no cover - exercised implicitly by every eigh call
-    from numba import njit as _njit
-
-    @_njit(cache=True)
-    def _sweep_jit(m, q, skip):  # same arithmetic as _sweep_numpy
-        n = m.shape[0]
-        for p in range(n - 1):
-            for r in range(p + 1, n):
-                mpr = m[p, r]
-                amp = abs(mpr)
-                if amp <= skip:
-                    continue
-                phase = mpr / amp
-                tau = (m[r, r].real - m[p, p].real) / (2.0 * amp)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                cp = c * phase
-                sp = s * phase
-                cpc = np.conj(cp)
-                spc = np.conj(sp)
-                for i in range(n):
-                    xp = m[i, p]
-                    xr = m[i, r]
-                    m[i, p] = cp * xp - s * xr
-                    m[i, r] = sp * xp + c * xr
-                for i in range(n):
-                    xp = m[p, i]
-                    xr = m[r, i]
-                    m[p, i] = cpc * xp - s * xr
-                    m[r, i] = spc * xp + c * xr
-                m[p, r] = 0.0
-                m[r, p] = 0.0
-                m[p, p] = complex(m[p, p].real, 0.0)
-                m[r, r] = complex(m[r, r].real, 0.0)
-                for i in range(n):
-                    xp = q[i, p]
-                    xr = q[i, r]
-                    q[i, p] = cp * xp - s * xr
-                    q[i, r] = sp * xp + c * xr
-
-    _sweep = _sweep_jit
-except ImportError:  # pragma: no cover
-    _sweep = _sweep_numpy
-
-
-def jacobi(a: np.ndarray, rel_target: float = 1e-12,
-           max_sweeps: int = MAX_SWEEPS) -> tuple[np.ndarray, np.ndarray, int]:
-    """Diagonalize a Hermitian matrix by cyclic-by-row Jacobi sweeps.
-
-    Returns (eigenvalues ascending, unitary with eigenvector columns, sweeps
-    used).  Raises ConvergenceError if the relative off-diagonal Frobenius
-    norm has not dropped below ``rel_target`` after ``max_sweeps`` sweeps.
-    """
-    n = a.shape[0]
-    m = np.array(a, dtype=np.complex128, copy=True)
-    q = np.eye(n, dtype=np.complex128)
-    if n == 1:
-        return np.array([m[0, 0].real]), q, 0
-    scale = frobenius(m)
-    if scale == 0.0:
-        return np.zeros(n), q, 0
-    target = rel_target * scale
-    # Entries below `skip` cannot lift the off-diagonal norm above target/2.
-    skip = target / (2.0 * n)
-    sweeps = 0
-    while offdiag_norm(m) > target:
-        if sweeps >= max_sweeps:
-            raise ConvergenceError(
-                f"no convergence after {max_sweeps} sweeps "
-                f"(off-diagonal {offdiag_norm(m):.3e}, target {target:.3e})"
-            )
-        _sweep(m, q, skip)
-        sweeps += 1
-    values = np.real(np.diag(m)).copy()
-    order = np.argsort(values, kind="stable")
-    return values[order], q[:, order], sweeps
 
 
 def cluster_indices(values: np.ndarray, width: float) -> tuple[tuple[int, ...], ...]:
@@ -245,21 +108,11 @@ def decomposition_from(values: np.ndarray, vectors: np.ndarray,
 
 
 def eigh(a: np.ndarray, tol: Tolerances = DEFAULT) -> EigenDecomposition:
-    """Full eigensystem of a Hermitian matrix via cyclic Jacobi."""
-    m = require_hermitian(a)
-    values, vectors, _ = jacobi(m, rel_target=tol.jacobi)
-    width = tol.cluster * max(1.0, float(np.max(np.abs(values))))
-    return EigenDecomposition(values, vectors, cluster_indices(values, width))
-
-
-def min_eigenvalue(a: np.ndarray, tol: Tolerances = DEFAULT) -> float:
-    return float(eigh(a, tol).values[0])
+    """Full eigensystem of a Hermitian matrix via LAPACK."""
+    values, vectors = np.linalg.eigh(require_hermitian(a))
+    return decomposition_from(values, vectors, tol)
 
 
 def operator_norm(a: np.ndarray, tol: Tolerances = DEFAULT) -> float:
     vals = eigh(a, tol).values
     return float(max(abs(vals[0]), abs(vals[-1]))) if len(vals) else 0.0
-
-
-def is_psd(a: np.ndarray, slack: float, tol: Tolerances = DEFAULT) -> bool:
-    return min_eigenvalue(a, tol) >= -slack

@@ -9,7 +9,6 @@ theorem.
 from __future__ import annotations
 
 import itertools
-import math
 
 import numpy as np
 
@@ -47,10 +46,6 @@ class NotAStateError(ValueError):
 
 class NotCommutingError(ValueError):
     """Operation requires a commuting pair."""
-
-
-class CommutationMismatchError(RuntimeError):
-    """The two commutation tests disagreed near the tolerance boundary."""
 
 
 def _same_dim(a: "Effect", b: "Effect") -> None:
@@ -212,15 +207,6 @@ def validate_projection(matrix, tol: Tolerances = DEFAULT) -> Projection:
     return Projection(np.asarray(matrix), tol=tol, validate=True)
 
 
-def sqrt_effect(a, tol: Tolerances = DEFAULT) -> Effect:
-    """Positive square root, through the spectral theorem."""
-    a = as_effect(a, tol)
-    d = a.decomposition
-    vals = np.sqrt(np.clip(d.values, 0.0, 1.0))
-    return Effect(a.sqrt_matrix(), tol=a.tol, validate=False,
-                  decomposition=decomposition_from(vals, d.vectors, a.tol))
-
-
 def seq_product(a, b, tol: Tolerances = DEFAULT) -> Effect:
     """Sequential product sqrt(a) b sqrt(a)."""
     a = as_effect(a, tol)
@@ -342,18 +328,6 @@ def commutation_residuals(a, b, tol: Tolerances = DEFAULT) -> tuple[float, float
     return seq_res, lie_res
 
 
-def commutes_seq(a, b, tol: Tolerances = DEFAULT) -> bool:
-    """Whether a o b = b o a; both tests are computed and must agree."""
-    seq_res, lie_res = commutation_residuals(a, b, tol)
-    seq_ok = seq_res <= tol.comm
-    lie_ok = lie_res <= tol.comm
-    if seq_ok != lie_ok:
-        raise CommutationMismatchError(
-            f"sequential residual {seq_res:.3e} and matrix residual "
-            f"{lie_res:.3e} straddle the tolerance {tol.comm:.1e}")
-    return seq_ok
-
-
 def bicommutant_projections(a, tol: Tolerances = DEFAULT) -> list[Projection]:
     """Cluster eigenprojections; their sub-sums generate all projections
     commuting with everything that commutes with the effect."""
@@ -472,28 +446,22 @@ def scale_effect(a: Effect, lam: float) -> Effect:
 
 
 def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Product of plane rotations with random angles and phases."""
-    q = np.eye(n, dtype=np.complex128)
-    for _ in range(2):
-        for p in range(n - 1):
-            for r in range(p + 1, n):
-                theta = rng.uniform(0.0, 2.0 * math.pi)
-                phi = rng.uniform(0.0, 2.0 * math.pi)
-                c = math.cos(theta)
-                s = math.sin(theta)
-                ph = complex(math.cos(phi), math.sin(phi))
-                colp = q[:, p].copy()
-                colr = q[:, r].copy()
-                q[:, p] = c * ph * colp - s * colr
-                q[:, r] = s * ph * colp + c * colr
-    phases = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, n))
-    return q * phases
+    """Haar-distributed n x n unitary.
+
+    The QR factor of a complex Ginibre matrix, with the phases of R's
+    diagonal moved into Q so that the law is exactly Haar (Mezzadri,
+    Notices AMS 2007).
+    """
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
 
 
 class EffectSampler:
     """Deterministic random matrices for tests and verifier suites.
 
-    Unitaries are products of plane rotations with random angles and phases;
+    Unitaries are Haar-distributed (QR of a complex Ginibre matrix);
     effects and projections are built from a sampled unitary and explicit
     eigenvalue lists, so their eigensystems are known up front.
     """

@@ -68,13 +68,6 @@ class SuiteReport:
     def verdict(self) -> bool:
         return all(r.ok for r in self.results)
 
-    @property
-    def failures(self) -> list[CheckResult]:
-        return [r for r in self.results if not r.ok]
-
-    def statement_ids(self) -> list[str]:
-        return sorted(r.statement_id for r in self.results)
-
     def to_dict(self) -> dict:
         ordered = sorted(self.results,
                          key=lambda r: (r.statement_id, r.model))
@@ -111,16 +104,4 @@ def merge_reports(reports: list[SuiteReport]) -> dict:
         "schema_version": SCHEMA_VERSION,
         "suites": docs,
         "verdict": "pass" if ok else "fail",
-    }
-
-
-def witness_from_matrix(label: str, matrix) -> dict:
-    """Witness payload embedding a matrix as nested [re, im] lists."""
-    import numpy as np
-
-    m = np.asarray(matrix)
-    return {
-        "label": label,
-        "re": np.real(m).round(12).tolist(),
-        "im": np.imag(m).round(12).tolist(),
     }

@@ -136,13 +136,6 @@ class MatrixContext:
     def proj_rank(self, p) -> int:
         return int(round(float(np.real(np.trace(_raw_of(p))))))
 
-    def proj_json(self, p) -> dict:
-        raw = _raw_of(p)
-        out = {"dim": raw.shape[0], "re": np.real(raw).tolist()}
-        im = np.imag(raw)
-        if np.any(im != 0.0):
-            out["im"] = im.tolist()
-        return out
 
 
 def resolve_context(v, context=None, tol: Tolerances = DEFAULT):

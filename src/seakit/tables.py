@@ -75,14 +75,6 @@ class FiniteEffectAlgebra:
     def leq(self, i: int, j: int) -> bool:
         return any(self.table[i, c] == j for c in self.elements())
 
-    def ominus(self, j: int, i: int) -> int | None:
-        """The difference j - i: the c with i (+) c = j, if one exists."""
-        hits = [c for c in self.elements() if self.table[i, c] == j]
-        if len(hits) > 1:
-            raise AxiomViolationError(
-                f"difference {self.label(j)} - {self.label(i)} is ambiguous")
-        return hits[0] if hits else None
-
     def brute_inf(self, elements) -> int | None:
         """Greatest lower bound by exhaustion; None when it does not exist."""
         elements = list(elements)

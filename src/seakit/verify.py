@@ -1543,7 +1543,12 @@ def _context_matrix(report: SuiteReport, dim: int, samples: int, seed: int,
     def closed_form(t: _Tally) -> None:
         smp = smp_for("thm:contexts")
         for k in range(samples):
-            a = smp.simple_effect(gap=0.15)
+            if k == 0 and merge_delta > 0.0:
+                # Two levels 0.1 apart always merge, so the control fails
+                # for every seed, not only when sampled levels happen to.
+                a = smp.effect(values=np.resize([0.4, 0.5], dim))
+            else:
+                a = smp.simple_effect(gap=0.15)
             rep = sp.reduced_representation(a, ctx, tol)
             coeffs, projs = _merge_representation(rep, merge_delta,
                                                   lambda p: p.matrix)
@@ -1629,7 +1634,10 @@ def _context_mv(report: SuiteReport, size: int, samples: int, seed: int,
     def closed_form(t: _Tally) -> None:
         smp = smp_for("thm:contexts")
         for k in range(samples):
-            a = smp.fuzzy()
+            if k == 0 and merge_delta > 0.0:
+                a = fz.FuzzySet(np.resize([0.4, 0.5], size))
+            else:
+                a = smp.fuzzy()
             _, part, mu = fz.mv_is_context_spectral(a, merge_delta)
             steps = [fz.zero(size).values]
             acc = np.zeros(size)

@@ -36,6 +36,14 @@ def test_validate_rejects_out_of_range(tmp_path, capsys):
     assert "not an effect" in capsys.readouterr().out
     bad = write(tmp_path / "badf.json", {"values": [0.5, 1.2]})
     assert main(["validate", "--input", bad]) == 1
+    for x in (float("nan"), float("inf")):
+        for doc in ({"re": [[x, 0.0], [0.0, 0.5]]}, {"values": [x, 0.5]}):
+            bad = write(tmp_path / "nonfinite.json", doc)
+            capsys.readouterr()
+            for verb in ("validate", "spectrum"):
+                assert main([verb, "--input", bad]) == 1
+                out = capsys.readouterr().out
+                assert "not an effect" in out and out.count("\n") == 1
 
 
 def test_usage_errors_exit_two(tmp_path, capsys):
@@ -50,6 +58,14 @@ def test_usage_errors_exit_two(tmp_path, capsys):
                      {"dim": 3, "re": [[0.1, 0.0], [0.0, 0.2]]})
     assert main(["validate", "--input", mismatch]) == 2
     assert main(["verify", "--suite", "bogus"]) == 2
+    assert main(["verify", "--suite", "sea", "--samples", "0"]) == 2
+    assert main(["verify", "--suite", "sea", "--dim", "0"]) == 2
+    for size in ("0", "1025"):
+        assert main(["verify", "--suite", "sea", "--model", "mv",
+                     "--size", size]) == 2
+    eff = write(tmp_path / "e.json", {"re": [[0.2, 0.0], [0.0, 0.7]]})
+    for mesh in ("nan", "inf"):
+        assert main(["spectrum", "--input", eff, "--mesh", mesh]) == 2
     assert main(["nonsense"]) == 2
     capsys.readouterr()
 
@@ -95,6 +111,10 @@ def test_decompose(tmp_path, capsys):
     assert doc["projection"]["re"] == [[1.0, 0.0], [0.0, 0.0]]
     skew = write(tmp_path / "skew.json", {"re": [[0.0, 1.0], [0.0, 0.0]]})
     assert main(["decompose", "--input", skew]) == 1
+    for doc in ({"re": [[float("nan"), 0.0], [0.0, 0.5]]},
+                {"values": [float("inf"), 0.5]}):
+        assert main(["decompose", "--input",
+                     write(tmp_path / "nonfinite.json", doc)]) == 1
     capsys.readouterr()
 
 

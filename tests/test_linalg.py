@@ -6,12 +6,10 @@ from hypothesis import strategies as st
 
 from seakit.config import DEFAULT
 from seakit.linalg import (
-    ConvergenceError,
     NotHermitianError,
     cluster_indices,
     eigh,
     frobenius,
-    jacobi,
     operator_norm,
     require_hermitian,
 )
@@ -91,11 +89,6 @@ def test_norms():
 def test_require_hermitian_rejects_asymmetric():
     with pytest.raises(NotHermitianError):
         require_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-def test_jacobi_convergence_guard():
-    with pytest.raises(ConvergenceError):
-        jacobi(np.array([[0.0, 1.0], [1.0, 0.0]]), max_sweeps=0)
 
 
 entries = st.floats(min_value=-10.0, max_value=10.0,

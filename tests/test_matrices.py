@@ -160,6 +160,9 @@ def test_sampler_is_reproducible():
     assert np.array_equal(one.effect().matrix, two.effect().matrix)
     assert np.array_equal(one.projection(rank=2).matrix,
                           two.projection(rank=2).matrix)
+    for n in (1, 2, 8):
+        q = EffectSampler(11, n).unitary()
+        assert np.linalg.norm(q.conj().T @ q - np.eye(n)) <= 1e-12
 
 
 def test_sampler_products_stay_effects():

@@ -137,3 +137,31 @@ def test_check_result_invariants():
     report.add(CheckResult("S1", "matrix", 5, 5))
     ids = [r["statement_id"] for r in report.to_dict()["results"]]
     assert ids == ["S1", "S2"]
+
+
+# name -> (suite runner, model, broken configuration).  The mv sea control
+# (Lukasiewicz product) is not listed: at size 2 with one sample it can
+# still pass.
+CONTROLS = {
+    "matrix-sea": (run_sea_suite, "matrix", {"product": "jordan"}),
+    "matrix-compression": (run_compression_suite, "matrix",
+                           {"focus": "soft"}),
+    "matrix-spectrality": (run_spectrality_suite, "matrix",
+                           {"floor_mode": "cover"}),
+    "matrix-context": (run_context_suite, "matrix", {"merge_delta": 0.25}),
+    "mv-compression": (run_compression_suite, "mv", {"focus": "soft"}),
+    "mv-spectrality": (run_spectrality_suite, "mv",
+                       {"floor_mode": "cover"}),
+    "mv-context": (run_context_suite, "mv", {"merge_delta": 0.25}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONTROLS))
+def test_every_control_fails_for_every_seed(name):
+    # run_all gives controls samples // 4 samples, so small runs see 1-3.
+    run, model, broken = CONTROLS[name]
+    passed = [(dim, samples, seed)
+              for dim in (2, 3, 4) for samples in (1, 2, 3)
+              for seed in range(10)
+              if run(model, dim, samples, seed, **broken).verdict]
+    assert passed == []
