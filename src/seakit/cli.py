@@ -124,8 +124,9 @@ def _tolerances(args: argparse.Namespace) -> Tolerances:
 
 
 def _classify(kind: str, raw: np.ndarray, tol: Tolerances
-              ) -> tuple[str, float | None]:
-    """("effect"|"projection", None) or raises _DomainError."""
+              ) -> tuple[str, mx.Effect | None]:
+    """("effect"|"projection", the validated Effect, or None for fuzzy
+    input) or raises _DomainError."""
     if kind == "fuzzy":
         bad = raw[~((raw >= 0.0) & (raw <= 1.0))]
         if bad.size:
@@ -141,15 +142,13 @@ def _classify(kind: str, raw: np.ndarray, tol: Tolerances
         raise _DomainError(f"not an effect (λ={exc.eigenvalue:g})") from exc
     defect = frobenius(eff.matrix @ eff.matrix - eff.matrix)
     if defect <= tol.proj:
-        return "projection", None
-    return "effect", None
+        return "projection", eff
+    return "effect", eff
 
 
 def _as_effect(kind: str, raw: np.ndarray, tol: Tolerances):
-    _classify(kind, raw, tol)
-    if kind == "fuzzy":
-        return fz.FuzzySet(raw)
-    return mx.validate_effect(raw, tol)
+    _, eff = _classify(kind, raw, tol)
+    return fz.FuzzySet(raw) if kind == "fuzzy" else eff
 
 
 def _single_input(args: argparse.Namespace) -> str:

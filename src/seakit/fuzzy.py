@@ -262,6 +262,12 @@ class FuzzyContext:
     def spectral_values(self, v) -> np.ndarray:
         return np.unique(self.raw(v))
 
+    def eigenprojections(self, v) -> tuple[np.ndarray, list[FuzzySet]]:
+        """Distinct values, ascending, with their level-set indicators."""
+        raw = self.raw(v)
+        values = np.unique(raw)
+        return values, [FuzzySet((raw == lam).astype(float)) for lam in values]
+
     def add(self, a, b) -> np.ndarray:
         return self.raw(a) + self.raw(b)
 
@@ -270,9 +276,6 @@ class FuzzyContext:
 
     def scale(self, lam: float, v) -> np.ndarray:
         return lam * self.raw(v)
-
-    def norm(self, v) -> float:
-        return float(np.max(np.abs(self.raw(v)))) if self.raw(v).size else 0.0
 
     def residual(self, a, b) -> float:
         return float(np.max(np.abs(self.raw(a) - self.raw(b))))

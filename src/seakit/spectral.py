@@ -1,11 +1,13 @@
 """Spectral machinery over an abstract context.
 
 A context is any model handle exposing addition, scalar action, order,
-compression, and a Rickart map (kernel projection).  The engine builds
-spectral families as exact step functions, reconstructs elements from
-them, produces dyadic simple approximations, orthogonal decompositions,
-and comparability witnesses.  The matrix context lives here; the fuzzy
-context is registered from its own module.
+compression, a Rickart map (kernel projection) and ``eigenprojections``,
+the distinct spectral values with their eigenprojections from one
+decomposition.  On that one call the engine builds reduced
+representations, spectral families as exact step functions, bounds, dyadic
+simple approximations, sign witnesses and orthogonal decompositions; it
+also reconstructs elements and builds comparability witnesses.  The matrix
+context lives here; the fuzzy context is registered from its own module.
 """
 from __future__ import annotations
 
@@ -78,16 +80,19 @@ class MatrixContext:
         return mx.rickart(v if isinstance(v, mx.Effect) else self.raw(v),
                           self.tol)
 
-    def support(self, v) -> mx.Projection:
-        return mx.projection_cover(v if isinstance(v, mx.Effect)
-                                   else self.raw(v), self.tol)
-
     def complement(self, p) -> np.ndarray:
         raw = _raw_of(p)
         return np.eye(raw.shape[0]) - raw
 
     def spectral_values(self, v) -> np.ndarray:
         return np.asarray(self.decomposition(v).cluster_values())
+
+    def eigenprojections(self, v) -> tuple[np.ndarray, list[mx.Projection]]:
+        """Cluster values with their eigenprojections, from one (for an
+        Effect, the cached) decomposition."""
+        d = self.decomposition(v)
+        return (np.asarray(d.cluster_values()),
+                [self.wrap_projection(p) for p in d.projectors()])
 
     def add(self, a, b) -> np.ndarray:
         return _raw_of(a) + _raw_of(b)
@@ -97,10 +102,6 @@ class MatrixContext:
 
     def scale(self, lam: float, v) -> np.ndarray:
         return lam * _raw_of(v)
-
-    def norm(self, v) -> float:
-        vals = eigh(self.raw(v), self.tol).values
-        return float(max(abs(vals[0]), abs(vals[-1])))
 
     def residual(self, a, b) -> float:
         return frobenius(_raw_of(a) - _raw_of(b))
@@ -267,40 +268,23 @@ class ReducedRepresentation:
 
 def spectral_family(v, context=None, tol: Tolerances = DEFAULT
                     ) -> SpectralFamily:
-    """Family of kernel projections of the shifted positive parts.
+    """Family p_λ as running sums of the eigenprojections of v.
 
-    Each step is computed from the definition (Rickart map of the positive
-    part) and cross-checked against the running sum of eigenprojections;
-    disagreement raises ArithmeticError.
+    The verifier's eq:spectprojs statement checks it against the
+    definition, the Rickart projection of (v - λ)⁺.
     """
     ctx = resolve_context(v, context, tol)
-    values = ctx.spectral_values(v)
-    raw = ctx.raw(v)
-    steps = [ctx.zero_proj(v)]
-    cum = ctx.zero_like(v)
-    for lam in values:
-        shifted = ctx.shift(raw, float(lam))
-        step = ctx.rickart(ctx.positive_part(shifted))
-        cum = ctx.add(cum, ctx.rickart(shifted))
-        gap = ctx.residual(step, cum)
-        if gap > ctx.tol.check:
-            raise ArithmeticError(
-                f"spectral family routes disagree at {lam:.6g}: {gap:.3e}")
-        steps.append(step)
-    top = ctx.residual(steps[-1], ctx.one_like(v))
-    if top > ctx.tol.check:
-        raise ArithmeticError(f"family does not reach one: {top:.3e}")
-    return SpectralFamily(tuple(float(x) for x in values), tuple(steps),
-                          ctx.model)
+    rep = reduced_representation(v, ctx, tol)
+    fam = family_from_representation(rep.coefficients, rep.projections,
+                                     ctx.model)
+    return SpectralFamily(fam.breakpoints, tuple(
+        ctx.wrap_projection(step) for step in fam.projections), ctx.model)
 
 
 def family_from_representation(coefficients, projections, model: str
                                ) -> SpectralFamily:
-    """Closed-form family: cumulative sums of the given projections.
-
-    Independent of the Rickart route; used to cross-check engine output
-    against representations obtained elsewhere.
-    """
+    """Closed-form family: cumulative sums of the given projections, as
+    raw arrays."""
     raws = [_raw_of(p) for p in projections]
     if not raws:
         raise ValueError("at least one projection required")
@@ -334,23 +318,10 @@ def eigenprojection(v, lam: float, context=None, tol: Tolerances = DEFAULT):
 
 def spectral_bounds(v, context=None, tol: Tolerances = DEFAULT
                     ) -> SpectralBounds:
-    """Least and greatest spectral values, cross-checked two ways."""
+    """Least and greatest spectral values: L·1 <= v <= U·1, tightly."""
     ctx = resolve_context(v, context, tol)
-    values = ctx.spectral_values(v)
-    lo, hi = float(values[0]), float(values[-1])
-    one = ctx.one_like(v)
-    if not (ctx.leq(ctx.scale(lo, one), v) and ctx.leq(v, ctx.scale(hi, one))):
-        raise ArithmeticError("order-unit bounds failed the sandwich check")
-    fam = spectral_family(v, ctx, tol)
-    fam_hi = None
-    for k, step in enumerate(fam.projections):
-        if k >= 1 and ctx.residual(step, one) <= ctx.tol.check:
-            fam_hi = fam.breakpoints[k - 1]
-            break
-    if fam_hi is None or abs(fam_hi - hi) > ctx.tol.check \
-            or abs(fam.L - lo) > ctx.tol.check:
-        raise ArithmeticError("family characterization disagrees with bounds")
-    return SpectralBounds(lo, hi)
+    values, _ = ctx.eigenprojections(v)
+    return SpectralBounds(float(values[0]), float(values[-1]))
 
 
 def reconstruct(family: SpectralFamily, mesh: float | None = None):
@@ -389,23 +360,23 @@ def simple_approximation(a, n: int, context=None, tol: Tolerances = DEFAULT):
     if n < 1:
         raise ValueError("level must be at least 1")
     ctx = resolve_context(a, context, tol)
-    values = np.clip(ctx.spectral_values(a), 0.0, 1.0)
-    raw = ctx.raw(a)
+    values, projs = ctx.eigenprojections(a)
     scale = 2.0 ** n
     acc = ctx.zero_like(a)
-    for lam in values:
+    for lam, proj in zip(np.clip(values, 0.0, 1.0), projs):
         coeff = math.floor(float(lam) * scale + 1e-12) / scale
-        proj = ctx.rickart(ctx.shift(raw, float(lam)))
         acc = ctx.add(acc, ctx.scale(coeff, proj))
     return acc
 
 
 def orthogonal_decomposition(v, context=None, tol: Tolerances = DEFAULT
                              ) -> OrthogonalDecomposition:
-    """Unique split v = v_plus - v_minus with orthogonal positive parts."""
+    """Unique split v = v_plus - v_minus with orthogonal positive parts;
+    p is the least sign witness, the support of the positive part."""
     ctx = resolve_context(v, context, tol)
     raw = ctx.raw(v)
-    p = ctx.support(ctx.positive_part(raw))
+    p = ctx.wrap_projection(sign_witness_projections(v, ctx, tol,
+                                                     limit=1)[0])
     comp = ctx.complement(p)
     v_plus = ctx.compress(p, raw)
     v_minus = ctx.scale(-1.0, ctx.compress(comp, raw))
@@ -426,12 +397,10 @@ def sign_witness_projections(v, context=None, tol: Tolerances = DEFAULT,
     """Projections q with the whole positive part under q and the negative
     part under its complement; one per subset of the kernel clusters."""
     ctx = resolve_context(v, context, tol)
-    raw = ctx.raw(v)
-    values = ctx.spectral_values(v)
+    values, projs = ctx.eigenprojections(v)
     pos = ctx.zero_like(v)
     zero_projs = []
-    for lam in values:
-        proj = ctx.rickart(ctx.shift(raw, float(lam)))
+    for lam, proj in zip(values, projs):
         if lam > ctx.tol.kernel:
             pos = ctx.add(pos, proj)
         elif abs(lam) <= ctx.tol.kernel:
@@ -483,9 +452,7 @@ def reduced_representation(a, context=None, tol: Tolerances = DEFAULT
                            ) -> ReducedRepresentation:
     """Distinct spectral values with their eigenprojections."""
     ctx = resolve_context(a, context, tol)
-    raw = ctx.raw(a)
-    values = ctx.spectral_values(a)
-    projs = [ctx.rickart(ctx.shift(raw, float(lam))) for lam in values]
+    values, projs = ctx.eigenprojections(a)
     total = ctx.zero_like(a)
     for p in projs:
         total = ctx.add(total, p)

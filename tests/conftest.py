@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -14,3 +16,17 @@ settings.load_profile("suite")
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260816)
+
+
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """Counter of ``numpy.linalg.eigh`` calls made while the test runs."""
+    counter = SimpleNamespace(count=0)
+    original = np.linalg.eigh
+
+    def counted(*args, **kwargs):
+        counter.count += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return counter

@@ -1,9 +1,12 @@
 """Spectral families, reconstruction, approximations, decompositions."""
+import json
+
 import numpy as np
 import pytest
 
 from seakit import fuzzy as fz
 from seakit import matrices as mx
+from seakit.cli import main
 from seakit.config import DEFAULT
 from seakit.linalg import operator_norm
 from seakit.spectral import (
@@ -182,3 +185,36 @@ def test_csv_lines_format():
     assert len(lines) == 6
     assert lines[1].startswith("0.000000,")
     assert lines[-1].endswith(",2")
+
+
+ENGINE = {
+    "spectral_family": spectral_family,
+    "spectral_bounds": spectral_bounds,
+    "reduced_representation": reduced_representation,
+    "simple_approximation": lambda v: simple_approximation(v, 3),
+    "sign_witness_projections": sign_witness_projections,
+    "orthogonal_decomposition": orthogonal_decomposition,
+}
+
+
+def test_one_decomposition_per_element(eigh_calls, tmp_path):
+    sampler = mx.EffectSampler(8, 8)
+    spectra = {"two": np.repeat([0.25, 0.75], 4),
+               "eight": np.linspace(0.05, 0.95, 8)}
+    for name, values in spectra.items():
+        a = sampler.effect(values=values)
+        for fn_name, fn in ENGINE.items():
+            before = eigh_calls.count
+            fn(a)
+            assert eigh_calls.count == before, (name, fn_name, "cached")
+            fn(np.array(a.matrix))
+            assert eigh_calls.count == before + 1, (name, fn_name, "raw")
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"re": np.real(a.matrix).tolist(),
+                                    "im": np.imag(a.matrix).tolist()}))
+        out = str(tmp_path / f"{name}-out.json")
+        for argv, expected in ((["spectrum"], 3),
+                               (["approx", "--levels", "8"], 9)):
+            before = eigh_calls.count
+            assert main(argv + ["--input", str(path), "--out", out]) == 0
+            assert eigh_calls.count - before == expected, (name, argv)

@@ -16,6 +16,7 @@ from seakit.verify import (
     run_table_suite,
 )
 from seakit import matrices as mx
+from seakit import spectral as sp
 import numpy as np
 
 
@@ -139,9 +140,7 @@ def test_check_result_invariants():
     assert ids == ["S1", "S2"]
 
 
-# name -> (suite runner, model, broken configuration).  The mv sea control
-# (Lukasiewicz product) is not listed: at size 2 with one sample it can
-# still pass.
+# name -> (suite runner, model, broken configuration).
 CONTROLS = {
     "matrix-sea": (run_sea_suite, "matrix", {"product": "jordan"}),
     "matrix-compression": (run_compression_suite, "matrix",
@@ -149,6 +148,7 @@ CONTROLS = {
     "matrix-spectrality": (run_spectrality_suite, "matrix",
                            {"floor_mode": "cover"}),
     "matrix-context": (run_context_suite, "matrix", {"merge_delta": 0.25}),
+    "mv-sea": (run_sea_suite, "mv", {"product": "lukasiewicz"}),
     "mv-compression": (run_compression_suite, "mv", {"focus": "soft"}),
     "mv-spectrality": (run_spectrality_suite, "mv",
                        {"floor_mode": "cover"}),
@@ -165,3 +165,18 @@ def test_every_control_fails_for_every_seed(name):
               for seed in range(10)
               if run(model, dim, samples, seed, **broken).verdict]
     assert passed == []
+
+
+def test_verifier_catches_a_wrong_eigenprojection_route(monkeypatch):
+    original = sp.MatrixContext.eigenprojections
+
+    def reversed_projections(self, v):
+        values, projs = original(self, v)
+        return values, projs[::-1]
+
+    monkeypatch.setattr(sp.MatrixContext, "eigenprojections",
+                        reversed_projections)
+    spectral = run_spectrality_suite("matrix", 4, 12, 7)
+    assert "eq:spectprojs" in failing_ids(spectral)
+    context = run_context_suite("matrix", 4, 12, 7)
+    assert "thm:contexts" in failing_ids(context)
