@@ -259,9 +259,6 @@ class FuzzyContext:
     def complement(self, p) -> np.ndarray:
         return 1.0 - self.raw(p)
 
-    def spectral_values(self, v) -> np.ndarray:
-        return np.unique(self.raw(v))
-
     def eigenprojections(self, v) -> tuple[np.ndarray, list[FuzzySet]]:
         """Distinct values, ascending, with their level-set indicators."""
         raw = self.raw(v)

@@ -84,9 +84,6 @@ class MatrixContext:
         raw = _raw_of(p)
         return np.eye(raw.shape[0]) - raw
 
-    def spectral_values(self, v) -> np.ndarray:
-        return np.asarray(self.decomposition(v).cluster_values())
-
     def eigenprojections(self, v) -> tuple[np.ndarray, list[mx.Projection]]:
         """Cluster values with their eigenprojections, from one (for an
         Effect, the cached) decomposition."""
