@@ -62,6 +62,9 @@ def _parse_element(doc) -> tuple[str, np.ndarray]:
         if (not isinstance(vals, list) or not vals
                 or not all(_is_number(x) for x in vals)):
             raise _UsageError("values must be a non-empty list of numbers")
+        if len(vals) > fz.MAX_SPACE:
+            raise _UsageError(f"values must have at most {fz.MAX_SPACE} "
+                              "entries")
         if "space" in doc and doc["space"] != len(vals):
             raise _UsageError("space field disagrees with the value count")
         return "fuzzy", np.asarray(vals, dtype=float)

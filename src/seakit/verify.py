@@ -9,6 +9,8 @@ that negative controls can prove the checks are not vacuous.
 from __future__ import annotations
 
 import math
+import os
+import traceback
 import zlib
 from fractions import Fraction
 
@@ -79,7 +81,10 @@ def _run_statement(report: SuiteReport, sid: str, model: str, body) -> None:
     try:
         body(t)
     except Exception as exc:  # noqa: BLE001 - a crashing check is a failure
-        t.tally(False, witness={"error": f"{type(exc).__name__}: {exc}"})
+        frame = traceback.extract_tb(exc.__traceback__)[-1]
+        t.tally(False, witness={
+            "error": f"{type(exc).__name__}: {exc}",
+            "at": f"{os.path.basename(frame.filename)}:{frame.lineno}"})
     report.add(CheckResult(sid, model, t.samples, t.passed,
                            t.max_residual, t.witness))
 
@@ -1533,21 +1538,55 @@ def run_spectrality_suite(model: str = "matrix", dim_or_size: int = 6,
 # context suite
 
 
-def _lagrange_coefficients(nodes, i: int, conv=float) -> list:
-    """Monomial coefficients of the i-th Lagrange basis polynomial."""
-    xi = conv(nodes[i])
-    coeffs = [conv(1)]
+def _lagrange_coefficients(nodes, i: int) -> list[float]:
+    """Monomial coefficients of the i-th Lagrange basis polynomial, in
+    floats."""
+    xi = float(nodes[i])
+    coeffs = [1.0]
     for j, x in enumerate(nodes):
         if j == i:
             continue
-        xj = conv(x)
+        xj = float(x)
         den = xi - xj
-        new = [conv(0)] * (len(coeffs) + 1)
+        new = [0.0] * (len(coeffs) + 1)
         for deg, ck in enumerate(coeffs):
             new[deg] -= ck * xj / den
             new[deg + 1] += ck / den
         coeffs = new
     return coeffs
+
+
+def _lagrange_basis(nodes, points) -> list[list[Fraction]]:
+    """Exact values of every Lagrange basis polynomial on ``nodes`` at each
+    point: row k holds L_0(x_k), ..., L_{n-1}(x_k) as fractions.
+
+    Barycentric form (Berrut & Trefethen, SIAM Review 46, 2004): with
+    w_i = 1 / prod_{j != i} (x_i - x_j), a point off the nodes has
+    L_i(x) = (w_i / (x - x_i)) / sum_j w_j / (x - x_j), and the node x_k
+    has L_i(x_k) = delta_ik.  The weights cost O(n^2) once and each point
+    O(n), so a whole row costs no more than one L_i at one point.
+    """
+    xs = [Fraction(x) for x in nodes]
+    weights = []
+    for i, xi in enumerate(xs):
+        den = Fraction(1)
+        for j, xj in enumerate(xs):
+            if j != i:
+                den *= xi - xj
+        weights.append(1 / den)
+    one, zero = Fraction(1), Fraction(0)
+    at_node = {x: k for k, x in enumerate(xs)}
+    rows = []
+    for p in points:
+        x = Fraction(p)
+        k = at_node.get(x)
+        if k is not None:
+            rows.append([one if i == k else zero for i in range(len(xs))])
+        else:
+            terms = [w / (x - xi) for w, xi in zip(weights, xs)]
+            total = sum(terms)
+            rows.append([term / total for term in terms])
+    return rows
 
 
 def _merge_representation(rep: sp.ReducedRepresentation, delta: float,
@@ -1695,19 +1734,11 @@ def _context_mv(report: SuiteReport, size: int, samples: int, seed: int,
             if merge_delta > 0.0:
                 nodes = [mu for j, mu in enumerate(nodes)
                          if j == 0 or mu - nodes[j - 1] > merge_delta]
+            table = np.array([[float(x) for x in row]
+                              for row in _lagrange_basis(nodes, a.values)])
             ok = True
             for i, proj in enumerate(rep.projections[:len(nodes)]):
-                coeffs = _lagrange_coefficients(nodes, i, conv=Fraction)
-                image = []
-                for v in a.values:
-                    acc = Fraction(0)
-                    x = Fraction(v)
-                    powv = Fraction(1)
-                    for c in coeffs:
-                        acc += c * powv
-                        powv *= x
-                    image.append(float(acc))
-                ok = ok and np.array_equal(np.array(image), proj.values)
+                ok = ok and np.array_equal(table[:, i], proj.values)
             t.tally(bool(ok), 0.0, {"sample": k, "a": _vals(a)})
 
     def reduced(t: _Tally) -> None:

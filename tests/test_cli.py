@@ -68,6 +68,16 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         assert main(["spectrum", "--input", eff, "--mesh", mesh]) == 2
     assert main(["nonsense"]) == 2
     capsys.readouterr()
+    oversized = write(tmp_path / "o.json", {"values": [0.5] * 1025})
+    for args in (["validate", "--input", oversized],
+                 ["spectrum", "--input", oversized],
+                 ["approx", "--input", oversized],
+                 ["decompose", "--input", oversized],
+                 ["witness", "--input", oversized, oversized],
+                 ["mv", "--input", oversized]):
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_spectrum_round_trip(tmp_path, eff_path, capsys):

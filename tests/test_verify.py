@@ -1,5 +1,7 @@
 """Suite runner behavior: passing runs, failing controls, determinism."""
+import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -14,7 +16,10 @@ from seakit.verify import (
     run_sea_suite,
     run_spectrality_suite,
     run_table_suite,
+    _lagrange_basis,
+    _run_statement,
 )
+from seakit.cli import main
 from seakit import matrices as mx
 from seakit import spectral as sp
 import numpy as np
@@ -180,3 +185,76 @@ def test_verifier_catches_a_wrong_eigenprojection_route(monkeypatch):
     assert "eq:spectprojs" in failing_ids(spectral)
     context = run_context_suite("matrix", 4, 12, 7)
     assert {"thm:contexts", "thm:contexts.reduced"} <= failing_ids(context)
+
+
+def test_barycentric_basis_is_exact():
+    def direct(xs, i, x):
+        out = Fraction(1)
+        for j, xj in enumerate(xs):
+            if j != i:
+                out *= (x - xj) / (xs[i] - xj)
+        return out
+
+    rng = np.random.default_rng(4)
+    node_sets = [[0.4, 0.5]]
+    for n in range(1, 13):
+        for _ in range(3):
+            ticks = rng.choice(257, size=n, replace=False)
+            node_sets.append(sorted(ticks / 256))
+    for nodes in node_sets:
+        points = list(nodes) + list(rng.integers(0, 257, 6) / 256) \
+            + [0.4, 0.5]
+        xs = [Fraction(x) for x in nodes]
+        expected = [[direct(xs, i, Fraction(p)) for i in range(len(xs))]
+                    for p in points]
+        assert _lagrange_basis(nodes, points) == expected
+
+
+MV_GOLDEN = {
+    (4, 1): "2648ea999971beecf263f31e63d1903c213f78a60103ad65f6cad174a7a6b249",
+    (4, 7): "f2723c47e0e00ffc0e768a4dc745a52f6bb86b7eb7597985ad75e55c6b97d08e",
+    (4, 42): "7fe3c5b765ea032437ba2f72d71e0a631f9e6fc43902f966bdab459b45786f58",
+    (8, 1): "c12229d3eac8a66d955ad81a030074ed57d50a3ce1829a90afad1192a439ee47",
+    (8, 7): "469c2c74e7f4de17e5e8e8613e8289852c0db43816f7f1c85fd86b426cc98e76",
+    (8, 42): "cf24eb67c1264598000e83fc2abed85d6e2894c8d8af7507771b16acbc739fcc",
+    (32, 1): "938027d0d7e9addf7e6ae8e46dbef29738b573a8608657476021b09dd84a823c",
+    (32, 7): "9633e91c598a1b1fbf345a739cd2b85701350120c50ab7d050c830590b76ee42",
+    (32, 42): "cf3c140e4f3ee3a864ce83e540c590e038dbf68a951a0cf98b0562970d184fa7",
+}
+
+
+@pytest.mark.parametrize("size,seed", sorted(MV_GOLDEN))
+def test_mv_reports_are_golden(size, seed):
+    """The mv model is exact dyadic arithmetic on a PCG64 stream, so its
+    merged report, hashed as ``verify --out`` writes it, does not depend on
+    the host.  Regenerate a hash with
+    ``seakit verify --suite all --model mv --size SIZE --samples 12
+    --seed SEED --out r.json`` and ``sha256sum r.json``."""
+    doc = merge_reports(run_all("mv", size, 12, seed))
+    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == MV_GOLDEN[size, seed]
+
+
+def test_mv_verify_runs_at_the_largest_size(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert main(["verify", "--suite", "all", "--model", "mv", "--size",
+                 "1024", "--samples", "1", "--out", str(out)]) == 0
+    capsys.readouterr()
+    suites = json.loads(out.read_text())["suites"]
+    assert len(suites) == 10
+    for doc in suites:
+        control = doc["metadata"].get("negative_control", False)
+        assert (doc["verdict"] == "fail") == control, doc["suite"]
+
+
+def test_a_crashing_statement_reports_where_it_raised():
+    def body(t):
+        raise ZeroDivisionError("planted")
+
+    report = SuiteReport(suite="s", model="mv", seed=0)
+    _run_statement(report, "S1", "mv", body)
+    (result,) = report.results
+    assert result.samples == 1 and result.passed == 0
+    line = body.__code__.co_firstlineno + 1
+    assert result.witness == {"error": "ZeroDivisionError: planted",
+                              "at": f"test_verify.py:{line}"}
