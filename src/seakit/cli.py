@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from .config import DEFAULT, Tolerances
-from .linalg import NotHermitianError, frobenius, operator_norm
+from .linalg import NotHermitianError, frobenius
 from .report import merge_reports
 from . import fuzzy as fz
 from . import matrices as mx
@@ -117,12 +117,13 @@ def _write_json(doc: dict, out: str | None) -> None:
 
 def _tolerances(args: argparse.Namespace) -> Tolerances:
     changes = {}
-    if args.tol_psd is not None:
-        changes["psd"] = args.tol_psd
-    if args.tol_comm is not None:
-        changes["comm"] = args.tol_comm
-    if args.tol_cluster is not None:
-        changes["cluster"] = args.tol_cluster
+    for field in ("psd", "comm", "cluster"):
+        value = getattr(args, f"tol_{field}")
+        if value is None:
+            continue
+        if not 0.0 <= value < float("inf"):
+            raise _UsageError(f"--tol-{field} must be a finite number >= 0")
+        changes[field] = value
     return DEFAULT.replace(**changes) if changes else DEFAULT
 
 
@@ -160,12 +161,6 @@ def _single_input(args: argparse.Namespace) -> str:
     return args.input[0]
 
 
-def _gap(kind: str, a: np.ndarray, b: np.ndarray, tol: Tolerances) -> float:
-    if kind == "fuzzy":
-        return float(np.max(np.abs(np.asarray(a) - np.asarray(b))))
-    return operator_norm(np.asarray(a) - np.asarray(b), tol)
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -193,9 +188,10 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     if not 0.0 < args.mesh < float("inf"):
         raise _UsageError("--mesh must be positive and finite")
     effect = _as_effect(kind, raw, tol)
-    fam = sp.spectral_family(effect, tol=tol)
-    bounds = sp.spectral_bounds(effect, tol=tol)
-    rep = sp.reduced_representation(effect, tol=tol)
+    ctx = sp.resolve_context(effect, tol=tol)
+    fam = sp.spectral_family(effect, ctx)
+    bounds = sp.spectral_bounds(effect, ctx)
+    rep = sp.reduced_representation(effect, ctx)
     exact = sp.reconstruct(fam)
     meshed = sp.reconstruct(fam, args.mesh)
     doc = {
@@ -207,8 +203,8 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
             p.matrix if isinstance(p, mx.Effect) else p.values))
             for p in rep.projections],
         "mesh": args.mesh,
-        "reconstruction_residual": _gap(kind, raw, meshed, tol),
-        "breakpoint_residual": _gap(kind, raw, exact, tol),
+        "reconstruction_residual": ctx.norm(ctx.sub(raw, meshed)),
+        "breakpoint_residual": ctx.norm(ctx.sub(raw, exact)),
     }
     _write_json(doc, args.out)
     if args.out:
@@ -226,11 +222,12 @@ def cmd_approx(args: argparse.Namespace) -> int:
     if not 1 <= args.levels <= 24:
         raise _UsageError("--levels must be between 1 and 24")
     effect = _as_effect(kind, raw, tol)
+    ctx = sp.resolve_context(effect, tol=tol)
     rows = []
     for n in range(1, args.levels + 1):
-        an = np.asarray(sp.simple_approximation(effect, n, tol=tol))
+        an = np.asarray(sp.simple_approximation(effect, n, ctx))
         rows.append({"level": n, "bound": 2.0 ** -n,
-                     "gap": _gap(kind, raw, an, tol),
+                     "gap": ctx.norm(ctx.sub(raw, an)),
                      "element": _element_json(an)})
     doc = {"model": "fuzzy" if kind == "fuzzy" else "matrix",
            "levels": rows}

@@ -19,7 +19,8 @@ class Tolerances:
     kernel   : absolute threshold below which an eigenvalue counts as zero
     comm     : Frobenius bound on commutation residuals
     check    : generic residual threshold for verifier statements
-    trace    : bound on |tr(rho) - 1| for states
+    trace    : bound on |tr(rho) - 1| for states; no check reads it, but
+               every report's tolerances block records it
     """
 
     psd: float = 1e-9

@@ -61,16 +61,6 @@ class FuzzySet:
     def __repr__(self) -> str:
         return f"FuzzySet({self.values.tolist()})"
 
-    def to_json_dict(self) -> dict:
-        return {"space": self.space, "values": self.values.tolist()}
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "FuzzySet":
-        vals = doc["values"]
-        if "space" in doc and doc["space"] != len(vals):
-            raise NotAFuzzySetError("space field disagrees with value count")
-        return cls(vals)
-
 
 def zero(space: int) -> FuzzySet:
     return FuzzySet(np.zeros(space))
@@ -170,10 +160,6 @@ class Context:
 
     def projections(self) -> list[FuzzySet]:
         return [indicator(self.space, blk) for blk in self.blocks]
-
-    def to_json_dict(self) -> dict:
-        return {"space": self.space,
-                "parts": [list(blk) for blk in self.blocks]}
 
 
 def mv_is_context_spectral(a: FuzzySet, delta: float = 0.0
@@ -276,6 +262,9 @@ class FuzzyContext:
 
     def residual(self, a, b) -> float:
         return float(np.max(np.abs(self.raw(a) - self.raw(b))))
+
+    def norm(self, v) -> float:
+        return float(np.max(np.abs(self.raw(v))))
 
     def leq(self, a, b, slack: float = 0.0) -> bool:
         return bool(np.all(self.raw(a) <= self.raw(b) + slack))

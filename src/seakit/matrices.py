@@ -40,10 +40,6 @@ class NotAProjectionError(ValueError):
     """Matrix is not idempotent within tolerance."""
 
 
-class NotAStateError(ValueError):
-    """Matrix is not a positive trace-one state."""
-
-
 class NotCommutingError(ValueError):
     """Operation requires a commuting pair."""
 
@@ -164,26 +160,6 @@ class Projection(Effect):
         return Projection(mat, tol=self.tol, validate=False, decomposition=decomp)
 
 
-class TraceState:
-    """Density matrix: positive semidefinite with unit trace."""
-
-    __slots__ = ("matrix", "tol")
-
-    def __init__(self, matrix: np.ndarray, *, tol: Tolerances = DEFAULT,
-                 validate: bool = True):
-        mat = require_hermitian(matrix)
-        if validate:
-            tr = float(np.real(np.trace(mat)))
-            if abs(tr - 1.0) > tol.trace:
-                raise NotAStateError(f"trace is {tr:.12g}, expected 1")
-            lo = float(eigh(mat, tol).values[0])
-            if lo < -tol.psd:
-                raise NotAStateError(f"negative eigenvalue {lo:.6g}")
-        mat.flags.writeable = False
-        self.matrix = mat
-        self.tol = tol
-
-
 def as_effect(x, tol: Tolerances = DEFAULT) -> Effect:
     if isinstance(x, Effect):
         return x
@@ -192,8 +168,6 @@ def as_effect(x, tol: Tolerances = DEFAULT) -> Effect:
 
 def as_matrix(x) -> np.ndarray:
     if isinstance(x, Effect):
-        return x.matrix
-    if isinstance(x, TraceState):
         return x.matrix
     return np.asarray(x, dtype=np.complex128)
 
@@ -360,17 +334,6 @@ def subsum_projections(projections: list[Projection], limit: int | None = None):
         yield acc
 
 
-def state_eval(s: TraceState, a, tol: Tolerances = DEFAULT) -> float:
-    """Evaluate tr(rho a); the result is a probability."""
-    a = as_effect(a, tol)
-    if s.matrix.shape[0] != a.dim:
-        raise DimensionMismatchError("state and effect dimensions differ")
-    val = float(np.real(np.trace(s.matrix @ a.matrix)))
-    if val < -tol.check or val > 1.0 + tol.check:
-        raise ValueError(f"state evaluation {val:.6g} escapes [0, 1]")
-    return min(1.0, max(0.0, val))
-
-
 def min_eig(x, tol: Tolerances = DEFAULT) -> float:
     m = as_matrix(x)
     return float(eigh(m, tol).values[0])
@@ -479,9 +442,6 @@ class EffectSampler:
     def uniform(self, lo: float = 0.0, hi: float = 1.0) -> float:
         return float(self.rng.uniform(lo, hi))
 
-    def dyadic(self, bits: int = 8) -> float:
-        return float(self.rng.integers(0, 2 ** bits + 1)) / 2 ** bits
-
     def unitary(self) -> np.ndarray:
         return random_unitary(self.rng, self.dim)
 
@@ -579,12 +539,6 @@ class EffectSampler:
         ])
         u = self.unitary()
         return hermitian_part((u * values) @ u.conj().T)
-
-    def state(self) -> TraceState:
-        weights = self.rng.dirichlet(np.ones(self.dim))
-        u = self.unitary()
-        mat = hermitian_part((u * weights) @ u.conj().T)
-        return TraceState(mat, tol=self.tol)
 
     def refined_commuting(self, hi: float = 1.0
                           ) -> tuple[Effect, Effect, Effect]:

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT, Tolerances
-from .linalg import cluster_indices, eigh, frobenius, hermitian_part
+from .linalg import (cluster_indices, eigh, frobenius, hermitian_part,
+                     operator_norm)
 from . import matrices as mx
 
 
@@ -102,6 +103,9 @@ class MatrixContext:
 
     def residual(self, a, b) -> float:
         return frobenius(_raw_of(a) - _raw_of(b))
+
+    def norm(self, v) -> float:
+        return operator_norm(_raw_of(v), self.tol)
 
     def leq(self, a, b, slack: float | None = None) -> bool:
         return mx.psd(self.sub(b, a), slack, self.tol)
@@ -321,6 +325,20 @@ def spectral_bounds(v, context=None, tol: Tolerances = DEFAULT
     return SpectralBounds(float(values[0]), float(values[-1]))
 
 
+def _tag(b: float, hi: float, mesh: float, count: int) -> float:
+    """Least partition point hi - j * mesh (0 <= j <= count) at or above
+    b <= hi, found by bisecting over j: no point list is built, so the
+    cost is O(log count) whatever the mesh."""
+    lo_j, hi_j = 0, count
+    while lo_j < hi_j:
+        mid = (lo_j + hi_j + 1) // 2
+        if hi - mid * mesh >= b:
+            lo_j = mid
+        else:
+            hi_j = mid - 1
+    return hi - lo_j * mesh
+
+
 def reconstruct(family: SpectralFamily, mesh: float | None = None):
     """Stieltjes sum over a partition with right-endpoint tags.
 
@@ -337,11 +355,7 @@ def reconstruct(family: SpectralFamily, mesh: float | None = None):
             raise ValueError("mesh must be positive")
         lo, hi = bps[0], bps[-1]
         count = max(1, math.ceil((hi - lo + mesh) / mesh - 1e-12))
-        points = [hi - (count - i) * mesh for i in range(count + 1)]
-        tags = []
-        for b in bps:
-            idx = bisect.bisect_left(points, b)
-            tags.append(points[min(idx, count)])
+        tags = [_tag(b, hi, mesh, count) for b in bps]
     acc = np.zeros_like(jumps[0])
     for tag, jump in zip(tags, jumps):
         acc = acc + tag * jump

@@ -121,27 +121,6 @@ class FiniteEffectAlgebra:
                         return True
         return False
 
-    def to_json_dict(self) -> dict:
-        rows = [[None if v == UNDEFINED else int(v) for v in row]
-                for row in self.table]
-        doc = {
-            "size": self.size,
-            "zero": self.zero,
-            "one": self.one,
-            "oplus": rows,
-        }
-        if self.labels is not None:
-            doc["labels"] = self.labels
-        return doc
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "FiniteEffectAlgebra":
-        rows = [[UNDEFINED if v is None else v for v in row]
-                for row in doc["oplus"]]
-        if doc.get("zero", 0) != 0:
-            raise TableFormatError("zero must be element 0")
-        return cls(rows, one=doc["one"], labels=doc.get("labels"))
-
 
 def _witness(alg: FiniteEffectAlgebra, **parts: int) -> dict:
     return {key: alg.label(val) for key, val in parts.items()}

@@ -5,6 +5,11 @@ per check, and reports integer pass counts with a first witness for any
 failure.  Suites accept a deliberately broken configuration (wrong
 product, soft focus, wrong floor, merged clusters, corrupted tables) so
 that negative controls can prove the checks are not vacuous.
+
+The spectral statements hold in every convex sequential effect algebra,
+so each has one body (``_spectrality``, ``_context``) over the model's
+context and a small per-model record (``_Model``); the other statements
+have one body per model.
 """
 from __future__ import annotations
 
@@ -13,6 +18,7 @@ import os
 import traceback
 import zlib
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -107,6 +113,66 @@ def _res(m, dim: int) -> float:
 
 
 # ---------------------------------------------------------------------------
+# the models
+
+
+class _Model(NamedTuple):
+    """What one model lends the suites for one run; the statements stated
+    once over both models take everything else from ``ctx``."""
+
+    name: str                # as reports record it
+    dim: int                 # matrix dimension or point-set size
+    tol: Tolerances          # as given; ctx.tol holds the model's thresholds
+    ctx: object
+    smp: Callable            # statement id -> its seeded sampler
+    enc: Callable            # element -> witness JSON
+    mul: Callable            # product of raw elements
+    extremes: Callable       # raw element -> least and greatest value
+    effect: Callable         # sampler -> effect
+    simple: Callable         # sampler, gap= -> effect with few levels
+    signed: Callable         # sampler -> self-adjoint element, maybe singular
+    with_values: Callable    # sampler, values -> effect with that spectrum
+
+
+def _matrix_model(suite: str, dim: int, seed: int, tol: Tolerances) -> _Model:
+    def extremes(x) -> tuple[float, float]:
+        vals = eigh(x, tol).values
+        return float(vals[0]), float(vals[-1])
+
+    return _Model(
+        "matrix", dim, tol, sp.MatrixContext(tol),
+        smp=lambda sid: mx.EffectSampler(_seed_for(seed, suite, sid), dim,
+                                         tol),
+        enc=_mat, mul=np.matmul, extremes=extremes,
+        effect=lambda s: s.effect(),
+        simple=lambda s, **gap: s.simple_effect(**gap),
+        signed=lambda s: s.hermitian(
+            zeros=int(s.rng.integers(0, min(2, dim - 1) + 1))),
+        with_values=lambda s, values: s.effect(values=values))
+
+
+def _mv_model(suite: str, size: int, seed: int, tol: Tolerances) -> _Model:
+    return _Model(
+        "mv", size, tol, fz.FuzzyContext(tol),
+        smp=lambda sid: fz.FuzzySampler(_seed_for(seed, suite, sid), size),
+        enc=_vals, mul=np.multiply,
+        extremes=lambda x: (float(np.min(x)), float(np.max(x))),
+        effect=lambda s: s.fuzzy(),
+        simple=lambda s, **gap: s.fuzzy(),
+        signed=lambda s: s.rng.integers(-s.denom, s.denom + 1, size) / s.denom,
+        with_values=lambda s, values: fz.FuzzySet(values))
+
+
+def _model(model: str, suite: str, dim_or_size: int, seed: int,
+           tol: Tolerances) -> _Model:
+    if model == "matrix":
+        return _matrix_model(suite, dim_or_size, seed, tol)
+    if model == "mv":
+        return _mv_model(suite, dim_or_size, seed, tol)
+    raise ValueError(f"unknown model {model!r}")
+
+
+# ---------------------------------------------------------------------------
 # sequential products, standard and broken
 
 
@@ -180,21 +246,19 @@ def _sharp_defect(a: mx.Effect) -> float:
     return _res(a.matrix @ a.matrix - a.matrix, a.dim)
 
 
-def _sea_matrix(report: SuiteReport, dim: int, samples: int, seed: int,
-                tol: Tolerances, product: str) -> None:
+def _sea_matrix(report: SuiteReport, m: _Model, samples: int,
+                product: str) -> None:
+    dim, tol = m.dim, m.tol
     prod = _matrix_product(product, tol)
     thr = tol.check
     eye = np.eye(dim)
     one = mx.Effect(eye, tol=tol, validate=False)
 
-    def smp_for(sid: str) -> mx.EffectSampler:
-        return mx.EffectSampler(_seed_for(seed, "sea", sid), dim, tol)
-
     def wrap(matrix) -> mx.Effect:
         return mx.Effect(matrix, tol=tol, validate=False)
 
     def s1(t: _Tally) -> None:
-        smp = smp_for("S1")
+        smp = m.smp("S1")
         for k in range(samples):
             a = smp.effect()
             b = smp.effect(values=smp.rng.uniform(0.0, 0.5, dim))
@@ -205,7 +269,7 @@ def _sea_matrix(report: SuiteReport, dim: int, samples: int, seed: int,
                                   "c": _mat(c)})
 
     def s2(t: _Tally) -> None:
-        smp = smp_for("S2")
+        smp = m.smp("S2")
         for k in range(samples):
             a = smp.effect()
             r = max(_res(prod(one, a) - a.matrix, dim),
@@ -213,7 +277,7 @@ def _sea_matrix(report: SuiteReport, dim: int, samples: int, seed: int,
             t.tally(r <= thr, r, {"sample": k, "a": _mat(a)})
 
     def s3(t: _Tally) -> None:
-        smp = smp_for("S3")
+        smp = m.smp("S3")
         for k in range(samples):
             if k % 2 == 0:
                 a, b = smp.orthogonal_pair()
@@ -235,7 +299,7 @@ def _sea_matrix(report: SuiteReport, dim: int, samples: int, seed: int,
                          "min_eigenvalue": lo, "max_eigenvalue": hi})
 
     def s4(t: _Tally) -> None:
-        smp = smp_for("S4")
+        smp = m.smp("S4")
         for k in range(samples):
             a, b = smp.commuting()
             c = smp.effect()
@@ -254,7 +318,7 @@ def _sea_matrix(report: SuiteReport, dim: int, samples: int, seed: int,
                                   "associativity": r2})
 
     def s5(t: _Tally) -> None:
-        smp = smp_for("S5")
+        smp = m.smp("S5")
         for k in range(samples):
             c, a, b = smp.refined_commuting(hi=0.5)
             pa = _res(prod(c, a) - prod(a, c), dim)
@@ -271,7 +335,7 @@ def _sea_matrix(report: SuiteReport, dim: int, samples: int, seed: int,
                                        "a": _mat(a), "b": _mat(b)})
 
     def aff(t: _Tally) -> None:
-        smp = smp_for("le:aff")
+        smp = m.smp("le:aff")
         for k in range(samples):
             a = smp.effect()
             b = smp.effect()
@@ -290,7 +354,7 @@ def _sea_matrix(report: SuiteReport, dim: int, samples: int, seed: int,
                     {"sample": k, "lambda": lam, "a": _mat(a), "b": _mat(b)})
 
     def convex_c1(t: _Tally) -> None:
-        smp = smp_for("convex:C1")
+        smp = m.smp("convex:C1")
         for k in range(samples):
             a = smp.effect()
             lam = smp.uniform()
@@ -300,7 +364,7 @@ def _sea_matrix(report: SuiteReport, dim: int, samples: int, seed: int,
             t.tally(r <= thr, r, {"sample": k, "lambda": lam, "mu": mu})
 
     def convex_c2(t: _Tally) -> None:
-        smp = smp_for("convex:C2")
+        smp = m.smp("convex:C2")
         for k in range(samples):
             a = smp.effect()
             lam = smp.uniform()
@@ -311,7 +375,7 @@ def _sea_matrix(report: SuiteReport, dim: int, samples: int, seed: int,
             t.tally(r <= thr, r, {"sample": k, "lambda": lam, "mu": mu})
 
     def convex_c3(t: _Tally) -> None:
-        smp = smp_for("convex:C3")
+        smp = m.smp("convex:C3")
         for k in range(samples):
             a = smp.effect(values=smp.rng.uniform(0.0, 0.5, dim))
             b = smp.effect(values=smp.rng.uniform(0.0, 0.5, dim))
@@ -323,14 +387,14 @@ def _sea_matrix(report: SuiteReport, dim: int, samples: int, seed: int,
             t.tally(r <= thr, r, {"sample": k, "lambda": lam})
 
     def convex_c4(t: _Tally) -> None:
-        smp = smp_for("convex:C4")
+        smp = m.smp("convex:C4")
         for k in range(samples):
             a = smp.effect()
             r = _res(mx.scale_effect(a, 1.0).matrix - a.matrix, dim)
             t.tally(r <= thr, r, {"sample": k})
 
     def sharp_i(t: _Tally) -> None:
-        smp = smp_for("le:sharp.i")
+        smp = m.smp("le:sharp.i")
         for k in range(samples):
             a = smp.projection() if k % 2 == 0 else smp.effect()
             sharp = _sharp_defect(a) <= thr
@@ -341,7 +405,7 @@ def _sea_matrix(report: SuiteReport, dim: int, samples: int, seed: int,
                      "kills_complement": s1b, "idempotent": s2b})
 
     def sharp_ii(t: _Tally) -> None:
-        smp = smp_for("le:sharp.ii")
+        smp = m.smp("le:sharp.ii")
         for k in range(samples):
             if k % 2 == 0:
                 p = smp.projection()
@@ -360,7 +424,7 @@ def _sea_matrix(report: SuiteReport, dim: int, samples: int, seed: int,
                      "order": below, "product_residual": rp})
 
     def sharp_iii(t: _Tally) -> None:
-        smp = smp_for("le:sharp.iii")
+        smp = m.smp("le:sharp.iii")
         for k in range(samples):
             if k % 2 == 0:
                 p = smp.projection()
@@ -379,7 +443,7 @@ def _sea_matrix(report: SuiteReport, dim: int, samples: int, seed: int,
                      "order": below, "product_residual": rp})
 
     def sharp_iv(t: _Tally) -> None:
-        smp = smp_for("le:sharp.iv")
+        smp = m.smp("le:sharp.iv")
         for k in range(samples):
             if k % 2 == 0:
                 ea, eb = smp.orthogonal_pair()
@@ -404,7 +468,7 @@ def _sea_matrix(report: SuiteReport, dim: int, samples: int, seed: int,
                                   "vanishes": vanish, "summable": summable})
 
     def sharp_v(t: _Tally) -> None:
-        smp = smp_for("le:sharp.v")
+        smp = m.smp("le:sharp.v")
         for k in range(samples):
             if k % 2 == 0:
                 p, a = smp.commuting_projection_effect()
@@ -420,14 +484,13 @@ def _sea_matrix(report: SuiteReport, dim: int, samples: int, seed: int,
                      "commutes": commute, "mackey": mackey})
 
     def sharp_vi(t: _Tally) -> None:
-        smp = smp_for("le:sharp.vi")
+        smp = m.smp("le:sharp.vi")
         for k in range(samples):
             p, a = smp.commuting_projection_effect()
             meet_mat = mx.commuting_meet(p, a, tol)
             r = _res(np.asarray(prod(p, a)) - meet_mat, dim)
             t.tally(r <= thr, r, {"sample": k, "p": _mat(p), "a": _mat(a)})
-        oracle = mx.EffectSampler(_seed_for(seed, "sea", "le:sharp.vi/oracle"),
-                                  dim, tol)
+        oracle = m.smp("le:sharp.vi/oracle")
         for k in range(min(samples, 24)):
             pvals = (oracle.rng.integers(0, 2, dim)).astype(float)
             if not pvals.any():
@@ -452,19 +515,19 @@ def _sea_matrix(report: SuiteReport, dim: int, samples: int, seed: int,
                      "a": avals.round(12).tolist(), "slack": worst})
 
     def strongarch(t: _Tally) -> None:
-        smp = smp_for("de:strongarch")
+        smp = m.smp("de:strongarch")
         bound = 2.0 / ARCHIMEDEAN_RESOLUTION
         for k in range(samples):
             a = smp.effect()
             b = smp.effect()
-            m = mx.min_eig(b.matrix - a.matrix, tol)
-            if m >= -bound:
+            least = mx.min_eig(b.matrix - a.matrix, tol)
+            if least >= -bound:
                 t.tally(True)
                 continue
-            n = min(ARCHIMEDEAN_RESOLUTION, 2 * math.ceil(1.0 / (-m)))
+            n = min(ARCHIMEDEAN_RESOLUTION, 2 * math.ceil(1.0 / (-least)))
             gap = mx.min_eig(b.matrix + eye / n - a.matrix, tol)
             t.tally(gap < 0.0, 0.0,
-                    {"sample": k, "n": n, "min_eigenvalue": m,
+                    {"sample": k, "n": n, "min_eigenvalue": least,
                      "shifted_min_eigenvalue": gap})
 
     _run_statement(report, "S1", "matrix", s1)
@@ -490,13 +553,11 @@ def _sea_matrix(report: SuiteReport, dim: int, samples: int, seed: int,
 # mv SEA suite
 
 
-def _sea_mv(report: SuiteReport, size: int, samples: int, seed: int,
-            tol: Tolerances, product: str) -> None:
+def _sea_mv(report: SuiteReport, m: _Model, samples: int,
+            product: str) -> None:
+    size = m.dim
     prod = _mv_product(product)
     one = fz.one(size)
-
-    def smp_for(sid: str) -> fz.FuzzySampler:
-        return fz.FuzzySampler(_seed_for(seed, "sea", sid), size)
 
     def dy(smp: fz.FuzzySampler) -> float:
         return float(smp.rng.integers(0, smp.denom + 1)) / smp.denom
@@ -508,7 +569,7 @@ def _sea_mv(report: SuiteReport, size: int, samples: int, seed: int,
         return fz.FuzzySet(va), fz.FuzzySet(vb)
 
     def s1(t: _Tally) -> None:
-        smp = smp_for("S1")
+        smp = m.smp("S1")
         for k in range(samples):
             a = smp.fuzzy()
             b, c = smp.summable_pair()
@@ -525,7 +586,7 @@ def _sea_mv(report: SuiteReport, size: int, samples: int, seed: int,
                     {"sample": k, "a": _vals(a), "b": _vals(b), "c": _vals(c)})
 
     def s2(t: _Tally) -> None:
-        smp = smp_for("S2")
+        smp = m.smp("S2")
         for k in range(samples):
             a = smp.fuzzy()
             ok = (np.array_equal(prod(one, a), a.values)
@@ -533,7 +594,7 @@ def _sea_mv(report: SuiteReport, size: int, samples: int, seed: int,
             t.tally(bool(ok), 0.0, {"sample": k, "a": _vals(a)})
 
     def s3(t: _Tally) -> None:
-        smp = smp_for("S3")
+        smp = m.smp("S3")
         for k in range(samples):
             if k % 2 == 0:
                 a, b = split_pair(smp)
@@ -547,7 +608,7 @@ def _sea_mv(report: SuiteReport, size: int, samples: int, seed: int,
                     {"sample": k, "a": _vals(a), "b": _vals(b)})
 
     def s4(t: _Tally) -> None:
-        smp = smp_for("S4")
+        smp = m.smp("S4")
         for k in range(samples):
             a, b, c = smp.fuzzy(), smp.fuzzy(), smp.fuzzy()
             if not np.array_equal(prod(a, b), prod(b, a)):
@@ -561,7 +622,7 @@ def _sea_mv(report: SuiteReport, size: int, samples: int, seed: int,
                                     "b": _vals(b), "c": _vals(c)})
 
     def s5(t: _Tally) -> None:
-        smp = smp_for("S5")
+        smp = m.smp("S5")
         for k in range(samples):
             a, b, c = smp.summable_triple()
             if not (np.array_equal(prod(c, a), prod(a, c))
@@ -575,7 +636,7 @@ def _sea_mv(report: SuiteReport, size: int, samples: int, seed: int,
             t.tally(bool(ok), 0.0, {"sample": k})
 
     def aff(t: _Tally) -> None:
-        smp = smp_for("le:aff")
+        smp = m.smp("le:aff")
         for k in range(samples):
             a, b = smp.fuzzy(), smp.fuzzy()
             lam = dy(smp)
@@ -588,7 +649,7 @@ def _sea_mv(report: SuiteReport, size: int, samples: int, seed: int,
                                     "a": _vals(a), "b": _vals(b)})
 
     def convex_c1(t: _Tally) -> None:
-        smp = smp_for("convex:C1")
+        smp = m.smp("convex:C1")
         for k in range(samples):
             a = smp.fuzzy()
             lam, mu = dy(smp), dy(smp)
@@ -596,7 +657,7 @@ def _sea_mv(report: SuiteReport, size: int, samples: int, seed: int,
             t.tally(bool(ok), 0.0, {"sample": k, "lambda": lam, "mu": mu})
 
     def convex_c2(t: _Tally) -> None:
-        smp = smp_for("convex:C2")
+        smp = m.smp("convex:C2")
         for k in range(samples):
             a = smp.fuzzy()
             klam = int(smp.rng.integers(0, smp.denom + 1))
@@ -607,7 +668,7 @@ def _sea_mv(report: SuiteReport, size: int, samples: int, seed: int,
             t.tally(bool(ok), 0.0, {"sample": k, "lambda": lam, "mu": mu})
 
     def convex_c3(t: _Tally) -> None:
-        smp = smp_for("convex:C3")
+        smp = m.smp("convex:C3")
         for k in range(samples):
             a, b = smp.summable_pair()
             lam = dy(smp)
@@ -617,14 +678,14 @@ def _sea_mv(report: SuiteReport, size: int, samples: int, seed: int,
             t.tally(bool(ok), 0.0, {"sample": k, "lambda": lam})
 
     def convex_c4(t: _Tally) -> None:
-        smp = smp_for("convex:C4")
+        smp = m.smp("convex:C4")
         for k in range(samples):
             a = smp.fuzzy()
             t.tally(bool(np.array_equal(1.0 * a.values, a.values)), 0.0,
                     {"sample": k})
 
     def sharp_i(t: _Tally) -> None:
-        smp = smp_for("le:sharp.i")
+        smp = m.smp("le:sharp.i")
         for k in range(samples):
             a = smp.sharp() if k % 2 == 0 else smp.fuzzy()
             sharp = fz.mv_is_sharp(a)
@@ -634,7 +695,7 @@ def _sea_mv(report: SuiteReport, size: int, samples: int, seed: int,
                     {"sample": k, "a": _vals(a)})
 
     def sharp_ii(t: _Tally) -> None:
-        smp = smp_for("le:sharp.ii")
+        smp = m.smp("le:sharp.ii")
         for k in range(samples):
             p = smp.sharp()
             a = (fz.FuzzySet(np.maximum(p.values, smp.fuzzy().values))
@@ -646,7 +707,7 @@ def _sea_mv(report: SuiteReport, size: int, samples: int, seed: int,
                     {"sample": k, "p": _vals(p), "a": _vals(a)})
 
     def sharp_iii(t: _Tally) -> None:
-        smp = smp_for("le:sharp.iii")
+        smp = m.smp("le:sharp.iii")
         for k in range(samples):
             p = smp.sharp()
             a = (fz.FuzzySet(p.values * smp.fuzzy().values)
@@ -658,7 +719,7 @@ def _sea_mv(report: SuiteReport, size: int, samples: int, seed: int,
                     {"sample": k, "p": _vals(p), "a": _vals(a)})
 
     def sharp_iv(t: _Tally) -> None:
-        smp = smp_for("le:sharp.iv")
+        smp = m.smp("le:sharp.iv")
         for k in range(samples):
             p = smp.sharp()
             if k % 2 == 0:
@@ -677,7 +738,7 @@ def _sea_mv(report: SuiteReport, size: int, samples: int, seed: int,
                                     "a": _vals(a)})
 
     def sharp_v(t: _Tally) -> None:
-        smp = smp_for("le:sharp.v")
+        smp = m.smp("le:sharp.v")
         for k in range(samples):
             p = smp.sharp()
             a = smp.fuzzy()
@@ -689,7 +750,7 @@ def _sea_mv(report: SuiteReport, size: int, samples: int, seed: int,
                     {"sample": k, "p": _vals(p), "a": _vals(a)})
 
     def sharp_vi(t: _Tally) -> None:
-        smp = smp_for("le:sharp.vi")
+        smp = m.smp("le:sharp.vi")
         for k in range(samples):
             p = smp.sharp()
             a = smp.fuzzy()
@@ -699,18 +760,18 @@ def _sea_mv(report: SuiteReport, size: int, samples: int, seed: int,
                                     "a": _vals(a)})
 
     def strongarch(t: _Tally) -> None:
-        smp = smp_for("de:strongarch")
+        smp = m.smp("de:strongarch")
         bound = 2.0 / ARCHIMEDEAN_RESOLUTION
         for k in range(samples):
             a, b = smp.fuzzy(), smp.fuzzy()
-            m = float(np.min(b.values - a.values))
-            if m >= -bound:
+            least = float(np.min(b.values - a.values))
+            if least >= -bound:
                 t.tally(True)
                 continue
-            n = min(ARCHIMEDEAN_RESOLUTION, 2 * math.ceil(1.0 / (-m)))
+            n = min(ARCHIMEDEAN_RESOLUTION, 2 * math.ceil(1.0 / (-least)))
             gap = float(np.min(b.values + 1.0 / n - a.values))
             t.tally(gap < 0.0, 0.0, {"sample": k, "n": n,
-                                     "min_difference": m})
+                                     "min_difference": least})
 
     _run_statement(report, "S1", "mv", s1)
     _run_statement(report, "S2", "mv", s2)
@@ -738,6 +799,7 @@ def run_sea_suite(model: str = "matrix", dim_or_size: int = 4,
     """Sequential-product axioms, affinity, sharpness, archimedeanity."""
     if samples < 1:
         raise ValueError("samples must be positive")
+    m = _model(model, "sea", dim_or_size, seed, tol)
     report = SuiteReport(
         suite="sea", model=model, seed=seed,
         config={"dim_or_size": dim_or_size, "samples": samples,
@@ -745,12 +807,8 @@ def run_sea_suite(model: str = "matrix", dim_or_size: int = 4,
                 "archimedean_resolution": ARCHIMEDEAN_RESOLUTION})
     if product != "standard":
         report.metadata["negative_control"] = True
-    if model == "matrix":
-        _sea_matrix(report, dim_or_size, samples, seed, tol, product)
-    elif model == "mv":
-        _sea_mv(report, dim_or_size, samples, seed, tol, product)
-    else:
-        raise ValueError(f"unknown model {model!r}")
+    (_sea_matrix if model == "matrix" else _sea_mv)(report, m, samples,
+                                                    product)
     return report
 
 
@@ -758,19 +816,17 @@ def run_sea_suite(model: str = "matrix", dim_or_size: int = 4,
 # compression suite
 
 
-def _compression_matrix(report: SuiteReport, dim: int, samples: int,
-                        seed: int, tol: Tolerances, focus: str) -> None:
+def _compression_matrix(report: SuiteReport, m: _Model, samples: int,
+                        focus: str) -> None:
+    dim, tol = m.dim, m.tol
     thr = tol.check
     eye = np.eye(dim)
-
-    def smp_for(sid: str) -> mx.EffectSampler:
-        return mx.EffectSampler(_seed_for(seed, "compression", sid), dim, tol)
 
     def wrap(matrix) -> mx.Effect:
         return mx.Effect(matrix, tol=tol, validate=False)
 
     def compr(t: _Tally) -> None:
-        smp = smp_for("de:compr")
+        smp = m.smp("de:compr")
         for k in range(samples):
             u = smp.unitary()
             if focus == "projection":
@@ -811,7 +867,7 @@ def _compression_matrix(report: SuiteReport, dim: int, samples: int,
                             "generic_clause": bool(van == under)})
 
     def cb_c1(t: _Tally) -> None:
-        smp = smp_for("cb:C1")
+        smp = m.smp("cb:C1")
         for k in range(samples):
             p = smp.projection()
             r = _res(mx.compression(p, mx.Effect(eye, tol=tol,
@@ -820,7 +876,7 @@ def _compression_matrix(report: SuiteReport, dim: int, samples: int,
             t.tally(r <= thr, r, {"sample": k, "p": _mat(p)})
 
     def cb_c2p(t: _Tally) -> None:
-        smp = smp_for("cb:C2p")
+        smp = m.smp("cb:C2p")
         for k in range(samples):
             u = smp.unitary()
             p = smp.projection(unitary=u)
@@ -835,7 +891,7 @@ def _compression_matrix(report: SuiteReport, dim: int, samples: int,
                     {"sample": k, "p": _mat(p), "q": _mat(q)})
 
     def cb_c3(t: _Tally) -> None:
-        smp = smp_for("cb:C3")
+        smp = m.smp("cb:C3")
         for k in range(samples):
             u = smp.unitary()
             k1 = int(smp.rng.integers(1, dim)) if dim > 1 else 1
@@ -854,7 +910,7 @@ def _compression_matrix(report: SuiteReport, dim: int, samples: int,
             t.tally(r <= thr, r, {"sample": k, "sizes": [k1, k2, k3]})
 
     def com_e(t: _Tally) -> None:
-        smp = smp_for("le:comE")
+        smp = m.smp("le:comE")
         for k in range(samples):
             if k % 2 == 0:
                 p, a = smp.commuting_projection_effect()
@@ -872,7 +928,7 @@ def _compression_matrix(report: SuiteReport, dim: int, samples: int,
                                      "interval_sum", "mackey", "meet")}})
 
     def compat_i(t: _Tally) -> None:
-        smp = smp_for("lemma:compatible_projs.i")
+        smp = m.smp("lemma:compatible_projs.i")
         for k in range(samples):
             if dim < 2:
                 t.tally(True)
@@ -898,7 +954,7 @@ def _compression_matrix(report: SuiteReport, dim: int, samples: int,
                                   "a": _mat(a)})
 
     def compat_ii(t: _Tally) -> None:
-        smp = smp_for("lemma:compatible_projs.ii")
+        smp = m.smp("lemma:compatible_projs.ii")
         for k in range(samples):
             u = smp.unitary()
             p = smp.projection(unitary=u)
@@ -921,13 +977,12 @@ def _compression_matrix(report: SuiteReport, dim: int, samples: int,
     _run_statement(report, "lemma:compatible_projs.ii", "matrix", compat_ii)
 
 
-def _compression_mv(report: SuiteReport, size: int, samples: int, seed: int,
-                    tol: Tolerances, focus: str) -> None:
-    def smp_for(sid: str) -> fz.FuzzySampler:
-        return fz.FuzzySampler(_seed_for(seed, "compression", sid), size)
+def _compression_mv(report: SuiteReport, m: _Model, samples: int,
+                    focus: str) -> None:
+    size = m.dim
 
     def compr(t: _Tally) -> None:
-        smp = smp_for("de:compr")
+        smp = m.smp("de:compr")
         for k in range(samples):
             if focus == "projection":
                 f = smp.sharp().values
@@ -947,14 +1002,14 @@ def _compression_mv(report: SuiteReport, size: int, samples: int, seed: int,
             t.tally(bool(ok), 0.0, {"sample": k, "focus": f.tolist()})
 
     def cb_c1(t: _Tally) -> None:
-        smp = smp_for("cb:C1")
+        smp = m.smp("cb:C1")
         for k in range(samples):
             p = smp.sharp()
             ok = np.array_equal(p.values * np.ones(size), p.values)
             t.tally(bool(ok), 0.0, {"sample": k})
 
     def cb_c2p(t: _Tally) -> None:
-        smp = smp_for("cb:C2p")
+        smp = m.smp("cb:C2p")
         for k in range(samples):
             p, q = smp.sharp(), smp.sharp()
             a = smp.fuzzy()
@@ -963,7 +1018,7 @@ def _compression_mv(report: SuiteReport, size: int, samples: int, seed: int,
             t.tally(bool(ok), 0.0, {"sample": k})
 
     def cb_c3(t: _Tally) -> None:
-        smp = smp_for("cb:C3")
+        smp = m.smp("cb:C3")
         for k in range(samples):
             ctx = smp.context(min(3, size))
             parts = [np.zeros(size) for _ in range(3)]
@@ -976,7 +1031,7 @@ def _compression_mv(report: SuiteReport, size: int, samples: int, seed: int,
             t.tally(bool(ok), 0.0, {"sample": k})
 
     def com_e(t: _Tally) -> None:
-        smp = smp_for("le:comE")
+        smp = m.smp("le:comE")
         for k in range(samples):
             p = smp.sharp()
             a = smp.fuzzy()
@@ -992,7 +1047,7 @@ def _compression_mv(report: SuiteReport, size: int, samples: int, seed: int,
                     {"sample": k, "p": _vals(p), "a": _vals(a)})
 
     def compat_i(t: _Tally) -> None:
-        smp = smp_for("lemma:compatible_projs.i")
+        smp = m.smp("lemma:compatible_projs.i")
         for k in range(samples):
             ctx = smp.context(min(2, size))
             p = np.zeros(size)
@@ -1007,7 +1062,7 @@ def _compression_mv(report: SuiteReport, size: int, samples: int, seed: int,
             t.tally(bool(ok), 0.0, {"sample": k})
 
     def compat_ii(t: _Tally) -> None:
-        smp = smp_for("lemma:compatible_projs.ii")
+        smp = m.smp("lemma:compatible_projs.ii")
         for k in range(samples):
             p, q = smp.sharp().values, smp.sharp().values
             a = smp.fuzzy().values
@@ -1033,18 +1088,15 @@ def run_compression_suite(model: str = "matrix", dim_or_size: int = 4,
         raise ValueError("samples must be positive")
     if focus not in ("projection", "soft"):
         raise ValueError(f"unknown focus {focus!r}")
+    m = _model(model, "compression", dim_or_size, seed, tol)
     report = SuiteReport(
         suite="compression", model=model, seed=seed,
         config={"dim_or_size": dim_or_size, "samples": samples,
                 "focus": focus, "tolerances": tol.to_dict()})
     if focus != "projection":
         report.metadata["negative_control"] = True
-    if model == "matrix":
-        _compression_matrix(report, dim_or_size, samples, seed, tol, focus)
-    elif model == "mv":
-        _compression_mv(report, dim_or_size, samples, seed, tol, focus)
-    else:
-        raise ValueError(f"unknown model {model!r}")
+    (_compression_matrix if model == "matrix" else _compression_mv)(
+        report, m, samples, focus)
     return report
 
 
@@ -1061,15 +1113,109 @@ def _rickart_family(a, ctx) -> sp.SpectralFamily:
     return sp.SpectralFamily(values, tuple(steps), ctx.model)
 
 
-def _spectrality_matrix(report: SuiteReport, dim: int, samples: int,
-                        seed: int, tol: Tolerances, floor_mode: str) -> None:
+def _spectrality(report: SuiteReport, m: _Model, samples: int) -> None:
+    """The spectral statements, once for both models: residuals are
+    ``_res`` of a ``ctx.sub`` and the threshold is ``ctx.tol.check``,
+    which is 0 on mv, so every comparison there is exact."""
+    ctx, n, mul = m.ctx, m.dim, m.mul
+    thr = ctx.tol.check
+
+    def decomp(t: _Tally) -> None:
+        smp = m.smp("prop:decomp")
+        for k in range(samples):
+            v = m.signed(smp)
+            dec = sp.orthogonal_decomposition(v, ctx)
+            ok = True
+            worst = 0.0
+            for q in sp.sign_witness_projections(v, ctx, limit=8):
+                comp = ctx.complement(q)
+                vp = mul(mul(q, v), q)
+                vm = -mul(mul(comp, v), comp)
+                r = max(_res(ctx.sub(vp, dec.v_plus), n),
+                        _res(ctx.sub(vm, dec.v_minus), n))
+                worst = max(worst, r)
+                ok = ok and r <= thr
+            t.tally(ok, worst, {"sample": k, "v": m.enc(v)})
+
+    def limit(t: _Tally) -> None:
+        smp = m.smp("coro:limit")
+        for k in range(samples):
+            a = m.effect(smp)
+            prev = None
+            ok = True
+            worst = 0.0
+            for level in range(1, APPROX_LEVELS + 1):
+                an = np.asarray(sp.simple_approximation(a, level, ctx))
+                # One decomposition of a - a_n gives its norm and its sign.
+                lo, hi = m.extremes(ctx.sub(a, an))
+                gap = max(abs(lo), abs(hi))
+                worst = max(worst, gap - 2.0 ** -level)
+                ok = ok and gap <= 2.0 ** -level + thr and lo >= -thr
+                if prev is not None:
+                    ok = ok and ctx.leq(prev, an)
+                prev = an
+            t.tally(ok, max(0.0, worst), {"sample": k, "a": m.enc(a)})
+
+    def spectprojs(t: _Tally) -> None:
+        smp = m.smp("eq:spectprojs")
+        for k in range(samples):
+            a = m.simple(smp)
+            fam = sp.spectral_family(a, ctx)
+            ref = _rickart_family(a, ctx)
+            ok = len(fam.breakpoints) == len(ref.breakpoints) and all(
+                abs(x - y) <= thr
+                for x, y in zip(fam.breakpoints, ref.breakpoints))
+            worst = 0.0
+            for j in range(1, len(fam.projections)):
+                ok = ok and ctx.leq(fam.projections[j - 1],
+                                    fam.projections[j])
+                eig = sp.eigenprojection(a, fam.breakpoints[j - 1], ctx)
+                r = _res(ctx.sub(fam.jump(j), eig), n)
+                worst = max(worst, r)
+                ok = ok and r <= thr
+            for step, ref_step in zip(fam.projections, ref.projections):
+                r = _res(ctx.sub(step, ref_step), n)
+                worst = max(worst, r)
+                ok = ok and r <= thr
+            bounds = sp.spectral_bounds(a, ctx)
+            one = ctx.one_like(a)
+            ok = (ok and ctx.leq(bounds.L * one, a)
+                  and ctx.leq(a, bounds.U * one))
+            ok = ok and ctx.proj_rank(fam.at(bounds.L - 0.25)) == 0
+            ok = ok and ctx.proj_rank(fam.at(bounds.U)) == n
+            for lo, hi in zip(fam.breakpoints, fam.breakpoints[1:]):
+                mid = (lo + hi) / 2.0
+                ok = ok and _res(ctx.sub(fam.at(mid), fam.at(mid + 1e-12)),
+                                 n) <= thr
+            t.tally(ok, worst, {"sample": k, "a": m.enc(a)})
+
+    def spectres(t: _Tally) -> None:
+        smp = m.smp("eq:spectresV")
+        for k in range(samples):
+            a = m.effect(smp)
+            fam = sp.spectral_family(a, ctx)
+            r0 = ctx.norm(ctx.sub(a, sp.reconstruct(fam)))
+            ok = r0 <= thr
+            worst = r0
+            for mesh in MESHES:
+                gap = ctx.norm(ctx.sub(a, sp.reconstruct(fam, mesh)))
+                ok = ok and gap <= mesh + thr
+                worst = max(worst, gap if gap > mesh else 0.0)
+            t.tally(ok, worst, {"sample": k, "a": m.enc(a),
+                                "breakpoint_residual": r0})
+
+    _run_statement(report, "prop:decomp", m.name, decomp)
+    _run_statement(report, "coro:limit", m.name, limit)
+    _run_statement(report, "eq:spectprojs", m.name, spectprojs)
+    _run_statement(report, "eq:spectresV", m.name, spectres)
+
+
+def _spectrality_matrix(report: SuiteReport, m: _Model, samples: int,
+                        floor_mode: str) -> None:
+    dim, tol, ctx = m.dim, m.tol, m.ctx
     thr = tol.check
     eye = np.eye(dim)
-    ctx = sp.MatrixContext(tol)
     degenerate_ties = 0
-
-    def smp_for(sid: str) -> mx.EffectSampler:
-        return mx.EffectSampler(_seed_for(seed, "spectrality", sid), dim, tol)
 
     def floor_map(a: mx.Effect) -> mx.Projection:
         if floor_mode == "floor":
@@ -1077,7 +1223,7 @@ def _spectrality_matrix(report: SuiteReport, dim: int, samples: int,
         return mx.projection_cover(a, tol)
 
     def projcov(t: _Tally) -> None:
-        smp = smp_for("de:projcov")
+        smp = m.smp("de:projcov")
         for k in range(samples):
             a = smp.simple_effect()
             cover = mx.projection_cover(a, tol)
@@ -1094,7 +1240,7 @@ def _spectrality_matrix(report: SuiteReport, dim: int, samples: int,
                     {"sample": k, "a": _mat(a), "lambda": lam})
 
     def projcover_lemma(t: _Tally) -> None:
-        smp = smp_for("lemma:projcover")
+        smp = m.smp("lemma:projcover")
         for k in range(samples):
             if k % 2 == 0:
                 a, b = smp.orthogonal_pair()
@@ -1108,7 +1254,7 @@ def _spectrality_matrix(report: SuiteReport, dim: int, samples: int,
                      "effect_product": r1, "cover_product": r2})
 
     def covex_floor(t: _Tally) -> None:
-        smp = smp_for("lemma:covex_floor")
+        smp = m.smp("lemma:covex_floor")
         for k in range(samples):
             ones = int(smp.rng.integers(0, dim)) if k % 2 == 0 else 0
             a = smp.effect_with_top(ones=ones) if ones else smp.effect(
@@ -1127,7 +1273,7 @@ def _spectrality_matrix(report: SuiteReport, dim: int, samples: int,
                                   "cluster_route": r1, "duality": r2})
 
     def floor_lemma(t: _Tally) -> None:
-        smp = smp_for("lemma:floor")
+        smp = m.smp("lemma:floor")
         for k in range(samples):
             ones = int(smp.rng.integers(1, dim + 1))
             a = smp.effect_with_top(ones=ones, ceiling=0.95)
@@ -1151,7 +1297,7 @@ def _spectrality_matrix(report: SuiteReport, dim: int, samples: int,
 
     def b_compar(t: _Tally) -> None:
         nonlocal degenerate_ties
-        smp = smp_for("de:b-compar")
+        smp = m.smp("de:b-compar")
         for k in range(samples):
             if k % 4 == 3:
                 e = smp.effect()
@@ -1175,26 +1321,8 @@ def _spectrality_matrix(report: SuiteReport, dim: int, samples: int,
                   and ctx.leq(ctx.compress(comp, f), ctx.compress(comp, e)))
             t.tally(ok, 0.0, {"sample": k, "e": _mat(e), "f": _mat(f)})
 
-    def decomp(t: _Tally) -> None:
-        smp = smp_for("prop:decomp")
-        for k in range(samples):
-            zeros = int(smp.rng.integers(0, min(2, dim - 1) + 1))
-            v = smp.hermitian(zeros=zeros)
-            dec = sp.orthogonal_decomposition(v, ctx, tol)
-            ok = True
-            worst = 0.0
-            for q in sp.sign_witness_projections(v, ctx, tol, limit=8):
-                comp = eye - q
-                vp = q @ v @ q
-                vm = -(comp @ v @ comp)
-                r = max(_res(vp - np.asarray(dec.v_plus), dim),
-                        _res(vm - np.asarray(dec.v_minus), dim))
-                worst = max(worst, r)
-                ok = ok and r <= thr
-            t.tally(ok, worst, {"sample": k, "v": _mat(v)})
-
     def commut(t: _Tally) -> None:
-        smp = smp_for("prop:commut")
+        smp = m.smp("prop:commut")
         for k in range(samples):
             if k % 2 == 0:
                 a, b = smp.commuting()
@@ -1212,83 +1340,8 @@ def _spectrality_matrix(report: SuiteReport, dim: int, samples: int,
                      "sequential": b1, "ordinary": b2,
                      "projections": projs_ok})
 
-    def limit(t: _Tally) -> None:
-        smp = smp_for("coro:limit")
-        for k in range(samples):
-            a = smp.effect()
-            prev = None
-            ok = True
-            worst = 0.0
-            for n in range(1, APPROX_LEVELS + 1):
-                an = np.asarray(sp.simple_approximation(a, n, ctx, tol))
-                # One decomposition of a - a_n gives its norm and its sign.
-                vals = eigh(a.matrix - an, tol).values
-                gap = float(max(abs(vals[0]), abs(vals[-1])))
-                worst = max(worst, gap - 2.0 ** -n)
-                ok = ok and gap <= 2.0 ** -n + thr
-                ok = ok and vals[0] >= -thr
-                if prev is not None:
-                    ok = ok and mx.psd(an - prev, tol=tol)
-                prev = an
-            t.tally(ok, max(0.0, worst), {"sample": k, "a": _mat(a)})
-
-    def spectprojs(t: _Tally) -> None:
-        smp = smp_for("eq:spectprojs")
-        for k in range(samples):
-            a = smp.simple_effect()
-            fam = sp.spectral_family(a, ctx, tol)
-            ref = _rickart_family(a, ctx)
-            ok = len(fam.breakpoints) == len(ref.breakpoints) and all(
-                abs(x - y) <= thr
-                for x, y in zip(fam.breakpoints, ref.breakpoints))
-            worst = 0.0
-            for j in range(1, len(fam.projections)):
-                ok = ok and mx.psd(np.asarray(fam.projections[j].matrix)
-                                   - np.asarray(fam.projections[j - 1].matrix),
-                                   tol=tol)
-                jump = fam.jump(j)
-                eig = sp.eigenprojection(a, fam.breakpoints[j - 1], ctx, tol)
-                r = _res(jump - np.asarray(eig.matrix), dim)
-                worst = max(worst, r)
-                ok = ok and r <= thr
-            for step, ref_step in zip(fam.projections, ref.projections):
-                r = _res(step.matrix - ref_step.matrix, dim)
-                worst = max(worst, r)
-                ok = ok and r <= thr
-            bounds = sp.spectral_bounds(a, ctx, tol)
-            ok = (ok and ctx.leq(bounds.L * eye, a)
-                  and ctx.leq(a, bounds.U * eye))
-            below = bounds.L - 0.25
-            ok = ok and ctx.proj_rank(fam.at(below)) == 0
-            ok = ok and ctx.proj_rank(fam.at(bounds.U)) == dim
-            mid = [(fam.breakpoints[j] + fam.breakpoints[j + 1]) / 2.0
-                   for j in range(len(fam.breakpoints) - 1)]
-            for lam in mid:
-                step = fam.at(lam)
-                nxt = fam.at(lam + 1e-12)
-                ok = ok and _res(np.asarray(step.matrix)
-                                 - np.asarray(nxt.matrix), dim) <= thr
-            t.tally(ok, worst, {"sample": k, "a": _mat(a)})
-
-    def spectres(t: _Tally) -> None:
-        smp = smp_for("eq:spectresV")
-        for k in range(samples):
-            a = smp.effect()
-            fam = sp.spectral_family(a, ctx, tol)
-            exact = sp.reconstruct(fam)
-            r0 = operator_norm(a.matrix - np.asarray(exact), tol)
-            ok = r0 <= thr
-            worst = r0
-            for mesh in MESHES:
-                rec = sp.reconstruct(fam, mesh)
-                gap = operator_norm(a.matrix - np.asarray(rec), tol)
-                ok = ok and gap <= mesh + thr
-                worst = max(worst, gap if gap > mesh else 0.0)
-            t.tally(ok, worst, {"sample": k, "a": _mat(a),
-                                "breakpoint_residual": r0})
-
     def property_a(t: _Tally) -> None:
-        smp = smp_for("propertyA")
+        smp = m.smp("propertyA")
         for k in range(samples):
             u = smp.unitary()
             a = smp.effect(unitary=u)
@@ -1311,21 +1364,14 @@ def _spectrality_matrix(report: SuiteReport, dim: int, samples: int,
     _run_statement(report, "lemma:covex_floor", "matrix", covex_floor)
     _run_statement(report, "lemma:floor", "matrix", floor_lemma)
     _run_statement(report, "de:b-compar", "matrix", b_compar)
-    _run_statement(report, "prop:decomp", "matrix", decomp)
     _run_statement(report, "prop:commut", "matrix", commut)
-    _run_statement(report, "coro:limit", "matrix", limit)
-    _run_statement(report, "eq:spectprojs", "matrix", spectprojs)
-    _run_statement(report, "eq:spectresV", "matrix", spectres)
     _run_statement(report, "propertyA", "matrix", property_a)
     report.metadata["degenerate_comparability_ties"] = degenerate_ties
 
 
-def _spectrality_mv(report: SuiteReport, size: int, samples: int, seed: int,
-                    tol: Tolerances, floor_mode: str) -> None:
-    ctx = fz.FuzzyContext(tol)
-
-    def smp_for(sid: str) -> fz.FuzzySampler:
-        return fz.FuzzySampler(_seed_for(seed, "spectrality", sid), size)
+def _spectrality_mv(report: SuiteReport, m: _Model, samples: int,
+                    floor_mode: str) -> None:
+    size, tol, ctx = m.dim, m.tol, m.ctx
 
     def floor_vals(av: np.ndarray) -> np.ndarray:
         if floor_mode == "floor":
@@ -1333,7 +1379,7 @@ def _spectrality_mv(report: SuiteReport, size: int, samples: int, seed: int,
         return (av > 0.0).astype(float)
 
     def projcov(t: _Tally) -> None:
-        smp = smp_for("de:projcov")
+        smp = m.smp("de:projcov")
         for k in range(samples):
             a = smp.fuzzy()
             cover = ctx.support(a)
@@ -1348,7 +1394,7 @@ def _spectrality_mv(report: SuiteReport, size: int, samples: int, seed: int,
             t.tally(bool(ok), 0.0, {"sample": k, "a": _vals(a)})
 
     def projcover_lemma(t: _Tally) -> None:
-        smp = smp_for("lemma:projcover")
+        smp = m.smp("lemma:projcover")
         for k in range(samples):
             a, b = smp.fuzzy(), smp.fuzzy()
             cover = ctx.support(a).values
@@ -1358,7 +1404,7 @@ def _spectrality_mv(report: SuiteReport, size: int, samples: int, seed: int,
                                     "b": _vals(b)})
 
     def covex_floor(t: _Tally) -> None:
-        smp = smp_for("lemma:covex_floor")
+        smp = m.smp("lemma:covex_floor")
         for k in range(samples):
             a = smp.fuzzy()
             flr = floor_vals(a.values)
@@ -1370,7 +1416,7 @@ def _spectrality_mv(report: SuiteReport, size: int, samples: int, seed: int,
             t.tally(bool(ok), 0.0, {"sample": k, "a": _vals(a)})
 
     def floor_lemma(t: _Tally) -> None:
-        smp = smp_for("lemma:floor")
+        smp = m.smp("lemma:floor")
         for k in range(samples):
             ticks = smp.rng.integers(0, smp.denom + 1, size)
             ticks[smp.rng.integers(0, size)] = smp.denom
@@ -1393,7 +1439,7 @@ def _spectrality_mv(report: SuiteReport, size: int, samples: int, seed: int,
             t.tally(bool(ok), gap, {"sample": k, "a": av.tolist()})
 
     def b_compar(t: _Tally) -> None:
-        smp = smp_for("de:b-compar")
+        smp = m.smp("de:b-compar")
         ties = 0
         for k in range(samples):
             e, f = smp.fuzzy(), smp.fuzzy()
@@ -1408,80 +1454,16 @@ def _spectrality_mv(report: SuiteReport, size: int, samples: int, seed: int,
                                     "f": _vals(f)})
         report.metadata["degenerate_comparability_ties"] = ties
 
-    def decomp(t: _Tally) -> None:
-        smp = smp_for("prop:decomp")
-        for k in range(samples):
-            v = smp.rng.integers(-smp.denom, smp.denom + 1, size) / smp.denom
-            dec = sp.orthogonal_decomposition(v, ctx, tol)
-            ok = True
-            for q in sp.sign_witness_projections(v, ctx, tol, limit=8):
-                vp = q * v
-                vm = -((1.0 - q) * v)
-                ok = ok and np.array_equal(vp, np.asarray(dec.v_plus))
-                ok = ok and np.array_equal(vm, np.asarray(dec.v_minus))
-            t.tally(bool(ok), 0.0, {"sample": k, "v": v.tolist()})
-
     def commut(t: _Tally) -> None:
-        smp = smp_for("prop:commut")
+        smp = m.smp("prop:commut")
         for k in range(samples):
             a, b = smp.fuzzy(), smp.fuzzy()
             ok = (np.array_equal(a.values * b.values, b.values * a.values)
                   and ctx.commutes(a, b))
             t.tally(bool(ok), 0.0, {"sample": k})
 
-    def limit(t: _Tally) -> None:
-        smp = smp_for("coro:limit")
-        for k in range(samples):
-            a = smp.fuzzy()
-            prev = None
-            ok = True
-            for n in range(1, APPROX_LEVELS + 1):
-                an = np.asarray(sp.simple_approximation(a, n, ctx, tol))
-                ok = ok and bool(np.all(an <= a.values))
-                ok = ok and float(np.max(a.values - an)) <= 2.0 ** -n
-                if prev is not None:
-                    ok = ok and bool(np.all(prev <= an))
-                prev = an
-            t.tally(bool(ok), 0.0, {"sample": k, "a": _vals(a)})
-
-    def spectprojs(t: _Tally) -> None:
-        smp = smp_for("eq:spectprojs")
-        for k in range(samples):
-            a = smp.fuzzy()
-            fam = sp.spectral_family(a, ctx, tol)
-            ref = _rickart_family(a, ctx)
-            ok = fam.breakpoints == ref.breakpoints
-            for j in range(1, len(fam.projections)):
-                ok = ok and bool(np.all(fam.projections[j - 1].values
-                                        <= fam.projections[j].values))
-                jump = fam.jump(j)
-                eig = sp.eigenprojection(a, fam.breakpoints[j - 1], ctx, tol)
-                ok = ok and np.array_equal(jump, eig.values)
-                ok = ok and np.array_equal(fam.projections[j].values,
-                                           ref.projections[j].values)
-            bounds = sp.spectral_bounds(a, ctx, tol)
-            ok = ok and bool(np.all((bounds.L <= a.values)
-                                    & (a.values <= bounds.U)))
-            ok = ok and np.array_equal(fam.at(fam.U).values, np.ones(size))
-            t.tally(bool(ok), 0.0, {"sample": k, "a": _vals(a)})
-
-    def spectres(t: _Tally) -> None:
-        smp = smp_for("eq:spectresV")
-        for k in range(samples):
-            a = smp.fuzzy()
-            fam = sp.spectral_family(a, ctx, tol)
-            exact = np.asarray(sp.reconstruct(fam))
-            ok = np.array_equal(exact, a.values)
-            worst = 0.0
-            for mesh in MESHES:
-                rec = np.asarray(sp.reconstruct(fam, mesh))
-                gap = float(np.max(np.abs(a.values - rec)))
-                ok = ok and gap <= mesh + tol.check
-                worst = max(worst, gap if gap > mesh else 0.0)
-            t.tally(bool(ok), worst, {"sample": k, "a": _vals(a)})
-
     def property_a(t: _Tally) -> None:
-        smp = smp_for("propertyA")
+        smp = m.smp("propertyA")
         for k in range(samples):
             a, b = smp.fuzzy(), smp.fuzzy()
             ok = True
@@ -1496,11 +1478,7 @@ def _spectrality_mv(report: SuiteReport, size: int, samples: int, seed: int,
     _run_statement(report, "lemma:covex_floor", "mv", covex_floor)
     _run_statement(report, "lemma:floor", "mv", floor_lemma)
     _run_statement(report, "de:b-compar", "mv", b_compar)
-    _run_statement(report, "prop:decomp", "mv", decomp)
     _run_statement(report, "prop:commut", "mv", commut)
-    _run_statement(report, "coro:limit", "mv", limit)
-    _run_statement(report, "eq:spectprojs", "mv", spectprojs)
-    _run_statement(report, "eq:spectresV", "mv", spectres)
     _run_statement(report, "propertyA", "mv", property_a)
 
 
@@ -1513,6 +1491,7 @@ def run_spectrality_suite(model: str = "matrix", dim_or_size: int = 6,
         raise ValueError("samples must be positive")
     if floor_mode not in ("floor", "cover"):
         raise ValueError(f"unknown floor mode {floor_mode!r}")
+    m = _model(model, "spectrality", dim_or_size, seed, tol)
     report = SuiteReport(
         suite="spectrality", model=model, seed=seed,
         config={"dim_or_size": dim_or_size, "samples": samples,
@@ -1524,13 +1503,9 @@ def run_spectrality_suite(model: str = "matrix", dim_or_size: int = 6,
         "sequential powers")
     if floor_mode != "floor":
         report.metadata["negative_control"] = True
-    if model == "matrix":
-        _spectrality_matrix(report, dim_or_size, samples, seed, tol,
-                            floor_mode)
-    elif model == "mv":
-        _spectrality_mv(report, dim_or_size, samples, seed, tol, floor_mode)
-    else:
-        raise ValueError(f"unknown model {model!r}")
+    _spectrality(report, m, samples)
+    (_spectrality_matrix if model == "matrix" else _spectrality_mv)(
+        report, m, samples, floor_mode)
     return report
 
 
@@ -1591,6 +1566,8 @@ def _lagrange_basis(nodes, points) -> list[list[Fraction]]:
 
 def _merge_representation(rep: sp.ReducedRepresentation, delta: float,
                           raw_of) -> tuple[list[float], list[np.ndarray]]:
+    """Merge each coefficient within delta of its block's first one into
+    that block, the rule of ``fuzzy.mv_is_context_spectral``."""
     coeffs: list[float] = []
     projs: list[np.ndarray] = []
     for mu, proj in zip(rep.coefficients, rep.projections):
@@ -1602,44 +1579,73 @@ def _merge_representation(rep: sp.ReducedRepresentation, delta: float,
     return coeffs, projs
 
 
-def _context_matrix(report: SuiteReport, dim: int, samples: int, seed: int,
-                    tol: Tolerances, merge_delta: float) -> None:
-    thr = tol.check
-    ctx = sp.MatrixContext(tol)
-
-    def smp_for(sid: str) -> mx.EffectSampler:
-        return mx.EffectSampler(_seed_for(seed, "context", sid), dim, tol)
+def _context(report: SuiteReport, m: _Model, samples: int,
+             merge_delta: float) -> None:
+    """The context statements with one body for both models; the
+    definitional Rickart family is the reference on both."""
+    ctx, n = m.ctx, m.dim
+    thr = ctx.tol.check
 
     def closed_form(t: _Tally) -> None:
-        smp = smp_for("thm:contexts")
+        smp = m.smp("thm:contexts")
         for k in range(samples):
             if k == 0 and merge_delta > 0.0:
                 # Two levels 0.1 apart always merge, so the control fails
                 # for every seed, not only when sampled levels happen to.
-                a = smp.effect(values=np.resize([0.4, 0.5], dim))
+                a = m.with_values(smp, np.resize([0.4, 0.5], n))
             else:
-                a = smp.simple_effect(gap=0.15)
-            rep = sp.reduced_representation(a, ctx, tol)
-            coeffs, projs = _merge_representation(rep, merge_delta,
-                                                  lambda p: p.matrix)
-            closed = sp.family_from_representation(coeffs, projs, "matrix")
-            fam = _rickart_family(a, ctx)
-            ok = len(closed.projections) == len(fam.projections)
+                a = m.simple(smp, gap=0.15)
+            rep = sp.reduced_representation(a, ctx)
+            coeffs, projs = _merge_representation(rep, merge_delta, ctx.raw)
+            closed = sp.family_from_representation(coeffs, projs, ctx.model)
+            ref = _rickart_family(a, ctx)
+            ok = len(closed.projections) == len(ref.projections)
             worst = 0.0
             if ok:
-                for cp, fp in zip(closed.projections, fam.projections):
-                    r = _res(np.asarray(cp) - np.asarray(fp.matrix), dim)
+                for cp, fp in zip(closed.projections, ref.projections):
+                    r = _res(ctx.sub(cp, fp), n)
                     worst = max(worst, r)
                     ok = ok and r <= thr
                 ok = ok and all(
                     abs(x - y) <= thr
-                    for x, y in zip(closed.breakpoints, fam.breakpoints))
-            t.tally(ok, worst, {"sample": k, "a": _mat(a),
+                    for x, y in zip(closed.breakpoints, ref.breakpoints))
+            t.tally(ok, worst, {"sample": k, "a": m.enc(a),
                                 "closed_steps": len(closed.projections),
-                                "family_steps": len(fam.projections)})
+                                "family_steps": len(ref.projections)})
+
+    def reduced(t: _Tally) -> None:
+        smp = m.smp("thm:contexts.reduced")
+        for k in range(samples):
+            a = m.simple(smp, gap=0.15)
+            rep = sp.reduced_representation(a, ctx)
+            ref = _rickart_family(a, ctx)
+            ok = all(y - x > ctx.tol.cluster for x, y in
+                     zip(rep.coefficients, rep.coefficients[1:]))
+            worst = 0.0
+            for j in range(1, len(ref.breakpoints) + 1):
+                r = _res(ctx.sub(ref.jump(j), rep.projections[j - 1]), n)
+                worst = max(worst, r)
+                ok = ok and r <= thr
+                ok = ok and abs(ref.breakpoints[j - 1]
+                                - rep.coefficients[j - 1]) <= thr
+            for i, p in enumerate(rep.projections):
+                for q in rep.projections[i + 1:]:
+                    r = _res(m.mul(ctx.raw(p), ctx.raw(q)), n)
+                    worst = max(worst, r)
+                    ok = ok and r <= thr
+            t.tally(ok, worst, {"sample": k, "a": m.enc(a)})
+
+    _run_statement(report, "thm:contexts", m.name, closed_form)
+    _run_statement(report, "thm:contexts.reduced", m.name, reduced)
+
+
+def _context_matrix(report: SuiteReport, m: _Model, samples: int,
+                    merge_delta: float) -> None:
+    dim, tol, ctx = m.dim, m.tol, m.ctx
+    thr = tol.check
 
     def functions(t: _Tally) -> None:
-        smp = smp_for("thm:contexts.functions")
+        smp = m.smp("thm:contexts.functions")
         for k in range(samples):
             a = smp.simple_effect(gap=0.15)
             rep = sp.reduced_representation(a, ctx, tol)
@@ -1658,7 +1664,7 @@ def _context_matrix(report: SuiteReport, dim: int, samples: int, seed: int,
             worst = 0.0
             for i, proj in enumerate(rep.projections[:len(nodes)]):
                 coeffs = _lagrange_coefficients(nodes, i)
-                poly = sum((c * m for c, m in zip(coeffs, powers)),
+                poly = sum((c * power for c, power in zip(coeffs, powers)),
                            np.zeros((dim, dim), dtype=np.complex128))
                 r = _res(poly - proj.matrix, dim)
                 worst = max(worst, r)
@@ -1666,70 +1672,16 @@ def _context_matrix(report: SuiteReport, dim: int, samples: int, seed: int,
             t.tally(ok, worst, {"sample": k, "a": _mat(a),
                                 "nodes": [float(x) for x in nodes]})
 
-    def reduced(t: _Tally) -> None:
-        smp = smp_for("thm:contexts.reduced")
-        for k in range(samples):
-            a = smp.simple_effect(gap=0.15)
-            rep = sp.reduced_representation(a, ctx, tol)
-            fam = _rickart_family(a, ctx)
-            ok = all(y - x > tol.cluster for x, y in
-                     zip(rep.coefficients, rep.coefficients[1:]))
-            worst = 0.0
-            for j in range(1, len(fam.breakpoints) + 1):
-                r = _res(fam.jump(j) - rep.projections[j - 1].matrix, dim)
-                worst = max(worst, r)
-                ok = ok and r <= thr
-                ok = ok and abs(fam.breakpoints[j - 1]
-                                - rep.coefficients[j - 1]) <= thr
-            for i in range(len(rep.projections)):
-                for j in range(i + 1, len(rep.projections)):
-                    r = _res(rep.projections[i].matrix
-                             @ rep.projections[j].matrix, dim)
-                    worst = max(worst, r)
-                    ok = ok and r <= thr
-            t.tally(ok, worst, {"sample": k, "a": _mat(a)})
-
-    _run_statement(report, "thm:contexts", "matrix", closed_form)
     _run_statement(report, "thm:contexts.functions", "matrix", functions)
-    _run_statement(report, "thm:contexts.reduced", "matrix", reduced)
 
 
-def _context_mv(report: SuiteReport, size: int, samples: int, seed: int,
-                tol: Tolerances, merge_delta: float) -> None:
-    ctx = fz.FuzzyContext(tol)
-
-    def smp_for(sid: str) -> fz.FuzzySampler:
-        return fz.FuzzySampler(_seed_for(seed, "context", sid), size)
-
-    def closed_form(t: _Tally) -> None:
-        smp = smp_for("thm:contexts")
-        for k in range(samples):
-            if k == 0 and merge_delta > 0.0:
-                a = fz.FuzzySet(np.resize([0.4, 0.5], size))
-            else:
-                a = smp.fuzzy()
-            _, part, mu = fz.mv_is_context_spectral(a, merge_delta)
-            steps = [fz.zero(size).values]
-            acc = np.zeros(size)
-            for blk in part.blocks:
-                acc = acc.copy()
-                acc[list(blk)] = 1.0
-                steps.append(acc)
-            fam = sp.spectral_family(a, ctx, tol)
-            ok = len(steps) == len(fam.projections)
-            if ok:
-                ok = all(np.array_equal(s, p.values)
-                         for s, p in zip(steps, fam.projections))
-                ok = ok and tuple(mu) == fam.breakpoints
-            t.tally(bool(ok), 0.0, {"sample": k, "a": _vals(a),
-                                    "closed_steps": len(steps),
-                                    "family_steps": len(fam.projections)})
-
+def _context_mv(report: SuiteReport, m: _Model, samples: int,
+                merge_delta: float) -> None:
     def functions(t: _Tally) -> None:
-        smp = smp_for("thm:contexts.functions")
+        smp = m.smp("thm:contexts.functions")
         for k in range(samples):
             a = smp.fuzzy()
-            rep = sp.reduced_representation(a, ctx, tol)
+            rep = sp.reduced_representation(a, m.ctx)
             nodes = list(rep.coefficients)
             if merge_delta > 0.0:
                 nodes = [mu for j, mu in enumerate(nodes)
@@ -1741,28 +1693,7 @@ def _context_mv(report: SuiteReport, size: int, samples: int, seed: int,
                 ok = ok and np.array_equal(table[:, i], proj.values)
             t.tally(bool(ok), 0.0, {"sample": k, "a": _vals(a)})
 
-    def reduced(t: _Tally) -> None:
-        smp = smp_for("thm:contexts.reduced")
-        for k in range(samples):
-            a = smp.fuzzy()
-            rep = sp.reduced_representation(a, ctx, tol)
-            fam = _rickart_family(a, ctx)
-            ok = all(y > x for x, y in
-                     zip(rep.coefficients, rep.coefficients[1:]))
-            for j in range(1, len(fam.breakpoints) + 1):
-                ok = ok and np.array_equal(fam.jump(j),
-                                           rep.projections[j - 1].values)
-                ok = ok and fam.breakpoints[j - 1] == rep.coefficients[j - 1]
-            for i in range(len(rep.projections)):
-                for j in range(i + 1, len(rep.projections)):
-                    ok = ok and bool(np.all(rep.projections[i].values
-                                            * rep.projections[j].values
-                                            == 0.0))
-            t.tally(bool(ok), 0.0, {"sample": k, "a": _vals(a)})
-
-    _run_statement(report, "thm:contexts", "mv", closed_form)
     _run_statement(report, "thm:contexts.functions", "mv", functions)
-    _run_statement(report, "thm:contexts.reduced", "mv", reduced)
 
 
 def run_context_suite(model: str = "matrix", dim_or_size: int = 4,
@@ -1772,18 +1703,16 @@ def run_context_suite(model: str = "matrix", dim_or_size: int = 4,
     """Reduced representations, closed-form families, functions of a."""
     if samples < 1:
         raise ValueError("samples must be positive")
+    m = _model(model, "context", dim_or_size, seed, tol)
     report = SuiteReport(
         suite="context", model=model, seed=seed,
         config={"dim_or_size": dim_or_size, "samples": samples,
                 "merge_delta": merge_delta, "tolerances": tol.to_dict()})
     if merge_delta > 0.0:
         report.metadata["negative_control"] = True
-    if model == "matrix":
-        _context_matrix(report, dim_or_size, samples, seed, tol, merge_delta)
-    elif model == "mv":
-        _context_mv(report, dim_or_size, samples, seed, tol, merge_delta)
-    else:
-        raise ValueError(f"unknown model {model!r}")
+    _context(report, m, samples, merge_delta)
+    (_context_matrix if model == "matrix" else _context_mv)(
+        report, m, samples, merge_delta)
     return report
 
 

@@ -68,6 +68,13 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         assert main(["spectrum", "--input", eff, "--mesh", mesh]) == 2
     assert main(["nonsense"]) == 2
     capsys.readouterr()
+    for flag in ("--tol-psd", "--tol-comm", "--tol-cluster"):
+        for value in ("nan", "inf", "-1"):
+            for args in (["spectrum", "--input", eff],
+                         ["verify", "--suite", "sea", "--samples", "1"]):
+                assert main(args + [flag, value]) == 2
+                err = capsys.readouterr().err
+                assert err.startswith("error: ") and err.count("\n") == 1
     oversized = write(tmp_path / "o.json", {"values": [0.5] * 1025})
     for args in (["validate", "--input", oversized],
                  ["spectrum", "--input", oversized],

@@ -17,7 +17,6 @@ from seakit.matrices import (
     NotAProjectionError,
     NotCommutingError,
     Projection,
-    TraceState,
     commuting_join,
     commuting_meet,
     compression,
@@ -31,7 +30,6 @@ from seakit.matrices import (
     rickart,
     scale_effect,
     seq_product,
-    state_eval,
     validate_effect,
 )
 
@@ -130,13 +128,6 @@ def test_joint_eigenbasis_requires_commutation():
     assert vectors.shape == (2, 2)
     assert sorted(avals) == pytest.approx([0.2, 0.7])
     assert sorted(bvals) == pytest.approx([0.3, 0.8])
-
-
-def test_state_evaluation():
-    rho = TraceState(np.eye(2) / 2)
-    p = Projection(diag(1.0, 0.0))
-    assert state_eval(rho, p) == pytest.approx(0.5)
-    assert state_eval(rho, validate_effect(np.eye(2))) == pytest.approx(1.0)
 
 
 def test_scalar_action_bounds():

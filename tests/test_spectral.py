@@ -1,5 +1,7 @@
 """Spectral families, reconstruction, approximations, decompositions."""
+import bisect
 import json
+import math
 
 import numpy as np
 import pytest
@@ -83,6 +85,37 @@ def test_reconstruction_error_tracks_mesh():
         for mesh in (0.1, 0.01, 0.001):
             approx = reconstruct(fam, mesh)
             assert operator_norm(np.asarray(a.matrix) - approx) <= mesh
+
+
+def test_meshed_tags_match_the_listed_partition():
+    """reconstruct finds each tag without listing the partition; its sums
+    equal, bit for bit, those of the partition listed point by point."""
+    def listed(fam, mesh):
+        bps = fam.breakpoints
+        lo, hi = bps[0], bps[-1]
+        count = max(1, math.ceil((hi - lo + mesh) / mesh - 1e-12))
+        points = [hi - (count - i) * mesh for i in range(count + 1)]
+        acc = np.zeros_like(fam.jump(1))
+        for k, b in enumerate(bps, start=1):
+            tag = points[min(bisect.bisect_left(points, b), count)]
+            acc = acc + tag * fam.jump(k)
+        return acc
+
+    sampler = mx.EffectSampler(21, 4)
+    rng = np.random.default_rng(21)
+    elements = [sampler.effect() for _ in range(4)]
+    elements += [sampler.simple_effect() for _ in range(4)]
+    elements += [effect(0.0, 0.25, 1.0), effect(0.5, 0.5, 0.5)]
+    elements += [fz.FuzzySet(rng.integers(0, 257, 9) / 256)
+                 for _ in range(4)]
+    meshes = [0.1, 0.01, 1e-3, 1e-4] + list(10.0 ** rng.uniform(-4, -1, 8))
+    for a in elements:
+        fam = spectral_family(a)
+        for mesh in meshes:
+            assert np.array_equal(reconstruct(fam, mesh), listed(fam, mesh))
+    fam = spectral_family(elements[0])
+    fine = reconstruct(fam, 1e-12)
+    assert operator_norm(np.asarray(elements[0].matrix) - fine) <= 1e-8
 
 
 def test_simple_approximation_dyadic_staircase():
