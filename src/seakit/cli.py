@@ -193,7 +193,10 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     bounds = sp.spectral_bounds(effect, ctx)
     rep = sp.reduced_representation(effect, ctx)
     exact = sp.reconstruct(fam)
-    meshed = sp.reconstruct(fam, args.mesh)
+    try:
+        meshed = sp.reconstruct(fam, args.mesh)
+    except ValueError as exc:
+        raise _UsageError(f"--mesh: {exc}") from exc
     doc = {
         "model": fam.model,
         "family": fam.to_json_dict(),

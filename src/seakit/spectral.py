@@ -354,7 +354,11 @@ def reconstruct(family: SpectralFamily, mesh: float | None = None):
         if mesh <= 0:
             raise ValueError("mesh must be positive")
         lo, hi = bps[0], bps[-1]
-        count = max(1, math.ceil((hi - lo + mesh) / mesh - 1e-12))
+        steps = (hi - lo + mesh) / mesh
+        if not math.isfinite(steps):
+            raise ValueError(f"mesh {mesh:g} is too fine to count the "
+                             f"partition of [{lo:g}, {hi:g}]")
+        count = max(1, math.ceil(steps - 1e-12))
         tags = [_tag(b, hi, mesh, count) for b in bps]
     acc = np.zeros_like(jumps[0])
     for tag, jump in zip(tags, jumps):

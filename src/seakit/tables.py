@@ -3,10 +3,16 @@
 Elements are integers 0..n-1 with 0 the neutral element; the table stores
 i (+) j, with -1 marking an undefined sum.  Everything here is exact
 integer arithmetic, so checks use equality and residuals are always zero.
+
+An algebra's relations (order, pairwise infima, orthosupplement counts,
+principal and sharp flags, Mackey compatibility) are computed once, on
+first use, as numpy arrays over the table, and every query reads them.
+The axiom checks are still exhaustive: they evaluate every pair or triple
+of elements at once and report the first failure in lexicographic order.
 """
 from __future__ import annotations
 
-import itertools
+from functools import cached_property
 
 import numpy as np
 
@@ -24,11 +30,26 @@ class AxiomViolationError(ValueError):
     """Query relies on an axiom the table fails to satisfy."""
 
 
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+def _greatest(lows: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """For masks ``lows[..., k]`` of candidate sets, the one member m that
+    every member k is below (``order[k, m]``), or -1 when there is not
+    exactly one such member."""
+    outside = lows.astype(np.int64) @ (~order).astype(np.int64)
+    tops = lows & (outside == 0)
+    return np.where(tops.sum(axis=-1) == 1, tops.argmax(axis=-1), UNDEFINED)
+
+
 class FiniteEffectAlgebra:
     """Partial commutative addition on {0, ..., n-1} with unit `one`.
 
     Construction validates only the shape and entry range; the axioms are
     checked separately so broken tables can be built as negative controls.
+    The relation arrays are built lazily for the same reason.
     """
 
     def __init__(self, table, one: int, labels: list[str] | None = None):
@@ -65,65 +86,113 @@ class FiniteEffectAlgebra:
         v = int(self.table[i, j])
         return None if v == UNDEFINED else v
 
+    # -- relations, each computed once -----------------------------------
+
+    @cached_property
+    def order(self) -> np.ndarray:
+        """``order[i, j]``: i <= j, that is i (+) c = j for some c."""
+        rows, cols = np.nonzero(self.table != UNDEFINED)
+        out = np.zeros((self.size, self.size), dtype=bool)
+        out[rows, self.table[rows, cols]] = True
+        return _frozen(out)
+
+    @cached_property
+    def infima(self) -> np.ndarray:
+        """Greatest lower bound of each pair, -1 where none is unique."""
+        below = self.order.T                          # below[e, k]: k <= e
+        return _frozen(_greatest(below[:, None, :] & below[None, :, :],
+                                 self.order))
+
+    @cached_property
+    def supplement_counts(self) -> np.ndarray:
+        """How many j satisfy i (+) j = 1, per element i."""
+        return _frozen((self.table == self.one).sum(axis=1))
+
+    @cached_property
+    def sharp(self) -> np.ndarray:
+        """Elements whose one orthosupplement meets them only at zero."""
+        supplement = (self.table == self.one).argmax(axis=1)
+        meet = self.infima[np.arange(self.size), supplement]
+        return _frozen((self.supplement_counts == 1) & (meet == self.zero))
+
+    @cached_property
+    def principal(self) -> np.ndarray:
+        """Elements p such that sums of elements below p stay below p."""
+        t, below = self.table, self.order
+        summed = np.where(t != UNDEFINED, t, 0)
+        escapes = ((t != UNDEFINED)[:, :, None] & below[:, None, :]
+                   & below[None, :, :] & ~below[summed])    # [a, b, p]
+        return _frozen(~escapes.any(axis=(0, 1)))
+
+    @cached_property
+    def compatibility(self) -> np.ndarray:
+        """``compatibility[a, b]``: a = a1 (+) c and b = b1 (+) c with
+        a1 (+) b1 (+) c defined, for some a1, b1, c."""
+        t = self.table
+        d = t != UNDEFINED
+        summed = np.where(d, t, 0)
+        joint = (d[:, None, :] & d[None, :, :] & d[:, :, None]
+                 & d[summed])                              # [a1, b1, c]
+        a1, b1, c = np.nonzero(joint)
+        out = np.zeros((self.size, self.size), dtype=bool)
+        out[t[a1, c], t[b1, c]] = True
+        return _frozen(out)
+
+    # -- queries ---------------------------------------------------------
+
     def orthosupplement(self, i: int) -> int:
-        hits = [j for j in self.elements() if self.table[i, j] == self.one]
-        if len(hits) != 1:
+        count = int(self.supplement_counts[i])
+        if count != 1:
             raise AxiomViolationError(
-                f"element {self.label(i)} has {len(hits)} orthosupplements")
-        return hits[0]
+                f"element {self.label(i)} has {count} orthosupplements")
+        return int((self.table[i] == self.one).argmax())
 
     def leq(self, i: int, j: int) -> bool:
-        return any(self.table[i, c] == j for c in self.elements())
+        return bool(self.order[i, j])
 
     def brute_inf(self, elements) -> int | None:
         """Greatest lower bound by exhaustion; None when it does not exist."""
         elements = list(elements)
         if not elements:
             raise ValueError("infimum of an empty set")
-        lows = [k for k in self.elements()
-                if all(self.leq(k, e) for e in elements)]
-        tops = [m for m in lows if all(self.leq(k, m) for k in lows)]
-        return tops[0] if len(tops) == 1 else None
+        lows = self.order[:, elements].all(axis=1)
+        top = int(_greatest(lows, self.order))
+        return None if top == UNDEFINED else top
 
     def brute_sup(self, elements) -> int | None:
         elements = list(elements)
         if not elements:
             raise ValueError("supremum of an empty set")
-        ups = [k for k in self.elements()
-               if all(self.leq(e, k) for e in elements)]
-        bots = [m for m in ups if all(self.leq(m, k) for k in ups)]
-        return bots[0] if len(bots) == 1 else None
+        ups = self.order[elements].all(axis=0)
+        bottom = int(_greatest(ups, self.order.T))
+        return None if bottom == UNDEFINED else bottom
 
     def is_sharp(self, i: int) -> bool:
         """Whether the element meets its orthosupplement only at zero."""
-        comp = self.orthosupplement(i)
-        return self.brute_inf([i, comp]) == self.zero
+        self.orthosupplement(i)
+        return bool(self.sharp[i])
 
     def is_principal(self, p: int) -> bool:
         """Whether sums of orthogonal elements below p stay below p."""
-        below = [x for x in self.elements() if self.leq(x, p)]
-        for a, b in itertools.product(below, repeat=2):
-            if self.defined(a, b) and not self.leq(int(self.table[a, b]), p):
-                return False
-        return True
+        return bool(self.principal[p])
 
     def mackey_compatible(self, a: int, b: int) -> bool:
         """Whether a and b admit a joint orthogonal decomposition."""
-        for c in self.elements():
-            for a1 in self.elements():
-                if self.table[a1, c] != a:
-                    continue
-                for b1 in self.elements():
-                    if self.table[b1, c] != b:
-                        continue
-                    ab = self.oplus(a1, b1)
-                    if ab is not None and self.defined(ab, c):
-                        return True
-        return False
+        return bool(self.compatibility[a, b])
 
 
 def _witness(alg: FiniteEffectAlgebra, **parts: int) -> dict:
     return {key: alg.label(val) for key, val in parts.items()}
+
+
+def _first_failure(fails: np.ndarray) -> tuple[int, tuple[int, ...] | None]:
+    """Cases passed before the first failure in C order (all of them when
+    none fails), and that failure's index."""
+    flat = np.flatnonzero(fails)
+    if flat.size == 0:
+        return fails.size, None
+    where = np.unravel_index(flat[0], fails.shape)
+    return int(flat[0]), tuple(int(k) for k in where)
 
 
 def check_ea_axioms(alg: FiniteEffectAlgebra, name: str = "table"
@@ -131,66 +200,46 @@ def check_ea_axioms(alg: FiniteEffectAlgebra, name: str = "table"
     """Exhaustive check of the four partial-addition axioms."""
     report = SuiteReport(suite="ea-axioms", model=name, seed=0,
                          config={"size": alg.size})
-    n = alg.size
+    n, t = alg.size, alg.table
+    d = t != UNDEFINED
+    summed = np.where(d, t, 0)
+
+    def add(sid: str, fails: np.ndarray, witness) -> None:
+        good, where = _first_failure(fails)
+        report.add(CheckResult(sid, name, fails.size, good,
+                               witness=None if where is None
+                               else witness(*where)))
 
     # E1: the operation is commutative as a partial operation.
-    witness = None
-    good = 0
-    for i, j in itertools.product(range(n), repeat=2):
-        if alg.table[i, j] != alg.table[j, i]:
-            witness = _witness(alg, a=i, b=j)
-            break
-        good += 1
-    report.add(CheckResult("E1", name, n * n, good, witness=witness))
+    add("E1", t != t.T, lambda i, j: _witness(alg, a=i, b=j))
 
-    # E2: both bracketings agree whenever the inner sums exist.
-    witness = None
-    good = 0
-    for a, b, c in itertools.product(range(n), repeat=3):
-        bc = alg.oplus(b, c)
-        if bc is not None and alg.defined(a, bc):
-            left = alg.oplus(a, b)
-            if left is None or alg.oplus(left, c) != alg.oplus(a, bc):
-                witness = _witness(alg, a=a, b=b, c=c)
-                break
-        good += 1
-    report.add(CheckResult("E2", name, n ** 3, good, witness=witness))
+    # E2: both bracketings agree whenever the inner sums exist.  The
+    # entries are [a, b, c]; a (+) (b (+) c) and (a (+) b) (+) c.
+    right = t[np.arange(n)[:, None, None], summed[None, :, :]]
+    left = t[summed]
+    inner = d[None, :, :] & (right != UNDEFINED)
+    add("E2", inner & (~d[:, :, None] | (left != right)),
+        lambda a, b, c: _witness(alg, a=a, b=b, c=c))
 
     # E3: every element has exactly one orthosupplement.
-    witness = None
-    good = 0
-    for i in range(n):
-        hits = [j for j in range(n) if alg.table[i, j] == alg.one]
-        if len(hits) != 1:
-            witness = {**_witness(alg, a=i), "count": len(hits)}
-            break
-        good += 1
-    report.add(CheckResult("E3", name, n, good, witness=witness))
+    counts = alg.supplement_counts
+    add("E3", counts != 1,
+        lambda i: {**_witness(alg, a=i), "count": int(counts[i])})
 
     # E4: only zero can be added to the unit.
-    witness = None
-    good = 0
-    for i in range(n):
-        if alg.defined(i, alg.one) and i != alg.zero:
-            witness = _witness(alg, a=i)
-            break
-        good += 1
-    report.add(CheckResult("E4", name, n, good, witness=witness))
+    add("E4", d[:, alg.one] & (np.arange(n) != alg.zero),
+        lambda i: _witness(alg, a=i))
 
     return report
 
 
 def incompatible_pairs(alg: FiniteEffectAlgebra) -> list[tuple[int, int]]:
-    out = []
-    for i in range(alg.size):
-        for j in range(i + 1, alg.size):
-            if not alg.mackey_compatible(i, j):
-                out.append((i, j))
-    return out
+    rows, cols = np.nonzero(np.triu(~alg.compatibility, k=1))
+    return [(int(i), int(j)) for i, j in zip(rows, cols)]
 
 
 def non_principal_elements(alg: FiniteEffectAlgebra) -> list[int]:
-    return [i for i in alg.elements() if not alg.is_principal(i)]
+    return np.flatnonzero(~alg.principal).tolist()
 
 
 def non_sharp_elements(alg: FiniteEffectAlgebra) -> list[int]:

@@ -64,8 +64,11 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         assert main(["verify", "--suite", "sea", "--model", "mv",
                      "--size", size]) == 2
     eff = write(tmp_path / "e.json", {"re": [[0.2, 0.0], [0.0, 0.7]]})
-    for mesh in ("nan", "inf"):
+    capsys.readouterr()
+    for mesh in ("nan", "inf", "1e-320", "5e-324"):
         assert main(["spectrum", "--input", eff, "--mesh", mesh]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
     assert main(["nonsense"]) == 2
     capsys.readouterr()
     for flag in ("--tol-psd", "--tol-comm", "--tol-cluster"):

@@ -116,6 +116,11 @@ def test_meshed_tags_match_the_listed_partition():
     fam = spectral_family(elements[0])
     fine = reconstruct(fam, 1e-12)
     assert operator_norm(np.asarray(elements[0].matrix) - fine) <= 1e-8
+    for mesh in (1e-320, 5e-324):
+        with pytest.raises(ValueError, match="too fine"):
+            reconstruct(fam, mesh)
+    flat = spectral_family(effect(0.5, 0.5, 0.5))
+    assert np.allclose(reconstruct(flat, 5e-324), np.eye(3) * 0.5)
 
 
 def test_simple_approximation_dyadic_staircase():

@@ -1,11 +1,18 @@
 """Finite partial-addition tables: axioms, duals, embeddings."""
 
+import hashlib
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seakit import fuzzy as fz
+from seakit import verify
 from seakit.tables import (
     BUILTIN_NAMES,
+    AxiomViolationError,
     FiniteEffectAlgebra,
     TableFormatError,
     boolean_cube,
@@ -123,3 +130,268 @@ def test_embedding_preserves_sums_and_order(name):
             else:
                 assert image == emb[total]
             assert alg.leq(i, j) == fz.mv_leq(emb[i], emb[j])
+
+
+# ---------------------------------------------------------------------------
+# the array relations against their definitions
+#
+# Each ``ref_*`` below is the definition evaluated by exhaustion, one query
+# at a time, as the algebra computed it before its relations became arrays.
+
+
+def ref_leq(alg, i, j):
+    return any(alg.table[i, c] == j for c in alg.elements())
+
+
+def ref_inf(alg, elements):
+    lows = [k for k in alg.elements()
+            if all(ref_leq(alg, k, e) for e in elements)]
+    tops = [m for m in lows if all(ref_leq(alg, k, m) for k in lows)]
+    return tops[0] if len(tops) == 1 else None
+
+
+def ref_sup(alg, elements):
+    ups = [k for k in alg.elements()
+           if all(ref_leq(alg, e, k) for e in elements)]
+    bots = [m for m in ups if all(ref_leq(alg, m, k) for k in ups)]
+    return bots[0] if len(bots) == 1 else None
+
+
+def ref_supplements(alg, i):
+    return [j for j in alg.elements() if alg.table[i, j] == alg.one]
+
+
+def ref_is_sharp(alg, i):
+    """None where the element has no unique orthosupplement (the algebra
+    raises there)."""
+    hits = ref_supplements(alg, i)
+    if len(hits) != 1:
+        return None
+    return ref_inf(alg, [i, hits[0]]) == alg.zero
+
+
+def ref_is_principal(alg, p):
+    below = [x for x in alg.elements() if ref_leq(alg, x, p)]
+    for a, b in itertools.product(below, repeat=2):
+        if alg.defined(a, b) and not ref_leq(alg, int(alg.table[a, b]), p):
+            return False
+    return True
+
+
+def ref_mackey_compatible(alg, a, b):
+    for c in alg.elements():
+        for a1 in alg.elements():
+            if alg.table[a1, c] != a:
+                continue
+            for b1 in alg.elements():
+                if alg.table[b1, c] != b:
+                    continue
+                ab = alg.oplus(a1, b1)
+                if ab is not None and alg.defined(ab, c):
+                    return True
+    return False
+
+
+def assert_relations_agree(alg):
+    n = alg.size
+    for i, j in itertools.product(range(n), repeat=2):
+        assert alg.leq(i, j) == ref_leq(alg, i, j), (i, j)
+        assert alg.mackey_compatible(i, j) == ref_mackey_compatible(
+            alg, i, j), (i, j)
+        inf, sup = ref_inf(alg, [i, j]), ref_sup(alg, [i, j])
+        assert alg.brute_inf([i, j]) == inf, (i, j)
+        assert alg.brute_sup([i, j]) == sup, (i, j)
+        assert alg.infima[i, j] == (-1 if inf is None else inf)
+    for size in (1, 3):
+        for subset in itertools.combinations(range(n), size):
+            assert alg.brute_inf(subset) == ref_inf(alg, subset), subset
+            assert alg.brute_sup(subset) == ref_sup(alg, subset), subset
+    for i in range(n):
+        hits = ref_supplements(alg, i)
+        assert alg.supplement_counts[i] == len(hits)
+        sharp = ref_is_sharp(alg, i)
+        assert alg.sharp[i] == bool(sharp)
+        if sharp is None:
+            with pytest.raises(AxiomViolationError,
+                               match=f"has {len(hits)} orthosupplements"):
+                alg.orthosupplement(i)
+            with pytest.raises(AxiomViolationError):
+                alg.is_sharp(i)
+        else:
+            assert alg.orthosupplement(i) == hits[0]
+            assert alg.is_sharp(i) == sharp
+        assert alg.is_principal(i) == ref_is_principal(alg, i)
+    assert incompatible_pairs(alg) == [
+        (i, j) for i in range(n) for j in range(i + 1, n)
+        if not ref_mackey_compatible(alg, i, j)]
+    assert non_principal_elements(alg) == [
+        i for i in range(n) if not ref_is_principal(alg, i)]
+    if all(len(ref_supplements(alg, i)) == 1 for i in range(n)):
+        assert non_sharp_elements(alg) == [
+            i for i in range(n) if not ref_is_sharp(alg, i)]
+    else:
+        with pytest.raises(AxiomViolationError):
+            non_sharp_elements(alg)
+
+
+@st.composite
+def partial_tables(draw):
+    """Tables of size 2-6: uniformly random entries (rarely commutative,
+    associative or antisymmetric), or a small builtin with a few entries
+    overwritten (mostly lawful, so the sharp and principal flags vary)."""
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 6))
+        flat = draw(st.lists(st.integers(-1, n - 1), min_size=n * n,
+                             max_size=n * n))
+        table = np.array(flat).reshape(n, n)
+        one = draw(st.integers(0, n - 1))
+        return FiniteEffectAlgebra(table, one=one)
+    base = builtin_table(draw(st.sampled_from(
+        ["lukasiewicz-3", "lukasiewicz-5", "boolean-2", "diamond"])))
+    table = base.table.copy()
+    n = base.size
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        table[i, j] = draw(st.integers(-1, n - 1))
+    return FiniteEffectAlgebra(table, one=base.one, labels=base.labels)
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_relations_match_definitions_on_builtins(name):
+    assert_relations_agree(builtin_table(name))
+
+
+@pytest.mark.parametrize("factory", [verify._broken_e1_table,
+                                     verify._broken_e4_table])
+def test_relations_match_definitions_on_control_tables(factory):
+    assert_relations_agree(factory())
+
+
+@settings(max_examples=150)
+@given(partial_tables())
+def test_relations_match_definitions_on_partial_tables(alg):
+    assert_relations_agree(alg)
+
+
+# ---------------------------------------------------------------------------
+# axiom counting against the loop that defines it
+
+
+def ref_axioms(alg):
+    """(statement, samples, passed, witness) per axiom: every case in
+    ``itertools.product`` order, stopping at the first failure."""
+    n = alg.size
+    lab = alg.label
+    out = []
+    good, witness = 0, None
+    for i, j in itertools.product(range(n), repeat=2):
+        if alg.table[i, j] != alg.table[j, i]:
+            witness = {"a": lab(i), "b": lab(j)}
+            break
+        good += 1
+    out.append(("E1", n * n, good, witness))
+    good, witness = 0, None
+    for a, b, c in itertools.product(range(n), repeat=3):
+        bc = alg.oplus(b, c)
+        if bc is not None and alg.defined(a, bc):
+            left = alg.oplus(a, b)
+            if left is None or alg.oplus(left, c) != alg.oplus(a, bc):
+                witness = {"a": lab(a), "b": lab(b), "c": lab(c)}
+                break
+        good += 1
+    out.append(("E2", n ** 3, good, witness))
+    good, witness = 0, None
+    for i in range(n):
+        hits = ref_supplements(alg, i)
+        if len(hits) != 1:
+            witness = {"a": lab(i), "count": len(hits)}
+            break
+        good += 1
+    out.append(("E3", n, good, witness))
+    good, witness = 0, None
+    for i in range(n):
+        if alg.defined(i, alg.one) and i != alg.zero:
+            witness = {"a": lab(i)}
+            break
+        good += 1
+    out.append(("E4", n, good, witness))
+    return out
+
+
+def axiom_rows(alg):
+    return [(r.statement_id, r.samples, r.passed, r.witness)
+            for r in check_ea_axioms(alg, "t").results]
+
+
+@settings(max_examples=150)
+@given(partial_tables())
+def test_axiom_counts_match_the_loop_on_partial_tables(alg):
+    assert axiom_rows(alg) == ref_axioms(alg)
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_axiom_counts_match_the_loop_on_builtins(name):
+    assert axiom_rows(builtin_table(name)) == ref_axioms(builtin_table(name))
+
+
+def test_control_tables_count_cases_before_the_first_failure():
+    """`passed` is the number of cases before the first failure, not the
+    number of passing cases: the broken-e1 table satisfies E2 on 24 of its
+    27 triples, but its first failure is the fifth."""
+    rows = {(r.model, r.statement_id): (r.passed, r.samples, r.witness)
+            for r in verify.run_table_suite(seed=1, corrupted=True).results}
+    assert rows["broken-e1", "E1"] == (1, 9, {"a": "0", "b": "1/2"})
+    assert rows["broken-e1", "E2"] == (
+        4, 27, {"a": "0", "b": "1/2", "c": "1/2"})
+    assert rows["broken-e4", "E2"] == (
+        22, 27, {"a": "1", "b": "1/2", "c": "1/2"})
+    assert rows["broken-e4", "E3"] == (2, 3, {"a": "1", "count": 2})
+    assert rows["broken-e4", "E4"] == (2, 3, {"a": "1"})
+    for factory in (verify._broken_e1_table, verify._broken_e4_table):
+        assert axiom_rows(factory()) == ref_axioms(factory())
+
+
+# ---------------------------------------------------------------------------
+# the table suite, pinned
+
+
+TABLE_GOLDEN = {
+    (False, 1): "b1f56554539653feca2d04744bf8329f4adf6ed0e7d68b0c24c2cf502c5f7e07",
+    (False, 7): "55782649f39d295319065782068681b567d977aed43a00d904227e6736ab9b69",
+    (False, 42): "3d86d9a9f30bb20b3eb8ec19ce918060ed1588be872b36513730b29a701fb384",
+    (True, 1): "64651967b79aac27f532d4a09e0a8ae60b0a87da0322cbb7d572619ecdc9ba02",
+    (True, 7): "bb980f0d8ca788b57950a1555ea362a82e40f16041b2f9eba61fecaa49988192",
+    (True, 42): "4ae8df32f8782165f270e2d3ca309da696186e2dcb0f93423dfa8ab14650cdda",
+}
+
+
+@pytest.mark.parametrize("corrupted,seed", sorted(TABLE_GOLDEN))
+def test_table_suite_reports_are_golden(corrupted, seed):
+    """The table suite is exact integer and dyadic arithmetic, so its report
+    does not depend on the host.  Regenerate a hash with
+    ``PYTHONPATH=src python -c "import hashlib; from seakit.verify import
+    run_table_suite as r; print(hashlib.sha256(r(seed=SEED,
+    corrupted=CORRUPTED).to_json().encode()).hexdigest())"``."""
+    text = verify.run_table_suite(seed=seed, corrupted=corrupted).to_json()
+    assert (hashlib.sha256(text.encode()).hexdigest()
+            == TABLE_GOLDEN[corrupted, seed])
+
+
+def test_table_oracle_reports_the_first_failing_clause(monkeypatch):
+    """Moving the image of 1/2 in the three-chain to 0.4 breaks exactly its
+    orthosupplement and the sum 1/2 + 1/2; the first in tally order is
+    reported."""
+    real = verify.tb.fuzzy_embedding
+
+    def moved(name):
+        image = real(name)
+        if name == "lukasiewicz-3":
+            image[1] = fz.FuzzySet(np.array([0.4]))
+        return image
+
+    monkeypatch.setattr(verify.tb, "fuzzy_embedding", moved)
+    oracle = next(r for r in verify.run_table_suite(seed=1).results
+                  if r.statement_id == "tables:oracle")
+    assert oracle.samples - oracle.passed == 2
+    assert oracle.witness == {"table": "lukasiewicz-3", "element": "1/2",
+                              "clause": "orthosupplement"}
