@@ -355,7 +355,7 @@ def spectrum_representation(a: mx.Effect, degree: int = 6,
             samples += 1
     iso = 0.0
     for m, phi in zip(mats, phis):
-        iso = max(iso, abs(operator_norm(m, tol) - float(np.max(np.abs(phi)))))
+        iso = max(iso, abs(operator_norm(m) - float(np.max(np.abs(phi)))))
     report = EmbeddingReport(space=image.space, degree=degree,
                              samples=samples, mult_residual=mult,
                              isometry_residual=iso)

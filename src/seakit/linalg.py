@@ -1,12 +1,18 @@
 """Eigensystems of complex Hermitian matrices, with eigenvalue clustering.
 
-Every decomposition goes through LAPACK (``numpy.linalg.eigh``) and is then
-sorted and clustered in one place, ``decomposition_from``.  With the same
-numpy and LAPACK build, identical input gives identical output.
+Every eigensystem comes from one LAPACK call, ``eigh`` (over
+``numpy.linalg.eigh``).  ``eigenvalues`` is its values-only accessor: the
+order, positivity and norm checks need nothing else.  Clustering happens
+only where eigenvectors are needed: an ``EigenDecomposition`` groups its
+values into clusters, and builds its cluster values and eigenprojections,
+on first use and once.  ``decomposition_from`` wraps a known eigensystem,
+sorting it only when it is not already ascending.  With the same numpy and
+LAPACK build, identical input gives identical output.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -58,33 +64,63 @@ def cluster_indices(values: np.ndarray, width: float) -> tuple[tuple[int, ...], 
     return tuple(groups)
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class EigenDecomposition:
     """Eigensystem of a Hermitian matrix with eigenvalue clustering.
 
-    values   : eigenvalues sorted ascending
+    values   : eigenvalues sorted ascending (read-only)
     vectors  : unitary matrix whose columns are the matching eigenvectors
-    clusters : index runs of eigenvalues closer than the clustering width
+               (read-only; decompositions of commuting elements share it)
+    tol      : sets the clustering width, tol.cluster * max(1, |values|)
+
+    The clusters, their mean values and their projectors are computed on
+    first use and kept; the arrays handed out are read-only.
     """
 
     values: np.ndarray
     vectors: np.ndarray
-    clusters: tuple[tuple[int, ...], ...]
+    tol: Tolerances
+
+    def __post_init__(self):
+        _frozen(self.values)
+        _frozen(self.vectors)
 
     @property
     def dim(self) -> int:
         return len(self.values)
 
-    def projector(self, k: int) -> np.ndarray:
-        cols = self.vectors[:, list(self.clusters[k])]
-        return hermitian_part(cols @ cols.conj().T)
+    @cached_property
+    def clusters(self) -> tuple[tuple[int, ...], ...]:
+        """Index runs of eigenvalues closer than the clustering width."""
+        top = float(np.max(np.abs(self.values))) if len(self.values) else 1.0
+        return cluster_indices(self.values, self.tol.cluster * max(1.0, top))
 
-    def projectors(self) -> list[np.ndarray]:
-        return [self.projector(k) for k in range(len(self.clusters))]
+    @cached_property
+    def _projectors(self) -> tuple[np.ndarray, ...]:
+        out = []
+        for idx in self.clusters:
+            cols = self.vectors[:, list(idx)]
+            out.append(_frozen(hermitian_part(cols @ cols.conj().T)))
+        return tuple(out)
+
+    @cached_property
+    def _cluster_values(self) -> np.ndarray:
+        return _frozen(np.array([float(np.mean(self.values[list(idx)]))
+                                 for idx in self.clusters]))
+
+    def projector(self, k: int) -> np.ndarray:
+        return self._projectors[k]
+
+    def projectors(self) -> tuple[np.ndarray, ...]:
+        return self._projectors
 
     def cluster_values(self) -> np.ndarray:
-        return np.array([float(np.mean(self.values[list(idx)]))
-                         for idx in self.clusters])
+        return self._cluster_values
 
     def reconstruct(self) -> np.ndarray:
         return hermitian_part((self.vectors * self.values) @ self.vectors.conj().T)
@@ -97,22 +133,33 @@ class EigenDecomposition:
 
 def decomposition_from(values: np.ndarray, vectors: np.ndarray,
                        tol: Tolerances = DEFAULT) -> EigenDecomposition:
-    """Build an EigenDecomposition from a known eigensystem, sorting it."""
+    """Build an EigenDecomposition from a known eigensystem, sorting it.
+
+    Ascending input is taken as it is, without a copy, so the arrays
+    passed in become read-only.
+    """
     values = np.asarray(values, dtype=np.float64)
-    order = np.argsort(values, kind="stable")
-    values = values[order]
-    vectors = np.asarray(vectors, dtype=np.complex128)[:, order]
-    top = float(np.max(np.abs(values))) if len(values) else 1.0
-    width = tol.cluster * max(1.0, top)
-    return EigenDecomposition(values, vectors, cluster_indices(values, width))
+    vectors = np.asarray(vectors, dtype=np.complex128)
+    if not np.all(values[1:] >= values[:-1]):
+        order = np.argsort(values, kind="stable")
+        values = values[order]
+        vectors = vectors[:, order]
+    return EigenDecomposition(values, vectors, tol)
 
 
 def eigh(a: np.ndarray, tol: Tolerances = DEFAULT) -> EigenDecomposition:
-    """Full eigensystem of a Hermitian matrix via LAPACK."""
+    """Full eigensystem of a Hermitian matrix via LAPACK, the one
+    eigensolver; its values come out ascending."""
     values, vectors = np.linalg.eigh(require_hermitian(a))
-    return decomposition_from(values, vectors, tol)
+    return EigenDecomposition(values, vectors, tol)
 
 
-def operator_norm(a: np.ndarray, tol: Tolerances = DEFAULT) -> float:
-    vals = eigh(a, tol).values
+def eigenvalues(a: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian matrix: the LAPACK call of
+    ``eigh``, with nothing clustered."""
+    return eigh(a).values
+
+
+def operator_norm(a: np.ndarray) -> float:
+    vals = eigenvalues(a)
     return float(max(abs(vals[0]), abs(vals[-1]))) if len(vals) else 0.0

@@ -15,8 +15,8 @@ import numpy as np
 from .config import DEFAULT, Tolerances
 from .linalg import (
     EigenDecomposition,
-    cluster_indices,
     decomposition_from,
+    eigenvalues,
     eigh,
     frobenius,
     hermitian_part,
@@ -50,7 +50,14 @@ def _same_dim(a: "Effect", b: "Effect") -> None:
 
 
 class Effect:
-    """Hermitian matrix with spectrum in [0, 1] (within the psd slack)."""
+    """Hermitian matrix with spectrum in [0, 1] (within the psd slack).
+
+    ``validate=False`` is the trusted constructor: the caller passes an
+    exactly Hermitian matrix (every entry equal to the conjugate of its
+    mirror), such as a symmetrized product, a reconstruction, or a sum or
+    real multiple of such matrices, or the identity minus one.  It is
+    copied, not checked or symmetrized.
+    """
 
     __slots__ = ("matrix", "tol", "_decomp", "_sqrt")
 
@@ -58,7 +65,8 @@ class Effect:
                  validate: bool = True,
                  decomposition: EigenDecomposition | None = None):
         self.tol = tol
-        mat = require_hermitian(matrix) if validate else hermitian_part(matrix)
+        mat = (require_hermitian(matrix) if validate
+               else np.array(matrix, dtype=np.complex128))
         mat.flags.writeable = False
         self.matrix = mat
         self._decomp = decomposition
@@ -221,9 +229,7 @@ def _kernel_projection(decomp: EigenDecomposition, dim: int, keep: np.ndarray,
     mat = hermitian_part(cols @ cols.conj().T) if k else np.zeros((dim, dim),
                                                                   dtype=complex)
     return Projection(mat, tol=tol, validate=False,
-                      decomposition=EigenDecomposition(
-                          values, vectors,
-                          cluster_indices(values, tol.cluster)))
+                      decomposition=EigenDecomposition(values, vectors, tol))
 
 
 def rickart(v, tol: Tolerances = DEFAULT) -> Projection:
@@ -334,15 +340,14 @@ def subsum_projections(projections: list[Projection], limit: int | None = None):
         yield acc
 
 
-def min_eig(x, tol: Tolerances = DEFAULT) -> float:
-    m = as_matrix(x)
-    return float(eigh(m, tol).values[0])
+def min_eig(x) -> float:
+    return float(eigenvalues(as_matrix(x))[0])
 
 
 def psd(x, slack: float | None = None, tol: Tolerances = DEFAULT) -> bool:
     if slack is None:
         slack = tol.check
-    return min_eig(x, tol) >= -slack
+    return min_eig(x) >= -slack
 
 
 def leq(a, b, slack: float | None = None, tol: Tolerances = DEFAULT) -> bool:

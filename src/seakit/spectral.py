@@ -56,11 +56,11 @@ class MatrixContext:
         return eigh(self.raw(v), self.tol)
 
     def one_like(self, v) -> np.ndarray:
-        n = self.raw(v).shape[0]
+        n = np.shape(_raw_of(v))[0]
         return np.eye(n, dtype=np.complex128)
 
     def zero_like(self, v) -> np.ndarray:
-        n = self.raw(v).shape[0]
+        n = np.shape(_raw_of(v))[0]
         return np.zeros((n, n), dtype=np.complex128)
 
     def wrap_projection(self, raw: np.ndarray) -> mx.Projection:
@@ -87,9 +87,9 @@ class MatrixContext:
 
     def eigenprojections(self, v) -> tuple[np.ndarray, list[mx.Projection]]:
         """Cluster values with their eigenprojections, from one (for an
-        Effect, the cached) decomposition."""
+        Effect, the cached) decomposition, which builds them once."""
         d = self.decomposition(v)
-        return (np.asarray(d.cluster_values()),
+        return (d.cluster_values(),
                 [self.wrap_projection(p) for p in d.projectors()])
 
     def add(self, a, b) -> np.ndarray:
@@ -105,7 +105,7 @@ class MatrixContext:
         return frobenius(_raw_of(a) - _raw_of(b))
 
     def norm(self, v) -> float:
-        return operator_norm(_raw_of(v), self.tol)
+        return operator_norm(_raw_of(v))
 
     def leq(self, a, b, slack: float | None = None) -> bool:
         return mx.psd(self.sub(b, a), slack, self.tol)

@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .config import DEFAULT, Tolerances
-from .linalg import eigh, frobenius, operator_norm
+from .linalg import eigenvalues, frobenius, operator_norm
 from .report import CheckResult, SuiteReport
 from . import fuzzy as fz
 from . import matrices as mx
@@ -61,7 +61,14 @@ def _seed_for(seed: int, suite: str, sid: str) -> np.random.SeedSequence:
 
 
 class _Tally:
-    """Per-statement accumulator; keeps the first failing witness."""
+    """Per-statement accumulator; keeps the first failing witness.
+
+    The witness is passed as a thunk, a zero-argument callable that builds
+    the witness dict.  ``tally`` calls it only for the first failing
+    sample, the one whose witness the report records, so passing samples
+    encode nothing.  The thunk runs inside ``tally``, so it sees the
+    sample's values.
+    """
 
     __slots__ = ("samples", "passed", "max_residual", "witness")
 
@@ -71,15 +78,16 @@ class _Tally:
         self.max_residual = 0.0
         self.witness = None
 
-    def tally(self, ok: bool, residual: float = 0.0, witness=None) -> None:
+    def tally(self, ok: bool, residual: float = 0.0,
+              witness: Callable[[], dict] | None = None) -> None:
+        if not ok and self.witness is None:
+            self.witness = witness() if witness is not None else {}
         self.samples += 1
         res = float(residual)
         if res > self.max_residual:
             self.max_residual = res
         if ok:
             self.passed += 1
-        elif self.witness is None:
-            self.witness = witness if witness is not None else {}
 
 
 def _run_statement(report: SuiteReport, sid: str, model: str, body) -> None:
@@ -88,7 +96,7 @@ def _run_statement(report: SuiteReport, sid: str, model: str, body) -> None:
         body(t)
     except Exception as exc:  # noqa: BLE001 - a crashing check is a failure
         frame = traceback.extract_tb(exc.__traceback__)[-1]
-        t.tally(False, witness={
+        t.tally(False, witness=lambda: {
             "error": f"{type(exc).__name__}: {exc}",
             "at": f"{os.path.basename(frame.filename)}:{frame.lineno}"})
     report.add(CheckResult(sid, model, t.samples, t.passed,
@@ -136,7 +144,7 @@ class _Model(NamedTuple):
 
 def _matrix_model(suite: str, dim: int, seed: int, tol: Tolerances) -> _Model:
     def extremes(x) -> tuple[float, float]:
-        vals = eigh(x, tol).values
+        vals = eigenvalues(x)
         return float(vals[0]), float(vals[-1])
 
     return _Model(
@@ -242,6 +250,29 @@ def five_way_statements(p: mx.Projection, a: mx.Effect,
     }
 
 
+def _meet_headroom(pvals: np.ndarray, avals: np.ndarray,
+                  psd: float) -> np.ndarray:
+    """For each coordinate, how far min(p, a) can be raised there and stay
+    below p + psd and a + psd (psd >= 0): 30 bisection steps on [0, 1], all
+    coordinates at once.
+
+    Raising one coordinate leaves the others at min(p, a), which lies
+    below both bounds, so each coordinate's test reads that coordinate
+    only and the bisections run side by side on arrays.
+    """
+    cand = np.minimum(pvals, avals)
+    p_top, a_top = pvals + psd, avals + psd
+    lo = np.zeros(len(cand))
+    hi = np.ones(len(cand))
+    for _ in range(30):
+        mid = (lo + hi) / 2.0
+        trial = cand + mid
+        fits = (trial <= p_top) & (trial <= a_top)
+        lo = np.where(fits, mid, lo)
+        hi = np.where(fits, hi, mid)
+    return lo
+
+
 def _sharp_defect(a: mx.Effect) -> float:
     return _res(a.matrix @ a.matrix - a.matrix, a.dim)
 
@@ -265,8 +296,8 @@ def _sea_matrix(report: SuiteReport, m: _Model, samples: int,
             c = smp.effect(values=smp.rng.uniform(0.0, 0.5, dim))
             bc = wrap(b.matrix + c.matrix)
             r = _res(prod(a, bc) - prod(a, b) - prod(a, c), dim)
-            t.tally(r <= thr, r, {"sample": k, "a": _mat(a), "b": _mat(b),
-                                  "c": _mat(c)})
+            t.tally(r <= thr, r, lambda: {"sample": k, "a": _mat(a),
+                                          "b": _mat(b), "c": _mat(c)})
 
     def s2(t: _Tally) -> None:
         smp = m.smp("S2")
@@ -274,7 +305,7 @@ def _sea_matrix(report: SuiteReport, m: _Model, samples: int,
             a = smp.effect()
             r = max(_res(prod(one, a) - a.matrix, dim),
                     _res(prod(a, one) - a.matrix, dim))
-            t.tally(r <= thr, r, {"sample": k, "a": _mat(a)})
+            t.tally(r <= thr, r, lambda: {"sample": k, "a": _mat(a)})
 
     def s3(t: _Tally) -> None:
         smp = m.smp("S3")
@@ -285,18 +316,18 @@ def _sea_matrix(report: SuiteReport, m: _Model, samples: int,
                 r_ba = _res(prod(b, a), dim)
                 ok = (r_ab <= thr) == (r_ba <= thr)
                 t.tally(ok, max(r_ab, r_ba) if not ok else 0.0,
-                        {"sample": k, "a": _mat(a), "b": _mat(b),
-                         "forward": r_ab, "backward": r_ba})
+                        lambda: {"sample": k, "a": _mat(a), "b": _mat(b),
+                                 "forward": r_ab, "backward": r_ba})
             else:
                 a = smp.effect()
                 b = smp.effect()
-                spectrum = eigh(np.asarray(prod(a, b)), tol).values
+                spectrum = eigenvalues(np.asarray(prod(a, b)))
                 lo = float(spectrum[0])
                 hi = float(spectrum[-1])
                 escape = max(0.0, -lo, hi - 1.0)
                 t.tally(escape <= tol.psd + thr, escape,
-                        {"sample": k, "a": _mat(a), "b": _mat(b),
-                         "min_eigenvalue": lo, "max_eigenvalue": hi})
+                        lambda: {"sample": k, "a": _mat(a), "b": _mat(b),
+                                 "min_eigenvalue": lo, "max_eigenvalue": hi})
 
     def s4(t: _Tally) -> None:
         smp = m.smp("S4")
@@ -313,9 +344,10 @@ def _sea_matrix(report: SuiteReport, m: _Model, samples: int,
             outer = wrap(np.asarray(prod(a, b)))
             r2 = _res(prod(a, inner) - prod(outer, c), dim)
             r = max(r1, r2)
-            t.tally(r <= thr, r, {"sample": k, "a": _mat(a), "b": _mat(b),
-                                  "c": _mat(c), "complement": r1,
-                                  "associativity": r2})
+            t.tally(r <= thr, r, lambda: {"sample": k, "a": _mat(a),
+                                          "b": _mat(b), "c": _mat(c),
+                                          "complement": r1,
+                                          "associativity": r2})
 
     def s5(t: _Tally) -> None:
         smp = m.smp("S5")
@@ -331,8 +363,8 @@ def _sea_matrix(report: SuiteReport, m: _Model, samples: int,
             r1 = _res(prod(c, ab) - prod(ab, c), dim)
             r2 = _res(prod(c, asum) - prod(asum, c), dim)
             r = max(r1, r2)
-            t.tally(r <= tol.comm, r, {"sample": k, "c": _mat(c),
-                                       "a": _mat(a), "b": _mat(b)})
+            t.tally(r <= tol.comm, r, lambda: {"sample": k, "c": _mat(c),
+                                               "a": _mat(a), "b": _mat(b)})
 
     def aff(t: _Tally) -> None:
         smp = m.smp("le:aff")
@@ -351,7 +383,8 @@ def _sea_matrix(report: SuiteReport, m: _Model, samples: int,
             r3 = _res(prod(ca, clb) - prod(clb, ca), dim)
             r = max(r1, r2, min(r3, tol.comm) if r3 <= tol.comm else r3)
             t.tally(r1 <= thr and r2 <= thr and r3 <= tol.comm, r,
-                    {"sample": k, "lambda": lam, "a": _mat(a), "b": _mat(b)})
+                    lambda: {"sample": k, "lambda": lam, "a": _mat(a),
+                             "b": _mat(b)})
 
     def convex_c1(t: _Tally) -> None:
         smp = m.smp("convex:C1")
@@ -361,7 +394,8 @@ def _sea_matrix(report: SuiteReport, m: _Model, samples: int,
             mu = smp.uniform()
             r = _res(mx.scale_effect(mx.scale_effect(a, lam), mu).matrix
                      - mx.scale_effect(a, lam * mu).matrix, dim)
-            t.tally(r <= thr, r, {"sample": k, "lambda": lam, "mu": mu})
+            t.tally(r <= thr, r,
+                    lambda: {"sample": k, "lambda": lam, "mu": mu})
 
     def convex_c2(t: _Tally) -> None:
         smp = m.smp("convex:C2")
@@ -372,7 +406,8 @@ def _sea_matrix(report: SuiteReport, m: _Model, samples: int,
             r = _res(mx.scale_effect(a, lam).matrix
                      + mx.scale_effect(a, mu).matrix
                      - mx.scale_effect(a, lam + mu).matrix, dim)
-            t.tally(r <= thr, r, {"sample": k, "lambda": lam, "mu": mu})
+            t.tally(r <= thr, r,
+                    lambda: {"sample": k, "lambda": lam, "mu": mu})
 
     def convex_c3(t: _Tally) -> None:
         smp = m.smp("convex:C3")
@@ -384,14 +419,14 @@ def _sea_matrix(report: SuiteReport, m: _Model, samples: int,
             r = _res(mx.scale_effect(s, lam).matrix
                      - mx.scale_effect(a, lam).matrix
                      - mx.scale_effect(b, lam).matrix, dim)
-            t.tally(r <= thr, r, {"sample": k, "lambda": lam})
+            t.tally(r <= thr, r, lambda: {"sample": k, "lambda": lam})
 
     def convex_c4(t: _Tally) -> None:
         smp = m.smp("convex:C4")
         for k in range(samples):
             a = smp.effect()
             r = _res(mx.scale_effect(a, 1.0).matrix - a.matrix, dim)
-            t.tally(r <= thr, r, {"sample": k})
+            t.tally(r <= thr, r, lambda: {"sample": k})
 
     def sharp_i(t: _Tally) -> None:
         smp = m.smp("le:sharp.i")
@@ -401,8 +436,8 @@ def _sea_matrix(report: SuiteReport, m: _Model, samples: int,
             s1b = _res(prod(a, a.complement()), dim) <= thr
             s2b = _res(np.asarray(prod(a, a)) - a.matrix, dim) <= thr
             t.tally(sharp == s1b == s2b, 0.0,
-                    {"sample": k, "a": _mat(a), "sharp": sharp,
-                     "kills_complement": s1b, "idempotent": s2b})
+                    lambda: {"sample": k, "a": _mat(a), "sharp": sharp,
+                             "kills_complement": s1b, "idempotent": s2b})
 
     def sharp_ii(t: _Tally) -> None:
         smp = m.smp("le:sharp.ii")
@@ -420,8 +455,8 @@ def _sea_matrix(report: SuiteReport, m: _Model, samples: int,
             rp = max(_res(np.asarray(prod(p, a)) - p.matrix, dim),
                      _res(np.asarray(prod(a, p)) - p.matrix, dim))
             t.tally(below == (rp <= thr), 0.0,
-                    {"sample": k, "p": _mat(p), "a": _mat(a),
-                     "order": below, "product_residual": rp})
+                    lambda: {"sample": k, "p": _mat(p), "a": _mat(a),
+                             "order": below, "product_residual": rp})
 
     def sharp_iii(t: _Tally) -> None:
         smp = m.smp("le:sharp.iii")
@@ -439,8 +474,8 @@ def _sea_matrix(report: SuiteReport, m: _Model, samples: int,
             rp = max(_res(np.asarray(prod(p, a)) - a.matrix, dim),
                      _res(np.asarray(prod(a, p)) - a.matrix, dim))
             t.tally(below == (rp <= thr), 0.0,
-                    {"sample": k, "p": _mat(p), "a": _mat(a),
-                     "order": below, "product_residual": rp})
+                    lambda: {"sample": k, "p": _mat(p), "a": _mat(a),
+                             "order": below, "product_residual": rp})
 
     def sharp_iv(t: _Tally) -> None:
         smp = m.smp("le:sharp.iv")
@@ -461,11 +496,13 @@ def _sea_matrix(report: SuiteReport, m: _Model, samples: int,
                 sharp_sum = _sharp_defect(wrap(p.matrix + a.matrix)) <= thr
                 sharp_a = _sharp_defect(a) <= thr
                 ok = r_join <= thr and sharp_sum == sharp_a
-                t.tally(ok, r_join, {"sample": k, "p": _mat(p), "a": _mat(a),
-                                     "join_residual": r_join})
+                t.tally(ok, r_join, lambda: {"sample": k, "p": _mat(p),
+                                             "a": _mat(a),
+                                             "join_residual": r_join})
             else:
-                t.tally(ok, 0.0, {"sample": k, "p": _mat(p), "a": _mat(a),
-                                  "vanishes": vanish, "summable": summable})
+                t.tally(ok, 0.0, lambda: {"sample": k, "p": _mat(p),
+                                          "a": _mat(a), "vanishes": vanish,
+                                          "summable": summable})
 
     def sharp_v(t: _Tally) -> None:
         smp = m.smp("le:sharp.v")
@@ -480,8 +517,8 @@ def _sea_matrix(report: SuiteReport, m: _Model, samples: int,
             mackey = (mx.psd(a.matrix - inside, tol=tol)
                       and mx.psd(eye - a.matrix - p.matrix + inside, tol=tol))
             t.tally(commute == mackey, 0.0,
-                    {"sample": k, "p": _mat(p), "a": _mat(a),
-                     "commutes": commute, "mackey": mackey})
+                    lambda: {"sample": k, "p": _mat(p), "a": _mat(a),
+                             "commutes": commute, "mackey": mackey})
 
     def sharp_vi(t: _Tally) -> None:
         smp = m.smp("le:sharp.vi")
@@ -489,30 +526,18 @@ def _sea_matrix(report: SuiteReport, m: _Model, samples: int,
             p, a = smp.commuting_projection_effect()
             meet_mat = mx.commuting_meet(p, a, tol)
             r = _res(np.asarray(prod(p, a)) - meet_mat, dim)
-            t.tally(r <= thr, r, {"sample": k, "p": _mat(p), "a": _mat(a)})
+            t.tally(r <= thr, r,
+                    lambda: {"sample": k, "p": _mat(p), "a": _mat(a)})
         oracle = m.smp("le:sharp.vi/oracle")
         for k in range(min(samples, 24)):
             pvals = (oracle.rng.integers(0, 2, dim)).astype(float)
             if not pvals.any():
                 pvals[0] = 1.0
             avals = oracle.rng.uniform(0.0, 1.0, dim)
-            cand = np.minimum(pvals, avals)
-            worst = 0.0
-            for probe in range(dim):
-                lo_t, hi_t = 0.0, 1.0
-                for _ in range(30):
-                    mid = (lo_t + hi_t) / 2.0
-                    trial = cand.copy()
-                    trial[probe] += mid
-                    if np.all(trial <= pvals + tol.psd) \
-                            and np.all(trial <= avals + tol.psd):
-                        lo_t = mid
-                    else:
-                        hi_t = mid
-                worst = max(worst, lo_t)
+            worst = float(np.max(_meet_headroom(pvals, avals, tol.psd)))
             t.tally(worst <= 1e-6, worst,
-                    {"oracle_sample": k, "p": pvals.tolist(),
-                     "a": avals.round(12).tolist(), "slack": worst})
+                    lambda: {"oracle_sample": k, "p": pvals.tolist(),
+                             "a": avals.round(12).tolist(), "slack": worst})
 
     def strongarch(t: _Tally) -> None:
         smp = m.smp("de:strongarch")
@@ -520,15 +545,15 @@ def _sea_matrix(report: SuiteReport, m: _Model, samples: int,
         for k in range(samples):
             a = smp.effect()
             b = smp.effect()
-            least = mx.min_eig(b.matrix - a.matrix, tol)
+            least = mx.min_eig(b.matrix - a.matrix)
             if least >= -bound:
                 t.tally(True)
                 continue
             n = min(ARCHIMEDEAN_RESOLUTION, 2 * math.ceil(1.0 / (-least)))
-            gap = mx.min_eig(b.matrix + eye / n - a.matrix, tol)
+            gap = mx.min_eig(b.matrix + eye / n - a.matrix)
             t.tally(gap < 0.0, 0.0,
-                    {"sample": k, "n": n, "min_eigenvalue": least,
-                     "shifted_min_eigenvalue": gap})
+                    lambda: {"sample": k, "n": n, "min_eigenvalue": least,
+                             "shifted_min_eigenvalue": gap})
 
     _run_statement(report, "S1", "matrix", s1)
     _run_statement(report, "S2", "matrix", s2)
@@ -583,7 +608,8 @@ def _sea_mv(report: SuiteReport, m: _Model, samples: int,
             rhs = prod(a, b) + prod(a, c)
             ok = bool(np.array_equal(lhs, rhs))
             t.tally(ok, 0.0 if ok else float(np.max(np.abs(lhs - rhs))),
-                    {"sample": k, "a": _vals(a), "b": _vals(b), "c": _vals(c)})
+                    lambda: {"sample": k, "a": _vals(a), "b": _vals(b),
+                             "c": _vals(c)})
 
     def s2(t: _Tally) -> None:
         smp = m.smp("S2")
@@ -591,7 +617,7 @@ def _sea_mv(report: SuiteReport, m: _Model, samples: int,
             a = smp.fuzzy()
             ok = (np.array_equal(prod(one, a), a.values)
                   and np.array_equal(prod(a, one), a.values))
-            t.tally(bool(ok), 0.0, {"sample": k, "a": _vals(a)})
+            t.tally(bool(ok), 0.0, lambda: {"sample": k, "a": _vals(a)})
 
     def s3(t: _Tally) -> None:
         smp = m.smp("S3")
@@ -605,7 +631,7 @@ def _sea_mv(report: SuiteReport, m: _Model, samples: int,
             inside = bool(np.all(prod(a, b) >= 0.0)
                           and np.all(prod(a, b) <= 1.0))
             t.tally(forward == backward and inside, 0.0,
-                    {"sample": k, "a": _vals(a), "b": _vals(b)})
+                    lambda: {"sample": k, "a": _vals(a), "b": _vals(b)})
 
     def s4(t: _Tally) -> None:
         smp = m.smp("S4")
@@ -618,8 +644,8 @@ def _sea_mv(report: SuiteReport, m: _Model, samples: int,
             ok = (np.array_equal(prod(a, bperp), prod(bperp, a))
                   and np.array_equal(prod(fz.FuzzySet(prod(a, b)), c),
                                      prod(a, fz.FuzzySet(prod(b, c)))))
-            t.tally(bool(ok), 0.0, {"sample": k, "a": _vals(a),
-                                    "b": _vals(b), "c": _vals(c)})
+            t.tally(bool(ok), 0.0, lambda: {"sample": k, "a": _vals(a),
+                                            "b": _vals(b), "c": _vals(c)})
 
     def s5(t: _Tally) -> None:
         smp = m.smp("S5")
@@ -633,7 +659,7 @@ def _sea_mv(report: SuiteReport, m: _Model, samples: int,
             asum = fz.mv_oplus(a, b)
             ok = (np.array_equal(prod(c, ab), prod(ab, c))
                   and np.array_equal(prod(c, asum), prod(asum, c)))
-            t.tally(bool(ok), 0.0, {"sample": k})
+            t.tally(bool(ok), 0.0, lambda: {"sample": k})
 
     def aff(t: _Tally) -> None:
         smp = m.smp("le:aff")
@@ -645,8 +671,8 @@ def _sea_mv(report: SuiteReport, m: _Model, samples: int,
             ok = (np.array_equal(prod(a, lb), lam * prod(a, b))
                   and np.array_equal(prod(la, b), lam * prod(a, b))
                   and np.array_equal(prod(a, lb), prod(lb, a)))
-            t.tally(bool(ok), 0.0, {"sample": k, "lambda": lam,
-                                    "a": _vals(a), "b": _vals(b)})
+            t.tally(bool(ok), 0.0, lambda: {"sample": k, "lambda": lam,
+                                            "a": _vals(a), "b": _vals(b)})
 
     def convex_c1(t: _Tally) -> None:
         smp = m.smp("convex:C1")
@@ -654,7 +680,8 @@ def _sea_mv(report: SuiteReport, m: _Model, samples: int,
             a = smp.fuzzy()
             lam, mu = dy(smp), dy(smp)
             ok = np.array_equal(mu * (lam * a.values), (lam * mu) * a.values)
-            t.tally(bool(ok), 0.0, {"sample": k, "lambda": lam, "mu": mu})
+            t.tally(bool(ok), 0.0,
+                    lambda: {"sample": k, "lambda": lam, "mu": mu})
 
     def convex_c2(t: _Tally) -> None:
         smp = m.smp("convex:C2")
@@ -665,7 +692,8 @@ def _sea_mv(report: SuiteReport, m: _Model, samples: int,
             lam, mu = klam / smp.denom, kmu / smp.denom
             ok = np.array_equal(lam * a.values + mu * a.values,
                                 (lam + mu) * a.values)
-            t.tally(bool(ok), 0.0, {"sample": k, "lambda": lam, "mu": mu})
+            t.tally(bool(ok), 0.0,
+                    lambda: {"sample": k, "lambda": lam, "mu": mu})
 
     def convex_c3(t: _Tally) -> None:
         smp = m.smp("convex:C3")
@@ -675,14 +703,14 @@ def _sea_mv(report: SuiteReport, m: _Model, samples: int,
             s = fz.mv_oplus(a, b)
             ok = np.array_equal(lam * s.values,
                                 lam * a.values + lam * b.values)
-            t.tally(bool(ok), 0.0, {"sample": k, "lambda": lam})
+            t.tally(bool(ok), 0.0, lambda: {"sample": k, "lambda": lam})
 
     def convex_c4(t: _Tally) -> None:
         smp = m.smp("convex:C4")
         for k in range(samples):
             a = smp.fuzzy()
             t.tally(bool(np.array_equal(1.0 * a.values, a.values)), 0.0,
-                    {"sample": k})
+                    lambda: {"sample": k})
 
     def sharp_i(t: _Tally) -> None:
         smp = m.smp("le:sharp.i")
@@ -692,7 +720,7 @@ def _sea_mv(report: SuiteReport, m: _Model, samples: int,
             s1b = bool(np.all(prod(a, fz.mv_neg(a)) == 0.0))
             s2b = bool(np.array_equal(prod(a, a), a.values))
             t.tally(sharp == s1b == s2b, 0.0,
-                    {"sample": k, "a": _vals(a)})
+                    lambda: {"sample": k, "a": _vals(a)})
 
     def sharp_ii(t: _Tally) -> None:
         smp = m.smp("le:sharp.ii")
@@ -704,7 +732,7 @@ def _sea_mv(report: SuiteReport, m: _Model, samples: int,
             holds = (np.array_equal(prod(p, a), p.values)
                      and np.array_equal(prod(a, p), p.values))
             t.tally(below == bool(holds), 0.0,
-                    {"sample": k, "p": _vals(p), "a": _vals(a)})
+                    lambda: {"sample": k, "p": _vals(p), "a": _vals(a)})
 
     def sharp_iii(t: _Tally) -> None:
         smp = m.smp("le:sharp.iii")
@@ -716,7 +744,7 @@ def _sea_mv(report: SuiteReport, m: _Model, samples: int,
             holds = (np.array_equal(prod(p, a), a.values)
                      and np.array_equal(prod(a, p), a.values))
             t.tally(below == bool(holds), 0.0,
-                    {"sample": k, "p": _vals(p), "a": _vals(a)})
+                    lambda: {"sample": k, "p": _vals(p), "a": _vals(a)})
 
     def sharp_iv(t: _Tally) -> None:
         smp = m.smp("le:sharp.iv")
@@ -734,8 +762,8 @@ def _sea_mv(report: SuiteReport, m: _Model, samples: int,
                 ok = (np.array_equal(total, np.maximum(p.values, a.values))
                       and (fz.mv_is_sharp(fz.FuzzySet(total))
                            == fz.mv_is_sharp(a)))
-            t.tally(bool(ok), 0.0, {"sample": k, "p": _vals(p),
-                                    "a": _vals(a)})
+            t.tally(bool(ok), 0.0, lambda: {"sample": k, "p": _vals(p),
+                                            "a": _vals(a)})
 
     def sharp_v(t: _Tally) -> None:
         smp = m.smp("le:sharp.v")
@@ -747,7 +775,7 @@ def _sea_mv(report: SuiteReport, m: _Model, samples: int,
             mackey = (bool(np.all(a.values - c >= 0.0))
                       and bool(np.all(1.0 - a.values - p.values + c >= 0.0)))
             t.tally(commute == mackey, 0.0,
-                    {"sample": k, "p": _vals(p), "a": _vals(a)})
+                    lambda: {"sample": k, "p": _vals(p), "a": _vals(a)})
 
     def sharp_vi(t: _Tally) -> None:
         smp = m.smp("le:sharp.vi")
@@ -756,8 +784,8 @@ def _sea_mv(report: SuiteReport, m: _Model, samples: int,
             a = smp.fuzzy()
             ok = np.array_equal(prod(p, a),
                                 np.minimum(p.values, a.values))
-            t.tally(bool(ok), 0.0, {"sample": k, "p": _vals(p),
-                                    "a": _vals(a)})
+            t.tally(bool(ok), 0.0, lambda: {"sample": k, "p": _vals(p),
+                                            "a": _vals(a)})
 
     def strongarch(t: _Tally) -> None:
         smp = m.smp("de:strongarch")
@@ -770,8 +798,8 @@ def _sea_mv(report: SuiteReport, m: _Model, samples: int,
                 continue
             n = min(ARCHIMEDEAN_RESOLUTION, 2 * math.ceil(1.0 / (-least)))
             gap = float(np.min(b.values + 1.0 / n - a.values))
-            t.tally(gap < 0.0, 0.0, {"sample": k, "n": n,
-                                     "min_difference": least})
+            t.tally(gap < 0.0, 0.0, lambda: {"sample": k, "n": n,
+                                             "min_difference": least})
 
     _run_statement(report, "S1", "mv", s1)
     _run_statement(report, "S2", "mv", s2)
@@ -861,10 +889,11 @@ def _compression_matrix(report: SuiteReport, m: _Model, samples: int,
             under = mx.leq(generic, wrap(eye - fmat), tol=tol)
             r = max(r_add, r_retract)
             ok = r <= thr and kernel_ok and van == under
-            t.tally(ok, r, {"sample": k, "focus": _mat(f),
-                            "additivity": r_add, "retraction": r_retract,
-                            "kernel_clause": kernel_ok,
-                            "generic_clause": bool(van == under)})
+            t.tally(ok, r, lambda: {"sample": k, "focus": _mat(f),
+                                    "additivity": r_add,
+                                    "retraction": r_retract,
+                                    "kernel_clause": kernel_ok,
+                                    "generic_clause": bool(van == under)})
 
     def cb_c1(t: _Tally) -> None:
         smp = m.smp("cb:C1")
@@ -873,7 +902,7 @@ def _compression_matrix(report: SuiteReport, m: _Model, samples: int,
             r = _res(mx.compression(p, mx.Effect(eye, tol=tol,
                                                  validate=False), tol).matrix
                      - p.matrix, dim)
-            t.tally(r <= thr, r, {"sample": k, "p": _mat(p)})
+            t.tally(r <= thr, r, lambda: {"sample": k, "p": _mat(p)})
 
     def cb_c2p(t: _Tally) -> None:
         smp = m.smp("cb:C2p")
@@ -888,7 +917,7 @@ def _compression_matrix(report: SuiteReport, m: _Model, samples: int,
             r = _res(x - z, dim)
             idem = _res(pq @ pq - pq, dim)
             t.tally(r <= tol.comm and idem <= tol.proj, max(r, idem),
-                    {"sample": k, "p": _mat(p), "q": _mat(q)})
+                    lambda: {"sample": k, "p": _mat(p), "q": _mat(q)})
 
     def cb_c3(t: _Tally) -> None:
         smp = m.smp("cb:C3")
@@ -907,7 +936,7 @@ def _compression_matrix(report: SuiteReport, m: _Model, samples: int,
             composed = outer @ (inner @ a.matrix @ inner) @ outer
             direct = q.matrix @ a.matrix @ q.matrix
             r = _res(composed - direct, dim)
-            t.tally(r <= thr, r, {"sample": k, "sizes": [k1, k2, k3]})
+            t.tally(r <= thr, r, lambda: {"sample": k, "sizes": [k1, k2, k3]})
 
     def com_e(t: _Tally) -> None:
         smp = m.smp("le:comE")
@@ -918,14 +947,12 @@ def _compression_matrix(report: SuiteReport, m: _Model, samples: int,
                 p = smp.projection()
                 a = smp.effect()
             stmts = five_way_statements(p, a, tol)
-            flags = [stmts[key] for key in ("compress_below", "block_sum",
-                                            "interval_sum", "mackey", "meet")]
-            agree = len(set(flags)) == 1
+            keys = ("compress_below", "block_sum", "interval_sum", "mackey",
+                    "meet")
+            agree = len({stmts[key] for key in keys}) == 1
             t.tally(agree, stmts["residual"],
-                    {"sample": k, "p": _mat(p), "a": _mat(a),
-                     "statements": {key: stmts[key] for key in
-                                    ("compress_below", "block_sum",
-                                     "interval_sum", "mackey", "meet")}})
+                    lambda: {"sample": k, "p": _mat(p), "a": _mat(a),
+                             "statements": {key: stmts[key] for key in keys}})
 
     def compat_i(t: _Tally) -> None:
         smp = m.smp("lemma:compatible_projs.i")
@@ -950,8 +977,8 @@ def _compression_matrix(report: SuiteReport, m: _Model, samples: int,
             rhs = (p.matrix @ a.matrix @ p.matrix
                    + q.matrix @ a.matrix @ q.matrix)
             r = max(r_join, _res(lhs - rhs, dim))
-            t.tally(r <= thr, r, {"sample": k, "p": _mat(p), "q": _mat(q),
-                                  "a": _mat(a)})
+            t.tally(r <= thr, r, lambda: {"sample": k, "p": _mat(p),
+                                          "q": _mat(q), "a": _mat(a)})
 
     def compat_ii(t: _Tally) -> None:
         smp = m.smp("lemma:compatible_projs.ii")
@@ -966,7 +993,8 @@ def _compression_matrix(report: SuiteReport, m: _Model, samples: int,
             z = meet @ a.matrix @ meet.conj().T
             r_lattice = _res(meet - mx.commuting_meet(p, q, tol), dim)
             r = max(_res(x - y, dim), _res(x - z, dim), r_lattice)
-            t.tally(r <= thr, r, {"sample": k, "p": _mat(p), "q": _mat(q)})
+            t.tally(r <= thr, r,
+                    lambda: {"sample": k, "p": _mat(p), "q": _mat(q)})
 
     _run_statement(report, "de:compr", "matrix", compr)
     _run_statement(report, "cb:C1", "matrix", cb_c1)
@@ -999,14 +1027,14 @@ def _compression_mv(report: SuiteReport, m: _Model, samples: int,
             g = smp.fuzzy().values
             ok = ok and (bool(np.all(f * g == 0.0))
                          == bool(np.all(g <= 1.0 - f)))
-            t.tally(bool(ok), 0.0, {"sample": k, "focus": f.tolist()})
+            t.tally(bool(ok), 0.0, lambda: {"sample": k, "focus": f.tolist()})
 
     def cb_c1(t: _Tally) -> None:
         smp = m.smp("cb:C1")
         for k in range(samples):
             p = smp.sharp()
             ok = np.array_equal(p.values * np.ones(size), p.values)
-            t.tally(bool(ok), 0.0, {"sample": k})
+            t.tally(bool(ok), 0.0, lambda: {"sample": k})
 
     def cb_c2p(t: _Tally) -> None:
         smp = m.smp("cb:C2p")
@@ -1015,7 +1043,7 @@ def _compression_mv(report: SuiteReport, m: _Model, samples: int,
             a = smp.fuzzy()
             ok = np.array_equal(p.values * (q.values * a.values),
                                 (p.values * q.values) * a.values)
-            t.tally(bool(ok), 0.0, {"sample": k})
+            t.tally(bool(ok), 0.0, lambda: {"sample": k})
 
     def cb_c3(t: _Tally) -> None:
         smp = m.smp("cb:C3")
@@ -1028,7 +1056,7 @@ def _compression_mv(report: SuiteReport, m: _Model, samples: int,
             a = smp.fuzzy()
             ok = np.array_equal((p + q) * ((q + rr) * a.values) * (p + q),
                                 q * a.values)
-            t.tally(bool(ok), 0.0, {"sample": k})
+            t.tally(bool(ok), 0.0, lambda: {"sample": k})
 
     def com_e(t: _Tally) -> None:
         smp = m.smp("le:comE")
@@ -1044,7 +1072,7 @@ def _compression_mv(report: SuiteReport, m: _Model, samples: int,
                       and np.all(1.0 - av - pv + c >= 0.0))
             s5 = bool(np.array_equal(pv * av, np.minimum(pv, av)))
             t.tally(s1 == s2 == s3 == s4 == s5, 0.0,
-                    {"sample": k, "p": _vals(p), "a": _vals(a)})
+                    lambda: {"sample": k, "p": _vals(p), "a": _vals(a)})
 
     def compat_i(t: _Tally) -> None:
         smp = m.smp("lemma:compatible_projs.i")
@@ -1059,7 +1087,7 @@ def _compression_mv(report: SuiteReport, m: _Model, samples: int,
             join = np.maximum(p, q)
             ok = (np.array_equal(join * a, (p + q) * a)
                   and np.array_equal(join * a, p * a + q * a))
-            t.tally(bool(ok), 0.0, {"sample": k})
+            t.tally(bool(ok), 0.0, lambda: {"sample": k})
 
     def compat_ii(t: _Tally) -> None:
         smp = m.smp("lemma:compatible_projs.ii")
@@ -1068,7 +1096,7 @@ def _compression_mv(report: SuiteReport, m: _Model, samples: int,
             a = smp.fuzzy().values
             ok = (np.array_equal(p * (q * a), q * (p * a))
                   and np.array_equal(p * (q * a), np.minimum(p, q) * a))
-            t.tally(bool(ok), 0.0, {"sample": k})
+            t.tally(bool(ok), 0.0, lambda: {"sample": k})
 
     _run_statement(report, "de:compr", "mv", compr)
     _run_statement(report, "cb:C1", "mv", cb_c1)
@@ -1135,7 +1163,7 @@ def _spectrality(report: SuiteReport, m: _Model, samples: int) -> None:
                         _res(ctx.sub(vm, dec.v_minus), n))
                 worst = max(worst, r)
                 ok = ok and r <= thr
-            t.tally(ok, worst, {"sample": k, "v": m.enc(v)})
+            t.tally(ok, worst, lambda: {"sample": k, "v": m.enc(v)})
 
     def limit(t: _Tally) -> None:
         smp = m.smp("coro:limit")
@@ -1154,7 +1182,7 @@ def _spectrality(report: SuiteReport, m: _Model, samples: int) -> None:
                 if prev is not None:
                     ok = ok and ctx.leq(prev, an)
                 prev = an
-            t.tally(ok, max(0.0, worst), {"sample": k, "a": m.enc(a)})
+            t.tally(ok, max(0.0, worst), lambda: {"sample": k, "a": m.enc(a)})
 
     def spectprojs(t: _Tally) -> None:
         smp = m.smp("eq:spectprojs")
@@ -1187,7 +1215,7 @@ def _spectrality(report: SuiteReport, m: _Model, samples: int) -> None:
                 mid = (lo + hi) / 2.0
                 ok = ok and _res(ctx.sub(fam.at(mid), fam.at(mid + 1e-12)),
                                  n) <= thr
-            t.tally(ok, worst, {"sample": k, "a": m.enc(a)})
+            t.tally(ok, worst, lambda: {"sample": k, "a": m.enc(a)})
 
     def spectres(t: _Tally) -> None:
         smp = m.smp("eq:spectresV")
@@ -1201,8 +1229,8 @@ def _spectrality(report: SuiteReport, m: _Model, samples: int) -> None:
                 gap = ctx.norm(ctx.sub(a, sp.reconstruct(fam, mesh)))
                 ok = ok and gap <= mesh + thr
                 worst = max(worst, gap if gap > mesh else 0.0)
-            t.tally(ok, worst, {"sample": k, "a": m.enc(a),
-                                "breakpoint_residual": r0})
+            t.tally(ok, worst, lambda: {"sample": k, "a": m.enc(a),
+                                        "breakpoint_residual": r0})
 
     _run_statement(report, "prop:decomp", m.name, decomp)
     _run_statement(report, "coro:limit", m.name, limit)
@@ -1237,7 +1265,7 @@ def _spectrality_matrix(report: SuiteReport, m: _Model, samples: int,
             scaled_cover = mx.projection_cover(mx.scale_effect(a, lam), tol)
             r = _res(scaled_cover.matrix - cover.matrix, dim)
             t.tally(ok and r <= thr, r,
-                    {"sample": k, "a": _mat(a), "lambda": lam})
+                    lambda: {"sample": k, "a": _mat(a), "lambda": lam})
 
     def projcover_lemma(t: _Tally) -> None:
         smp = m.smp("lemma:projcover")
@@ -1250,8 +1278,8 @@ def _spectrality_matrix(report: SuiteReport, m: _Model, samples: int,
             r1 = _res(mx.seq_product(a, b, tol).matrix, dim)
             r2 = _res(mx.seq_product(cover, b, tol).matrix, dim)
             t.tally((r1 <= thr) == (r2 <= thr), 0.0,
-                    {"sample": k, "a": _mat(a), "b": _mat(b),
-                     "effect_product": r1, "cover_product": r2})
+                    lambda: {"sample": k, "a": _mat(a), "b": _mat(b),
+                             "effect_product": r1, "cover_product": r2})
 
     def covex_floor(t: _Tally) -> None:
         smp = m.smp("lemma:covex_floor")
@@ -1269,8 +1297,8 @@ def _spectrality_matrix(report: SuiteReport, m: _Model, samples: int,
             cover = mx.projection_cover(a, tol)
             r2 = _res(dual.matrix - (eye - cover.matrix), dim)
             r = max(r1, r2)
-            t.tally(r <= thr, r, {"sample": k, "a": _mat(a),
-                                  "cluster_route": r1, "duality": r2})
+            t.tally(r <= thr, r, lambda: {"sample": k, "a": _mat(a),
+                                          "cluster_route": r1, "duality": r2})
 
     def floor_lemma(t: _Tally) -> None:
         smp = m.smp("lemma:floor")
@@ -1288,12 +1316,12 @@ def _spectrality_matrix(report: SuiteReport, m: _Model, samples: int,
             vals = a.clamped_values()
             below_one = vals[vals < 1.0 - tol.cluster]
             mu_max = float(below_one[-1]) if below_one.size else 0.0
-            gap = operator_norm(iters[-1].matrix - flr.matrix, tol)
+            gap = operator_norm(iters[-1].matrix - flr.matrix)
             bound = mu_max ** FLOOR_POWER + thr
             ok = ok and gap <= bound
             worst = max(worst, gap)
-            t.tally(ok, worst, {"sample": k, "a": _mat(a),
-                                "rate_gap": gap, "rate_bound": bound})
+            t.tally(ok, worst, lambda: {"sample": k, "a": _mat(a),
+                                        "rate_gap": gap, "rate_bound": bound})
 
     def b_compar(t: _Tally) -> None:
         nonlocal degenerate_ties
@@ -1306,8 +1334,9 @@ def _spectrality_matrix(report: SuiteReport, m: _Model, samples: int,
                     sp.comparability_witness(e, f, ctx, tol)
                     commuted = ctx.commutes(e, f)
                     t.tally(commuted, 0.0,
-                            {"sample": k, "e": _mat(e), "f": _mat(f),
-                             "note": "witness for a non-commuting pair"})
+                            lambda: {"sample": k, "e": _mat(e),
+                                     "f": _mat(f), "note": "witness for a "
+                                     "non-commuting pair"})
                 except mx.NotCommutingError:
                     t.tally(True)
                 continue
@@ -1319,7 +1348,7 @@ def _spectrality_matrix(report: SuiteReport, m: _Model, samples: int,
             comp = ctx.complement(p)
             ok = (ctx.leq(ctx.compress(p, e), ctx.compress(p, f))
                   and ctx.leq(ctx.compress(comp, f), ctx.compress(comp, e)))
-            t.tally(ok, 0.0, {"sample": k, "e": _mat(e), "f": _mat(f)})
+            t.tally(ok, 0.0, lambda: {"sample": k, "e": _mat(e), "f": _mat(f)})
 
     def commut(t: _Tally) -> None:
         smp = m.smp("prop:commut")
@@ -1336,9 +1365,9 @@ def _spectrality_matrix(report: SuiteReport, m: _Model, samples: int,
                 r = frobenius(pa.matrix @ b.matrix - b.matrix @ pa.matrix)
                 projs_ok = projs_ok and r <= tol.comm
             t.tally(b1 == b2 == projs_ok, 0.0,
-                    {"sample": k, "a": _mat(a), "b": _mat(b),
-                     "sequential": b1, "ordinary": b2,
-                     "projections": projs_ok})
+                    lambda: {"sample": k, "a": _mat(a), "b": _mat(b),
+                             "sequential": b1, "ordinary": b2,
+                             "projections": projs_ok})
 
     def property_a(t: _Tally) -> None:
         smp = m.smp("propertyA")
@@ -1357,7 +1386,7 @@ def _spectrality_matrix(report: SuiteReport, m: _Model, samples: int,
                 ok = ok and ctx.commutes(step, b)
             cover = mx.projection_cover(a, tol)
             ok = ok and ctx.commutes(cover, b)
-            t.tally(ok, 0.0, {"sample": k, "a": _mat(a), "b": _mat(b)})
+            t.tally(ok, 0.0, lambda: {"sample": k, "a": _mat(a), "b": _mat(b)})
 
     _run_statement(report, "de:projcov", "matrix", projcov)
     _run_statement(report, "lemma:projcover", "matrix", projcover_lemma)
@@ -1391,7 +1420,7 @@ def _spectrality_mv(report: SuiteReport, m: _Model, samples: int,
             lam = float(smp.rng.integers(1, smp.denom + 1)) / smp.denom
             ok = ok and np.array_equal(
                 ctx.support(lam * a.values).values, cover.values)
-            t.tally(bool(ok), 0.0, {"sample": k, "a": _vals(a)})
+            t.tally(bool(ok), 0.0, lambda: {"sample": k, "a": _vals(a)})
 
     def projcover_lemma(t: _Tally) -> None:
         smp = m.smp("lemma:projcover")
@@ -1400,8 +1429,8 @@ def _spectrality_mv(report: SuiteReport, m: _Model, samples: int,
             cover = ctx.support(a).values
             ok = (bool(np.all(a.values * b.values == 0.0))
                   == bool(np.all(cover * b.values == 0.0)))
-            t.tally(bool(ok), 0.0, {"sample": k, "a": _vals(a),
-                                    "b": _vals(b)})
+            t.tally(bool(ok), 0.0, lambda: {"sample": k, "a": _vals(a),
+                                            "b": _vals(b)})
 
     def covex_floor(t: _Tally) -> None:
         smp = m.smp("lemma:covex_floor")
@@ -1413,7 +1442,7 @@ def _spectrality_mv(report: SuiteReport, m: _Model, samples: int,
             dual = (1.0 - a.values == 1.0).astype(float)
             ok = ok and np.array_equal(dual,
                                        1.0 - ctx.support(a).values)
-            t.tally(bool(ok), 0.0, {"sample": k, "a": _vals(a)})
+            t.tally(bool(ok), 0.0, lambda: {"sample": k, "a": _vals(a)})
 
     def floor_lemma(t: _Tally) -> None:
         smp = m.smp("lemma:floor")
@@ -1436,7 +1465,7 @@ def _spectrality_mv(report: SuiteReport, m: _Model, samples: int,
             mu_max = float(below.max()) if below.size else 0.0
             gap = float(np.max(np.abs(power - flr)))
             ok = ok and gap <= mu_max ** FLOOR_POWER + tol.check
-            t.tally(bool(ok), gap, {"sample": k, "a": av.tolist()})
+            t.tally(bool(ok), gap, lambda: {"sample": k, "a": av.tolist()})
 
     def b_compar(t: _Tally) -> None:
         smp = m.smp("de:b-compar")
@@ -1450,8 +1479,8 @@ def _spectrality_mv(report: SuiteReport, m: _Model, samples: int,
             ok = (bool(np.all(p * e.values <= p * f.values))
                   and bool(np.all((1.0 - p) * f.values
                                   <= (1.0 - p) * e.values)))
-            t.tally(bool(ok), 0.0, {"sample": k, "e": _vals(e),
-                                    "f": _vals(f)})
+            t.tally(bool(ok), 0.0, lambda: {"sample": k, "e": _vals(e),
+                                            "f": _vals(f)})
         report.metadata["degenerate_comparability_ties"] = ties
 
     def commut(t: _Tally) -> None:
@@ -1460,7 +1489,7 @@ def _spectrality_mv(report: SuiteReport, m: _Model, samples: int,
             a, b = smp.fuzzy(), smp.fuzzy()
             ok = (np.array_equal(a.values * b.values, b.values * a.values)
                   and ctx.commutes(a, b))
-            t.tally(bool(ok), 0.0, {"sample": k})
+            t.tally(bool(ok), 0.0, lambda: {"sample": k})
 
     def property_a(t: _Tally) -> None:
         smp = m.smp("propertyA")
@@ -1471,7 +1500,7 @@ def _spectrality_mv(report: SuiteReport, m: _Model, samples: int,
                 an = np.asarray(sp.simple_approximation(a, n, ctx, tol))
                 ok = ok and np.array_equal(an * b.values, b.values * an)
             ok = ok and ctx.commutes(a, b)
-            t.tally(bool(ok), 0.0, {"sample": k})
+            t.tally(bool(ok), 0.0, lambda: {"sample": k})
 
     _run_statement(report, "de:projcov", "mv", projcov)
     _run_statement(report, "lemma:projcover", "mv", projcover_lemma)
@@ -1609,9 +1638,10 @@ def _context(report: SuiteReport, m: _Model, samples: int,
                 ok = ok and all(
                     abs(x - y) <= thr
                     for x, y in zip(closed.breakpoints, ref.breakpoints))
-            t.tally(ok, worst, {"sample": k, "a": m.enc(a),
-                                "closed_steps": len(closed.projections),
-                                "family_steps": len(ref.projections)})
+            t.tally(ok, worst, lambda: {
+                "sample": k, "a": m.enc(a),
+                "closed_steps": len(closed.projections),
+                "family_steps": len(ref.projections)})
 
     def reduced(t: _Tally) -> None:
         smp = m.smp("thm:contexts.reduced")
@@ -1633,7 +1663,7 @@ def _context(report: SuiteReport, m: _Model, samples: int,
                     r = _res(m.mul(ctx.raw(p), ctx.raw(q)), n)
                     worst = max(worst, r)
                     ok = ok and r <= thr
-            t.tally(ok, worst, {"sample": k, "a": m.enc(a)})
+            t.tally(ok, worst, lambda: {"sample": k, "a": m.enc(a)})
 
     _run_statement(report, "thm:contexts", m.name, closed_form)
     _run_statement(report, "thm:contexts.reduced", m.name, reduced)
@@ -1669,8 +1699,8 @@ def _context_matrix(report: SuiteReport, m: _Model, samples: int,
                 r = _res(poly - proj.matrix, dim)
                 worst = max(worst, r)
                 ok = ok and r <= thr
-            t.tally(ok, worst, {"sample": k, "a": _mat(a),
-                                "nodes": [float(x) for x in nodes]})
+            t.tally(ok, worst, lambda: {"sample": k, "a": _mat(a),
+                                        "nodes": [float(x) for x in nodes]})
 
     _run_statement(report, "thm:contexts.functions", "matrix", functions)
 
@@ -1691,7 +1721,7 @@ def _context_mv(report: SuiteReport, m: _Model, samples: int,
             ok = True
             for i, proj in enumerate(rep.projections[:len(nodes)]):
                 ok = ok and np.array_equal(table[:, i], proj.values)
-            t.tally(bool(ok), 0.0, {"sample": k, "a": _vals(a)})
+            t.tally(bool(ok), 0.0, lambda: {"sample": k, "a": _vals(a)})
 
     _run_statement(report, "thm:contexts.functions", "mv", functions)
 
@@ -1759,9 +1789,9 @@ def run_table_suite(seed: int = 42, tol: Tolerances = DEFAULT,
         for name, alg in algs.items():
             n = alg.size
             for i, ok in enumerate(~alg.principal | alg.sharp):
-                t.tally(bool(ok), 0.0, {"table": name,
-                                        "element": alg.label(i),
-                                        "clause": "principal implies sharp"})
+                t.tally(bool(ok), 0.0, lambda: {
+                    "table": name, "element": alg.label(i),
+                    "clause": "principal implies sharp"})
             image = tb.fuzzy_embedding(name)
             if image is None:
                 continue
@@ -1776,9 +1806,9 @@ def run_table_suite(seed: int = 42, tol: Tolerances = DEFAULT,
             }
             for i in range(n):
                 for clause, oks in per_element.items():
-                    t.tally(bool(oks[i]), 0.0, {"table": name,
-                                                "element": alg.label(i),
-                                                "clause": clause})
+                    t.tally(bool(oks[i]), 0.0, lambda: {
+                        "table": name, "element": alg.label(i),
+                        "clause": clause})
             total, s, inf = a + b, alg.table, alg.infima
             s_def, inf_def = s != tb.UNDEFINED, inf != tb.UNDEFINED
             per_pair = {
@@ -1795,20 +1825,20 @@ def run_table_suite(seed: int = 42, tol: Tolerances = DEFAULT,
                 for j in range(n):
                     for clause, oks in per_pair.items():
                         t.tally(bool(oks[i, j]), 0.0,
-                                {"table": name, "a": alg.label(i),
-                                 "b": alg.label(j), "clause": clause})
+                                lambda: {"table": name, "a": alg.label(i),
+                                         "b": alg.label(j), "clause": clause})
 
     def diamond_shape(t: _Tally) -> None:
         alg = algs["diamond"]
         t.tally(tb.incompatible_pairs(alg) == [(1, 2)], 0.0,
-                {"clause": "incompatible pair a,b"})
+                lambda: {"clause": "incompatible pair a,b"})
         t.tally(tb.non_sharp_elements(alg) == [1, 2], 0.0,
-                {"clause": "a and b are not sharp"})
+                lambda: {"clause": "a and b are not sharp"})
         t.tally(tb.non_principal_elements(alg) == [1, 2], 0.0,
-                {"clause": "a and b are not principal"})
+                lambda: {"clause": "a and b are not principal"})
         t.tally(alg.brute_inf([1, 2]) == 0
                 and alg.brute_sup([1, 2]) == 3, 0.0,
-                {"clause": "lattice bounds of a,b"})
+                lambda: {"clause": "lattice bounds of a,b"})
 
     _run_statement(report, "tables:oracle", "table", oracle)
     _run_statement(report, "tables:diamond", "table", diamond_shape)
@@ -1821,22 +1851,44 @@ def run_table_suite(seed: int = 42, tol: Tolerances = DEFAULT,
 
 def run_all(model: str = "matrix", dim_or_size: int = 4, samples: int = 200,
             seed: int = 42, tol: Tolerances = DEFAULT) -> list[SuiteReport]:
-    """Every suite plus its negative control, in a stable order."""
+    """Every suite plus its negative control, in a stable order.
+
+    At dimension (or size) 1 two controls cannot fail on a correct build,
+    so they are left out and the suite they control records why: with one
+    point there is no second spectral value for the context control to
+    merge, and 1x1 matrices commute, so the Jordan product (ab + ba) / 2
+    is the sequential product there.
+    """
     control_samples = max(1, samples // 4)
     broken_product = "jordan" if model == "matrix" else "lukasiewicz"
-    return [
-        run_sea_suite(model, dim_or_size, samples, seed, tol),
+    sea = run_sea_suite(model, dim_or_size, samples, seed, tol)
+    context = run_context_suite(model, dim_or_size, samples, seed, tol)
+    reports = [
+        sea,
         run_compression_suite(model, dim_or_size, samples, seed, tol),
         run_spectrality_suite(model, dim_or_size, samples, seed, tol),
-        run_context_suite(model, dim_or_size, samples, seed, tol),
+        context,
         run_table_suite(seed=seed, tol=tol),
-        run_sea_suite(model, dim_or_size, control_samples, seed, tol,
-                      product=broken_product),
+    ]
+    if dim_or_size == 1 and model == "matrix":
+        sea.metadata["control_omitted"] = (
+            "product=jordan: 1x1 matrices commute, so the Jordan product "
+            "is the sequential product")
+    else:
+        reports.append(run_sea_suite(model, dim_or_size, control_samples,
+                                     seed, tol, product=broken_product))
+    reports += [
         run_compression_suite(model, dim_or_size, control_samples, seed,
                               tol, focus="soft"),
         run_spectrality_suite(model, dim_or_size, control_samples, seed,
                               tol, floor_mode="cover"),
-        run_context_suite(model, dim_or_size, control_samples, seed, tol,
-                          merge_delta=0.25),
-        run_table_suite(seed=seed, tol=tol, corrupted=True),
     ]
+    if dim_or_size == 1:
+        context.metadata["control_omitted"] = (
+            "merge_delta=0.25: one point has a single spectral value, so "
+            "there is nothing to merge")
+    else:
+        reports.append(run_context_suite(model, dim_or_size, control_samples,
+                                         seed, tol, merge_delta=0.25))
+    reports.append(run_table_suite(seed=seed, tol=tol, corrupted=True))
+    return reports

@@ -1,4 +1,5 @@
-from types import SimpleNamespace
+import importlib
+import sys
 
 import numpy as np
 import pytest
@@ -18,15 +19,53 @@ def rng():
     return np.random.default_rng(20260816)
 
 
+class CallCounts:
+    """Live call counts keyed by dotted function name; ``count`` is their
+    total."""
+
+    def __init__(self, names):
+        self.by_name = dict.fromkeys(names, 0)
+
+    def __getitem__(self, name: str) -> int:
+        return self.by_name[name]
+
+    @property
+    def count(self) -> int:
+        return sum(self.by_name.values())
+
+
 @pytest.fixture
-def eigh_calls(monkeypatch):
+def call_counter(monkeypatch):
+    """``call_counter("numpy.linalg.eigh", "seakit.linalg.eigh", ...)``
+    counts calls of each named function while the test runs.
+
+    A function is replaced in its home module and in every loaded
+    ``seakit`` module that binds it by name (``from .linalg import eigh``
+    makes such a binding), so calls through every route are counted.
+    """
+    def install(*names: str) -> CallCounts:
+        counts = CallCounts(names)
+        for name in names:
+            home, attr = name.rsplit(".", 1)
+            module = importlib.import_module(home)
+            original = getattr(module, attr)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                counts.by_name[_name] += 1
+                return _original(*args, **kwargs)
+
+            holders = [module] + [
+                m for key, m in sorted(sys.modules.items())
+                if key.startswith("seakit") and m is not None]
+            for holder in holders:
+                if vars(holder).get(attr) is original:
+                    monkeypatch.setattr(holder, attr, counted)
+        return counts
+
+    return install
+
+
+@pytest.fixture
+def eigh_calls(call_counter):
     """Counter of ``numpy.linalg.eigh`` calls made while the test runs."""
-    counter = SimpleNamespace(count=0)
-    original = np.linalg.eigh
-
-    def counted(*args, **kwargs):
-        counter.count += 1
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", counted)
-    return counter
+    return call_counter("numpy.linalg.eigh")

@@ -8,6 +8,7 @@ from seakit.config import DEFAULT
 from seakit.linalg import (
     NotHermitianError,
     cluster_indices,
+    decomposition_from,
     eigh,
     frobenius,
     operator_norm,
@@ -74,6 +75,23 @@ def test_clustered_projector_rank():
     assert np.allclose(d.projector(0), np.diag([1.0, 1.0, 0.0]), atol=1e-12)
     assert np.allclose(d.projector(1), np.diag([0.0, 0.0, 1.0]), atol=1e-12)
     assert np.allclose(d.cluster_values(), [0.2, 0.9])
+
+
+def test_decompositions_build_read_only_arrays_once():
+    d = eigh(np.diag([0.2, 0.2, 0.9]))
+    assert d.projectors() is d.projectors()
+    assert d.cluster_values() is d.cluster_values()
+    for arr in (d.values, d.vectors, d.cluster_values(), *d.projectors()):
+        assert not arr.flags.writeable
+    # Ascending input is shared, and so frozen; other input is sorted.
+    vectors = np.eye(2, dtype=np.complex128)
+    shared = decomposition_from(np.array([0.1, 0.5]), vectors)
+    assert shared.vectors is vectors and not vectors.flags.writeable
+    swapped = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
+    srt = decomposition_from(np.array([0.5, 0.1]), swapped)
+    assert srt.values.tolist() == [0.1, 0.5]
+    assert np.array_equal(srt.vectors, np.eye(2))
+    assert np.allclose(srt.reconstruct(), np.diag([0.1, 0.5]))
 
 
 def test_apply_square_root():

@@ -256,3 +256,28 @@ def test_one_decomposition_per_element(eigh_calls, tmp_path):
             before = eigh_calls.count
             assert main(argv + ["--input", str(path), "--out", out]) == 0
             assert eigh_calls.count - before == expected, (name, argv)
+
+
+def test_order_and_norm_checks_decompose_nothing(call_counter):
+    """``psd``, ``operator_norm`` and ``leq`` read eigenvalues only: one
+    LAPACK call each and no clustered decomposition."""
+    sampler = mx.EffectSampler(3, 4)
+    a, b = sampler.effect(), sampler.effect()
+    ctx = MatrixContext()
+    calls = call_counter("numpy.linalg.eigh",
+                         "seakit.linalg.decomposition_from",
+                         "seakit.linalg.cluster_indices")
+    checks = {
+        "psd": lambda: mx.psd(a.matrix - b.matrix),
+        "operator_norm": lambda: operator_norm(a.matrix - b.matrix),
+        "leq": lambda: ctx.leq(a, b),
+    }
+    for name, check in checks.items():
+        before = dict(calls.by_name)
+        check()
+        assert calls["numpy.linalg.eigh"] == \
+            before["numpy.linalg.eigh"] + 1, name
+        assert calls["seakit.linalg.decomposition_from"] == \
+            before["seakit.linalg.decomposition_from"], name
+        assert calls["seakit.linalg.cluster_indices"] == \
+            before["seakit.linalg.cluster_indices"], name

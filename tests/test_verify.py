@@ -17,9 +17,11 @@ from seakit.verify import (
     run_spectrality_suite,
     run_table_suite,
     _lagrange_basis,
+    _meet_headroom,
     _run_statement,
 )
 from seakit.cli import main
+from seakit.config import DEFAULT
 from seakit import fuzzy as fz
 from seakit import matrices as mx
 from seakit import spectral as sp
@@ -307,3 +309,119 @@ def test_a_crashing_statement_reports_where_it_raised():
     line = body.__code__.co_firstlineno + 1
     assert result.witness == {"error": "ZeroDivisionError: planted",
                               "at": f"test_verify.py:{line}"}
+
+
+@pytest.mark.parametrize("argv", [["--dim", "1"],
+                                  ["--model", "mv", "--size", "1"]],
+                         ids=["matrix", "mv"])
+def test_suite_all_passes_at_dimension_one(argv, tmp_path, capsys):
+    """With one point the merge control has no second spectral value to
+    merge, and the Jordan product of 1x1 matrices is the sequential
+    product, so neither control can fail; run_all leaves them out and the
+    suite they control says why."""
+    for seed in range(10):
+        out = tmp_path / f"{seed}.json"
+        assert main(["verify", "--suite", "all", *argv, "--samples", "8",
+                     "--seed", str(seed), "--out", str(out)]) == 0, seed
+        suites = json.loads(out.read_text())["suites"]
+        controls = [d["suite"] for d in suites
+                    if d["metadata"].get("negative_control")]
+        omitted = {d["suite"]: d["metadata"]["control_omitted"]
+                   for d in suites if "control_omitted" in d["metadata"]}
+        assert "context" not in controls
+        assert omitted["context"].startswith("merge_delta=")
+        if argv[0] == "--dim":
+            assert "sea" not in controls
+            assert omitted["sea"].startswith("product=jordan")
+        else:
+            assert "sea" in controls and "sea" not in omitted
+    capsys.readouterr()
+
+
+def test_trusted_constructors_receive_exactly_hermitian_matrices(
+        monkeypatch):
+    """``validate=False`` copies the matrix without symmetrizing it, which
+    keeps every result bit only if each caller passes an exactly
+    Hermitian matrix."""
+    checked = []
+    failures = []
+    original = mx.Effect.__init__
+
+    def recording(self, matrix, *, validate=True, **kwargs):
+        if not validate:
+            m = np.asarray(matrix, dtype=np.complex128)
+            checked.append(m.shape)
+            if not np.array_equal(m, m.conj().T):
+                failures.append(m)
+        original(self, matrix, validate=validate, **kwargs)
+
+    monkeypatch.setattr(mx.Effect, "__init__", recording)
+    for dim in (1, 2, 3, 4):
+        for seed in (0, 1, 2):
+            run_all("matrix", dim, 6, seed)
+    assert len(checked) > 1000
+    assert failures == []
+
+
+def _matrices_in(witness) -> int:
+    return sum(isinstance(v, dict) and "re" in v for v in witness.values())
+
+
+def test_work_per_request_is_pinned(call_counter):
+    """Counts of one matrix ``verify`` request, which do not depend on the
+    machine: one LAPACK call per eigensystem, clustered decompositions
+    only where eigenvectors are used, and witness matrices encoded only
+    for the witnesses a report records."""
+    calls = call_counter("numpy.linalg.eigh",
+                         "seakit.linalg.decomposition_from",
+                         "seakit.verify._mat")
+    reports = run_all("matrix", 4, 12, 42)
+    assert calls["numpy.linalg.eigh"] == 1561
+    assert calls["seakit.linalg.decomposition_from"] <= 2700
+    recorded = sum(_matrices_in(r.witness) for rep in reports
+                   for r in rep.results if r.witness is not None)
+    assert recorded > 0
+    assert calls["seakit.verify._mat"] == recorded
+
+
+def scalar_headroom(pvals, avals, psd):
+    """The le:sharp.vi oracle's bisection as a loop over probes, raising
+    one coordinate of a copied candidate per step."""
+    cand = np.minimum(pvals, avals)
+    out = []
+    for probe in range(len(pvals)):
+        lo_t, hi_t = 0.0, 1.0
+        for _ in range(30):
+            mid = (lo_t + hi_t) / 2.0
+            trial = cand.copy()
+            trial[probe] += mid
+            if np.all(trial <= pvals + psd) \
+                    and np.all(trial <= avals + psd):
+                lo_t = mid
+            else:
+                hi_t = mid
+        out.append(lo_t)
+    return out
+
+
+def test_meet_headroom_matches_the_scalar_bisection():
+    rng = np.random.default_rng(31)
+    slacks = (0.0, DEFAULT.psd, 0.1, 0.5)
+    for i in range(200):
+        dim = 1 + i % 6
+        psd = slacks[i // 6 % len(slacks)]
+        if i % 2 == 0:
+            pvals = rng.integers(0, 2, dim).astype(float)
+            if not pvals.any():
+                pvals[0] = 1.0
+        else:
+            pvals = rng.uniform(0.0, 1.0, dim)
+        avals = rng.uniform(0.0, 1.0, dim)
+        expected = np.array(scalar_headroom(pvals, avals, psd))
+        got = _meet_headroom(pvals, avals, psd)
+        assert got.dtype == np.float64 and got.shape == (dim,)
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+        worst = 0.0
+        for lo_t in expected:
+            worst = max(worst, lo_t)
+        assert float(np.max(got)).hex() == float(worst).hex()
