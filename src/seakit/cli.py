@@ -299,14 +299,15 @@ def cmd_mv(args: argparse.Namespace) -> int:
     tol = _tolerances(args)
     effect = _as_effect(kind, raw, tol)
     if kind == "fuzzy":
-        _, ctx, mu = fz.mv_is_context_spectral(effect)
-        fam = fz.mv_spectral_family(effect)
+        ctx = sp.resolve_context(effect, tol=tol)
+        rep = sp.reduced_representation(effect, ctx)
         doc = {
             "space": effect.space,
-            "mu": [float(x) for x in mu],
-            "parts": [list(blk) for blk in ctx.blocks],
-            "family": fam.to_json_dict(),
-            "sharp": fz.mv_is_sharp(effect),
+            "mu": list(rep.coefficients),
+            "parts": [np.flatnonzero(ctx.raw(p)).tolist()
+                      for p in rep.projections],
+            "family": sp.spectral_family(effect, ctx).to_json_dict(),
+            "sharp": ctx.is_sharp(effect),
         }
     else:
         image, rep = fz.spectrum_representation(effect, tol=tol)

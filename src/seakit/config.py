@@ -19,8 +19,6 @@ class Tolerances:
     kernel   : absolute threshold below which an eigenvalue counts as zero
     comm     : Frobenius bound on commutation residuals
     check    : generic residual threshold for verifier statements
-    trace    : bound on |tr(rho) - 1| for states; no check reads it, but
-               every report's tolerances block records it
     """
 
     psd: float = 1e-9
@@ -29,7 +27,6 @@ class Tolerances:
     kernel: float = 1e-8
     comm: float = 1e-9
     check: float = 1e-8
-    trace: float = 1e-10
 
     def replace(self, **changes: float) -> "Tolerances":
         return dataclasses.replace(self, **changes)

@@ -2,19 +2,20 @@
 
 The commutative model: partial addition is pointwise sum when it stays
 under one, the sequential product is the pointwise product, and order,
-meet, and join are pointwise.  Arithmetic is exact for dyadic inputs, so
-checks in this model compare with threshold zero.
+meet, and join are pointwise.  ``FuzzyContext`` holds these operations
+under the same names as the matrix context.  Arithmetic is exact for
+dyadic inputs, so checks in this model compare with threshold zero.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import DEFAULT, Tolerances
 from . import matrices as mx
-from .linalg import frobenius, hermitian_part, operator_norm
-from .spectral import SpectralFamily
+from .linalg import frobenius, operator_norm
 
 MAX_SPACE = 1024
 
@@ -25,10 +26,6 @@ class SpaceMismatchError(ValueError):
 
 class NotAFuzzySetError(ValueError):
     """Values escape [0, 1]."""
-
-
-class NotSharpError(ValueError):
-    """Operation requires a {0,1}-valued argument."""
 
 
 class FuzzySet:
@@ -76,131 +73,6 @@ def indicator(space: int, points) -> FuzzySet:
     return FuzzySet(vals)
 
 
-def _same_space(a: FuzzySet, b: FuzzySet) -> None:
-    if a.space != b.space:
-        raise SpaceMismatchError(f"spaces differ: {a.space} vs {b.space}")
-
-
-def mv_oplus(a: FuzzySet, b: FuzzySet) -> FuzzySet | None:
-    """Pointwise sum when it stays under one everywhere, else undefined."""
-    _same_space(a, b)
-    total = a.values + b.values
-    if np.any(total > 1.0):
-        return None
-    return FuzzySet(total)
-
-
-def mv_ominus(b: FuzzySet, a: FuzzySet) -> FuzzySet:
-    """Pointwise difference b - a; requires a below b."""
-    _same_space(a, b)
-    if not mv_leq(a, b):
-        raise ValueError("difference requires the subtrahend to sit below")
-    return FuzzySet(b.values - a.values)
-
-
-def mv_neg(a: FuzzySet) -> FuzzySet:
-    return FuzzySet(1.0 - a.values)
-
-
-def mv_leq(a: FuzzySet, b: FuzzySet) -> bool:
-    _same_space(a, b)
-    return bool(np.all(a.values <= b.values))
-
-
-def mv_meet(a: FuzzySet, b: FuzzySet) -> FuzzySet:
-    _same_space(a, b)
-    return FuzzySet(np.minimum(a.values, b.values))
-
-
-def mv_join(a: FuzzySet, b: FuzzySet) -> FuzzySet:
-    _same_space(a, b)
-    return FuzzySet(np.maximum(a.values, b.values))
-
-
-def mv_seq(a: FuzzySet, b: FuzzySet) -> FuzzySet:
-    """Pointwise product; the sequential product of this model."""
-    _same_space(a, b)
-    return FuzzySet(a.values * b.values)
-
-
-def mv_is_sharp(a: FuzzySet) -> bool:
-    return bool(np.all((a.values == 0.0) | (a.values == 1.0)))
-
-
-def mv_compression(p: FuzzySet, a: FuzzySet) -> FuzzySet:
-    """Cut a down to the support of a sharp element."""
-    if not mv_is_sharp(p):
-        raise NotSharpError("compression needs a {0,1}-valued focus")
-    return mv_seq(p, a)
-
-
-class Context:
-    """Partition of the point set; blocks play the role of projections."""
-
-    __slots__ = ("space", "blocks")
-
-    def __init__(self, space: int, blocks):
-        blocks = tuple(tuple(sorted(int(i) for i in blk)) for blk in blocks)
-        seen: set[int] = set()
-        for blk in blocks:
-            if not blk:
-                raise ValueError("empty block in partition")
-            if seen.intersection(blk):
-                raise ValueError("blocks overlap")
-            seen.update(blk)
-        if seen != set(range(space)):
-            raise ValueError("blocks do not cover the space")
-        self.space = space
-        self.blocks = blocks
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Context):
-            return NotImplemented
-        return self.space == other.space and self.blocks == other.blocks
-
-    def projections(self) -> list[FuzzySet]:
-        return [indicator(self.space, blk) for blk in self.blocks]
-
-
-def mv_is_context_spectral(a: FuzzySet, delta: float = 0.0
-                           ) -> tuple[bool, Context, tuple[float, ...]]:
-    """Reduced representation by level sets.
-
-    Always succeeds here: blocks are the level sets of the values, in
-    ascending value order.  With delta > 0, values closer than delta are
-    merged into one block (the block value is the first representative).
-    """
-    values = a.values
-    order = np.argsort(values, kind="stable")
-    blocks: list[list[int]] = []
-    mu: list[float] = []
-    for idx in order:
-        v = float(values[idx])
-        if mu and (v == mu[-1] or (delta > 0.0 and v - mu[-1] <= delta)):
-            blocks[-1].append(int(idx))
-        else:
-            mu.append(v)
-            blocks.append([int(idx)])
-    ctx = Context(a.space, blocks)
-    return True, ctx, tuple(mu)
-
-
-def mv_spectral_family(a: FuzzySet) -> SpectralFamily:
-    """Closed-form family: cumulative level-set indicators.
-
-    Built directly from the reduced representation, with no kernel
-    projections involved, so it can cross-check the generic engine.
-    """
-    _, ctx, mu = mv_is_context_spectral(a)
-    steps = [zero(a.space)]
-    acc = np.zeros(a.space)
-    for blk in ctx.blocks:
-        acc = acc.copy()
-        acc[list(blk)] = 1.0
-        steps.append(FuzzySet(acc))
-    return SpectralFamily(tuple(mu), tuple(steps), "fuzzy")
-
-
 class FuzzyContext:
     """Spectral context over value vectors; thresholds are exact."""
 
@@ -208,7 +80,8 @@ class FuzzyContext:
     has_rickart = True
 
     def __init__(self, tol: Tolerances = DEFAULT):
-        self.tol = tol.replace(check=0.0, kernel=0.0, comm=0.0)
+        self.tol = tol.replace(psd=0.0, proj=0.0, kernel=0.0, comm=0.0,
+                               check=0.0)
 
     def raw(self, v) -> np.ndarray:
         if isinstance(v, FuzzySet):
@@ -239,8 +112,13 @@ class FuzzyContext:
     def rickart(self, v) -> FuzzySet:
         return FuzzySet((self.raw(v) == 0.0).astype(float))
 
-    def support(self, v) -> FuzzySet:
+    def cover(self, v) -> FuzzySet:
+        """Support: the indicator of the nonzero values."""
         return FuzzySet((self.raw(v) > 0.0).astype(float))
+
+    def floor(self, v) -> FuzzySet:
+        """The indicator of the values equal to one."""
+        return FuzzySet((self.raw(v) == 1.0).astype(float))
 
     def complement(self, p) -> np.ndarray:
         return 1.0 - self.raw(p)
@@ -275,8 +153,31 @@ class FuzzyContext:
     def compress(self, p, a) -> np.ndarray:
         return self.raw(p) * self.raw(a)
 
+    def product(self, a, b) -> np.ndarray:
+        return self.raw(a) * self.raw(b)
+
+    def powers(self, a, count: int) -> list[np.ndarray]:
+        """Pointwise powers a, a², ... up to the count-th."""
+        out = [self.raw(a)]
+        for _ in range(count - 1):
+            out.append(out[-1] * out[0])
+        return out
+
+    def meet(self, a, b) -> np.ndarray:
+        return np.minimum(self.raw(a), self.raw(b))
+
+    def join(self, a, b) -> np.ndarray:
+        return np.maximum(self.raw(a), self.raw(b))
+
+    def is_sharp(self, a) -> bool:
+        raw = self.raw(a)
+        return bool(np.all((raw == 0.0) | (raw == 1.0)))
+
     def joint_clusters(self, e, f) -> list[tuple[float, float, FuzzySet]]:
         eraw, fraw = self.raw(e), self.raw(f)
+        if eraw.shape != fraw.shape:
+            raise SpaceMismatchError(
+                f"spaces differ: {eraw.shape[0]} vs {fraw.shape[0]}")
         pairs = sorted(set(zip(eraw.tolist(), fraw.tolist())))
         out = []
         for ev, fv in pairs:
@@ -377,9 +278,23 @@ class FuzzySampler:
         self.space = space
         self.denom = 2 ** self.BITS
 
-    def fuzzy(self) -> FuzzySet:
-        ticks = self.rng.integers(0, self.denom + 1, self.space)
-        return FuzzySet(ticks / self.denom)
+    def _ticks(self, lo: float, hi: float, size=None):
+        return self.rng.integers(math.ceil(lo * self.denom),
+                                 math.floor(hi * self.denom) + 1, size)
+
+    def fuzzy(self, lo: float = 0.0, hi: float = 1.0) -> FuzzySet:
+        """Values drawn from the multiples of 2^-8 in [lo, hi]."""
+        return FuzzySet(self._ticks(lo, hi, self.space) / self.denom)
+
+    def scalar(self, lo: float = 0.0, hi: float = 1.0) -> float:
+        """A multiple of 2^-8 in [lo, hi]."""
+        return float(self._ticks(lo, hi)) / self.denom
+
+    def orthogonal_pair(self) -> tuple[FuzzySet, FuzzySet]:
+        """Two fuzzy sets with disjoint supports (their product vanishes)."""
+        mask = self.rng.integers(0, 2, self.space).astype(float)
+        return (FuzzySet(self.fuzzy().values * mask),
+                FuzzySet(self.fuzzy().values * (1.0 - mask)))
 
     def summable_pair(self) -> tuple[FuzzySet, FuzzySet]:
         ka = self.rng.integers(0, self.denom + 1, self.space)
@@ -395,14 +310,3 @@ class FuzzySampler:
 
     def sharp(self) -> FuzzySet:
         return FuzzySet(self.rng.integers(0, 2, self.space).astype(float))
-
-    def context(self, parts: int | None = None) -> Context:
-        if parts is None:
-            parts = int(self.rng.integers(1, min(self.space, 5) + 1))
-        parts = min(parts, self.space)
-        perm = self.rng.permutation(self.space)
-        cuts = np.sort(self.rng.choice(
-            np.arange(1, self.space), size=parts - 1, replace=False)) \
-            if parts > 1 else np.array([], dtype=int)
-        blocks = np.split(perm, cuts)
-        return Context(self.space, [blk.tolist() for blk in blocks])

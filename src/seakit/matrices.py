@@ -8,8 +8,6 @@ theorem.
 """
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from .config import DEFAULT, Tolerances
@@ -232,36 +230,29 @@ def _kernel_projection(decomp: EigenDecomposition, dim: int, keep: np.ndarray,
                       decomposition=EigenDecomposition(values, vectors, tol))
 
 
+def _decomposition(v, tol: Tolerances) -> EigenDecomposition:
+    """The cached eigensystem of an Effect, or one ``eigh`` of an array,
+    which checks and symmetrizes it."""
+    if isinstance(v, Effect):
+        return v.decomposition
+    return eigh(np.asarray(v), tol)
+
+
 def rickart(v, tol: Tolerances = DEFAULT) -> Projection:
     """Projection onto the kernel: eigenvalues with |lambda| <= kernel tol."""
-    if isinstance(v, Effect):
-        d = v.decomposition
-        dim = v.dim
-    else:
-        m = require_hermitian(np.asarray(v))
-        d = eigh(m, tol)
-        dim = m.shape[0]
+    d = _decomposition(v, tol)
     keep = np.abs(d.values) <= tol.kernel
-    return _kernel_projection(d, dim, keep, tol)
+    return _kernel_projection(d, d.dim, keep, tol)
 
 
 def projection_cover(a, tol: Tolerances = DEFAULT) -> Projection:
     """Support projection: the least projection above the effect."""
-    if isinstance(a, Effect):
-        d = a.decomposition
-        dim = a.dim
-        if d.values[0] < -tol.psd:
-            raise NotAnEffectError("support is defined for positive elements",
-                                   eigenvalue=float(d.values[0]))
-    else:
-        m = require_hermitian(np.asarray(a))
-        d = eigh(m, tol)
-        dim = m.shape[0]
-        if d.values[0] < -tol.psd:
-            raise NotAnEffectError("support is defined for positive elements",
-                                   eigenvalue=float(d.values[0]))
+    d = _decomposition(a, tol)
+    if d.values[0] < -tol.psd:
+        raise NotAnEffectError("support is defined for positive elements",
+                               eigenvalue=float(d.values[0]))
     keep = d.values > tol.kernel
-    return _kernel_projection(d, dim, keep, tol)
+    return _kernel_projection(d, d.dim, keep, tol)
 
 
 def floor(a, tol: Tolerances = DEFAULT) -> Projection:
@@ -296,48 +287,6 @@ def floor_iterates(a, count: int, tol: Tolerances = DEFAULT) -> list[Effect]:
         out.append(nxt)
         cur = nxt
     return out
-
-
-def commutation_residuals(a, b, tol: Tolerances = DEFAULT) -> tuple[float, float]:
-    """Residuals of the two commutation tests: sequential and ordinary."""
-    a = as_effect(a, tol)
-    b = as_effect(b, tol)
-    _same_dim(a, b)
-    seq_res = frobenius(seq_product(a, b).matrix - seq_product(b, a).matrix)
-    lie_res = frobenius(a.matrix @ b.matrix - b.matrix @ a.matrix)
-    return seq_res, lie_res
-
-
-def bicommutant_projections(a, tol: Tolerances = DEFAULT) -> list[Projection]:
-    """Cluster eigenprojections; their sub-sums generate all projections
-    commuting with everything that commutes with the effect."""
-    a = as_effect(a, tol)
-    d = a.decomposition
-    out = []
-    for k in range(len(d.clusters)):
-        keep = np.zeros(a.dim, dtype=bool)
-        keep[list(d.clusters[k])] = True
-        out.append(_kernel_projection(d, a.dim, keep, tol))
-    return out
-
-
-def subsum_projections(projections: list[Projection], limit: int | None = None):
-    """All sums of subsets of pairwise orthogonal projections, as matrices.
-
-    Subsets are enumerated in bitmask order, so the empty sum (zero) comes
-    first and the full sum last.
-    """
-    k = len(projections)
-    total = 2 ** k
-    if limit is not None:
-        total = min(total, limit)
-    dim = projections[0].dim if projections else 0
-    for mask in range(total):
-        acc = np.zeros((dim, dim), dtype=np.complex128)
-        for i in range(k):
-            if mask >> i & 1:
-                acc = acc + projections[i].matrix
-        yield acc
 
 
 def min_eig(x) -> float:

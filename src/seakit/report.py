@@ -6,7 +6,6 @@ information are recorded.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 SCHEMA_VERSION = 1
@@ -81,9 +80,6 @@ class SuiteReport:
             "results": [r.to_dict() for r in ordered],
             "verdict": "pass" if self.verdict else "fail",
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
 def merge_reports(reports: list[SuiteReport]) -> dict:

@@ -53,7 +53,7 @@ class MatrixContext:
     def decomposition(self, v):
         if isinstance(v, mx.Effect):
             return v.decomposition
-        return eigh(self.raw(v), self.tol)
+        return eigh(v, self.tol)
 
     def one_like(self, v) -> np.ndarray:
         n = np.shape(_raw_of(v))[0]
@@ -74,12 +74,17 @@ class MatrixContext:
         return m - lam * np.eye(m.shape[0])
 
     def positive_part(self, v) -> np.ndarray:
-        d = eigh(self.raw(v), self.tol)
+        d = eigh(_raw_of(v), self.tol)
         return d.apply(lambda x: np.clip(x, 0.0, None))
 
     def rickart(self, v) -> mx.Projection:
-        return mx.rickart(v if isinstance(v, mx.Effect) else self.raw(v),
-                          self.tol)
+        return mx.rickart(v, self.tol)
+
+    def cover(self, a) -> mx.Projection:
+        return mx.projection_cover(a, self.tol)
+
+    def floor(self, a) -> mx.Projection:
+        return mx.floor(a, self.tol)
 
     def complement(self, p) -> np.ndarray:
         raw = _raw_of(p)
@@ -118,6 +123,26 @@ class MatrixContext:
         praw = _raw_of(p)
         return hermitian_part(praw @ _raw_of(a) @ praw)
 
+    def product(self, a, b) -> np.ndarray:
+        """Sequential product √a b √a of two Effects."""
+        return mx.seq_product(a, b, self.tol).matrix
+
+    def powers(self, a, count: int) -> list[mx.Effect]:
+        """Sequential powers a, a∘a, ... up to the count-th."""
+        return mx.floor_iterates(a, count, self.tol)
+
+    def meet(self, a, b) -> np.ndarray:
+        """Meet of a commuting pair."""
+        return mx.commuting_meet(a, b, self.tol)
+
+    def join(self, a, b) -> np.ndarray:
+        """Join of a commuting pair."""
+        return mx.commuting_join(a, b, self.tol)
+
+    def is_sharp(self, a) -> bool:
+        raw = _raw_of(a)
+        return frobenius(raw @ raw - raw) / raw.shape[0] <= self.tol.check
+
     def joint_clusters(self, e, f) -> list[tuple[float, float, mx.Projection]]:
         vectors, xvals, yvals = mx.joint_eigenbasis(e, f, self.tol)
         n = vectors.shape[0]
@@ -137,7 +162,6 @@ class MatrixContext:
 
     def proj_rank(self, p) -> int:
         return int(round(float(np.real(np.trace(_raw_of(p))))))
-
 
 
 def resolve_context(v, context=None, tol: Tolerances = DEFAULT):

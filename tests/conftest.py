@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from seakit.spectral import SpectralFamily
+
 settings.register_profile(
     "suite",
     deadline=None,
@@ -69,3 +71,21 @@ def call_counter(monkeypatch):
 def eigh_calls(call_counter):
     """Counter of ``numpy.linalg.eigh`` calls made while the test runs."""
     return call_counter("numpy.linalg.eigh")
+
+
+def _level_set_family(a) -> SpectralFamily:
+    """Closed-form family of a pointwise element, built without the
+    spectral engine: breakpoints are the distinct values, ascending, and
+    the step at a value is the indicator of the points at or below it."""
+    values = a.values.tolist()
+    levels = sorted(set(values))
+    steps = [np.zeros(len(values))] + [
+        np.array([1.0 if x <= mu else 0.0 for x in values]) for mu in levels]
+    return SpectralFamily(tuple(levels), tuple(steps), "fuzzy")
+
+
+@pytest.fixture
+def level_set_family():
+    """The level-set closed form, the oracle for the engine's family on
+    the pointwise model."""
+    return _level_set_family

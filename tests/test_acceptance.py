@@ -28,6 +28,7 @@ from seakit.verify import five_way_statements, run_sea_suite
 
 CHECK = 1e-8
 DIMS = range(2, 9)
+MV = fz.FuzzyContext()
 
 
 def report(num, ok, label):
@@ -114,7 +115,7 @@ def test_criterion_04_spectral_reconstruction():
                   f"worst mesh ratio {worst_mesh:.3f}")
 
 
-def test_criterion_05_closed_form_families():
+def test_criterion_05_closed_form_families(level_set_family):
     ok = True
     for k in range(100):
         dim = 2 + k % 7
@@ -130,7 +131,7 @@ def test_criterion_05_closed_form_families():
     for k in range(100):
         a = fz.FuzzySampler(3100 + k, 6).fuzzy()
         fam = spectral_family(a)
-        closed = fz.mv_spectral_family(a)
+        closed = level_set_family(a)
         ok = ok and fam.breakpoints == closed.breakpoints
         for engine_p, closed_p in zip(fam.projections, closed.projections):
             ok = ok and np.array_equal(raw(engine_p), raw(closed_p))
@@ -229,11 +230,12 @@ def test_criterion_10_finite_table_oracle():
         ok = ok and incompatible_pairs(alg) == []
         for i in range(alg.size):
             for j in range(alg.size):
-                ok = ok and alg.leq(i, j) == fz.mv_leq(emb[i], emb[j])
+                ok = ok and alg.leq(i, j) == MV.leq(emb[i], emb[j])
                 ok = ok and alg.mackey_compatible(i, j)
                 inf = alg.brute_inf([i, j])
                 ok = ok and inf is not None
-                ok = ok and emb[inf] == fz.mv_meet(emb[i], emb[j])
+                ok = ok and np.array_equal(emb[inf].values,
+                                           MV.meet(emb[i], emb[j]))
     dia = builtin_table("diamond")
     ok = ok and fuzzy_embedding("diamond") is None
     ok = ok and incompatible_pairs(dia) == [(1, 2)]

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from seakit import fuzzy as fz
 from seakit.cli import main
 from seakit.spectral import family_from_json, reconstruct
 
@@ -166,6 +167,33 @@ def test_mv_reports(tmp_path, capsys):
     assert doc["degree"] == 6
     assert doc["values"] == pytest.approx([0.2, 0.7])
     assert doc["mult_residual"] <= 1e-8
+
+
+def test_mv_matches_the_level_set_closed_form(tmp_path, capsys,
+                                               level_set_family):
+    """``mv`` on distinct, repeated and sharp values: the engine's reduced
+    representation and family equal the level-set closed form."""
+    for values in ([0.7, 0.125, 0.3, 0.9], [0.25, 0.5, 0.5, 1.0, 0.25, 0.0],
+                   [1.0, 0.0, 1.0, 1.0]):
+        path = write(tmp_path / "a.json", {"values": values})
+        assert main(["mv", "--input", path]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        closed = level_set_family(fz.FuzzySet(np.array(values)))
+        assert doc["mu"] == list(closed.breakpoints)
+        assert doc["parts"] == [
+            [i for i, x in enumerate(values) if x == mu] for mu in doc["mu"]]
+        assert doc["family"]["breakpoints"] == doc["mu"]
+        assert [p["values"] for p in doc["family"]["projections"]] == [
+            step.tolist() for step in closed.projections]
+        assert doc["sharp"] == (set(values) <= {0.0, 1.0})
+
+
+def test_witness_rejects_pointwise_inputs_of_different_sizes(tmp_path,
+                                                            capsys):
+    e = write(tmp_path / "e.json", {"values": [0.5, 0.25]})
+    f = write(tmp_path / "f.json", {"values": [0.5, 0.25, 0.75]})
+    assert main(["witness", "--input", e, f]) == 1
+    assert "spaces differ" in capsys.readouterr().out
 
 
 def test_verify_suite_exit_codes(tmp_path, capsys):

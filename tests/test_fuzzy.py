@@ -6,29 +6,20 @@ from hypothesis import strategies as st
 
 from seakit import matrices as mx
 from seakit.fuzzy import (
-    Context,
     FuzzyContext,
     FuzzySampler,
     FuzzySet,
     NotAFuzzySetError,
-    NotSharpError,
     SpaceMismatchError,
     indicator,
-    mv_compression,
-    mv_is_context_spectral,
-    mv_is_sharp,
-    mv_join,
-    mv_leq,
-    mv_meet,
-    mv_neg,
-    mv_ominus,
-    mv_oplus,
-    mv_seq,
-    mv_spectral_family,
     one,
     spectrum_representation,
     zero,
 )
+from seakit.spectral import reduced_representation, spectral_family
+from seakit.verify import _merge_representation
+
+CTX = FuzzyContext()
 
 
 def fs(*values):
@@ -54,70 +45,62 @@ def test_validation():
 
 
 def test_partial_sum():
-    assert mv_oplus(fs(0.2, 0.5), fs(0.3, 0.5)) == fs(0.5, 1.0)
-    assert mv_oplus(fs(0.8, 0.0), fs(0.3, 0.0)) is None
+    total = CTX.add(fs(0.2, 0.5), fs(0.3, 0.5))
+    assert np.array_equal(total, [0.5, 1.0]) and CTX.leq(total, one(2))
+    assert not CTX.leq(CTX.add(fs(0.8, 0.0), fs(0.3, 0.0)), one(2))
     a = fs(0.7, 0.1)
-    assert mv_oplus(a, zero(2)) == a
+    assert np.array_equal(CTX.add(a, zero(2)), a.values)
     with pytest.raises(SpaceMismatchError):
-        mv_oplus(fs(0.5), fs(0.5, 0.5))
+        CTX.joint_clusters(fs(0.5), fs(0.5, 0.5))
 
 
 def test_pointwise_product():
-    assert mv_seq(fs(0.5, 1.0), fs(0.4, 0.2)) == fs(0.2, 0.2)
+    assert np.array_equal(CTX.product(fs(0.5, 1.0), fs(0.4, 0.2)),
+                          [0.2, 0.2])
     a = fs(0.3, 0.6)
-    assert mv_seq(a, one(2)) == a
+    assert np.array_equal(CTX.product(a, one(2)), a.values)
     p = indicator(2, [0])
-    assert mv_seq(p, a) == mv_meet(p, a)
+    assert np.array_equal(CTX.product(p, a), CTX.meet(p, a))
 
 
 def test_difference_and_negation():
-    assert mv_ominus(fs(0.75, 0.5), fs(0.25, 0.5)) == fs(0.5, 0.0)
-    assert mv_neg(fs(0.25, 1.0)) == fs(0.75, 0.0)
+    assert np.array_equal(CTX.sub(fs(0.75, 0.5), fs(0.25, 0.5)), [0.5, 0.0])
+    assert np.array_equal(CTX.complement(fs(0.25, 1.0)), [0.75, 0.0])
 
 
 def test_sharpness_and_compression():
-    assert mv_is_sharp(indicator(3, [0, 2]))
-    assert not mv_is_sharp(fs(0.5, 0.0))
+    assert CTX.is_sharp(indicator(3, [0, 2]))
+    assert not CTX.is_sharp(fs(0.5, 0.0))
     p = indicator(2, [0])
-    assert mv_compression(p, fs(0.3, 0.6)) == fs(0.3, 0.0)
-    with pytest.raises(NotSharpError):
-        mv_compression(fs(0.5, 0.5), fs(0.3, 0.6))
-
-
-def test_context_partition_checks():
-    ctx = Context(3, [[0, 2], [1]])
-    assert [p.values.tolist() for p in ctx.projections()] == [
-        [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]
-    with pytest.raises(ValueError):
-        Context(3, [[0], [1]])
-    with pytest.raises(ValueError):
-        Context(3, [[0, 1], [1, 2]])
+    assert np.array_equal(CTX.compress(p, fs(0.3, 0.6)), [0.3, 0.0])
+    assert np.array_equal(CTX.floor(fs(1.0, 0.5, 0.0)).values,
+                          [1.0, 0.0, 0.0])
+    assert np.array_equal(CTX.cover(fs(1.0, 0.5, 0.0)).values,
+                          [1.0, 1.0, 0.0])
 
 
 def test_reduced_representation_level_sets():
-    ok, ctx, mu = mv_is_context_spectral(fs(0.2, 0.2, 0.9))
-    assert ok
-    assert mu == (0.2, 0.9)
-    assert [sorted(b) for b in ctx.blocks] == [[0, 1], [2]]
-    ok, ctx, mu = mv_is_context_spectral(fs(0.4, 0.4, 0.4))
-    assert mu == (0.4,) and [sorted(b) for b in ctx.blocks] == [[0, 1, 2]]
-    ok, ctx, mu = mv_is_context_spectral(fs(0.0, 1.0))
-    assert mu == (0.0, 1.0)
+    rep = reduced_representation(fs(0.2, 0.2, 0.9))
+    assert rep.coefficients == (0.2, 0.9)
+    assert [p.values.tolist() for p in rep.projections] == [
+        [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    rep = reduced_representation(fs(0.4, 0.4, 0.4))
+    assert rep.coefficients == (0.4,)
+    assert rep.projections[0].values.tolist() == [1.0, 1.0, 1.0]
+    assert reduced_representation(fs(0.0, 1.0)).coefficients == (0.0, 1.0)
 
 
 def test_delta_merging_is_opt_in():
-    a = fs(0.3, 0.4, 0.9)
-    _, exact_ctx, exact_mu = mv_is_context_spectral(a)
-    assert exact_mu == (0.3, 0.4, 0.9)
-    _, merged_ctx, merged_mu = mv_is_context_spectral(a, delta=0.15)
-    assert [sorted(b) for b in merged_ctx.blocks] == [[0, 1], [2]]
-    assert len(merged_mu) == 2
-    assert 0.3 <= merged_mu[0] <= 0.4 and merged_mu[1] == 0.9
+    rep = reduced_representation(fs(0.3, 0.4, 0.9))
+    assert _merge_representation(rep, 0.0, CTX.raw)[0] == [0.3, 0.4, 0.9]
+    merged_mu, merged = _merge_representation(rep, 0.15, CTX.raw)
+    assert [np.flatnonzero(p).tolist() for p in merged] == [[0, 1], [2]]
+    assert merged_mu == [0.3, 0.9]
 
 
 def test_family_matches_threshold_oracle():
     a = fs(0.2, 0.2, 0.9)
-    fam = mv_spectral_family(a)
+    fam = spectral_family(a)
     # oracle: the step at lam is the indicator of {x : a(x) <= lam}
     for lam in [0.0, 0.1, 0.2, 0.5, 0.89, 0.9, 1.0]:
         assert np.array_equal(step_values(fam, lam),
@@ -125,10 +108,10 @@ def test_family_matches_threshold_oracle():
 
 
 def test_family_edge_cases():
-    fam = mv_spectral_family(zero(3))
+    fam = spectral_family(zero(3))
     assert np.array_equal(step_values(fam, 0.0), np.ones(3))
     p = indicator(2, [0])
-    fam = mv_spectral_family(p)
+    fam = spectral_family(p)
     assert np.array_equal(step_values(fam, 0.0), [0.0, 1.0])
     assert np.array_equal(step_values(fam, 0.999), [0.0, 1.0])
     assert np.array_equal(step_values(fam, 1.0), [1.0, 1.0])
@@ -136,30 +119,27 @@ def test_family_edge_cases():
 
 def test_family_reconstructs_exactly():
     a = fs(0.25, 0.5, 0.5, 1.0)
-    fam = mv_spectral_family(a)
+    fam = spectral_family(a)
     total = np.zeros(4)
     for k in range(1, len(fam.breakpoints) + 1):
         total = total + fam.breakpoints[k - 1] * fam.jump(k)
     assert np.array_equal(total, a.values)
 
 
-def test_reduced_representation_is_unique():
+def test_reduced_representation_is_unique(level_set_family):
     a = fs(0.125, 0.75, 0.125, 0.375)
-    _, ctx, mu = mv_is_context_spectral(a)
-    fam = mv_spectral_family(a)
-    jumps = [fam.jump(k) for k in range(1, len(fam.breakpoints) + 1)]
-    from_family = [(float(b), tuple(np.flatnonzero(j)))
-                   for b, j in zip(fam.breakpoints, jumps)]
-    from_context = [(m, tuple(sorted(blk)))
-                    for m, blk in zip(mu, ctx.blocks)]
-    assert from_family == from_context
+    rep = reduced_representation(a)
+    closed = level_set_family(a)
+    assert rep.coefficients == closed.breakpoints
+    for k, p in enumerate(rep.projections, start=1):
+        assert np.array_equal(p.values, closed.jump(k))
 
 
 def test_fuzzy_context_thresholds_are_exact():
     ctx = FuzzyContext()
     a = np.array([0.0, 0.3, 0.7])
     assert np.array_equal(ctx.rickart(a).values, [1.0, 0.0, 0.0])
-    assert np.array_equal(ctx.support(a).values, [0.0, 1.0, 1.0])
+    assert np.array_equal(ctx.cover(a).values, [0.0, 1.0, 1.0])
     assert np.array_equal(ctx.compress(np.array([1.0, 1.0, 0.0]),
                                        np.array([0.5, 0.25, 0.8])),
                           [0.5, 0.25, 0.0])
@@ -201,9 +181,13 @@ def test_sampler_reproducible_and_summable():
     two_s = FuzzySampler(3, 5)
     assert one_s.fuzzy() == two_s.fuzzy()
     a, b = one_s.summable_pair()
-    assert mv_oplus(a, b) is not None
-    ctx = one_s.context()
-    assert sum(len(blk) for blk in ctx.blocks) == 5
+    assert CTX.leq(CTX.add(a, b), one(5))
+    a, b = one_s.orthogonal_pair()
+    assert not CTX.product(a, b).any()
+    lam = one_s.scalar(0.05, 1.0)
+    assert 0.05 <= lam <= 1.0 and (lam * 256).is_integer()
+    ticks = one_s.fuzzy(0.3, 0.7).values * 256
+    assert np.all((ticks >= 77) & (ticks <= 179) & (ticks % 1 == 0))
 
 
 dyadic = st.integers(min_value=0, max_value=256).map(lambda k: k / 256)
@@ -213,9 +197,9 @@ vectors = st.lists(dyadic, min_size=3, max_size=3)
 @given(vectors, vectors)
 def test_mv_identity(xs, ys):
     a, b = fs(*xs), fs(*ys)
-    left = mv_ominus(mv_join(a, b), a)
-    right = mv_ominus(b, mv_meet(a, b))
-    assert left == right
+    left = CTX.sub(CTX.join(a, b), a)
+    right = CTX.sub(b, CTX.meet(a, b))
+    assert np.array_equal(left, right)
 
 
 @given(st.lists(vectors, min_size=2, max_size=6))
@@ -226,6 +210,6 @@ def test_ascending_sequences_have_pointwise_suprema(rows):
         acc = np.maximum(acc, np.array(row))
         chain.append(FuzzySet(acc.copy()))
     sup = chain[-1]
-    assert all(mv_leq(c, sup) for c in chain)
+    assert all(CTX.leq(c, sup) for c in chain)
     bound = FuzzySet(np.minimum(1.0, sup.values + 0.25))
-    assert mv_leq(sup, bound)
+    assert CTX.leq(sup, bound)

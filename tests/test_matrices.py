@@ -32,6 +32,7 @@ from seakit.matrices import (
     seq_product,
     validate_effect,
 )
+from seakit.spectral import MatrixContext
 
 
 def diag(*values):
@@ -191,3 +192,22 @@ def test_product_with_complement_vanishes_iff_sharp(seed):
     p = sampler.projection()
     gap = seq_product(p, p.complement())
     assert frobenius(gap.matrix) <= 1e-9
+
+
+def test_rickart_of_an_array_checks_it_once_per_eigh(call_counter):
+    """The step the verifier's definitional family takes per spectral
+    value, on a raw Hermitian array: each ``eigh`` checks and symmetrizes
+    its input, and nothing checks or symmetrizes it again."""
+    ctx = MatrixContext()
+    u = EffectSampler(3, 4).unitary()
+    x = (u * np.array([-0.5, -0.2, 0.3, 0.7])) @ u.conj().T
+    calls = call_counter("seakit.linalg.require_hermitian",
+                         "seakit.linalg.hermitian_part")
+    kernel = ctx.rickart(ctx.positive_part(x))
+    assert kernel.rank == 2
+    assert calls["seakit.linalg.require_hermitian"] == 2
+    assert calls["seakit.linalg.hermitian_part"] == 4
+    tilted = np.array([[0.5, 0.2], [0.0, 0.5]])
+    for route in (rickart, projection_cover):
+        with pytest.raises(NotHermitianError):
+            route(tilted)

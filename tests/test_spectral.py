@@ -184,7 +184,7 @@ def test_reduced_representation_round_trip():
         assert np.allclose(raw(rebuilt.at(lam)), raw(fam.at(lam)), atol=1e-8)
 
 
-def test_family_json_round_trip():
+def test_family_json_round_trip(level_set_family):
     a = mx.EffectSampler(21, 3).effect()
     fam = spectral_family(a)
     back = family_from_json(fam.to_json_dict())
@@ -193,19 +193,19 @@ def test_family_json_round_trip():
     for k in range(len(back.projections)):
         assert np.allclose(np.asarray(back.projections[k]),
                            raw(fam.projections[k]), atol=1e-12)
-    mv = fz.mv_spectral_family(fz.FuzzySet(np.array([0.25, 0.75])))
+    mv = level_set_family(fz.FuzzySet(np.array([0.25, 0.75])))
     back = family_from_json(mv.to_json_dict())
     assert back.breakpoints == mv.breakpoints
 
 
-def test_fuzzy_elements_use_the_same_engine():
+def test_fuzzy_elements_use_the_same_engine(level_set_family):
     a = fz.FuzzySet(np.array([0.2, 0.2, 0.9]))
     fam = spectral_family(a)
     assert fam.breakpoints == (0.2, 0.9)
     assert np.array_equal(raw(fam.at(0.2)), [1.0, 1.0, 0.0])
     engine = reconstruct(fam)
     assert np.array_equal(engine, a.values)
-    closed = fz.mv_spectral_family(a)
+    closed = level_set_family(a)
     assert closed.breakpoints == fam.breakpoints
 
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -25,6 +26,8 @@ from seakit.tables import (
     non_principal_elements,
     non_sharp_elements,
 )
+
+MV = fz.FuzzyContext()
 
 
 def test_three_chain_sums():
@@ -124,12 +127,12 @@ def test_embedding_preserves_sums_and_order(name):
     for i in range(alg.size):
         for j in range(alg.size):
             total = alg.oplus(i, j)
-            image = fz.mv_oplus(emb[i], emb[j])
+            image = MV.add(emb[i], emb[j])
             if total is None:
-                assert image is None
+                assert not MV.leq(image, MV.one_like(image))
             else:
-                assert image == emb[total]
-            assert alg.leq(i, j) == fz.mv_leq(emb[i], emb[j])
+                assert np.array_equal(image, emb[total].values)
+            assert alg.leq(i, j) == MV.leq(emb[i], emb[j])
 
 
 # ---------------------------------------------------------------------------
@@ -355,26 +358,32 @@ def test_control_tables_count_cases_before_the_first_failure():
 # the table suite, pinned
 
 
+# Re-recorded when the report's tolerances block lost its unread ``trace``
+# field; the results in each report are unchanged.
 TABLE_GOLDEN = {
-    (False, 1): "b1f56554539653feca2d04744bf8329f4adf6ed0e7d68b0c24c2cf502c5f7e07",
-    (False, 7): "55782649f39d295319065782068681b567d977aed43a00d904227e6736ab9b69",
-    (False, 42): "3d86d9a9f30bb20b3eb8ec19ce918060ed1588be872b36513730b29a701fb384",
-    (True, 1): "64651967b79aac27f532d4a09e0a8ae60b0a87da0322cbb7d572619ecdc9ba02",
-    (True, 7): "bb980f0d8ca788b57950a1555ea362a82e40f16041b2f9eba61fecaa49988192",
-    (True, 42): "4ae8df32f8782165f270e2d3ca309da696186e2dcb0f93423dfa8ab14650cdda",
+    (False, 1): "aae85e7ac221a5d82e18472a7ebb4617fe96bc57de7f37f1a53a048eaea3f0a7",
+    (False, 7): "3f4f5d49bc19d2c72578bf2e4b4dcb0a4d948a17f3adc71270f6a39785c492c7",
+    (False, 42): "ce7d59e1e982b1627f2ec57a440ac559a2b630dc20bc4cb3b83b45546a775e3f",
+    (True, 1): "00f78e247ae4b2178a0b3131ae36cc83bcdea191866f56668156c7c54ee0b78e",
+    (True, 7): "2bf60dfd1d69ca4716606a3df30fdc14cb4829deb799a468116965a32a6f5313",
+    (True, 42): "7757dadc6a5e7b6a486e65558974d55810dd32827a3711e2903a12fa48aa6904",
 }
+
+
+def table_report_sha256(seed, corrupted):
+    doc = verify.run_table_suite(seed=seed, corrupted=corrupted).to_dict()
+    text = json.dumps(doc, sort_keys=True, indent=2)
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 @pytest.mark.parametrize("corrupted,seed", sorted(TABLE_GOLDEN))
 def test_table_suite_reports_are_golden(corrupted, seed):
     """The table suite is exact integer and dyadic arithmetic, so its report
     does not depend on the host.  Regenerate a hash with
-    ``PYTHONPATH=src python -c "import hashlib; from seakit.verify import
-    run_table_suite as r; print(hashlib.sha256(r(seed=SEED,
-    corrupted=CORRUPTED).to_json().encode()).hexdigest())"``."""
-    text = verify.run_table_suite(seed=seed, corrupted=corrupted).to_json()
-    assert (hashlib.sha256(text.encode()).hexdigest()
-            == TABLE_GOLDEN[corrupted, seed])
+    ``PYTHONPATH=src:tests python -c "import test_tables as t;
+    print(t.table_report_sha256(SEED, CORRUPTED))"``."""
+    assert table_report_sha256(seed, corrupted) == TABLE_GOLDEN[corrupted,
+                                                                 seed]
 
 
 def test_table_oracle_reports_the_first_failing_clause(monkeypatch):

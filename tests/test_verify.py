@@ -1,7 +1,6 @@
 """Suite runner behavior: passing runs, failing controls, determinism."""
 import hashlib
 import json
-from fractions import Fraction
 
 import pytest
 
@@ -16,8 +15,9 @@ from seakit.verify import (
     run_sea_suite,
     run_spectrality_suite,
     run_table_suite,
-    _lagrange_basis,
+    _lagrange,
     _meet_headroom,
+    _model,
     _run_statement,
 )
 from seakit.cli import main
@@ -113,9 +113,9 @@ def test_run_all_covers_every_required_statement():
 
 
 def test_runs_are_deterministic():
-    one = run_sea_suite("matrix", 3, samples=15, seed=9).to_json()
-    two = run_sea_suite("matrix", 3, samples=15, seed=9).to_json()
-    assert one == two
+    one = run_sea_suite("matrix", 3, samples=15, seed=9).to_dict()
+    two = run_sea_suite("matrix", 3, samples=15, seed=9).to_dict()
+    assert json.dumps(one, sort_keys=True) == json.dumps(two, sort_keys=True)
 
 
 def test_merged_verdict_requires_failing_controls():
@@ -176,8 +176,8 @@ def test_every_control_fails_for_every_seed(name):
 
 
 ROUTE_FAILURES = {"coro:limit", "eq:spectprojs", "eq:spectresV",
-                  "thm:contexts", "thm:contexts.functions",
-                  "thm:contexts.reduced"}
+                  "lemma:covex_floor", "thm:contexts",
+                  "thm:contexts.functions", "thm:contexts.reduced"}
 
 
 @pytest.mark.parametrize("model,model_context,failures", [
@@ -199,52 +199,44 @@ def test_verifier_catches_a_wrong_eigenprojection_route(
     assert failing_ids(spectral) | failing_ids(context) == failures
 
 
-def test_barycentric_basis_is_exact():
-    def direct(xs, i, x):
-        out = Fraction(1)
-        for j, xj in enumerate(xs):
-            if j != i:
-                out *= (x - xj) / (xs[i] - xj)
-        return out
+# name -> (suite runner, model); the normal configuration of each control.
+NORMALS = {name: (run, model) for name, (run, model, _) in CONTROLS.items()}
 
+
+@pytest.mark.parametrize("name", sorted(NORMALS))
+def test_every_normal_suite_passes_for_every_seed(name):
+    run, model = NORMALS[name]
+    failed = [(dim, samples, seed)
+              for dim in (2, 3, 4) for samples in (1, 2, 3)
+              for seed in range(10)
+              if not run(model, dim, samples, seed).verdict]
+    assert failed == []
+
+
+def test_lagrange_basis_is_exact_at_the_nodes():
+    """On the mv model a's values are the nodes, where the product form
+    gives exactly 0 and 1: the indicators of the level sets."""
     rng = np.random.default_rng(4)
-    node_sets = [[0.4, 0.5]]
-    for n in range(1, 13):
-        for _ in range(3):
-            ticks = rng.choice(257, size=n, replace=False)
-            node_sets.append(sorted(ticks / 256))
-    for nodes in node_sets:
-        points = list(nodes) + list(rng.integers(0, 257, 6) / 256) \
-            + [0.4, 0.5]
-        xs = [Fraction(x) for x in nodes]
-        expected = [[direct(xs, i, Fraction(p)) for i in range(len(xs))]
-                    for p in points]
-        assert _lagrange_basis(nodes, points) == expected
+    for size in (1, 2, 5, 17, 64):
+        m = _model("mv", "context", size, 0, DEFAULT)
+        for _ in range(20):
+            a = fz.FuzzySet(rng.integers(0, 257, size) / 256)
+            nodes = sorted(set(a.values.tolist()))
+            for i, x in enumerate(nodes):
+                assert np.array_equal(_lagrange(m, a, nodes, i),
+                                      (a.values == x).astype(float))
+    m = _model("matrix", "context", 3, 0, DEFAULT)
+    a = mx.EffectSampler(5, 3).effect(values=[0.25, 0.5, 0.5])
+    for i, x in enumerate((0.25, 0.5)):
+        expected = sp.eigenprojection(a, x, m.ctx).matrix
+        assert np.allclose(_lagrange(m, a, [0.25, 0.5], i), expected,
+                           atol=1e-12)
 
 
-MV_GOLDEN = {
-    (4, 1): "2648ea999971beecf263f31e63d1903c213f78a60103ad65f6cad174a7a6b249",
-    (4, 7): "f2723c47e0e00ffc0e768a4dc745a52f6bb86b7eb7597985ad75e55c6b97d08e",
-    (4, 42): "7fe3c5b765ea032437ba2f72d71e0a631f9e6fc43902f966bdab459b45786f58",
-    (8, 1): "c12229d3eac8a66d955ad81a030074ed57d50a3ce1829a90afad1192a439ee47",
-    (8, 7): "469c2c74e7f4de17e5e8e8613e8289852c0db43816f7f1c85fd86b426cc98e76",
-    (8, 42): "cf24eb67c1264598000e83fc2abed85d6e2894c8d8af7507771b16acbc739fcc",
-    (32, 1): "938027d0d7e9addf7e6ae8e46dbef29738b573a8608657476021b09dd84a823c",
-    (32, 7): "9633e91c598a1b1fbf345a739cd2b85701350120c50ab7d050c830590b76ee42",
-    (32, 42): "cf3c140e4f3ee3a864ce83e540c590e038dbf68a951a0cf98b0562970d184fa7",
-}
-
-
-@pytest.mark.parametrize("size,seed", sorted(MV_GOLDEN))
-def test_mv_reports_are_golden(size, seed):
-    """The mv model is exact dyadic arithmetic on a PCG64 stream, so its
-    merged report, hashed as ``verify --out`` writes it, does not depend on
-    the host.  Regenerate a hash with
-    ``seakit verify --suite all --model mv --size SIZE --samples 12
-    --seed SEED --out r.json`` and ``sha256sum r.json``."""
+def mv_report_sha256(size, seed):
     doc = merge_reports(run_all("mv", size, 12, seed))
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    assert hashlib.sha256(text.encode()).hexdigest() == MV_GOLDEN[size, seed]
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def rounded(x, places=6):
@@ -263,16 +255,55 @@ def matrix_report_sha256(dim, seed):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def print_goldens():
+    """Print ``MV_GOLDEN`` and ``MATRIX_GOLDEN`` as recorded by this build,
+    ready to paste over both dicts after a deliberate change of the
+    reports: ``PYTHONPATH=src:tests python -c "import test_verify;
+    test_verify.print_goldens()"``."""
+    for name, keys, sha in (("MV_GOLDEN", MV_GOLDEN, mv_report_sha256),
+                            ("MATRIX_GOLDEN", MATRIX_GOLDEN,
+                             matrix_report_sha256)):
+        print(f"{name} = {{")
+        for key in sorted(keys):
+            print(f'    {key!r}: "{sha(*key)}",')
+        print("}")
+
+
+MV_GOLDEN = {
+    (4, 1): "96128ccbe4a046038ed3f58f823a64b45ab54f97e9e8c1711e597e723ae24e48",
+    (4, 7): "15e218d7c3272d30eb8fb1efa0357f59c592be087d9286efe9d874d2b01173d3",
+    (4, 42): "820f49550913dce415463e9d75c421aa887a143d595e7b5b6a42ebdffcee13b5",
+    (8, 1): "6bf7105ed2dcaaec6387d818f48c75b11e757f15c552c8998f98d991faee580b",
+    (8, 7): "0659900261d296ce4c4a06bc11ce2ad14f6b6f6034d87d0ef4b533138d63747b",
+    (8, 42): "20c4cb8ffc380467693b069ee7431d59b43678f4911563a0d223fd9e960e8ca9",
+    (32, 1): "f2924a83f9fe732cb2c22a5047d8695310070551ff4f11c9d5df739631046451",
+    (32, 7): "9c894b8b75f8ef19dbfa0015e616c7e197850f9a9472a8530872a57b3d48ba87",
+    (32, 42): "0ec1ccf8acef7712cb9c43a7019506b1f5796ed11096a7e00a3623cba45c8540",
+}
+
+
+@pytest.mark.parametrize("size,seed", sorted(MV_GOLDEN))
+def test_mv_reports_are_golden(size, seed):
+    """The mv model is exact dyadic arithmetic on a PCG64 stream, so its
+    merged report, hashed as ``verify --out`` writes it, does not depend on
+    the host.  Regenerate the dict with ``print_goldens`` above.
+
+    Last re-recorded when every law got one body over both models: the
+    mv draws changed, and the tolerances block lost its unread ``trace``.
+    """
+    assert mv_report_sha256(size, seed) == MV_GOLDEN[size, seed]
+
+
 MATRIX_GOLDEN = {
-    (2, 1): "d1a13ba898e07cd97492452f4f6debf658904673fcc27d72534353fa9409c24d",
-    (2, 7): "4a206d698b764f4dbb95a4ee7d9562ea905cf81c3a0f73a8213321bd61f2d539",
-    (2, 42): "983703fec3a3fca7e4e600d5731e2046b35d6cea277fb27f5bc89d68eb36ccae",
-    (3, 1): "9241f93d70abc458f89dc7e7802e89b32f5a0bae1c5fecca0c544b8050edf4bc",
-    (3, 7): "706ee319a53a99940e3e8f2d85e14b86faed3efd144b2ea501b96832cdcd78ed",
-    (3, 42): "8277571f537b506003df670e17ced47a0ee64f9610fdea7e43473660a90fed53",
-    (4, 1): "56b58711ecb90ed8c65095db43e3538fe7d9837af03014016a4f311ff4f6714c",
-    (4, 7): "2353a8b11de2e1f2e405fda4cdf9b2585f288bafd6cc820edfd38d8ab7fb0a7d",
-    (4, 42): "5e02e4bcdc4f8ca947a9a245a5fa09117037b06a2dd339dce12481b9e7e8a123",
+    (2, 1): "47701d5050f5414fbaf84a814c571cd8411252f55a66e02fd3a48f4db889b178",
+    (2, 7): "ecdd8459f71db5df6f0011a0f4ac3d727ea465575c82e8eb64b66b40fc177692",
+    (2, 42): "ccb113a4ad0a2bb92a1bcb0dcbc4e2a8ce7ca2be0239eab5007d75a8fdadc7a1",
+    (3, 1): "7810da1ad79cace045aa45ad16fd640f0743e8b20d041170dcfb1795229e5d43",
+    (3, 7): "2027dcde9883f7798ede7206f8035d43512493d3ac811d96ec65baa2d58af596",
+    (3, 42): "0eed8f9ca2d91511cfbb04bc0271cd8abea807cd3ab728e2fa9d6711e9e66ee2",
+    (4, 1): "dd5895c32fe8b75e8188788bf40cd22ff364a62786ec75e5fdde4188c02d6cea",
+    (4, 7): "5463859e869f14ad95cfe4690deabe41691f573f0b7750b411aa448e11cb1a87",
+    (4, 42): "5310d582358775518012d400494b9e08590f6f9165dd3cf98e28db4ea514a681",
 }
 
 
@@ -280,9 +311,12 @@ MATRIX_GOLDEN = {
 def test_matrix_reports_are_golden(dim, seed):
     """Matrix residuals move in their last digits between LAPACK builds,
     so the merged report is hashed with every float rounded to 6 decimal
-    places.  Regenerate a hash with
-    ``PYTHONPATH=src:tests python -c "import test_verify as t;
-    print(t.matrix_report_sha256(DIM, SEED))"``."""
+    places.  Regenerate the dict with ``print_goldens`` above.
+
+    Last re-recorded with ``MV_GOLDEN``, for the tolerances block alone:
+    on this grid every matrix statement kept its samples, passes, verdict
+    and witness, as the matrix draws and operations did not change.
+    """
     assert matrix_report_sha256(dim, seed) == MATRIX_GOLDEN[dim, seed]
 
 
