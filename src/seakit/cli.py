@@ -349,6 +349,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     dim_or_size = args.size if model == "mv" else args.dim
     if args.samples < 1:
         raise _UsageError("--samples must be positive")
+    if args.seed < 0:
+        raise _UsageError("--seed must be non-negative")
     if model == "matrix" and args.dim < 1:
         raise _UsageError("--dim must be positive")
     if model == "mv" and not 1 <= args.size <= fz.MAX_SPACE:

@@ -77,7 +77,7 @@ class FuzzyContext:
     """Spectral context over value vectors; thresholds are exact."""
 
     model = "fuzzy"
-    has_rickart = True
+    mul = staticmethod(np.multiply)   # the ordinary product of raw elements
 
     def __init__(self, tol: Tolerances = DEFAULT):
         self.tol = tol.replace(psd=0.0, proj=0.0, kernel=0.0, comm=0.0,
@@ -90,6 +90,16 @@ class FuzzyContext:
         if arr.ndim != 1:
             raise NotAFuzzySetError("expected a 1-d value vector")
         return arr
+
+    def encode(self, v) -> list:
+        """The values as witness JSON."""
+        return self.raw(v).tolist()
+
+    def element(self, raw) -> np.ndarray:
+        return np.asarray(raw)
+
+    def unit(self, n: int) -> np.ndarray:
+        return np.ones(n)
 
     def one_like(self, v) -> np.ndarray:
         return np.ones(self.raw(v).shape[0])
@@ -143,6 +153,11 @@ class FuzzyContext:
 
     def norm(self, v) -> float:
         return float(np.max(np.abs(self.raw(v))))
+
+    def extremes(self, v) -> tuple[float, float]:
+        """Least and greatest value."""
+        raw = self.raw(v)
+        return float(np.min(raw)), float(np.max(raw))
 
     def leq(self, a, b, slack: float = 0.0) -> bool:
         return bool(np.all(self.raw(a) <= self.raw(b) + slack))
@@ -265,7 +280,13 @@ def spectrum_representation(a: mx.Effect, degree: int = 6,
 
 class FuzzySampler:
     """Deterministic dyadic fuzzy sets; all sampled values are multiples
-    of 2^-8, so sums and products are exact in double precision."""
+    of 2^-8, so sums and products are exact in double precision.
+
+    The draws have the names and parameters of ``matrices.EffectSampler``'s,
+    so one verifier statement serves both models.  A frame here is an
+    ordering of the points; every element is diagonal in every frame, so
+    the draws ignore the frame they are given.
+    """
 
     BITS = 8
 
@@ -282,31 +303,74 @@ class FuzzySampler:
         return self.rng.integers(math.ceil(lo * self.denom),
                                  math.floor(hi * self.denom) + 1, size)
 
-    def fuzzy(self, lo: float = 0.0, hi: float = 1.0) -> FuzzySet:
-        """Values drawn from the multiples of 2^-8 in [lo, hi]."""
-        return FuzzySet(self._ticks(lo, hi, self.space) / self.denom)
-
     def scalar(self, lo: float = 0.0, hi: float = 1.0) -> float:
         """A multiple of 2^-8 in [lo, hi]."""
         return float(self._ticks(lo, hi)) / self.denom
 
+    def frame(self) -> np.ndarray:
+        """A random ordering of the points."""
+        return self.rng.permutation(self.space)
+
+    def span(self, frame: np.ndarray, lo: int, hi: int) -> FuzzySet:
+        """The indicator of the points at positions lo:hi of a frame."""
+        return indicator(self.space, frame[lo:hi])
+
+    # One frame, each draw in it: the same draw as on matrices.
+    commuting = mx.EffectSampler.commuting
+
+    def effect(self, lo: float = 0.0, hi: float = 1.0,
+               frame: np.ndarray | None = None) -> FuzzySet:
+        """Values drawn from the multiples of 2^-8 in [lo, hi]."""
+        return FuzzySet(self._ticks(lo, hi, self.space) / self.denom)
+
+    def projection(self, frame: np.ndarray | None = None) -> FuzzySet:
+        return FuzzySet(self.rng.integers(0, 2, self.space).astype(float))
+
+    def with_values(self, values) -> FuzzySet:
+        return FuzzySet(values)
+
+    def simple(self, gap: float = 0.12) -> FuzzySet:
+        """Any draw: a dyadic fuzzy set has its levels at least 2^-8
+        apart, whatever the gap asked for."""
+        return self.effect()
+
+    def signed(self) -> np.ndarray:
+        """Multiples of 2^-8 in [-1, 1]."""
+        return (self.rng.integers(-self.denom, self.denom + 1, self.space)
+                / self.denom)
+
+    def with_top(self, ones: int, ceiling: float = 0.95) -> np.ndarray:
+        """Values one on the first ``ones`` points and in [2^-8, ceiling]
+        elsewhere."""
+        vals = self.effect(1.0 / self.denom, ceiling).values.copy()
+        vals[:ones] = 1.0
+        return vals
+
+    def commuting_with(self, p: FuzzySet, on=None, off=None) -> np.ndarray:
+        """Values ``on`` where p is one and ``off`` where it is zero;
+        either left as None is drawn there."""
+        drawn = self.effect().values
+        return np.where(p.values > 0.5, drawn if on is None else on,
+                        drawn if off is None else off)
+
+    def split_effect(self, frame: np.ndarray, k: int) -> FuzzySet:
+        return self.effect()
+
     def orthogonal_pair(self) -> tuple[FuzzySet, FuzzySet]:
         """Two fuzzy sets with disjoint supports (their product vanishes)."""
         mask = self.rng.integers(0, 2, self.space).astype(float)
-        return (FuzzySet(self.fuzzy().values * mask),
-                FuzzySet(self.fuzzy().values * (1.0 - mask)))
+        return (FuzzySet(self.effect().values * mask),
+                FuzzySet(self.effect().values * (1.0 - mask)))
 
     def summable_pair(self) -> tuple[FuzzySet, FuzzySet]:
         ka = self.rng.integers(0, self.denom + 1, self.space)
         kb = self.rng.integers(0, self.denom + 1 - ka)
         return FuzzySet(ka / self.denom), FuzzySet(kb / self.denom)
 
-    def summable_triple(self) -> tuple[FuzzySet, FuzzySet, FuzzySet]:
+    def refined_commuting(self) -> tuple[FuzzySet, FuzzySet, FuzzySet]:
+        """Triple (c, a, b) with a + b + c <= 1; all fuzzy sets commute."""
         ka = self.rng.integers(0, self.denom + 1, self.space)
         kb = self.rng.integers(0, self.denom + 1 - ka)
         kc = self.rng.integers(0, self.denom + 1 - ka - kb)
-        return (FuzzySet(ka / self.denom), FuzzySet(kb / self.denom),
-                FuzzySet(kc / self.denom))
-
-    def sharp(self) -> FuzzySet:
-        return FuzzySet(self.rng.integers(0, 2, self.space).astype(float))
+        return (FuzzySet(kc / self.denom), FuzzySet(ka / self.denom),
+                FuzzySet(kb / self.denom))

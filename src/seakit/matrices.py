@@ -102,9 +102,6 @@ class Effect:
     def eigenvalues(self) -> np.ndarray:
         return self.decomposition.values
 
-    def clamped_values(self) -> np.ndarray:
-        return np.clip(self.decomposition.values, 0.0, 1.0)
-
     def sqrt_matrix(self) -> np.ndarray:
         if self._sqrt is None:
             d = self.decomposition
@@ -113,13 +110,15 @@ class Effect:
         return self._sqrt
 
     def complement(self) -> "Effect":
-        """The orthosupplement 1 - a."""
+        """The orthosupplement 1 - a, of a's type (the complement of a
+        projection is one), keeping a cached decomposition."""
         mat = np.eye(self.dim) - self.matrix
         decomp = None
         if self._decomp is not None:
             decomp = decomposition_from(1.0 - self._decomp.values,
                                         self._decomp.vectors, self.tol)
-        return Effect(mat, tol=self.tol, validate=False, decomposition=decomp)
+        return type(self)(mat, tol=self.tol, validate=False,
+                          decomposition=decomp)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(dim={self.dim})"
@@ -156,14 +155,6 @@ class Projection(Effect):
     @property
     def rank(self) -> int:
         return int(round(float(np.real(np.trace(self.matrix)))))
-
-    def complement(self) -> "Projection":
-        mat = np.eye(self.dim) - self.matrix
-        decomp = None
-        if self._decomp is not None:
-            decomp = decomposition_from(1.0 - self._decomp.values,
-                                        self._decomp.vectors, self.tol)
-        return Projection(mat, tol=self.tol, validate=False, decomposition=decomp)
 
 
 def as_effect(x, tol: Tolerances = DEFAULT) -> Effect:
@@ -299,20 +290,19 @@ def psd(x, slack: float | None = None, tol: Tolerances = DEFAULT) -> bool:
     return min_eig(x) >= -slack
 
 
-def leq(a, b, slack: float | None = None, tol: Tolerances = DEFAULT) -> bool:
-    """Effect order: b - a is positive semidefinite."""
-    return psd(as_matrix(b) - as_matrix(a), slack, tol)
-
-
 def joint_eigenbasis(x, y, tol: Tolerances = DEFAULT
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Common eigenbasis of a commuting Hermitian pair.
 
     Returns (vectors, x values, y values) with one value pair per column.
-    Raises NotCommutingError when the ordinary commutator is not negligible.
+    Raises DimensionMismatchError for matrices of different sizes and
+    NotCommutingError when the ordinary commutator is not negligible.
     """
     xm = as_matrix(x)
     ym = as_matrix(y)
+    if xm.shape != ym.shape:
+        raise DimensionMismatchError(
+            f"dimensions differ: {xm.shape[0]} vs {ym.shape[0]}")
     if frobenius(xm @ ym - ym @ xm) > tol.comm:
         raise NotCommutingError("matrices do not commute")
     dx = x.decomposition if isinstance(x, Effect) else eigh(xm, tol)
@@ -380,7 +370,9 @@ class EffectSampler:
 
     Unitaries are Haar-distributed (QR of a complex Ginibre matrix);
     effects and projections are built from a sampled unitary and explicit
-    eigenvalue lists, so their eigensystems are known up front.
+    eigenvalue lists, so their eigensystems are known up front.  The draws
+    have the names and parameters of ``fuzzy.FuzzySampler``'s, so one
+    verifier statement serves both models; a frame here is a Haar unitary.
     """
 
     def __init__(self, seed: int | np.random.SeedSequence, dim: int,
@@ -393,127 +385,145 @@ class EffectSampler:
         self.dim = dim
         self.tol = tol
 
-    def uniform(self, lo: float = 0.0, hi: float = 1.0) -> float:
+    def _diagonal(self, values, frame: np.ndarray) -> Effect:
+        return Effect.from_eigensystem(np.asarray(values, dtype=float),
+                                       frame, self.tol)
+
+    def scalar(self, lo: float = 0.0, hi: float = 1.0) -> float:
         return float(self.rng.uniform(lo, hi))
 
-    def unitary(self) -> np.ndarray:
+    def frame(self) -> np.ndarray:
+        """A Haar unitary; effects diagonal in one frame commute."""
         return random_unitary(self.rng, self.dim)
 
-    def effect(self, values: np.ndarray | None = None,
-               unitary: np.ndarray | None = None) -> Effect:
-        if values is None:
-            values = self.rng.uniform(0.0, 1.0, self.dim)
-        if unitary is None:
-            unitary = self.unitary()
-        return Effect.from_eigensystem(np.asarray(values, dtype=float),
-                                       unitary, self.tol)
+    def span(self, frame: np.ndarray, lo: int, hi: int) -> Projection:
+        """The projection onto columns lo:hi of a frame."""
+        return Projection.from_columns(frame[:, lo:hi], self.dim, self.tol)
 
-    def projection(self, rank: int | None = None,
-                   unitary: np.ndarray | None = None) -> Projection:
+    def commuting(self, *draws) -> tuple:
+        """One sample of each draw, by default two effects, all diagonal in
+        one frame, so they commute; each draw takes ``frame=``."""
+        u = self.frame()
+        return tuple(draw(frame=u)
+                     for draw in draws or (self.effect, self.effect))
+
+    def effect(self, lo: float = 0.0, hi: float = 1.0,
+               frame: np.ndarray | None = None) -> Effect:
+        """Effect with spectrum drawn from [lo, hi]."""
+        values = self.rng.uniform(lo, hi, self.dim)
+        return self._diagonal(values, self.frame() if frame is None else frame)
+
+    def projection(self, frame: np.ndarray | None = None) -> Projection:
         n = self.dim
-        if rank is None:
-            rank = int(self.rng.integers(1, n)) if n > 1 else 1
-        if unitary is None:
-            unitary = self.unitary()
+        rank = int(self.rng.integers(1, n)) if n > 1 else 1
+        if frame is None:
+            frame = self.frame()
         values = np.zeros(n)
         values[:rank] = 1.0
         values = self.rng.permutation(values)
-        decomp = decomposition_from(values, unitary, self.tol)
+        decomp = decomposition_from(values, frame, self.tol)
         return Projection(decomp.reconstruct(), tol=self.tol, validate=False,
                           decomposition=decomp)
 
-    def separated_values(self, count: int, gap: float = 0.1,
-                         lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
-        """Ascending values on a jittered grid with pairwise gaps >= 0.6*gap."""
-        grid = np.arange(lo, hi + 1e-12, gap)
+    def with_values(self, values) -> Effect:
+        """Effect with the given spectrum in a fresh frame."""
+        return self._diagonal(values, self.frame())
+
+    def _separated_values(self, count: int, gap: float) -> np.ndarray:
+        """Ascending values in [0, 1] on a jittered grid with pairwise gaps
+        >= 0.6*gap."""
+        grid = np.arange(0.0, 1.0 + 1e-12, gap)
         if count > len(grid):
             raise ValueError("not enough grid room for requested separation")
         picks = np.sort(self.rng.choice(len(grid), size=count, replace=False))
         vals = grid[picks] + self.rng.uniform(-gap / 5.0, gap / 5.0, count)
-        return np.clip(vals, lo, hi)
+        return np.clip(vals, 0.0, 1.0)
 
-    def simple_effect(self, max_levels: int = 5, gap: float = 0.12) -> Effect:
-        """Effect with few well-separated eigenvalue levels."""
+    def simple(self, gap: float = 0.12) -> Effect:
+        """Effect with at most five well-separated eigenvalue levels."""
         n = self.dim
-        k = int(self.rng.integers(1, min(n, max_levels) + 1))
-        levels = self.separated_values(k, gap)
+        k = int(self.rng.integers(1, min(n, 5) + 1))
+        levels = self._separated_values(k, gap)
         counts = np.ones(k, dtype=int)
         for _ in range(n - k):
             counts[self.rng.integers(0, k)] += 1
-        values = np.repeat(levels, counts)
-        return self.effect(values=values)
+        return self.with_values(np.repeat(levels, counts))
 
-    def commuting(self, count: int = 2,
-                  values: list[np.ndarray] | None = None) -> tuple[Effect, ...]:
-        u = self.unitary()
-        out = []
-        for i in range(count):
-            vals = (values[i] if values is not None
-                    else self.rng.uniform(0.0, 1.0, self.dim))
-            out.append(self.effect(values=vals, unitary=u))
-        return tuple(out)
-
-    def commuting_projection_effect(self, rank: int | None = None
-                                    ) -> tuple[Projection, Effect]:
-        u = self.unitary()
-        p = self.projection(rank=rank, unitary=u)
-        a = self.effect(unitary=u)
-        return p, a
-
-    def orthogonal_pair(self) -> tuple[Effect, Effect]:
-        """Two effects with orthogonal supports (their product vanishes)."""
+    def signed(self) -> np.ndarray:
+        """Hermitian matrix with spectrum in [-1, 1] and an exact kernel of
+        dimension up to two, below the full dimension."""
         n = self.dim
-        u = self.unitary()
-        k = int(self.rng.integers(1, n)) if n > 1 else 1
-        va = np.zeros(n)
-        vb = np.zeros(n)
-        va[:k] = self.rng.uniform(0.05, 1.0, k)
-        vb[k:] = self.rng.uniform(0.05, 1.0, n - k)
-        return (self.effect(values=va, unitary=u),
-                self.effect(values=vb, unitary=u))
+        zeros = int(self.rng.integers(0, min(2, n - 1) + 1))
+        values = np.concatenate([
+            np.zeros(zeros),
+            self.rng.uniform(-1.0, 1.0, n - zeros),
+        ])
+        u = self.frame()
+        return hermitian_part((u * values) @ u.conj().T)
 
-    def effect_with_top(self, ones: int = 1, ceiling: float = 0.95) -> Effect:
-        """Effect with an exact eigenvalue-one cluster and a spectral gap."""
+    def with_top(self, ones: int, ceiling: float = 0.95) -> Effect:
+        """Effect with an exact eigenvalue-one cluster of size ``ones`` and
+        the other eigenvalues below ``ceiling``."""
         n = self.dim
         ones = min(ones, n)
         values = np.concatenate([
             np.ones(ones),
             self.rng.uniform(0.0, ceiling, n - ones),
         ])
-        return self.effect(values=values)
+        return self.with_values(values)
 
-    def hermitian(self, lo: float = -1.0, hi: float = 1.0,
-                  zeros: int = 0) -> np.ndarray:
-        """Random Hermitian matrix, optionally with an exact kernel."""
+    def commuting_with(self, p: Projection, on=None, off=None) -> Effect:
+        """Effect equal to ``on`` on p and to ``off`` on 1 - p; either left
+        as None is drawn there."""
+        d = p.decomposition
+        drawn = self.rng.uniform(0.0, 1.0, self.dim)
+        vals = np.where(d.values > 0.5, drawn if on is None else on,
+                        drawn if off is None else off)
+        return Effect.from_eigensystem(vals, d.vectors, self.tol)
+
+    def split_effect(self, frame: np.ndarray, k: int) -> Effect:
+        """Effect commuting with the span of the first k columns of a
+        frame."""
+        qa = random_unitary(self.rng, k)
+        qb = random_unitary(self.rng, self.dim - k)
+        vecs = np.concatenate([frame[:, :k] @ qa, frame[:, k:] @ qb], axis=1)
+        return self._diagonal(self.rng.uniform(0.0, 1.0, self.dim), vecs)
+
+    def orthogonal_pair(self) -> tuple[Effect, Effect]:
+        """Two effects with orthogonal supports (their product vanishes)."""
         n = self.dim
-        zeros = min(zeros, n)
-        values = np.concatenate([
-            np.zeros(zeros),
-            self.rng.uniform(lo, hi, n - zeros),
-        ])
-        u = self.unitary()
-        return hermitian_part((u * values) @ u.conj().T)
+        u = self.frame()
+        k = int(self.rng.integers(1, n)) if n > 1 else 1
+        va = np.zeros(n)
+        vb = np.zeros(n)
+        va[:k] = self.rng.uniform(0.05, 1.0, k)
+        vb[k:] = self.rng.uniform(0.05, 1.0, n - k)
+        return self._diagonal(va, u), self._diagonal(vb, u)
 
-    def refined_commuting(self, hi: float = 1.0
-                          ) -> tuple[Effect, Effect, Effect]:
-        """Triple (c, a, b) where a and b both commute with c.
+    def summable_pair(self) -> tuple[Effect, Effect]:
+        """Two effects with a + b <= 1."""
+        return self.effect(hi=0.5), self.effect(hi=0.5)
+
+    def refined_commuting(self) -> tuple[Effect, Effect, Effect]:
+        """Triple (c, a, b) where a and b both commute with c and
+        a + b <= 1.
 
         c has constant blocks in a shared basis; a and b refine those
         blocks independently, so they rarely commute with each other.
         """
         n = self.dim
         if n == 1:
-            c = self.effect(values=[self.uniform()])
-            a = self.effect(values=[self.uniform(0.0, hi)])
-            b = self.effect(values=[self.uniform(0.0, hi)])
+            c = self.with_values([self.scalar()])
+            a = self.with_values([self.scalar(0.0, 0.5)])
+            b = self.with_values([self.scalar(0.0, 0.5)])
             return c, a, b
         k = int(self.rng.integers(2, min(n, 3) + 1))
         sizes = np.ones(k, dtype=int)
         for _ in range(n - k):
             sizes[self.rng.integers(0, k)] += 1
-        u = self.unitary()
-        levels = self.separated_values(k, gap=0.15)
-        c = self.effect(values=np.repeat(levels, sizes), unitary=u)
+        u = self.frame()
+        levels = self._separated_values(k, gap=0.15)
+        c = self._diagonal(np.repeat(levels, sizes), u)
 
         def refined() -> Effect:
             cols = []
@@ -522,10 +532,9 @@ class EffectSampler:
             for m in sizes:
                 q = random_unitary(self.rng, int(m))
                 cols.append(u[:, start:start + m] @ q)
-                vals.append(self.rng.uniform(0.0, hi, int(m)))
+                vals.append(self.rng.uniform(0.0, 0.5, int(m)))
                 start += m
-            vecs = np.concatenate(cols, axis=1)
-            return Effect.from_eigensystem(np.concatenate(vals), vecs,
-                                           self.tol)
+            return self._diagonal(np.concatenate(vals),
+                                  np.concatenate(cols, axis=1))
 
         return c, refined(), refined()

@@ -18,14 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT, Tolerances
-from .linalg import (cluster_indices, eigh, frobenius, hermitian_part,
-                     operator_norm)
+from .linalg import (cluster_indices, eigenvalues, eigh, frobenius,
+                     hermitian_part, operator_norm)
 from . import matrices as mx
 
 
 class UnsupportedContextError(ValueError):
-    """Input type has no registered context or the context lacks a
-    Rickart map."""
+    """Input type has no registered context."""
 
 
 def _raw_of(p) -> np.ndarray:
@@ -40,7 +39,7 @@ class MatrixContext:
     """Hermitian matrices with p a p compressions and kernel projections."""
 
     model = "matrix"
-    has_rickart = True
+    mul = staticmethod(np.matmul)   # the ordinary product of raw elements
 
     def __init__(self, tol: Tolerances = DEFAULT):
         self.tol = tol
@@ -50,10 +49,27 @@ class MatrixContext:
             return v.matrix
         return hermitian_part(np.asarray(v))
 
-    def decomposition(self, v):
+    def _decomposition(self, v):
         if isinstance(v, mx.Effect):
             return v.decomposition
         return eigh(v, self.tol)
+
+    def encode(self, v) -> dict:
+        """The matrix as witness JSON, rounded to 12 places; the
+        imaginary part only where it is nonzero."""
+        arr = np.asarray(mx.as_matrix(v))
+        out = {"re": np.real(arr).round(12).tolist()}
+        im = np.imag(arr)
+        if np.any(im != 0.0):
+            out["im"] = im.round(12).tolist()
+        return out
+
+    def element(self, raw: np.ndarray) -> mx.Effect:
+        """A trusted, exactly Hermitian raw element as an Effect."""
+        return mx.Effect(raw, tol=self.tol, validate=False)
+
+    def unit(self, n: int) -> mx.Effect:
+        return self.element(np.eye(n))
 
     def one_like(self, v) -> np.ndarray:
         n = np.shape(_raw_of(v))[0]
@@ -86,14 +102,18 @@ class MatrixContext:
     def floor(self, a) -> mx.Projection:
         return mx.floor(a, self.tol)
 
-    def complement(self, p) -> np.ndarray:
-        raw = _raw_of(p)
+    def complement(self, v):
+        """1 - v: an Effect, keeping its decomposition, for an Effect, a raw
+        array for a raw array."""
+        if isinstance(v, mx.Effect):
+            return v.complement()
+        raw = _raw_of(v)
         return np.eye(raw.shape[0]) - raw
 
     def eigenprojections(self, v) -> tuple[np.ndarray, list[mx.Projection]]:
         """Cluster values with their eigenprojections, from one (for an
         Effect, the cached) decomposition, which builds them once."""
-        d = self.decomposition(v)
+        d = self._decomposition(v)
         return (d.cluster_values(),
                 [self.wrap_projection(p) for p in d.projectors()])
 
@@ -103,7 +123,11 @@ class MatrixContext:
     def sub(self, a, b) -> np.ndarray:
         return _raw_of(a) - _raw_of(b)
 
-    def scale(self, lam: float, v) -> np.ndarray:
+    def scale(self, lam: float, v):
+        """lam * v: for an Effect the convex action, an Effect keeping its
+        decomposition; a raw array for a raw array."""
+        if isinstance(v, mx.Effect):
+            return mx.scale_effect(v, lam)
         return lam * _raw_of(v)
 
     def residual(self, a, b) -> float:
@@ -111,6 +135,11 @@ class MatrixContext:
 
     def norm(self, v) -> float:
         return operator_norm(_raw_of(v))
+
+    def extremes(self, v) -> tuple[float, float]:
+        """Least and greatest eigenvalue."""
+        vals = eigenvalues(_raw_of(v))
+        return float(vals[0]), float(vals[-1])
 
     def leq(self, a, b, slack: float | None = None) -> bool:
         return mx.psd(self.sub(b, a), slack, self.tol)
@@ -165,28 +194,21 @@ class MatrixContext:
 
 
 def resolve_context(v, context=None, tol: Tolerances = DEFAULT):
-    """Pick the model context for an element, or validate a given one."""
-    if context is None:
-        arr = None
-        if isinstance(v, mx.Effect):
-            context = MatrixContext(tol)
-        elif hasattr(v, "values") and getattr(v, "space", None) is not None:
-            from .fuzzy import FuzzyContext
-            context = FuzzyContext(tol)
-        else:
-            arr = np.asarray(v)
-            if arr.ndim == 2 and arr.shape[0] == arr.shape[1]:
-                context = MatrixContext(tol)
-            elif arr.ndim == 1:
-                from .fuzzy import FuzzyContext
-                context = FuzzyContext(tol)
-            else:
-                raise UnsupportedContextError(
-                    f"no spectral context for input of type {type(v).__name__}")
-    if not getattr(context, "has_rickart", False):
-        raise UnsupportedContextError(
-            "context does not expose a Rickart map")
-    return context
+    """The given context, or else the model context for the element."""
+    if context is not None:
+        return context
+    if isinstance(v, mx.Effect):
+        return MatrixContext(tol)
+    from .fuzzy import FuzzyContext
+    if hasattr(v, "values") and getattr(v, "space", None) is not None:
+        return FuzzyContext(tol)
+    arr = np.asarray(v)
+    if arr.ndim == 2 and arr.shape[0] == arr.shape[1]:
+        return MatrixContext(tol)
+    if arr.ndim == 1:
+        return FuzzyContext(tol)
+    raise UnsupportedContextError(
+        f"no spectral context for input of type {type(v).__name__}")
 
 
 @dataclass(frozen=True)
@@ -404,7 +426,7 @@ def simple_approximation(a, n: int, context=None, tol: Tolerances = DEFAULT):
     acc = ctx.zero_like(a)
     for lam, proj in zip(np.clip(values, 0.0, 1.0), projs):
         coeff = math.floor(float(lam) * scale + 1e-12) / scale
-        acc = ctx.add(acc, ctx.scale(coeff, proj))
+        acc = ctx.add(acc, ctx.scale(coeff, ctx.raw(proj)))
     return acc
 
 
@@ -416,7 +438,7 @@ def orthogonal_decomposition(v, context=None, tol: Tolerances = DEFAULT
     raw = ctx.raw(v)
     p = ctx.wrap_projection(sign_witness_projections(v, ctx, tol,
                                                      limit=1)[0])
-    comp = ctx.complement(p)
+    comp = ctx.complement(ctx.raw(p))
     v_plus = ctx.compress(p, raw)
     v_minus = ctx.scale(-1.0, ctx.compress(comp, raw))
     checks = (
@@ -479,7 +501,7 @@ def comparability_witness(e, f, context=None, tol: Tolerances = DEFAULT
     if raw_p is None:
         raw_p = ctx.zero_like(e)
     p = ctx.wrap_projection(raw_p)
-    comp = ctx.complement(p)
+    comp = ctx.complement(raw_p)
     ok = (ctx.leq(ctx.compress(p, e), ctx.compress(p, f))
           and ctx.leq(ctx.compress(comp, f), ctx.compress(comp, e)))
     if not ok:

@@ -7,12 +7,15 @@ product, soft focus, wrong floor, merged clusters, corrupted tables) so
 that negative controls can prove the checks are not vacuous.
 
 The laws hold in every convex sequential effect algebra, so each
-statement has one body over the model protocol: the model's context
-(``ctx``) supplies the operations and ``_Model`` the draws.  A comparison
-is ``_res(ctx.sub(x, y), n) <= ctx.tol.check``, and that threshold is 0
-on the mv model, so every comparison there is exact.  What stays per
-model is the ``_Model`` builders, the broken products and the planted
-control witnesses.
+statement has one body over the model protocol, two objects with the
+same method names on both models: the model's context (``ctx``,
+``spectral.MatrixContext`` or ``fuzzy.FuzzyContext``) supplies the
+operations, and the statement's seeded sampler (``smp``,
+``matrices.EffectSampler`` or ``fuzzy.FuzzySampler``) the draws.  A
+comparison is ``_res(ctx.sub(x, y), n) <= ctx.tol.check``, and that
+threshold is 0 on the mv model, so every comparison there is exact.  What
+stays per model here is the sampler lookup, the broken products and the
+planted control witnesses.
 """
 from __future__ import annotations
 
@@ -20,12 +23,12 @@ import math
 import os
 import traceback
 import zlib
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
 from .config import DEFAULT, Tolerances
-from .linalg import eigenvalues, frobenius
+from .linalg import frobenius
 from .report import CheckResult, SuiteReport
 from . import fuzzy as fz
 from . import matrices as mx
@@ -105,19 +108,6 @@ def _run_statement(report: SuiteReport, sid: str, model: str, body) -> None:
                            t.max_residual, t.witness))
 
 
-def _mat(m) -> dict:
-    arr = np.asarray(mx.as_matrix(m))
-    out = {"re": np.real(arr).round(12).tolist()}
-    im = np.imag(arr)
-    if np.any(im != 0.0):
-        out["im"] = im.round(12).tolist()
-    return out
-
-
-def _vals(v) -> list:
-    return np.asarray(v.values if isinstance(v, fz.FuzzySet) else v).tolist()
-
-
 def _res(m, dim: int) -> float:
     return frobenius(np.asarray(m)) / dim
 
@@ -126,202 +116,83 @@ def _res(m, dim: int) -> float:
 # the models
 
 
-class _Model(NamedTuple):
-    """What one model lends the suites for one run.  The statements take
-    every operation from ``ctx`` and every sample from the draws below,
-    each of which takes the statement's sampler first."""
-
-    name: str                # as reports record it
-    dim: int                 # matrix dimension or point-set size
-    tol: Tolerances          # as given; ctx.tol holds the model's thresholds
-    ctx: object
-    smp: Callable            # statement id -> its seeded sampler
-    enc: Callable            # element -> witness JSON
-    mul: Callable            # product of raw elements
-    unit: object             # the order unit 1
-    wrap: Callable           # raw element -> element, trusted
-    complement: Callable     # element -> 1 - element, as an element
-    scale: Callable          # element, lam -> lam * element, as an element
-    extremes: Callable       # raw element -> least and greatest value
-    products: Callable       # name -> (sequential product, planted S1 witness)
-    span: Callable           # frame, lo, hi -> projection on frame[lo:hi]
-    # draws
-    scalar: Callable         # lo=, hi= -> number in [lo, hi], dyadic on mv
-    frame: Callable          # -> a Haar unitary; an ordering of the points
-    effect: Callable         # lo=, hi=, frame= -> effect, spectrum in [lo, hi]
-    projection: Callable     # frame= -> projection
-    simple: Callable         # gap= -> effect with few levels
-    signed: Callable         # -> self-adjoint element, maybe singular
-    with_values: Callable    # values -> effect with that spectrum
-    with_top: Callable       # ones, ceiling= -> effect with `ones` values 1,
-                             # the rest below ceiling
-    commuting_with: Callable  # p, on=, off= -> effect equal to `on` on p and
-                              # to `off` on 1 - p (None draws values there)
-    split_effect: Callable   # frame, k -> effect commuting with span(0, k)
-    orthogonal_pair: Callable   # -> a, b with a ∘ b = 0
-    summable_pair: Callable     # -> a, b with a + b <= 1
-    refined_commuting: Callable  # -> c, a, b with a, b commuting with c and
-                                 # a + b <= 1
-
-
-def _matrix_model(suite: str, dim: int, seed: int, tol: Tolerances) -> _Model:
-    ctx = sp.MatrixContext(tol)
-
-    def extremes(x) -> tuple[float, float]:
-        vals = eigenvalues(x)
-        return float(vals[0]), float(vals[-1])
-
-    def wrap(raw) -> mx.Effect:
-        return mx.Effect(raw, tol=tol, validate=False)
-
-    def products(product: str):
-        if product == "standard":
-            return ctx.product, None
-        if product == "jordan":
-            return (lambda x, y: mx.jordan_product(x, y, tol)), None
-        raise ValueError(f"unknown product {product!r}")
-
-    def effect(s, lo=0.0, hi=1.0, frame=None) -> mx.Effect:
-        return s.effect(values=s.rng.uniform(lo, hi, dim), unitary=frame)
-
-    def commuting_with(s, p, on=None, off=None) -> mx.Effect:
-        d = p.decomposition
-        drawn = s.rng.uniform(0.0, 1.0, dim)
-        vals = np.where(d.values > 0.5, drawn if on is None else on,
-                        drawn if off is None else off)
-        return mx.Effect.from_eigensystem(vals, d.vectors, tol)
-
-    def split_effect(s, u, k: int) -> mx.Effect:
-        qa = mx.random_unitary(s.rng, k)
-        qb = mx.random_unitary(s.rng, dim - k)
-        vecs = np.concatenate([u[:, :k] @ qa, u[:, k:] @ qb], axis=1)
-        return mx.Effect.from_eigensystem(s.rng.uniform(0.0, 1.0, dim), vecs,
-                                          tol)
-
-    return _Model(
-        "matrix", dim, tol, ctx,
-        smp=lambda sid: mx.EffectSampler(_seed_for(seed, suite, sid), dim,
-                                         tol),
-        enc=_mat, mul=np.matmul, unit=wrap(np.eye(dim)), wrap=wrap,
-        complement=lambda x: x.complement(), scale=mx.scale_effect,
-        extremes=extremes, products=products,
-        span=lambda u, lo, hi: mx.Projection.from_columns(u[:, lo:hi], dim,
-                                                          tol),
-        scalar=lambda s, lo=0.0, hi=1.0: s.uniform(lo, hi),
-        frame=lambda s: s.unitary(),
-        effect=effect,
-        projection=lambda s, frame=None: s.projection(unitary=frame),
-        simple=lambda s, **gap: s.simple_effect(**gap),
-        signed=lambda s: s.hermitian(
-            zeros=int(s.rng.integers(0, min(2, dim - 1) + 1))),
-        with_values=lambda s, values: s.effect(values=values),
-        with_top=lambda s, ones, ceiling=0.95: s.effect_with_top(
-            ones=ones, ceiling=ceiling),
-        commuting_with=commuting_with, split_effect=split_effect,
-        orthogonal_pair=lambda s: s.orthogonal_pair(),
-        summable_pair=lambda s: (effect(s, hi=0.5), effect(s, hi=0.5)),
-        refined_commuting=lambda s: s.refined_commuting(hi=0.5))
-
-
-def _mv_model(suite: str, size: int, seed: int, tol: Tolerances) -> _Model:
-    ctx = fz.FuzzyContext(tol)
-
-    def products(product: str):
-        if product == "standard":
-            return ctx.product, None
-        if product == "lukasiewicz":
-            # Truncated, a (b + c) = 0.75 but a b + a c = 0.5, so the
-            # control fails for every seed, not only lucky ones.
-            half = np.full(size, 0.5)
-            return ((lambda x, y: np.maximum(0.0, ctx.raw(x) + ctx.raw(y)
-                                             - 1.0)),
-                    (np.full(size, 0.75), half, half))
-        raise ValueError(f"unknown product {product!r}")
-
-    def with_top(s, ones: int, ceiling: float = 0.95) -> np.ndarray:
-        vals = s.fuzzy(1.0 / s.denom, ceiling).values.copy()
-        vals[:ones] = 1.0
-        return vals
-
-    def commuting_with(s, p, on=None, off=None) -> np.ndarray:
-        drawn = s.fuzzy().values
-        return np.where(ctx.raw(p) > 0.5, drawn if on is None else on,
-                        drawn if off is None else off)
-
-    def refined_commuting(s):
-        a, b, c = s.summable_triple()
-        return c, a, b
-
-    return _Model(
-        "mv", size, tol, ctx,
-        smp=lambda sid: fz.FuzzySampler(_seed_for(seed, suite, sid), size),
-        enc=_vals, mul=np.multiply, unit=np.ones(size), wrap=np.asarray,
-        complement=lambda x: 1.0 - ctx.raw(x),
-        scale=lambda x, lam: lam * ctx.raw(x),
-        extremes=lambda x: (float(np.min(x)), float(np.max(x))),
-        products=products,
-        span=lambda order, lo, hi: fz.indicator(size, order[lo:hi]),
-        scalar=lambda s, lo=0.0, hi=1.0: s.scalar(lo, hi),
-        frame=lambda s: s.rng.permutation(size),
-        effect=lambda s, lo=0.0, hi=1.0, frame=None: s.fuzzy(lo, hi),
-        projection=lambda s, frame=None: s.sharp(),
-        simple=lambda s, **gap: s.fuzzy(),
-        signed=lambda s: s.rng.integers(-s.denom, s.denom + 1, size) / s.denom,
-        with_values=lambda s, values: fz.FuzzySet(values),
-        with_top=with_top, commuting_with=commuting_with,
-        split_effect=lambda s, order, k: s.fuzzy(),
-        orthogonal_pair=lambda s: s.orthogonal_pair(),
-        summable_pair=lambda s: s.summable_pair(),
-        refined_commuting=refined_commuting)
-
-
-def _model(model: str, suite: str, dim_or_size: int, seed: int,
-           tol: Tolerances) -> _Model:
+def _model(model: str, suite: str, n: int, seed: int, tol: Tolerances):
+    """The model's context and its sampler lookup: statement id -> the
+    statement's seeded sampler."""
     if model == "matrix":
-        return _matrix_model(suite, dim_or_size, seed, tol)
+        return sp.MatrixContext(tol), lambda sid: mx.EffectSampler(
+            _seed_for(seed, suite, sid), n, tol)
     if model == "mv":
-        return _mv_model(suite, dim_or_size, seed, tol)
+        return fz.FuzzyContext(tol), lambda sid: fz.FuzzySampler(
+            _seed_for(seed, suite, sid), n)
     raise ValueError(f"unknown model {model!r}")
 
 
-def _commuting(m: _Model, smp, *draws) -> tuple:
-    """One sample of each draw, by default two effects, all diagonal in
-    one frame, so they commute."""
-    u = m.frame(smp)
-    return tuple(draw(smp, frame=u) for draw in draws or (m.effect, m.effect))
+def _products(ctx, n: int, product: str):
+    """The sequential product by name, with the S1 witness it plants."""
+    if product == "standard":
+        return ctx.product, None
+    if product == "jordan" and ctx.model == "matrix":
+        return (lambda x, y: mx.jordan_product(x, y, ctx.tol)), None
+    if product == "lukasiewicz" and ctx.model == "fuzzy":
+        # Truncated, a (b + c) = 0.75 but a b + a c = 0.5, so the
+        # control fails for every seed, not only lucky ones.
+        half = np.full(n, 0.5)
+        return ((lambda x, y: np.maximum(0.0, ctx.raw(x) + ctx.raw(y)
+                                         - 1.0)),
+                (np.full(n, 0.75), half, half))
+    raise ValueError(f"unknown product {product!r}")
 
 
-def _three_orthogonal(m: _Model, smp) -> tuple[list, list[int]]:
+def _suite(suite: str, model: str, n: int, samples: int, seed: int,
+           tol: Tolerances, control: bool, **config):
+    """Check the arguments and start a suite's report.  Returns the report,
+    the model's context and its sampler lookup."""
+    if samples < 1:
+        raise ValueError("samples must be positive")
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
+    ctx, draws = _model(model, suite, n, seed, tol)
+    report = SuiteReport(
+        suite=suite, model=model, seed=seed,
+        config={"dim_or_size": n, "samples": samples, **config,
+                "tolerances": tol.to_dict()})
+    if control:
+        report.metadata["negative_control"] = True
+    return report, ctx, draws
+
+
+def _three_orthogonal(smp, n: int) -> tuple[list, list[int]]:
     """Three orthogonal projections on consecutive runs of one frame, the
     first two nonempty where the dimension allows, with their ranks."""
-    n = m.dim
-    u = m.frame(smp)
+    u = smp.frame()
     k1 = int(smp.rng.integers(1, n)) if n > 1 else 1
     k2 = int(smp.rng.integers(1, n - k1 + 1)) if n - k1 else 0
     k3 = int(smp.rng.integers(0, n - k1 - k2 + 1))
     cuts = (0, k1, k1 + k2, k1 + k2 + k3)
-    return [m.span(u, lo, hi) for lo, hi in zip(cuts, cuts[1:])], [k1, k2, k3]
+    spans = [smp.span(u, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+    return spans, [k1, k2, k3]
 
 
 # ---------------------------------------------------------------------------
 # SEA suite
 
 
-def _mackey(ctx, mul, p, a) -> bool:
+def _mackey(ctx, p, a) -> bool:
     """Mackey compatibility of a projection and an effect: with c = p a p,
     both a - c and 1 - a - p + c are positive."""
     praw = ctx.raw(p)
-    inside = mul(mul(praw, ctx.raw(a)), praw)
+    inside = ctx.mul(ctx.mul(praw, ctx.raw(a)), praw)
     rest = ctx.add(ctx.sub(ctx.sub(ctx.one_like(a), a), p), inside)
     return ctx.leq(inside, a) and ctx.leq(ctx.zero_like(a), rest)
 
 
-def _five_way(ctx, mul, p, a) -> dict:
-    praw, araw = ctx.raw(p), ctx.raw(a)
+def _five_way(ctx, p, a) -> dict:
+    praw, araw, mul = ctx.raw(p), ctx.raw(a), ctx.mul
     n = praw.shape[0]
     thr = ctx.tol.check
     inside = mul(mul(praw, araw), praw)
-    comp = ctx.complement(p)
+    comp = ctx.complement(praw)
     r_block = _res(ctx.sub(ctx.sub(araw, inside),
                            mul(mul(comp, araw), comp)), n)
     r_off = _res(mul(mul(praw, araw), comp), n)
@@ -335,7 +206,7 @@ def _five_way(ctx, mul, p, a) -> dict:
         "compress_below": ctx.leq(inside, a),
         "block_sum": r_block <= thr,
         "interval_sum": r_off <= thr,
-        "mackey": _mackey(ctx, mul, p, a),
+        "mackey": _mackey(ctx, p, a),
         "meet": meet,
         "residual": residual,
     }
@@ -349,7 +220,7 @@ def five_way_statements(p: mx.Projection, a: mx.Effect,
     Returns booleans keyed by statement plus the largest residual among
     the equality-shaped clauses.
     """
-    return _five_way(sp.MatrixContext(tol), np.matmul, p, a)
+    return _five_way(sp.MatrixContext(tol), p, a)
 
 
 def _meet_headroom(pvals: np.ndarray, avals: np.ndarray,
@@ -375,63 +246,65 @@ def _meet_headroom(pvals: np.ndarray, avals: np.ndarray,
     return lo
 
 
-def _sea(report: SuiteReport, m: _Model, samples: int, product: str) -> None:
-    ctx, n, enc = m.ctx, m.dim, m.enc
+def _sea(report: SuiteReport, ctx, draws, n: int, samples: int,
+         product: str) -> None:
+    enc = ctx.encode
     thr, comm = ctx.tol.check, ctx.tol.comm
-    prod, planted = m.products(product)
-    one = m.unit
+    prod, planted = _products(ctx, n, product)
+    one = ctx.unit(n)
 
     def res(x, y=None) -> float:
         return _res(x if y is None else ctx.sub(x, y), n)
 
     def s1(t: _Tally) -> None:
-        smp = m.smp("S1")
+        smp = draws("S1")
         for k in range(samples):
-            a = m.effect(smp)
-            b, c = m.summable_pair(smp)
+            a = smp.effect()
+            b, c = smp.summable_pair()
             if k == 0 and planted is not None:
                 a, b, c = planted
-            bc = m.wrap(ctx.add(b, c))
+            bc = ctx.element(ctx.add(b, c))
             r = res(ctx.sub(prod(a, bc), prod(a, b)), prod(a, c))
             t.tally(r <= thr, r, lambda: {"sample": k, "a": enc(a),
                                           "b": enc(b), "c": enc(c)})
 
     def s2(t: _Tally) -> None:
-        smp = m.smp("S2")
+        smp = draws("S2")
         for k in range(samples):
-            a = m.effect(smp)
+            a = smp.effect()
             r = max(res(prod(one, a), a), res(prod(a, one), a))
             t.tally(r <= thr, r, lambda: {"sample": k, "a": enc(a)})
 
     def s3(t: _Tally) -> None:
-        smp = m.smp("S3")
+        smp = draws("S3")
         for k in range(samples):
             if k % 2 == 0:
-                a, b = m.orthogonal_pair(smp)
+                a, b = smp.orthogonal_pair()
                 r_ab, r_ba = res(prod(a, b)), res(prod(b, a))
                 ok = (r_ab <= thr) == (r_ba <= thr)
                 t.tally(ok, max(r_ab, r_ba) if not ok else 0.0,
                         lambda: {"sample": k, "a": enc(a), "b": enc(b),
                                  "forward": r_ab, "backward": r_ba})
             else:
-                a, b = m.effect(smp), m.effect(smp)
-                lo, hi = m.extremes(prod(a, b))
+                a, b = smp.effect(), smp.effect()
+                lo, hi = ctx.extremes(prod(a, b))
                 escape = max(0.0, -lo, hi - 1.0)
                 t.tally(escape <= ctx.tol.psd + thr, escape,
                         lambda: {"sample": k, "a": enc(a), "b": enc(b),
                                  "min_eigenvalue": lo, "max_eigenvalue": hi})
 
     def s4(t: _Tally) -> None:
-        smp = m.smp("S4")
+        smp = draws("S4")
         for k in range(samples):
-            a, b = _commuting(m, smp)
-            c = m.effect(smp)
+            a, b = smp.commuting()
+            c = smp.effect()
             if res(prod(a, b), prod(b, a)) > comm:
                 t.tally(True)
                 continue
-            bperp = m.complement(b)
+            bperp = ctx.complement(b)
             r1 = res(prod(a, bperp), prod(bperp, a))
-            r2 = res(prod(a, m.wrap(prod(b, c))), prod(m.wrap(prod(a, b)), c))
+            r2 = res(prod(a, ctx.element(prod(b, c))),
+                     prod(ctx.element(prod(a, b)), c))
             r = max(r1, r2)
             t.tally(r <= thr, r, lambda: {"sample": k, "a": enc(a),
                                           "b": enc(b), "c": enc(c),
@@ -439,89 +312,89 @@ def _sea(report: SuiteReport, m: _Model, samples: int, product: str) -> None:
                                           "associativity": r2})
 
     def s5(t: _Tally) -> None:
-        smp = m.smp("S5")
+        smp = draws("S5")
         for k in range(samples):
-            c, a, b = m.refined_commuting(smp)
+            c, a, b = smp.refined_commuting()
             if (res(prod(c, a), prod(a, c)) > comm
                     or res(prod(c, b), prod(b, c)) > comm):
                 t.tally(True)
                 continue
-            ab = m.wrap(prod(a, b))
-            asum = m.wrap(ctx.add(a, b))
+            ab = ctx.element(prod(a, b))
+            asum = ctx.element(ctx.add(a, b))
             r = max(res(prod(c, ab), prod(ab, c)),
                     res(prod(c, asum), prod(asum, c)))
             t.tally(r <= comm, r, lambda: {"sample": k, "c": enc(c),
                                            "a": enc(a), "b": enc(b)})
 
     def aff(t: _Tally) -> None:
-        smp = m.smp("le:aff")
+        smp = draws("le:aff")
         for k in range(samples):
-            a, b = m.effect(smp), m.effect(smp)
-            lam = m.scalar(smp)
+            a, b = smp.effect(), smp.effect()
+            lam = smp.scalar()
             scaled = ctx.scale(lam, prod(a, b))
-            r1 = res(prod(a, m.scale(b, lam)), scaled)
-            r2 = res(prod(m.scale(a, lam), b), scaled)
-            ca, cb = _commuting(m, smp)
-            clb = m.scale(cb, lam)
+            r1 = res(prod(a, ctx.scale(lam, b)), scaled)
+            r2 = res(prod(ctx.scale(lam, a), b), scaled)
+            ca, cb = smp.commuting()
+            clb = ctx.scale(lam, cb)
             r3 = res(prod(ca, clb), prod(clb, ca))
             t.tally(r1 <= thr and r2 <= thr and r3 <= comm, max(r1, r2, r3),
                     lambda: {"sample": k, "lambda": lam, "a": enc(a),
                              "b": enc(b)})
 
     def convex_c1(t: _Tally) -> None:
-        smp = m.smp("convex:C1")
+        smp = draws("convex:C1")
         for k in range(samples):
-            a = m.effect(smp)
-            lam, mu = m.scalar(smp), m.scalar(smp)
-            r = res(m.scale(m.scale(a, lam), mu), m.scale(a, lam * mu))
+            a = smp.effect()
+            lam, mu = smp.scalar(), smp.scalar()
+            r = res(ctx.scale(mu, ctx.scale(lam, a)), ctx.scale(lam * mu, a))
             t.tally(r <= thr, r,
                     lambda: {"sample": k, "lambda": lam, "mu": mu})
 
     def convex_c2(t: _Tally) -> None:
-        smp = m.smp("convex:C2")
+        smp = draws("convex:C2")
         for k in range(samples):
-            a = m.effect(smp)
-            lam = m.scalar(smp)
-            mu = m.scalar(smp, 0.0, 1.0 - lam)
-            r = res(ctx.add(m.scale(a, lam), m.scale(a, mu)),
-                    m.scale(a, lam + mu))
+            a = smp.effect()
+            lam = smp.scalar()
+            mu = smp.scalar(0.0, 1.0 - lam)
+            r = res(ctx.add(ctx.scale(lam, a), ctx.scale(mu, a)),
+                    ctx.scale(lam + mu, a))
             t.tally(r <= thr, r,
                     lambda: {"sample": k, "lambda": lam, "mu": mu})
 
     def convex_c3(t: _Tally) -> None:
-        smp = m.smp("convex:C3")
+        smp = draws("convex:C3")
         for k in range(samples):
-            a, b = m.summable_pair(smp)
-            lam = m.scalar(smp)
-            s = m.wrap(ctx.add(a, b))
-            r = res(ctx.sub(m.scale(s, lam), m.scale(a, lam)),
-                    m.scale(b, lam))
+            a, b = smp.summable_pair()
+            lam = smp.scalar()
+            s = ctx.element(ctx.add(a, b))
+            r = res(ctx.sub(ctx.scale(lam, s), ctx.scale(lam, a)),
+                    ctx.scale(lam, b))
             t.tally(r <= thr, r, lambda: {"sample": k, "lambda": lam})
 
     def convex_c4(t: _Tally) -> None:
-        smp = m.smp("convex:C4")
+        smp = draws("convex:C4")
         for k in range(samples):
-            a = m.effect(smp)
-            r = res(m.scale(a, 1.0), a)
+            a = smp.effect()
+            r = res(ctx.scale(1.0, a), a)
             t.tally(r <= thr, r, lambda: {"sample": k})
 
     def sharp_i(t: _Tally) -> None:
-        smp = m.smp("le:sharp.i")
+        smp = draws("le:sharp.i")
         for k in range(samples):
-            a = m.projection(smp) if k % 2 == 0 else m.effect(smp)
+            a = smp.projection() if k % 2 == 0 else smp.effect()
             sharp = ctx.is_sharp(a)
-            kills = res(prod(a, m.complement(a))) <= thr
+            kills = res(prod(a, ctx.complement(a))) <= thr
             idem = res(prod(a, a), a) <= thr
             t.tally(sharp == kills == idem, 0.0,
                     lambda: {"sample": k, "a": enc(a), "sharp": sharp,
                              "kills_complement": kills, "idempotent": idem})
 
     def sharp_ii(t: _Tally) -> None:
-        smp = m.smp("le:sharp.ii")
+        smp = draws("le:sharp.ii")
         for k in range(samples):
-            p = m.projection(smp)
-            a = (m.commuting_with(smp, p, on=1.0) if k % 2 == 0
-                 else m.effect(smp))
+            p = smp.projection()
+            a = (smp.commuting_with(p, on=1.0) if k % 2 == 0
+                 else smp.effect())
             below = ctx.leq(p, a)
             rp = max(res(prod(p, a), p), res(prod(a, p), p))
             t.tally(below == (rp <= thr), 0.0,
@@ -529,11 +402,11 @@ def _sea(report: SuiteReport, m: _Model, samples: int, product: str) -> None:
                              "order": below, "product_residual": rp})
 
     def sharp_iii(t: _Tally) -> None:
-        smp = m.smp("le:sharp.iii")
+        smp = draws("le:sharp.iii")
         for k in range(samples):
-            p = m.projection(smp)
-            a = (m.commuting_with(smp, p, off=0.0) if k % 2 == 0
-                 else m.effect(smp))
+            p = smp.projection()
+            a = (smp.commuting_with(p, off=0.0) if k % 2 == 0
+                 else smp.effect())
             below = ctx.leq(a, p)
             rp = max(res(prod(p, a), a), res(prod(a, p), a))
             t.tally(below == (rp <= thr), 0.0,
@@ -541,14 +414,14 @@ def _sea(report: SuiteReport, m: _Model, samples: int, product: str) -> None:
                              "order": below, "product_residual": rp})
 
     def sharp_iv(t: _Tally) -> None:
-        smp = m.smp("le:sharp.iv")
+        smp = draws("le:sharp.iv")
         for k in range(samples):
             if k % 2 == 0:
-                ea, eb = m.orthogonal_pair(smp)
+                ea, eb = smp.orthogonal_pair()
                 p = ctx.cover(ea)
                 a = eb if k % 4 == 0 else ctx.cover(eb)
             else:
-                p, a = m.projection(smp), m.effect(smp)
+                p, a = smp.projection(), smp.effect()
             total = ctx.add(p, a)
             vanish = res(prod(p, a)) <= thr
             summable = ctx.leq(total, one)
@@ -566,24 +439,24 @@ def _sea(report: SuiteReport, m: _Model, samples: int, product: str) -> None:
                                           "summable": summable})
 
     def sharp_v(t: _Tally) -> None:
-        smp = m.smp("le:sharp.v")
+        smp = draws("le:sharp.v")
         for k in range(samples):
-            p, a = (_commuting(m, smp, m.projection, m.effect) if k % 2 == 0
-                    else (m.projection(smp), m.effect(smp)))
+            p, a = (smp.commuting(smp.projection, smp.effect) if k % 2 == 0
+                    else (smp.projection(), smp.effect()))
             commute = res(prod(p, a), prod(a, p)) <= comm
-            mackey = _mackey(ctx, m.mul, p, a)
+            mackey = _mackey(ctx, p, a)
             t.tally(commute == mackey, 0.0,
                     lambda: {"sample": k, "p": enc(p), "a": enc(a),
                              "commutes": commute, "mackey": mackey})
 
     def sharp_vi(t: _Tally) -> None:
-        smp = m.smp("le:sharp.vi")
+        smp = draws("le:sharp.vi")
         for k in range(samples):
-            p, a = _commuting(m, smp, m.projection, m.effect)
+            p, a = smp.commuting(smp.projection, smp.effect)
             r = res(prod(p, a), ctx.meet(p, a))
             t.tally(r <= thr, r, lambda: {"sample": k, "p": enc(p),
                                           "a": enc(a)})
-        oracle = m.smp("le:sharp.vi/oracle")
+        oracle = draws("le:sharp.vi/oracle")
         for k in range(min(samples, 24)):
             pvals = (oracle.rng.integers(0, 2, n)).astype(float)
             if not pvals.any():
@@ -595,16 +468,16 @@ def _sea(report: SuiteReport, m: _Model, samples: int, product: str) -> None:
                              "a": avals.round(12).tolist(), "slack": worst})
 
     def strongarch(t: _Tally) -> None:
-        smp = m.smp("de:strongarch")
+        smp = draws("de:strongarch")
         bound = 2.0 / ARCHIMEDEAN_RESOLUTION
         for k in range(samples):
-            a, b = m.effect(smp), m.effect(smp)
-            least = m.extremes(ctx.sub(b, a))[0]
+            a, b = smp.effect(), smp.effect()
+            least = ctx.extremes(ctx.sub(b, a))[0]
             if least >= -bound:
                 t.tally(True)
                 continue
             steps = min(ARCHIMEDEAN_RESOLUTION, 2 * math.ceil(1.0 / (-least)))
-            gap = m.extremes(ctx.sub(ctx.shift(b, -1.0 / steps), a))[0]
+            gap = ctx.extremes(ctx.sub(ctx.shift(b, -1.0 / steps), a))[0]
             t.tally(gap < 0.0, 0.0,
                     lambda: {"sample": k, "n": steps, "min_eigenvalue": least,
                              "shifted_min_eigenvalue": gap})
@@ -617,7 +490,7 @@ def _sea(report: SuiteReport, m: _Model, samples: int, product: str) -> None:
                       ("le:sharp.iv", sharp_iv), ("le:sharp.v", sharp_v),
                       ("le:sharp.vi", sharp_vi),
                       ("de:strongarch", strongarch)):
-        _run_statement(report, sid, m.name, body)
+        _run_statement(report, sid, report.model, body)
 
 
 def run_sea_suite(model: str = "matrix", dim_or_size: int = 4,
@@ -625,17 +498,10 @@ def run_sea_suite(model: str = "matrix", dim_or_size: int = 4,
                   tol: Tolerances = DEFAULT,
                   product: str = "standard") -> SuiteReport:
     """Sequential-product axioms, affinity, sharpness, archimedeanity."""
-    if samples < 1:
-        raise ValueError("samples must be positive")
-    m = _model(model, "sea", dim_or_size, seed, tol)
-    report = SuiteReport(
-        suite="sea", model=model, seed=seed,
-        config={"dim_or_size": dim_or_size, "samples": samples,
-                "product": product, "tolerances": tol.to_dict(),
-                "archimedean_resolution": ARCHIMEDEAN_RESOLUTION})
-    if product != "standard":
-        report.metadata["negative_control"] = True
-    _sea(report, m, samples, product)
+    report, ctx, draws = _suite(
+        "sea", model, dim_or_size, samples, seed, tol, product != "standard",
+        product=product, archimedean_resolution=ARCHIMEDEAN_RESOLUTION)
+    _sea(report, ctx, draws, dim_or_size, samples, product)
     return report
 
 
@@ -643,9 +509,9 @@ def run_sea_suite(model: str = "matrix", dim_or_size: int = 4,
 # compression suite
 
 
-def _compression(report: SuiteReport, m: _Model, samples: int,
+def _compression(report: SuiteReport, ctx, draws, n: int, samples: int,
                  focus: str) -> None:
-    ctx, n, enc, mul = m.ctx, m.dim, m.enc, m.mul
+    enc, mul = ctx.encode, ctx.mul
     thr = ctx.tol.check
 
     def res(x, y=None) -> float:
@@ -655,30 +521,30 @@ def _compression(report: SuiteReport, m: _Model, samples: int,
         return mul(mul(x, a), x)
 
     def compr(t: _Tally) -> None:
-        smp = m.smp("de:compr")
+        smp = draws("de:compr")
         for k in range(samples):
-            u = m.frame(smp)
+            u = smp.frame()
             if focus == "projection":
-                f = m.projection(smp, frame=u)
+                f = smp.projection(frame=u)
             else:
-                f = m.effect(smp, lo=0.3, hi=0.7, frame=u)
+                f = smp.effect(lo=0.3, hi=0.7, frame=u)
 
             def jmap(x):
                 return ctx.product(f, x)
 
-            a, b = m.summable_pair(smp)
-            r_add = res(ctx.sub(jmap(m.wrap(ctx.add(a, b))), jmap(a)),
+            a, b = smp.summable_pair()
+            r_add = res(ctx.sub(jmap(ctx.element(ctx.add(a, b))), jmap(a)),
                         jmap(b))
-            below = m.wrap(jmap(f))
+            below = ctx.element(jmap(f))
             r_retract = res(jmap(below), below)
-            inker = (m.commuting_with(smp, f, on=0.0)
+            inker = (smp.commuting_with(f, on=0.0)
                      if focus == "projection"
-                     else m.wrap(ctx.zero_like(f)))
-            kernel_ok = ((res(jmap(inker)) <= thr)
-                         == ctx.leq(inker, ctx.complement(f)))
-            generic = m.effect(smp)
+                     else ctx.element(ctx.zero_like(f)))
+            fperp = ctx.complement(ctx.raw(f))
+            kernel_ok = (res(jmap(inker)) <= thr) == ctx.leq(inker, fperp)
+            generic = smp.effect()
             van = res(jmap(generic)) <= thr
-            under = ctx.leq(generic, ctx.complement(f))
+            under = ctx.leq(generic, fperp)
             r = max(r_add, r_retract)
             ok = r <= thr and kernel_ok and van == under
             t.tally(ok, r, lambda: {"sample": k, "focus": enc(f),
@@ -688,17 +554,18 @@ def _compression(report: SuiteReport, m: _Model, samples: int,
                                     "generic_clause": bool(van == under)})
 
     def cb_c1(t: _Tally) -> None:
-        smp = m.smp("cb:C1")
+        smp = draws("cb:C1")
+        unit = ctx.unit(n)
         for k in range(samples):
-            p = m.projection(smp)
-            r = res(ctx.compress(p, m.unit), p)
+            p = smp.projection()
+            r = res(ctx.compress(p, unit), p)
             t.tally(r <= thr, r, lambda: {"sample": k, "p": enc(p)})
 
     def cb_c2p(t: _Tally) -> None:
-        smp = m.smp("cb:C2p")
+        smp = draws("cb:C2p")
         for k in range(samples):
-            p, q = _commuting(m, smp, m.projection, m.projection)
-            a = m.effect(smp)
+            p, q = smp.commuting(smp.projection, smp.projection)
+            a = smp.effect()
             praw, qraw, araw = ctx.raw(p), ctx.raw(q), ctx.raw(a)
             pq = mul(praw, qraw)
             r = res(sandwich(praw, sandwich(qraw, araw)),
@@ -708,39 +575,39 @@ def _compression(report: SuiteReport, m: _Model, samples: int,
                     lambda: {"sample": k, "p": enc(p), "q": enc(q)})
 
     def cb_c3(t: _Tally) -> None:
-        smp = m.smp("cb:C3")
+        smp = draws("cb:C3")
         for k in range(samples):
-            (p, q, rr), sizes = _three_orthogonal(m, smp)
-            araw = ctx.raw(m.effect(smp))
+            (p, q, rr), sizes = _three_orthogonal(smp, n)
+            araw = ctx.raw(smp.effect())
             composed = sandwich(ctx.add(p, q),
                                 sandwich(ctx.add(q, rr), araw))
             r = res(composed, sandwich(ctx.raw(q), araw))
             t.tally(r <= thr, r, lambda: {"sample": k, "sizes": sizes})
 
     def com_e(t: _Tally) -> None:
-        smp = m.smp("le:comE")
+        smp = draws("le:comE")
         keys = ("compress_below", "block_sum", "interval_sum", "mackey",
                 "meet")
         for k in range(samples):
-            p, a = (_commuting(m, smp, m.projection, m.effect) if k % 2 == 0
-                    else (m.projection(smp), m.effect(smp)))
-            stmts = _five_way(ctx, mul, p, a)
+            p, a = (smp.commuting(smp.projection, smp.effect) if k % 2 == 0
+                    else (smp.projection(), smp.effect()))
+            stmts = _five_way(ctx, p, a)
             agree = len({stmts[key] for key in keys}) == 1
             t.tally(agree, stmts["residual"],
                     lambda: {"sample": k, "p": enc(p), "a": enc(a),
                              "statements": {key: stmts[key] for key in keys}})
 
     def compat_i(t: _Tally) -> None:
-        smp = m.smp("lemma:compatible_projs.i")
+        smp = draws("lemma:compatible_projs.i")
         for k in range(samples):
             if n < 2:
                 t.tally(True)
                 continue
-            u = m.frame(smp)
+            u = smp.frame()
             k1 = int(smp.rng.integers(1, n))
             k2 = int(smp.rng.integers(1, n - k1 + 1))
-            p, q = m.span(u, 0, k1), m.span(u, k1, k1 + k2)
-            a = m.split_effect(smp, u, k1)
+            p, q = smp.span(u, 0, k1), smp.span(u, k1, k1 + k2)
+            a = smp.split_effect(u, k1)
             araw = ctx.raw(a)
             osum = ctx.add(p, q)
             r_join = res(ctx.join(p, q), osum)
@@ -751,10 +618,10 @@ def _compression(report: SuiteReport, m: _Model, samples: int,
                                           "q": enc(q), "a": enc(a)})
 
     def compat_ii(t: _Tally) -> None:
-        smp = m.smp("lemma:compatible_projs.ii")
+        smp = draws("lemma:compatible_projs.ii")
         for k in range(samples):
-            p, q = _commuting(m, smp, m.projection, m.projection)
-            a = m.effect(smp)
+            p, q = smp.commuting(smp.projection, smp.projection)
+            a = smp.effect()
             praw, qraw, araw = ctx.raw(p), ctx.raw(q), ctx.raw(a)
             meet = mul(praw, qraw)
             x = sandwich(praw, sandwich(qraw, araw))
@@ -769,7 +636,7 @@ def _compression(report: SuiteReport, m: _Model, samples: int,
                       ("le:comE", com_e),
                       ("lemma:compatible_projs.i", compat_i),
                       ("lemma:compatible_projs.ii", compat_ii)):
-        _run_statement(report, sid, m.name, body)
+        _run_statement(report, sid, report.model, body)
 
 
 def run_compression_suite(model: str = "matrix", dim_or_size: int = 4,
@@ -777,18 +644,12 @@ def run_compression_suite(model: str = "matrix", dim_or_size: int = 4,
                           tol: Tolerances = DEFAULT,
                           focus: str = "projection") -> SuiteReport:
     """Compression-base axioms and the compatibility equivalences."""
-    if samples < 1:
-        raise ValueError("samples must be positive")
     if focus not in ("projection", "soft"):
         raise ValueError(f"unknown focus {focus!r}")
-    m = _model(model, "compression", dim_or_size, seed, tol)
-    report = SuiteReport(
-        suite="compression", model=model, seed=seed,
-        config={"dim_or_size": dim_or_size, "samples": samples,
-                "focus": focus, "tolerances": tol.to_dict()})
-    if focus != "projection":
-        report.metadata["negative_control"] = True
-    _compression(report, m, samples, focus)
+    report, ctx, draws = _suite(
+        "compression", model, dim_or_size, samples, seed, tol,
+        focus != "projection", focus=focus)
+    _compression(report, ctx, draws, dim_or_size, samples, focus)
     return report
 
 
@@ -805,9 +666,9 @@ def _rickart_family(a, ctx) -> sp.SpectralFamily:
     return sp.SpectralFamily(values, tuple(steps), ctx.model)
 
 
-def _spectrality(report: SuiteReport, m: _Model, samples: int,
-                 floor_mode: str) -> None:
-    ctx, n, mul, enc = m.ctx, m.dim, m.mul, m.enc
+def _spectrality(report: SuiteReport, ctx, draws, n: int, samples: int,
+                 floor_mode: str, tol: Tolerances) -> None:
+    mul, enc = ctx.mul, ctx.encode
     thr = ctx.tol.check
     degenerate_ties = 0
 
@@ -818,9 +679,9 @@ def _spectrality(report: SuiteReport, m: _Model, samples: int,
         return ctx.floor(a) if floor_mode == "floor" else ctx.cover(a)
 
     def decomp(t: _Tally) -> None:
-        smp = m.smp("prop:decomp")
+        smp = draws("prop:decomp")
         for k in range(samples):
-            v = m.signed(smp)
+            v = smp.signed()
             dec = sp.orthogonal_decomposition(v, ctx)
             ok = True
             worst = 0.0
@@ -834,16 +695,16 @@ def _spectrality(report: SuiteReport, m: _Model, samples: int,
             t.tally(ok, worst, lambda: {"sample": k, "v": enc(v)})
 
     def limit(t: _Tally) -> None:
-        smp = m.smp("coro:limit")
+        smp = draws("coro:limit")
         for k in range(samples):
-            a = m.effect(smp)
+            a = smp.effect()
             prev = None
             ok = True
             worst = 0.0
             for level in range(1, APPROX_LEVELS + 1):
                 an = np.asarray(sp.simple_approximation(a, level, ctx))
                 # One decomposition of a - a_n gives its norm and its sign.
-                lo, hi = m.extremes(ctx.sub(a, an))
+                lo, hi = ctx.extremes(ctx.sub(a, an))
                 gap = max(abs(lo), abs(hi))
                 worst = max(worst, gap - 2.0 ** -level)
                 ok = ok and gap <= 2.0 ** -level + thr and lo >= -thr
@@ -853,9 +714,9 @@ def _spectrality(report: SuiteReport, m: _Model, samples: int,
             t.tally(ok, max(0.0, worst), lambda: {"sample": k, "a": enc(a)})
 
     def spectprojs(t: _Tally) -> None:
-        smp = m.smp("eq:spectprojs")
+        smp = draws("eq:spectprojs")
         for k in range(samples):
-            a = m.simple(smp)
+            a = smp.simple()
             fam = sp.spectral_family(a, ctx)
             ref = _rickart_family(a, ctx)
             ok = len(fam.breakpoints) == len(ref.breakpoints) and all(
@@ -885,9 +746,9 @@ def _spectrality(report: SuiteReport, m: _Model, samples: int,
             t.tally(ok, worst, lambda: {"sample": k, "a": enc(a)})
 
     def spectres(t: _Tally) -> None:
-        smp = m.smp("eq:spectresV")
+        smp = draws("eq:spectresV")
         for k in range(samples):
-            a = m.effect(smp)
+            a = smp.effect()
             fam = sp.spectral_family(a, ctx)
             r0 = ctx.norm(ctx.sub(a, sp.reconstruct(fam)))
             ok = r0 <= thr
@@ -900,9 +761,9 @@ def _spectrality(report: SuiteReport, m: _Model, samples: int,
                                         "breakpoint_residual": r0})
 
     def projcov(t: _Tally) -> None:
-        smp = m.smp("de:projcov")
+        smp = draws("de:projcov")
         for k in range(samples):
-            a = m.simple(smp)
+            a = smp.simple()
             cover = ctx.cover(a)
             ok = ctx.leq(a, cover)
             # Every sub-sum of the eigenprojections (the first 16) lies
@@ -914,16 +775,16 @@ def _spectrality(report: SuiteReport, m: _Model, samples: int,
                     if mask >> i & 1:
                         q = ctx.add(q, proj)
                 ok = ok and ctx.leq(a, q) == ctx.leq(cover, q)
-            lam = m.scalar(smp, 0.05, 1.0)
-            r = res(ctx.cover(m.scale(a, lam)), cover)
+            lam = smp.scalar(0.05, 1.0)
+            r = res(ctx.cover(ctx.scale(lam, a)), cover)
             t.tally(ok and r <= thr, r,
                     lambda: {"sample": k, "a": enc(a), "lambda": lam})
 
     def projcover_lemma(t: _Tally) -> None:
-        smp = m.smp("lemma:projcover")
+        smp = draws("lemma:projcover")
         for k in range(samples):
-            a, b = (m.orthogonal_pair(smp) if k % 2 == 0
-                    else (m.effect(smp), m.effect(smp)))
+            a, b = (smp.orthogonal_pair() if k % 2 == 0
+                    else (smp.effect(), smp.effect()))
             r1 = res(ctx.product(a, b))
             r2 = res(ctx.product(ctx.cover(a), b))
             t.tally((r1 <= thr) == (r2 <= thr), 0.0,
@@ -931,25 +792,25 @@ def _spectrality(report: SuiteReport, m: _Model, samples: int,
                              "effect_product": r1, "cover_product": r2})
 
     def covex_floor(t: _Tally) -> None:
-        smp = m.smp("lemma:covex_floor")
+        smp = draws("lemma:covex_floor")
         for k in range(samples):
             ones = int(smp.rng.integers(0, n)) if k % 2 == 0 else 0
-            a = m.with_top(smp, ones) if ones else m.effect(smp, hi=0.95)
+            a = smp.with_top(ones) if ones else smp.effect(hi=0.95)
             top = ctx.zero_like(a)
             for lam, proj in zip(*ctx.eigenprojections(a)):
                 if lam >= 1.0 - ctx.tol.cluster:
                     top = ctx.add(top, proj)
             r1 = res(floor_map(a), top)
-            r2 = res(ctx.floor(m.complement(a)),
-                     ctx.complement(ctx.cover(a)))
+            r2 = res(ctx.floor(ctx.complement(a)),
+                     ctx.complement(ctx.raw(ctx.cover(a))))
             r = max(r1, r2)
             t.tally(r <= thr, r, lambda: {"sample": k, "a": enc(a),
                                           "cluster_route": r1, "duality": r2})
 
     def floor_lemma(t: _Tally) -> None:
-        smp = m.smp("lemma:floor")
+        smp = draws("lemma:floor")
         for k in range(samples):
-            a = m.with_top(smp, int(smp.rng.integers(1, n + 1)))
+            a = smp.with_top(int(smp.rng.integers(1, n + 1)))
             flr = floor_map(a)
             powers = ctx.powers(a, FLOOR_POWER)
             ok = all(ctx.leq(powers[j + 1], powers[j])
@@ -961,19 +822,19 @@ def _spectrality(report: SuiteReport, m: _Model, samples: int,
             gap = ctx.norm(ctx.sub(powers[-1], flr))
             # Powers of a float round, on the mv model too, so the rate
             # bound keeps the given check tolerance.
-            bound = mu_max ** FLOOR_POWER + m.tol.check
+            bound = mu_max ** FLOOR_POWER + tol.check
             ok = ok and gap <= bound
             t.tally(ok, gap, lambda: {"sample": k, "a": enc(a),
                                       "rate_gap": gap, "rate_bound": bound})
 
     def b_compar(t: _Tally) -> None:
         nonlocal degenerate_ties
-        smp = m.smp("de:b-compar")
+        smp = draws("de:b-compar")
         for k in range(samples):
             if k % 4 == 3:
                 # A generic pair: a witness must exist exactly when it
                 # commutes, which on the mv model it always does.
-                e, f = m.effect(smp), m.effect(smp)
+                e, f = smp.effect(), smp.effect()
                 try:
                     wit = sp.comparability_witness(e, f, ctx)
                 except mx.NotCommutingError:
@@ -986,21 +847,21 @@ def _spectrality(report: SuiteReport, m: _Model, samples: int,
                                      "non-commuting pair"})
                     continue
             else:
-                e, f = _commuting(m, smp)
+                e, f = smp.commuting()
                 wit = sp.comparability_witness(e, f, ctx)
             if wit.degenerate:
                 degenerate_ties += 1
             p = wit.p
-            comp = ctx.complement(p)
+            comp = ctx.complement(ctx.raw(p))
             ok = (ctx.leq(ctx.compress(p, e), ctx.compress(p, f))
                   and ctx.leq(ctx.compress(comp, f), ctx.compress(comp, e)))
             t.tally(ok, 0.0, lambda: {"sample": k, "e": enc(e), "f": enc(f)})
 
     def commut(t: _Tally) -> None:
-        smp = m.smp("prop:commut")
+        smp = draws("prop:commut")
         for k in range(samples):
-            a, b = (_commuting(m, smp) if k % 2 == 0
-                    else (m.effect(smp), m.effect(smp)))
+            a, b = (smp.commuting() if k % 2 == 0
+                    else (smp.effect(), smp.effect()))
             sequential = ctx.residual(ctx.product(a, b),
                                       ctx.product(b, a)) <= ctx.tol.comm
             ordinary = ctx.commutes(a, b)
@@ -1012,14 +873,14 @@ def _spectrality(report: SuiteReport, m: _Model, samples: int,
                              "projections": projections})
 
     def property_a(t: _Tally) -> None:
-        smp = m.smp("propertyA")
+        smp = draws("propertyA")
         for k in range(samples):
-            a, b = _commuting(m, smp)
+            a, b = smp.commuting()
             chain = [sp.simple_approximation(a, level, ctx)
                      for level in range(1, 9)]
             chain.append(a)
-            chain += [ctx.complement(x)
-                      for x in ctx.powers(m.complement(a), 8)]
+            chain += [ctx.complement(ctx.raw(x))
+                      for x in ctx.powers(ctx.complement(a), 8)]
             chain.append(ctx.cover(a))
             ok = all(ctx.commutes(x, b) for x in chain)
             t.tally(ok, 0.0, lambda: {"sample": k, "a": enc(a), "b": enc(b)})
@@ -1032,7 +893,7 @@ def _spectrality(report: SuiteReport, m: _Model, samples: int,
                       ("lemma:floor", floor_lemma),
                       ("de:b-compar", b_compar), ("prop:commut", commut),
                       ("propertyA", property_a)):
-        _run_statement(report, sid, m.name, body)
+        _run_statement(report, sid, report.model, body)
     report.metadata["degenerate_comparability_ties"] = degenerate_ties
 
 
@@ -1041,23 +902,17 @@ def run_spectrality_suite(model: str = "matrix", dim_or_size: int = 6,
                           tol: Tolerances = DEFAULT,
                           floor_mode: str = "floor") -> SuiteReport:
     """Covers, floors, comparability, decompositions, reconstruction."""
-    if samples < 1:
-        raise ValueError("samples must be positive")
     if floor_mode not in ("floor", "cover"):
         raise ValueError(f"unknown floor mode {floor_mode!r}")
-    m = _model(model, "spectrality", dim_or_size, seed, tol)
-    report = SuiteReport(
-        suite="spectrality", model=model, seed=seed,
-        config={"dim_or_size": dim_or_size, "samples": samples,
-                "floor_mode": floor_mode, "tolerances": tol.to_dict(),
-                "floor_power": FLOOR_POWER, "approx_levels": APPROX_LEVELS,
-                "meshes": list(MESHES)})
+    report, ctx, draws = _suite(
+        "spectrality", model, dim_or_size, samples, seed, tol,
+        floor_mode != "floor", floor_mode=floor_mode,
+        floor_power=FLOOR_POWER, approx_levels=APPROX_LEVELS,
+        meshes=list(MESHES))
     report.metadata["property_a_coverage"] = (
         "constructed chains only: dyadic approximations and complements of "
         "sequential powers")
-    if floor_mode != "floor":
-        report.metadata["negative_control"] = True
-    _spectrality(report, m, samples, floor_mode)
+    _spectrality(report, ctx, draws, dim_or_size, samples, floor_mode, tol)
     return report
 
 
@@ -1065,7 +920,7 @@ def run_spectrality_suite(model: str = "matrix", dim_or_size: int = 6,
 # context suite
 
 
-def _lagrange(m: _Model, a, nodes, i: int):
+def _lagrange(ctx, a, nodes, i: int):
     """The i-th Lagrange basis polynomial on ``nodes`` at a, in product
     form: L_i(a) = prod_{j != i} (a - x_j) / (x_i - x_j).
 
@@ -1074,10 +929,10 @@ def _lagrange(m: _Model, a, nodes, i: int):
     j = k is exactly 0.  So where a's values are the nodes, as on the mv
     model, the products are exactly 0 or 1.
     """
-    out = m.ctx.one_like(a)
+    out = ctx.one_like(a)
     for j, x in enumerate(nodes):
         if j != i:
-            out = m.mul(out, m.ctx.shift(a, x) / (nodes[i] - x))
+            out = ctx.mul(out, ctx.shift(a, x) / (nodes[i] - x))
     return out
 
 
@@ -1096,22 +951,21 @@ def _merge_representation(rep: sp.ReducedRepresentation, delta: float,
     return coeffs, projs
 
 
-def _context(report: SuiteReport, m: _Model, samples: int,
+def _context(report: SuiteReport, ctx, draws, n: int, samples: int,
              merge_delta: float) -> None:
     """The context statements; the definitional Rickart family is the
     reference."""
-    ctx, n = m.ctx, m.dim
     thr = ctx.tol.check
 
     def closed_form(t: _Tally) -> None:
-        smp = m.smp("thm:contexts")
+        smp = draws("thm:contexts")
         for k in range(samples):
             if k == 0 and merge_delta > 0.0:
                 # Two levels 0.1 apart always merge, so the control fails
                 # for every seed, not only when sampled levels happen to.
-                a = m.with_values(smp, np.resize([0.4, 0.5], n))
+                a = smp.with_values(np.resize([0.4, 0.5], n))
             else:
-                a = m.simple(smp, gap=0.15)
+                a = smp.simple(gap=0.15)
             rep = sp.reduced_representation(a, ctx)
             coeffs, projs = _merge_representation(rep, merge_delta, ctx.raw)
             closed = sp.family_from_representation(coeffs, projs, ctx.model)
@@ -1127,14 +981,14 @@ def _context(report: SuiteReport, m: _Model, samples: int,
                     abs(x - y) <= thr
                     for x, y in zip(closed.breakpoints, ref.breakpoints))
             t.tally(ok, worst, lambda: {
-                "sample": k, "a": m.enc(a),
+                "sample": k, "a": ctx.encode(a),
                 "closed_steps": len(closed.projections),
                 "family_steps": len(ref.projections)})
 
     def functions(t: _Tally) -> None:
-        smp = m.smp("thm:contexts.functions")
+        smp = draws("thm:contexts.functions")
         for k in range(samples):
-            a = m.simple(smp, gap=0.15)
+            a = smp.simple(gap=0.15)
             rep = sp.reduced_representation(a, ctx)
             nodes = list(rep.coefficients)
             if merge_delta > 0.0:
@@ -1147,16 +1001,16 @@ def _context(report: SuiteReport, m: _Model, samples: int,
             ok = True
             worst = 0.0
             for i, proj in enumerate(rep.projections[:len(nodes)]):
-                r = _res(ctx.sub(_lagrange(m, a, nodes, i), proj), n)
+                r = _res(ctx.sub(_lagrange(ctx, a, nodes, i), proj), n)
                 worst = max(worst, r)
                 ok = ok and r <= thr
-            t.tally(ok, worst, lambda: {"sample": k, "a": m.enc(a),
+            t.tally(ok, worst, lambda: {"sample": k, "a": ctx.encode(a),
                                         "nodes": [float(x) for x in nodes]})
 
     def reduced(t: _Tally) -> None:
-        smp = m.smp("thm:contexts.reduced")
+        smp = draws("thm:contexts.reduced")
         for k in range(samples):
-            a = m.simple(smp, gap=0.15)
+            a = smp.simple(gap=0.15)
             rep = sp.reduced_representation(a, ctx)
             ref = _rickart_family(a, ctx)
             ok = all(y - x > ctx.tol.cluster for x, y in
@@ -1170,14 +1024,14 @@ def _context(report: SuiteReport, m: _Model, samples: int,
                                 - rep.coefficients[j - 1]) <= thr
             for i, p in enumerate(rep.projections):
                 for q in rep.projections[i + 1:]:
-                    r = _res(m.mul(ctx.raw(p), ctx.raw(q)), n)
+                    r = _res(ctx.mul(ctx.raw(p), ctx.raw(q)), n)
                     worst = max(worst, r)
                     ok = ok and r <= thr
-            t.tally(ok, worst, lambda: {"sample": k, "a": m.enc(a)})
+            t.tally(ok, worst, lambda: {"sample": k, "a": ctx.encode(a)})
 
-    _run_statement(report, "thm:contexts", m.name, closed_form)
-    _run_statement(report, "thm:contexts.reduced", m.name, reduced)
-    _run_statement(report, "thm:contexts.functions", m.name, functions)
+    _run_statement(report, "thm:contexts", report.model, closed_form)
+    _run_statement(report, "thm:contexts.reduced", report.model, reduced)
+    _run_statement(report, "thm:contexts.functions", report.model, functions)
 
 
 def run_context_suite(model: str = "matrix", dim_or_size: int = 4,
@@ -1185,16 +1039,10 @@ def run_context_suite(model: str = "matrix", dim_or_size: int = 4,
                       tol: Tolerances = DEFAULT,
                       merge_delta: float = 0.0) -> SuiteReport:
     """Reduced representations, closed-form families, functions of a."""
-    if samples < 1:
-        raise ValueError("samples must be positive")
-    m = _model(model, "context", dim_or_size, seed, tol)
-    report = SuiteReport(
-        suite="context", model=model, seed=seed,
-        config={"dim_or_size": dim_or_size, "samples": samples,
-                "merge_delta": merge_delta, "tolerances": tol.to_dict()})
-    if merge_delta > 0.0:
-        report.metadata["negative_control"] = True
-    _context(report, m, samples, merge_delta)
+    report, ctx, draws = _suite(
+        "context", model, dim_or_size, samples, seed, tol,
+        merge_delta > 0.0, merge_delta=merge_delta)
+    _context(report, ctx, draws, dim_or_size, samples, merge_delta)
     return report
 
 

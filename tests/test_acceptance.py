@@ -14,7 +14,7 @@ from seakit import fuzzy as fz
 from seakit import matrices as mx
 from seakit.cli import main
 from seakit.config import DEFAULT
-from seakit.linalg import frobenius, operator_norm
+from seakit.linalg import frobenius, hermitian_part, operator_norm
 from seakit.spectral import (
     MatrixContext,
     reconstruct,
@@ -82,7 +82,7 @@ def test_criterion_03_five_way_equivalence():
         sampler = mx.EffectSampler(1000 + dim, dim)
         for k in range(500):
             if k % 2 == 0:
-                p, a = sampler.commuting_projection_effect()
+                p, a = sampler.commuting(sampler.projection, sampler.effect)
             else:
                 p, a = sampler.projection(), sampler.effect()
             flags = five_way_statements(p, a)
@@ -119,7 +119,7 @@ def test_criterion_05_closed_form_families(level_set_family):
     ok = True
     for k in range(100):
         dim = 2 + k % 7
-        a = mx.EffectSampler(3000 + k, dim).simple_effect()
+        a = mx.EffectSampler(3000 + k, dim).simple()
         rep = reduced_representation(a)
         fam = spectral_family(a)
         steps = [np.zeros((dim, dim), dtype=np.complex128)]
@@ -129,7 +129,7 @@ def test_criterion_05_closed_form_families(level_set_family):
         for engine_p, closed_p in zip(fam.projections, steps):
             ok = ok and frobenius(raw(engine_p) - closed_p) <= CHECK
     for k in range(100):
-        a = fz.FuzzySampler(3100 + k, 6).fuzzy()
+        a = fz.FuzzySampler(3100 + k, 6).effect()
         fam = spectral_family(a)
         closed = level_set_family(a)
         ok = ok and fam.breakpoints == closed.breakpoints
@@ -160,7 +160,7 @@ def test_criterion_07_floor_identities():
     for k in range(100):
         dim = 2 + k % 7
         sampler = mx.EffectSampler(5000 + k, dim)
-        a = sampler.effect_with_top(ceiling=0.95)
+        a = sampler.with_top(1, ceiling=0.95)
         base = mx.floor(a)
         d = a.decomposition
         cols = d.vectors[:, d.values >= 1.0 - DEFAULT.cluster]
@@ -208,7 +208,12 @@ def test_criterion_09_decomposition_uniqueness():
     for dim in DIMS:
         sampler = mx.EffectSampler(7000 + dim, dim)
         for k in range(100):
-            v = sampler.hermitian(zeros=k % 3 if dim > 2 else k % 2)
+            # A Hermitian matrix with a kernel of dimension k % 3.
+            zeros = k % 3 if dim > 2 else k % 2
+            values = np.concatenate([
+                np.zeros(zeros), sampler.rng.uniform(-1.0, 1.0, dim - zeros)])
+            u = sampler.frame()
+            v = hermitian_part((u * values) @ u.conj().T)
             splits = []
             for q in sign_witness_projections(v):
                 plus = ctx.compress(q, v)

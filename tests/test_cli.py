@@ -60,6 +60,8 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     assert main(["validate", "--input", mismatch]) == 2
     assert main(["verify", "--suite", "bogus"]) == 2
     assert main(["verify", "--suite", "sea", "--samples", "0"]) == 2
+    for suite in ("sea", "all"):
+        assert main(["verify", "--suite", suite, "--seed", "-1"]) == 2
     assert main(["verify", "--suite", "sea", "--dim", "0"]) == 2
     for size in ("0", "1025"):
         assert main(["verify", "--suite", "sea", "--model", "mv",
@@ -188,12 +190,19 @@ def test_mv_matches_the_level_set_closed_form(tmp_path, capsys,
         assert doc["sharp"] == (set(values) <= {0.0, 1.0})
 
 
-def test_witness_rejects_pointwise_inputs_of_different_sizes(tmp_path,
-                                                            capsys):
-    e = write(tmp_path / "e.json", {"values": [0.5, 0.25]})
-    f = write(tmp_path / "f.json", {"values": [0.5, 0.25, 0.75]})
+@pytest.mark.parametrize("e,f,message", [
+    ({"values": [0.5, 0.25]}, {"values": [0.5, 0.25, 0.75]},
+     "spaces differ"),
+    ({"re": [[0.3, 0.0], [0.0, 0.6]]},
+     {"re": [[0.3, 0.0, 0.0], [0.0, 0.6, 0.0], [0.0, 0.0, 0.1]]},
+     "dimensions differ"),
+], ids=["pointwise", "matrix"])
+def test_witness_rejects_inputs_of_different_sizes(tmp_path, capsys, e, f,
+                                                  message):
+    e = write(tmp_path / "e.json", e)
+    f = write(tmp_path / "f.json", f)
     assert main(["witness", "--input", e, f]) == 1
-    assert "spaces differ" in capsys.readouterr().out
+    assert message in capsys.readouterr().out
 
 
 def test_verify_suite_exit_codes(tmp_path, capsys):

@@ -163,7 +163,8 @@ def test_spectrum_representation_degenerate_and_sharp():
     image, report = spectrum_representation(lam_i)
     assert report.space == 1
     assert image.values.tolist() == pytest.approx([0.3])
-    p = mx.EffectSampler(3, 4).projection(rank=2)
+    sampler = mx.EffectSampler(3, 4)
+    p = sampler.span(sampler.frame(), 0, 2)
     image, _ = spectrum_representation(p)
     assert set(np.round(image.values, 8)) <= {0.0, 1.0}
 
@@ -179,14 +180,14 @@ def test_spectrum_representation_degree_bounds():
 def test_sampler_reproducible_and_summable():
     one_s = FuzzySampler(3, 5)
     two_s = FuzzySampler(3, 5)
-    assert one_s.fuzzy() == two_s.fuzzy()
+    assert one_s.effect() == two_s.effect()
     a, b = one_s.summable_pair()
     assert CTX.leq(CTX.add(a, b), one(5))
     a, b = one_s.orthogonal_pair()
     assert not CTX.product(a, b).any()
     lam = one_s.scalar(0.05, 1.0)
     assert 0.05 <= lam <= 1.0 and (lam * 256).is_integer()
-    ticks = one_s.fuzzy(0.3, 0.7).values * 256
+    ticks = one_s.effect(0.3, 0.7).values * 256
     assert np.all((ticks >= 77) & (ticks <= 179) & (ticks % 1 == 0))
 
 

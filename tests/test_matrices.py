@@ -23,7 +23,6 @@ from seakit.matrices import (
     floor,
     floor_iterates,
     joint_eigenbasis,
-    leq,
     min_eig,
     projection_cover,
     psd,
@@ -107,6 +106,7 @@ def test_order_and_positivity_helpers():
     assert min_eig(diag(0.3, -0.2)) == pytest.approx(-0.2)
     assert psd(diag(0.0, 0.1))
     assert not psd(diag(-1e-3, 0.1))
+    leq = MatrixContext().leq
     assert leq(validate_effect(diag(0.2, 0.3)), validate_effect(diag(0.2, 0.9)))
     assert not leq(validate_effect(diag(0.5, 0.3)),
                    validate_effect(diag(0.2, 0.9)))
@@ -150,10 +150,10 @@ def test_sampler_is_reproducible():
     one = EffectSampler(11, 3)
     two = EffectSampler(11, 3)
     assert np.array_equal(one.effect().matrix, two.effect().matrix)
-    assert np.array_equal(one.projection(rank=2).matrix,
-                          two.projection(rank=2).matrix)
+    assert np.array_equal(one.projection().matrix,
+                          two.projection().matrix)
     for n in (1, 2, 8):
-        q = EffectSampler(11, n).unitary()
+        q = EffectSampler(11, n).frame()
         assert np.linalg.norm(q.conj().T @ q - np.eye(n)) <= 1e-12
 
 
@@ -199,7 +199,7 @@ def test_rickart_of_an_array_checks_it_once_per_eigh(call_counter):
     value, on a raw Hermitian array: each ``eigh`` checks and symmetrizes
     its input, and nothing checks or symmetrizes it again."""
     ctx = MatrixContext()
-    u = EffectSampler(3, 4).unitary()
+    u = EffectSampler(3, 4).frame()
     x = (u * np.array([-0.5, -0.2, 0.3, 0.7])) @ u.conj().T
     calls = call_counter("seakit.linalg.require_hermitian",
                          "seakit.linalg.hermitian_part")

@@ -104,7 +104,7 @@ def test_meshed_tags_match_the_listed_partition():
     sampler = mx.EffectSampler(21, 4)
     rng = np.random.default_rng(21)
     elements = [sampler.effect() for _ in range(4)]
-    elements += [sampler.simple_effect() for _ in range(4)]
+    elements += [sampler.simple() for _ in range(4)]
     elements += [effect(0.0, 0.25, 1.0), effect(0.5, 0.5, 0.5)]
     elements += [fz.FuzzySet(rng.integers(0, 257, 9) / 256)
                  for _ in range(4)]
@@ -240,7 +240,7 @@ def test_one_decomposition_per_element(eigh_calls, tmp_path):
     spectra = {"two": np.repeat([0.25, 0.75], 4),
                "eight": np.linspace(0.05, 0.95, 8)}
     for name, values in spectra.items():
-        a = sampler.effect(values=values)
+        a = sampler.with_values(values)
         for fn_name, fn in ENGINE.items():
             before = eigh_calls.count
             fn(a)

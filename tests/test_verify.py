@@ -1,5 +1,6 @@
 """Suite runner behavior: passing runs, failing controls, determinism."""
 import hashlib
+import inspect
 import json
 
 import pytest
@@ -17,7 +18,6 @@ from seakit.verify import (
     run_table_suite,
     _lagrange,
     _meet_headroom,
-    _model,
     _run_statement,
 )
 from seakit.cli import main
@@ -31,6 +31,32 @@ import numpy as np
 def failing_ids(report):
     return {r.statement_id for r in report.results
             if r.passed < r.samples}
+
+
+def _public_methods(cls) -> dict:
+    """Public method name -> parameter names."""
+    return {name: list(inspect.signature(fn).parameters)
+            for name, fn in vars(cls).items()
+            if not name.startswith("_") and inspect.isfunction(fn)}
+
+
+def test_models_share_one_protocol():
+    """Each statement has one body over the model protocol, so a sampler
+    of either model offers the same draws with the same parameters, and
+    both contexts the same operations; no model needs an adapter."""
+    draws = _public_methods(mx.EffectSampler)
+    assert draws == _public_methods(fz.FuzzySampler)
+    assert {"scalar", "frame", "effect", "projection", "simple", "signed",
+            "with_values", "with_top", "commuting_with", "split_effect",
+            "orthogonal_pair", "summable_pair", "refined_commuting",
+            "span", "commuting"} <= draws.keys()
+    def operations(cls) -> set:
+        return {name for name in dir(cls)
+                if not name.startswith("_") and callable(getattr(cls, name))}
+
+    assert operations(sp.MatrixContext) == operations(fz.FuzzyContext)
+    assert {"encode", "mul", "extremes", "unit", "element", "complement",
+            "scale"} <= operations(sp.MatrixContext)
 
 
 def test_sea_suite_passes_both_models():
@@ -110,6 +136,14 @@ def test_run_all_covers_every_required_statement():
     controls = [r for r in reports if r.metadata.get("negative_control")]
     assert len(controls) == 5
     assert all(not c.verdict for c in controls)
+
+
+@pytest.mark.parametrize("run", [run_sea_suite, run_compression_suite,
+                                 run_spectrality_suite, run_context_suite])
+def test_suites_reject_bad_arguments_up_front(run):
+    for bad in ({"samples": 0}, {"seed": -1}):
+        with pytest.raises(ValueError):
+            run("mv", 4, **bad)
 
 
 def test_runs_are_deterministic():
@@ -217,19 +251,19 @@ def test_lagrange_basis_is_exact_at_the_nodes():
     """On the mv model a's values are the nodes, where the product form
     gives exactly 0 and 1: the indicators of the level sets."""
     rng = np.random.default_rng(4)
+    ctx = fz.FuzzyContext(DEFAULT)
     for size in (1, 2, 5, 17, 64):
-        m = _model("mv", "context", size, 0, DEFAULT)
         for _ in range(20):
             a = fz.FuzzySet(rng.integers(0, 257, size) / 256)
             nodes = sorted(set(a.values.tolist()))
             for i, x in enumerate(nodes):
-                assert np.array_equal(_lagrange(m, a, nodes, i),
+                assert np.array_equal(_lagrange(ctx, a, nodes, i),
                                       (a.values == x).astype(float))
-    m = _model("matrix", "context", 3, 0, DEFAULT)
-    a = mx.EffectSampler(5, 3).effect(values=[0.25, 0.5, 0.5])
+    ctx = sp.MatrixContext(DEFAULT)
+    a = mx.EffectSampler(5, 3).with_values([0.25, 0.5, 0.5])
     for i, x in enumerate((0.25, 0.5)):
-        expected = sp.eigenprojection(a, x, m.ctx).matrix
-        assert np.allclose(_lagrange(m, a, [0.25, 0.5], i), expected,
+        expected = sp.eigenprojection(a, x, ctx).matrix
+        assert np.allclose(_lagrange(ctx, a, [0.25, 0.5], i), expected,
                            atol=1e-12)
 
 
@@ -401,21 +435,29 @@ def _matrices_in(witness) -> int:
     return sum(isinstance(v, dict) and "re" in v for v in witness.values())
 
 
-def test_work_per_request_is_pinned(call_counter):
+def test_work_per_request_is_pinned(call_counter, monkeypatch):
     """Counts of one matrix ``verify`` request, which do not depend on the
     machine: one LAPACK call per eigensystem, clustered decompositions
     only where eigenvectors are used, and witness matrices encoded only
     for the witnesses a report records."""
     calls = call_counter("numpy.linalg.eigh",
-                         "seakit.linalg.decomposition_from",
-                         "seakit.verify._mat")
+                         "seakit.linalg.decomposition_from")
+    encoded = 0
+    encode = sp.MatrixContext.encode
+
+    def counted(self, v):
+        nonlocal encoded
+        encoded += 1
+        return encode(self, v)
+
+    monkeypatch.setattr(sp.MatrixContext, "encode", counted)
     reports = run_all("matrix", 4, 12, 42)
     assert calls["numpy.linalg.eigh"] == 1561
     assert calls["seakit.linalg.decomposition_from"] <= 2700
     recorded = sum(_matrices_in(r.witness) for rep in reports
                    for r in rep.results if r.witness is not None)
     assert recorded > 0
-    assert calls["seakit.verify._mat"] == recorded
+    assert encoded == recorded
 
 
 def scalar_headroom(pvals, avals, psd):
