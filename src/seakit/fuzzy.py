@@ -3,7 +3,8 @@
 The commutative model: partial addition is pointwise sum when it stays
 under one, the sequential product is the pointwise product, and order,
 meet, and join are pointwise.  ``FuzzyContext`` holds these operations
-under the same names as the matrix context.  Arithmetic is exact for
+under the same names as ``matrices.MatrixContext``, and ``FuzzySampler``
+the draws under ``matrices.EffectSampler``'s.  Arithmetic is exact for
 dyadic inputs, so checks in this model compare with threshold zero.
 """
 from __future__ import annotations
@@ -249,7 +250,8 @@ def spectrum_representation(a: mx.Effect, degree: int = 6,
     reps = np.clip(np.asarray(d.cluster_values()), 0.0, 1.0)
     image = FuzzySet(reps)
 
-    powers = mx.floor_iterates(a, degree, tol)
+    ctx = mx.MatrixContext(tol)
+    powers = ctx.powers(a, degree)
     mats = [np.eye(a.dim, dtype=np.complex128)] + [p.matrix for p in powers]
     phis = []
     mult = 0.0
@@ -262,9 +264,7 @@ def spectrum_representation(a: mx.Effect, degree: int = 6,
         for j in range(len(mats)):
             if i + j > degree:
                 continue
-            prod = mx.seq_product(
-                mx.Effect(mats[i], tol=tol, validate=False),
-                mx.Effect(mats[j], tol=tol, validate=False), tol).matrix
+            prod = ctx.product(ctx.element(mats[i]), ctx.element(mats[j]))
             value, defect = _phi(d, prod)
             mult = max(mult, defect,
                        float(np.max(np.abs(value - phis[i] * phis[j]))))

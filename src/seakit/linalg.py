@@ -113,9 +113,6 @@ class EigenDecomposition:
         return _frozen(np.array([float(np.mean(self.values[list(idx)]))
                                  for idx in self.clusters]))
 
-    def projector(self, k: int) -> np.ndarray:
-        return self._projectors[k]
-
     def projectors(self) -> tuple[np.ndarray, ...]:
         return self._projectors
 

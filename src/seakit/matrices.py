@@ -2,9 +2,11 @@
 
 An effect is a Hermitian matrix with spectrum inside [0, 1].  The sequential
 product is a o b = sqrt(a) b sqrt(a); compressions are the maps
-a -> p a p for projections p.  Eigensystems are cached on the wrapper
-objects because nearly every operation here goes through the spectral
-theorem.
+a -> p a p for projections p.  ``MatrixContext`` holds the model's
+operations, the only place each is written, under the same names as
+``fuzzy.FuzzyContext``; ``EffectSampler`` holds its random draws.
+Eigensystems are cached on the wrapper objects because nearly every
+operation here goes through the spectral theorem.
 """
 from __future__ import annotations
 
@@ -13,11 +15,13 @@ import numpy as np
 from .config import DEFAULT, Tolerances
 from .linalg import (
     EigenDecomposition,
+    cluster_indices,
     decomposition_from,
     eigenvalues,
     eigh,
     frobenius,
     hermitian_part,
+    operator_norm,
     require_hermitian,
 )
 
@@ -99,9 +103,6 @@ class Effect:
             self._decomp = eigh(self.matrix, self.tol)
         return self._decomp
 
-    def eigenvalues(self) -> np.ndarray:
-        return self.decomposition.values
-
     def sqrt_matrix(self) -> np.ndarray:
         if self._sqrt is None:
             d = self.decomposition
@@ -152,142 +153,16 @@ class Projection(Effect):
         mat = hermitian_part(cols @ cols.conj().T)
         return cls(mat, tol=tol, validate=False)
 
-    @property
-    def rank(self) -> int:
-        return int(round(float(np.real(np.trace(self.matrix)))))
-
-
-def as_effect(x, tol: Tolerances = DEFAULT) -> Effect:
-    if isinstance(x, Effect):
-        return x
-    return Effect(np.asarray(x), tol=tol)
-
-
-def as_matrix(x) -> np.ndarray:
-    if isinstance(x, Effect):
-        return x.matrix
-    return np.asarray(x, dtype=np.complex128)
-
 
 def validate_effect(matrix, tol: Tolerances = DEFAULT) -> Effect:
     """Check 0 <= M <= 1 and wrap the matrix as an Effect."""
     return Effect(np.asarray(matrix), tol=tol, validate=True)
 
 
-def validate_projection(matrix, tol: Tolerances = DEFAULT) -> Projection:
-    return Projection(np.asarray(matrix), tol=tol, validate=True)
-
-
-def seq_product(a, b, tol: Tolerances = DEFAULT) -> Effect:
-    """Sequential product sqrt(a) b sqrt(a)."""
-    a = as_effect(a, tol)
-    b = as_effect(b, tol)
-    _same_dim(a, b)
-    s = a.sqrt_matrix()
-    return Effect(hermitian_part(s @ b.matrix @ s), tol=a.tol, validate=False)
-
-
-def jordan_product(a, b, tol: Tolerances = DEFAULT) -> np.ndarray:
-    """Symmetrized ordinary product (a b + b a) / 2.
-
-    Not a sequential product; kept as a deliberately broken control for the
-    verifier.  The result need not be an effect, so it is a bare matrix.
-    """
-    am = as_matrix(a)
-    bm = as_matrix(b)
-    return hermitian_part(am @ bm + bm @ am) / 2.0
-
-
-def compression(p, a, tol: Tolerances = DEFAULT) -> Effect:
-    """The map a -> p a p for a projection p."""
-    if not isinstance(p, Projection):
-        p = validate_projection(as_matrix(p), tol)
-    a = as_effect(a, tol)
-    _same_dim(p, a)
-    return Effect(hermitian_part(p.matrix @ a.matrix @ p.matrix),
-                  tol=a.tol, validate=False)
-
-
-def _kernel_projection(decomp: EigenDecomposition, dim: int, keep: np.ndarray,
-                       tol: Tolerances) -> Projection:
-    cols = decomp.vectors[:, keep]
-    othr = decomp.vectors[:, ~keep]
-    k = cols.shape[1]
-    values = np.concatenate([np.zeros(dim - k), np.ones(k)])
-    vectors = np.concatenate([othr, cols], axis=1)
-    mat = hermitian_part(cols @ cols.conj().T) if k else np.zeros((dim, dim),
-                                                                  dtype=complex)
-    return Projection(mat, tol=tol, validate=False,
-                      decomposition=EigenDecomposition(values, vectors, tol))
-
-
-def _decomposition(v, tol: Tolerances) -> EigenDecomposition:
-    """The cached eigensystem of an Effect, or one ``eigh`` of an array,
-    which checks and symmetrizes it."""
-    if isinstance(v, Effect):
-        return v.decomposition
-    return eigh(np.asarray(v), tol)
-
-
-def rickart(v, tol: Tolerances = DEFAULT) -> Projection:
-    """Projection onto the kernel: eigenvalues with |lambda| <= kernel tol."""
-    d = _decomposition(v, tol)
-    keep = np.abs(d.values) <= tol.kernel
-    return _kernel_projection(d, d.dim, keep, tol)
-
-
-def projection_cover(a, tol: Tolerances = DEFAULT) -> Projection:
-    """Support projection: the least projection above the effect."""
-    d = _decomposition(a, tol)
-    if d.values[0] < -tol.psd:
-        raise NotAnEffectError("support is defined for positive elements",
-                               eigenvalue=float(d.values[0]))
-    keep = d.values > tol.kernel
-    return _kernel_projection(d, d.dim, keep, tol)
-
-
-def floor(a, tol: Tolerances = DEFAULT) -> Projection:
-    """Largest projection below the effect: the eigenspace at 1.
-
-    Computed as the kernel projection of a - 1, which re-diagonalizes the
-    shifted matrix rather than reusing the effect's cached eigensystem.
-    """
-    a = as_effect(a, tol)
-    shifted = a.matrix - np.eye(a.dim)
-    return rickart(shifted, tol)
-
-
-def floor_iterates(a, count: int, tol: Tolerances = DEFAULT) -> list[Effect]:
-    """The sequence a, a o a, ..., up to the count-th sequential power."""
-    if count < 1:
-        raise ValueError("count must be at least 1")
-    a = as_effect(a, tol)
-    d = a.decomposition
-    base = np.clip(d.values, 0.0, 1.0)
-    out = [a]
-    cur = a
-    power = base.copy()
-    for _ in range(count - 1):
-        s = cur.sqrt_matrix()
-        nxt_mat = hermitian_part(s @ a.matrix @ s)
-        power = power * base
-        # The product of commuting effects keeps the eigenbasis; seeding the
-        # known eigensystem avoids re-diagonalizing every iterate.
-        nxt = Effect(nxt_mat, tol=a.tol, validate=False,
-                     decomposition=decomposition_from(power, d.vectors, a.tol))
-        out.append(nxt)
-        cur = nxt
-    return out
-
-
-def min_eig(x) -> float:
-    return float(eigenvalues(as_matrix(x))[0])
-
-
-def psd(x, slack: float | None = None, tol: Tolerances = DEFAULT) -> bool:
-    if slack is None:
-        slack = tol.check
-    return min_eig(x) >= -slack
+def _matrix(x) -> np.ndarray:
+    """The matrix of an Effect, or the array itself, as it is: neither
+    checked nor symmetrized."""
+    return x.matrix if isinstance(x, Effect) else np.asarray(x)
 
 
 def joint_eigenbasis(x, y, tol: Tolerances = DEFAULT
@@ -298,8 +173,8 @@ def joint_eigenbasis(x, y, tol: Tolerances = DEFAULT
     Raises DimensionMismatchError for matrices of different sizes and
     NotCommutingError when the ordinary commutator is not negligible.
     """
-    xm = as_matrix(x)
-    ym = as_matrix(y)
+    xm = np.asarray(_matrix(x), dtype=np.complex128)
+    ym = np.asarray(_matrix(y), dtype=np.complex128)
     if xm.shape != ym.shape:
         raise DimensionMismatchError(
             f"dimensions differ: {xm.shape[0]} vs {ym.shape[0]}")
@@ -325,31 +200,245 @@ def joint_eigenbasis(x, y, tol: Tolerances = DEFAULT
     return vectors, xvals, yvals
 
 
-def commuting_apply(x, y, fn, tol: Tolerances = DEFAULT) -> np.ndarray:
-    """Apply a two-argument spectral function to a commuting pair."""
-    vectors, xvals, yvals = joint_eigenbasis(x, y, tol)
-    vals = fn(xvals, yvals)
-    return hermitian_part((vectors * vals) @ vectors.conj().T)
+class MatrixContext:
+    """Hermitian matrices with p a p compressions and kernel projections.
 
+    The model's operations, each written once here; the spectral engine
+    and the verifier read them through this protocol.  A raw array given
+    where an effect is expected (``product``, ``powers``, ``floor``) is
+    checked and wrapped as one.
+    """
 
-def commuting_meet(x, y, tol: Tolerances = DEFAULT) -> np.ndarray:
-    return commuting_apply(x, y, np.minimum, tol)
+    model = "matrix"
+    mul = staticmethod(np.matmul)   # the ordinary product of raw elements
 
+    def __init__(self, tol: Tolerances = DEFAULT):
+        self.tol = tol
 
-def commuting_join(x, y, tol: Tolerances = DEFAULT) -> np.ndarray:
-    return commuting_apply(x, y, np.maximum, tol)
+    def raw(self, v) -> np.ndarray:
+        """The matrix of v; a raw array is symmetrized."""
+        if isinstance(v, Effect):
+            return v.matrix
+        return hermitian_part(np.asarray(v))
 
+    def _effect(self, v) -> Effect:
+        """v as an Effect; a raw array is checked as one."""
+        if isinstance(v, Effect):
+            return v
+        return Effect(np.asarray(v), tol=self.tol)
 
-def scale_effect(a: Effect, lam: float) -> Effect:
-    """The convex action lam * a for lam in [0, 1]."""
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError("scalar must lie in [0, 1]")
-    decomp = None
-    if a._decomp is not None:
-        decomp = decomposition_from(lam * a._decomp.values,
-                                    a._decomp.vectors, a.tol)
-    return Effect(lam * a.matrix, tol=a.tol, validate=False,
-                  decomposition=decomp)
+    def _decomposition(self, v) -> EigenDecomposition:
+        """The cached eigensystem of an Effect, or one ``eigh`` of an array,
+        which checks and symmetrizes it."""
+        if isinstance(v, Effect):
+            return v.decomposition
+        return eigh(np.asarray(v), self.tol)
+
+    def _projection(self, d: EigenDecomposition, keep: np.ndarray
+                    ) -> Projection:
+        """The projection onto the eigenvectors of d that ``keep`` marks,
+        with its eigensystem."""
+        dim = d.dim
+        cols = d.vectors[:, keep]
+        othr = d.vectors[:, ~keep]
+        k = cols.shape[1]
+        values = np.concatenate([np.zeros(dim - k), np.ones(k)])
+        vectors = np.concatenate([othr, cols], axis=1)
+        mat = (hermitian_part(cols @ cols.conj().T) if k
+               else np.zeros((dim, dim), dtype=complex))
+        return Projection(mat, tol=self.tol, validate=False,
+                          decomposition=EigenDecomposition(values, vectors,
+                                                           self.tol))
+
+    def encode(self, v) -> dict:
+        """The matrix as witness JSON, rounded to 12 places; the
+        imaginary part only where it is nonzero."""
+        arr = np.asarray(_matrix(v), dtype=np.complex128)
+        out = {"re": np.real(arr).round(12).tolist()}
+        im = np.imag(arr)
+        if np.any(im != 0.0):
+            out["im"] = im.round(12).tolist()
+        return out
+
+    def element(self, raw: np.ndarray) -> Effect:
+        """A trusted, exactly Hermitian raw element as an Effect."""
+        return Effect(raw, tol=self.tol, validate=False)
+
+    def unit(self, n: int) -> Effect:
+        return self.element(np.eye(n))
+
+    def one_like(self, v) -> np.ndarray:
+        n = np.shape(_matrix(v))[0]
+        return np.eye(n, dtype=np.complex128)
+
+    def zero_like(self, v) -> np.ndarray:
+        n = np.shape(_matrix(v))[0]
+        return np.zeros((n, n), dtype=np.complex128)
+
+    def wrap_projection(self, raw: np.ndarray) -> Projection:
+        return Projection(raw, tol=self.tol, validate=False)
+
+    def zero_proj(self, v) -> Projection:
+        return self.wrap_projection(self.zero_like(v))
+
+    def shift(self, v, lam: float) -> np.ndarray:
+        m = self.raw(v)
+        return m - lam * np.eye(m.shape[0])
+
+    def positive_part(self, v) -> np.ndarray:
+        d = eigh(_matrix(v), self.tol)
+        return d.apply(lambda x: np.clip(x, 0.0, None))
+
+    def rickart(self, v) -> Projection:
+        """Projection onto the kernel: eigenvalues with |λ| <= kernel tol."""
+        d = self._decomposition(v)
+        return self._projection(d, np.abs(d.values) <= self.tol.kernel)
+
+    def cover(self, a) -> Projection:
+        """Support projection: the least projection above the effect."""
+        d = self._decomposition(a)
+        if d.values[0] < -self.tol.psd:
+            raise NotAnEffectError("support is defined for positive elements",
+                                   eigenvalue=float(d.values[0]))
+        return self._projection(d, d.values > self.tol.kernel)
+
+    def floor(self, a) -> Projection:
+        """Largest projection below the effect: the eigenspace at 1.
+
+        Computed as the kernel projection of a - 1, which re-diagonalizes
+        the shifted matrix rather than reusing the effect's cached
+        eigensystem.
+        """
+        a = self._effect(a)
+        d = eigh(a.matrix - np.eye(a.dim), self.tol)
+        return self._projection(d, np.abs(d.values) <= self.tol.kernel)
+
+    def complement(self, v):
+        """1 - v: an Effect, keeping its decomposition, for an Effect, a raw
+        array for a raw array."""
+        if isinstance(v, Effect):
+            return v.complement()
+        raw = _matrix(v)
+        return np.eye(raw.shape[0]) - raw
+
+    def eigenprojections(self, v) -> tuple[np.ndarray, list[Projection]]:
+        """Cluster values with their eigenprojections, from one (for an
+        Effect, the cached) decomposition, which builds them once."""
+        d = self._decomposition(v)
+        return (d.cluster_values(),
+                [self.wrap_projection(p) for p in d.projectors()])
+
+    def add(self, a, b) -> np.ndarray:
+        return _matrix(a) + _matrix(b)
+
+    def sub(self, a, b) -> np.ndarray:
+        return _matrix(a) - _matrix(b)
+
+    def scale(self, lam: float, v):
+        """lam * v: for an Effect the convex action (lam in [0, 1]), an
+        Effect keeping its decomposition; a raw array for a raw array."""
+        if not isinstance(v, Effect):
+            return lam * _matrix(v)
+        if not 0.0 <= lam <= 1.0:
+            raise ValueError("scalar must lie in [0, 1]")
+        decomp = None
+        if v._decomp is not None:
+            decomp = decomposition_from(lam * v._decomp.values,
+                                        v._decomp.vectors, v.tol)
+        return Effect(lam * v.matrix, tol=v.tol, validate=False,
+                      decomposition=decomp)
+
+    def residual(self, a, b) -> float:
+        return frobenius(_matrix(a) - _matrix(b))
+
+    def norm(self, v) -> float:
+        return operator_norm(_matrix(v))
+
+    def extremes(self, v) -> tuple[float, float]:
+        """Least and greatest eigenvalue."""
+        vals = eigenvalues(_matrix(v))
+        return float(vals[0]), float(vals[-1])
+
+    def leq(self, a, b, slack: float | None = None) -> bool:
+        """a <= b: the least eigenvalue of b - a is at least -slack
+        (by default tol.check)."""
+        if slack is None:
+            slack = self.tol.check
+        return float(eigenvalues(self.sub(b, a))[0]) >= -slack
+
+    def commutes(self, a, b) -> bool:
+        am, bm = _matrix(a), _matrix(b)
+        return frobenius(am @ bm - bm @ am) <= self.tol.comm
+
+    def compress(self, p, a) -> np.ndarray:
+        praw = _matrix(p)
+        return hermitian_part(praw @ _matrix(a) @ praw)
+
+    def product(self, a, b) -> np.ndarray:
+        """Sequential product √a b √a."""
+        a, b = self._effect(a), self._effect(b)
+        _same_dim(a, b)
+        s = a.sqrt_matrix()
+        return hermitian_part(s @ b.matrix @ s)
+
+    def powers(self, a, count: int) -> list[Effect]:
+        """Sequential powers a, a∘a, ... up to the count-th."""
+        if count < 1:
+            raise ValueError("count must be at least 1")
+        a = self._effect(a)
+        d = a.decomposition
+        base = np.clip(d.values, 0.0, 1.0)
+        out = [a]
+        cur = a
+        power = base.copy()
+        for _ in range(count - 1):
+            s = cur.sqrt_matrix()
+            power = power * base
+            # The product of commuting effects keeps the eigenbasis;
+            # seeding the known eigensystem avoids re-diagonalizing every
+            # power.
+            cur = Effect(hermitian_part(s @ a.matrix @ s), tol=a.tol,
+                         validate=False,
+                         decomposition=decomposition_from(power, d.vectors,
+                                                          a.tol))
+            out.append(cur)
+        return out
+
+    def _apply(self, a, b, fn) -> np.ndarray:
+        """A two-argument spectral function of a commuting pair."""
+        vectors, avals, bvals = joint_eigenbasis(a, b, self.tol)
+        return hermitian_part((vectors * fn(avals, bvals)) @ vectors.conj().T)
+
+    def meet(self, a, b) -> np.ndarray:
+        """Meet of a commuting pair."""
+        return self._apply(a, b, np.minimum)
+
+    def join(self, a, b) -> np.ndarray:
+        """Join of a commuting pair."""
+        return self._apply(a, b, np.maximum)
+
+    def is_sharp(self, a) -> bool:
+        raw = _matrix(a)
+        return frobenius(raw @ raw - raw) / raw.shape[0] <= self.tol.check
+
+    def joint_clusters(self, e, f) -> list[tuple[float, float, Projection]]:
+        vectors, xvals, yvals = joint_eigenbasis(e, f, self.tol)
+        width = self.tol.cluster * max(1.0, float(np.max(np.abs(xvals)) +
+                                                  np.max(np.abs(yvals))))
+        out = []
+        for xidx in cluster_indices(xvals, width):
+            sub = list(xidx)
+            for yrel in cluster_indices(yvals[sub], width):
+                cols = [sub[i] for i in yrel]
+                block = vectors[:, cols]
+                out.append((float(np.mean(xvals[cols])),
+                            float(np.mean(yvals[cols])),
+                            self.wrap_projection(
+                                hermitian_part(block @ block.conj().T))))
+        return out
+
+    def proj_rank(self, p) -> int:
+        return int(round(float(np.real(np.trace(_matrix(p))))))
 
 
 def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -6,8 +6,9 @@ the distinct spectral values with their eigenprojections from one
 decomposition.  On that one call the engine builds reduced
 representations, spectral families as exact step functions, bounds, dyadic
 simple approximations, sign witnesses and orthogonal decompositions; it
-also reconstructs elements and builds comparability witnesses.  The matrix
-context lives here; the fuzzy context is registered from its own module.
+also reconstructs elements and builds comparability witnesses.  Each
+model's context lives in the model's module (``matrices.MatrixContext``,
+``fuzzy.FuzzyContext``); this module holds no model code.
 """
 from __future__ import annotations
 
@@ -18,9 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT, Tolerances
-from .linalg import (cluster_indices, eigenvalues, eigh, frobenius,
-                     hermitian_part, operator_norm)
-from . import matrices as mx
+from .fuzzy import FuzzyContext
+from .matrices import Effect, MatrixContext
 
 
 class UnsupportedContextError(ValueError):
@@ -35,171 +35,12 @@ def _raw_of(p) -> np.ndarray:
     return np.asarray(p)
 
 
-class MatrixContext:
-    """Hermitian matrices with p a p compressions and kernel projections."""
-
-    model = "matrix"
-    mul = staticmethod(np.matmul)   # the ordinary product of raw elements
-
-    def __init__(self, tol: Tolerances = DEFAULT):
-        self.tol = tol
-
-    def raw(self, v) -> np.ndarray:
-        if isinstance(v, mx.Effect):
-            return v.matrix
-        return hermitian_part(np.asarray(v))
-
-    def _decomposition(self, v):
-        if isinstance(v, mx.Effect):
-            return v.decomposition
-        return eigh(v, self.tol)
-
-    def encode(self, v) -> dict:
-        """The matrix as witness JSON, rounded to 12 places; the
-        imaginary part only where it is nonzero."""
-        arr = np.asarray(mx.as_matrix(v))
-        out = {"re": np.real(arr).round(12).tolist()}
-        im = np.imag(arr)
-        if np.any(im != 0.0):
-            out["im"] = im.round(12).tolist()
-        return out
-
-    def element(self, raw: np.ndarray) -> mx.Effect:
-        """A trusted, exactly Hermitian raw element as an Effect."""
-        return mx.Effect(raw, tol=self.tol, validate=False)
-
-    def unit(self, n: int) -> mx.Effect:
-        return self.element(np.eye(n))
-
-    def one_like(self, v) -> np.ndarray:
-        n = np.shape(_raw_of(v))[0]
-        return np.eye(n, dtype=np.complex128)
-
-    def zero_like(self, v) -> np.ndarray:
-        n = np.shape(_raw_of(v))[0]
-        return np.zeros((n, n), dtype=np.complex128)
-
-    def wrap_projection(self, raw: np.ndarray) -> mx.Projection:
-        return mx.Projection(raw, tol=self.tol, validate=False)
-
-    def zero_proj(self, v) -> mx.Projection:
-        return self.wrap_projection(self.zero_like(v))
-
-    def shift(self, v, lam: float) -> np.ndarray:
-        m = self.raw(v)
-        return m - lam * np.eye(m.shape[0])
-
-    def positive_part(self, v) -> np.ndarray:
-        d = eigh(_raw_of(v), self.tol)
-        return d.apply(lambda x: np.clip(x, 0.0, None))
-
-    def rickart(self, v) -> mx.Projection:
-        return mx.rickart(v, self.tol)
-
-    def cover(self, a) -> mx.Projection:
-        return mx.projection_cover(a, self.tol)
-
-    def floor(self, a) -> mx.Projection:
-        return mx.floor(a, self.tol)
-
-    def complement(self, v):
-        """1 - v: an Effect, keeping its decomposition, for an Effect, a raw
-        array for a raw array."""
-        if isinstance(v, mx.Effect):
-            return v.complement()
-        raw = _raw_of(v)
-        return np.eye(raw.shape[0]) - raw
-
-    def eigenprojections(self, v) -> tuple[np.ndarray, list[mx.Projection]]:
-        """Cluster values with their eigenprojections, from one (for an
-        Effect, the cached) decomposition, which builds them once."""
-        d = self._decomposition(v)
-        return (d.cluster_values(),
-                [self.wrap_projection(p) for p in d.projectors()])
-
-    def add(self, a, b) -> np.ndarray:
-        return _raw_of(a) + _raw_of(b)
-
-    def sub(self, a, b) -> np.ndarray:
-        return _raw_of(a) - _raw_of(b)
-
-    def scale(self, lam: float, v):
-        """lam * v: for an Effect the convex action, an Effect keeping its
-        decomposition; a raw array for a raw array."""
-        if isinstance(v, mx.Effect):
-            return mx.scale_effect(v, lam)
-        return lam * _raw_of(v)
-
-    def residual(self, a, b) -> float:
-        return frobenius(_raw_of(a) - _raw_of(b))
-
-    def norm(self, v) -> float:
-        return operator_norm(_raw_of(v))
-
-    def extremes(self, v) -> tuple[float, float]:
-        """Least and greatest eigenvalue."""
-        vals = eigenvalues(_raw_of(v))
-        return float(vals[0]), float(vals[-1])
-
-    def leq(self, a, b, slack: float | None = None) -> bool:
-        return mx.psd(self.sub(b, a), slack, self.tol)
-
-    def commutes(self, a, b) -> bool:
-        am, bm = _raw_of(a), _raw_of(b)
-        return frobenius(am @ bm - bm @ am) <= self.tol.comm
-
-    def compress(self, p, a) -> np.ndarray:
-        praw = _raw_of(p)
-        return hermitian_part(praw @ _raw_of(a) @ praw)
-
-    def product(self, a, b) -> np.ndarray:
-        """Sequential product √a b √a of two Effects."""
-        return mx.seq_product(a, b, self.tol).matrix
-
-    def powers(self, a, count: int) -> list[mx.Effect]:
-        """Sequential powers a, a∘a, ... up to the count-th."""
-        return mx.floor_iterates(a, count, self.tol)
-
-    def meet(self, a, b) -> np.ndarray:
-        """Meet of a commuting pair."""
-        return mx.commuting_meet(a, b, self.tol)
-
-    def join(self, a, b) -> np.ndarray:
-        """Join of a commuting pair."""
-        return mx.commuting_join(a, b, self.tol)
-
-    def is_sharp(self, a) -> bool:
-        raw = _raw_of(a)
-        return frobenius(raw @ raw - raw) / raw.shape[0] <= self.tol.check
-
-    def joint_clusters(self, e, f) -> list[tuple[float, float, mx.Projection]]:
-        vectors, xvals, yvals = mx.joint_eigenbasis(e, f, self.tol)
-        n = vectors.shape[0]
-        width = self.tol.cluster * max(1.0, float(np.max(np.abs(xvals)) +
-                                                  np.max(np.abs(yvals))))
-        out = []
-        for xidx in cluster_indices(xvals, width):
-            sub = list(xidx)
-            for yrel in cluster_indices(yvals[sub], width):
-                cols = [sub[i] for i in yrel]
-                block = vectors[:, cols]
-                mat = hermitian_part(block @ block.conj().T)
-                proj = mx.Projection(mat, tol=self.tol, validate=False)
-                out.append((float(np.mean(xvals[cols])),
-                            float(np.mean(yvals[cols])), proj))
-        return out
-
-    def proj_rank(self, p) -> int:
-        return int(round(float(np.real(np.trace(_raw_of(p))))))
-
-
 def resolve_context(v, context=None, tol: Tolerances = DEFAULT):
     """The given context, or else the model context for the element."""
     if context is not None:
         return context
-    if isinstance(v, mx.Effect):
+    if isinstance(v, Effect):
         return MatrixContext(tol)
-    from .fuzzy import FuzzyContext
     if hasattr(v, "values") and getattr(v, "space", None) is not None:
         return FuzzyContext(tol)
     arr = np.asarray(v)

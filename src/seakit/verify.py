@@ -9,7 +9,7 @@ that negative controls can prove the checks are not vacuous.
 The laws hold in every convex sequential effect algebra, so each
 statement has one body over the model protocol, two objects with the
 same method names on both models: the model's context (``ctx``,
-``spectral.MatrixContext`` or ``fuzzy.FuzzyContext``) supplies the
+``matrices.MatrixContext`` or ``fuzzy.FuzzyContext``) supplies the
 operations, and the statement's seeded sampler (``smp``,
 ``matrices.EffectSampler`` or ``fuzzy.FuzzySampler``) the draws.  A
 comparison is ``_res(ctx.sub(x, y), n) <= ctx.tol.check``, and that
@@ -28,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .config import DEFAULT, Tolerances
-from .linalg import frobenius
+from .linalg import frobenius, hermitian_part
 from .report import CheckResult, SuiteReport
 from . import fuzzy as fz
 from . import matrices as mx
@@ -120,7 +120,7 @@ def _model(model: str, suite: str, n: int, seed: int, tol: Tolerances):
     """The model's context and its sampler lookup: statement id -> the
     statement's seeded sampler."""
     if model == "matrix":
-        return sp.MatrixContext(tol), lambda sid: mx.EffectSampler(
+        return mx.MatrixContext(tol), lambda sid: mx.EffectSampler(
             _seed_for(seed, suite, sid), n, tol)
     if model == "mv":
         return fz.FuzzyContext(tol), lambda sid: fz.FuzzySampler(
@@ -133,7 +133,12 @@ def _products(ctx, n: int, product: str):
     if product == "standard":
         return ctx.product, None
     if product == "jordan" and ctx.model == "matrix":
-        return (lambda x, y: mx.jordan_product(x, y, ctx.tol)), None
+        # The symmetrized ordinary product (a b + b a) / 2: not a
+        # sequential product, and its value need not be an effect.
+        def jordan(x, y):
+            xm, ym = ctx.raw(x), ctx.raw(y)
+            return hermitian_part(xm @ ym + ym @ xm) / 2.0
+        return jordan, None
     if product == "lukasiewicz" and ctx.model == "fuzzy":
         # Truncated, a (b + c) = 0.75 but a b + a c = 0.5, so the
         # control fails for every seed, not only lucky ones.
@@ -152,6 +157,8 @@ def _suite(suite: str, model: str, n: int, samples: int, seed: int,
         raise ValueError("samples must be positive")
     if seed < 0:
         raise ValueError("seed must be non-negative")
+    if n < 1 or (model == "mv" and n > fz.MAX_SPACE):
+        raise ValueError(f"dim_or_size {n} out of range")
     ctx, draws = _model(model, suite, n, seed, tol)
     report = SuiteReport(
         suite=suite, model=model, seed=seed,
@@ -220,7 +227,7 @@ def five_way_statements(p: mx.Projection, a: mx.Effect,
     Returns booleans keyed by statement plus the largest residual among
     the equality-shaped clauses.
     """
-    return _five_way(sp.MatrixContext(tol), p, a)
+    return _five_way(mx.MatrixContext(tol), p, a)
 
 
 def _meet_headroom(pvals: np.ndarray, avals: np.ndarray,

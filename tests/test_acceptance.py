@@ -29,6 +29,7 @@ from seakit.verify import five_way_statements, run_sea_suite
 CHECK = 1e-8
 DIMS = range(2, 9)
 MV = fz.FuzzyContext()
+MATRIX = MatrixContext(DEFAULT)
 
 
 def report(num, ok, label):
@@ -149,7 +150,7 @@ def test_criterion_06_simple_approximation():
             gap = operator_norm(np.asarray(a.matrix) - an)
             ok = ok and gap <= 2.0 ** -n + CHECK
             if previous is not None:
-                ok = ok and mx.psd(an - previous, slack=CHECK)
+                ok = ok and MATRIX.leq(previous, an, slack=CHECK)
             previous = an
     report(6, ok, "dyadic approximations within 2^-n, ascending, n=1..10")
 
@@ -161,7 +162,7 @@ def test_criterion_07_floor_identities():
         dim = 2 + k % 7
         sampler = mx.EffectSampler(5000 + k, dim)
         a = sampler.with_top(1, ceiling=0.95)
-        base = mx.floor(a)
+        base = MATRIX.floor(a)
         d = a.decomposition
         cols = d.vectors[:, d.values >= 1.0 - DEFAULT.cluster]
         direct = cols @ cols.conj().T
@@ -169,7 +170,7 @@ def test_criterion_07_floor_identities():
         ok = ok and gap <= CHECK
         mu_max = float(max((v for v in d.values if v < 1.0 - DEFAULT.cluster),
                            default=0.0))
-        power = np.asarray(mx.floor_iterates(a, 50)[-1].matrix)
+        power = np.asarray(MATRIX.powers(a, 50)[-1].matrix)
         rate_gap = operator_norm(power - np.asarray(base.matrix))
         ok = ok and rate_gap <= mu_max ** 50 + CHECK
         worst = max(worst, rate_gap)
@@ -187,8 +188,8 @@ def test_criterion_08_commutation_equivalence():
         else:
             a, b = sampler.effect(), sampler.effect()
         am, bm = np.asarray(a.matrix), np.asarray(b.matrix)
-        seq = frobenius(raw(mx.seq_product(a, b))
-                        - raw(mx.seq_product(b, a))) <= CHECK
+        seq = frobenius(MATRIX.product(a, b)
+                        - MATRIX.product(b, a)) <= CHECK
         lie = frobenius(am @ bm - bm @ am) <= CHECK
         projs_a = [raw(fam_p) for fam_p in spectral_family(a).projections]
         projs_b = [raw(fam_p) for fam_p in spectral_family(b).projections]
@@ -204,7 +205,6 @@ def test_criterion_08_commutation_equivalence():
 def test_criterion_09_decomposition_uniqueness():
     ok = True
     checked = 0
-    ctx = MatrixContext(DEFAULT)
     for dim in DIMS:
         sampler = mx.EffectSampler(7000 + dim, dim)
         for k in range(100):
@@ -216,8 +216,8 @@ def test_criterion_09_decomposition_uniqueness():
             v = hermitian_part((u * values) @ u.conj().T)
             splits = []
             for q in sign_witness_projections(v):
-                plus = ctx.compress(q, v)
-                minus = -ctx.compress(ctx.complement(q), v)
+                plus = MATRIX.compress(q, v)
+                minus = -MATRIX.compress(MATRIX.complement(q), v)
                 splits.append((plus, minus))
             checked += len(splits)
             for plus, minus in splits[1:]:

@@ -72,8 +72,10 @@ def test_projectors_resolve_identity(rng):
 def test_clustered_projector_rank():
     d = eigh(np.diag([0.2, 0.2, 0.9]))
     assert len(d.clusters) == 2
-    assert np.allclose(d.projector(0), np.diag([1.0, 1.0, 0.0]), atol=1e-12)
-    assert np.allclose(d.projector(1), np.diag([0.0, 0.0, 1.0]), atol=1e-12)
+    assert np.allclose(d.projectors()[0], np.diag([1.0, 1.0, 0.0]),
+                       atol=1e-12)
+    assert np.allclose(d.projectors()[1], np.diag([0.0, 0.0, 1.0]),
+                       atol=1e-12)
     assert np.allclose(d.cluster_values(), [0.2, 0.9])
 
 

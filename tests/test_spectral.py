@@ -259,8 +259,8 @@ def test_one_decomposition_per_element(eigh_calls, tmp_path):
 
 
 def test_order_and_norm_checks_decompose_nothing(call_counter):
-    """``psd``, ``operator_norm`` and ``leq`` read eigenvalues only: one
-    LAPACK call each and no clustered decomposition."""
+    """``operator_norm``, ``leq`` and ``extremes`` read eigenvalues only:
+    one LAPACK call each and no clustered decomposition."""
     sampler = mx.EffectSampler(3, 4)
     a, b = sampler.effect(), sampler.effect()
     ctx = MatrixContext()
@@ -268,9 +268,9 @@ def test_order_and_norm_checks_decompose_nothing(call_counter):
                          "seakit.linalg.decomposition_from",
                          "seakit.linalg.cluster_indices")
     checks = {
-        "psd": lambda: mx.psd(a.matrix - b.matrix),
         "operator_norm": lambda: operator_norm(a.matrix - b.matrix),
         "leq": lambda: ctx.leq(a, b),
+        "extremes": lambda: ctx.extremes(a.matrix - b.matrix),
     }
     for name, check in checks.items():
         before = dict(calls.by_name)

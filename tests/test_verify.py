@@ -54,9 +54,12 @@ def test_models_share_one_protocol():
         return {name for name in dir(cls)
                 if not name.startswith("_") and callable(getattr(cls, name))}
 
-    assert operations(sp.MatrixContext) == operations(fz.FuzzyContext)
+    assert operations(mx.MatrixContext) == operations(fz.FuzzyContext)
     assert {"encode", "mul", "extremes", "unit", "element", "complement",
-            "scale"} <= operations(sp.MatrixContext)
+            "scale"} <= operations(mx.MatrixContext)
+    # one module per model: its context and its sampler live together
+    assert mx.MatrixContext.__module__ == mx.EffectSampler.__module__
+    assert fz.FuzzyContext.__module__ == fz.FuzzySampler.__module__
 
 
 def test_sea_suite_passes_both_models():
@@ -144,6 +147,9 @@ def test_suites_reject_bad_arguments_up_front(run):
     for bad in ({"samples": 0}, {"seed": -1}):
         with pytest.raises(ValueError):
             run("mv", 4, **bad)
+    for model, n in (("matrix", 0), ("mv", 0), ("mv", fz.MAX_SPACE + 1)):
+        with pytest.raises(ValueError):
+            run(model, n, samples=2, seed=1)
 
 
 def test_runs_are_deterministic():
@@ -267,10 +273,14 @@ def test_lagrange_basis_is_exact_at_the_nodes():
                            atol=1e-12)
 
 
-def mv_report_sha256(size, seed):
-    doc = merge_reports(run_all("mv", size, 12, seed))
+def report_sha256(doc):
+    """The sha256 of a report as ``verify --out`` writes it."""
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def mv_report_sha256(size, seed):
+    return report_sha256(merge_reports(run_all("mv", size, 12, seed)))
 
 
 def rounded(x, places=6):
@@ -284,9 +294,8 @@ def rounded(x, places=6):
 
 
 def matrix_report_sha256(dim, seed):
-    doc = rounded(merge_reports(run_all("matrix", dim, 12, seed)))
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    return hashlib.sha256(text.encode()).hexdigest()
+    return report_sha256(rounded(merge_reports(
+        run_all("matrix", dim, 12, seed))))
 
 
 def print_goldens():
@@ -301,6 +310,19 @@ def print_goldens():
         for key in sorted(keys):
             print(f'    {key!r}: "{sha(*key)}",')
         print("}")
+
+
+def report_digests():
+    """Print the sha256 of each merged ``run_all`` report at 12 samples,
+    unrounded, on matrix dims 2-4 and mv sizes 4, 8 and 32 at seeds 1, 7
+    and 42.  A change that must keep the reports byte-identical prints the
+    same 18 lines before and after: ``PYTHONPATH=src:tests python -c
+    "import test_verify; test_verify.report_digests()"``."""
+    for model, sizes in (("matrix", (2, 3, 4)), ("mv", (4, 8, 32))):
+        for n in sizes:
+            for seed in (1, 7, 42):
+                doc = merge_reports(run_all(model, n, 12, seed))
+                print(model, n, seed, report_sha256(doc))
 
 
 MV_GOLDEN = {
