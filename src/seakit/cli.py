@@ -362,6 +362,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
             raise _UsageError("matrix model control product is 'jordan'")
         if model == "mv" and args.product != "lukasiewicz":
             raise _UsageError("mv model control product is 'lukasiewicz'")
+        omitted = verify.control_omitted("sea", model, dim_or_size)
+        if omitted:
+            raise _UsageError(omitted)
     if args.suite == "all":
         reports = verify.run_all(model, dim_or_size, args.samples,
                                  args.seed, tol)

@@ -259,12 +259,13 @@ def spectrum_representation(a: mx.Effect, degree: int = 6,
         value, defect = _phi(d, m)
         phis.append(value)
         mult = max(mult, defect)
+    elements = [ctx.element(m) for m in mats]
     samples = 0
     for i in range(len(mats)):
         for j in range(len(mats)):
             if i + j > degree:
                 continue
-            prod = ctx.product(ctx.element(mats[i]), ctx.element(mats[j]))
+            prod = ctx.product(elements[i], elements[j])
             value, defect = _phi(d, prod)
             mult = max(mult, defect,
                        float(np.max(np.abs(value - phis[i] * phis[j]))))

@@ -7,6 +7,7 @@ import pytest
 from seakit import fuzzy as fz
 from seakit.cli import main
 from seakit.spectral import family_from_json, reconstruct
+from seakit.verify import control_omitted
 
 
 def write(path, doc):
@@ -66,6 +67,15 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     for size in ("0", "1025"):
         assert main(["verify", "--suite", "sea", "--model", "mv",
                      "--size", size]) == 2
+    capsys.readouterr()
+    # At dimension 1 the Jordan control cannot fail; run_all leaves it out
+    # for the same reason.
+    assert main(["verify", "--suite", "sea", "--product", "jordan",
+                 "--dim", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {control_omitted('sea', 'matrix', 1)}\n"
+    assert main(["verify", "--suite", "sea", "--product", "lukasiewicz",
+                 "--model", "mv", "--size", "1", "--samples", "4"]) == 1
     eff = write(tmp_path / "e.json", {"re": [[0.2, 0.0], [0.0, 0.7]]})
     capsys.readouterr()
     for mesh in ("nan", "inf", "1e-320", "5e-324"):

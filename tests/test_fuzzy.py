@@ -169,6 +169,16 @@ def test_spectrum_representation_degenerate_and_sharp():
     assert set(np.round(image.values, 8)) <= {0.0, 1.0}
 
 
+def test_spectrum_representation_wraps_each_power_once(eigh_calls):
+    """Each power is wrapped once, before the product pairs, so it is
+    diagonalized once as a left operand: 14 eigh calls on a generic dim-8
+    effect at degree 6, where wrapping per pair made 35."""
+    a = mx.EffectSampler(3, 8).effect()
+    before = eigh_calls.count
+    spectrum_representation(a)
+    assert eigh_calls.count - before == 14
+
+
 def test_spectrum_representation_degree_bounds():
     a = mx.validate_effect(np.diag([0.2, 0.7]))
     with pytest.raises(ValueError):

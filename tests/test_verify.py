@@ -2,13 +2,14 @@
 import hashlib
 import inspect
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from seakit.report import CheckResult, SuiteReport, merge_reports
 from seakit.verify import (
-    REQUIRED_STATEMENTS,
-    covered_statements,
+    STATEMENTS,
     five_way_statements,
     run_all,
     run_compression_suite,
@@ -25,6 +26,7 @@ from seakit.config import DEFAULT
 from seakit import fuzzy as fz
 from seakit import matrices as mx
 from seakit import spectral as sp
+from seakit import tables as tb
 import numpy as np
 
 
@@ -131,14 +133,44 @@ def test_five_way_agreement_on_hand_cases():
     assert not any(flags[k] for k in keys)
 
 
-def test_run_all_covers_every_required_statement():
-    reports = run_all("matrix", 3, samples=12, seed=13)
-    merged = merge_reports(reports)
-    assert merged["verdict"] == "pass"
-    assert set(REQUIRED_STATEMENTS) <= covered_statements(reports)
-    controls = [r for r in reports if r.metadata.get("negative_control")]
-    assert len(controls) == 5
-    assert all(not c.verdict for c in controls)
+def _axiom_ids() -> set:
+    """The ids ``tables.check_ea_axioms`` reports, read from its results."""
+    alg = tb.builtin_table(tb.BUILTIN_NAMES[0])
+    return {r.statement_id for r in tb.check_ea_axioms(alg).results}
+
+
+def test_run_all_reports_exactly_the_statement_table():
+    """Every suite, normal and control, reports exactly its rows of
+    ``STATEMENTS``; the tables suite adds the axiom checks, and its
+    corrupted control reports those alone."""
+    ids = [sid for rows in STATEMENTS.values() for sid, _ in rows]
+    assert len(ids) == len(set(ids))
+    for model, n in (("matrix", 3), ("mv", 4)):
+        reports = run_all(model, n, samples=12, seed=13)
+        assert merge_reports(reports)["verdict"] == "pass"
+        controls = [r for r in reports if r.metadata.get("negative_control")]
+        assert len(controls) == 5
+        assert all(not c.verdict for c in controls)
+        for rep in reports:
+            rows = {sid for sid, _ in STATEMENTS[rep.suite]}
+            if rep.suite == "tables":
+                rows = (_axiom_ids() if rep.metadata.get("negative_control")
+                        else rows | _axiom_ids())
+            assert {r.statement_id for r in rep.results} == rows, rep.suite
+
+
+def test_readme_lists_every_statement_with_its_suite():
+    """The README's statement table names every row, and the axiom
+    checks, in full and with the suite that reports it."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Statement identifiers", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    listed = set(re.findall(r"^\| `([^`]+)` \| `([^`]+)` \|", section,
+                            flags=re.M))
+    expected = {(sid, suite) for suite, rows in STATEMENTS.items()
+                for sid, _ in rows}
+    expected |= {(sid, "tables") for sid in _axiom_ids()}
+    assert listed == expected
 
 
 @pytest.mark.parametrize("run", [run_sea_suite, run_compression_suite,
@@ -393,7 +425,7 @@ def test_a_crashing_statement_reports_where_it_raised():
         raise ZeroDivisionError("planted")
 
     report = SuiteReport(suite="s", model="mv", seed=0)
-    _run_statement(report, "S1", "mv", body)
+    _run_statement(report, "S1", body)
     (result,) = report.results
     assert result.samples == 1 and result.passed == 0
     line = body.__code__.co_firstlineno + 1
