@@ -1,5 +1,13 @@
 """Command-line behavior: exit codes, output documents, round trips."""
+import contextlib
+import hashlib
+import io
 import json
+import os
+import re
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +16,7 @@ from seakit import fuzzy as fz
 from seakit.cli import main
 from seakit.spectral import family_from_json, reconstruct
 from seakit.verify import control_omitted
+from test_verify import rounded
 
 
 def write(path, doc):
@@ -240,3 +249,165 @@ def test_verify_reports_are_byte_identical(tmp_path, capsys):
         assert main(args) == 0
     capsys.readouterr()
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# every element verb's output, pinned
+
+# Input documents, written into the working directory of every case.
+CLI_DOCS = {
+    "m2.json": {"re": [[0.3, 0.1], [0.1, 0.5]]},
+    "m3.json": {"dim": 3,
+                "re": [[0.5, 0.25, 0.0], [0.25, 0.5, 0.0], [0.0, 0.0, 0.75]],
+                "im": [[0.0, 0.125, 0.0], [-0.125, 0.0, 0.0],
+                       [0.0, 0.0, 0.0]]},
+    "mp.json": {"re": [[0.5, 0.5], [0.5, 0.5]]},
+    "mbad.json": {"re": [[1.5, 0.0], [0.0, 0.2]]},
+    "msigned.json": {"re": [[0.3, 0.2, 0.0], [0.2, -0.4, 0.0],
+                            [0.0, 0.0, 0.0]],
+                     "im": [[0.0, 0.1, 0.0], [-0.1, 0.0, 0.0],
+                            [0.0, 0.0, 0.0]]},
+    "mhuge.json": {"re": [[1e308, 0.0], [0.0, 1e308]]},
+    "me.json": {"re": [[0.3, 0.0], [0.0, 0.6]]},
+    "mf.json": {"re": [[0.5, 0.0], [0.0, 0.4]]},
+    "mtie.json": {"re": [[0.3, 0.0], [0.0, 0.7]]},
+    "f4.json": {"values": [0.25, 0.5, 0.5, 1.0]},
+    "fspace.json": {"space": 4, "values": [0.7, 0.125, 0.3, 0.9]},
+    "fsharp.json": {"values": [1.0, 0.0, 1.0]},
+    "fbad.json": {"values": [0.5, 1.25]},
+    "fsigned.json": {"values": [0.5, -0.25, 0.0, -1.0]},
+    "fe.json": {"values": [0.5, 0.25, 0.75]},
+    "ff.json": {"values": [0.25, 0.25, 1.0]},
+}
+
+# Case -> the arguments of one ``seakit`` call; a case whose inputs are
+# all pointwise (``f*.json``) is hashed exactly.
+CLI_CASES = {
+    "validate-m3": ["validate", "--input", "m3.json", "--out", "v.json"],
+    "validate-mp": ["validate", "--input", "mp.json", "--out", "v.json"],
+    "validate-mbad": ["validate", "--input", "mbad.json", "--out", "v.json"],
+    "validate-f4": ["validate", "--input", "f4.json", "--out", "v.json"],
+    "validate-fsharp": ["validate", "--input", "fsharp.json"],
+    "validate-fbad": ["validate", "--input", "fbad.json", "--out", "v.json"],
+    "spectrum-m2": ["spectrum", "--input", "m2.json"],
+    "spectrum-m3": ["spectrum", "--input", "m3.json", "--out", "fam.json"],
+    "spectrum-mp": ["spectrum", "--input", "mp.json", "--mesh", "0.1"],
+    "spectrum-f4": ["spectrum", "--input", "f4.json", "--out", "fam.json"],
+    "spectrum-fspace": ["spectrum", "--input", "fspace.json"],
+    "spectrum-f4-csv": ["spectrum", "--input", "f4.json", "--out",
+                        "fam.csv"],
+    "approx-m2": ["approx", "--input", "m2.json", "--out", "a.json"],
+    "approx-m3": ["approx", "--input", "m3.json", "--levels", "3"],
+    "approx-fspace": ["approx", "--input", "fspace.json", "--levels", "5",
+                      "--out", "a.json"],
+    "decompose-msigned": ["decompose", "--input", "msigned.json"],
+    "decompose-m2": ["decompose", "--input", "m2.json"],
+    "decompose-mhuge": ["decompose", "--input", "mhuge.json"],
+    "decompose-fsigned": ["decompose", "--input", "fsigned.json"],
+    "witness-m": ["witness", "--input", "me.json", "mf.json"],
+    "witness-mtie": ["witness", "--input", "me.json", "mtie.json"],
+    "witness-f": ["witness", "--input", "fe.json", "ff.json", "--out",
+                  "w.json"],
+    "mv-m3": ["mv", "--input", "m3.json"],
+    "mv-f4": ["mv", "--input", "f4.json", "--out", "mv.json"],
+    "mv-fsharp": ["mv", "--input", "fsharp.json"],
+}
+
+_NUMBER = re.compile(r"-?\d+\.\d*(?:e[-+]?\d+)?|-?\d+e[-+]?\d+")
+
+
+def _canonical(text: str, exact: bool) -> str:
+    """The text itself, or with every float rounded to 6 places: a JSON
+    document through ``rounded``, other text number by number."""
+    if exact:
+        return text
+    try:
+        return json.dumps(rounded(json.loads(text)), indent=2,
+                          sort_keys=True)
+    except json.JSONDecodeError:
+        return _NUMBER.sub(lambda m: repr(round(float(m.group()), 6)), text)
+
+
+def cli_case_sha256(name: str, workdir: Path, exact: bool | None = None
+                    ) -> str:
+    """Run one case in an empty ``workdir`` and hash what a user sees: the
+    exit code, stdout, stderr and every file the call wrote.  A call that
+    raises is recorded by the exception's type, as a traceback would
+    show it.  Warnings are left out: Python shows each once per process
+    and source line, so whether one appears depends on what ran before."""
+    argv = CLI_CASES[name]
+    if exact is None:
+        exact = all(a.startswith("f") for a in argv if a.endswith(".json")
+                    and a in CLI_DOCS)
+    for doc_name, doc in CLI_DOCS.items():
+        (workdir / doc_name).write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            try:
+                code = main(list(argv))
+            except Exception as exc:  # noqa: BLE001 - pinned as a traceback
+                code = f"raised {type(exc).__name__}"
+    finally:
+        os.chdir(cwd)
+    files = {p.name: _canonical(p.read_text(), exact)
+             for p in sorted(workdir.iterdir()) if p.name not in CLI_DOCS}
+    seen = {"exit": code, "stdout": _canonical(out.getvalue(), exact),
+            "stderr": err.getvalue(), "files": files}
+    text = json.dumps(seen, sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def cli_digests():
+    """Print the sha256 of every case, unrounded.  A change that must keep
+    the element verbs byte-identical prints the same lines before and
+    after: ``PYTHONPATH=src:tests python -c "import test_cli;
+    test_cli.cli_digests()"``."""
+    for name in sorted(CLI_CASES):
+        with tempfile.TemporaryDirectory() as tmp:
+            print(name, cli_case_sha256(name, Path(tmp), exact=True))
+
+
+CLI_GOLDEN = {
+    "approx-fspace": "00f0ad9f2641fc6a29c98290d299b25b04b63ce0161f3982ec6fe22c1823bfa3",
+    "approx-m2": "e1b3277717d0ff26eced6520441f9bef328fa669b9463ab0dcefd2d80354c491",
+    "approx-m3": "89e19aecb57579c197e0b8d391d2476fd8a83545cdd15b39cd16d595557d182f",
+    "decompose-fsigned": "6c4e53f55f4c934c9d7442721ef3511ef7f69a538d5ec4b6a972702c8b4f4ce6",
+    "decompose-m2": "de71ffdf1b9d99bbf7da958fb77728c5c5d22122ac55082e958bb8ff5f14c5e5",
+    "decompose-mhuge": "9d1386e575649fb253f911a80986b2829f0cf8f6628d01a8a13512d6cd357f86",
+    "decompose-msigned": "ff496a4afc1501f71d110355d157ea2f3304de0cce53334461f3ba5650336280",
+    "mv-f4": "063ed41914082af36d23f660860b44bdcd8b605e3ebfe086ec8c15b2f180da19",
+    "mv-fsharp": "079c3a77768704ae19a1bdcdab4998885ede323ab36cbcffce9efc11da306500",
+    "mv-m3": "210acb4a4f2ff856cbda72346401cd0747e873fe665d522b970adb38b2be0e06",
+    "spectrum-f4": "ca62ff227c2f93f399d7a4c7a6ac4f1b77ad12a2bb36b0b0ea5fcf05074155c7",
+    "spectrum-f4-csv": "a12abf7e1676563f3ae54076cf1fb95115857ebade793160fc32e0b66e59d37c",
+    "spectrum-fspace": "b89947dd165a90bfe7075105791be7b0b1e9fe6151a8e4f7cc225e2e5184c703",
+    "spectrum-m2": "a76bc0ea5e83f2095325c53243ffc477f32e5aaff8dc895b3e8642e3d8fd172b",
+    "spectrum-m3": "498e36fb61c7282fbeafdb2c46d78f62c820bf7dd4e8af9a4a7a869f049514fc",
+    "spectrum-mp": "a1abd260b49d57987eee13213464512aa7a7a14711052912d18d322ca808de4d",
+    "validate-f4": "8ce06b57df0608de155e5035479d7cd2f59048812feaa9ebf0d2b35fd0a955db",
+    "validate-fbad": "edadc7f1b0c609196111d3629776fef62914c831ad3bbb65aca380c47ff45d3c",
+    "validate-fsharp": "0643332e0979ba29bc648224050eb1612920318495562ade872f6538beee1e0c",
+    "validate-m3": "64926ab3105f1257f623a54b232fb4af52099bb53e61f81f899e7f7b46f4e517",
+    "validate-mbad": "7fd05706455e7cf171a6bff8af06cc74f7cc9840f3c33e22e75673ec5f430973",
+    "validate-mp": "71e0f31e98da937a31b92a5f8b56f4c22d8275cdf9ed1629aab0d5f192f8a22f",
+    "witness-f": "fca38e2799d3faf4fa3627b7033b3149198667d61b1aa996b894f5675785bf02",
+    "witness-m": "0d3ee7e445cfd463a803102fdd9c4d0a6093af9df9f23db924213ca39fe3889d",
+    "witness-mtie": "176c15ad26fed201e7586f57f7122d93e00b7a4519f2bc3cf47d5bbfc0552bb6",
+}
+
+
+def test_element_verbs_are_golden(tmp_path):
+    """Matrix outputs are hashed with every float rounded to 6 places, as
+    ``MATRIX_GOLDEN`` is, because LAPACK bits depend on the build;
+    pointwise outputs exactly."""
+    digests = {}
+    for name in sorted(CLI_CASES):
+        workdir = tmp_path / name
+        workdir.mkdir()
+        digests[name] = cli_case_sha256(name, workdir)
+    assert digests == CLI_GOLDEN
