@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from .config import DEFAULT, Tolerances
-from .linalg import NotHermitianError, frobenius
+from .linalg import NotHermitianError, frobenius, require_hermitian
 from .report import merge_reports
 from . import fuzzy as fz
 from . import matrices as mx
@@ -45,12 +45,9 @@ def _load_doc(path: str) -> dict:
         raise _UsageError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-
-def _parse_element(doc) -> tuple[str, np.ndarray]:
-    """Tagged raw payload: ("matrix", 2-d complex) or ("fuzzy", 1-d real).
+def _parse_element(doc, tol: Tolerances) -> tuple:
+    """The element's context, picked by the document's key, and the raw
+    payload that context reads from it.
 
     Shape problems are usage errors; value-range checks belong to the
     individual commands.
@@ -58,52 +55,20 @@ def _parse_element(doc) -> tuple[str, np.ndarray]:
     if not isinstance(doc, dict):
         raise _UsageError("top-level JSON object expected")
     if "values" in doc:
-        vals = doc["values"]
-        if (not isinstance(vals, list) or not vals
-                or not all(_is_number(x) for x in vals)):
-            raise _UsageError("values must be a non-empty list of numbers")
-        if len(vals) > fz.MAX_SPACE:
-            raise _UsageError(f"values must have at most {fz.MAX_SPACE} "
-                              "entries")
-        if "space" in doc and doc["space"] != len(vals):
-            raise _UsageError("space field disagrees with the value count")
-        return "fuzzy", np.asarray(vals, dtype=float)
-    if "re" in doc:
-        re = doc["re"]
-        if (not isinstance(re, list) or not re
-                or any(not isinstance(row, list) or len(row) != len(re)
-                       or not all(_is_number(x) for x in row) for row in re)):
-            raise _UsageError("re must be a square matrix of numbers")
-        n = len(re)
-        if "dim" in doc and doc["dim"] != n:
-            raise _UsageError("dim field disagrees with the matrix size")
-        arr = np.asarray(re, dtype=float).astype(np.complex128)
-        if "im" in doc:
-            im = doc["im"]
-            if (not isinstance(im, list) or len(im) != n
-                    or any(not isinstance(row, list) or len(row) != n
-                           or not all(_is_number(x) for x in row)
-                           for row in im)):
-                raise _UsageError("im must match the shape of re")
-            arr = arr + 1j * np.asarray(im, dtype=float)
-        return "matrix", arr
-    raise _UsageError('document needs either "re" (matrix) or "values" '
-                      "(fuzzy set)")
+        ctx = fz.FuzzyContext(tol)
+    elif "re" in doc:
+        ctx = mx.MatrixContext(tol)
+    else:
+        raise _UsageError('document needs either "re" (matrix) or "values" '
+                          "(fuzzy set)")
+    try:
+        return ctx, ctx.read(doc)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
 
 
-def _load_element(path: str) -> tuple[str, np.ndarray]:
-    return _parse_element(_load_doc(path))
-
-
-def _element_json(raw: np.ndarray) -> dict:
-    arr = np.asarray(raw) + 0.0
-    if arr.ndim == 1:
-        return {"space": int(arr.shape[0]), "values": arr.real.tolist()}
-    doc = {"dim": int(arr.shape[0]), "re": (np.real(arr) + 0.0).tolist()}
-    im = np.imag(arr)
-    if np.any(im != 0.0):
-        doc["im"] = (im + 0.0).tolist()
-    return doc
+def _load_element(path: str, tol: Tolerances) -> tuple:
+    return _parse_element(_load_doc(path), tol)
 
 
 def _write_json(doc: dict, out: str | None) -> None:
@@ -127,32 +92,26 @@ def _tolerances(args: argparse.Namespace) -> Tolerances:
     return DEFAULT.replace(**changes) if changes else DEFAULT
 
 
-def _classify(kind: str, raw: np.ndarray, tol: Tolerances
-              ) -> tuple[str, mx.Effect | None]:
-    """("effect"|"projection", the validated Effect, or None for fuzzy
-    input) or raises _DomainError."""
-    if kind == "fuzzy":
+def _classify(ctx, raw: np.ndarray) -> tuple[str, object]:
+    """("effect"|"projection", the validated element: an Effect or a
+    FuzzySet) or raises _DomainError."""
+    if ctx.model == "fuzzy":
         bad = raw[~((raw >= 0.0) & (raw <= 1.0))]
         if bad.size:
             raise _DomainError(f"not an effect (λ={float(bad[0]):g})")
-        if np.all((raw == 0.0) | (raw == 1.0)):
-            return "projection", None
-        return "effect", None
+        label = ("projection" if np.all((raw == 0.0) | (raw == 1.0))
+                 else "effect")
+        return label, fz.FuzzySet(raw)
     try:
-        eff = mx.validate_effect(raw, tol)
+        eff = mx.validate_effect(raw, ctx.tol)
     except NotHermitianError as exc:
         raise _DomainError(f"not an effect ({exc})") from exc
     except mx.NotAnEffectError as exc:
         raise _DomainError(f"not an effect (λ={exc.eigenvalue:g})") from exc
     defect = frobenius(eff.matrix @ eff.matrix - eff.matrix)
-    if defect <= tol.proj:
+    if defect <= ctx.tol.proj:
         return "projection", eff
     return "effect", eff
-
-
-def _as_effect(kind: str, raw: np.ndarray, tol: Tolerances):
-    _, eff = _classify(kind, raw, tol)
-    return fz.FuzzySet(raw) if kind == "fuzzy" else eff
 
 
 def _single_input(args: argparse.Namespace) -> str:
@@ -166,10 +125,9 @@ def _single_input(args: argparse.Namespace) -> str:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    kind, raw = _load_element(_single_input(args))
-    tol = _tolerances(args)
+    ctx, raw = _load_element(_single_input(args), _tolerances(args))
     try:
-        label, _ = _classify(kind, raw, tol)
+        label, _ = _classify(ctx, raw)
     except _DomainError as exc:
         print(exc)
         if args.out:
@@ -183,12 +141,14 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
-    kind, raw = _load_element(_single_input(args))
-    tol = _tolerances(args)
+    ctx, raw = _load_element(_single_input(args), _tolerances(args))
     if not 0.0 < args.mesh < float("inf"):
         raise _UsageError("--mesh must be positive and finite")
-    effect = _as_effect(kind, raw, tol)
-    ctx = sp.resolve_context(effect, tol=tol)
+    csv_path = args.out and os.path.splitext(args.out)[0] + ".csv"
+    if csv_path and csv_path == args.out:
+        raise _UsageError(f"--out {args.out} is where the rank CSV goes; "
+                          "give the JSON report another extension")
+    _, effect = _classify(ctx, raw)
     fam = sp.spectral_family(effect, ctx)
     bounds = sp.spectral_bounds(effect, ctx)
     rep = sp.reduced_representation(effect, ctx)
@@ -199,41 +159,35 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         raise _UsageError(f"--mesh: {exc}") from exc
     doc = {
         "model": fam.model,
-        "family": fam.to_json_dict(),
+        "family": fam.to_json_dict(ctx),
         "bounds": {"L": bounds.L, "U": bounds.U},
         "eigenvalues": [float(x) for x in rep.coefficients],
-        "eigenprojections": [_element_json(np.asarray(
-            p.matrix if isinstance(p, mx.Effect) else p.values))
-            for p in rep.projections],
+        "eigenprojections": [ctx.write(p) for p in rep.projections],
         "mesh": args.mesh,
         "reconstruction_residual": ctx.norm(ctx.sub(raw, meshed)),
         "breakpoint_residual": ctx.norm(ctx.sub(raw, exact)),
     }
     _write_json(doc, args.out)
     if args.out:
-        csv_path = os.path.splitext(args.out)[0] + ".csv"
         with open(csv_path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(fam.csv_lines()) + "\n")
+            fh.write("\n".join(fam.csv_lines(ctx)) + "\n")
         print(f"wrote {args.out} and {csv_path}; reconstruction residual "
               f"{doc['reconstruction_residual']:.3g} at mesh {args.mesh:g}")
     return 0
 
 
 def cmd_approx(args: argparse.Namespace) -> int:
-    kind, raw = _load_element(_single_input(args))
-    tol = _tolerances(args)
+    ctx, raw = _load_element(_single_input(args), _tolerances(args))
     if not 1 <= args.levels <= 24:
         raise _UsageError("--levels must be between 1 and 24")
-    effect = _as_effect(kind, raw, tol)
-    ctx = sp.resolve_context(effect, tol=tol)
+    _, effect = _classify(ctx, raw)
     rows = []
     for n in range(1, args.levels + 1):
-        an = np.asarray(sp.simple_approximation(effect, n, ctx))
+        an = sp.simple_approximation(effect, n, ctx)
         rows.append({"level": n, "bound": 2.0 ** -n,
                      "gap": ctx.norm(ctx.sub(raw, an)),
-                     "element": _element_json(an)})
-    doc = {"model": "fuzzy" if kind == "fuzzy" else "matrix",
-           "levels": rows}
+                     "element": ctx.write(an)})
+    doc = {"model": ctx.model, "levels": rows}
     _write_json(doc, args.out)
     if args.out:
         print(f"wrote {args.out}; worst gap "
@@ -242,23 +196,22 @@ def cmd_approx(args: argparse.Namespace) -> int:
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
-    kind, raw = _load_element(_single_input(args))
-    tol = _tolerances(args)
-    if kind == "matrix":
-        try:
-            from .linalg import require_hermitian
+    ctx, raw = _load_element(_single_input(args), _tolerances(args))
+    # The engine's eigensolver is inside the try too: symmetrizing entries
+    # near the float limit can overflow to inf, which it rejects.
+    try:
+        if ctx.model == "matrix":
             raw = require_hermitian(raw)
-        except NotHermitianError as exc:
-            raise _DomainError(str(exc)) from exc
-    elif not np.all(np.isfinite(raw)):
-        raise _DomainError("values must be finite")
-    dec = sp.orthogonal_decomposition(raw, tol=tol)
+        elif not np.all(np.isfinite(raw)):
+            raise _DomainError("values must be finite")
+        dec = sp.orthogonal_decomposition(raw, ctx)
+    except NotHermitianError as exc:
+        raise _DomainError(str(exc)) from exc
     doc = {
-        "model": "fuzzy" if kind == "fuzzy" else "matrix",
-        "v_plus": _element_json(np.asarray(dec.v_plus)),
-        "v_minus": _element_json(np.asarray(dec.v_minus)),
-        "projection": _element_json(np.asarray(
-            dec.p.matrix if isinstance(dec.p, mx.Effect) else dec.p.values)),
+        "model": ctx.model,
+        "v_plus": ctx.write(dec.v_plus),
+        "v_minus": ctx.write(dec.v_minus),
+        "projection": ctx.write(dec.p),
     }
     _write_json(doc, args.out)
     return 0
@@ -268,26 +221,24 @@ def cmd_witness(args: argparse.Namespace) -> int:
     if len(args.input) != 2:
         raise _UsageError("witness takes exactly two --input files")
     tol = _tolerances(args)
-    kinds, effects = [], []
+    pair = []
     for path in args.input:
-        kind, raw = _load_element(path)
-        kinds.append(kind)
-        effects.append(_as_effect(kind, raw, tol))
-    if kinds[0] != kinds[1]:
+        ctx, raw = _load_element(path, tol)
+        pair.append((ctx, _classify(ctx, raw)[1]))
+    (ctx, e), (other, f) = pair
+    if ctx.model != other.model:
         raise _UsageError("witness inputs must share a model")
     try:
-        wit = sp.comparability_witness(effects[0], effects[1], tol=tol)
+        wit = sp.comparability_witness(e, f, ctx)
     except mx.NotCommutingError as exc:
         raise _DomainError("elements do not commute") from exc
     except mx.DimensionMismatchError as exc:
         raise _DomainError(str(exc)) from exc
     except fz.SpaceMismatchError as exc:
         raise _DomainError(str(exc)) from exc
-    p = wit.p
     doc = {
-        "model": "fuzzy" if kinds[0] == "fuzzy" else "matrix",
-        "p": _element_json(np.asarray(
-            p.matrix if isinstance(p, mx.Effect) else p.values)),
+        "model": ctx.model,
+        "p": ctx.write(wit.p),
         "degenerate": wit.degenerate,
     }
     _write_json(doc, args.out)
@@ -295,18 +246,16 @@ def cmd_witness(args: argparse.Namespace) -> int:
 
 
 def cmd_mv(args: argparse.Namespace) -> int:
-    kind, raw = _load_element(_single_input(args))
     tol = _tolerances(args)
-    effect = _as_effect(kind, raw, tol)
-    if kind == "fuzzy":
-        ctx = sp.resolve_context(effect, tol=tol)
+    ctx, raw = _load_element(_single_input(args), tol)
+    _, effect = _classify(ctx, raw)
+    if ctx.model == "fuzzy":
         rep = sp.reduced_representation(effect, ctx)
         doc = {
             "space": effect.space,
             "mu": list(rep.coefficients),
-            "parts": [np.flatnonzero(ctx.raw(p)).tolist()
-                      for p in rep.projections],
-            "family": sp.spectral_family(effect, ctx).to_json_dict(),
+            "parts": [np.flatnonzero(p).tolist() for p in rep.projections],
+            "family": sp.spectral_family(effect, ctx).to_json_dict(ctx),
             "sharp": ctx.is_sharp(effect),
         }
     else:
@@ -343,18 +292,20 @@ def _summarize(doc: dict) -> None:
     print(f"verdict: {doc['verdict']}")
 
 
+# --suite -> its runner; every runner checks its own arguments.
+_SUITES = {
+    "sea": verify.run_sea_suite,
+    "compression": verify.run_compression_suite,
+    "spectrality": verify.run_spectrality_suite,
+    "context": verify.run_context_suite,
+    "all": verify.run_all,
+}
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     tol = _tolerances(args)
     model = args.model
     dim_or_size = args.size if model == "mv" else args.dim
-    if args.samples < 1:
-        raise _UsageError("--samples must be positive")
-    if args.seed < 0:
-        raise _UsageError("--seed must be non-negative")
-    if model == "matrix" and args.dim < 1:
-        raise _UsageError("--dim must be positive")
-    if model == "mv" and not 1 <= args.size <= fz.MAX_SPACE:
-        raise _UsageError(f"--size must be between 1 and {fz.MAX_SPACE}")
     if args.product != "standard":
         if args.suite != "sea":
             raise _UsageError("--product applies to the sea suite only")
@@ -365,26 +316,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
         omitted = verify.control_omitted("sea", model, dim_or_size)
         if omitted:
             raise _UsageError(omitted)
-    if args.suite == "all":
-        reports = verify.run_all(model, dim_or_size, args.samples,
-                                 args.seed, tol)
-        doc = merge_reports(reports)
-    elif args.suite == "sea":
-        rep = verify.run_sea_suite(model, dim_or_size, args.samples,
-                                   args.seed, tol, product=args.product)
-        doc = rep.to_dict()
-    elif args.suite == "compression":
-        rep = verify.run_compression_suite(model, dim_or_size, args.samples,
-                                           args.seed, tol)
-        doc = rep.to_dict()
-    elif args.suite == "spectrality":
-        rep = verify.run_spectrality_suite(model, dim_or_size, args.samples,
-                                           args.seed, tol)
-        doc = rep.to_dict()
-    else:
-        rep = verify.run_context_suite(model, dim_or_size, args.samples,
-                                       args.seed, tol)
-        doc = rep.to_dict()
+    extra = {"product": args.product} if args.suite == "sea" else {}
+    try:
+        result = _SUITES[args.suite](model, dim_or_size, args.samples,
+                                     args.seed, tol, **extra)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
+    doc = merge_reports(result) if args.suite == "all" else result.to_dict()
     _summarize(doc)
     if args.out:
         _write_json(doc, args.out)
@@ -445,9 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[common],
                        help="run a property suite")
-    p.add_argument("--suite", required=True,
-                   choices=["sea", "compression", "spectrality", "context",
-                            "all"])
+    p.add_argument("--suite", required=True, choices=list(_SUITES))
     p.add_argument("--model", choices=["matrix", "mv"], default="matrix")
     p.add_argument("--dim", type=int, default=4,
                    help="matrix dimension (matrix model)")

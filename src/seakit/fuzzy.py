@@ -92,6 +92,26 @@ class FuzzyContext:
             raise NotAFuzzySetError("expected a 1-d value vector")
         return arr
 
+    def read(self, doc: dict) -> np.ndarray:
+        """The values of an element document: "values" a non-empty list of
+        at most ``MAX_SPACE`` numbers, and "space" (optional) its length.
+        Raises ValueError on any other shape; the values themselves are
+        not checked."""
+        vals = doc["values"]
+        if not mx.is_number_list(vals) or not vals:
+            raise ValueError("values must be a non-empty list of numbers")
+        if len(vals) > MAX_SPACE:
+            raise ValueError(f"values must have at most {MAX_SPACE} entries")
+        if "space" in doc and doc["space"] != len(vals):
+            raise ValueError("space field disagrees with the value count")
+        return np.asarray(vals, dtype=float)
+
+    def write(self, v) -> dict:
+        """The element document of v, the inverse of ``read``, with no
+        negative zeros."""
+        values = self.raw(v) + 0.0
+        return {"space": int(values.shape[0]), "values": values.tolist()}
+
     def encode(self, v) -> list:
         """The values as witness JSON."""
         return self.raw(v).tolist()
@@ -107,12 +127,6 @@ class FuzzyContext:
 
     def zero_like(self, v) -> np.ndarray:
         return np.zeros(self.raw(v).shape[0])
-
-    def wrap_projection(self, raw: np.ndarray) -> FuzzySet:
-        return FuzzySet(raw)
-
-    def zero_proj(self, v) -> FuzzySet:
-        return FuzzySet(self.zero_like(v))
 
     def shift(self, v, lam: float) -> np.ndarray:
         return self.raw(v) - lam
@@ -134,11 +148,12 @@ class FuzzyContext:
     def complement(self, p) -> np.ndarray:
         return 1.0 - self.raw(p)
 
-    def eigenprojections(self, v) -> tuple[np.ndarray, list[FuzzySet]]:
-        """Distinct values, ascending, with their level-set indicators."""
+    def eigenprojections(self, v) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Distinct values, ascending, with their level-set indicators as
+        0/1 arrays."""
         raw = self.raw(v)
         values = np.unique(raw)
-        return values, [FuzzySet((raw == lam).astype(float)) for lam in values]
+        return values, [(raw == lam).astype(float) for lam in values]
 
     def add(self, a, b) -> np.ndarray:
         return self.raw(a) + self.raw(b)
@@ -189,7 +204,7 @@ class FuzzyContext:
         raw = self.raw(a)
         return bool(np.all((raw == 0.0) | (raw == 1.0)))
 
-    def joint_clusters(self, e, f) -> list[tuple[float, float, FuzzySet]]:
+    def joint_clusters(self, e, f) -> list[tuple[float, float, np.ndarray]]:
         eraw, fraw = self.raw(e), self.raw(f)
         if eraw.shape != fraw.shape:
             raise SpaceMismatchError(
@@ -198,7 +213,7 @@ class FuzzyContext:
         out = []
         for ev, fv in pairs:
             mask = (eraw == ev) & (fraw == fv)
-            out.append((ev, fv, FuzzySet(mask.astype(float))))
+            out.append((ev, fv, mask.astype(float)))
         return out
 
     def proj_rank(self, p) -> int:
@@ -247,7 +262,7 @@ def spectrum_representation(a: mx.Effect, degree: int = 6,
     if not 1 <= degree <= 6:
         raise ValueError("degree must be between 1 and 6")
     d = a.decomposition
-    reps = np.clip(np.asarray(d.cluster_values()), 0.0, 1.0)
+    reps = np.clip(np.asarray(d.cluster_values), 0.0, 1.0)
     image = FuzzySet(reps)
 
     ctx = mx.MatrixContext(tol)

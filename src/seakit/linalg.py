@@ -101,7 +101,8 @@ class EigenDecomposition:
         return cluster_indices(self.values, self.tol.cluster * max(1.0, top))
 
     @cached_property
-    def _projectors(self) -> tuple[np.ndarray, ...]:
+    def projectors(self) -> tuple[np.ndarray, ...]:
+        """The eigenprojection of each cluster, in cluster order."""
         out = []
         for idx in self.clusters:
             cols = self.vectors[:, list(idx)]
@@ -109,15 +110,10 @@ class EigenDecomposition:
         return tuple(out)
 
     @cached_property
-    def _cluster_values(self) -> np.ndarray:
+    def cluster_values(self) -> np.ndarray:
+        """The mean eigenvalue of each cluster, ascending."""
         return _frozen(np.array([float(np.mean(self.values[list(idx)]))
                                  for idx in self.clusters]))
-
-    def projectors(self) -> tuple[np.ndarray, ...]:
-        return self._projectors
-
-    def cluster_values(self) -> np.ndarray:
-        return self._cluster_values
 
     def reconstruct(self) -> np.ndarray:
         return hermitian_part((self.vectors * self.values) @ self.vectors.conj().T)

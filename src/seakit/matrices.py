@@ -25,6 +25,9 @@ from .linalg import (
     require_hermitian,
 )
 
+# The largest dimension a verifier suite draws its matrices in.
+MAX_DIM = 1024
+
 
 class DimensionMismatchError(ValueError):
     """Operands live on spaces of different dimension."""
@@ -105,9 +108,8 @@ class Effect:
 
     def sqrt_matrix(self) -> np.ndarray:
         if self._sqrt is None:
-            d = self.decomposition
-            vals = np.sqrt(np.clip(d.values, 0.0, 1.0))
-            self._sqrt = hermitian_part((d.vectors * vals) @ d.vectors.conj().T)
+            self._sqrt = self.decomposition.apply(
+                lambda x: np.sqrt(np.clip(x, 0.0, 1.0)))
         return self._sqrt
 
     def complement(self) -> "Effect":
@@ -159,6 +161,13 @@ def validate_effect(matrix, tol: Tolerances = DEFAULT) -> Effect:
     return Effect(np.asarray(matrix), tol=tol, validate=True)
 
 
+def is_number_list(x) -> bool:
+    """A list of ints and floats (not bools): one row of an element
+    document."""
+    return isinstance(x, list) and all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) for v in x)
+
+
 def _matrix(x) -> np.ndarray:
     """The matrix of an Effect, or the array itself, as it is: neither
     checked nor symmetrized."""
@@ -185,7 +194,7 @@ def joint_eigenbasis(x, y, tol: Tolerances = DEFAULT
     vectors = np.zeros((n, n), dtype=np.complex128)
     xvals = np.zeros(n)
     yvals = np.zeros(n)
-    reps = dx.cluster_values()
+    reps = dx.cluster_values
     col = 0
     for k, idx in enumerate(dx.clusters):
         cols = dx.vectors[:, list(idx)]
@@ -250,6 +259,38 @@ class MatrixContext:
                           decomposition=EigenDecomposition(values, vectors,
                                                            self.tol))
 
+    def read(self, doc: dict) -> np.ndarray:
+        """The complex matrix of an element document: "re" a square list
+        of number rows, "im" (optional) of the same shape, and "dim"
+        (optional) the size.  Raises ValueError on any other shape; the
+        values themselves are not checked."""
+        re = doc["re"]
+        if (not isinstance(re, list) or not re
+                or any(not is_number_list(row) or len(row) != len(re)
+                       for row in re)):
+            raise ValueError("re must be a square matrix of numbers")
+        n = len(re)
+        if "dim" in doc and doc["dim"] != n:
+            raise ValueError("dim field disagrees with the matrix size")
+        arr = np.asarray(re, dtype=float).astype(np.complex128)
+        if "im" in doc:
+            im = doc["im"]
+            if (not isinstance(im, list) or len(im) != n
+                    or any(not is_number_list(row) or len(row) != n
+                           for row in im)):
+                raise ValueError("im must match the shape of re")
+            arr = arr + 1j * np.asarray(im, dtype=float)
+        return arr
+
+    def write(self, v) -> dict:
+        """The element document of v, the inverse of ``read``: "im" only
+        where it is nonzero, and no negative zeros."""
+        arr = _matrix(v) + 0.0
+        doc = {"dim": int(arr.shape[0]), "re": arr.real.tolist()}
+        if np.any(arr.imag != 0.0):
+            doc["im"] = arr.imag.tolist()
+        return doc
+
     def encode(self, v) -> dict:
         """The matrix as witness JSON, rounded to 12 places; the
         imaginary part only where it is nonzero."""
@@ -274,12 +315,6 @@ class MatrixContext:
     def zero_like(self, v) -> np.ndarray:
         n = np.shape(_matrix(v))[0]
         return np.zeros((n, n), dtype=np.complex128)
-
-    def wrap_projection(self, raw: np.ndarray) -> Projection:
-        return Projection(raw, tol=self.tol, validate=False)
-
-    def zero_proj(self, v) -> Projection:
-        return self.wrap_projection(self.zero_like(v))
 
     def shift(self, v, lam: float) -> np.ndarray:
         m = self.raw(v)
@@ -321,12 +356,13 @@ class MatrixContext:
         raw = _matrix(v)
         return np.eye(raw.shape[0]) - raw
 
-    def eigenprojections(self, v) -> tuple[np.ndarray, list[Projection]]:
-        """Cluster values with their eigenprojections, from one (for an
-        Effect, the cached) decomposition, which builds them once."""
+    def eigenprojections(self, v
+                         ) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+        """Cluster values with their eigenprojections: the read-only
+        arrays of one (for an Effect, the cached) decomposition, which
+        builds them once."""
         d = self._decomposition(v)
-        return (d.cluster_values(),
-                [self.wrap_projection(p) for p in d.projectors()])
+        return d.cluster_values, d.projectors
 
     def add(self, a, b) -> np.ndarray:
         return _matrix(a) + _matrix(b)
@@ -421,7 +457,7 @@ class MatrixContext:
         raw = _matrix(a)
         return frobenius(raw @ raw - raw) / raw.shape[0] <= self.tol.check
 
-    def joint_clusters(self, e, f) -> list[tuple[float, float, Projection]]:
+    def joint_clusters(self, e, f) -> list[tuple[float, float, np.ndarray]]:
         vectors, xvals, yvals = joint_eigenbasis(e, f, self.tol)
         width = self.tol.cluster * max(1.0, float(np.max(np.abs(xvals)) +
                                                   np.max(np.abs(yvals))))
@@ -433,8 +469,7 @@ class MatrixContext:
                 block = vectors[:, cols]
                 out.append((float(np.mean(xvals[cols])),
                             float(np.mean(yvals[cols])),
-                            self.wrap_projection(
-                                hermitian_part(block @ block.conj().T))))
+                            hermitian_part(block @ block.conj().T)))
         return out
 
     def proj_rank(self, p) -> int:

@@ -2,13 +2,14 @@
 
 A context is any model handle exposing addition, scalar action, order,
 compression, a Rickart map (kernel projection) and ``eigenprojections``,
-the distinct spectral values with their eigenprojections from one
-decomposition.  On that one call the engine builds reduced
+the distinct spectral values with their eigenprojections, as raw arrays,
+from one decomposition.  On that one call the engine builds reduced
 representations, spectral families as exact step functions, bounds, dyadic
 simple approximations, sign witnesses and orthogonal decompositions; it
-also reconstructs elements and builds comparability witnesses.  Each
-model's context lives in the model's module (``matrices.MatrixContext``,
-``fuzzy.FuzzyContext``); this module holds no model code.
+also reconstructs elements and builds comparability witnesses.  Every
+function takes the context as an argument: each model's context lives in
+the model's module (``matrices.MatrixContext``, ``fuzzy.FuzzyContext``),
+and this module imports neither.
 """
 from __future__ import annotations
 
@@ -18,43 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT, Tolerances
-from .fuzzy import FuzzyContext
-from .matrices import Effect, MatrixContext
-
-
-class UnsupportedContextError(ValueError):
-    """Input type has no registered context."""
-
-
-def _raw_of(p) -> np.ndarray:
-    if hasattr(p, "matrix"):
-        return p.matrix
-    if hasattr(p, "values"):
-        return p.values
-    return np.asarray(p)
-
-
-def resolve_context(v, context=None, tol: Tolerances = DEFAULT):
-    """The given context, or else the model context for the element."""
-    if context is not None:
-        return context
-    if isinstance(v, Effect):
-        return MatrixContext(tol)
-    if hasattr(v, "values") and getattr(v, "space", None) is not None:
-        return FuzzyContext(tol)
-    arr = np.asarray(v)
-    if arr.ndim == 2 and arr.shape[0] == arr.shape[1]:
-        return MatrixContext(tol)
-    if arr.ndim == 1:
-        return FuzzyContext(tol)
-    raise UnsupportedContextError(
-        f"no spectral context for input of type {type(v).__name__}")
-
 
 @dataclass(frozen=True)
 class SpectralFamily:
-    """Right-continuous step function of projections.
+    """Right-continuous step function of projections, held as raw arrays.
 
     `projections[0]` is the zero projection (the value below the lowest
     breakpoint) and `projections[k]` is the value on
@@ -81,40 +49,26 @@ class SpectralFamily:
         """Raw jump at breakpoint k (1-based): p(k) - p(k-1)."""
         if not 1 <= k <= len(self.breakpoints):
             raise IndexError("jump index out of range")
-        return _raw_of(self.projections[k]) - _raw_of(self.projections[k - 1])
+        return self.projections[k] - self.projections[k - 1]
 
-    def _rank(self, p) -> int:
-        raw = _raw_of(p)
-        if raw.ndim == 2:
-            return int(round(float(np.real(np.trace(raw)))))
-        return int(round(float(np.sum(raw))))
-
-    def to_json_dict(self) -> dict:
-        projs = []
-        for p in self.projections:
-            raw = _raw_of(p)
-            if raw.ndim == 2:
-                doc = {"dim": raw.shape[0], "re": np.real(raw).tolist()}
-                im = np.imag(raw)
-                if np.any(im != 0.0):
-                    doc["im"] = im.tolist()
-            else:
-                doc = {"space": int(raw.shape[0]), "values": raw.tolist()}
-            projs.append(doc)
+    def to_json_dict(self, ctx) -> dict:
+        """The family with each step as the context's element document."""
         return {
             "model": self.model,
             "L": self.L,
             "U": self.U,
             "breakpoints": list(self.breakpoints),
-            "projections": projs,
+            "projections": [ctx.write(p) for p in self.projections],
         }
 
-    def csv_lines(self, points: int = 101, lo: float = 0.0,
+    def csv_lines(self, ctx, points: int = 101, lo: float = 0.0,
                   hi: float = 1.0) -> list[str]:
+        """The rank of the step at each of ``points`` values from lo to
+        hi."""
         lines = ["lambda,rank"]
         for i in range(points):
             lam = lo + (hi - lo) * i / (points - 1) if points > 1 else lo
-            lines.append(f"{lam:.6f},{self._rank(self.at(lam))}")
+            lines.append(f"{lam:.6f},{ctx.proj_rank(self.at(lam))}")
         return lines
 
 
@@ -130,7 +84,7 @@ class OrthogonalDecomposition:
 
     v_plus: np.ndarray
     v_minus: np.ndarray
-    p: object
+    p: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -141,7 +95,7 @@ class ComparabilityWitness:
     one witness exists and the tie-break put the tied part under p.
     """
 
-    p: object
+    p: np.ndarray
     degenerate: bool = False
 
 
@@ -154,60 +108,36 @@ class ReducedRepresentation:
     projections: tuple
 
 
-def spectral_family(v, context=None, tol: Tolerances = DEFAULT
-                    ) -> SpectralFamily:
+def spectral_family(v, ctx) -> SpectralFamily:
     """Family p_λ as running sums of the eigenprojections of v.
 
     The verifier's eq:spectprojs statement checks it against the
     definition, the Rickart projection of (v - λ)⁺.
     """
-    ctx = resolve_context(v, context, tol)
-    rep = reduced_representation(v, ctx, tol)
-    fam = family_from_representation(rep.coefficients, rep.projections,
-                                     ctx.model)
-    return SpectralFamily(fam.breakpoints, tuple(
-        ctx.wrap_projection(step) for step in fam.projections), ctx.model)
+    rep = reduced_representation(v, ctx)
+    return family_from_representation(rep.coefficients, rep.projections,
+                                      ctx.model)
 
 
 def family_from_representation(coefficients, projections, model: str
                                ) -> SpectralFamily:
-    """Closed-form family: cumulative sums of the given projections, as
-    raw arrays."""
-    raws = [_raw_of(p) for p in projections]
-    if not raws:
+    """Closed-form family: cumulative sums of the given raw projections."""
+    if not projections:
         raise ValueError("at least one projection required")
-    steps = [np.zeros_like(raws[0])]
-    for r in raws:
-        steps.append(steps[-1] + r)
+    steps = [np.zeros_like(projections[0])]
+    for p in projections:
+        steps.append(steps[-1] + p)
     return SpectralFamily(tuple(float(c) for c in coefficients),
                           tuple(steps), model)
 
 
-def family_from_json(doc: dict) -> SpectralFamily:
-    """Inverse of SpectralFamily.to_json_dict."""
-    model = doc["model"]
-    projs = []
-    for p in doc["projections"]:
-        if "values" in p:
-            projs.append(np.asarray(p["values"], dtype=float))
-        else:
-            re = np.asarray(p["re"], dtype=float)
-            im = np.asarray(p.get("im", np.zeros_like(re)), dtype=float)
-            projs.append(re + 1j * im)
-    return SpectralFamily(tuple(float(b) for b in doc["breakpoints"]),
-                          tuple(projs), model)
-
-
-def eigenprojection(v, lam: float, context=None, tol: Tolerances = DEFAULT):
+def eigenprojection(v, lam: float, ctx):
     """Kernel projection of v - lam; zero unless lam is an eigenvalue."""
-    ctx = resolve_context(v, context, tol)
     return ctx.rickart(ctx.shift(ctx.raw(v), lam))
 
 
-def spectral_bounds(v, context=None, tol: Tolerances = DEFAULT
-                    ) -> SpectralBounds:
+def spectral_bounds(v, ctx) -> SpectralBounds:
     """Least and greatest spectral values: L·1 <= v <= U·1, tightly."""
-    ctx = resolve_context(v, context, tol)
     values, _ = ctx.eigenprojections(v)
     return SpectralBounds(float(values[0]), float(values[-1]))
 
@@ -253,7 +183,7 @@ def reconstruct(family: SpectralFamily, mesh: float | None = None):
     return acc
 
 
-def simple_approximation(a, n: int, context=None, tol: Tolerances = DEFAULT):
+def simple_approximation(a, n: int, ctx):
     """Dyadic lower staircase: floor the spectral values at 2^-n.
 
     The eigenprojections carry the largest multiple of 2^-n below their
@@ -261,25 +191,21 @@ def simple_approximation(a, n: int, context=None, tol: Tolerances = DEFAULT):
     """
     if n < 1:
         raise ValueError("level must be at least 1")
-    ctx = resolve_context(a, context, tol)
     values, projs = ctx.eigenprojections(a)
     scale = 2.0 ** n
     acc = ctx.zero_like(a)
     for lam, proj in zip(np.clip(values, 0.0, 1.0), projs):
         coeff = math.floor(float(lam) * scale + 1e-12) / scale
-        acc = ctx.add(acc, ctx.scale(coeff, ctx.raw(proj)))
+        acc = ctx.add(acc, ctx.scale(coeff, proj))
     return acc
 
 
-def orthogonal_decomposition(v, context=None, tol: Tolerances = DEFAULT
-                             ) -> OrthogonalDecomposition:
+def orthogonal_decomposition(v, ctx) -> OrthogonalDecomposition:
     """Unique split v = v_plus - v_minus with orthogonal positive parts;
     p is the least sign witness, the support of the positive part."""
-    ctx = resolve_context(v, context, tol)
     raw = ctx.raw(v)
-    p = ctx.wrap_projection(sign_witness_projections(v, ctx, tol,
-                                                     limit=1)[0])
-    comp = ctx.complement(ctx.raw(p))
+    p = sign_witness_projections(v, ctx, limit=1)[0]
+    comp = ctx.complement(p)
     v_plus = ctx.compress(p, raw)
     v_minus = ctx.scale(-1.0, ctx.compress(comp, raw))
     checks = (
@@ -294,11 +220,9 @@ def orthogonal_decomposition(v, context=None, tol: Tolerances = DEFAULT
     return OrthogonalDecomposition(v_plus, v_minus, p)
 
 
-def sign_witness_projections(v, context=None, tol: Tolerances = DEFAULT,
-                             limit: int = 64) -> list[np.ndarray]:
+def sign_witness_projections(v, ctx, limit: int = 64) -> list[np.ndarray]:
     """Projections q with the whole positive part under q and the negative
     part under its complement; one per subset of the kernel clusters."""
-    ctx = resolve_context(v, context, tol)
     values, projs = ctx.eigenprojections(v)
     pos = ctx.zero_like(v)
     zero_projs = []
@@ -306,7 +230,7 @@ def sign_witness_projections(v, context=None, tol: Tolerances = DEFAULT,
         if lam > ctx.tol.kernel:
             pos = ctx.add(pos, proj)
         elif abs(lam) <= ctx.tol.kernel:
-            zero_projs.append(_raw_of(proj))
+            zero_projs.append(proj)
     out = []
     for mask in range(2 ** len(zero_projs)):
         if len(out) >= limit:
@@ -319,8 +243,7 @@ def sign_witness_projections(v, context=None, tol: Tolerances = DEFAULT,
     return out
 
 
-def comparability_witness(e, f, context=None, tol: Tolerances = DEFAULT
-                          ) -> ComparabilityWitness:
+def comparability_witness(e, f, ctx) -> ComparabilityWitness:
     """Projection p with the e-part below the f-part under p and the
     reverse under its complement.
 
@@ -328,21 +251,19 @@ def comparability_witness(e, f, context=None, tol: Tolerances = DEFAULT
     the e-value does not exceed the f-value (ties included, flagged as
     degenerate).  Raises NotCommutingError for non-commuting input.
     """
-    ctx = resolve_context(e, context, tol)
     clusters = ctx.joint_clusters(e, f)
     width = ctx.tol.cluster * max(
         1.0, max(abs(ev) + abs(fv) for ev, fv, _ in clusters))
-    raw_p = None
+    p = None
     degenerate = False
     for ev, fv, proj in clusters:
         if abs(ev - fv) <= width:
             degenerate = True
         if ev <= fv + width:
-            raw_p = _raw_of(proj) if raw_p is None else raw_p + _raw_of(proj)
-    if raw_p is None:
-        raw_p = ctx.zero_like(e)
-    p = ctx.wrap_projection(raw_p)
-    comp = ctx.complement(raw_p)
+            p = proj if p is None else p + proj
+    if p is None:
+        p = ctx.zero_like(e)
+    comp = ctx.complement(p)
     ok = (ctx.leq(ctx.compress(p, e), ctx.compress(p, f))
           and ctx.leq(ctx.compress(comp, f), ctx.compress(comp, e)))
     if not ok:
@@ -350,10 +271,8 @@ def comparability_witness(e, f, context=None, tol: Tolerances = DEFAULT
     return ComparabilityWitness(p, degenerate)
 
 
-def reduced_representation(a, context=None, tol: Tolerances = DEFAULT
-                           ) -> ReducedRepresentation:
+def reduced_representation(a, ctx) -> ReducedRepresentation:
     """Distinct spectral values with their eigenprojections."""
-    ctx = resolve_context(a, context, tol)
     values, projs = ctx.eigenprojections(a)
     total = ctx.zero_like(a)
     for p in projs:

@@ -178,16 +178,17 @@ def _suite(suite: str, model: str, n: int, samples: int, seed: int,
         raise ValueError("samples must be positive")
     if seed < 0:
         raise ValueError("seed must be non-negative")
-    if n < 1 or (model == "mv" and n > fz.MAX_SPACE):
-        raise ValueError(f"dim_or_size {n} out of range")
     if model == "matrix":
-        ctx, draws = mx.MatrixContext(tol), lambda sid: mx.EffectSampler(
-            _seed_for(seed, suite, sid), n, tol)
+        limit, ctx, draws = mx.MAX_DIM, mx.MatrixContext(tol), (
+            lambda sid: mx.EffectSampler(_seed_for(seed, suite, sid), n, tol))
     elif model == "mv":
-        ctx, draws = fz.FuzzyContext(tol), lambda sid: fz.FuzzySampler(
-            _seed_for(seed, suite, sid), n)
+        limit, ctx, draws = fz.MAX_SPACE, fz.FuzzyContext(tol), (
+            lambda sid: fz.FuzzySampler(_seed_for(seed, suite, sid), n))
     else:
         raise ValueError(f"unknown model {model!r}")
+    if not 1 <= n <= limit:
+        raise ValueError(f"dim_or_size {n} out of range: the {model} model "
+                         f"takes 1 to {limit}")
     report = SuiteReport(
         suite=suite, model=model, seed=seed,
         config={"dim_or_size": n, "samples": samples, **config,
@@ -690,8 +691,9 @@ def _rickart_family(a, ctx) -> sp.SpectralFamily:
     """Reference family from the definition: p_λ is the Rickart projection
     of (a - λ)⁺, freshly decomposed at each spectral value λ."""
     values = tuple(float(x) for x in ctx.eigenprojections(a)[0])
-    steps = [ctx.zero_proj(a)] + [
-        ctx.rickart(ctx.positive_part(ctx.shift(a, lam))) for lam in values]
+    steps = [ctx.zero_like(a)] + [
+        ctx.raw(ctx.rickart(ctx.positive_part(ctx.shift(a, lam))))
+        for lam in values]
     return sp.SpectralFamily(values, tuple(steps), ctx.model)
 
 
@@ -876,7 +878,7 @@ def _b_compar(run, ctx, smp, t: _Tally) -> None:
         if wit.degenerate:
             run.degenerate_ties += 1
         p = wit.p
-        comp = ctx.complement(ctx.raw(p))
+        comp = ctx.complement(p)
         ok = (ctx.leq(ctx.compress(p, e), ctx.compress(p, f))
               and ctx.leq(ctx.compress(comp, f), ctx.compress(comp, e)))
         t.tally(ok, 0.0, lambda: {"sample": k, "e": ctx.encode(e),
@@ -955,18 +957,18 @@ def _lagrange(ctx, a, nodes, i: int):
     return out
 
 
-def _merge_representation(rep: sp.ReducedRepresentation, delta: float,
-                          raw_of) -> tuple[list[float], list[np.ndarray]]:
+def _merge_representation(rep: sp.ReducedRepresentation, delta: float
+                          ) -> tuple[list[float], list[np.ndarray]]:
     """Merge each coefficient within delta of its block's first one into
     that block, which keeps the first coefficient."""
     coeffs: list[float] = []
     projs: list[np.ndarray] = []
     for mu, proj in zip(rep.coefficients, rep.projections):
         if coeffs and delta > 0.0 and mu - coeffs[-1] <= delta:
-            projs[-1] = projs[-1] + raw_of(proj)
+            projs[-1] = projs[-1] + proj
         else:
             coeffs.append(mu)
-            projs.append(raw_of(proj))
+            projs.append(proj)
     return coeffs, projs
 
 
@@ -980,7 +982,7 @@ def _closed_form(run, ctx, smp, t: _Tally) -> None:
         else:
             a = smp.simple(gap=0.15)
         rep = sp.reduced_representation(a, ctx)
-        coeffs, projs = _merge_representation(rep, run.merge_delta, ctx.raw)
+        coeffs, projs = _merge_representation(rep, run.merge_delta)
         closed = sp.family_from_representation(coeffs, projs, ctx.model)
         ref = _rickart_family(a, ctx)
         ok = len(closed.projections) == len(ref.projections)
@@ -1016,7 +1018,7 @@ def _reduced(run, ctx, smp, t: _Tally) -> None:
                             - rep.coefficients[j - 1]) <= run.thr
         for i, p in enumerate(rep.projections):
             for q in rep.projections[i + 1:]:
-                r = run.res(ctx.mul(ctx.raw(p), ctx.raw(q)))
+                r = run.res(ctx.mul(p, q))
                 worst = max(worst, r)
                 ok = ok and r <= run.thr
         t.tally(ok, worst, lambda: {"sample": k, "a": ctx.encode(a)})

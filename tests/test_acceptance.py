@@ -16,7 +16,6 @@ from seakit.cli import main
 from seakit.config import DEFAULT
 from seakit.linalg import frobenius, hermitian_part, operator_norm
 from seakit.spectral import (
-    MatrixContext,
     reconstruct,
     reduced_representation,
     sign_witness_projections,
@@ -29,20 +28,12 @@ from seakit.verify import five_way_statements, run_sea_suite
 CHECK = 1e-8
 DIMS = range(2, 9)
 MV = fz.FuzzyContext()
-MATRIX = MatrixContext(DEFAULT)
+MATRIX = mx.MatrixContext(DEFAULT)
 
 
 def report(num, ok, label):
     print(f"criterion {num:02d} {'PASS' if ok else 'FAIL'}: {label}")
     assert ok, label
-
-
-def raw(p):
-    if isinstance(p, mx.Effect):
-        return np.asarray(p.matrix)
-    if isinstance(p, fz.FuzzySet):
-        return np.asarray(p.values)
-    return np.asarray(p)
 
 
 def test_criterion_01_sea_axioms():
@@ -103,7 +94,7 @@ def test_criterion_04_spectral_reconstruction():
         sampler = mx.EffectSampler(2000 + dim, dim)
         for _ in range(100):
             a = sampler.effect()
-            fam = spectral_family(a)
+            fam = spectral_family(a, MATRIX)
             gap = operator_norm(np.asarray(a.matrix) - reconstruct(fam))
             worst_exact = max(worst_exact, gap)
             for mesh in (0.1, 0.01, 0.001):
@@ -121,21 +112,21 @@ def test_criterion_05_closed_form_families(level_set_family):
     for k in range(100):
         dim = 2 + k % 7
         a = mx.EffectSampler(3000 + k, dim).simple()
-        rep = reduced_representation(a)
-        fam = spectral_family(a)
+        rep = reduced_representation(a, MATRIX)
+        fam = spectral_family(a, MATRIX)
         steps = [np.zeros((dim, dim), dtype=np.complex128)]
         for p in rep.projections:
-            steps.append(steps[-1] + raw(p))
+            steps.append(steps[-1] + p)
         ok = ok and len(fam.projections) == len(steps)
         for engine_p, closed_p in zip(fam.projections, steps):
-            ok = ok and frobenius(raw(engine_p) - closed_p) <= CHECK
+            ok = ok and frobenius(engine_p - closed_p) <= CHECK
     for k in range(100):
         a = fz.FuzzySampler(3100 + k, 6).effect()
-        fam = spectral_family(a)
+        fam = spectral_family(a, MV)
         closed = level_set_family(a)
         ok = ok and fam.breakpoints == closed.breakpoints
         for engine_p, closed_p in zip(fam.projections, closed.projections):
-            ok = ok and np.array_equal(raw(engine_p), raw(closed_p))
+            ok = ok and np.array_equal(engine_p, closed_p)
     report(5, ok, "step-formula families, 100 matrix + 100 mv elements")
 
 
@@ -146,7 +137,7 @@ def test_criterion_06_simple_approximation():
         a = mx.EffectSampler(4000 + k, dim).effect()
         previous = None
         for n in range(1, 11):
-            an = np.asarray(simple_approximation(a, n))
+            an = np.asarray(simple_approximation(a, n, MATRIX))
             gap = operator_norm(np.asarray(a.matrix) - an)
             ok = ok and gap <= 2.0 ** -n + CHECK
             if previous is not None:
@@ -191,8 +182,8 @@ def test_criterion_08_commutation_equivalence():
         seq = frobenius(MATRIX.product(a, b)
                         - MATRIX.product(b, a)) <= CHECK
         lie = frobenius(am @ bm - bm @ am) <= CHECK
-        projs_a = [raw(fam_p) for fam_p in spectral_family(a).projections]
-        projs_b = [raw(fam_p) for fam_p in spectral_family(b).projections]
+        projs_a = spectral_family(a, MATRIX).projections
+        projs_b = spectral_family(b, MATRIX).projections
         spectral = all(frobenius(p @ q - q @ p) <= CHECK
                        for p in projs_a for q in projs_b)
         if not seq == lie == spectral:
@@ -215,7 +206,7 @@ def test_criterion_09_decomposition_uniqueness():
             u = sampler.frame()
             v = hermitian_part((u * values) @ u.conj().T)
             splits = []
-            for q in sign_witness_projections(v):
+            for q in sign_witness_projections(v, MATRIX):
                 plus = MATRIX.compress(q, v)
                 minus = -MATRIX.compress(MATRIX.complement(q), v)
                 splits.append((plus, minus))

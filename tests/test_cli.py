@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 
 from seakit import fuzzy as fz
+from seakit import matrices as mx
 from seakit.cli import main
-from seakit.spectral import family_from_json, reconstruct
+from seakit.spectral import SpectralFamily, reconstruct
 from seakit.verify import control_omitted
 from test_verify import rounded
 
@@ -72,7 +73,8 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     assert main(["verify", "--suite", "sea", "--samples", "0"]) == 2
     for suite in ("sea", "all"):
         assert main(["verify", "--suite", suite, "--seed", "-1"]) == 2
-    assert main(["verify", "--suite", "sea", "--dim", "0"]) == 2
+    for dim in ("0", str(mx.MAX_DIM + 1)):
+        assert main(["verify", "--suite", "sea", "--dim", dim]) == 2
     for size in ("0", "1025"):
         assert main(["verify", "--suite", "sea", "--model", "mv",
                      "--size", size]) == 2
@@ -120,12 +122,25 @@ def test_spectrum_round_trip(tmp_path, eff_path, capsys):
     assert csv[0] == "lambda,rank"
     assert doc["bounds"] == {"L": 0.2, "U": 0.7}
     assert doc["eigenvalues"] == pytest.approx([0.2, 0.7])
-    fam = family_from_json(doc["family"])
+    ctx = mx.MatrixContext()
+    fam = SpectralFamily(tuple(doc["family"]["breakpoints"]), tuple(
+        ctx.read(p) for p in doc["family"]["projections"]), "matrix")
     rebuilt = reconstruct(fam)
     gap = float(np.abs(rebuilt - np.diag([0.2, 0.7])).max())
     assert gap <= doc["breakpoint_residual"] + 1e-12
     assert doc["reconstruction_residual"] <= doc["mesh"]
     capsys.readouterr()
+
+
+def test_spectrum_out_must_differ_from_its_csv(tmp_path, eff_path, capsys):
+    """The rank CSV goes beside the JSON report, with the extension
+    replaced by .csv; an --out already ending in .csv would be
+    overwritten by it."""
+    out = tmp_path / "fam.csv"
+    assert main(["spectrum", "--input", eff_path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --out ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_spectrum_stdout_and_mesh_validation(tmp_path, eff_path, capsys):
@@ -153,11 +168,14 @@ def test_decompose(tmp_path, capsys):
     assert doc["projection"]["re"] == [[1.0, 0.0], [0.0, 0.0]]
     skew = write(tmp_path / "skew.json", {"re": [[0.0, 1.0], [0.0, 0.0]]})
     assert main(["decompose", "--input", skew]) == 1
+    capsys.readouterr()
+    # Symmetrizing 1e308 overflows to inf, which the engine rejects.
     for doc in ({"re": [[float("nan"), 0.0], [0.0, 0.5]]},
-                {"values": [float("inf"), 0.5]}):
+                {"values": [float("inf"), 0.5]},
+                {"re": [[1e308, 0.0], [0.0, 1e308]]}):
         assert main(["decompose", "--input",
                      write(tmp_path / "nonfinite.json", doc)]) == 1
-    capsys.readouterr()
+        assert capsys.readouterr().out.count("\n") == 1
 
 
 def test_witness_pair(tmp_path, capsys):
@@ -378,13 +396,13 @@ CLI_GOLDEN = {
     "approx-m3": "89e19aecb57579c197e0b8d391d2476fd8a83545cdd15b39cd16d595557d182f",
     "decompose-fsigned": "6c4e53f55f4c934c9d7442721ef3511ef7f69a538d5ec4b6a972702c8b4f4ce6",
     "decompose-m2": "de71ffdf1b9d99bbf7da958fb77728c5c5d22122ac55082e958bb8ff5f14c5e5",
-    "decompose-mhuge": "9d1386e575649fb253f911a80986b2829f0cf8f6628d01a8a13512d6cd357f86",
+    "decompose-mhuge": "825483113973f6b87fac55eb60ddb32f4ac38dc8f18d9c766ede39659c7d36a5",
     "decompose-msigned": "ff496a4afc1501f71d110355d157ea2f3304de0cce53334461f3ba5650336280",
     "mv-f4": "063ed41914082af36d23f660860b44bdcd8b605e3ebfe086ec8c15b2f180da19",
     "mv-fsharp": "079c3a77768704ae19a1bdcdab4998885ede323ab36cbcffce9efc11da306500",
     "mv-m3": "210acb4a4f2ff856cbda72346401cd0747e873fe665d522b970adb38b2be0e06",
     "spectrum-f4": "ca62ff227c2f93f399d7a4c7a6ac4f1b77ad12a2bb36b0b0ea5fcf05074155c7",
-    "spectrum-f4-csv": "a12abf7e1676563f3ae54076cf1fb95115857ebade793160fc32e0b66e59d37c",
+    "spectrum-f4-csv": "d46fee23f0fc594acd443effce4b2c99ed336991b72176985565c9091cde8b47",
     "spectrum-fspace": "b89947dd165a90bfe7075105791be7b0b1e9fe6151a8e4f7cc225e2e5184c703",
     "spectrum-m2": "a76bc0ea5e83f2095325c53243ffc477f32e5aaff8dc895b3e8642e3d8fd172b",
     "spectrum-m3": "498e36fb61c7282fbeafdb2c46d78f62c820bf7dd4e8af9a4a7a869f049514fc",
@@ -404,7 +422,13 @@ CLI_GOLDEN = {
 def test_element_verbs_are_golden(tmp_path):
     """Matrix outputs are hashed with every float rounded to 6 places, as
     ``MATRIX_GOLDEN`` is, because LAPACK bits depend on the build;
-    pointwise outputs exactly."""
+    pointwise outputs exactly.
+
+    Recorded before the engine took its context as an argument; since
+    then only the two error cases have changed, on purpose:
+    ``decompose-mhuge`` exits 1 with one line instead of raising, and
+    ``spectrum-f4-csv`` exits 2 instead of writing its CSV over its JSON.
+    """
     digests = {}
     for name in sorted(CLI_CASES):
         workdir = tmp_path / name

@@ -27,8 +27,7 @@ def fs(*values):
 
 
 def step_values(fam, lam):
-    step = fam.at(lam)
-    return step.values if isinstance(step, FuzzySet) else np.asarray(step)
+    return fam.at(lam)
 
 
 def test_validation():
@@ -80,27 +79,28 @@ def test_sharpness_and_compression():
 
 
 def test_reduced_representation_level_sets():
-    rep = reduced_representation(fs(0.2, 0.2, 0.9))
+    rep = reduced_representation(fs(0.2, 0.2, 0.9), CTX)
     assert rep.coefficients == (0.2, 0.9)
-    assert [p.values.tolist() for p in rep.projections] == [
+    assert [p.tolist() for p in rep.projections] == [
         [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
-    rep = reduced_representation(fs(0.4, 0.4, 0.4))
+    rep = reduced_representation(fs(0.4, 0.4, 0.4), CTX)
     assert rep.coefficients == (0.4,)
-    assert rep.projections[0].values.tolist() == [1.0, 1.0, 1.0]
-    assert reduced_representation(fs(0.0, 1.0)).coefficients == (0.0, 1.0)
+    assert rep.projections[0].tolist() == [1.0, 1.0, 1.0]
+    rep = reduced_representation(fs(0.0, 1.0), CTX)
+    assert rep.coefficients == (0.0, 1.0)
 
 
 def test_delta_merging_is_opt_in():
-    rep = reduced_representation(fs(0.3, 0.4, 0.9))
-    assert _merge_representation(rep, 0.0, CTX.raw)[0] == [0.3, 0.4, 0.9]
-    merged_mu, merged = _merge_representation(rep, 0.15, CTX.raw)
+    rep = reduced_representation(fs(0.3, 0.4, 0.9), CTX)
+    assert _merge_representation(rep, 0.0)[0] == [0.3, 0.4, 0.9]
+    merged_mu, merged = _merge_representation(rep, 0.15)
     assert [np.flatnonzero(p).tolist() for p in merged] == [[0, 1], [2]]
     assert merged_mu == [0.3, 0.9]
 
 
 def test_family_matches_threshold_oracle():
     a = fs(0.2, 0.2, 0.9)
-    fam = spectral_family(a)
+    fam = spectral_family(a, CTX)
     # oracle: the step at lam is the indicator of {x : a(x) <= lam}
     for lam in [0.0, 0.1, 0.2, 0.5, 0.89, 0.9, 1.0]:
         assert np.array_equal(step_values(fam, lam),
@@ -108,10 +108,10 @@ def test_family_matches_threshold_oracle():
 
 
 def test_family_edge_cases():
-    fam = spectral_family(zero(3))
+    fam = spectral_family(zero(3), CTX)
     assert np.array_equal(step_values(fam, 0.0), np.ones(3))
     p = indicator(2, [0])
-    fam = spectral_family(p)
+    fam = spectral_family(p, CTX)
     assert np.array_equal(step_values(fam, 0.0), [0.0, 1.0])
     assert np.array_equal(step_values(fam, 0.999), [0.0, 1.0])
     assert np.array_equal(step_values(fam, 1.0), [1.0, 1.0])
@@ -119,7 +119,7 @@ def test_family_edge_cases():
 
 def test_family_reconstructs_exactly():
     a = fs(0.25, 0.5, 0.5, 1.0)
-    fam = spectral_family(a)
+    fam = spectral_family(a, CTX)
     total = np.zeros(4)
     for k in range(1, len(fam.breakpoints) + 1):
         total = total + fam.breakpoints[k - 1] * fam.jump(k)
@@ -128,11 +128,11 @@ def test_family_reconstructs_exactly():
 
 def test_reduced_representation_is_unique(level_set_family):
     a = fs(0.125, 0.75, 0.125, 0.375)
-    rep = reduced_representation(a)
+    rep = reduced_representation(a, CTX)
     closed = level_set_family(a)
     assert rep.coefficients == closed.breakpoints
     for k, p in enumerate(rep.projections, start=1):
-        assert np.array_equal(p.values, closed.jump(k))
+        assert np.array_equal(p, closed.jump(k))
 
 
 def test_fuzzy_context_thresholds_are_exact():

@@ -63,27 +63,27 @@ def test_cluster_indices_width():
 def test_projectors_resolve_identity(rng):
     g = rng.normal(size=(4, 4))
     d = eigh((g + g.T) / 2)
-    total = sum(d.projectors())
+    total = sum(d.projectors)
     assert np.allclose(total, np.eye(4), atol=1e-9)
-    for p in d.projectors():
+    for p in d.projectors:
         assert np.allclose(p @ p, p, atol=1e-9)
 
 
 def test_clustered_projector_rank():
     d = eigh(np.diag([0.2, 0.2, 0.9]))
     assert len(d.clusters) == 2
-    assert np.allclose(d.projectors()[0], np.diag([1.0, 1.0, 0.0]),
+    assert np.allclose(d.projectors[0], np.diag([1.0, 1.0, 0.0]),
                        atol=1e-12)
-    assert np.allclose(d.projectors()[1], np.diag([0.0, 0.0, 1.0]),
+    assert np.allclose(d.projectors[1], np.diag([0.0, 0.0, 1.0]),
                        atol=1e-12)
-    assert np.allclose(d.cluster_values(), [0.2, 0.9])
+    assert np.allclose(d.cluster_values, [0.2, 0.9])
 
 
 def test_decompositions_build_read_only_arrays_once():
     d = eigh(np.diag([0.2, 0.2, 0.9]))
-    assert d.projectors() is d.projectors()
-    assert d.cluster_values() is d.cluster_values()
-    for arr in (d.values, d.vectors, d.cluster_values(), *d.projectors()):
+    assert d.projectors is d.projectors
+    assert d.cluster_values is d.cluster_values
+    for arr in (d.values, d.vectors, d.cluster_values, *d.projectors):
         assert not arr.flags.writeable
     # Ascending input is shared, and so frozen; other input is sorted.
     vectors = np.eye(2, dtype=np.complex128)

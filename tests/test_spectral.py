@@ -12,16 +12,12 @@ from seakit.cli import main
 from seakit.config import DEFAULT
 from seakit.linalg import operator_norm
 from seakit.spectral import (
-    MatrixContext,
-    UnsupportedContextError,
     comparability_witness,
     eigenprojection,
-    family_from_json,
     family_from_representation,
     orthogonal_decomposition,
     reconstruct,
     reduced_representation,
-    resolve_context,
     simple_approximation,
     sign_witness_projections,
     spectral_bounds,
@@ -29,49 +25,46 @@ from seakit.spectral import (
 )
 
 
+MATRIX = mx.MatrixContext(DEFAULT)
+FUZZY = fz.FuzzyContext(DEFAULT)
+
+
 def effect(*values):
     return mx.validate_effect(np.diag(np.array(values, dtype=float)))
 
 
-def raw(p):
-    if isinstance(p, mx.Effect):
-        return np.asarray(p.matrix)
-    if isinstance(p, fz.FuzzySet):
-        return np.asarray(p.values)
-    return np.asarray(p)
-
-
 def test_family_of_diagonal_effect():
-    fam = spectral_family(effect(0.2, 0.7))
+    fam = spectral_family(effect(0.2, 0.7), MATRIX)
     assert fam.breakpoints == (0.2, 0.7)
-    assert np.allclose(raw(fam.at(0.1)), np.zeros((2, 2)), atol=1e-10)
-    assert np.allclose(raw(fam.at(0.3)), np.diag([1.0, 0.0]), atol=1e-10)
-    assert np.allclose(raw(fam.at(0.7)), np.eye(2), atol=1e-10)
-    bounds = spectral_bounds(effect(0.2, 0.7))
+    assert np.allclose(fam.at(0.1), np.zeros((2, 2)), atol=1e-10)
+    assert np.allclose(fam.at(0.3), np.diag([1.0, 0.0]), atol=1e-10)
+    assert np.allclose(fam.at(0.7), np.eye(2), atol=1e-10)
+    bounds = spectral_bounds(effect(0.2, 0.7), MATRIX)
     assert bounds.L == pytest.approx(0.2)
     assert bounds.U == pytest.approx(0.7)
 
 
 def test_family_of_projection_and_scalar():
     p = mx.Projection(np.diag([1.0, 0.0]))
-    fam = spectral_family(p)
+    fam = spectral_family(p, MATRIX)
     assert fam.breakpoints == (0.0, 1.0)
-    assert np.allclose(raw(fam.at(0.5)), np.diag([0.0, 1.0]), atol=1e-10)
-    fam = spectral_family(effect(0.4, 0.4))
+    assert np.allclose(fam.at(0.5), np.diag([0.0, 1.0]), atol=1e-10)
+    fam = spectral_family(effect(0.4, 0.4), MATRIX)
     assert fam.breakpoints == (0.4,)
-    assert np.allclose(raw(fam.at(0.4)), np.eye(2), atol=1e-10)
+    assert np.allclose(fam.at(0.4), np.eye(2), atol=1e-10)
 
 
 def test_family_is_right_continuous_with_eigen_jumps():
     a = effect(0.2, 0.5, 0.5)
-    fam = spectral_family(a)
+    fam = spectral_family(a, MATRIX)
     for k, b in enumerate(fam.breakpoints, start=1):
         eps = 1e-9
-        assert np.allclose(raw(fam.at(b + eps)), raw(fam.at(b)), atol=1e-8)
+        assert np.allclose(fam.at(b + eps), fam.at(b), atol=1e-8)
         jump = fam.jump(k)
-        proj = raw(eigenprojection(a, b))
+        proj = eigenprojection(a, b, MATRIX).matrix
         assert np.allclose(jump, proj, atol=1e-8)
-    assert np.allclose(raw(eigenprojection(a, 0.3)), np.zeros((3, 3)),
+    assert np.allclose(eigenprojection(a, 0.3, MATRIX).matrix,
+                       np.zeros((3, 3)),
                        atol=1e-10)
 
 
@@ -79,7 +72,7 @@ def test_reconstruction_error_tracks_mesh():
     sampler = mx.EffectSampler(13, 5)
     for _ in range(5):
         a = sampler.effect()
-        fam = spectral_family(a)
+        fam = spectral_family(a, MATRIX)
         exact = reconstruct(fam)
         assert operator_norm(np.asarray(a.matrix) - exact) <= 1e-8
         for mesh in (0.1, 0.01, 0.001):
@@ -103,52 +96,53 @@ def test_meshed_tags_match_the_listed_partition():
 
     sampler = mx.EffectSampler(21, 4)
     rng = np.random.default_rng(21)
-    elements = [sampler.effect() for _ in range(4)]
-    elements += [sampler.simple() for _ in range(4)]
-    elements += [effect(0.0, 0.25, 1.0), effect(0.5, 0.5, 0.5)]
-    elements += [fz.FuzzySet(rng.integers(0, 257, 9) / 256)
+    elements = [(MATRIX, sampler.effect()) for _ in range(4)]
+    elements += [(MATRIX, sampler.simple()) for _ in range(4)]
+    elements += [(MATRIX, effect(0.0, 0.25, 1.0)),
+                 (MATRIX, effect(0.5, 0.5, 0.5))]
+    elements += [(FUZZY, fz.FuzzySet(rng.integers(0, 257, 9) / 256))
                  for _ in range(4)]
     meshes = [0.1, 0.01, 1e-3, 1e-4] + list(10.0 ** rng.uniform(-4, -1, 8))
-    for a in elements:
-        fam = spectral_family(a)
+    for ctx, a in elements:
+        fam = spectral_family(a, ctx)
         for mesh in meshes:
             assert np.array_equal(reconstruct(fam, mesh), listed(fam, mesh))
-    fam = spectral_family(elements[0])
+    a = elements[0][1]
+    fam = spectral_family(a, MATRIX)
     fine = reconstruct(fam, 1e-12)
-    assert operator_norm(np.asarray(elements[0].matrix) - fine) <= 1e-8
+    assert operator_norm(np.asarray(a.matrix) - fine) <= 1e-8
     for mesh in (1e-320, 5e-324):
         with pytest.raises(ValueError, match="too fine"):
             reconstruct(fam, mesh)
-    flat = spectral_family(effect(0.5, 0.5, 0.5))
+    flat = spectral_family(effect(0.5, 0.5, 0.5), MATRIX)
     assert np.allclose(reconstruct(flat, 5e-324), np.eye(3) * 0.5)
 
 
 def test_simple_approximation_dyadic_staircase():
     a = effect(0.2, 0.7)
-    a1 = simple_approximation(a, 1)
+    a1 = simple_approximation(a, 1, MATRIX)
     assert np.allclose(a1, np.diag([0.0, 0.5]), atol=1e-10)
-    a3 = simple_approximation(a, 3)
+    a3 = simple_approximation(a, 3, MATRIX)
     assert np.allclose(a3, np.diag([0.125, 0.625]), atol=1e-10)
     with pytest.raises(ValueError):
-        simple_approximation(a, 0)
+        simple_approximation(a, 0, MATRIX)
 
 
 def test_orthogonal_decomposition_of_diagonal():
-    dec = orthogonal_decomposition(np.diag([0.3, -0.4]))
+    dec = orthogonal_decomposition(np.diag([0.3, -0.4]), MATRIX)
     assert np.allclose(np.asarray(dec.v_plus), np.diag([0.3, 0.0]),
                        atol=1e-10)
     assert np.allclose(np.asarray(dec.v_minus), np.diag([0.0, 0.4]),
                        atol=1e-10)
-    assert np.allclose(raw(dec.p), np.diag([1.0, 0.0]), atol=1e-10)
+    assert np.allclose(dec.p, np.diag([1.0, 0.0]), atol=1e-10)
 
 
 def test_sign_witnesses_agree():
     v = np.diag([0.5, -0.2, 0.0])
     splits = []
-    for q in sign_witness_projections(v):
-        ctx = MatrixContext(DEFAULT)
-        plus = ctx.compress(q, v)
-        minus = -ctx.compress(ctx.complement(q), v)
+    for q in sign_witness_projections(v, MATRIX):
+        plus = MATRIX.compress(q, v)
+        minus = -MATRIX.compress(MATRIX.complement(q), v)
         splits.append((plus, minus))
     assert len(splits) >= 2
     for plus, minus in splits[1:]:
@@ -158,10 +152,10 @@ def test_sign_witnesses_agree():
 
 def test_comparability_witness_sidewise():
     e, f = effect(0.3, 0.6), effect(0.5, 0.4)
-    wit = comparability_witness(e, f)
-    assert np.allclose(raw(wit.p), np.diag([1.0, 0.0]), atol=1e-10)
+    wit = comparability_witness(e, f, MATRIX)
+    assert np.allclose(wit.p, np.diag([1.0, 0.0]), atol=1e-10)
     assert not wit.degenerate
-    tie = comparability_witness(effect(0.3, 0.5), effect(0.3, 0.7))
+    tie = comparability_witness(effect(0.3, 0.5), effect(0.3, 0.7), MATRIX)
     assert tie.degenerate
 
 
@@ -169,56 +163,51 @@ def test_comparability_needs_commutation():
     e = mx.validate_effect(np.array([[0.5, 0.1], [0.1, 0.5]]))
     f = effect(0.3, 0.8)
     with pytest.raises(mx.NotCommutingError):
-        comparability_witness(e, f)
+        comparability_witness(e, f, MATRIX)
 
 
 def test_reduced_representation_round_trip():
     a = effect(0.2, 0.2, 0.9)
-    rep = reduced_representation(a)
+    rep = reduced_representation(a, MATRIX)
     assert list(rep.coefficients) == pytest.approx([0.2, 0.9])
-    fam = spectral_family(a)
+    fam = spectral_family(a, MATRIX)
     rebuilt = family_from_representation(rep.coefficients, rep.projections,
                                          "matrix")
     assert rebuilt.breakpoints == fam.breakpoints
     for lam in (0.1, 0.2, 0.5, 0.9):
-        assert np.allclose(raw(rebuilt.at(lam)), raw(fam.at(lam)), atol=1e-8)
+        assert np.allclose(rebuilt.at(lam), fam.at(lam), atol=1e-8)
 
 
 def test_family_json_round_trip(level_set_family):
-    a = mx.EffectSampler(21, 3).effect()
-    fam = spectral_family(a)
-    back = family_from_json(fam.to_json_dict())
-    assert back.breakpoints == fam.breakpoints
-    assert back.model == fam.model
-    for k in range(len(back.projections)):
-        assert np.allclose(np.asarray(back.projections[k]),
-                           raw(fam.projections[k]), atol=1e-12)
-    mv = level_set_family(fz.FuzzySet(np.array([0.25, 0.75])))
-    back = family_from_json(mv.to_json_dict())
-    assert back.breakpoints == mv.breakpoints
+    """Each step of a family's JSON, read back by its context's reader,
+    is the step itself."""
+    families = (
+        (MATRIX, spectral_family(mx.EffectSampler(21, 3).effect(), MATRIX)),
+        (FUZZY, level_set_family(fz.FuzzySet(np.array([0.25, 0.75])))),
+    )
+    for ctx, fam in families:
+        doc = json.loads(json.dumps(fam.to_json_dict(ctx)))
+        assert tuple(doc["breakpoints"]) == fam.breakpoints
+        assert doc["model"] == fam.model == ctx.model
+        for step, written in zip(fam.projections, doc["projections"],
+                                 strict=True):
+            assert np.array_equal(ctx.read(written), step)
 
 
 def test_fuzzy_elements_use_the_same_engine(level_set_family):
     a = fz.FuzzySet(np.array([0.2, 0.2, 0.9]))
-    fam = spectral_family(a)
+    fam = spectral_family(a, FUZZY)
     assert fam.breakpoints == (0.2, 0.9)
-    assert np.array_equal(raw(fam.at(0.2)), [1.0, 1.0, 0.0])
+    assert np.array_equal(fam.at(0.2), [1.0, 1.0, 0.0])
     engine = reconstruct(fam)
     assert np.array_equal(engine, a.values)
     closed = level_set_family(a)
     assert closed.breakpoints == fam.breakpoints
 
 
-def test_unsupported_inputs_are_rejected():
-    with pytest.raises(UnsupportedContextError):
-        resolve_context(np.zeros((2, 2, 2)))
-    with pytest.raises(UnsupportedContextError):
-        resolve_context("text")
-
-
 def test_csv_lines_format():
-    fam = spectral_family(effect(0.2, 0.7))
-    lines = fam.csv_lines(points=5, lo=0.0, hi=1.0)
+    fam = spectral_family(effect(0.2, 0.7), MATRIX)
+    lines = fam.csv_lines(MATRIX, points=5, lo=0.0, hi=1.0)
     assert lines[0] == "lambda,rank"
     assert len(lines) == 6
     assert lines[1].startswith("0.000000,")
@@ -229,7 +218,7 @@ ENGINE = {
     "spectral_family": spectral_family,
     "spectral_bounds": spectral_bounds,
     "reduced_representation": reduced_representation,
-    "simple_approximation": lambda v: simple_approximation(v, 3),
+    "simple_approximation": lambda v, ctx: simple_approximation(v, 3, ctx),
     "sign_witness_projections": sign_witness_projections,
     "orthogonal_decomposition": orthogonal_decomposition,
 }
@@ -243,9 +232,9 @@ def test_one_decomposition_per_element(eigh_calls, tmp_path):
         a = sampler.with_values(values)
         for fn_name, fn in ENGINE.items():
             before = eigh_calls.count
-            fn(a)
+            fn(a, MATRIX)
             assert eigh_calls.count == before, (name, fn_name, "cached")
-            fn(np.array(a.matrix))
+            fn(np.array(a.matrix), MATRIX)
             assert eigh_calls.count == before + 1, (name, fn_name, "raw")
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps({"re": np.real(a.matrix).tolist(),
@@ -263,7 +252,7 @@ def test_order_and_norm_checks_decompose_nothing(call_counter):
     one LAPACK call each and no clustered decomposition."""
     sampler = mx.EffectSampler(3, 4)
     a, b = sampler.effect(), sampler.effect()
-    ctx = MatrixContext()
+    ctx = mx.MatrixContext()
     calls = call_counter("numpy.linalg.eigh",
                          "seakit.linalg.decomposition_from",
                          "seakit.linalg.cluster_indices")

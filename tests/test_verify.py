@@ -179,7 +179,8 @@ def test_suites_reject_bad_arguments_up_front(run):
     for bad in ({"samples": 0}, {"seed": -1}):
         with pytest.raises(ValueError):
             run("mv", 4, **bad)
-    for model, n in (("matrix", 0), ("mv", 0), ("mv", fz.MAX_SPACE + 1)):
+    for model, n in (("matrix", 0), ("matrix", mx.MAX_DIM + 1), ("mv", 0),
+                     ("mv", fz.MAX_SPACE + 1)):
         with pytest.raises(ValueError):
             run(model, n, samples=2, seed=1)
 
@@ -253,7 +254,7 @@ ROUTE_FAILURES = {"coro:limit", "eq:spectprojs", "eq:spectresV",
 
 
 @pytest.mark.parametrize("model,model_context,failures", [
-    ("matrix", sp.MatrixContext, ROUTE_FAILURES | {"prop:decomp"}),
+    ("matrix", mx.MatrixContext, ROUTE_FAILURES | {"prop:decomp"}),
     ("mv", fz.FuzzyContext, ROUTE_FAILURES),
 ], ids=["matrix", "mv"])
 def test_verifier_catches_a_wrong_eigenprojection_route(
@@ -297,7 +298,7 @@ def test_lagrange_basis_is_exact_at_the_nodes():
             for i, x in enumerate(nodes):
                 assert np.array_equal(_lagrange(ctx, a, nodes, i),
                                       (a.values == x).astype(float))
-    ctx = sp.MatrixContext(DEFAULT)
+    ctx = mx.MatrixContext(DEFAULT)
     a = mx.EffectSampler(5, 3).with_values([0.25, 0.5, 0.5])
     for i, x in enumerate((0.25, 0.5)):
         expected = sp.eigenprojection(a, x, ctx).matrix
@@ -497,14 +498,14 @@ def test_work_per_request_is_pinned(call_counter, monkeypatch):
     calls = call_counter("numpy.linalg.eigh",
                          "seakit.linalg.decomposition_from")
     encoded = 0
-    encode = sp.MatrixContext.encode
+    encode = mx.MatrixContext.encode
 
     def counted(self, v):
         nonlocal encoded
         encoded += 1
         return encode(self, v)
 
-    monkeypatch.setattr(sp.MatrixContext, "encode", counted)
+    monkeypatch.setattr(mx.MatrixContext, "encode", counted)
     reports = run_all("matrix", 4, 12, 42)
     assert calls["numpy.linalg.eigh"] == 1561
     assert calls["seakit.linalg.decomposition_from"] <= 2700
