@@ -144,8 +144,8 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     ctx, raw = _load_element(_single_input(args), _tolerances(args))
     if not 0.0 < args.mesh < float("inf"):
         raise _UsageError("--mesh must be positive and finite")
-    csv_path = args.out and os.path.splitext(args.out)[0] + ".csv"
-    if csv_path and csv_path == args.out:
+    csv_path = os.path.splitext(args.out or "")[0] + ".csv"
+    if csv_path == args.out:
         raise _UsageError(f"--out {args.out} is where the rank CSV goes; "
                           "give the JSON report another extension")
     _, effect = _classify(ctx, raw)

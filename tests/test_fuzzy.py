@@ -26,10 +26,6 @@ def fs(*values):
     return FuzzySet(np.array(values, dtype=float))
 
 
-def step_values(fam, lam):
-    return fam.at(lam)
-
-
 def test_validation():
     with pytest.raises(NotAFuzzySetError):
         FuzzySet(np.array([0.2, 1.3]))
@@ -103,18 +99,18 @@ def test_family_matches_threshold_oracle():
     fam = spectral_family(a, CTX)
     # oracle: the step at lam is the indicator of {x : a(x) <= lam}
     for lam in [0.0, 0.1, 0.2, 0.5, 0.89, 0.9, 1.0]:
-        assert np.array_equal(step_values(fam, lam),
+        assert np.array_equal(fam.at(lam),
                               (a.values <= lam).astype(float))
 
 
 def test_family_edge_cases():
     fam = spectral_family(zero(3), CTX)
-    assert np.array_equal(step_values(fam, 0.0), np.ones(3))
+    assert np.array_equal(fam.at(0.0), np.ones(3))
     p = indicator(2, [0])
     fam = spectral_family(p, CTX)
-    assert np.array_equal(step_values(fam, 0.0), [0.0, 1.0])
-    assert np.array_equal(step_values(fam, 0.999), [0.0, 1.0])
-    assert np.array_equal(step_values(fam, 1.0), [1.0, 1.0])
+    assert np.array_equal(fam.at(0.0), [0.0, 1.0])
+    assert np.array_equal(fam.at(0.999), [0.0, 1.0])
+    assert np.array_equal(fam.at(1.0), [1.0, 1.0])
 
 
 def test_family_reconstructs_exactly():
