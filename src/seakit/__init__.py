@@ -5,9 +5,6 @@ from .config import DEFAULT, Tolerances
 from .fuzzy import (
     FuzzyContext,
     FuzzySampler,
-    FuzzySet,
-    NotAFuzzySetError,
-    SpaceMismatchError,
     spectrum_representation,
 )
 from .linalg import (
@@ -24,7 +21,6 @@ from .matrices import (
     MatrixContext,
     NotAnEffectError,
     NotCommutingError,
-    Projection,
     validate_effect,
 )
 from .report import CheckResult, SuiteReport, merge_reports
@@ -66,9 +62,6 @@ __all__ = [
     "Tolerances",
     "FuzzyContext",
     "FuzzySampler",
-    "FuzzySet",
-    "NotAFuzzySetError",
-    "SpaceMismatchError",
     "spectrum_representation",
     "EigenDecomposition",
     "NotHermitianError",
@@ -81,7 +74,6 @@ __all__ = [
     "MatrixContext",
     "NotAnEffectError",
     "NotCommutingError",
-    "Projection",
     "validate_effect",
     "CheckResult",
     "SuiteReport",

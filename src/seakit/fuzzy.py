@@ -6,6 +6,10 @@ meet, and join are pointwise.  ``FuzzyContext`` holds these operations
 under the same names as ``matrices.MatrixContext``, and ``FuzzySampler``
 the draws under ``matrices.EffectSampler``'s.  Arithmetic is exact for
 dyadic inputs, so checks in this model compare with threshold zero.
+
+An element is its float array of values.  Values are checked where they
+enter the program (``read`` checks the document's shape, the command line
+their range); every operation and draw here trusts them.
 """
 from __future__ import annotations
 
@@ -21,57 +25,10 @@ from .linalg import frobenius, operator_norm
 MAX_SPACE = 1024
 
 
-class SpaceMismatchError(ValueError):
-    """Operands live on different point sets."""
-
-
-class NotAFuzzySetError(ValueError):
-    """Values escape [0, 1]."""
-
-
-class FuzzySet:
-    """Vector of values in [0,1], validated exactly and stored read-only."""
-
-    __slots__ = ("values",)
-
-    def __init__(self, values):
-        arr = np.asarray(values, dtype=float)
-        if arr.ndim != 1 or not 1 <= arr.shape[0] <= MAX_SPACE:
-            raise NotAFuzzySetError(
-                f"need a 1-d value list with at most {MAX_SPACE} points")
-        if not np.all((arr >= 0.0) & (arr <= 1.0)):
-            raise NotAFuzzySetError("values must lie in [0, 1]")
-        arr.flags.writeable = False
-        self.values = arr
-
-    @property
-    def space(self) -> int:
-        return self.values.shape[0]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FuzzySet):
-            return NotImplemented
-        return np.array_equal(self.values, other.values)
-
-    def __hash__(self):
-        return hash(self.values.tobytes())
-
-    def __repr__(self) -> str:
-        return f"FuzzySet({self.values.tolist()})"
-
-
-def zero(space: int) -> FuzzySet:
-    return FuzzySet(np.zeros(space))
-
-
-def one(space: int) -> FuzzySet:
-    return FuzzySet(np.ones(space))
-
-
-def indicator(space: int, points) -> FuzzySet:
+def indicator(space: int, points) -> np.ndarray:
     vals = np.zeros(space)
     vals[list(points)] = 1.0
-    return FuzzySet(vals)
+    return vals
 
 
 class FuzzyContext:
@@ -85,12 +42,7 @@ class FuzzyContext:
                                check=0.0)
 
     def raw(self, v) -> np.ndarray:
-        if isinstance(v, FuzzySet):
-            return v.values
-        arr = np.asarray(v, dtype=float)
-        if arr.ndim != 1:
-            raise NotAFuzzySetError("expected a 1-d value vector")
-        return arr
+        return np.asarray(v, dtype=float)
 
     def read(self, doc: dict) -> np.ndarray:
         """The values of an element document: "values" a non-empty list of
@@ -134,16 +86,16 @@ class FuzzyContext:
     def positive_part(self, v) -> np.ndarray:
         return np.maximum(self.raw(v), 0.0)
 
-    def rickart(self, v) -> FuzzySet:
-        return FuzzySet((self.raw(v) == 0.0).astype(float))
+    def rickart(self, v) -> np.ndarray:
+        return (self.raw(v) == 0.0).astype(float)
 
-    def cover(self, v) -> FuzzySet:
+    def cover(self, v) -> np.ndarray:
         """Support: the indicator of the nonzero values."""
-        return FuzzySet((self.raw(v) > 0.0).astype(float))
+        return (self.raw(v) > 0.0).astype(float)
 
-    def floor(self, v) -> FuzzySet:
+    def floor(self, v) -> np.ndarray:
         """The indicator of the values equal to one."""
-        return FuzzySet((self.raw(v) == 1.0).astype(float))
+        return (self.raw(v) == 1.0).astype(float)
 
     def complement(self, p) -> np.ndarray:
         return 1.0 - self.raw(p)
@@ -207,7 +159,7 @@ class FuzzyContext:
     def joint_clusters(self, e, f) -> list[tuple[float, float, np.ndarray]]:
         eraw, fraw = self.raw(e), self.raw(f)
         if eraw.shape != fraw.shape:
-            raise SpaceMismatchError(
+            raise mx.DimensionMismatchError(
                 f"spaces differ: {eraw.shape[0]} vs {fraw.shape[0]}")
         pairs = sorted(set(zip(eraw.tolist(), fraw.tolist())))
         out = []
@@ -251,8 +203,9 @@ def _phi(effect_decomp, matrix: np.ndarray) -> tuple[np.ndarray, float]:
 
 def spectrum_representation(a: mx.Effect, degree: int = 6,
                             tol: Tolerances = DEFAULT
-                            ) -> tuple[FuzzySet, EmbeddingReport]:
-    """Map an effect to the fuzzy set of its spectral values.
+                            ) -> tuple[np.ndarray, EmbeddingReport]:
+    """Map an effect to the fuzzy set of its spectral values, as their
+    value array.
 
     The point set is the eigenvalue clusters of the effect.  The report
     checks, on sequential powers up to the given degree, that the map
@@ -262,8 +215,7 @@ def spectrum_representation(a: mx.Effect, degree: int = 6,
     if not 1 <= degree <= 6:
         raise ValueError("degree must be between 1 and 6")
     d = a.decomposition
-    reps = np.clip(np.asarray(d.cluster_values), 0.0, 1.0)
-    image = FuzzySet(reps)
+    image = np.clip(d.cluster_values, 0.0, 1.0)
 
     ctx = mx.MatrixContext(tol)
     powers = ctx.powers(a, degree)
@@ -288,7 +240,7 @@ def spectrum_representation(a: mx.Effect, degree: int = 6,
     iso = 0.0
     for m, phi in zip(mats, phis):
         iso = max(iso, abs(operator_norm(m) - float(np.max(np.abs(phi)))))
-    report = EmbeddingReport(space=image.space, degree=degree,
+    report = EmbeddingReport(space=len(image), degree=degree,
                              samples=samples, mult_residual=mult,
                              isometry_residual=iso)
     return image, report
@@ -327,7 +279,7 @@ class FuzzySampler:
         """A random ordering of the points."""
         return self.rng.permutation(self.space)
 
-    def span(self, frame: np.ndarray, lo: int, hi: int) -> FuzzySet:
+    def span(self, frame: np.ndarray, lo: int, hi: int) -> np.ndarray:
         """The indicator of the points at positions lo:hi of a frame."""
         return indicator(self.space, frame[lo:hi])
 
@@ -335,17 +287,17 @@ class FuzzySampler:
     commuting = mx.EffectSampler.commuting
 
     def effect(self, lo: float = 0.0, hi: float = 1.0,
-               frame: np.ndarray | None = None) -> FuzzySet:
+               frame: np.ndarray | None = None) -> np.ndarray:
         """Values drawn from the multiples of 2^-8 in [lo, hi]."""
-        return FuzzySet(self._ticks(lo, hi, self.space) / self.denom)
+        return self._ticks(lo, hi, self.space) / self.denom
 
-    def projection(self, frame: np.ndarray | None = None) -> FuzzySet:
-        return FuzzySet(self.rng.integers(0, 2, self.space).astype(float))
+    def projection(self, frame: np.ndarray | None = None) -> np.ndarray:
+        return self.rng.integers(0, 2, self.space).astype(float)
 
-    def with_values(self, values) -> FuzzySet:
-        return FuzzySet(values)
+    def with_values(self, values) -> np.ndarray:
+        return np.asarray(values, dtype=float)
 
-    def simple(self, gap: float = 0.12) -> FuzzySet:
+    def simple(self, gap: float = 0.12) -> np.ndarray:
         """Any draw: a dyadic fuzzy set has its levels at least 2^-8
         apart, whatever the gap asked for."""
         return self.effect()
@@ -358,35 +310,32 @@ class FuzzySampler:
     def with_top(self, ones: int, ceiling: float = 0.95) -> np.ndarray:
         """Values one on the first ``ones`` points and in [2^-8, ceiling]
         elsewhere."""
-        vals = self.effect(1.0 / self.denom, ceiling).values.copy()
-        vals[:ones] = 1.0
-        return vals
+        drawn = self.effect(1.0 / self.denom, ceiling)
+        return np.where(np.arange(self.space) < ones, 1.0, drawn)
 
-    def commuting_with(self, p: FuzzySet, on=None, off=None) -> np.ndarray:
+    def commuting_with(self, p: np.ndarray, on=None, off=None) -> np.ndarray:
         """Values ``on`` where p is one and ``off`` where it is zero;
         either left as None is drawn there."""
-        drawn = self.effect().values
-        return np.where(p.values > 0.5, drawn if on is None else on,
+        drawn = self.effect()
+        return np.where(p > 0.5, drawn if on is None else on,
                         drawn if off is None else off)
 
-    def split_effect(self, frame: np.ndarray, k: int) -> FuzzySet:
+    def split_effect(self, frame: np.ndarray, k: int) -> np.ndarray:
         return self.effect()
 
-    def orthogonal_pair(self) -> tuple[FuzzySet, FuzzySet]:
-        """Two fuzzy sets with disjoint supports (their product vanishes)."""
+    def orthogonal_pair(self) -> tuple[np.ndarray, np.ndarray]:
+        """Two elements with disjoint supports (their product vanishes)."""
         mask = self.rng.integers(0, 2, self.space).astype(float)
-        return (FuzzySet(self.effect().values * mask),
-                FuzzySet(self.effect().values * (1.0 - mask)))
+        return self.effect() * mask, self.effect() * (1.0 - mask)
 
-    def summable_pair(self) -> tuple[FuzzySet, FuzzySet]:
+    def summable_pair(self) -> tuple[np.ndarray, np.ndarray]:
         ka = self.rng.integers(0, self.denom + 1, self.space)
         kb = self.rng.integers(0, self.denom + 1 - ka)
-        return FuzzySet(ka / self.denom), FuzzySet(kb / self.denom)
+        return ka / self.denom, kb / self.denom
 
-    def refined_commuting(self) -> tuple[FuzzySet, FuzzySet, FuzzySet]:
-        """Triple (c, a, b) with a + b + c <= 1; all fuzzy sets commute."""
+    def refined_commuting(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Triple (c, a, b) with a + b + c <= 1; all elements commute."""
         ka = self.rng.integers(0, self.denom + 1, self.space)
         kb = self.rng.integers(0, self.denom + 1 - ka)
         kc = self.rng.integers(0, self.denom + 1 - ka - kb)
-        return (FuzzySet(kc / self.denom), FuzzySet(ka / self.denom),
-                FuzzySet(kb / self.denom))
+        return kc / self.denom, ka / self.denom, kb / self.denom

@@ -6,9 +6,13 @@ a -> p a p for projections p.  ``MatrixContext`` holds the model's
 operations, the only place each is written, under the same names as
 ``fuzzy.FuzzyContext``; ``EffectSampler`` holds its random draws.
 Eigensystems are cached on the wrapper objects because nearly every
-operation here goes through the spectral theorem.
+operation here goes through the spectral theorem.  ``Effect`` is the one
+element class, and it trusts its matrix; ``validate_effect`` is the one
+route that checks a matrix from outside the program.
 """
 from __future__ import annotations
+
+import sys
 
 import numpy as np
 
@@ -41,10 +45,6 @@ class NotAnEffectError(ValueError):
         self.eigenvalue = eigenvalue
 
 
-class NotAProjectionError(ValueError):
-    """Matrix is not idempotent within tolerance."""
-
-
 class NotCommutingError(ValueError):
     """Operation requires a commuting pair."""
 
@@ -55,38 +55,26 @@ def _same_dim(a: "Effect", b: "Effect") -> None:
 
 
 class Effect:
-    """Hermitian matrix with spectrum in [0, 1] (within the psd slack).
+    """Hermitian matrix with spectrum in [0, 1] (within the psd slack),
+    projections included.
 
-    ``validate=False`` is the trusted constructor: the caller passes an
-    exactly Hermitian matrix (every entry equal to the conjugate of its
-    mirror), such as a symmetrized product, a reconstruction, or a sum or
-    real multiple of such matrices, or the identity minus one.  It is
-    copied, not checked or symmetrized.
+    The constructor trusts its caller: it is passed an exactly Hermitian
+    matrix (every entry equal to the conjugate of its mirror), such as a
+    symmetrized product, a reconstruction, or a sum or real multiple of
+    such matrices, or the identity minus one.  It is copied, not checked
+    or symmetrized; ``validate_effect`` checks a matrix from outside.
     """
 
     __slots__ = ("matrix", "tol", "_decomp", "_sqrt")
 
     def __init__(self, matrix: np.ndarray, *, tol: Tolerances = DEFAULT,
-                 validate: bool = True,
                  decomposition: EigenDecomposition | None = None):
         self.tol = tol
-        mat = (require_hermitian(matrix) if validate
-               else np.array(matrix, dtype=np.complex128))
+        mat = np.array(matrix, dtype=np.complex128)
         mat.flags.writeable = False
         self.matrix = mat
         self._decomp = decomposition
         self._sqrt = None
-        if validate:
-            self._check_range()
-
-    def _check_range(self) -> None:
-        vals = self.decomposition.values
-        if vals[0] < -self.tol.psd:
-            raise NotAnEffectError(
-                f"eigenvalue {vals[0]:.6g} below 0", eigenvalue=float(vals[0]))
-        if vals[-1] > 1.0 + self.tol.psd:
-            raise NotAnEffectError(
-                f"eigenvalue {vals[-1]:.6g} above 1", eigenvalue=float(vals[-1]))
 
     @classmethod
     def from_eigensystem(cls, values: np.ndarray, vectors: np.ndarray,
@@ -94,7 +82,7 @@ class Effect:
         """Trusted constructor: builds the matrix and caches its eigensystem."""
         decomp = decomposition_from(values, vectors, tol)
         mat = decomp.reconstruct()
-        return cls(mat, tol=tol, validate=False, decomposition=decomp)
+        return cls(mat, tol=tol, decomposition=decomp)
 
     @property
     def dim(self) -> int:
@@ -113,59 +101,40 @@ class Effect:
         return self._sqrt
 
     def complement(self) -> "Effect":
-        """The orthosupplement 1 - a, of a's type (the complement of a
-        projection is one), keeping a cached decomposition."""
+        """The orthosupplement 1 - a, keeping a cached decomposition."""
         mat = np.eye(self.dim) - self.matrix
         decomp = None
         if self._decomp is not None:
             decomp = decomposition_from(1.0 - self._decomp.values,
                                         self._decomp.vectors, self.tol)
-        return type(self)(mat, tol=self.tol, validate=False,
-                          decomposition=decomp)
+        return Effect(mat, tol=self.tol, decomposition=decomp)
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}(dim={self.dim})"
-
-
-class Projection(Effect):
-    """Effect that is idempotent within tolerance."""
-
-    def __init__(self, matrix: np.ndarray, *, tol: Tolerances = DEFAULT,
-                 validate: bool = True,
-                 decomposition: EigenDecomposition | None = None):
-        super().__init__(matrix, tol=tol, validate=validate,
-                         decomposition=decomposition)
-        if validate:
-            defect = frobenius(self.matrix @ self.matrix - self.matrix)
-            if defect > tol.proj:
-                raise NotAProjectionError(
-                    f"not idempotent: ||P^2 - P|| = {defect:.3e}")
-
-    @classmethod
-    def from_columns(cls, cols: np.ndarray, dim: int,
-                     tol: Tolerances = DEFAULT) -> "Projection":
-        """Orthogonal projection onto the span of orthonormal columns."""
-        n = dim
-        if cols.shape[1] == 0:
-            mat = np.zeros((n, n), dtype=np.complex128)
-            values = np.zeros(n)
-            vectors = np.eye(n, dtype=np.complex128)
-            return cls(mat, tol=tol, validate=False,
-                       decomposition=decomposition_from(values, vectors, tol))
-        mat = hermitian_part(cols @ cols.conj().T)
-        return cls(mat, tol=tol, validate=False)
+        return f"Effect(dim={self.dim})"
 
 
 def validate_effect(matrix, tol: Tolerances = DEFAULT) -> Effect:
-    """Check 0 <= M <= 1 and wrap the matrix as an Effect."""
-    return Effect(np.asarray(matrix), tol=tol, validate=True)
+    """Check that the matrix is Hermitian with 0 <= M <= 1 (within the psd
+    slack) and wrap it, symmetrized, as an Effect: the one checking route
+    into the model."""
+    eff = Effect(require_hermitian(matrix), tol=tol)
+    vals = eff.decomposition.values
+    if vals[0] < -tol.psd:
+        raise NotAnEffectError(
+            f"eigenvalue {vals[0]:.6g} below 0", eigenvalue=float(vals[0]))
+    if vals[-1] > 1.0 + tol.psd:
+        raise NotAnEffectError(
+            f"eigenvalue {vals[-1]:.6g} above 1", eigenvalue=float(vals[-1]))
+    return eff
 
 
 def is_number_list(x) -> bool:
-    """A list of ints and floats (not bools): one row of an element
-    document."""
+    """A list of floats and of ints (not bools) that a float can hold: one
+    row of an element document."""
     return isinstance(x, list) and all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in x)
+        isinstance(v, float) or (isinstance(v, int) and not isinstance(v, bool)
+                                 and abs(v) <= sys.float_info.max)
+        for v in x)
 
 
 def _matrix(x) -> np.ndarray:
@@ -234,7 +203,7 @@ class MatrixContext:
         """v as an Effect; a raw array is checked as one."""
         if isinstance(v, Effect):
             return v
-        return Effect(np.asarray(v), tol=self.tol)
+        return validate_effect(v, self.tol)
 
     def _decomposition(self, v) -> EigenDecomposition:
         """The cached eigensystem of an Effect, or one ``eigh`` of an array,
@@ -244,7 +213,7 @@ class MatrixContext:
         return eigh(np.asarray(v), self.tol)
 
     def _projection(self, d: EigenDecomposition, keep: np.ndarray
-                    ) -> Projection:
+                    ) -> Effect:
         """The projection onto the eigenvectors of d that ``keep`` marks,
         with its eigensystem."""
         dim = d.dim
@@ -255,9 +224,9 @@ class MatrixContext:
         vectors = np.concatenate([othr, cols], axis=1)
         mat = (hermitian_part(cols @ cols.conj().T) if k
                else np.zeros((dim, dim), dtype=complex))
-        return Projection(mat, tol=self.tol, validate=False,
-                          decomposition=EigenDecomposition(values, vectors,
-                                                           self.tol))
+        return Effect(mat, tol=self.tol,
+                      decomposition=EigenDecomposition(values, vectors,
+                                                       self.tol))
 
     def read(self, doc: dict) -> np.ndarray:
         """The complex matrix of an element document: "re" a square list
@@ -303,7 +272,7 @@ class MatrixContext:
 
     def element(self, raw: np.ndarray) -> Effect:
         """A trusted, exactly Hermitian raw element as an Effect."""
-        return Effect(raw, tol=self.tol, validate=False)
+        return Effect(raw, tol=self.tol)
 
     def unit(self, n: int) -> Effect:
         return self.element(np.eye(n))
@@ -324,12 +293,13 @@ class MatrixContext:
         d = eigh(_matrix(v), self.tol)
         return d.apply(lambda x: np.clip(x, 0.0, None))
 
-    def rickart(self, v) -> Projection:
-        """Projection onto the kernel: eigenvalues with |λ| <= kernel tol."""
+    def rickart(self, v) -> Effect:
+        """The projection onto the kernel: the eigenvalues with
+        |λ| <= kernel tol."""
         d = self._decomposition(v)
         return self._projection(d, np.abs(d.values) <= self.tol.kernel)
 
-    def cover(self, a) -> Projection:
+    def cover(self, a) -> Effect:
         """Support projection: the least projection above the effect."""
         d = self._decomposition(a)
         if d.values[0] < -self.tol.psd:
@@ -337,7 +307,7 @@ class MatrixContext:
                                    eigenvalue=float(d.values[0]))
         return self._projection(d, d.values > self.tol.kernel)
 
-    def floor(self, a) -> Projection:
+    def floor(self, a) -> Effect:
         """Largest projection below the effect: the eigenspace at 1.
 
         Computed as the kernel projection of a - 1, which re-diagonalizes
@@ -381,8 +351,7 @@ class MatrixContext:
         if v._decomp is not None:
             decomp = decomposition_from(lam * v._decomp.values,
                                         v._decomp.vectors, v.tol)
-        return Effect(lam * v.matrix, tol=v.tol, validate=False,
-                      decomposition=decomp)
+        return Effect(lam * v.matrix, tol=v.tol, decomposition=decomp)
 
     def residual(self, a, b) -> float:
         return frobenius(_matrix(a) - _matrix(b))
@@ -434,7 +403,6 @@ class MatrixContext:
             # seeding the known eigensystem avoids re-diagonalizing every
             # power.
             cur = Effect(hermitian_part(s @ a.matrix @ s), tol=a.tol,
-                         validate=False,
                          decomposition=decomposition_from(power, d.vectors,
                                                           a.tol))
             out.append(cur)
@@ -520,9 +488,15 @@ class EffectSampler:
         """A Haar unitary; effects diagonal in one frame commute."""
         return random_unitary(self.rng, self.dim)
 
-    def span(self, frame: np.ndarray, lo: int, hi: int) -> Projection:
-        """The projection onto columns lo:hi of a frame."""
-        return Projection.from_columns(frame[:, lo:hi], self.dim, self.tol)
+    def span(self, frame: np.ndarray, lo: int, hi: int) -> Effect:
+        """The projection onto columns lo:hi of a frame, which are
+        orthonormal."""
+        cols = frame[:, lo:hi]
+        if cols.shape[1] == 0:
+            # the zero projection, with its eigensystem known up front
+            n = self.dim
+            return self._diagonal(np.zeros(n), np.eye(n, dtype=np.complex128))
+        return Effect(hermitian_part(cols @ cols.conj().T), tol=self.tol)
 
     def commuting(self, *draws) -> tuple:
         """One sample of each draw, by default two effects, all diagonal in
@@ -537,17 +511,14 @@ class EffectSampler:
         values = self.rng.uniform(lo, hi, self.dim)
         return self._diagonal(values, self.frame() if frame is None else frame)
 
-    def projection(self, frame: np.ndarray | None = None) -> Projection:
+    def projection(self, frame: np.ndarray | None = None) -> Effect:
         n = self.dim
         rank = int(self.rng.integers(1, n)) if n > 1 else 1
         if frame is None:
             frame = self.frame()
         values = np.zeros(n)
         values[:rank] = 1.0
-        values = self.rng.permutation(values)
-        decomp = decomposition_from(values, frame, self.tol)
-        return Projection(decomp.reconstruct(), tol=self.tol, validate=False,
-                          decomposition=decomp)
+        return self._diagonal(self.rng.permutation(values), frame)
 
     def with_values(self, values) -> Effect:
         """Effect with the given spectrum in a fresh frame."""
@@ -596,7 +567,7 @@ class EffectSampler:
         ])
         return self.with_values(values)
 
-    def commuting_with(self, p: Projection, on=None, off=None) -> Effect:
+    def commuting_with(self, p: Effect, on=None, off=None) -> Effect:
         """Effect equal to ``on`` on p and to ``off`` on 1 - p; either left
         as None is drawn there."""
         d = p.decomposition

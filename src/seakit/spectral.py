@@ -89,7 +89,7 @@ class OrthogonalDecomposition:
 
 @dataclass(frozen=True)
 class ComparabilityWitness:
-    """Projection comparing a commuting pair sidewise.
+    """The projection comparing a commuting pair sidewise.
 
     `degenerate` marks ties between the paired values, where more than
     one witness exists and the tie-break put the tied part under p.
@@ -221,8 +221,9 @@ def orthogonal_decomposition(v, ctx) -> OrthogonalDecomposition:
 
 
 def sign_witness_projections(v, ctx, limit: int = 64) -> list[np.ndarray]:
-    """Projections q with the whole positive part under q and the negative
-    part under its complement; one per subset of the kernel clusters."""
+    """The projections q with the whole positive part under q and the
+    negative part under its complement; one per subset of the kernel
+    clusters."""
     values, projs = ctx.eigenprojections(v)
     pos = ctx.zero_like(v)
     zero_projs = []
@@ -244,7 +245,7 @@ def sign_witness_projections(v, ctx, limit: int = 64) -> list[np.ndarray]:
 
 
 def comparability_witness(e, f, ctx) -> ComparabilityWitness:
-    """Projection p with the e-part below the f-part under p and the
+    """A projection p with the e-part below the f-part under p and the
     reverse under its complement.
 
     Built from joint eigenprojections: p collects the joint clusters where

@@ -312,22 +312,21 @@ def builtin_table(name: str) -> FiniteEffectAlgebra:
     raise KeyError(f"unknown table {name!r}; builtins: {BUILTIN_NAMES}")
 
 
-def fuzzy_embedding(name: str):
-    """Element-wise embedding of a builtin table into fuzzy sets.
+def fuzzy_embedding(name: str) -> np.ndarray | None:
+    """Element-wise embedding of a builtin table into fuzzy sets: row i of
+    the (elements x points) array is element i's values.
 
     Chains map element i to the constant i/(n-1) on a one-point space;
     cubes map a subset to its indicator vector.  Returns None for tables
     with no such embedding.
     """
-    from .fuzzy import FuzzySet
-
     if name.startswith("lukasiewicz-"):
         n = int(name.split("-")[1])
-        return [FuzzySet(np.array([i / (n - 1)])) for i in range(n)]
+        return np.array([[i / (n - 1)] for i in range(n)])
     if name.startswith("boolean-"):
         k = int(name.split("-")[1])
-        return [FuzzySet(np.array([float(i >> b & 1) for b in range(k)]))
-                for i in range(2 ** k)]
+        return np.array([[float(i >> b & 1) for b in range(k)]
+                         for i in range(2 ** k)])
     if name == "diamond":
         return None
     raise KeyError(f"unknown table {name!r}")

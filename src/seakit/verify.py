@@ -150,25 +150,25 @@ def _run_rows(report: SuiteReport, run: _Run) -> SuiteReport:
 # the models
 
 
-def _products(ctx, n: int, product: str):
+def _products(model: str, ctx, n: int, product: str):
     """The sequential product by name, with the S1 witness it plants."""
     if product == "standard":
         return ctx.product, None
-    if product == "jordan" and ctx.model == "matrix":
+    control = "jordan" if model == "matrix" else "lukasiewicz"
+    if product != control:
+        raise ValueError(f"{model} model control product is {control!r}")
+    if model == "matrix":
         # The symmetrized ordinary product (a b + b a) / 2: not a
         # sequential product, and its value need not be an effect.
         def jordan(x, y):
             xm, ym = ctx.raw(x), ctx.raw(y)
             return hermitian_part(xm @ ym + ym @ xm) / 2.0
         return jordan, None
-    if product == "lukasiewicz" and ctx.model == "fuzzy":
-        # Truncated, a (b + c) = 0.75 but a b + a c = 0.5, so the
-        # control fails for every seed, not only lucky ones.
-        half = np.full(n, 0.5)
-        return ((lambda x, y: np.maximum(0.0, ctx.raw(x) + ctx.raw(y)
-                                         - 1.0)),
-                (np.full(n, 0.75), half, half))
-    raise ValueError(f"unknown product {product!r}")
+    # Truncated, a (b + c) = 0.75 but a b + a c = 0.5, so the control
+    # fails for every seed, not only lucky ones.
+    half = np.full(n, 0.5)
+    return ((lambda x, y: np.maximum(0.0, ctx.raw(x) + ctx.raw(y) - 1.0)),
+            (np.full(n, 0.75), half, half))
 
 
 def _suite(suite: str, model: str, n: int, samples: int, seed: int,
@@ -189,6 +189,9 @@ def _suite(suite: str, model: str, n: int, samples: int, seed: int,
     if not 1 <= n <= limit:
         raise ValueError(f"dim_or_size {n} out of range: the {model} model "
                          f"takes 1 to {limit}")
+    omitted = control_omitted(suite, model, n) if control else None
+    if omitted:
+        raise ValueError(omitted)
     report = SuiteReport(
         suite=suite, model=model, seed=seed,
         config={"dim_or_size": n, "samples": samples, **config,
@@ -249,7 +252,7 @@ def _five_way(ctx, p, a) -> dict:
     }
 
 
-def five_way_statements(p: mx.Projection, a: mx.Effect,
+def five_way_statements(p: mx.Effect, a: mx.Effect,
                         tol: Tolerances = DEFAULT) -> dict:
     """The five equivalent compatibility statements for a projection and
     an effect, each evaluated independently.
@@ -542,7 +545,7 @@ def run_sea_suite(model: str = "matrix", dim_or_size: int = 4,
     report, run = _suite(
         "sea", model, dim_or_size, samples, seed, tol, product != "standard",
         product=product, archimedean_resolution=ARCHIMEDEAN_RESOLUTION)
-    run.prod, run.planted = _products(run.ctx, dim_or_size, product)
+    run.prod, run.planted = _products(model, run.ctx, dim_or_size, product)
     return _run_rows(report, run)
 
 
@@ -1085,11 +1088,10 @@ def _oracle(run, ctx, smp, t: _Tally) -> None:
             t.tally(bool(ok), 0.0, lambda: {
                 "table": name, "element": alg.label(i),
                 "clause": "principal implies sharp"})
-        image = tb.fuzzy_embedding(name)
-        if image is None:
-            continue
         # Row i of v is element i's image; pair verdicts are [i, j].
-        v = np.stack([e.values for e in image])
+        v = tb.fuzzy_embedding(name)
+        if v is None:
+            continue
         a, b = v[:, None, :], v[None, :, :]
         comp = [alg.orthosupplement(i) for i in range(n)]
         per_element = {

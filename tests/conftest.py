@@ -77,7 +77,7 @@ def _level_set_family(a) -> SpectralFamily:
     """Closed-form family of a pointwise element, built without the
     spectral engine: breakpoints are the distinct values, ascending, and
     the step at a value is the indicator of the points at or below it."""
-    values = a.values.tolist()
+    values = a.tolist()
     levels = sorted(set(values))
     steps = [np.zeros(len(values))] + [
         np.array([1.0 if x <= mu else 0.0 for x in values]) for mu in levels]

@@ -12,7 +12,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from seakit import fuzzy as fz
 from seakit import matrices as mx
 from seakit.cli import main
 from seakit.spectral import SpectralFamily, reconstruct
@@ -102,16 +101,23 @@ def test_usage_errors_exit_two(tmp_path, capsys):
                 assert main(args + [flag, value]) == 2
                 err = capsys.readouterr().err
                 assert err.startswith("error: ") and err.count("\n") == 1
-    oversized = write(tmp_path / "o.json", {"values": [0.5] * 1025})
-    for args in (["validate", "--input", oversized],
-                 ["spectrum", "--input", oversized],
-                 ["approx", "--input", oversized],
-                 ["decompose", "--input", oversized],
-                 ["witness", "--input", oversized, oversized],
-                 ["mv", "--input", oversized]):
-        assert main(args) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+    # Too many values, a nested value list, and an integer too large for
+    # a float, in each kind of document.
+    huge = 10 ** 400
+    for doc in ({"values": [0.5] * 1025}, {"values": [[0.2], [0.3]]},
+                {"values": [huge, 0.5]}, {"re": [[huge, 0.0], [0.0, 0.5]]},
+                {"re": [[0.5, 0.0], [0.0, 0.5]],
+                 "im": [[0.0, huge], [-huge, 0.0]]}):
+        bad = write(tmp_path / "bad.json", doc)
+        for args in (["validate", "--input", bad],
+                     ["spectrum", "--input", bad],
+                     ["approx", "--input", bad],
+                     ["decompose", "--input", bad],
+                     ["witness", "--input", bad, bad],
+                     ["mv", "--input", bad]):
+            assert main(args) == 2, (doc, args)
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_spectrum_round_trip(tmp_path, eff_path, capsys):
@@ -169,10 +175,14 @@ def test_decompose(tmp_path, capsys):
     skew = write(tmp_path / "skew.json", {"re": [[0.0, 1.0], [0.0, 0.0]]})
     assert main(["decompose", "--input", skew]) == 1
     capsys.readouterr()
-    # Symmetrizing 1e308 overflows to inf, which the engine rejects.
+    # Symmetrizing 1e308 overflows to inf, which the engine rejects; on
+    # large entries its identity checks miss their absolute bound (by
+    # 2.3e-6 at 1e10, by inf at 1e200).
     for doc in ({"re": [[float("nan"), 0.0], [0.0, 0.5]]},
                 {"values": [float("inf"), 0.5]},
-                {"re": [[1e308, 0.0], [0.0, 1e308]]}):
+                {"re": [[1e308, 0.0], [0.0, 1e308]]},
+                {"re": [[1e10, 3e9], [3e9, -1e10]]},
+                {"re": [[1e200, 3e199], [3e199, -1e200]]}):
         assert main(["decompose", "--input",
                      write(tmp_path / "nonfinite.json", doc)]) == 1
         assert capsys.readouterr().out.count("\n") == 1
@@ -217,7 +227,7 @@ def test_mv_matches_the_level_set_closed_form(tmp_path, capsys,
         path = write(tmp_path / "a.json", {"values": values})
         assert main(["mv", "--input", path]) == 0
         doc = json.loads(capsys.readouterr().out)
-        closed = level_set_family(fz.FuzzySet(np.array(values)))
+        closed = level_set_family(np.array(values))
         assert doc["mu"] == list(closed.breakpoints)
         assert doc["parts"] == [
             [i for i, x in enumerate(values) if x == mu] for mu in doc["mu"]]

@@ -16,9 +16,7 @@ from seakit.matrices import (
     EffectSampler,
     MatrixContext,
     NotAnEffectError,
-    NotAProjectionError,
     NotCommutingError,
-    Projection,
     joint_eigenbasis,
     validate_effect,
 )
@@ -70,7 +68,7 @@ def test_unit_is_neutral_for_the_product():
 
 
 def test_compression_is_corner():
-    p = Projection(diag(1.0, 0.0))
+    p = validate_effect(diag(1.0, 0.0))
     a = validate_effect(np.full((2, 2), 0.5))
     assert np.allclose(CTX.compress(p, a), [[0.5, 0.0], [0.0, 0.0]],
                        atol=1e-12)
@@ -115,8 +113,8 @@ def test_order_and_positivity_helpers():
 
 
 def test_meet_and_join_of_commuting_projections():
-    p = Projection(diag(1.0, 1.0, 0.0))
-    q = Projection(diag(0.0, 1.0, 1.0))
+    p = validate_effect(diag(1.0, 1.0, 0.0))
+    q = validate_effect(diag(0.0, 1.0, 1.0))
     assert np.allclose(CTX.meet(p, q), diag(0.0, 1.0, 0.0), atol=1e-10)
     assert np.allclose(CTX.join(p, q), diag(1.0, 1.0, 1.0), atol=1e-10)
 
@@ -141,11 +139,6 @@ def test_scalar_action_bounds():
         CTX.scale(1.5, a)
     with pytest.raises(ValueError):
         CTX.scale(-0.1, a)
-
-
-def test_projection_constructor_rejects_non_idempotent():
-    with pytest.raises(NotAProjectionError):
-        Projection(diag(0.5, 1.0))
 
 
 def test_sampler_is_reproducible():

@@ -108,11 +108,10 @@ def test_table_format_validation():
 
 def test_embeddings():
     chain = fuzzy_embedding("lukasiewicz-3")
-    assert [e.values.tolist() for e in chain] == [[0.0], [0.5], [1.0]]
+    assert chain.tolist() == [[0.0], [0.5], [1.0]]
     cube = fuzzy_embedding("boolean-2")
-    assert len(cube) == 4
-    assert all(e.space == 2 for e in cube)
-    assert cube[3].values.tolist() == [1.0, 1.0]
+    assert cube.shape == (4, 2) and cube.dtype == np.float64
+    assert cube[3].tolist() == [1.0, 1.0]
     assert fuzzy_embedding("diamond") is None
     with pytest.raises(KeyError):
         fuzzy_embedding("pentagon")
@@ -131,7 +130,7 @@ def test_embedding_preserves_sums_and_order(name):
             if total is None:
                 assert not MV.leq(image, MV.one_like(image))
             else:
-                assert np.array_equal(image, emb[total].values)
+                assert np.array_equal(image, emb[total])
             assert alg.leq(i, j) == MV.leq(emb[i], emb[j])
 
 
@@ -395,7 +394,7 @@ def test_table_oracle_reports_the_first_failing_clause(monkeypatch):
     def moved(name):
         image = real(name)
         if name == "lukasiewicz-3":
-            image[1] = fz.FuzzySet(np.array([0.4]))
+            image[1] = 0.4
         return image
 
     monkeypatch.setattr(verify.tb, "fuzzy_embedding", moved)

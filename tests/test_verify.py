@@ -10,6 +10,7 @@ import pytest
 from seakit.report import CheckResult, SuiteReport, merge_reports
 from seakit.verify import (
     STATEMENTS,
+    control_omitted,
     five_way_statements,
     run_all,
     run_compression_suite,
@@ -123,7 +124,7 @@ def test_table_suite_and_corrupted_control():
 
 
 def test_five_way_agreement_on_hand_cases():
-    p = mx.Projection(np.diag([1.0, 0.0]))
+    p = mx.validate_effect(np.diag([1.0, 0.0]))
     below = mx.validate_effect(np.diag([0.3, 0.5]))
     flags = five_way_statements(p, below)
     keys = ("compress_below", "block_sum", "interval_sum", "mackey", "meet")
@@ -173,6 +174,14 @@ def test_readme_lists_every_statement_with_its_suite():
     assert listed == expected
 
 
+# run -> (suite, the controls it cannot fail at dimension 1, by model)
+CONTROLS_AT_ONE = {
+    run_sea_suite: ("sea", {"matrix": {"product": "jordan"}}),
+    run_context_suite: ("context", {"matrix": {"merge_delta": 0.25},
+                                    "mv": {"merge_delta": 0.25}}),
+}
+
+
 @pytest.mark.parametrize("run", [run_sea_suite, run_compression_suite,
                                  run_spectrality_suite, run_context_suite])
 def test_suites_reject_bad_arguments_up_front(run):
@@ -183,6 +192,19 @@ def test_suites_reject_bad_arguments_up_front(run):
                      ("mv", fz.MAX_SPACE + 1)):
         with pytest.raises(ValueError):
             run(model, n, samples=2, seed=1)
+    # A control that cannot fail is refused, with the reason run_all
+    # records, before anything is drawn.
+    suite, controls = CONTROLS_AT_ONE.get(run, ("", {}))
+    for model, config in controls.items():
+        with pytest.raises(ValueError) as info:
+            run(model, 1, samples=2, seed=1, **config)
+        assert str(info.value) == control_omitted(suite, model, 1)
+    if run is run_sea_suite:
+        # a product that is not the model's control names the control
+        for model, other, control in (("matrix", "lukasiewicz", "jordan"),
+                                      ("mv", "jordan", "lukasiewicz")):
+            with pytest.raises(ValueError, match=f"'{control}'"):
+                run(model, 4, samples=2, seed=1, product=other)
 
 
 def test_runs_are_deterministic():
@@ -293,11 +315,11 @@ def test_lagrange_basis_is_exact_at_the_nodes():
     ctx = fz.FuzzyContext(DEFAULT)
     for size in (1, 2, 5, 17, 64):
         for _ in range(20):
-            a = fz.FuzzySet(rng.integers(0, 257, size) / 256)
-            nodes = sorted(set(a.values.tolist()))
+            a = rng.integers(0, 257, size) / 256
+            nodes = sorted(set(a.tolist()))
             for i, x in enumerate(nodes):
                 assert np.array_equal(_lagrange(ctx, a, nodes, i),
-                                      (a.values == x).astype(float))
+                                      (a == x).astype(float))
     ctx = mx.MatrixContext(DEFAULT)
     a = mx.EffectSampler(5, 3).with_values([0.25, 0.5, 0.5])
     for i, x in enumerate((0.25, 0.5)):
@@ -343,6 +365,29 @@ def print_goldens():
         for key in sorted(keys):
             print(f'    {key!r}: "{sha(*key)}",')
         print("}")
+
+
+def test_no_statement_writes_into_an_mv_element(monkeypatch):
+    """mv elements are plain, writable arrays.  With every sampler draw
+    made read-only, a statement that wrote into an element would crash
+    and report a crash witness, so the reports would change."""
+    seeds = (1, 7, 42)
+    free = [mv_report_sha256(8, seed) for seed in seeds]
+
+    def frozen(draw):
+        def draw_read_only(*args, **kwargs):
+            out = draw(*args, **kwargs)
+            for x in out if isinstance(out, tuple) else (out,):
+                if isinstance(x, np.ndarray):
+                    x.flags.writeable = False
+            return out
+        return draw_read_only
+
+    for name in _public_methods(fz.FuzzySampler):
+        monkeypatch.setattr(fz.FuzzySampler, name,
+                            frozen(getattr(fz.FuzzySampler, name)))
+    assert not fz.FuzzySampler(1, 3).effect().flags.writeable
+    assert [mv_report_sha256(8, seed) for seed in seeds] == free
 
 
 def report_digests():
@@ -463,20 +508,19 @@ def test_suite_all_passes_at_dimension_one(argv, tmp_path, capsys):
 
 def test_trusted_constructors_receive_exactly_hermitian_matrices(
         monkeypatch):
-    """``validate=False`` copies the matrix without symmetrizing it, which
-    keeps every result bit only if each caller passes an exactly
-    Hermitian matrix."""
+    """``Effect`` copies its matrix without checking or symmetrizing it,
+    which keeps every result bit only if each caller passes an exactly
+    Hermitian matrix; ``validate_effect`` passes the symmetrized one."""
     checked = []
     failures = []
     original = mx.Effect.__init__
 
-    def recording(self, matrix, *, validate=True, **kwargs):
-        if not validate:
-            m = np.asarray(matrix, dtype=np.complex128)
-            checked.append(m.shape)
-            if not np.array_equal(m, m.conj().T):
-                failures.append(m)
-        original(self, matrix, validate=validate, **kwargs)
+    def recording(self, matrix, **kwargs):
+        m = np.asarray(matrix, dtype=np.complex128)
+        checked.append(m.shape)
+        if not np.array_equal(m, m.conj().T):
+            failures.append(m)
+        original(self, matrix, **kwargs)
 
     monkeypatch.setattr(mx.Effect, "__init__", recording)
     for dim in (1, 2, 3, 4):
