@@ -165,8 +165,8 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         "eigenvalues": [float(x) for x in rep.coefficients],
         "eigenprojections": [ctx.write(p) for p in rep.projections],
         "mesh": args.mesh,
-        "reconstruction_residual": ctx.norm(ctx.sub(raw, meshed)),
-        "breakpoint_residual": ctx.norm(ctx.sub(raw, exact)),
+        "reconstruction_residual": ctx.norm(ctx.sub(effect, meshed)),
+        "breakpoint_residual": ctx.norm(ctx.sub(effect, exact)),
     }
     _write_json(doc, args.out)
     if args.out:
@@ -186,7 +186,7 @@ def cmd_approx(args: argparse.Namespace) -> int:
     for n in range(1, args.levels + 1):
         an = sp.simple_approximation(effect, n, ctx)
         rows.append({"level": n, "bound": 2.0 ** -n,
-                     "gap": ctx.norm(ctx.sub(raw, an)),
+                     "gap": ctx.norm(ctx.sub(effect, an)),
                      "element": ctx.write(an)})
     doc = {"model": ctx.model, "levels": rows}
     _write_json(doc, args.out)
@@ -198,15 +198,15 @@ def cmd_approx(args: argparse.Namespace) -> int:
 
 def cmd_decompose(args: argparse.Namespace) -> int:
     ctx, raw = _load_element(_single_input(args), _tolerances(args))
-    # The engine is inside the try too: symmetrizing entries near the float
-    # limit can overflow to inf, which its eigensolver rejects, and on large
-    # entries its identity checks fail against their absolute bound.
+    # The engine is inside the try too: on large entries its identity checks
+    # fail against their absolute bound, or overflow, quietly, to inf.
     try:
         if ctx.model == "matrix":
             raw = require_hermitian(raw)
         elif not np.all(np.isfinite(raw)):
             raise _DomainError("values must be finite")
-        dec = sp.orthogonal_decomposition(raw, ctx)
+        with np.errstate(over="ignore", invalid="ignore"):
+            dec = sp.orthogonal_decomposition(raw, ctx)
     except (NotHermitianError, ArithmeticError) as exc:
         raise _DomainError(str(exc)) from exc
     doc = {

@@ -1,13 +1,14 @@
 """Eigensystems of complex Hermitian matrices, with eigenvalue clustering.
 
 Every eigensystem comes from one LAPACK call, ``eigh`` (over
-``numpy.linalg.eigh``).  ``eigenvalues`` is its values-only accessor: the
-order, positivity and norm checks need nothing else.  Clustering happens
-only where eigenvectors are needed: an ``EigenDecomposition`` groups its
-values into clusters, and builds its cluster values and eigenprojections,
-on first use and once.  ``decomposition_from`` wraps a known eigensystem,
-sorting it only when it is not already ascending.  With the same numpy and
-LAPACK build, identical input gives identical output.
+``numpy.linalg.eigh``), whose operand must be finite and exactly Hermitian:
+``require_hermitian`` makes a matrix from outside so.  ``eigenvalues`` is
+its values-only accessor.  Clustering happens only where eigenvectors are
+needed: an ``EigenDecomposition`` groups its values into clusters, and
+builds its cluster values and eigenprojections, on first use and once.
+``decomposition_from`` wraps a known eigensystem, sorting it only when it
+is not already ascending.  With the same numpy and LAPACK build, identical
+input gives identical output.
 """
 from __future__ import annotations
 
@@ -17,6 +18,8 @@ from functools import cached_property
 import numpy as np
 
 from .config import DEFAULT, Tolerances
+
+HERMITIAN_REL = 1e-10  # the defect ||M - M*|| allowed, per max(1, ||M||)
 
 
 class NotHermitianError(ValueError):
@@ -32,20 +35,23 @@ def hermitian_part(m: np.ndarray) -> np.ndarray:
     return (m + m.conj().T) / 2.0
 
 
-def require_hermitian(m: np.ndarray, rel: float = 1e-10) -> np.ndarray:
-    """Validate Hermitian symmetry and return the symmetrized matrix."""
+def require_hermitian(m: np.ndarray) -> np.ndarray:
+    """Check a matrix from outside (square, Hermitian within HERMITIAN_REL,
+    finite once symmetrized, overflow refused quietly); return it so."""
     m = np.asarray(m, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NotHermitianError(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = hermitian_part(m)
+    if not np.all(np.isfinite(h)):
         raise NotHermitianError("matrix has non-finite entries")
-    scale = max(1.0, frobenius(m))
-    defect = frobenius(m - m.conj().T)
-    if defect > rel * scale:
+    top = float(np.max(np.abs([m.real, m.imag]), initial=1.0))
+    u = m / top  # parts in [-1, 1], so no norm below overflows to inf
+    defect = frobenius(u - u.conj().T)
+    if defect > HERMITIAN_REL * max(1.0 / top, frobenius(u)):
         raise NotHermitianError(
-            f"matrix is not Hermitian: ||M - M*|| = {defect:.3e}"
-        )
-    return hermitian_part(m)
+            f"matrix is not Hermitian: ||M - M*|| = {defect * top:.3e}")
+    return h
 
 
 def cluster_indices(values: np.ndarray, width: float) -> tuple[tuple[int, ...], ...]:
@@ -141,15 +147,15 @@ def decomposition_from(values: np.ndarray, vectors: np.ndarray,
 
 
 def eigh(a: np.ndarray, tol: Tolerances = DEFAULT) -> EigenDecomposition:
-    """Full eigensystem of a Hermitian matrix via LAPACK, the one
-    eigensolver; its values come out ascending."""
-    values, vectors = np.linalg.eigh(require_hermitian(a))
+    """Full eigensystem of a finite, exactly Hermitian matrix, taken as it
+    is, via LAPACK, the one eigensolver; its values come out ascending."""
+    values, vectors = np.linalg.eigh(np.asarray(a, dtype=np.complex128))
     return EigenDecomposition(values, vectors, tol)
 
 
 def eigenvalues(a: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian matrix: the LAPACK call of
-    ``eigh``, with nothing clustered."""
+    """Ascending eigenvalues of an exactly Hermitian matrix: the LAPACK
+    call of ``eigh``, with nothing clustered."""
     return eigh(a).values
 
 

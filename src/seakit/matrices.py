@@ -8,7 +8,8 @@ operations, the only place each is written, under the same names as
 Eigensystems are cached on the wrapper objects because nearly every
 operation here goes through the spectral theorem.  ``Effect`` is the one
 element class, and it trusts its matrix; ``validate_effect`` is the one
-route that checks a matrix from outside the program.
+route that checks a matrix from outside the program; each matrix built
+here is symmetrized once, so ``linalg.eigh`` takes it unchecked.
 """
 from __future__ import annotations
 
@@ -139,7 +140,7 @@ def is_number_list(x) -> bool:
 
 def _matrix(x) -> np.ndarray:
     """The matrix of an Effect, or the array itself, as it is: neither
-    checked nor symmetrized."""
+    checked nor symmetrized; the one coercion of a raw element."""
     return x.matrix if isinstance(x, Effect) else np.asarray(x)
 
 
@@ -184,20 +185,15 @@ class MatrixContext:
     The model's operations, each written once here; the spectral engine
     and the verifier read them through this protocol.  A raw array given
     where an effect is expected (``product``, ``powers``, ``floor``) is
-    checked and wrapped as one.
+    checked as one; any other is trusted to be exactly Hermitian.
     """
 
     model = "matrix"
     mul = staticmethod(np.matmul)   # the ordinary product of raw elements
+    raw = staticmethod(_matrix)
 
     def __init__(self, tol: Tolerances = DEFAULT):
         self.tol = tol
-
-    def raw(self, v) -> np.ndarray:
-        """The matrix of v; a raw array is symmetrized."""
-        if isinstance(v, Effect):
-            return v.matrix
-        return hermitian_part(np.asarray(v))
 
     def _effect(self, v) -> Effect:
         """v as an Effect; a raw array is checked as one."""
@@ -206,11 +202,10 @@ class MatrixContext:
         return validate_effect(v, self.tol)
 
     def _decomposition(self, v) -> EigenDecomposition:
-        """The cached eigensystem of an Effect, or one ``eigh`` of an array,
-        which checks and symmetrizes it."""
+        """An Effect's cached eigensystem, or one ``eigh`` of an array."""
         if isinstance(v, Effect):
             return v.decomposition
-        return eigh(np.asarray(v), self.tol)
+        return eigh(v, self.tol)
 
     def _projection(self, d: EigenDecomposition, keep: np.ndarray
                     ) -> Effect:
@@ -286,7 +281,7 @@ class MatrixContext:
         return np.zeros((n, n), dtype=np.complex128)
 
     def shift(self, v, lam: float) -> np.ndarray:
-        m = self.raw(v)
+        m = _matrix(v)
         return m - lam * np.eye(m.shape[0])
 
     def positive_part(self, v) -> np.ndarray:

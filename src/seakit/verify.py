@@ -221,8 +221,7 @@ def _three_orthogonal(smp, n: int) -> tuple[list, list[int]]:
 def _mackey(ctx, p, a) -> bool:
     """Mackey compatibility of a projection and an effect: with c = p a p,
     both a - c and 1 - a - p + c are positive."""
-    praw = ctx.raw(p)
-    inside = ctx.mul(ctx.mul(praw, ctx.raw(a)), praw)
+    inside = ctx.compress(p, a)
     rest = ctx.add(ctx.sub(ctx.sub(ctx.one_like(a), a), p), inside)
     return ctx.leq(inside, a) and ctx.leq(ctx.zero_like(a), rest)
 
@@ -231,7 +230,7 @@ def _five_way(ctx, p, a) -> dict:
     praw, araw, mul = ctx.raw(p), ctx.raw(a), ctx.mul
     n = praw.shape[0]
     thr = ctx.tol.check
-    inside = mul(mul(praw, araw), praw)
+    inside = ctx.compress(praw, araw)
     comp = ctx.complement(praw)
     r_block = _res(ctx.sub(ctx.sub(araw, inside),
                            mul(mul(comp, araw), comp)), n)

@@ -5,6 +5,8 @@ import io
 import json
 import os
 import re
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -15,7 +17,7 @@ import pytest
 from seakit import matrices as mx
 from seakit.cli import main
 from seakit.spectral import SpectralFamily, reconstruct
-from seakit.verify import control_omitted
+from seakit.verify import control_omitted, run_all
 from test_verify import rounded
 
 
@@ -47,6 +49,9 @@ def test_validate_rejects_out_of_range(tmp_path, capsys):
     assert "not an effect" in capsys.readouterr().out
     bad = write(tmp_path / "badf.json", {"values": [0.5, 1.2]})
     assert main(["validate", "--input", bad]) == 1
+    skew = write(tmp_path / "skew.json", {"re": [[0.5, 1e160], [-1e160, 0.5]]})
+    assert main(["validate", "--input", skew]) == 1
+    assert "not Hermitian" in capsys.readouterr().out
     for x in (float("nan"), float("inf")):
         for doc in ({"re": [[x, 0.0], [0.0, 0.5]]}, {"values": [x, 0.5]}):
             bad = write(tmp_path / "nonfinite.json", doc)
@@ -175,9 +180,9 @@ def test_decompose(tmp_path, capsys):
     skew = write(tmp_path / "skew.json", {"re": [[0.0, 1.0], [0.0, 0.0]]})
     assert main(["decompose", "--input", skew]) == 1
     capsys.readouterr()
-    # Symmetrizing 1e308 overflows to inf, which the engine rejects; on
-    # large entries its identity checks miss their absolute bound (by
-    # 2.3e-6 at 1e10, by inf at 1e200).
+    # Symmetrizing 1e308 overflows to inf, which the input check rejects;
+    # on large entries the engine's identity checks miss their absolute
+    # bound (by 2.3e-6 at 1e10, by inf at 1e200).
     for doc in ({"re": [[float("nan"), 0.0], [0.0, 0.5]]},
                 {"values": [float("inf"), 0.5]},
                 {"re": [[1e308, 0.0], [0.0, 1e308]]},
@@ -186,6 +191,23 @@ def test_decompose(tmp_path, capsys):
         assert main(["decompose", "--input",
                      write(tmp_path / "nonfinite.json", doc)]) == 1
         assert capsys.readouterr().out.count("\n") == 1
+
+
+def test_decompose_near_the_float_limit_writes_no_warning(tmp_path):
+    """Overflow on entries near the float limit is refused with one line
+    and exit 1; a ``seakit`` process, which shows numpy's warnings as a
+    user's would, writes nothing to stderr."""
+    env = dict(os.environ, PYTHONPATH=str(Path(mx.__file__).parents[1]))
+    for doc in ({"re": [[1e308, 0.0], [0.0, 1e308]]},
+                {"re": [[1e200, 3e199], [3e199, -1e200]]}):
+        path = write(tmp_path / "huge.json", doc)
+        proc = subprocess.run(
+            [sys.executable, "-W", "always::RuntimeWarning", "-m",
+             "seakit.cli", "decompose", "--input", path],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 1
+        assert proc.stdout.count("\n") == 1
+        assert proc.stderr == ""
 
 
 def test_witness_pair(tmp_path, capsys):
@@ -445,3 +467,37 @@ def test_element_verbs_are_golden(tmp_path):
         workdir.mkdir()
         digests[name] = cli_case_sha256(name, workdir)
     assert digests == CLI_GOLDEN
+
+
+def test_eigh_operands_are_exactly_hermitian(tmp_path, monkeypatch, capsys):
+    """``linalg.eigh`` neither checks nor symmetrizes its operand, so each
+    matrix LAPACK sees must be finite and bitwise equal to its conjugate
+    transpose: over the verifier's reports, every element-verb case, and
+    the verbs on an input that is Hermitian only within the input check's
+    tolerance, which they use as the check symmetrized it."""
+    seen = 0
+    failures = []
+    original = np.linalg.eigh
+
+    def recording(a, *args, **kwargs):
+        nonlocal seen
+        seen += 1
+        m = np.asarray(a)
+        if not (np.all(np.isfinite(m)) and np.array_equal(m, m.conj().T)):
+            failures.append(m)
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    for dim in (1, 2, 3, 4, 8):
+        for seed in (1, 7, 42):
+            run_all("matrix", dim, 12, seed)
+    for name in sorted(CLI_CASES):
+        workdir = tmp_path / name
+        workdir.mkdir()
+        cli_case_sha256(name, workdir)
+    tilted = write(tmp_path / "tilted.json",
+                   {"re": [[0.3, 0.1], [0.1 + 1e-12, 0.5]]})
+    for verb in ("validate", "spectrum", "approx", "decompose", "mv"):
+        assert main([verb, "--input", tilted]) == 0
+    assert seen > 20000
+    assert failures == []

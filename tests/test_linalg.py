@@ -111,6 +111,26 @@ def test_require_hermitian_rejects_asymmetric():
         require_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_require_hermitian_rejects_what_is_not_finite_once_symmetrized():
+    # 1e308 is finite, but (1e308 + 1e308) / 2 overflows to inf; neither
+    # case raises a warning on the way.
+    for m in (np.diag([1e308, 1e308]), np.diag([np.nan, 0.5]),
+              np.array([[0.5, np.inf], [0.0, 0.5]])):
+        with pytest.raises(NotHermitianError, match="non-finite"):
+            require_hermitian(m)
+    m = np.array([[1e200, 3e199 + 1j], [3e199 - 1j, -1e200]])
+    assert np.array_equal(require_hermitian(m), m)
+
+
+def test_require_hermitian_measures_huge_defects():
+    # ||M|| and ||M - M*|| overflow to inf here, yet the symmetrized
+    # matrix, 0.5 times the identity, is finite: the defect is measured
+    # on M scaled by its largest entry.
+    for big in (1e160, 1e308):
+        with pytest.raises(NotHermitianError, match="not Hermitian"):
+            require_hermitian(np.array([[0.5, big], [-big, 0.5]]))
+
+
 entries = st.floats(min_value=-10.0, max_value=10.0,
                     allow_nan=False, allow_infinity=False)
 

@@ -536,11 +536,13 @@ def _matrices_in(witness) -> int:
 
 def test_work_per_request_is_pinned(call_counter, monkeypatch):
     """Counts of one matrix ``verify`` request, which do not depend on the
-    machine: one LAPACK call per eigensystem, clustered decompositions
-    only where eigenvectors are used, and witness matrices encoded only
-    for the witnesses a report records."""
+    machine: one LAPACK call per eigensystem, no check of a matrix the
+    verifier built, clustered decompositions only where eigenvectors are
+    used, and witness matrices encoded only for the witnesses a report
+    records."""
     calls = call_counter("numpy.linalg.eigh",
-                         "seakit.linalg.decomposition_from")
+                         "seakit.linalg.decomposition_from",
+                         "seakit.linalg.require_hermitian")
     encoded = 0
     encode = mx.MatrixContext.encode
 
@@ -552,6 +554,7 @@ def test_work_per_request_is_pinned(call_counter, monkeypatch):
     monkeypatch.setattr(mx.MatrixContext, "encode", counted)
     reports = run_all("matrix", 4, 12, 42)
     assert calls["numpy.linalg.eigh"] == 1561
+    assert calls["seakit.linalg.require_hermitian"] == 0
     assert calls["seakit.linalg.decomposition_from"] <= 2700
     recorded = sum(_matrices_in(r.witness) for rep in reports
                    for r in rep.results if r.witness is not None)
