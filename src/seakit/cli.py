@@ -198,8 +198,8 @@ def cmd_approx(args: argparse.Namespace) -> int:
 
 def cmd_decompose(args: argparse.Namespace) -> int:
     ctx, raw = _load_element(_single_input(args), _tolerances(args))
-    # The engine is inside the try too: on large entries its identity checks
-    # fail against their absolute bound, or overflow, quietly, to inf.
+    # The engine is inside the try too, and quiet on overflow: it decomposes
+    # entries near the float limit, where a product may still overflow.
     try:
         if ctx.model == "matrix":
             raw = require_hermitian(raw)

@@ -9,7 +9,10 @@ dyadic inputs, so checks in this model compare with threshold zero.
 
 An element is its float array of values.  Values are checked where they
 enter the program (``read`` checks the document's shape, the command line
-their range); every operation and draw here trusts them.
+their range); every operation and draw here trusts them.  A ``(k, n)``
+array is a stack of k elements: the pointwise operations act on it member
+by member, and ``leq``, ``extremes`` and ``norm`` reduce over the last
+axis, one value per member; ``powers`` returns one ``(count, n)`` array.
 """
 from __future__ import annotations
 
@@ -20,7 +23,7 @@ import numpy as np
 
 from .config import DEFAULT, Tolerances
 from . import matrices as mx
-from .linalg import frobenius, operator_norm
+from .linalg import frobenius, operator_norm, per_member
 
 MAX_SPACE = 1024
 
@@ -80,8 +83,10 @@ class FuzzyContext:
     def zero_like(self, v) -> np.ndarray:
         return np.zeros(self.raw(v).shape[0])
 
-    def shift(self, v, lam: float) -> np.ndarray:
-        return self.raw(v) - lam
+    def shift(self, v, lam) -> np.ndarray:
+        """v - lam: with an array of k values, the (k, n) stack of
+        shifts."""
+        return self.raw(v) - np.asarray(lam)[..., None]
 
     def positive_part(self, v) -> np.ndarray:
         return np.maximum(self.raw(v), 0.0)
@@ -119,16 +124,18 @@ class FuzzyContext:
     def residual(self, a, b) -> float:
         return float(np.max(np.abs(self.raw(a) - self.raw(b))))
 
-    def norm(self, v) -> float:
-        return float(np.max(np.abs(self.raw(v))))
+    def norm(self, v):
+        return per_member(np.max(np.abs(self.raw(v)), axis=-1))
 
-    def extremes(self, v) -> tuple[float, float]:
+    def extremes(self, v):
         """Least and greatest value."""
         raw = self.raw(v)
-        return float(np.min(raw)), float(np.max(raw))
+        return (per_member(np.min(raw, axis=-1)),
+                per_member(np.max(raw, axis=-1)))
 
-    def leq(self, a, b, slack: float = 0.0) -> bool:
-        return bool(np.all(self.raw(a) <= self.raw(b) + slack))
+    def leq(self, a, b, slack: float = 0.0):
+        return per_member(np.all(self.raw(a) <= self.raw(b) + slack,
+                                 axis=-1))
 
     def commutes(self, a, b) -> bool:
         return True
@@ -139,12 +146,13 @@ class FuzzyContext:
     def product(self, a, b) -> np.ndarray:
         return self.raw(a) * self.raw(b)
 
-    def powers(self, a, count: int) -> list[np.ndarray]:
-        """Pointwise powers a, a², ... up to the count-th."""
-        out = [self.raw(a)]
-        for _ in range(count - 1):
-            out.append(out[-1] * out[0])
-        return out
+    def powers(self, a, count: int) -> np.ndarray:
+        """Pointwise powers a, a², ... up to the count-th, as one
+        (count, n) array of running products."""
+        if count < 1:
+            raise ValueError("count must be at least 1")
+        raw = self.raw(a)
+        return np.cumprod(np.broadcast_to(raw, (count, *raw.shape)), axis=0)
 
     def meet(self, a, b) -> np.ndarray:
         return np.minimum(self.raw(a), self.raw(b))
@@ -218,8 +226,7 @@ def spectrum_representation(a: mx.Effect, degree: int = 6,
     image = np.clip(d.cluster_values, 0.0, 1.0)
 
     ctx = mx.MatrixContext(tol)
-    powers = ctx.powers(a, degree)
-    mats = [np.eye(a.dim, dtype=np.complex128)] + [p.matrix for p in powers]
+    mats = [np.eye(a.dim, dtype=np.complex128), *ctx.powers(a, degree)]
     phis = []
     mult = 0.0
     for m in mats:

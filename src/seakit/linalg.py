@@ -1,14 +1,19 @@
 """Eigensystems of complex Hermitian matrices, with eigenvalue clustering.
 
-Every eigensystem comes from one LAPACK call, ``eigh`` (over
-``numpy.linalg.eigh``), whose operand must be finite and exactly Hermitian:
-``require_hermitian`` makes a matrix from outside so.  ``eigenvalues`` is
-its values-only accessor.  Clustering happens only where eigenvectors are
-needed: an ``EigenDecomposition`` groups its values into clusters, and
-builds its cluster values and eigenprojections, on first use and once.
-``decomposition_from`` wraps a known eigensystem, sorting it only when it
-is not already ascending.  With the same numpy and LAPACK build, identical
-input gives identical output.
+Every eigensystem comes from ``eigh`` (over ``numpy.linalg.eigh``), whose
+operand must be finite and exactly Hermitian: ``require_hermitian`` makes
+a matrix from outside so.  ``eigenvalues`` is its values-only accessor.
+Both take a stack of matrices on leading axes, as numpy's gufuncs do: one
+LAPACK call decomposes a ``(k, n, n)`` stack, member by member, with the
+same bits as ``k`` calls on the members; one matrix is the stack without
+the leading axis.  ``hermitian_part``, ``operator_norm`` and
+``EigenDecomposition.apply`` work on stacks too; ``per_member`` turns a
+reduction over one element into a Python scalar.  Clustering happens only
+where eigenvectors are needed: an ``EigenDecomposition`` of one matrix
+groups its values into clusters, and builds its cluster values and
+eigenprojections, on first use and once.  ``decomposition_from`` wraps a
+known eigensystem, sorting it only when it is not already ascending.  With
+the same numpy and LAPACK build, identical input gives identical output.
 """
 from __future__ import annotations
 
@@ -31,8 +36,16 @@ def frobenius(m: np.ndarray) -> float:
 
 
 def hermitian_part(m: np.ndarray) -> np.ndarray:
+    """(M + M*) / 2, member by member on a stack."""
     m = np.asarray(m, dtype=np.complex128)
-    return (m + m.conj().T) / 2.0
+    return (m + m.conj().swapaxes(-1, -2)) / 2.0
+
+
+def per_member(x):
+    """A reduction's result: a Python scalar for one element (a 0-d
+    result), the array of one value per member for a stack."""
+    x = np.asarray(x)
+    return x.item() if x.ndim == 0 else x
 
 
 def require_hermitian(m: np.ndarray) -> np.ndarray:
@@ -85,7 +98,10 @@ class EigenDecomposition:
     tol      : sets the clustering width, tol.cluster * max(1, |values|)
 
     The clusters, their mean values and their projectors are computed on
-    first use and kept; the arrays handed out are read-only.
+    first use and kept; the arrays handed out are read-only.  The
+    eigensystems of a stack carry its leading axes on both arrays;
+    ``reconstruct`` and ``apply`` work on them member by member, and the
+    clusters are defined for one matrix only.
     """
 
     values: np.ndarray
@@ -98,7 +114,7 @@ class EigenDecomposition:
 
     @property
     def dim(self) -> int:
-        return len(self.values)
+        return self.values.shape[-1]
 
     @cached_property
     def clusters(self) -> tuple[tuple[int, ...], ...]:
@@ -122,12 +138,17 @@ class EigenDecomposition:
                                  for idx in self.clusters]))
 
     def reconstruct(self) -> np.ndarray:
-        return hermitian_part((self.vectors * self.values) @ self.vectors.conj().T)
+        return self.apply(lambda x: x)
 
     def apply(self, fn) -> np.ndarray:
-        """Matrix function through the spectral theorem: Q fn(L) Q*."""
+        """Matrix function through the spectral theorem: Q fn(L) Q*.
+
+        fn may return values with more leading axes than it was given,
+        say one row per power, for a stack of functions of one matrix in
+        its own eigenbasis."""
         vals = fn(self.values)
-        return hermitian_part((self.vectors * vals) @ self.vectors.conj().T)
+        return hermitian_part((self.vectors * vals[..., None, :])
+                              @ self.vectors.conj().swapaxes(-1, -2))
 
 
 def decomposition_from(values: np.ndarray, vectors: np.ndarray,
@@ -147,18 +168,21 @@ def decomposition_from(values: np.ndarray, vectors: np.ndarray,
 
 
 def eigh(a: np.ndarray, tol: Tolerances = DEFAULT) -> EigenDecomposition:
-    """Full eigensystem of a finite, exactly Hermitian matrix, taken as it
-    is, via LAPACK, the one eigensolver; its values come out ascending."""
+    """Full eigensystem of a finite, exactly Hermitian matrix, or of each
+    member of a stack, taken as it is, via one LAPACK call, the one
+    eigensolver; its values come out ascending."""
     values, vectors = np.linalg.eigh(np.asarray(a, dtype=np.complex128))
     return EigenDecomposition(values, vectors, tol)
 
 
 def eigenvalues(a: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of an exactly Hermitian matrix: the LAPACK
-    call of ``eigh``, with nothing clustered."""
+    """Ascending eigenvalues of an exactly Hermitian matrix, or of each
+    member of a stack: the LAPACK call of ``eigh``, with nothing
+    clustered."""
     return eigh(a).values
 
 
-def operator_norm(a: np.ndarray) -> float:
+def operator_norm(a: np.ndarray):
+    """The largest |eigenvalue|: a float, or one per member of a stack."""
     vals = eigenvalues(a)
-    return float(max(abs(vals[0]), abs(vals[-1]))) if len(vals) else 0.0
+    return per_member(np.maximum(np.abs(vals[..., 0]), np.abs(vals[..., -1])))

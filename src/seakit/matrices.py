@@ -9,7 +9,10 @@ Eigensystems are cached on the wrapper objects because nearly every
 operation here goes through the spectral theorem.  ``Effect`` is the one
 element class, and it trusts its matrix; ``validate_effect`` is the one
 route that checks a matrix from outside the program; each matrix built
-here is symmetrized once, so ``linalg.eigh`` takes it unchecked.
+here is symmetrized once, so ``linalg.eigh`` takes it unchecked.  The
+order and norm operations, the positive part and the Rickart map also
+take a ``(k, n, n)`` stack of raw elements and decompose it in one LAPACK
+call; ``powers`` returns one ``(count, n, n)`` array.
 """
 from __future__ import annotations
 
@@ -27,6 +30,7 @@ from .linalg import (
     frobenius,
     hermitian_part,
     operator_norm,
+    per_member,
     require_hermitian,
 )
 
@@ -144,6 +148,14 @@ def _matrix(x) -> np.ndarray:
     return x.matrix if isinstance(x, Effect) else np.asarray(x)
 
 
+def _span(vectors: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """The projection onto the columns of a unitary that ``keep`` marks."""
+    cols = vectors[:, keep]
+    if not cols.shape[1]:
+        return np.zeros(vectors.shape, dtype=np.complex128)
+    return hermitian_part(cols @ cols.conj().T)
+
+
 def joint_eigenbasis(x, y, tol: Tolerances = DEFAULT
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Common eigenbasis of a commuting Hermitian pair.
@@ -186,6 +198,11 @@ class MatrixContext:
     and the verifier read them through this protocol.  A raw array given
     where an effect is expected (``product``, ``powers``, ``floor``) is
     checked as one; any other is trusted to be exactly Hermitian.
+    ``leq``, ``extremes``, ``norm``, ``shift``, ``positive_part``,
+    ``rickart`` and ``complement`` of a raw array also take a stack of
+    elements on a leading axis, as numpy's gufuncs do, with the same bits
+    per member as one call per member; reductions give one value per
+    member.
     """
 
     model = "matrix"
@@ -212,14 +229,11 @@ class MatrixContext:
         """The projection onto the eigenvectors of d that ``keep`` marks,
         with its eigensystem."""
         dim = d.dim
-        cols = d.vectors[:, keep]
-        othr = d.vectors[:, ~keep]
-        k = cols.shape[1]
+        k = int(np.count_nonzero(keep))
         values = np.concatenate([np.zeros(dim - k), np.ones(k)])
-        vectors = np.concatenate([othr, cols], axis=1)
-        mat = (hermitian_part(cols @ cols.conj().T) if k
-               else np.zeros((dim, dim), dtype=complex))
-        return Effect(mat, tol=self.tol,
+        vectors = np.concatenate([d.vectors[:, ~keep], d.vectors[:, keep]],
+                                 axis=1)
+        return Effect(_span(d.vectors, keep), tol=self.tol,
                       decomposition=EigenDecomposition(values, vectors,
                                                        self.tol))
 
@@ -280,19 +294,26 @@ class MatrixContext:
         n = np.shape(_matrix(v))[0]
         return np.zeros((n, n), dtype=np.complex128)
 
-    def shift(self, v, lam: float) -> np.ndarray:
+    def shift(self, v, lam) -> np.ndarray:
+        """v - lam: with an array of k values, the (k, n, n) stack of
+        shifts."""
         m = _matrix(v)
-        return m - lam * np.eye(m.shape[0])
+        return m - np.multiply.outer(lam, np.eye(m.shape[-1]))
 
     def positive_part(self, v) -> np.ndarray:
         d = eigh(_matrix(v), self.tol)
         return d.apply(lambda x: np.clip(x, 0.0, None))
 
-    def rickart(self, v) -> Effect:
-        """The projection onto the kernel: the eigenvalues with
-        |λ| <= kernel tol."""
+    def rickart(self, v) -> np.ndarray:
+        """The projection onto the kernel, spanned by the eigenvectors
+        with |λ| <= kernel tol, as a raw array; one per member of a
+        stack."""
         d = self._decomposition(v)
-        return self._projection(d, np.abs(d.values) <= self.tol.kernel)
+        keep = np.abs(d.values) <= self.tol.kernel
+        out = np.empty(d.vectors.shape, dtype=np.complex128)
+        for i in np.ndindex(keep.shape[:-1]):
+            out[i] = _span(d.vectors[i], keep[i])
+        return out
 
     def cover(self, a) -> Effect:
         """Support projection: the least projection above the effect."""
@@ -319,7 +340,7 @@ class MatrixContext:
         if isinstance(v, Effect):
             return v.complement()
         raw = _matrix(v)
-        return np.eye(raw.shape[0]) - raw
+        return np.eye(raw.shape[-1]) - raw
 
     def eigenprojections(self, v
                          ) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
@@ -351,20 +372,20 @@ class MatrixContext:
     def residual(self, a, b) -> float:
         return frobenius(_matrix(a) - _matrix(b))
 
-    def norm(self, v) -> float:
+    def norm(self, v):
         return operator_norm(_matrix(v))
 
-    def extremes(self, v) -> tuple[float, float]:
+    def extremes(self, v):
         """Least and greatest eigenvalue."""
         vals = eigenvalues(_matrix(v))
-        return float(vals[0]), float(vals[-1])
+        return per_member(vals[..., 0]), per_member(vals[..., -1])
 
-    def leq(self, a, b, slack: float | None = None) -> bool:
+    def leq(self, a, b, slack: float | None = None):
         """a <= b: the least eigenvalue of b - a is at least -slack
         (by default tol.check)."""
         if slack is None:
             slack = self.tol.check
-        return float(eigenvalues(self.sub(b, a))[0]) >= -slack
+        return per_member(eigenvalues(self.sub(b, a))[..., 0] >= -slack)
 
     def commutes(self, a, b) -> bool:
         am, bm = _matrix(a), _matrix(b)
@@ -381,27 +402,23 @@ class MatrixContext:
         s = a.sqrt_matrix()
         return hermitian_part(s @ b.matrix @ s)
 
-    def powers(self, a, count: int) -> list[Effect]:
-        """Sequential powers a, a∘a, ... up to the count-th."""
+    def powers(self, a, count: int) -> np.ndarray:
+        """Sequential powers a, a∘a, ... up to the count-th, as one
+        (count, n, n) array.
+
+        The powers of a share its eigenbasis, so the square root of the
+        k-th is formed there from the k-th cumulative product of its
+        values, and the (k+1)-th power is √(aᵏ) a √(aᵏ): every power is
+        one stacked product, and nothing is re-diagonalized.
+        """
         if count < 1:
             raise ValueError("count must be at least 1")
         a = self._effect(a)
-        d = a.decomposition
-        base = np.clip(d.values, 0.0, 1.0)
-        out = [a]
-        cur = a
-        power = base.copy()
-        for _ in range(count - 1):
-            s = cur.sqrt_matrix()
-            power = power * base
-            # The product of commuting effects keeps the eigenbasis;
-            # seeding the known eigensystem avoids re-diagonalizing every
-            # power.
-            cur = Effect(hermitian_part(s @ a.matrix @ s), tol=a.tol,
-                         decomposition=decomposition_from(power, d.vectors,
-                                                          a.tol))
-            out.append(cur)
-        return out
+        roots = a.decomposition.apply(lambda x: np.sqrt(np.cumprod(
+            np.broadcast_to(np.clip(x, 0.0, 1.0), (count - 1, x.size)),
+            axis=0)))
+        return np.concatenate([a.matrix[None],
+                               hermitian_part(roots @ a.matrix @ roots)])
 
     def _apply(self, a, b, fn) -> np.ndarray:
         """A two-argument spectral function of a commuting pair."""

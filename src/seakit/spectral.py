@@ -131,8 +131,10 @@ def family_from_representation(coefficients, projections, model: str
                           tuple(steps), model)
 
 
-def eigenprojection(v, lam: float, ctx):
-    """Kernel projection of v - lam; zero unless lam is an eigenvalue."""
+def eigenprojection(v, lam, ctx):
+    """Kernel projection of v - lam; zero unless lam is an eigenvalue.
+    With an array of values, the stack of their projections, from one
+    decomposition of the stacked shifts."""
     return ctx.rickart(ctx.shift(ctx.raw(v), lam))
 
 
@@ -202,21 +204,29 @@ def simple_approximation(a, n: int, ctx):
 
 def orthogonal_decomposition(v, ctx) -> OrthogonalDecomposition:
     """Unique split v = v_plus - v_minus with orthogonal positive parts;
-    p is the least sign witness, the support of the positive part."""
+    p is the least sign witness, the support of the positive part.
+
+    The identities are checked against tol.check times the largest real
+    or imaginary part of v, or 1 if that is smaller: each residual is
+    measured on its argument times the reciprocal of that scale, whose
+    parts are at most about 1, so neither the scale nor the residual
+    overflows, and for parts up to 1 the comparison is the absolute one.
+    """
     raw = ctx.raw(v)
     p = sign_witness_projections(v, ctx, limit=1)[0]
     comp = ctx.complement(p)
     v_plus = ctx.compress(p, raw)
     v_minus = ctx.scale(-1.0, ctx.compress(comp, raw))
-    checks = (
-        ctx.residual(ctx.sub(raw, ctx.sub(v_plus, v_minus)),
-                     ctx.zero_like(v)),
-        ctx.residual(ctx.compress(p, v_minus), ctx.zero_like(v)),
-        ctx.residual(ctx.compress(comp, v_plus), ctx.zero_like(v)),
-    )
-    worst = max(checks)
+    shrink = 1.0 / max(1.0, float(np.max(np.abs(np.real(raw)))),
+                       float(np.max(np.abs(np.imag(raw)))))
+    zero = ctx.zero_like(v)
+    worst = max(ctx.residual(ctx.scale(shrink, x), zero) for x in (
+        ctx.sub(raw, ctx.sub(v_plus, v_minus)),
+        ctx.compress(p, v_minus),
+        ctx.compress(comp, v_plus)))
     if worst > ctx.tol.check:
-        raise ArithmeticError(f"decomposition identities failed: {worst:.3e}")
+        raise ArithmeticError(
+            f"decomposition identities failed: {worst / shrink:.3e}")
     return OrthogonalDecomposition(v_plus, v_minus, p)
 
 

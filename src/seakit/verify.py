@@ -691,12 +691,12 @@ def run_compression_suite(model: str = "matrix", dim_or_size: int = 4,
 
 def _rickart_family(a, ctx) -> sp.SpectralFamily:
     """Reference family from the definition: p_λ is the Rickart projection
-    of (a - λ)⁺, freshly decomposed at each spectral value λ."""
-    values = tuple(float(x) for x in ctx.eigenprojections(a)[0])
-    steps = [ctx.zero_like(a)] + [
-        ctx.raw(ctx.rickart(ctx.positive_part(ctx.shift(a, lam))))
-        for lam in values]
-    return sp.SpectralFamily(values, tuple(steps), ctx.model)
+    of (a - λ)⁺, freshly decomposed at each spectral value λ (the shifts
+    as one stack)."""
+    values = ctx.eigenprojections(a)[0]
+    steps = ctx.rickart(ctx.positive_part(ctx.shift(a, values)))
+    return sp.SpectralFamily(tuple(float(x) for x in values),
+                             (ctx.zero_like(a), *steps), ctx.model)
 
 
 @_statement("spectrality", "prop:decomp")
@@ -718,22 +718,19 @@ def _decomp(run, ctx, smp, t: _Tally) -> None:
 
 @_statement("spectrality", "coro:limit")
 def _limit(run, ctx, smp, t: _Tally) -> None:
+    levels = np.arange(1, APPROX_LEVELS + 1)
     for k in range(run.samples):
         a = smp.effect()
-        prev = None
-        ok = True
-        worst = 0.0
-        for level in range(1, APPROX_LEVELS + 1):
-            an = np.asarray(sp.simple_approximation(a, level, ctx))
-            # One decomposition of a - a_n gives its norm and its sign.
-            lo, hi = ctx.extremes(ctx.sub(a, an))
-            gap = max(abs(lo), abs(hi))
-            worst = max(worst, gap - 2.0 ** -level)
-            ok = ok and gap <= 2.0 ** -level + run.thr and lo >= -run.thr
-            if prev is not None:
-                ok = ok and ctx.leq(prev, an)
-            prev = an
-        t.tally(ok, max(0.0, worst), lambda: {"sample": k, "a": ctx.encode(a)})
+        staircase = np.stack([sp.simple_approximation(a, level, ctx)
+                              for level in levels])
+        # One decomposition of a - a_n gives its norm and its sign.
+        lo, hi = ctx.extremes(ctx.sub(a, staircase))
+        gap = np.maximum(np.abs(lo), np.abs(hi))
+        worst = max(0.0, float(np.max(gap - 2.0 ** -levels)))
+        ok = bool(np.all(gap <= 2.0 ** -levels + run.thr)
+                  and np.all(lo >= -run.thr)
+                  and np.all(ctx.leq(staircase[:-1], staircase[1:])))
+        t.tally(ok, worst, lambda: {"sample": k, "a": ctx.encode(a)})
 
 
 @_statement("spectrality", "eq:spectprojs")
@@ -745,11 +742,11 @@ def _spectprojs(run, ctx, smp, t: _Tally) -> None:
         ok = len(fam.breakpoints) == len(ref.breakpoints) and all(
             abs(x - y) <= run.thr
             for x, y in zip(fam.breakpoints, ref.breakpoints))
+        steps = np.stack(fam.projections)
+        ok = ok and bool(np.all(ctx.leq(steps[:-1], steps[1:])))
         worst = 0.0
-        for j in range(1, len(fam.projections)):
-            ok = ok and ctx.leq(fam.projections[j - 1],
-                                fam.projections[j])
-            eig = sp.eigenprojection(a, fam.breakpoints[j - 1], ctx)
+        eigs = sp.eigenprojection(a, np.array(fam.breakpoints), ctx)
+        for j, eig in enumerate(eigs, start=1):
             r = run.res(fam.jump(j), eig)
             worst = max(worst, r)
             ok = ok and r <= run.thr
@@ -774,11 +771,12 @@ def _spectres(run, ctx, smp, t: _Tally) -> None:
     for k in range(run.samples):
         a = smp.effect()
         fam = sp.spectral_family(a, ctx)
-        r0 = ctx.norm(ctx.sub(a, sp.reconstruct(fam)))
+        sums = np.stack([sp.reconstruct(fam)]
+                        + [sp.reconstruct(fam, mesh) for mesh in MESHES])
+        r0, *gaps = ctx.norm(ctx.sub(a, sums)).tolist()
         ok = r0 <= run.thr
         worst = r0
-        for mesh in MESHES:
-            gap = ctx.norm(ctx.sub(a, sp.reconstruct(fam, mesh)))
+        for mesh, gap in zip(MESHES, gaps):
             ok = ok and gap <= mesh + run.thr
             worst = max(worst, gap if gap > mesh else 0.0)
         t.tally(ok, worst, lambda: {"sample": k, "a": ctx.encode(a),
@@ -790,16 +788,19 @@ def _projcov(run, ctx, smp, t: _Tally) -> None:
     for k in range(run.samples):
         a = smp.simple()
         cover = ctx.cover(a)
-        ok = ctx.leq(a, cover)
         # Every sub-sum of the eigenprojections (the first 16) lies
         # above a exactly when it lies above the cover.
         projs = ctx.eigenprojections(a)[1]
+        sums = []
         for mask in range(min(2 ** len(projs), 16)):
             q = ctx.zero_like(a)
             for i, proj in enumerate(projs):
                 if mask >> i & 1:
                     q = ctx.add(q, proj)
-            ok = ok and ctx.leq(a, q) == ctx.leq(cover, q)
+            sums.append(q)
+        sums = np.stack(sums)
+        ok = ctx.leq(a, cover) and bool(
+            np.all(ctx.leq(a, sums) == ctx.leq(cover, sums)))
         lam = smp.scalar(0.05, 1.0)
         r = run.res(ctx.cover(ctx.scale(lam, a)), cover)
         t.tally(ok and r <= run.thr, r,
@@ -841,8 +842,7 @@ def _floor_lemma(run, ctx, smp, t: _Tally) -> None:
         a = smp.with_top(int(smp.rng.integers(1, run.n + 1)))
         flr = run.floor(a)
         powers = ctx.powers(a, FLOOR_POWER)
-        ok = all(ctx.leq(powers[j + 1], powers[j])
-                 for j in range(min(3, len(powers) - 1)))
+        ok = bool(np.all(ctx.leq(powers[1:4], powers[:3])))
         ok = ok and ctx.leq(flr, powers[-1])
         values = ctx.eigenprojections(a)[0]
         below_one = values[values < 1.0 - ctx.tol.cluster]
@@ -910,8 +910,7 @@ def _property_a(run, ctx, smp, t: _Tally) -> None:
         chain = [sp.simple_approximation(a, level, ctx)
                  for level in range(1, 9)]
         chain.append(a)
-        chain += [ctx.complement(ctx.raw(x))
-                  for x in ctx.powers(ctx.complement(a), 8)]
+        chain += list(ctx.complement(ctx.powers(ctx.complement(a), 8)))
         chain.append(ctx.cover(a))
         ok = all(ctx.commutes(x, b) for x in chain)
         t.tally(ok, 0.0, lambda: {"sample": k, "a": ctx.encode(a),
@@ -953,9 +952,10 @@ def _lagrange(ctx, a, nodes, i: int):
     model, the products are exactly 0 or 1.
     """
     out = ctx.one_like(a)
+    shifts = ctx.shift(a, np.array(nodes))
     for j, x in enumerate(nodes):
         if j != i:
-            out = ctx.mul(out, ctx.shift(a, x) / (nodes[i] - x))
+            out = ctx.mul(out, shifts[j] / (nodes[i] - x))
     return out
 
 

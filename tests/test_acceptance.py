@@ -161,7 +161,7 @@ def test_criterion_07_floor_identities():
         ok = ok and gap <= CHECK
         mu_max = float(max((v for v in d.values if v < 1.0 - DEFAULT.cluster),
                            default=0.0))
-        power = np.asarray(MATRIX.powers(a, 50)[-1].matrix)
+        power = MATRIX.powers(a, 50)[-1]
         rate_gap = operator_norm(power - np.asarray(base.matrix))
         ok = ok and rate_gap <= mu_max ** 50 + CHECK
         worst = max(worst, rate_gap)

@@ -76,7 +76,7 @@ def test_compression_is_corner():
 
 def test_rickart_is_kernel_projection():
     q = CTX.rickart(diag(0.0, 0.3, -0.2))
-    assert np.allclose(q.matrix, diag(1.0, 0.0, 0.0), atol=1e-10)
+    assert np.allclose(q, diag(1.0, 0.0, 0.0), atol=1e-10)
     assert CTX.proj_rank(CTX.rickart(np.zeros((2, 2)))) == 2
 
 
@@ -96,7 +96,7 @@ def test_powers_are_sequential_powers():
     steps = CTX.powers(validate_effect(diag(1.0, 0.5)), 4)
     assert len(steps) == 4
     for k, step in enumerate(steps, start=1):
-        assert np.allclose(step.matrix, diag(1.0, 0.5 ** k), atol=1e-10)
+        assert np.allclose(step, diag(1.0, 0.5 ** k), atol=1e-10)
     with pytest.raises(ValueError):
         CTX.powers(steps[0], 0)
 

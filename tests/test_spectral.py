@@ -61,9 +61,9 @@ def test_family_is_right_continuous_with_eigen_jumps():
         eps = 1e-9
         assert np.allclose(fam.at(b + eps), fam.at(b), atol=1e-8)
         jump = fam.jump(k)
-        proj = eigenprojection(a, b, MATRIX).matrix
+        proj = eigenprojection(a, b, MATRIX)
         assert np.allclose(jump, proj, atol=1e-8)
-    assert np.allclose(eigenprojection(a, 0.3, MATRIX).matrix,
+    assert np.allclose(eigenprojection(a, 0.3, MATRIX),
                        np.zeros((3, 3)),
                        atol=1e-10)
 
