@@ -43,6 +43,8 @@ def _load_doc(path: str) -> dict:
         raise _UsageError(f"cannot read {path}: {exc.strerror}") from exc
     except json.JSONDecodeError as exc:
         raise _UsageError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise _UsageError(f"{path} is nested too deeply to read") from exc
 
 
 def _parse_element(doc, tol: Tolerances) -> tuple:
@@ -182,12 +184,12 @@ def cmd_approx(args: argparse.Namespace) -> int:
     if not 1 <= args.levels <= 24:
         raise _UsageError("--levels must be between 1 and 24")
     _, effect = _classify(ctx, raw)
-    rows = []
-    for n in range(1, args.levels + 1):
-        an = sp.simple_approximation(effect, n, ctx)
-        rows.append({"level": n, "bound": 2.0 ** -n,
-                     "gap": ctx.norm(ctx.sub(effect, an)),
-                     "element": ctx.write(an)})
+    levels = range(1, args.levels + 1)
+    stairs = sp.simple_approximation(effect, np.array(levels), ctx)
+    gaps = ctx.norm(ctx.sub(effect, stairs))
+    rows = [{"level": n, "bound": 2.0 ** -n, "gap": float(gap),
+             "element": ctx.write(an)}
+            for n, an, gap in zip(levels, stairs, gaps)]
     doc = {"model": ctx.model, "levels": rows}
     _write_json(doc, args.out)
     if args.out:

@@ -137,8 +137,10 @@ class FuzzyContext:
         return per_member(np.all(self.raw(a) <= self.raw(b) + slack,
                                  axis=-1))
 
-    def commutes(self, a, b) -> bool:
-        return True
+    def commutes(self, a, b):
+        """Always: True, or one True per member of a stack."""
+        shape = np.broadcast(self.raw(a), self.raw(b)).shape[:-1]
+        return per_member(np.ones(shape, dtype=bool))
 
     def compress(self, p, a) -> np.ndarray:
         return self.raw(p) * self.raw(a)
@@ -290,8 +292,11 @@ class FuzzySampler:
         """The indicator of the points at positions lo:hi of a frame."""
         return indicator(self.space, frame[lo:hi])
 
-    # One frame, each draw in it: the same draw as on matrices.
+    # One frame, each draw in it, and a block of draws: the same as on
+    # matrices, where nothing here waits for the block's end.
+    _block = None
     commuting = mx.EffectSampler.commuting
+    draws = mx.EffectSampler.draws
 
     def effect(self, lo: float = 0.0, hi: float = 1.0,
                frame: np.ndarray | None = None) -> np.ndarray:

@@ -6,9 +6,9 @@ a matrix from outside so.  ``eigenvalues`` is its values-only accessor.
 Both take a stack of matrices on leading axes, as numpy's gufuncs do: one
 LAPACK call decomposes a ``(k, n, n)`` stack, member by member, with the
 same bits as ``k`` calls on the members; one matrix is the stack without
-the leading axis.  ``hermitian_part``, ``operator_norm`` and
-``EigenDecomposition.apply`` work on stacks too; ``per_member`` turns a
-reduction over one element into a Python scalar.  Clustering happens only
+the leading axis.  ``hermitian_part``, ``operator_norm``, ``frobenius``
+and ``EigenDecomposition.apply`` work on stacks too; ``per_member`` turns
+a reduction over one element into a Python scalar.  Clustering happens only
 where eigenvectors are needed: an ``EigenDecomposition`` of one matrix
 groups its values into clusters, and builds its cluster values and
 eigenprojections, on first use and once.  ``decomposition_from`` wraps a
@@ -31,8 +31,15 @@ class NotHermitianError(ValueError):
     """Input matrix is not Hermitian within tolerance."""
 
 
-def frobenius(m: np.ndarray) -> float:
-    return float(np.linalg.norm(m))
+def frobenius(m: np.ndarray):
+    """The Frobenius norm of a matrix, a float, or of each member of a
+    stack, with the bits of one ``numpy.linalg.norm`` call per member."""
+    m = np.asarray(m)
+    if m.ndim <= 2:
+        return float(np.linalg.norm(m))
+    flat = m.reshape(*m.shape[:-2], -1)
+    re, im = flat.real, flat.imag
+    return np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
 
 
 def hermitian_part(m: np.ndarray) -> np.ndarray:

@@ -12,10 +12,13 @@ route that checks a matrix from outside the program; each matrix built
 here is symmetrized once, so ``linalg.eigh`` takes it unchecked.  The
 order and norm operations, the positive part and the Rickart map also
 take a ``(k, n, n)`` stack of raw elements and decompose it in one LAPACK
-call; ``powers`` returns one ``(count, n, n)`` array.
+call; ``powers`` returns one ``(count, n, n)`` array.  The sampler draws
+in blocks: a block's Haar frames take one stacked QR per size, and its
+effects one stacked reconstruct.
 """
 from __future__ import annotations
 
+import functools
 import sys
 
 import numpy as np
@@ -80,14 +83,6 @@ class Effect:
         self.matrix = mat
         self._decomp = decomposition
         self._sqrt = None
-
-    @classmethod
-    def from_eigensystem(cls, values: np.ndarray, vectors: np.ndarray,
-                         tol: Tolerances = DEFAULT) -> "Effect":
-        """Trusted constructor: builds the matrix and caches its eigensystem."""
-        decomp = decomposition_from(values, vectors, tol)
-        mat = decomp.reconstruct()
-        return cls(mat, tol=tol, decomposition=decomp)
 
     @property
     def dim(self) -> int:
@@ -199,10 +194,10 @@ class MatrixContext:
     where an effect is expected (``product``, ``powers``, ``floor``) is
     checked as one; any other is trusted to be exactly Hermitian.
     ``leq``, ``extremes``, ``norm``, ``shift``, ``positive_part``,
-    ``rickart`` and ``complement`` of a raw array also take a stack of
-    elements on a leading axis, as numpy's gufuncs do, with the same bits
-    per member as one call per member; reductions give one value per
-    member.
+    ``rickart``, ``complement`` and ``commutes`` of a raw array also take
+    a stack of elements on a leading axis, as numpy's gufuncs do, with the
+    same bits per member as one call per member; reductions give one value
+    per member.
     """
 
     model = "matrix"
@@ -387,9 +382,10 @@ class MatrixContext:
             slack = self.tol.check
         return per_member(eigenvalues(self.sub(b, a))[..., 0] >= -slack)
 
-    def commutes(self, a, b) -> bool:
+    def commutes(self, a, b):
+        """ab = ba within tol.comm, one verdict per member of a stack."""
         am, bm = _matrix(a), _matrix(b)
-        return frobenius(am @ bm - bm @ am) <= self.tol.comm
+        return per_member(frobenius(am @ bm - bm @ am) <= self.tol.comm)
 
     def compress(self, p, a) -> np.ndarray:
         praw = _matrix(p)
@@ -456,17 +452,110 @@ class MatrixContext:
         return int(round(float(np.real(np.trace(_matrix(p))))))
 
 
-def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Haar-distributed n x n unitary.
+def _ginibre(rng: np.random.Generator, n: int) -> np.ndarray:
+    """A complex Ginibre matrix: the random numbers of one Haar unitary."""
+    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
 
-    The QR factor of a complex Ginibre matrix, with the phases of R's
-    diagonal moved into Q so that the law is exactly Haar (Mezzadri,
-    Notices AMS 2007).
+
+def _haar(z: np.ndarray) -> np.ndarray:
+    """The Haar unitary of a Ginibre matrix, or of each member of a stack.
+
+    The QR factor, with the phases of R's diagonal moved into Q so that
+    the law is exactly Haar (Mezzadri, Notices AMS 2007); a stack takes
+    one LAPACK call, with the same bits per member as one call each.
     """
-    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
+
+
+def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Haar-distributed n x n unitary."""
+    return _haar(_ginibre(rng, n))
+
+
+class _Pending:
+    """A draw made in a block, whose value the block sets at its end."""
+
+    __slots__ = ("value",)
+
+
+class _Known(_Pending):
+    """An effect drawn with a known eigensystem: its eigenvalues, unsorted,
+    and a thunk that gives the matching eigenvectors, as columns, once the
+    block's frames are drawn."""
+
+    __slots__ = ("values", "vectors")
+
+    def __init__(self, values: np.ndarray, vectors):
+        self.values = values
+        self.vectors = vectors
+
+
+def _value(x):
+    """A frame or an element: its value, if it was pending."""
+    return x.value if isinstance(x, _Pending) else x
+
+
+def _settled(x):
+    """x, a draw or a tuple or list of draws, each pending one replaced
+    by its value."""
+    if isinstance(x, _Pending):
+        return x.value
+    if isinstance(x, (tuple, list)):
+        return type(x)(_settled(y) for y in x)
+    return x
+
+
+class _Block:
+    """What the draws of one ``EffectSampler.draws`` call leave for its end:
+    Ginibre matrices, known eigensystems and ragged builds."""
+
+    def __init__(self):
+        self.frames: list[tuple[_Pending, np.ndarray]] = []
+        self.known: list[_Known] = []
+        self.ragged: list[tuple[_Pending, object]] = []
+
+    def __bool__(self) -> bool:
+        return bool(self.frames or self.known or self.ragged)
+
+    def complete(self, out, tol: Tolerances):
+        """Set every pending value and return ``out`` settled: one stacked
+        QR per frame size, the ragged builds one by one, and one stacked,
+        stably sorted reconstruct of the effects (all of the sampler's
+        dimension), each member an Effect with its eigensystem."""
+        sizes: dict[int, list] = {}
+        for frame, z in self.frames:
+            sizes.setdefault(z.shape[0], []).append((frame, z))
+        for group in sizes.values():
+            unitaries = _haar(np.stack([z for _, z in group]))
+            for (frame, _), u in zip(group, unitaries):
+                frame.value = u
+        for pending, build in self.ragged:
+            pending.value = build()
+        if self.known:
+            values = np.stack([e.values for e in self.known])
+            order = np.argsort(values, axis=-1, kind="stable")
+            d = EigenDecomposition(
+                np.take_along_axis(values, order, -1),
+                np.take_along_axis(np.stack([e.vectors() for e in self.known]),
+                                   order[:, None, :], -1), tol)
+            for e, values, vectors, mat in zip(self.known, d.values,
+                                               d.vectors, d.reconstruct()):
+                e.value = Effect(mat, tol=tol, decomposition=(
+                    EigenDecomposition(values, vectors, tol)))
+        return _settled(out)
+
+
+def _drawn(draw):
+    """A draw of ``EffectSampler``: in a block it defers its linear algebra
+    to the block's end, and outside one it is a block of one."""
+    @functools.wraps(draw)
+    def drawn(self, *args, **kwargs):
+        if self._block is None:
+            return self.draws(1, lambda k: draw(self, *args, **kwargs))[0]
+        return draw(self, *args, **kwargs)
+    return drawn
 
 
 class EffectSampler:
@@ -477,7 +566,17 @@ class EffectSampler:
     eigenvalue lists, so their eigensystems are known up front.  The draws
     have the names and parameters of ``fuzzy.FuzzySampler``'s, so one
     verifier statement serves both models; a frame here is a Haar unitary.
+
+    ``draws(count, recipe)`` makes a block of draws: it runs ``recipe(k)``
+    for each k and consumes the random stream exactly as that loop does,
+    since the linear algebra draws no random numbers.  Inside the block a
+    frame is only its Ginibre matrix and an effect only its values; at the
+    block's end every frame size takes one stacked QR and the effects one
+    stacked reconstruct, with the same bits per member as one call each.
+    A draw made outside a block is a block of one.
     """
+
+    _block: _Block | None = None  # the open block of draws, if any
 
     def __init__(self, seed: int | np.random.SeedSequence, dim: int,
                  tol: Tolerances = DEFAULT):
@@ -489,27 +588,62 @@ class EffectSampler:
         self.dim = dim
         self.tol = tol
 
-    def _diagonal(self, values, frame: np.ndarray) -> Effect:
-        return Effect.from_eigensystem(np.asarray(values, dtype=float),
-                                       frame, self.tol)
+    def draws(self, count: int, recipe) -> list:
+        """``[recipe(k) for k in range(count)]``, whose draws, tuples and
+        lists of draws are settled as one block."""
+        outer = self._block
+        block = self._block = _Block()
+        try:
+            out = [recipe(k) for k in range(count)]
+        finally:
+            self._block = outer
+        return block.complete(out, self.tol) if block else out
+
+    def _known(self, values, vectors) -> _Known:
+        """An effect with these eigenvalues and the eigenvectors the thunk
+        ``vectors`` gives at the block's end."""
+        effect = _Known(np.asarray(values, dtype=float), vectors)
+        self._block.known.append(effect)
+        return effect
+
+    def _diagonal(self, values, frame) -> _Known:
+        return self._known(values, lambda: _value(frame))
+
+    def _later(self, build) -> _Pending:
+        """A draw that ``build`` makes per member, after the block's QR."""
+        pending = _Pending()
+        self._block.ragged.append((pending, build))
+        return pending
+
+    def _unitary(self, n: int) -> _Pending:
+        """An n x n Haar unitary: its Ginibre matrix now, its QR stacked."""
+        frame = _Pending()
+        self._block.frames.append((frame, _ginibre(self.rng, n)))
+        return frame
 
     def scalar(self, lo: float = 0.0, hi: float = 1.0) -> float:
         return float(self.rng.uniform(lo, hi))
 
+    @_drawn
     def frame(self) -> np.ndarray:
         """A Haar unitary; effects diagonal in one frame commute."""
-        return random_unitary(self.rng, self.dim)
+        return self._unitary(self.dim)
 
+    @_drawn
     def span(self, frame: np.ndarray, lo: int, hi: int) -> Effect:
         """The projection onto columns lo:hi of a frame, which are
         orthonormal."""
-        cols = frame[:, lo:hi]
-        if cols.shape[1] == 0:
+        n = self.dim
+        if not range(n)[lo:hi]:
             # the zero projection, with its eigensystem known up front
-            n = self.dim
             return self._diagonal(np.zeros(n), np.eye(n, dtype=np.complex128))
-        return Effect(hermitian_part(cols @ cols.conj().T), tol=self.tol)
 
+        def build() -> Effect:
+            cols = _value(frame)[:, lo:hi]
+            return Effect(hermitian_part(cols @ cols.conj().T), tol=self.tol)
+        return self._later(build)
+
+    @_drawn
     def commuting(self, *draws) -> tuple:
         """One sample of each draw, by default two effects, all diagonal in
         one frame, so they commute; each draw takes ``frame=``."""
@@ -517,12 +651,14 @@ class EffectSampler:
         return tuple(draw(frame=u)
                      for draw in draws or (self.effect, self.effect))
 
+    @_drawn
     def effect(self, lo: float = 0.0, hi: float = 1.0,
                frame: np.ndarray | None = None) -> Effect:
         """Effect with spectrum drawn from [lo, hi]."""
         values = self.rng.uniform(lo, hi, self.dim)
         return self._diagonal(values, self.frame() if frame is None else frame)
 
+    @_drawn
     def projection(self, frame: np.ndarray | None = None) -> Effect:
         n = self.dim
         rank = int(self.rng.integers(1, n)) if n > 1 else 1
@@ -532,6 +668,7 @@ class EffectSampler:
         values[:rank] = 1.0
         return self._diagonal(self.rng.permutation(values), frame)
 
+    @_drawn
     def with_values(self, values) -> Effect:
         """Effect with the given spectrum in a fresh frame."""
         return self._diagonal(values, self.frame())
@@ -546,6 +683,7 @@ class EffectSampler:
         vals = grid[picks] + self.rng.uniform(-gap / 5.0, gap / 5.0, count)
         return np.clip(vals, 0.0, 1.0)
 
+    @_drawn
     def simple(self, gap: float = 0.12) -> Effect:
         """Effect with at most five well-separated eigenvalue levels."""
         n = self.dim
@@ -556,6 +694,7 @@ class EffectSampler:
             counts[self.rng.integers(0, k)] += 1
         return self.with_values(np.repeat(levels, counts))
 
+    @_drawn
     def signed(self) -> np.ndarray:
         """Hermitian matrix with spectrum in [-1, 1] and an exact kernel of
         dimension up to two, below the full dimension."""
@@ -566,8 +705,13 @@ class EffectSampler:
             self.rng.uniform(-1.0, 1.0, n - zeros),
         ])
         u = self.frame()
-        return hermitian_part((u * values) @ u.conj().T)
 
+        def build() -> np.ndarray:
+            frame = _value(u)
+            return hermitian_part((frame * values) @ frame.conj().T)
+        return self._later(build)
+
+    @_drawn
     def with_top(self, ones: int, ceiling: float = 0.95) -> Effect:
         """Effect with an exact eigenvalue-one cluster of size ``ones`` and
         the other eigenvalues below ``ceiling``."""
@@ -579,23 +723,35 @@ class EffectSampler:
         ])
         return self.with_values(values)
 
+    @_drawn
     def commuting_with(self, p: Effect, on=None, off=None) -> Effect:
         """Effect equal to ``on`` on p and to ``off`` on 1 - p; either left
         as None is drawn there."""
-        d = p.decomposition
+        if isinstance(p, _Known):
+            # p's eigensystem as its decomposition will sort it
+            order = np.argsort(p.values, kind="stable")
+            values, vectors = p.values[order], lambda: p.vectors()[:, order]
+        else:
+            d = p.decomposition
+            values, vectors = d.values, lambda: d.vectors
         drawn = self.rng.uniform(0.0, 1.0, self.dim)
-        vals = np.where(d.values > 0.5, drawn if on is None else on,
+        vals = np.where(values > 0.5, drawn if on is None else on,
                         drawn if off is None else off)
-        return Effect.from_eigensystem(vals, d.vectors, self.tol)
+        return self._known(vals, vectors)
 
+    @_drawn
     def split_effect(self, frame: np.ndarray, k: int) -> Effect:
         """Effect commuting with the span of the first k columns of a
         frame."""
-        qa = random_unitary(self.rng, k)
-        qb = random_unitary(self.rng, self.dim - k)
-        vecs = np.concatenate([frame[:, :k] @ qa, frame[:, k:] @ qb], axis=1)
-        return self._diagonal(self.rng.uniform(0.0, 1.0, self.dim), vecs)
+        qa, qb = self._unitary(k), self._unitary(self.dim - k)
 
+        def vectors() -> np.ndarray:
+            u = _value(frame)
+            return np.concatenate([u[:, :k] @ qa.value, u[:, k:] @ qb.value],
+                                  axis=1)
+        return self._known(self.rng.uniform(0.0, 1.0, self.dim), vectors)
+
+    @_drawn
     def orthogonal_pair(self) -> tuple[Effect, Effect]:
         """Two effects with orthogonal supports (their product vanishes)."""
         n = self.dim
@@ -607,10 +763,12 @@ class EffectSampler:
         vb[k:] = self.rng.uniform(0.05, 1.0, n - k)
         return self._diagonal(va, u), self._diagonal(vb, u)
 
+    @_drawn
     def summable_pair(self) -> tuple[Effect, Effect]:
         """Two effects with a + b <= 1."""
         return self.effect(hi=0.5), self.effect(hi=0.5)
 
+    @_drawn
     def refined_commuting(self) -> tuple[Effect, Effect, Effect]:
         """Triple (c, a, b) where a and b both commute with c and
         a + b <= 1.
@@ -631,17 +789,20 @@ class EffectSampler:
         u = self.frame()
         levels = self._separated_values(k, gap=0.15)
         c = self._diagonal(np.repeat(levels, sizes), u)
+        starts = np.cumsum(sizes) - sizes
 
-        def refined() -> Effect:
-            cols = []
+        def refined() -> _Known:
+            blocks = []
             vals = []
-            start = 0
             for m in sizes:
-                q = random_unitary(self.rng, int(m))
-                cols.append(u[:, start:start + m] @ q)
+                blocks.append(self._unitary(int(m)))
                 vals.append(self.rng.uniform(0.0, 0.5, int(m)))
-                start += m
-            return self._diagonal(np.concatenate(vals),
-                                  np.concatenate(cols, axis=1))
+
+            def vectors() -> np.ndarray:
+                frame = _value(u)
+                return np.concatenate(
+                    [frame[:, start:start + m] @ q.value
+                     for q, start, m in zip(blocks, starts, sizes)], axis=1)
+            return self._known(np.concatenate(vals), vectors)
 
         return c, refined(), refined()

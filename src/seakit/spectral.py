@@ -185,19 +185,25 @@ def reconstruct(family: SpectralFamily, mesh: float | None = None):
     return acc
 
 
-def simple_approximation(a, n: int, ctx):
+def simple_approximation(a, n, ctx):
     """Dyadic lower staircase: floor the spectral values at 2^-n.
 
     The eigenprojections carry the largest multiple of 2^-n below their
-    value, so the results ascend with n and sit within 2^-n of a.
+    value, so the results ascend with n and sit within 2^-n of a.  With
+    an array of levels, the stack of their staircases, one per level,
+    from one pass over the eigenprojections.
     """
-    if n < 1:
+    levels = np.asarray(n)
+    if np.any(levels < 1):
         raise ValueError("level must be at least 1")
     values, projs = ctx.eigenprojections(a)
-    scale = 2.0 ** n
     acc = ctx.zero_like(a)
-    for lam, proj in zip(np.clip(values, 0.0, 1.0), projs):
-        coeff = math.floor(float(lam) * scale + 1e-12) / scale
+    scale = 2.0 ** levels
+    if levels.ndim:  # one staircase per level, on a leading axis
+        scale = scale.reshape(levels.shape + (1,) * acc.ndim)
+    coeffs = np.floor(np.multiply.outer(np.clip(values, 0.0, 1.0), scale)
+                      + 1e-12) / scale
+    for coeff, proj in zip(coeffs, projs):
         acc = ctx.add(acc, ctx.scale(coeff, proj))
     return acc
 

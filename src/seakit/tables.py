@@ -82,10 +82,6 @@ class FiniteEffectAlgebra:
     def defined(self, i: int, j: int) -> bool:
         return self.table[i, j] != UNDEFINED
 
-    def oplus(self, i: int, j: int) -> int | None:
-        v = int(self.table[i, j])
-        return None if v == UNDEFINED else v
-
     # -- relations, each computed once -----------------------------------
 
     @cached_property
@@ -171,14 +167,6 @@ class FiniteEffectAlgebra:
         """Whether the element meets its orthosupplement only at zero."""
         self.orthosupplement(i)
         return bool(self.sharp[i])
-
-    def is_principal(self, p: int) -> bool:
-        """Whether sums of orthogonal elements below p stay below p."""
-        return bool(self.principal[p])
-
-    def mackey_compatible(self, a: int, b: int) -> bool:
-        """Whether a and b admit a joint orthogonal decomposition."""
-        return bool(self.compatibility[a, b])
 
 
 def _witness(alg: FiniteEffectAlgebra, **parts: int) -> dict:

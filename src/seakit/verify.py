@@ -15,6 +15,13 @@ the draws, under the same method names on both models.  A comparison is
 ``run.res(x, y) <= run.thr``, and that threshold is 0 on the mv model, so
 every comparison there is exact.  What stays per model here is the
 sampler lookup, the broken products and the planted control witnesses.
+
+A body draws first and checks second: one ``smp.draws`` block makes all
+its samples' draws, in the order the per-sample loop made them, and the
+loop that follows checks and tallies each sample.  The checks draw
+nothing, so the random stream, and with it the report, is that of the
+interleaved loop, while the matrix sampler does its frames' QR and its
+effects' reconstructions once per block, stacked.
 """
 from __future__ import annotations
 
@@ -227,6 +234,9 @@ def _mackey(ctx, p, a) -> bool:
 
 
 def _five_way(ctx, p, a) -> dict:
+    """The five equivalent compatibility statements for a projection and
+    an effect, each evaluated independently: booleans keyed by statement,
+    plus the largest residual among the equality-shaped clauses."""
     praw, araw, mul = ctx.raw(p), ctx.raw(a), ctx.mul
     n = praw.shape[0]
     thr = ctx.tol.check
@@ -249,17 +259,6 @@ def _five_way(ctx, p, a) -> dict:
         "meet": meet,
         "residual": residual,
     }
-
-
-def five_way_statements(p: mx.Effect, a: mx.Effect,
-                        tol: Tolerances = DEFAULT) -> dict:
-    """The five equivalent compatibility statements for a projection and
-    an effect, each evaluated independently.
-
-    Returns booleans keyed by statement plus the largest residual among
-    the equality-shaped clauses.
-    """
-    return _five_way(mx.MatrixContext(tol), p, a)
 
 
 def _meet_headroom(pvals: np.ndarray, avals: np.ndarray,
@@ -287,9 +286,9 @@ def _meet_headroom(pvals: np.ndarray, avals: np.ndarray,
 
 @_statement("sea", "S1")
 def _s1(run, ctx, smp, t: _Tally) -> None:
-    for k in range(run.samples):
-        a = smp.effect()
-        b, c = smp.summable_pair()
+    drawn = smp.draws(run.samples,
+                      lambda k: (smp.effect(), *smp.summable_pair()))
+    for k, (a, b, c) in enumerate(drawn):
         if k == 0 and run.planted is not None:
             a, b, c = run.planted
         bc = ctx.element(ctx.add(b, c))
@@ -302,17 +301,17 @@ def _s1(run, ctx, smp, t: _Tally) -> None:
 @_statement("sea", "S2")
 def _s2(run, ctx, smp, t: _Tally) -> None:
     one = ctx.unit(run.n)
-    for k in range(run.samples):
-        a = smp.effect()
+    for k, a in enumerate(smp.draws(run.samples, lambda k: smp.effect())):
         r = max(run.res(run.prod(one, a), a), run.res(run.prod(a, one), a))
         t.tally(r <= run.thr, r, lambda: {"sample": k, "a": ctx.encode(a)})
 
 
 @_statement("sea", "S3")
 def _s3(run, ctx, smp, t: _Tally) -> None:
-    for k in range(run.samples):
+    drawn = smp.draws(run.samples, lambda k: (
+        smp.orthogonal_pair() if k % 2 == 0 else (smp.effect(), smp.effect())))
+    for k, (a, b) in enumerate(drawn):
         if k % 2 == 0:
-            a, b = smp.orthogonal_pair()
             r_ab, r_ba = run.res(run.prod(a, b)), run.res(run.prod(b, a))
             ok = (r_ab <= run.thr) == (r_ba <= run.thr)
             t.tally(ok, max(r_ab, r_ba) if not ok else 0.0,
@@ -320,7 +319,6 @@ def _s3(run, ctx, smp, t: _Tally) -> None:
                              "b": ctx.encode(b), "forward": r_ab,
                              "backward": r_ba})
         else:
-            a, b = smp.effect(), smp.effect()
             lo, hi = ctx.extremes(run.prod(a, b))
             escape = max(0.0, -lo, hi - 1.0)
             t.tally(escape <= ctx.tol.psd + run.thr, escape,
@@ -331,9 +329,9 @@ def _s3(run, ctx, smp, t: _Tally) -> None:
 
 @_statement("sea", "S4")
 def _s4(run, ctx, smp, t: _Tally) -> None:
-    for k in range(run.samples):
-        a, b = smp.commuting()
-        c = smp.effect()
+    drawn = smp.draws(run.samples,
+                      lambda k: (*smp.commuting(), smp.effect()))
+    for k, (a, b, c) in enumerate(drawn):
         if run.res(run.prod(a, b), run.prod(b, a)) > run.comm:
             t.tally(True)
             continue
@@ -351,8 +349,8 @@ def _s4(run, ctx, smp, t: _Tally) -> None:
 
 @_statement("sea", "S5")
 def _s5(run, ctx, smp, t: _Tally) -> None:
-    for k in range(run.samples):
-        c, a, b = smp.refined_commuting()
+    drawn = smp.draws(run.samples, lambda k: smp.refined_commuting())
+    for k, (c, a, b) in enumerate(drawn):
         if (run.res(run.prod(c, a), run.prod(a, c)) > run.comm
                 or run.res(run.prod(c, b), run.prod(b, c)) > run.comm):
             t.tally(True)
@@ -368,13 +366,12 @@ def _s5(run, ctx, smp, t: _Tally) -> None:
 
 @_statement("sea", "le:aff")
 def _aff(run, ctx, smp, t: _Tally) -> None:
-    for k in range(run.samples):
-        a, b = smp.effect(), smp.effect()
-        lam = smp.scalar()
+    drawn = smp.draws(run.samples, lambda k: (
+        smp.effect(), smp.effect(), smp.scalar(), *smp.commuting()))
+    for k, (a, b, lam, ca, cb) in enumerate(drawn):
         scaled = ctx.scale(lam, run.prod(a, b))
         r1 = run.res(run.prod(a, ctx.scale(lam, b)), scaled)
         r2 = run.res(run.prod(ctx.scale(lam, a), b), scaled)
-        ca, cb = smp.commuting()
         clb = ctx.scale(lam, cb)
         r3 = run.res(run.prod(ca, clb), run.prod(clb, ca))
         ok = r1 <= run.thr and r2 <= run.thr and r3 <= run.comm
@@ -385,9 +382,9 @@ def _aff(run, ctx, smp, t: _Tally) -> None:
 
 @_statement("sea", "convex:C1")
 def _convex_c1(run, ctx, smp, t: _Tally) -> None:
-    for k in range(run.samples):
-        a = smp.effect()
-        lam, mu = smp.scalar(), smp.scalar()
+    drawn = smp.draws(run.samples,
+                      lambda k: (smp.effect(), smp.scalar(), smp.scalar()))
+    for k, (a, lam, mu) in enumerate(drawn):
         r = run.res(ctx.scale(mu, ctx.scale(lam, a)), ctx.scale(lam * mu, a))
         t.tally(r <= run.thr, r,
                 lambda: {"sample": k, "lambda": lam, "mu": mu})
@@ -395,10 +392,11 @@ def _convex_c1(run, ctx, smp, t: _Tally) -> None:
 
 @_statement("sea", "convex:C2")
 def _convex_c2(run, ctx, smp, t: _Tally) -> None:
-    for k in range(run.samples):
-        a = smp.effect()
-        lam = smp.scalar()
-        mu = smp.scalar(0.0, 1.0 - lam)
+    def draw(k):
+        a, lam = smp.effect(), smp.scalar()
+        return a, lam, smp.scalar(0.0, 1.0 - lam)
+
+    for k, (a, lam, mu) in enumerate(smp.draws(run.samples, draw)):
         r = run.res(ctx.add(ctx.scale(lam, a), ctx.scale(mu, a)),
                     ctx.scale(lam + mu, a))
         t.tally(r <= run.thr, r,
@@ -407,9 +405,9 @@ def _convex_c2(run, ctx, smp, t: _Tally) -> None:
 
 @_statement("sea", "convex:C3")
 def _convex_c3(run, ctx, smp, t: _Tally) -> None:
-    for k in range(run.samples):
-        a, b = smp.summable_pair()
-        lam = smp.scalar()
+    drawn = smp.draws(run.samples,
+                      lambda k: (*smp.summable_pair(), smp.scalar()))
+    for k, (a, b, lam) in enumerate(drawn):
         s = ctx.element(ctx.add(a, b))
         r = run.res(ctx.sub(ctx.scale(lam, s), ctx.scale(lam, a)),
                     ctx.scale(lam, b))
@@ -418,16 +416,16 @@ def _convex_c3(run, ctx, smp, t: _Tally) -> None:
 
 @_statement("sea", "convex:C4")
 def _convex_c4(run, ctx, smp, t: _Tally) -> None:
-    for k in range(run.samples):
-        a = smp.effect()
+    for k, a in enumerate(smp.draws(run.samples, lambda k: smp.effect())):
         r = run.res(ctx.scale(1.0, a), a)
         t.tally(r <= run.thr, r, lambda: {"sample": k})
 
 
 @_statement("sea", "le:sharp.i")
 def _sharp_i(run, ctx, smp, t: _Tally) -> None:
-    for k in range(run.samples):
-        a = smp.projection() if k % 2 == 0 else smp.effect()
+    drawn = smp.draws(run.samples, lambda k: (
+        smp.projection() if k % 2 == 0 else smp.effect()))
+    for k, a in enumerate(drawn):
         sharp = ctx.is_sharp(a)
         kills = run.res(run.prod(a, ctx.complement(a))) <= run.thr
         idem = run.res(run.prod(a, a), a) <= run.thr
@@ -438,10 +436,12 @@ def _sharp_i(run, ctx, smp, t: _Tally) -> None:
 
 @_statement("sea", "le:sharp.ii")
 def _sharp_ii(run, ctx, smp, t: _Tally) -> None:
-    for k in range(run.samples):
+    def draw(k):
         p = smp.projection()
-        a = (smp.commuting_with(p, on=1.0) if k % 2 == 0
-             else smp.effect())
+        return p, (smp.commuting_with(p, on=1.0) if k % 2 == 0
+                   else smp.effect())
+
+    for k, (p, a) in enumerate(smp.draws(run.samples, draw)):
         below = ctx.leq(p, a)
         rp = max(run.res(run.prod(p, a), p), run.res(run.prod(a, p), p))
         t.tally(below == (rp <= run.thr), 0.0,
@@ -451,10 +451,12 @@ def _sharp_ii(run, ctx, smp, t: _Tally) -> None:
 
 @_statement("sea", "le:sharp.iii")
 def _sharp_iii(run, ctx, smp, t: _Tally) -> None:
-    for k in range(run.samples):
+    def draw(k):
         p = smp.projection()
-        a = (smp.commuting_with(p, off=0.0) if k % 2 == 0
-             else smp.effect())
+        return p, (smp.commuting_with(p, off=0.0) if k % 2 == 0
+                   else smp.effect())
+
+    for k, (p, a) in enumerate(smp.draws(run.samples, draw)):
         below = ctx.leq(a, p)
         rp = max(run.res(run.prod(p, a), a), run.res(run.prod(a, p), a))
         t.tally(below == (rp <= run.thr), 0.0,
@@ -465,13 +467,16 @@ def _sharp_iii(run, ctx, smp, t: _Tally) -> None:
 @_statement("sea", "le:sharp.iv")
 def _sharp_iv(run, ctx, smp, t: _Tally) -> None:
     one = ctx.unit(run.n)
-    for k in range(run.samples):
+    drawn = smp.draws(run.samples, lambda k: (
+        smp.orthogonal_pair() if k % 2 == 0
+        else (smp.projection(), smp.effect())))
+    for k, pair in enumerate(drawn):
         if k % 2 == 0:
-            ea, eb = smp.orthogonal_pair()
+            ea, eb = pair
             p = ctx.cover(ea)
             a = eb if k % 4 == 0 else ctx.cover(eb)
         else:
-            p, a = smp.projection(), smp.effect()
+            p, a = pair
         total = ctx.add(p, a)
         vanish = run.res(run.prod(p, a)) <= run.thr
         summable = ctx.leq(total, one)
@@ -491,9 +496,10 @@ def _sharp_iv(run, ctx, smp, t: _Tally) -> None:
 
 @_statement("sea", "le:sharp.v")
 def _sharp_v(run, ctx, smp, t: _Tally) -> None:
-    for k in range(run.samples):
-        p, a = (smp.commuting(smp.projection, smp.effect) if k % 2 == 0
-                else (smp.projection(), smp.effect()))
+    drawn = smp.draws(run.samples, lambda k: (
+        smp.commuting(smp.projection, smp.effect) if k % 2 == 0
+        else (smp.projection(), smp.effect())))
+    for k, (p, a) in enumerate(drawn):
         commute = run.res(run.prod(p, a), run.prod(a, p)) <= run.comm
         mackey = _mackey(ctx, p, a)
         t.tally(commute == mackey, 0.0,
@@ -503,8 +509,9 @@ def _sharp_v(run, ctx, smp, t: _Tally) -> None:
 
 @_statement("sea", "le:sharp.vi")
 def _sharp_vi(run, ctx, smp, t: _Tally) -> None:
-    for k in range(run.samples):
-        p, a = smp.commuting(smp.projection, smp.effect)
+    drawn = smp.draws(run.samples,
+                      lambda k: smp.commuting(smp.projection, smp.effect))
+    for k, (p, a) in enumerate(drawn):
         r = run.res(run.prod(p, a), ctx.meet(p, a))
         t.tally(r <= run.thr, r, lambda: {"sample": k, "p": ctx.encode(p),
                                           "a": ctx.encode(a)})
@@ -523,8 +530,8 @@ def _sharp_vi(run, ctx, smp, t: _Tally) -> None:
 @_statement("sea", "de:strongarch")
 def _strongarch(run, ctx, smp, t: _Tally) -> None:
     bound = 2.0 / ARCHIMEDEAN_RESOLUTION
-    for k in range(run.samples):
-        a, b = smp.effect(), smp.effect()
+    drawn = smp.draws(run.samples, lambda k: (smp.effect(), smp.effect()))
+    for k, (a, b) in enumerate(drawn):
         least = ctx.extremes(ctx.sub(b, a))[0]
         if least >= -bound:
             t.tally(True)
@@ -554,27 +561,28 @@ def run_sea_suite(model: str = "matrix", dim_or_size: int = 4,
 
 @_statement("compression", "de:compr")
 def _compr(run, ctx, smp, t: _Tally) -> None:
-    for k in range(run.samples):
-        u = smp.frame()
-        if run.focus == "projection":
-            f = smp.projection(frame=u)
-        else:
-            f = smp.effect(lo=0.3, hi=0.7, frame=u)
+    projection = run.focus == "projection"
+    zero = ctx.element(ctx.zero_like(ctx.unit(run.n)))
 
+    def draw(k):
+        u = smp.frame()
+        f = (smp.projection(frame=u) if projection
+             else smp.effect(lo=0.3, hi=0.7, frame=u))
+        a, b = smp.summable_pair()
+        inker = smp.commuting_with(f, on=0.0) if projection else zero
+        return f, a, b, inker, smp.effect()
+
+    for k, (f, a, b, inker, generic) in enumerate(
+            smp.draws(run.samples, draw)):
         def jmap(x):
             return ctx.product(f, x)
 
-        a, b = smp.summable_pair()
         r_add = run.res(ctx.sub(jmap(ctx.element(ctx.add(a, b))), jmap(a)),
                         jmap(b))
         below = ctx.element(jmap(f))
         r_retract = run.res(jmap(below), below)
-        inker = (smp.commuting_with(f, on=0.0)
-                 if run.focus == "projection"
-                 else ctx.element(ctx.zero_like(f)))
         fperp = ctx.complement(ctx.raw(f))
         kernel_ok = (run.res(jmap(inker)) <= run.thr) == ctx.leq(inker, fperp)
-        generic = smp.effect()
         van = run.res(jmap(generic)) <= run.thr
         under = ctx.leq(generic, fperp)
         r = max(r_add, r_retract)
@@ -589,17 +597,17 @@ def _compr(run, ctx, smp, t: _Tally) -> None:
 @_statement("compression", "cb:C1")
 def _cb_c1(run, ctx, smp, t: _Tally) -> None:
     unit = ctx.unit(run.n)
-    for k in range(run.samples):
-        p = smp.projection()
+    for k, p in enumerate(smp.draws(run.samples,
+                                    lambda k: smp.projection())):
         r = run.res(ctx.compress(p, unit), p)
         t.tally(r <= run.thr, r, lambda: {"sample": k, "p": ctx.encode(p)})
 
 
 @_statement("compression", "cb:C2p")
 def _cb_c2p(run, ctx, smp, t: _Tally) -> None:
-    for k in range(run.samples):
-        p, q = smp.commuting(smp.projection, smp.projection)
-        a = smp.effect()
+    drawn = smp.draws(run.samples, lambda k: (
+        *smp.commuting(smp.projection, smp.projection), smp.effect()))
+    for k, (p, q, a) in enumerate(drawn):
         praw, qraw, araw = ctx.raw(p), ctx.raw(q), ctx.raw(a)
         pq = ctx.mul(praw, qraw)
         r = run.res(run.sandwich(praw, run.sandwich(qraw, araw)),
@@ -611,9 +619,10 @@ def _cb_c2p(run, ctx, smp, t: _Tally) -> None:
 
 @_statement("compression", "cb:C3")
 def _cb_c3(run, ctx, smp, t: _Tally) -> None:
-    for k in range(run.samples):
-        (p, q, rr), sizes = _three_orthogonal(smp, run.n)
-        araw = ctx.raw(smp.effect())
+    drawn = smp.draws(run.samples, lambda k: (
+        *_three_orthogonal(smp, run.n), smp.effect()))
+    for k, ((p, q, rr), sizes, a) in enumerate(drawn):
+        araw = ctx.raw(a)
         composed = run.sandwich(ctx.add(p, q),
                                 run.sandwich(ctx.add(q, rr), araw))
         r = run.res(composed, run.sandwich(ctx.raw(q), araw))
@@ -624,9 +633,10 @@ def _cb_c3(run, ctx, smp, t: _Tally) -> None:
 def _com_e(run, ctx, smp, t: _Tally) -> None:
     keys = ("compress_below", "block_sum", "interval_sum", "mackey",
             "meet")
-    for k in range(run.samples):
-        p, a = (smp.commuting(smp.projection, smp.effect) if k % 2 == 0
-                else (smp.projection(), smp.effect()))
+    drawn = smp.draws(run.samples, lambda k: (
+        smp.commuting(smp.projection, smp.effect) if k % 2 == 0
+        else (smp.projection(), smp.effect())))
+    for k, (p, a) in enumerate(drawn):
         stmts = _five_way(ctx, p, a)
         agree = len({stmts[key] for key in keys}) == 1
         t.tally(agree, stmts["residual"],
@@ -636,15 +646,19 @@ def _com_e(run, ctx, smp, t: _Tally) -> None:
 
 @_statement("compression", "lemma:compatible_projs.i")
 def _compat_i(run, ctx, smp, t: _Tally) -> None:
-    for k in range(run.samples):
-        if run.n < 2:
+    if run.n < 2:
+        for _ in range(run.samples):
             t.tally(True)
-            continue
+        return
+
+    def draw(k):
         u = smp.frame()
         k1 = int(smp.rng.integers(1, run.n))
         k2 = int(smp.rng.integers(1, run.n - k1 + 1))
-        p, q = smp.span(u, 0, k1), smp.span(u, k1, k1 + k2)
-        a = smp.split_effect(u, k1)
+        return (smp.span(u, 0, k1), smp.span(u, k1, k1 + k2),
+                smp.split_effect(u, k1))
+
+    for k, (p, q, a) in enumerate(smp.draws(run.samples, draw)):
         araw = ctx.raw(a)
         osum = ctx.add(p, q)
         r_join = run.res(ctx.join(p, q), osum)
@@ -658,9 +672,9 @@ def _compat_i(run, ctx, smp, t: _Tally) -> None:
 
 @_statement("compression", "lemma:compatible_projs.ii")
 def _compat_ii(run, ctx, smp, t: _Tally) -> None:
-    for k in range(run.samples):
-        p, q = smp.commuting(smp.projection, smp.projection)
-        a = smp.effect()
+    drawn = smp.draws(run.samples, lambda k: (
+        *smp.commuting(smp.projection, smp.projection), smp.effect()))
+    for k, (p, q, a) in enumerate(drawn):
         praw, qraw, araw = ctx.raw(p), ctx.raw(q), ctx.raw(a)
         meet = ctx.mul(praw, qraw)
         x = run.sandwich(praw, run.sandwich(qraw, araw))
@@ -701,8 +715,7 @@ def _rickart_family(a, ctx) -> sp.SpectralFamily:
 
 @_statement("spectrality", "prop:decomp")
 def _decomp(run, ctx, smp, t: _Tally) -> None:
-    for k in range(run.samples):
-        v = smp.signed()
+    for k, v in enumerate(smp.draws(run.samples, lambda k: smp.signed())):
         dec = sp.orthogonal_decomposition(v, ctx)
         ok = True
         worst = 0.0
@@ -719,10 +732,8 @@ def _decomp(run, ctx, smp, t: _Tally) -> None:
 @_statement("spectrality", "coro:limit")
 def _limit(run, ctx, smp, t: _Tally) -> None:
     levels = np.arange(1, APPROX_LEVELS + 1)
-    for k in range(run.samples):
-        a = smp.effect()
-        staircase = np.stack([sp.simple_approximation(a, level, ctx)
-                              for level in levels])
+    for k, a in enumerate(smp.draws(run.samples, lambda k: smp.effect())):
+        staircase = sp.simple_approximation(a, levels, ctx)
         # One decomposition of a - a_n gives its norm and its sign.
         lo, hi = ctx.extremes(ctx.sub(a, staircase))
         gap = np.maximum(np.abs(lo), np.abs(hi))
@@ -735,8 +746,7 @@ def _limit(run, ctx, smp, t: _Tally) -> None:
 
 @_statement("spectrality", "eq:spectprojs")
 def _spectprojs(run, ctx, smp, t: _Tally) -> None:
-    for k in range(run.samples):
-        a = smp.simple()
+    for k, a in enumerate(smp.draws(run.samples, lambda k: smp.simple())):
         fam = sp.spectral_family(a, ctx)
         ref = _rickart_family(a, ctx)
         ok = len(fam.breakpoints) == len(ref.breakpoints) and all(
@@ -768,8 +778,7 @@ def _spectprojs(run, ctx, smp, t: _Tally) -> None:
 
 @_statement("spectrality", "eq:spectresV")
 def _spectres(run, ctx, smp, t: _Tally) -> None:
-    for k in range(run.samples):
-        a = smp.effect()
+    for k, a in enumerate(smp.draws(run.samples, lambda k: smp.effect())):
         fam = sp.spectral_family(a, ctx)
         sums = np.stack([sp.reconstruct(fam)]
                         + [sp.reconstruct(fam, mesh) for mesh in MESHES])
@@ -785,8 +794,9 @@ def _spectres(run, ctx, smp, t: _Tally) -> None:
 
 @_statement("spectrality", "de:projcov")
 def _projcov(run, ctx, smp, t: _Tally) -> None:
-    for k in range(run.samples):
-        a = smp.simple()
+    drawn = smp.draws(run.samples,
+                      lambda k: (smp.simple(), smp.scalar(0.05, 1.0)))
+    for k, (a, lam) in enumerate(drawn):
         cover = ctx.cover(a)
         # Every sub-sum of the eigenprojections (the first 16) lies
         # above a exactly when it lies above the cover.
@@ -801,7 +811,6 @@ def _projcov(run, ctx, smp, t: _Tally) -> None:
         sums = np.stack(sums)
         ok = ctx.leq(a, cover) and bool(
             np.all(ctx.leq(a, sums) == ctx.leq(cover, sums)))
-        lam = smp.scalar(0.05, 1.0)
         r = run.res(ctx.cover(ctx.scale(lam, a)), cover)
         t.tally(ok and r <= run.thr, r,
                 lambda: {"sample": k, "a": ctx.encode(a), "lambda": lam})
@@ -809,9 +818,9 @@ def _projcov(run, ctx, smp, t: _Tally) -> None:
 
 @_statement("spectrality", "lemma:projcover")
 def _projcover_lemma(run, ctx, smp, t: _Tally) -> None:
-    for k in range(run.samples):
-        a, b = (smp.orthogonal_pair() if k % 2 == 0
-                else (smp.effect(), smp.effect()))
+    drawn = smp.draws(run.samples, lambda k: (
+        smp.orthogonal_pair() if k % 2 == 0 else (smp.effect(), smp.effect())))
+    for k, (a, b) in enumerate(drawn):
         r1 = run.res(ctx.product(a, b))
         r2 = run.res(ctx.product(ctx.cover(a), b))
         t.tally((r1 <= run.thr) == (r2 <= run.thr), 0.0,
@@ -821,9 +830,11 @@ def _projcover_lemma(run, ctx, smp, t: _Tally) -> None:
 
 @_statement("spectrality", "lemma:covex_floor")
 def _covex_floor(run, ctx, smp, t: _Tally) -> None:
-    for k in range(run.samples):
+    def draw(k):
         ones = int(smp.rng.integers(0, run.n)) if k % 2 == 0 else 0
-        a = smp.with_top(ones) if ones else smp.effect(hi=0.95)
+        return smp.with_top(ones) if ones else smp.effect(hi=0.95)
+
+    for k, a in enumerate(smp.draws(run.samples, draw)):
         top = ctx.zero_like(a)
         for lam, proj in zip(*ctx.eigenprojections(a)):
             if lam >= 1.0 - ctx.tol.cluster:
@@ -838,8 +849,9 @@ def _covex_floor(run, ctx, smp, t: _Tally) -> None:
 
 @_statement("spectrality", "lemma:floor")
 def _floor_lemma(run, ctx, smp, t: _Tally) -> None:
-    for k in range(run.samples):
-        a = smp.with_top(int(smp.rng.integers(1, run.n + 1)))
+    drawn = smp.draws(run.samples, lambda k: smp.with_top(
+        int(smp.rng.integers(1, run.n + 1))))
+    for k, a in enumerate(drawn):
         flr = run.floor(a)
         powers = ctx.powers(a, FLOOR_POWER)
         ok = bool(np.all(ctx.leq(powers[1:4], powers[:3])))
@@ -858,11 +870,12 @@ def _floor_lemma(run, ctx, smp, t: _Tally) -> None:
 
 @_statement("spectrality", "de:b-compar")
 def _b_compar(run, ctx, smp, t: _Tally) -> None:
-    for k in range(run.samples):
+    drawn = smp.draws(run.samples, lambda k: (
+        (smp.effect(), smp.effect()) if k % 4 == 3 else smp.commuting()))
+    for k, (e, f) in enumerate(drawn):
         if k % 4 == 3:
             # A generic pair: a witness must exist exactly when it
             # commutes, which on the mv model it always does.
-            e, f = smp.effect(), smp.effect()
             try:
                 wit = sp.comparability_witness(e, f, ctx)
             except mx.NotCommutingError:
@@ -875,7 +888,6 @@ def _b_compar(run, ctx, smp, t: _Tally) -> None:
                                  "non-commuting pair"})
                 continue
         else:
-            e, f = smp.commuting()
             wit = sp.comparability_witness(e, f, ctx)
         if wit.degenerate:
             run.degenerate_ties += 1
@@ -889,14 +901,14 @@ def _b_compar(run, ctx, smp, t: _Tally) -> None:
 
 @_statement("spectrality", "prop:commut")
 def _commut(run, ctx, smp, t: _Tally) -> None:
-    for k in range(run.samples):
-        a, b = (smp.commuting() if k % 2 == 0
-                else (smp.effect(), smp.effect()))
+    drawn = smp.draws(run.samples, lambda k: (
+        smp.commuting() if k % 2 == 0 else (smp.effect(), smp.effect())))
+    for k, (a, b) in enumerate(drawn):
         sequential = ctx.residual(ctx.product(a, b),
                                   ctx.product(b, a)) <= ctx.tol.comm
         ordinary = ctx.commutes(a, b)
-        projections = all(ctx.commutes(pa, b)
-                          for pa in ctx.eigenprojections(a)[1])
+        projections = bool(np.all(ctx.commutes(
+            np.stack(ctx.eigenprojections(a)[1]), b)))
         t.tally(sequential == ordinary == projections, 0.0,
                 lambda: {"sample": k, "a": ctx.encode(a), "b": ctx.encode(b),
                          "sequential": sequential, "ordinary": ordinary,
@@ -905,14 +917,14 @@ def _commut(run, ctx, smp, t: _Tally) -> None:
 
 @_statement("spectrality", "propertyA")
 def _property_a(run, ctx, smp, t: _Tally) -> None:
-    for k in range(run.samples):
-        a, b = smp.commuting()
-        chain = [sp.simple_approximation(a, level, ctx)
-                 for level in range(1, 9)]
-        chain.append(a)
-        chain += list(ctx.complement(ctx.powers(ctx.complement(a), 8)))
-        chain.append(ctx.cover(a))
-        ok = all(ctx.commutes(x, b) for x in chain)
+    levels = np.arange(1, 9)
+    for k, (a, b) in enumerate(smp.draws(run.samples,
+                                         lambda k: smp.commuting())):
+        chain = np.concatenate([
+            sp.simple_approximation(a, levels, ctx), ctx.raw(a)[None],
+            ctx.complement(ctx.powers(ctx.complement(a), 8)),
+            ctx.raw(ctx.cover(a))[None]])
+        ok = bool(np.all(ctx.commutes(chain, b)))
         t.tally(ok, 0.0, lambda: {"sample": k, "a": ctx.encode(a),
                                   "b": ctx.encode(b)})
 
@@ -976,13 +988,14 @@ def _merge_representation(rep: sp.ReducedRepresentation, delta: float
 
 @_statement("context", "thm:contexts")
 def _closed_form(run, ctx, smp, t: _Tally) -> None:
-    for k in range(run.samples):
+    def draw(k):
         if k == 0 and run.merge_delta > 0.0:
             # Two levels 0.1 apart always merge, so the control fails
             # for every seed, not only when sampled levels happen to.
-            a = smp.with_values(np.resize([0.4, 0.5], run.n))
-        else:
-            a = smp.simple(gap=0.15)
+            return smp.with_values(np.resize([0.4, 0.5], run.n))
+        return smp.simple(gap=0.15)
+
+    for k, a in enumerate(smp.draws(run.samples, draw)):
         rep = sp.reduced_representation(a, ctx)
         coeffs, projs = _merge_representation(rep, run.merge_delta)
         closed = sp.family_from_representation(coeffs, projs, ctx.model)
@@ -1005,8 +1018,8 @@ def _closed_form(run, ctx, smp, t: _Tally) -> None:
 
 @_statement("context", "thm:contexts.reduced")
 def _reduced(run, ctx, smp, t: _Tally) -> None:
-    for k in range(run.samples):
-        a = smp.simple(gap=0.15)
+    for k, a in enumerate(smp.draws(run.samples,
+                                    lambda k: smp.simple(gap=0.15))):
         rep = sp.reduced_representation(a, ctx)
         ref = _rickart_family(a, ctx)
         ok = all(y - x > ctx.tol.cluster for x, y in
@@ -1028,8 +1041,8 @@ def _reduced(run, ctx, smp, t: _Tally) -> None:
 
 @_statement("context", "thm:contexts.functions")
 def _functions(run, ctx, smp, t: _Tally) -> None:
-    for k in range(run.samples):
-        a = smp.simple(gap=0.15)
+    for k, a in enumerate(smp.draws(run.samples,
+                                    lambda k: smp.simple(gap=0.15))):
         rep = sp.reduced_representation(a, ctx)
         nodes = list(rep.coefficients)
         if run.merge_delta > 0.0:

@@ -127,6 +127,29 @@ def test_usage_errors_exit_two(tmp_path, capsys):
             assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("text", [
+    "[" * 5000,
+    '{"re": ' + "[" * 3000 + "]" * 3000 + "}",
+    '{"re": ' + "[" * 3000,
+], ids=["bare-5000", "re-3000-closed", "re-3000-open"])
+def test_documents_nested_too_deeply_are_usage_errors(tmp_path, capsys,
+                                                      text):
+    """JSON nested deeper than the interpreter's recursion limit is a
+    usage error with one line, never a traceback."""
+    deep = tmp_path / "deep.json"
+    deep.write_text(text)
+    path = str(deep)
+    for args in (["validate", "--input", path],
+                 ["spectrum", "--input", path],
+                 ["approx", "--input", path],
+                 ["decompose", "--input", path],
+                 ["witness", "--input", path, path],
+                 ["mv", "--input", path]):
+        assert main(args) == 2, args
+        err = capsys.readouterr().err
+        assert err == f"error: {path} is nested too deeply to read\n"
+
+
 def test_spectrum_round_trip(tmp_path, eff_path, capsys):
     out = tmp_path / "fam.json"
     assert main(["spectrum", "--input", eff_path, "--out", str(out)]) == 0

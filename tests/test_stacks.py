@@ -3,14 +3,25 @@
 On both models a stack (``(k, n, n)`` matrices, ``(k, n)`` value arrays)
 must give, member by member, the same bits as one call per member; one
 element is the stack without the leading axis.  ``powers`` returns one
-array, and on matrices it must equal the chained products it replaced.
+array, and on matrices it must equal the chained products it replaced;
+so must the staircases of an array of levels.  A block of draws
+(``draws``) must give the bits, and leave the random stream where, the
+same draws made one by one leave it.
 """
+import math
+
 import numpy as np
 import pytest
 
 from seakit import fuzzy as fz
 from seakit import matrices as mx
-from seakit.linalg import decomposition_from, hermitian_part, per_member
+from seakit import spectral as sp
+from seakit.linalg import (
+    decomposition_from,
+    frobenius,
+    hermitian_part,
+    per_member,
+)
 
 MODELS = {
     "matrix": (mx.MatrixContext(), lambda seed, n: mx.EffectSampler(seed, n)),
@@ -154,3 +165,161 @@ def test_per_member_unwraps_only_a_single_result():
     stacked = per_member(np.array([0.5, 0.25]))
     assert isinstance(stacked, np.ndarray) and stacked.shape == (2,)
     assert per_member(np.zeros((1,))).shape == (1,)
+
+
+@pytest.mark.parametrize("model,n,k", CASES)
+def test_commutes_on_a_stack_equals_the_member_calls(model, n, k):
+    ctx, smp, effects, signed = draws(model, n, k)
+    a, b = smp.commuting()
+    stack = np.concatenate([effects, ctx.raw(a)[None]])
+    for x, y in ((stack, b), (b, stack), (stack, stack[::-1])):
+        got = ctx.commutes(x, y)
+        assert got.shape == (k + 1,) and got.dtype == bool
+        for i in range(k + 1):
+            member = ctx.commutes(x if x is b else x[i],
+                                  y if y is b else y[i])
+            assert type(member) is bool and got[i] == member
+    assert ctx.commutes(stack, b)[-1]
+    if model == "mv":
+        assert ctx.commutes(stack, b).all()
+    else:
+        braw = ctx.raw(b)
+        commutators = stack @ braw - braw @ stack
+        norms = frobenius(commutators)
+        for i, c in enumerate(commutators):
+            assert norms[i].hex() == frobenius(c).hex()
+
+
+def looped_staircase(a, level, ctx):
+    """The dyadic staircase at one level, as the loop over the
+    eigenprojections that the array of levels replaced."""
+    values, projs = ctx.eigenprojections(a)
+    scale = 2.0 ** level
+    acc = ctx.zero_like(a)
+    for lam, proj in zip(np.clip(values, 0.0, 1.0), projs):
+        coeff = math.floor(float(lam) * scale + 1e-12) / scale
+        acc = ctx.add(acc, ctx.scale(coeff, proj))
+    return acc
+
+
+@pytest.mark.parametrize("model,n,k", CASES)
+def test_staircases_of_an_array_of_levels_equal_the_level_loop(model, n, k):
+    ctx, smp, effects, signed = draws(model, n, k)
+    levels = np.arange(1, 2 * k + 1)
+    for a in (smp.effect(), smp.simple(), smp.projection(), smp.with_top(1)):
+        shape = np.shape(ctx.raw(a))
+        stairs = sp.simple_approximation(a, levels, ctx)
+        assert stairs.shape == (len(levels), *shape)
+        for level, step in zip(levels, stairs):
+            assert same_bits(step, looped_staircase(a, int(level), ctx))
+        one = sp.simple_approximation(a, 3, ctx)
+        assert same_bits(one, looped_staircase(a, 3, ctx))
+    with pytest.raises(ValueError):
+        sp.simple_approximation(a, np.array([2, 0]), ctx)
+
+
+def commuting_with(smp, k, fixed):
+    p = smp.projection()
+    return (p, smp.commuting_with(p, on=1.0), smp.commuting_with(p, off=0.0),
+            smp.commuting_with(p))
+
+
+# Each draw kind as a recipe ``(sampler, k, fixed) -> draws``; ``fixed`` is
+# a projection drawn before the block, by another sampler.
+RECIPES = {
+    "frame": lambda smp, k, fixed: smp.frame(),
+    "span": lambda smp, k, fixed: smp.span(smp.frame(), 0,
+                                           k % (smp_dim(smp) + 1)),
+    "commuting": lambda smp, k, fixed: smp.commuting(),
+    "commuting_family": lambda smp, k, fixed: smp.commuting(
+        smp.projection, smp.effect, smp.projection),
+    "effect": lambda smp, k, fixed: smp.effect(0.25, 0.75),
+    "effect_in_frame": lambda smp, k, fixed: smp.effect(frame=smp.frame()),
+    "projection": lambda smp, k, fixed: smp.projection(),
+    "with_values": lambda smp, k, fixed: smp.with_values(
+        np.linspace(1.0, 0.0, smp_dim(smp))),
+    "simple": lambda smp, k, fixed: smp.simple(),
+    "signed": lambda smp, k, fixed: smp.signed(),
+    "with_top": lambda smp, k, fixed: smp.with_top(k % (smp_dim(smp) + 1)),
+    "commuting_with": commuting_with,
+    "commuting_with_fixed": lambda smp, k, fixed: smp.commuting_with(fixed),
+    "split_effect": lambda smp, k, fixed: smp.split_effect(
+        smp.frame(), 1 + k % (smp_dim(smp) - 1)),
+    "orthogonal_pair": lambda smp, k, fixed: smp.orthogonal_pair(),
+    "summable_pair": lambda smp, k, fixed: smp.summable_pair(),
+    "refined_commuting": lambda smp, k, fixed: smp.refined_commuting(),
+}
+
+
+def smp_dim(smp) -> int:
+    return smp.dim if isinstance(smp, mx.EffectSampler) else smp.space
+
+
+def draw_bits(x):
+    """The bytes of a draw: an array's, a number's, and an Effect's
+    matrix, eigenvalues and eigenvectors; a tuple or list member by
+    member."""
+    if isinstance(x, (tuple, list)):
+        return [draw_bits(y) for y in x]
+    if isinstance(x, mx.Effect):
+        d = x.decomposition
+        return [draw_bits(x.matrix), draw_bits(d.values),
+                draw_bits(d.vectors)]
+    assert isinstance(x, (np.ndarray, float, int)), type(x)
+    return (np.asarray(x).dtype.str, np.shape(x), np.asarray(x).tobytes())
+
+
+@pytest.mark.parametrize("count", [1, 5])
+@pytest.mark.parametrize("kind", sorted(RECIPES))
+@pytest.mark.parametrize("model", sorted(MODELS))
+def test_a_block_of_draws_equals_the_looped_draws(model, kind, count):
+    _, sampler = MODELS[model]
+    recipe = RECIPES[kind]
+    for n in range(2 if kind == "split_effect" else 1, 9):
+        fixed = sampler(99, n).projection()
+        looped = sampler(n, n)
+        expected = [recipe(looped, k, fixed) for k in range(count)]
+        smp = sampler(n, n)
+        got = smp.draws(count, lambda k: recipe(smp, k, fixed))
+        assert type(got) is list and len(got) == count
+        assert draw_bits(got) == draw_bits(expected), (kind, n)
+        assert smp.rng.bit_generator.state == looped.rng.bit_generator.state
+
+
+def eager_effect(rng, n):
+    """An effect as the sampler drew it one at a time: its values, then the
+    Haar unitary of its own Ginibre matrix (QR with the phases of R's
+    diagonal moved into Q), then its own stably sorted reconstruct; the
+    matrix, values and vectors."""
+    values = rng.uniform(0.0, 1.0, n)
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r)
+    u = q * (d / np.abs(d))
+    order = np.argsort(values, kind="stable")
+    values, vectors = values[order], u[:, order]
+    return hermitian_part((vectors * values) @ vectors.conj().T), values, \
+        vectors
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_a_block_of_effects_equals_the_eager_construction(n):
+    smp = mx.EffectSampler(n, n)
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(n)))
+    for count in (1, 5, 12):
+        for effect in smp.draws(count, lambda k: smp.effect()):
+            d = effect.decomposition
+            assert draw_bits([effect.matrix, d.values, d.vectors]) == \
+                draw_bits(list(eager_effect(rng, n)))
+
+
+def test_a_block_takes_one_qr_per_frame_size(call_counter):
+    smp = mx.EffectSampler(3, 4)
+    calls = call_counter("numpy.linalg.qr")
+    smp.draws(12, lambda k: (smp.commuting(), smp.effect(),
+                             smp.split_effect(smp.frame(), 1)))
+    assert calls.count == 3  # the frames of size 4, 1 and 3
+    smp.draws(12, lambda k: smp.orthogonal_pair())
+    assert calls.count == 4
+    assert len(smp.draws(3, lambda k: smp.scalar())) == 3
+    assert calls.count == 4

@@ -12,13 +12,13 @@ from seakit.report import CheckResult, SuiteReport, merge_reports
 from seakit.verify import (
     STATEMENTS,
     control_omitted,
-    five_way_statements,
     run_all,
     run_compression_suite,
     run_context_suite,
     run_sea_suite,
     run_spectrality_suite,
     run_table_suite,
+    _five_way,
     _lagrange,
     _meet_headroom,
     _run_statement,
@@ -53,7 +53,8 @@ def test_models_share_one_protocol():
     assert {"scalar", "frame", "effect", "projection", "simple", "signed",
             "with_values", "with_top", "commuting_with", "split_effect",
             "orthogonal_pair", "summable_pair", "refined_commuting",
-            "span", "commuting"} <= draws.keys()
+            "span", "commuting", "draws"} <= draws.keys()
+    assert fz.FuzzySampler.draws is mx.EffectSampler.draws
     def operations(cls) -> set:
         return {name for name in dir(cls)
                 if not name.startswith("_") and callable(getattr(cls, name))}
@@ -127,11 +128,11 @@ def test_table_suite_and_corrupted_control():
 def test_five_way_agreement_on_hand_cases():
     p = mx.validate_effect(np.diag([1.0, 0.0]))
     below = mx.validate_effect(np.diag([0.3, 0.5]))
-    flags = five_way_statements(p, below)
+    flags = _five_way(mx.MatrixContext(), p, below)
     keys = ("compress_below", "block_sum", "interval_sum", "mackey", "meet")
     assert all(flags[k] for k in keys)
     tilted = mx.validate_effect(np.array([[0.5, 0.3], [0.3, 0.5]]))
-    flags = five_way_statements(p, tilted)
+    flags = _five_way(mx.MatrixContext(), p, tilted)
     assert not any(flags[k] for k in keys)
 
 
@@ -601,10 +602,12 @@ def test_work_per_request_is_pinned(call_counter, monkeypatch):
     """Counts of one matrix ``verify`` request, which do not depend on the
     machine: the eigensystems it needs (1,561 matrices decomposed) in
     about half as many LAPACK calls, as each sample's commuting family is
-    decomposed as one stack; no check of a matrix the verifier built;
+    decomposed as one stack; the Haar frames in one QR call per statement
+    run and frame size (85 such pairs), as each statement draws its
+    samples as one block; no check of a matrix the verifier built;
     clustered decompositions only where eigenvectors are used; and witness
     matrices encoded only for the witnesses a report records."""
-    calls = call_counter("numpy.linalg.eigh",
+    calls = call_counter("numpy.linalg.eigh", "numpy.linalg.qr",
                          "seakit.linalg.decomposition_from",
                          "seakit.linalg.require_hermitian")
     decomposed = 0
@@ -628,8 +631,9 @@ def test_work_per_request_is_pinned(call_counter, monkeypatch):
     reports = run_all("matrix", 4, 12, 42)
     assert calls["numpy.linalg.eigh"] == 797
     assert decomposed == 1561
+    assert calls["numpy.linalg.qr"] == 85
     assert calls["seakit.linalg.require_hermitian"] == 0
-    assert calls["seakit.linalg.decomposition_from"] <= 1269
+    assert calls["seakit.linalg.decomposition_from"] <= 255
     recorded = sum(_matrices_in(r.witness) for rep in reports
                    for r in rep.results if r.witness is not None)
     assert recorded > 0
