@@ -11,8 +11,11 @@ An element is its float array of values.  Values are checked where they
 enter the program (``read`` checks the document's shape, the command line
 their range); every operation and draw here trusts them.  A ``(k, n)``
 array is a stack of k elements: the pointwise operations act on it member
-by member, and ``leq``, ``extremes`` and ``norm`` reduce over the last
-axis, one value per member; ``powers`` returns one ``(count, n)`` array.
+by member, ``scale`` takes one λ per member, and ``leq``, ``extremes``,
+``norm``, ``residual`` and ``is_sharp`` reduce over the last axis, one
+value per member; ``powers`` returns one ``(..., count, n)`` array.  The
+level sets (``eigenprojections``, ``joint_clusters``) are defined for one
+element only.
 """
 from __future__ import annotations
 
@@ -38,7 +41,9 @@ class FuzzyContext:
     """Spectral context over value vectors; thresholds are exact."""
 
     model = "fuzzy"
+    element_ndim = 1  # the trailing axes one element spans
     mul = staticmethod(np.multiply)   # the ordinary product of raw elements
+    stack = staticmethod(np.stack)
 
     def __init__(self, tol: Tolerances = DEFAULT):
         self.tol = tol.replace(psd=0.0, proj=0.0, kernel=0.0, comm=0.0,
@@ -78,10 +83,10 @@ class FuzzyContext:
         return np.ones(n)
 
     def one_like(self, v) -> np.ndarray:
-        return np.ones(self.raw(v).shape[0])
+        return np.ones(self.raw(v).shape[-1])
 
     def zero_like(self, v) -> np.ndarray:
-        return np.zeros(self.raw(v).shape[0])
+        return np.zeros(self.raw(v).shape[-1])
 
     def shift(self, v, lam) -> np.ndarray:
         """v - lam: with an array of k values, the (k, n) stack of
@@ -105,6 +110,10 @@ class FuzzyContext:
     def complement(self, p) -> np.ndarray:
         return 1.0 - self.raw(p)
 
+    def adjoint(self, v) -> np.ndarray:
+        """Real values are their own conjugates."""
+        return self.raw(v)
+
     def eigenprojections(self, v) -> tuple[np.ndarray, list[np.ndarray]]:
         """Distinct values, ascending, with their level-set indicators as
         0/1 arrays."""
@@ -118,11 +127,13 @@ class FuzzyContext:
     def sub(self, a, b) -> np.ndarray:
         return self.raw(a) - self.raw(b)
 
-    def scale(self, lam: float, v) -> np.ndarray:
-        return lam * self.raw(v)
+    def scale(self, lam, v) -> np.ndarray:
+        """lam * v, with lam a number or an array of one per member."""
+        return np.asarray(lam)[..., None] * self.raw(v)
 
-    def residual(self, a, b) -> float:
-        return float(np.max(np.abs(self.raw(a) - self.raw(b))))
+    def residual(self, a, b):
+        return per_member(np.max(np.abs(self.raw(a) - self.raw(b)),
+                                 axis=-1))
 
     def norm(self, v):
         return per_member(np.max(np.abs(self.raw(v)), axis=-1))
@@ -150,11 +161,13 @@ class FuzzyContext:
 
     def powers(self, a, count: int) -> np.ndarray:
         """Pointwise powers a, a², ... up to the count-th, as one
-        (count, n) array of running products."""
+        (count, n) array of running products, or (S, count, n) for a
+        stack."""
         if count < 1:
             raise ValueError("count must be at least 1")
-        raw = self.raw(a)
-        return np.cumprod(np.broadcast_to(raw, (count, *raw.shape)), axis=0)
+        raw = self.raw(a)[..., None, :]
+        return np.cumprod(np.broadcast_to(
+            raw, (*raw.shape[:-2], count, raw.shape[-1])), axis=-2)
 
     def meet(self, a, b) -> np.ndarray:
         return np.minimum(self.raw(a), self.raw(b))
@@ -162,9 +175,9 @@ class FuzzyContext:
     def join(self, a, b) -> np.ndarray:
         return np.maximum(self.raw(a), self.raw(b))
 
-    def is_sharp(self, a) -> bool:
+    def is_sharp(self, a):
         raw = self.raw(a)
-        return bool(np.all((raw == 0.0) | (raw == 1.0)))
+        return per_member(np.all((raw == 0.0) | (raw == 1.0), axis=-1))
 
     def joint_clusters(self, e, f) -> list[tuple[float, float, np.ndarray]]:
         eraw, fraw = self.raw(e), self.raw(f)

@@ -6,17 +6,20 @@ a matrix from outside so.  ``eigenvalues`` is its values-only accessor.
 Both take a stack of matrices on leading axes, as numpy's gufuncs do: one
 LAPACK call decomposes a ``(k, n, n)`` stack, member by member, with the
 same bits as ``k`` calls on the members; one matrix is the stack without
-the leading axis.  ``hermitian_part``, ``operator_norm``, ``frobenius``
-and ``EigenDecomposition.apply`` work on stacks too; ``per_member`` turns
-a reduction over one element into a Python scalar.  Clustering happens only
-where eigenvectors are needed: an ``EigenDecomposition`` of one matrix
-groups its values into clusters, and builds its cluster values and
-eigenprojections, on first use and once.  ``decomposition_from`` wraps a
-known eigensystem, sorting it only when it is not already ascending.  With
-the same numpy and LAPACK build, identical input gives identical output.
+the leading axis.  ``hermitian_part``, ``operator_norm``, ``frobenius``,
+``decomposition_from`` and ``EigenDecomposition.apply`` work on stacks
+too, and an ``EigenDecomposition`` of a stack is indexed for a member's;
+``per_member`` turns a reduction over one element into a Python scalar.
+Clustering happens only where eigenvectors are needed: an
+``EigenDecomposition`` of one matrix groups its values into clusters, and
+builds its cluster values and eigenprojections, on first use and once.
+``decomposition_from`` wraps a known eigensystem, sorting it only when it
+is not already ascending.  With the same numpy and LAPACK build, identical
+input gives identical output.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -31,13 +34,24 @@ class NotHermitianError(ValueError):
     """Input matrix is not Hermitian within tolerance."""
 
 
-def frobenius(m: np.ndarray):
-    """The Frobenius norm of a matrix, a float, or of each member of a
-    stack, with the bits of one ``numpy.linalg.norm`` call per member."""
+def frobenius(m: np.ndarray, ndim: int = 2):
+    """The Frobenius norm of one element spanning the last ``ndim`` axes
+    (a matrix, or with ``ndim=1`` a vector), a float, or of each member of
+    a stack of them, with the bits of one ``numpy.linalg.norm`` call per
+    member."""
     m = np.asarray(m)
-    if m.ndim <= 2:
-        return float(np.linalg.norm(m))
-    flat = m.reshape(*m.shape[:-2], -1)
+    if m.ndim <= ndim:  # numpy.linalg.norm's own steps, without its checks
+        flat = m.ravel(order="K")
+        if flat.dtype.kind == "c":
+            return math.sqrt(flat.real.dot(flat.real)
+                             + flat.imag.dot(flat.imag))
+        if flat.dtype.kind != "f":
+            flat = flat.astype(float)
+        return math.sqrt(flat.dot(flat))
+    lead = m.ndim - ndim
+    flat = m.reshape(*m.shape[:lead], math.prod(m.shape[lead:]))
+    if not np.iscomplexobj(flat):
+        return np.sqrt(np.vecdot(flat, flat))
     re, im = flat.real, flat.imag
     return np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
 
@@ -107,8 +121,9 @@ class EigenDecomposition:
     The clusters, their mean values and their projectors are computed on
     first use and kept; the arrays handed out are read-only.  The
     eigensystems of a stack carry its leading axes on both arrays;
-    ``reconstruct`` and ``apply`` work on them member by member, and the
-    clusters are defined for one matrix only.
+    ``reconstruct`` and ``apply`` work on them member by member, indexing
+    gives a member's (or a sub-stack's) eigensystem, and the clusters are
+    defined for one matrix only.
     """
 
     values: np.ndarray
@@ -140,9 +155,16 @@ class EigenDecomposition:
 
     @cached_property
     def cluster_values(self) -> np.ndarray:
-        """The mean eigenvalue of each cluster, ascending."""
-        return _frozen(np.array([float(np.mean(self.values[list(idx)]))
-                                 for idx in self.clusters]))
+        """The mean eigenvalue of each cluster, ascending; a singleton's
+        is its value, as x / 1 is exact."""
+        return _frozen(np.array([
+            float(self.values[idx[0]]) if len(idx) == 1
+            else float(np.mean(self.values[list(idx)]))
+            for idx in self.clusters]))
+
+    def __getitem__(self, index) -> "EigenDecomposition":
+        return EigenDecomposition(self.values[index], self.vectors[index],
+                                  self.tol)
 
     def reconstruct(self) -> np.ndarray:
         return self.apply(lambda x: x)
@@ -160,17 +182,21 @@ class EigenDecomposition:
 
 def decomposition_from(values: np.ndarray, vectors: np.ndarray,
                        tol: Tolerances = DEFAULT) -> EigenDecomposition:
-    """Build an EigenDecomposition from a known eigensystem, sorting it.
+    """Build an EigenDecomposition from a known eigensystem, or from the
+    eigensystems of a stack, sorting each stably.
 
     Ascending input is taken as it is, without a copy, so the arrays
     passed in become read-only.
     """
     values = np.asarray(values, dtype=np.float64)
     vectors = np.asarray(vectors, dtype=np.complex128)
-    if not np.all(values[1:] >= values[:-1]):
-        order = np.argsort(values, kind="stable")
-        values = values[order]
-        vectors = vectors[:, order]
+    if not np.all(values[..., 1:] >= values[..., :-1]):
+        order = np.argsort(values, axis=-1, kind="stable")
+        if values.ndim == 1:
+            values, vectors = values[order], vectors[:, order]
+        else:
+            values = np.take_along_axis(values, order, -1)
+            vectors = np.take_along_axis(vectors, order[..., None, :], -1)
     return EigenDecomposition(values, vectors, tol)
 
 

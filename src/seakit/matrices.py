@@ -9,12 +9,16 @@ Eigensystems are cached on the wrapper objects because nearly every
 operation here goes through the spectral theorem.  ``Effect`` is the one
 element class, and it trusts its matrix; ``validate_effect`` is the one
 route that checks a matrix from outside the program; each matrix built
-here is symmetrized once, so ``linalg.eigh`` takes it unchecked.  The
-order and norm operations, the positive part and the Rickart map also
-take a ``(k, n, n)`` stack of raw elements and decompose it in one LAPACK
-call; ``powers`` returns one ``(count, n, n)`` array.  The sampler draws
-in blocks: a block's Haar frames take one stacked QR per size, and its
-effects one stacked reconstruct.
+here is symmetrized once, so ``linalg.eigh`` takes it unchecked.
+
+An ``Effect`` may carry a leading sample axis: a ``(S, n, n)`` stack of
+matrices with its ``(S, n)`` values and ``(S, n, n)`` vectors, whose
+members an index gives.  The context's verbs take such stacks, and raw
+``(S, n, n)`` arrays, member by member with the same bits as one call per
+member, and decompose a stack in one LAPACK call; ``powers`` returns one
+``(..., count, n, n)`` array.  The sampler draws in blocks: a block's
+Haar frames take one stacked QR per size, its effects one stacked
+reconstruct, and each position of its recipe comes back as one stack.
 """
 from __future__ import annotations
 
@@ -57,20 +61,19 @@ class NotCommutingError(ValueError):
     """Operation requires a commuting pair."""
 
 
-def _same_dim(a: "Effect", b: "Effect") -> None:
-    if a.dim != b.dim:
-        raise DimensionMismatchError(f"dimensions differ: {a.dim} vs {b.dim}")
-
-
 class Effect:
     """Hermitian matrix with spectrum in [0, 1] (within the psd slack),
-    projections included.
+    projections included, or a stack of them on leading axes.
 
     The constructor trusts its caller: it is passed an exactly Hermitian
     matrix (every entry equal to the conjugate of its mirror), such as a
     symmetrized product, a reconstruction, or a sum or real multiple of
     such matrices, or the identity minus one.  It is copied, not checked
     or symmetrized; ``validate_effect`` checks a matrix from outside.
+
+    A stack's eigensystems and square roots are found for all members at
+    once; an index (an int, a slice or a mask) gives a member or a
+    sub-stack, keeping what is already known of them.
     """
 
     __slots__ = ("matrix", "tol", "_decomp", "_sqrt")
@@ -86,7 +89,17 @@ class Effect:
 
     @property
     def dim(self) -> int:
+        return self.matrix.shape[-1]
+
+    def __len__(self) -> int:
         return self.matrix.shape[0]
+
+    def __getitem__(self, index) -> "Effect":
+        out = Effect(self.matrix[index], tol=self.tol, decomposition=(
+            None if self._decomp is None else self._decomp[index]))
+        if self._sqrt is not None:
+            out._sqrt = self._sqrt[index]
+        return out
 
     @property
     def decomposition(self) -> EigenDecomposition:
@@ -101,16 +114,14 @@ class Effect:
         return self._sqrt
 
     def complement(self) -> "Effect":
-        """The orthosupplement 1 - a, keeping a cached decomposition."""
+        """The orthosupplement 1 - a, keeping a cached decomposition;
+        member by member on a stack."""
         mat = np.eye(self.dim) - self.matrix
         decomp = None
         if self._decomp is not None:
             decomp = decomposition_from(1.0 - self._decomp.values,
                                         self._decomp.vectors, self.tol)
         return Effect(mat, tol=self.tol, decomposition=decomp)
-
-    def __repr__(self) -> str:
-        return f"Effect(dim={self.dim})"
 
 
 def validate_effect(matrix, tol: Tolerances = DEFAULT) -> Effect:
@@ -143,6 +154,19 @@ def _matrix(x) -> np.ndarray:
     return x.matrix if isinstance(x, Effect) else np.asarray(x)
 
 
+def _stack(members) -> Effect:
+    """Effects of one dimension as one stack, with their eigensystems
+    where every member's is known."""
+    decomps = [m._decomp for m in members]
+    known = None
+    if all(d is not None for d in decomps):
+        known = EigenDecomposition(np.array([d.values for d in decomps]),
+                                   np.array([d.vectors for d in decomps]),
+                                   members[0].tol)
+    return Effect(np.array([m.matrix for m in members]), tol=members[0].tol,
+                  decomposition=known)
+
+
 def _span(vectors: np.ndarray, keep: np.ndarray) -> np.ndarray:
     """The projection onto the columns of a unitary that ``keep`` marks."""
     cols = vectors[:, keep]
@@ -153,36 +177,43 @@ def _span(vectors: np.ndarray, keep: np.ndarray) -> np.ndarray:
 
 def joint_eigenbasis(x, y, tol: Tolerances = DEFAULT
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Common eigenbasis of a commuting Hermitian pair.
+    """Common eigenbasis of a commuting Hermitian pair, or of each pair of
+    members of two stacks.
 
     Returns (vectors, x values, y values) with one value pair per column.
-    Raises DimensionMismatchError for matrices of different sizes and
-    NotCommutingError when the ordinary commutator is not negligible.
+    y is diagonalized on each eigenspace (cluster) of x; the blocks of one
+    size, over all members, take one stacked ``eigh``.  Raises
+    DimensionMismatchError for matrices of different sizes and
+    NotCommutingError when an ordinary commutator is not negligible.
     """
     xm = np.asarray(_matrix(x), dtype=np.complex128)
     ym = np.asarray(_matrix(y), dtype=np.complex128)
     if xm.shape != ym.shape:
         raise DimensionMismatchError(
-            f"dimensions differ: {xm.shape[0]} vs {ym.shape[0]}")
-    if frobenius(xm @ ym - ym @ xm) > tol.comm:
+            f"dimensions differ: {xm.shape[-1]} vs {ym.shape[-1]}")
+    if np.any(frobenius(xm @ ym - ym @ xm) > tol.comm):
         raise NotCommutingError("matrices do not commute")
     dx = x.decomposition if isinstance(x, Effect) else eigh(xm, tol)
-    n = xm.shape[0]
-    vectors = np.zeros((n, n), dtype=np.complex128)
-    xvals = np.zeros(n)
-    yvals = np.zeros(n)
-    reps = dx.cluster_values
-    col = 0
-    for k, idx in enumerate(dx.clusters):
-        cols = dx.vectors[:, list(idx)]
-        block = hermitian_part(cols.conj().T @ ym @ cols)
-        db = eigh(block, tol)
-        refined = cols @ db.vectors
-        m = len(idx)
-        vectors[:, col:col + m] = refined
-        xvals[col:col + m] = reps[k]
-        yvals[col:col + m] = db.values
-        col += m
+    vectors = np.zeros(xm.shape, dtype=np.complex128)
+    xvals = np.zeros(xm.shape[:-1])
+    yvals = np.zeros(xm.shape[:-1])
+    sizes: dict[int, list] = {}  # cluster size -> (member, first column, x cols)
+    for i in np.ndindex(xm.shape[:-2]):
+        d, col = dx[i], 0
+        for value, idx in zip(d.cluster_values, d.clusters):
+            m = len(idx)
+            sizes.setdefault(m, []).append((i, col, d.vectors[:, list(idx)]))
+            xvals[i][col:col + m] = value
+            col += m
+    for m, blocks in sizes.items():
+        cols = np.array([c for _, _, c in blocks])
+        ys = np.array([ym[i] for i, _, _ in blocks])
+        db = eigh(hermitian_part(cols.conj().swapaxes(-1, -2) @ ys @ cols),
+                  tol)
+        for (i, col, _), refined, values in zip(blocks, cols @ db.vectors,
+                                                db.values):
+            vectors[i][:, col:col + m] = refined
+            yvals[i][col:col + m] = values
     return vectors, xvals, yvals
 
 
@@ -193,16 +224,22 @@ class MatrixContext:
     and the verifier read them through this protocol.  A raw array given
     where an effect is expected (``product``, ``powers``, ``floor``) is
     checked as one; any other is trusted to be exactly Hermitian.
-    ``leq``, ``extremes``, ``norm``, ``shift``, ``positive_part``,
-    ``rickart``, ``complement`` and ``commutes`` of a raw array also take
-    a stack of elements on a leading axis, as numpy's gufuncs do, with the
-    same bits per member as one call per member; reductions give one value
-    per member.
+    Every verb also takes a stack of elements (an ``Effect`` stack or a
+    raw ``(S, n, n)`` array) on leading axes, as numpy's gufuncs do, with
+    the same bits per member as one call per member; reductions give one
+    value per member, and ``scale`` takes one λ per member.  ``cover``
+    and ``floor`` build each member's projection after one stacked
+    decomposition, and ``meet`` and ``join`` diagonalize the eigenspace
+    blocks of all members, one stacked ``eigh`` per block size; the
+    clusters (``eigenprojections``, ``joint_clusters``) are defined for one
+    element only.
     """
 
     model = "matrix"
+    element_ndim = 2  # the trailing axes one element spans
     mul = staticmethod(np.matmul)   # the ordinary product of raw elements
     raw = staticmethod(_matrix)
+    stack = staticmethod(_stack)
 
     def __init__(self, tol: Tolerances = DEFAULT):
         self.tol = tol
@@ -222,7 +259,10 @@ class MatrixContext:
     def _projection(self, d: EigenDecomposition, keep: np.ndarray
                     ) -> Effect:
         """The projection onto the eigenvectors of d that ``keep`` marks,
-        with its eigensystem."""
+        with its eigensystem; one per member of a stack."""
+        if keep.ndim > 1:
+            return _stack([self._projection(d[i], keep[i])
+                           for i in range(len(keep))])
         dim = d.dim
         k = int(np.count_nonzero(keep))
         values = np.concatenate([np.zeros(dim - k), np.ones(k)])
@@ -282,11 +322,11 @@ class MatrixContext:
         return self.element(np.eye(n))
 
     def one_like(self, v) -> np.ndarray:
-        n = np.shape(_matrix(v))[0]
+        n = np.shape(_matrix(v))[-1]
         return np.eye(n, dtype=np.complex128)
 
     def zero_like(self, v) -> np.ndarray:
-        n = np.shape(_matrix(v))[0]
+        n = np.shape(_matrix(v))[-1]
         return np.zeros((n, n), dtype=np.complex128)
 
     def shift(self, v, lam) -> np.ndarray:
@@ -313,9 +353,10 @@ class MatrixContext:
     def cover(self, a) -> Effect:
         """Support projection: the least projection above the effect."""
         d = self._decomposition(a)
-        if d.values[0] < -self.tol.psd:
+        least = d.values[..., 0].min()
+        if least < -self.tol.psd:
             raise NotAnEffectError("support is defined for positive elements",
-                                   eigenvalue=float(d.values[0]))
+                                   eigenvalue=float(least))
         return self._projection(d, d.values > self.tol.kernel)
 
     def floor(self, a) -> Effect:
@@ -351,21 +392,29 @@ class MatrixContext:
     def sub(self, a, b) -> np.ndarray:
         return _matrix(a) - _matrix(b)
 
-    def scale(self, lam: float, v):
-        """lam * v: for an Effect the convex action (lam in [0, 1]), an
-        Effect keeping its decomposition; a raw array for a raw array."""
+    def scale(self, lam, v):
+        """lam * v, with lam a number or an array of one per member: for
+        an Effect the convex action (lam in [0, 1]), an Effect keeping its
+        decomposition; a raw array for a raw array."""
+        lam = np.asarray(lam)
         if not isinstance(v, Effect):
-            return lam * _matrix(v)
-        if not 0.0 <= lam <= 1.0:
+            return lam[..., None, None] * _matrix(v)
+        if not np.all((0.0 <= lam) & (lam <= 1.0)):
             raise ValueError("scalar must lie in [0, 1]")
         decomp = None
         if v._decomp is not None:
-            decomp = decomposition_from(lam * v._decomp.values,
+            decomp = decomposition_from(lam[..., None] * v._decomp.values,
                                         v._decomp.vectors, v.tol)
-        return Effect(lam * v.matrix, tol=v.tol, decomposition=decomp)
+        return Effect(lam[..., None, None] * v.matrix, tol=v.tol,
+                      decomposition=decomp)
 
-    def residual(self, a, b) -> float:
+    def residual(self, a, b):
+        """The Frobenius norm of a - b, one per member of a stack."""
         return frobenius(_matrix(a) - _matrix(b))
+
+    def adjoint(self, v) -> np.ndarray:
+        """The conjugate transpose, member by member."""
+        return _matrix(v).conj().swapaxes(-1, -2)
 
     def norm(self, v):
         return operator_norm(_matrix(v))
@@ -394,13 +443,15 @@ class MatrixContext:
     def product(self, a, b) -> np.ndarray:
         """Sequential product √a b √a."""
         a, b = self._effect(a), self._effect(b)
-        _same_dim(a, b)
+        if a.dim != b.dim:
+            raise DimensionMismatchError(
+                f"dimensions differ: {a.dim} vs {b.dim}")
         s = a.sqrt_matrix()
         return hermitian_part(s @ b.matrix @ s)
 
     def powers(self, a, count: int) -> np.ndarray:
         """Sequential powers a, a∘a, ... up to the count-th, as one
-        (count, n, n) array.
+        (count, n, n) array, or (S, count, n, n) for a stack.
 
         The powers of a share its eigenbasis, so the square root of the
         k-th is formed there from the k-th cumulative product of its
@@ -410,16 +461,23 @@ class MatrixContext:
         if count < 1:
             raise ValueError("count must be at least 1")
         a = self._effect(a)
-        roots = a.decomposition.apply(lambda x: np.sqrt(np.cumprod(
-            np.broadcast_to(np.clip(x, 0.0, 1.0), (count - 1, x.size)),
-            axis=0)))
-        return np.concatenate([a.matrix[None],
-                               hermitian_part(roots @ a.matrix @ roots)])
+        d = a.decomposition
+        x = np.clip(d.values, 0.0, 1.0)[..., None, :]
+        vals = np.sqrt(np.cumprod(np.broadcast_to(
+            x, (*x.shape[:-2], count - 1, x.shape[-1])), axis=-2))
+        vectors = d.vectors[..., None, :, :]
+        roots = hermitian_part((vectors * vals[..., None, :])
+                               @ vectors.conj().swapaxes(-1, -2))
+        mat = a.matrix[..., None, :, :]
+        return np.concatenate([mat, hermitian_part(roots @ mat @ roots)],
+                              axis=-3)
 
     def _apply(self, a, b, fn) -> np.ndarray:
-        """A two-argument spectral function of a commuting pair."""
+        """A two-argument spectral function of a commuting pair, or of
+        each pair of members of two stacks."""
         vectors, avals, bvals = joint_eigenbasis(a, b, self.tol)
-        return hermitian_part((vectors * fn(avals, bvals)) @ vectors.conj().T)
+        return hermitian_part((vectors * fn(avals, bvals)[..., None, :])
+                              @ vectors.conj().swapaxes(-1, -2))
 
     def meet(self, a, b) -> np.ndarray:
         """Meet of a commuting pair."""
@@ -429,9 +487,10 @@ class MatrixContext:
         """Join of a commuting pair."""
         return self._apply(a, b, np.maximum)
 
-    def is_sharp(self, a) -> bool:
+    def is_sharp(self, a):
+        """a² = a within tol.check, one verdict per member of a stack."""
         raw = _matrix(a)
-        return frobenius(raw @ raw - raw) / raw.shape[0] <= self.tol.check
+        return frobenius(raw @ raw - raw) / raw.shape[-1] <= self.tol.check
 
     def joint_clusters(self, e, f) -> list[tuple[float, float, np.ndarray]]:
         vectors, xvals, yvals = joint_eigenbasis(e, f, self.tol)
@@ -475,21 +534,27 @@ def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 class _Pending:
-    """A draw made in a block, whose value the block sets at its end."""
+    """A draw made in a block, whose value the block sets at its end; a
+    span also carries its eigenvalues and an eigenvector thunk."""
 
-    __slots__ = ("value",)
+    __slots__ = ("value", "values", "vectors")
 
 
 class _Known(_Pending):
     """An effect drawn with a known eigensystem: its eigenvalues, unsorted,
     and a thunk that gives the matching eigenvectors, as columns, once the
-    block's frames are drawn."""
+    block's frames are drawn.  At the block's end it is row ``row`` of the
+    block's stack of effects."""
 
-    __slots__ = ("values", "vectors")
+    __slots__ = ("stack", "row")
 
     def __init__(self, values: np.ndarray, vectors):
         self.values = values
         self.vectors = vectors
+
+    @property
+    def value(self) -> Effect:
+        return self.stack[self.row]
 
 
 def _value(x):
@@ -497,14 +562,27 @@ def _value(x):
     return x.value if isinstance(x, _Pending) else x
 
 
-def _settled(x):
-    """x, a draw or a tuple or list of draws, each pending one replaced
-    by its value."""
-    if isinstance(x, _Pending):
-        return x.value
-    if isinstance(x, (tuple, list)):
-        return type(x)(_settled(y) for y in x)
-    return x
+def _column(draws: list):
+    """The draws at one position of a block's recipe, one per sample, as
+    one value: tuples and lists position by position, effects as one
+    Effect stack, and arrays and numbers as one array."""
+    first = draws[0]
+    if isinstance(first, (tuple, list)):
+        return type(first)(_column([x[i] for x in draws])
+                           for i in range(len(first)))
+    if all(isinstance(x, _Known) for x in draws):
+        return first.stack[np.array([x.row for x in draws])]
+    values = [_value(x) for x in draws]
+    if isinstance(values[0], Effect):
+        return _stack(values)
+    return np.array(values)
+
+
+def _member(column, k: int):
+    """Sample k of a column of draws."""
+    if isinstance(column, (tuple, list)):
+        return type(column)(_member(x, k) for x in column)
+    return column[k]
 
 
 class _Block:
@@ -519,11 +597,11 @@ class _Block:
     def __bool__(self) -> bool:
         return bool(self.frames or self.known or self.ragged)
 
-    def complete(self, out, tol: Tolerances):
-        """Set every pending value and return ``out`` settled: one stacked
-        QR per frame size, the ragged builds one by one, and one stacked,
-        stably sorted reconstruct of the effects (all of the sampler's
-        dimension), each member an Effect with its eigensystem."""
+    def complete(self, tol: Tolerances) -> None:
+        """Set every pending value: one stacked QR per frame size, the
+        ragged builds one by one, and one stacked, stably sorted
+        reconstruct of the effects (all of the sampler's dimension), one
+        Effect stack with its eigensystems."""
         sizes: dict[int, list] = {}
         for frame, z in self.frames:
             sizes.setdefault(z.shape[0], []).append((frame, z))
@@ -540,11 +618,9 @@ class _Block:
                 np.take_along_axis(values, order, -1),
                 np.take_along_axis(np.stack([e.vectors() for e in self.known]),
                                    order[:, None, :], -1), tol)
-            for e, values, vectors, mat in zip(self.known, d.values,
-                                               d.vectors, d.reconstruct()):
-                e.value = Effect(mat, tol=tol, decomposition=(
-                    EigenDecomposition(values, vectors, tol)))
-        return _settled(out)
+            stack = Effect(d.reconstruct(), tol=tol, decomposition=d)
+            for row, e in enumerate(self.known):
+                e.stack, e.row = stack, row
 
 
 def _drawn(draw):
@@ -553,7 +629,8 @@ def _drawn(draw):
     @functools.wraps(draw)
     def drawn(self, *args, **kwargs):
         if self._block is None:
-            return self.draws(1, lambda k: draw(self, *args, **kwargs))[0]
+            return _member(
+                self.draws(1, lambda k: draw(self, *args, **kwargs)), 0)
         return draw(self, *args, **kwargs)
     return drawn
 
@@ -573,7 +650,9 @@ class EffectSampler:
     frame is only its Ginibre matrix and an effect only its values; at the
     block's end every frame size takes one stacked QR and the effects one
     stacked reconstruct, with the same bits per member as one call each.
-    A draw made outside a block is a block of one.
+    Each position of the recipe comes back as one stack: member k of it is
+    the draw ``recipe(k)`` made there.  A draw made outside a block is
+    member 0 of a block of one.
     """
 
     _block: _Block | None = None  # the open block of draws, if any
@@ -588,16 +667,21 @@ class EffectSampler:
         self.dim = dim
         self.tol = tol
 
-    def draws(self, count: int, recipe) -> list:
-        """``[recipe(k) for k in range(count)]``, whose draws, tuples and
-        lists of draws are settled as one block."""
+    def draws(self, count: int, recipe):
+        """``[recipe(k) for k in range(count)]``, settled as one block and
+        returned as one stack per position of the recipe: a tuple of
+        stacks for a recipe that returns a tuple.  Effects stack as an
+        ``Effect`` (on the mv model, as a ``(count, n)`` array), frames,
+        arrays and numbers as one array."""
         outer = self._block
         block = self._block = _Block()
         try:
             out = [recipe(k) for k in range(count)]
         finally:
             self._block = outer
-        return block.complete(out, self.tol) if block else out
+        if block:
+            block.complete(self.tol)
+        return _column(out)
 
     def _known(self, values, vectors) -> _Known:
         """An effect with these eigenvalues and the eigenvectors the thunk
@@ -632,16 +716,16 @@ class EffectSampler:
     @_drawn
     def span(self, frame: np.ndarray, lo: int, hi: int) -> Effect:
         """The projection onto columns lo:hi of a frame, which are
-        orthonormal."""
-        n = self.dim
-        if not range(n)[lo:hi]:
-            # the zero projection, with its eigensystem known up front
-            return self._diagonal(np.zeros(n), np.eye(n, dtype=np.complex128))
-
+        orthonormal.  Its matrix is built from those columns, and its
+        eigensystem (ones on lo:hi) serves only ``commuting_with``."""
         def build() -> Effect:
             cols = _value(frame)[:, lo:hi]
             return Effect(hermitian_part(cols @ cols.conj().T), tol=self.tol)
-        return self._later(build)
+        span = self._later(build)
+        span.values = np.zeros(self.dim)
+        span.values[lo:hi] = 1.0
+        span.vectors = lambda: _value(frame)
+        return span
 
     @_drawn
     def commuting(self, *draws) -> tuple:
@@ -727,7 +811,7 @@ class EffectSampler:
     def commuting_with(self, p: Effect, on=None, off=None) -> Effect:
         """Effect equal to ``on`` on p and to ``off`` on 1 - p; either left
         as None is drawn there."""
-        if isinstance(p, _Known):
+        if isinstance(p, _Pending):
             # p's eigensystem as its decomposition will sort it
             order = np.argsort(p.values, kind="stable")
             values, vectors = p.values[order], lambda: p.vectors()[:, order]

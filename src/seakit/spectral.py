@@ -199,8 +199,8 @@ def simple_approximation(a, n, ctx):
     values, projs = ctx.eigenprojections(a)
     acc = ctx.zero_like(a)
     scale = 2.0 ** levels
-    if levels.ndim:  # one staircase per level, on a leading axis
-        scale = scale.reshape(levels.shape + (1,) * acc.ndim)
+    # one coefficient per level for each eigenprojection; ``ctx.scale``
+    # puts the levels on a leading axis
     coeffs = np.floor(np.multiply.outer(np.clip(values, 0.0, 1.0), scale)
                       + 1e-12) / scale
     for coeff, proj in zip(coeffs, projs):

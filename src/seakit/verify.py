@@ -17,16 +17,20 @@ every comparison there is exact.  What stays per model here is the
 sampler lookup, the broken products and the planted control witnesses.
 
 A body draws first and checks second: one ``smp.draws`` block makes all
-its samples' draws, in the order the per-sample loop made them, and the
-loop that follows checks and tallies each sample.  The checks draw
+its samples' draws, in the order the per-sample loop made them, and
+returns each as one stack with a leading sample axis.  The checks draw
 nothing, so the random stream, and with it the report, is that of the
-interleaved loop, while the matrix sampler does its frames' QR and its
-effects' reconstructions once per block, stacked.
+interleaved loop.  The sea and compression statements, ``coro:limit``,
+``lemma:floor`` and ``propertyA`` check all their samples at once: every
+verb works member by member on the stacks, a premise is a mask over the
+samples, and one ``tally`` takes the outcomes and residuals as arrays.
+Ragged work (covers and floors, the clusters, the eigenspace blocks of
+meets and joins) is bookkept per member inside those bodies; the other
+statements loop over the members.
 """
 from __future__ import annotations
 
 import dataclasses
-import math
 import os
 import traceback
 import zlib
@@ -35,7 +39,7 @@ from typing import Callable
 import numpy as np
 
 from .config import DEFAULT, Tolerances
-from .linalg import frobenius, hermitian_part
+from .linalg import frobenius, hermitian_part, per_member
 from .report import CheckResult, SuiteReport
 from . import fuzzy as fz
 from . import matrices as mx
@@ -72,11 +76,12 @@ def _seed_for(seed: int, suite: str, sid: str) -> np.random.SeedSequence:
 class _Tally:
     """Per-statement accumulator; keeps the first failing witness.
 
-    The witness is passed as a thunk, a zero-argument callable that builds
-    the witness dict.  ``tally`` calls it only for the first failing
-    sample, the one whose witness the report records, so passing samples
-    encode nothing.  The thunk runs inside ``tally``, so it sees the
-    sample's values.
+    ``tally`` takes one sample's outcome and residual, or an array of
+    outcomes, one per sample in sample order, with a residual (an array or
+    one for all).  The witness is passed as a thunk that takes the index
+    of the first failing sample (0 for one sample) and builds the witness
+    dict; ``tally`` calls it only for the first failure, the one whose
+    witness the report records, so passing samples encode nothing.
     """
 
     __slots__ = ("samples", "passed", "max_residual", "witness")
@@ -87,10 +92,24 @@ class _Tally:
         self.max_residual = 0.0
         self.witness = None
 
-    def tally(self, ok: bool, residual: float = 0.0,
-              witness: Callable[[], dict] | None = None) -> None:
+    def tally(self, ok, residual=0.0,
+              witness: Callable[[int], dict] | None = None) -> None:
+        if isinstance(ok, np.ndarray):
+            ok = ok.reshape(-1)
+            passed = int(np.count_nonzero(ok))
+            if passed < ok.size and self.witness is None:
+                first = int(np.argmin(ok))
+                self.witness = witness(first) if witness is not None else {}
+            self.samples += ok.size
+            self.passed += passed
+            # the largest residual, NaN skipped
+            top = float(np.fmax.reduce(residual, axis=None,
+                                       initial=self.max_residual))
+            if top > self.max_residual:
+                self.max_residual = top
+            return
         if not ok and self.witness is None:
-            self.witness = witness() if witness is not None else {}
+            self.witness = witness(0) if witness is not None else {}
         self.samples += 1
         res = float(residual)
         if res > self.max_residual:
@@ -99,21 +118,44 @@ class _Tally:
             self.passed += 1
 
 
+def _spread(mask: np.ndarray, values, fill=0.0) -> np.ndarray:
+    """Values found for the samples that a premise mask selects, placed
+    among all the samples, with ``fill`` at the others."""
+    values = np.asarray(values)
+    out = np.full(mask.shape, fill, dtype=values.dtype)
+    out[mask] = values
+    return out
+
+
 def _run_statement(report: SuiteReport, sid: str, body) -> None:
     t = _Tally()
     try:
         body(t)
     except Exception as exc:  # noqa: BLE001 - a crashing check is a failure
         frame = traceback.extract_tb(exc.__traceback__)[-1]
-        t.tally(False, witness=lambda: {
+        t.tally(False, witness=lambda _: {
             "error": f"{type(exc).__name__}: {exc}",
             "at": f"{os.path.basename(frame.filename)}:{frame.lineno}"})
     report.add(CheckResult(sid, report.model, t.samples, t.passed,
                            t.max_residual, t.witness))
 
 
-def _res(m, dim: int) -> float:
-    return frobenius(np.asarray(m)) / dim
+def _witness(ctx, k: int, columns: dict) -> dict:
+    """Sample k's witness: its index and each column's member k, an
+    element encoded and a number as a Python number."""
+    out = {"sample": k}
+    for key, column in columns.items():
+        x = column[k]
+        out[key] = (ctx.encode(x) if np.ndim(ctx.raw(x)) == ctx.element_ndim
+                    else x.item())
+    return out
+
+
+def _res(ctx, m):
+    """The residual of a raw element on its model: its Frobenius norm over
+    its dimension, one per member of a stack."""
+    m = np.asarray(m)
+    return frobenius(m, ctx.element_ndim) / m.shape[-1]
 
 
 @dataclasses.dataclass
@@ -136,9 +178,12 @@ class _Run:
     merge_delta: float = 0.0  # context
     algs: dict | None = None  # tables: the built-in algebras by name
 
-    def res(self, x, y=None) -> float:
+    def res(self, x, y=None):
+        """The residual of x, or of x - y; one per member of a stack.
+        ``_res`` inlined, as the mv context suite calls this thousands of
+        times a run."""
         m = x if y is None else self.ctx.sub(x, y)
-        return frobenius(np.asarray(m)) / self.n
+        return frobenius(m, self.ctx.element_ndim) / self.n
 
     def sandwich(self, x, a):
         return self.ctx.mul(self.ctx.mul(x, a), x)
@@ -225,40 +270,44 @@ def _three_orthogonal(smp, n: int) -> tuple[list, list[int]]:
 # SEA suite
 
 
-def _mackey(ctx, p, a) -> bool:
-    """Mackey compatibility of a projection and an effect: with c = p a p,
-    both a - c and 1 - a - p + c are positive."""
+def _mackey(ctx, p, a) -> np.ndarray:
+    """Mackey compatibility of a projection and an effect, or of each pair
+    of members: with c = p a p, both a - c and 1 - a - p + c are positive
+    (the second tested only where the first holds)."""
     inside = ctx.compress(p, a)
     rest = ctx.add(ctx.sub(ctx.sub(ctx.one_like(a), a), p), inside)
-    return ctx.leq(inside, a) and ctx.leq(ctx.zero_like(a), rest)
+    ok = np.array(ctx.leq(inside, a))
+    if ok.any():
+        ok[ok] = ctx.leq(ctx.zero_like(a), rest[ok])
+    return ok
 
 
 def _five_way(ctx, p, a) -> dict:
     """The five equivalent compatibility statements for a projection and
-    an effect, each evaluated independently: booleans keyed by statement,
-    plus the largest residual among the equality-shaped clauses."""
+    an effect, or for each pair of members, each evaluated independently:
+    booleans keyed by statement, plus the largest residual among the
+    equality-shaped clauses."""
     praw, araw, mul = ctx.raw(p), ctx.raw(a), ctx.mul
-    n = praw.shape[0]
     thr = ctx.tol.check
     inside = ctx.compress(praw, araw)
     comp = ctx.complement(praw)
-    r_block = _res(ctx.sub(ctx.sub(araw, inside),
-                           mul(mul(comp, araw), comp)), n)
-    r_off = _res(mul(mul(praw, araw), comp), n)
-    residual = max(0.0, min(r_block, thr), min(r_off, thr))
-    meet = ctx.commutes(p, a)
-    if meet:
-        r_meet = _res(ctx.sub(inside, ctx.meet(p, a)), n)
-        meet = r_meet <= thr
-        residual = max(residual, min(r_meet, thr))
-    return {
-        "compress_below": ctx.leq(inside, a),
-        "block_sum": r_block <= thr,
-        "interval_sum": r_off <= thr,
-        "mackey": _mackey(ctx, p, a),
-        "meet": meet,
-        "residual": residual,
-    }
+    r_block = _res(ctx, ctx.sub(ctx.sub(araw, inside),
+                                mul(mul(comp, araw), comp)))
+    r_off = _res(ctx, mul(mul(praw, araw), comp))
+    residual = np.array(np.maximum(np.minimum(r_block, thr),
+                                   np.minimum(r_off, thr)))
+    meet = np.array(ctx.commutes(p, a))
+    if meet.any():
+        r_meet = _res(ctx, ctx.sub(inside[meet], ctx.meet(p[meet], a[meet])))
+        residual[meet] = np.maximum(residual[meet], np.minimum(r_meet, thr))
+        meet[meet] = r_meet <= thr
+    return {key: per_member(x) for key, x in (
+        ("compress_below", ctx.leq(inside, a)),
+        ("block_sum", r_block <= thr),
+        ("interval_sum", r_off <= thr),
+        ("mackey", _mackey(ctx, p, a)),
+        ("meet", meet),
+        ("residual", residual))}
 
 
 def _meet_headroom(pvals: np.ndarray, avals: np.ndarray,
@@ -286,108 +335,99 @@ def _meet_headroom(pvals: np.ndarray, avals: np.ndarray,
 
 @_statement("sea", "S1")
 def _s1(run, ctx, smp, t: _Tally) -> None:
-    drawn = smp.draws(run.samples,
-                      lambda k: (smp.effect(), *smp.summable_pair()))
-    for k, (a, b, c) in enumerate(drawn):
-        if k == 0 and run.planted is not None:
-            a, b, c = run.planted
-        bc = ctx.element(ctx.add(b, c))
-        r = run.res(ctx.sub(run.prod(a, bc), run.prod(a, b)), run.prod(a, c))
-        t.tally(r <= run.thr, r, lambda: {"sample": k, "a": ctx.encode(a),
-                                          "b": ctx.encode(b),
-                                          "c": ctx.encode(c)})
+    a, b, c = smp.draws(run.samples,
+                        lambda k: (smp.effect(), *smp.summable_pair()))
+    if run.planted is not None:
+        a, b, c = (np.concatenate([x[None], y[1:]])
+                   for x, y in zip(run.planted, (a, b, c)))
+    bc = ctx.element(ctx.add(b, c))
+    r = run.res(ctx.sub(run.prod(a, bc), run.prod(a, b)), run.prod(a, c))
+    t.tally(r <= run.thr, r,
+            lambda k: _witness(ctx, k, {"a": a, "b": b, "c": c}))
 
 
 @_statement("sea", "S2")
 def _s2(run, ctx, smp, t: _Tally) -> None:
     one = ctx.unit(run.n)
-    for k, a in enumerate(smp.draws(run.samples, lambda k: smp.effect())):
-        r = max(run.res(run.prod(one, a), a), run.res(run.prod(a, one), a))
-        t.tally(r <= run.thr, r, lambda: {"sample": k, "a": ctx.encode(a)})
+    a = smp.draws(run.samples, lambda k: smp.effect())
+    r = np.maximum(run.res(run.prod(one, a), a), run.res(run.prod(a, one), a))
+    t.tally(r <= run.thr, r, lambda k: _witness(ctx, k, {"a": a}))
 
 
 @_statement("sea", "S3")
 def _s3(run, ctx, smp, t: _Tally) -> None:
-    drawn = smp.draws(run.samples, lambda k: (
+    a, b = smp.draws(run.samples, lambda k: (
         smp.orthogonal_pair() if k % 2 == 0 else (smp.effect(), smp.effect())))
-    for k, (a, b) in enumerate(drawn):
-        if k % 2 == 0:
-            r_ab, r_ba = run.res(run.prod(a, b)), run.res(run.prod(b, a))
-            ok = (r_ab <= run.thr) == (r_ba <= run.thr)
-            t.tally(ok, max(r_ab, r_ba) if not ok else 0.0,
-                    lambda: {"sample": k, "a": ctx.encode(a),
-                             "b": ctx.encode(b), "forward": r_ab,
-                             "backward": r_ba})
-        else:
-            lo, hi = ctx.extremes(run.prod(a, b))
-            escape = max(0.0, -lo, hi - 1.0)
-            t.tally(escape <= ctx.tol.psd + run.thr, escape,
-                    lambda: {"sample": k, "a": ctx.encode(a),
-                             "b": ctx.encode(b), "min_eigenvalue": lo,
-                             "max_eigenvalue": hi})
+    # Even samples: ab vanishes exactly when ba does; odd ones: ab is an
+    # effect.
+    even = np.arange(run.samples) % 2 == 0
+    ab = run.prod(a, b)
+    r_ab = _spread(even, run.res(ab[even]))
+    r_ba = _spread(even, run.res(run.prod(b[even], a[even])))
+    agree = (r_ab <= run.thr) == (r_ba <= run.thr)
+    lo, hi = (_spread(~even, x) for x in ctx.extremes(ab[~even]))
+    escape = np.maximum(np.maximum(0.0, -lo), hi - 1.0)
+    t.tally(np.where(even, agree, escape <= ctx.tol.psd + run.thr),
+            np.where(even, np.where(agree, 0.0, np.maximum(r_ab, r_ba)),
+                     escape),
+            lambda k: _witness(ctx, k, {"a": a, "b": b} | (
+                {"forward": r_ab, "backward": r_ba} if even[k]
+                else {"min_eigenvalue": lo, "max_eigenvalue": hi})))
 
 
 @_statement("sea", "S4")
 def _s4(run, ctx, smp, t: _Tally) -> None:
-    drawn = smp.draws(run.samples,
-                      lambda k: (*smp.commuting(), smp.effect()))
-    for k, (a, b, c) in enumerate(drawn):
-        if run.res(run.prod(a, b), run.prod(b, a)) > run.comm:
-            t.tally(True)
-            continue
-        bperp = ctx.complement(b)
-        r1 = run.res(run.prod(a, bperp), run.prod(bperp, a))
-        r2 = run.res(run.prod(a, ctx.element(run.prod(b, c))),
-                     run.prod(ctx.element(run.prod(a, b)), c))
-        r = max(r1, r2)
-        t.tally(r <= run.thr, r, lambda: {"sample": k, "a": ctx.encode(a),
-                                          "b": ctx.encode(b),
-                                          "c": ctx.encode(c),
-                                          "complement": r1,
-                                          "associativity": r2})
+    a, b, c = smp.draws(run.samples,
+                        lambda k: (*smp.commuting(), smp.effect()))
+    # The premise: a and b commute sequentially.
+    m = ~(run.res(run.prod(a, b), run.prod(b, a)) > run.comm)
+    am, bm, cm = a[m], b[m], c[m]
+    bperp = ctx.complement(bm)
+    r1 = _spread(m, run.res(run.prod(am, bperp), run.prod(bperp, am)))
+    r2 = _spread(m, run.res(run.prod(am, ctx.element(run.prod(bm, cm))),
+                            run.prod(ctx.element(run.prod(am, bm)), cm)))
+    r = np.maximum(r1, r2)
+    t.tally(~m | (r <= run.thr), r, lambda k: _witness(ctx, k, {
+        "a": a, "b": b, "c": c, "complement": r1, "associativity": r2}))
 
 
 @_statement("sea", "S5")
 def _s5(run, ctx, smp, t: _Tally) -> None:
-    drawn = smp.draws(run.samples, lambda k: smp.refined_commuting())
-    for k, (c, a, b) in enumerate(drawn):
-        if (run.res(run.prod(c, a), run.prod(a, c)) > run.comm
-                or run.res(run.prod(c, b), run.prod(b, c)) > run.comm):
-            t.tally(True)
-            continue
-        ab = ctx.element(run.prod(a, b))
-        asum = ctx.element(ctx.add(a, b))
-        r = max(run.res(run.prod(c, ab), run.prod(ab, c)),
-                run.res(run.prod(c, asum), run.prod(asum, c)))
-        t.tally(r <= run.comm, r, lambda: {"sample": k, "c": ctx.encode(c),
-                                           "a": ctx.encode(a),
-                                           "b": ctx.encode(b)})
+    c, a, b = smp.draws(run.samples, lambda k: smp.refined_commuting())
+    # The premise: c commutes sequentially with a and with b.
+    m = ~((run.res(run.prod(c, a), run.prod(a, c)) > run.comm)
+          | (run.res(run.prod(c, b), run.prod(b, c)) > run.comm))
+    cm, am, bm = c[m], a[m], b[m]
+    ab = ctx.element(run.prod(am, bm))
+    asum = ctx.element(ctx.add(am, bm))
+    r = _spread(m, np.maximum(run.res(run.prod(cm, ab), run.prod(ab, cm)),
+                              run.res(run.prod(cm, asum),
+                                      run.prod(asum, cm))))
+    t.tally(~m | (r <= run.comm), r,
+            lambda k: _witness(ctx, k, {"c": c, "a": a, "b": b}))
 
 
 @_statement("sea", "le:aff")
 def _aff(run, ctx, smp, t: _Tally) -> None:
-    drawn = smp.draws(run.samples, lambda k: (
+    a, b, lam, ca, cb = smp.draws(run.samples, lambda k: (
         smp.effect(), smp.effect(), smp.scalar(), *smp.commuting()))
-    for k, (a, b, lam, ca, cb) in enumerate(drawn):
-        scaled = ctx.scale(lam, run.prod(a, b))
-        r1 = run.res(run.prod(a, ctx.scale(lam, b)), scaled)
-        r2 = run.res(run.prod(ctx.scale(lam, a), b), scaled)
-        clb = ctx.scale(lam, cb)
-        r3 = run.res(run.prod(ca, clb), run.prod(clb, ca))
-        ok = r1 <= run.thr and r2 <= run.thr and r3 <= run.comm
-        t.tally(ok, max(r1, r2, r3),
-                lambda: {"sample": k, "lambda": lam, "a": ctx.encode(a),
-                         "b": ctx.encode(b)})
+    scaled = ctx.scale(lam, run.prod(a, b))
+    r1 = run.res(run.prod(a, ctx.scale(lam, b)), scaled)
+    r2 = run.res(run.prod(ctx.scale(lam, a), b), scaled)
+    clb = ctx.scale(lam, cb)
+    r3 = run.res(run.prod(ca, clb), run.prod(clb, ca))
+    ok = (r1 <= run.thr) & (r2 <= run.thr) & (r3 <= run.comm)
+    t.tally(ok, np.maximum(np.maximum(r1, r2), r3),
+            lambda k: _witness(ctx, k, {"lambda": lam, "a": a, "b": b}))
 
 
 @_statement("sea", "convex:C1")
 def _convex_c1(run, ctx, smp, t: _Tally) -> None:
-    drawn = smp.draws(run.samples,
-                      lambda k: (smp.effect(), smp.scalar(), smp.scalar()))
-    for k, (a, lam, mu) in enumerate(drawn):
-        r = run.res(ctx.scale(mu, ctx.scale(lam, a)), ctx.scale(lam * mu, a))
-        t.tally(r <= run.thr, r,
-                lambda: {"sample": k, "lambda": lam, "mu": mu})
+    a, lam, mu = smp.draws(run.samples, lambda k: (
+        smp.effect(), smp.scalar(), smp.scalar()))
+    r = run.res(ctx.scale(mu, ctx.scale(lam, a)), ctx.scale(lam * mu, a))
+    t.tally(r <= run.thr, r,
+            lambda k: _witness(ctx, k, {"lambda": lam, "mu": mu}))
 
 
 @_statement("sea", "convex:C2")
@@ -396,42 +436,41 @@ def _convex_c2(run, ctx, smp, t: _Tally) -> None:
         a, lam = smp.effect(), smp.scalar()
         return a, lam, smp.scalar(0.0, 1.0 - lam)
 
-    for k, (a, lam, mu) in enumerate(smp.draws(run.samples, draw)):
-        r = run.res(ctx.add(ctx.scale(lam, a), ctx.scale(mu, a)),
-                    ctx.scale(lam + mu, a))
-        t.tally(r <= run.thr, r,
-                lambda: {"sample": k, "lambda": lam, "mu": mu})
+    a, lam, mu = smp.draws(run.samples, draw)
+    r = run.res(ctx.add(ctx.scale(lam, a), ctx.scale(mu, a)),
+                ctx.scale(lam + mu, a))
+    t.tally(r <= run.thr, r,
+            lambda k: _witness(ctx, k, {"lambda": lam, "mu": mu}))
 
 
 @_statement("sea", "convex:C3")
 def _convex_c3(run, ctx, smp, t: _Tally) -> None:
-    drawn = smp.draws(run.samples,
-                      lambda k: (*smp.summable_pair(), smp.scalar()))
-    for k, (a, b, lam) in enumerate(drawn):
-        s = ctx.element(ctx.add(a, b))
-        r = run.res(ctx.sub(ctx.scale(lam, s), ctx.scale(lam, a)),
-                    ctx.scale(lam, b))
-        t.tally(r <= run.thr, r, lambda: {"sample": k, "lambda": lam})
+    a, b, lam = smp.draws(run.samples,
+                          lambda k: (*smp.summable_pair(), smp.scalar()))
+    s = ctx.element(ctx.add(a, b))
+    r = run.res(ctx.sub(ctx.scale(lam, s), ctx.scale(lam, a)),
+                ctx.scale(lam, b))
+    t.tally(r <= run.thr, r, lambda k: _witness(ctx, k, {"lambda": lam}))
 
 
 @_statement("sea", "convex:C4")
 def _convex_c4(run, ctx, smp, t: _Tally) -> None:
-    for k, a in enumerate(smp.draws(run.samples, lambda k: smp.effect())):
-        r = run.res(ctx.scale(1.0, a), a)
-        t.tally(r <= run.thr, r, lambda: {"sample": k})
+    a = smp.draws(run.samples, lambda k: smp.effect())
+    r = run.res(ctx.scale(1.0, a), a)
+    t.tally(r <= run.thr, r, lambda k: _witness(ctx, k, {}))
 
 
 @_statement("sea", "le:sharp.i")
 def _sharp_i(run, ctx, smp, t: _Tally) -> None:
-    drawn = smp.draws(run.samples, lambda k: (
+    a = smp.draws(run.samples, lambda k: (
         smp.projection() if k % 2 == 0 else smp.effect()))
-    for k, a in enumerate(drawn):
-        sharp = ctx.is_sharp(a)
-        kills = run.res(run.prod(a, ctx.complement(a))) <= run.thr
-        idem = run.res(run.prod(a, a), a) <= run.thr
-        t.tally(sharp == kills == idem, 0.0,
-                lambda: {"sample": k, "a": ctx.encode(a), "sharp": sharp,
-                         "kills_complement": kills, "idempotent": idem})
+    sharp = ctx.is_sharp(a)
+    kills = run.res(run.prod(a, ctx.complement(a))) <= run.thr
+    idem = run.res(run.prod(a, a), a) <= run.thr
+    t.tally((sharp == kills) & (kills == idem), 0.0,
+            lambda k: _witness(ctx, k, {"a": a, "sharp": sharp,
+                                        "kills_complement": kills,
+                                        "idempotent": idem}))
 
 
 @_statement("sea", "le:sharp.ii")
@@ -441,12 +480,11 @@ def _sharp_ii(run, ctx, smp, t: _Tally) -> None:
         return p, (smp.commuting_with(p, on=1.0) if k % 2 == 0
                    else smp.effect())
 
-    for k, (p, a) in enumerate(smp.draws(run.samples, draw)):
-        below = ctx.leq(p, a)
-        rp = max(run.res(run.prod(p, a), p), run.res(run.prod(a, p), p))
-        t.tally(below == (rp <= run.thr), 0.0,
-                lambda: {"sample": k, "p": ctx.encode(p), "a": ctx.encode(a),
-                         "order": below, "product_residual": rp})
+    p, a = smp.draws(run.samples, draw)
+    below = ctx.leq(p, a)
+    rp = np.maximum(run.res(run.prod(p, a), p), run.res(run.prod(a, p), p))
+    t.tally(below == (rp <= run.thr), 0.0, lambda k: _witness(ctx, k, {
+        "p": p, "a": a, "order": below, "product_residual": rp}))
 
 
 @_statement("sea", "le:sharp.iii")
@@ -456,65 +494,60 @@ def _sharp_iii(run, ctx, smp, t: _Tally) -> None:
         return p, (smp.commuting_with(p, off=0.0) if k % 2 == 0
                    else smp.effect())
 
-    for k, (p, a) in enumerate(smp.draws(run.samples, draw)):
-        below = ctx.leq(a, p)
-        rp = max(run.res(run.prod(p, a), a), run.res(run.prod(a, p), a))
-        t.tally(below == (rp <= run.thr), 0.0,
-                lambda: {"sample": k, "p": ctx.encode(p), "a": ctx.encode(a),
-                         "order": below, "product_residual": rp})
+    p, a = smp.draws(run.samples, draw)
+    below = ctx.leq(a, p)
+    rp = np.maximum(run.res(run.prod(p, a), a), run.res(run.prod(a, p), a))
+    t.tally(below == (rp <= run.thr), 0.0, lambda k: _witness(ctx, k, {
+        "p": p, "a": a, "order": below, "product_residual": rp}))
 
 
 @_statement("sea", "le:sharp.iv")
 def _sharp_iv(run, ctx, smp, t: _Tally) -> None:
     one = ctx.unit(run.n)
-    drawn = smp.draws(run.samples, lambda k: (
+    x, y = smp.draws(run.samples, lambda k: (
         smp.orthogonal_pair() if k % 2 == 0
         else (smp.projection(), smp.effect())))
-    for k, pair in enumerate(drawn):
-        if k % 2 == 0:
-            ea, eb = pair
-            p = ctx.cover(ea)
-            a = eb if k % 4 == 0 else ctx.cover(eb)
-        else:
-            p, a = pair
-        total = ctx.add(p, a)
-        vanish = run.res(run.prod(p, a)) <= run.thr
-        summable = ctx.leq(total, one)
-        ok = vanish == summable
-        if ok and vanish:
-            r_join = run.res(total, ctx.join(p, a))
-            ok = (r_join <= run.thr
-                  and ctx.is_sharp(total) == ctx.is_sharp(a))
-            t.tally(ok, r_join, lambda: {"sample": k, "p": ctx.encode(p),
-                                         "a": ctx.encode(a),
-                                         "join_residual": r_join})
-        else:
-            t.tally(ok, 0.0, lambda: {"sample": k, "p": ctx.encode(p),
-                                      "a": ctx.encode(a), "vanishes": vanish,
-                                      "summable": summable})
+    # Even samples compare covers of an orthogonal pair (every fourth
+    # keeps the second effect itself); odd ones a projection and an effect.
+    p = ctx.stack([ctx.cover(x[k]) if k % 2 == 0 else x[k]
+                   for k in range(run.samples)])
+    a = ctx.stack([ctx.cover(y[k]) if k % 4 == 2 else y[k]
+                   for k in range(run.samples)])
+    total = ctx.add(p, a)
+    vanish = run.res(run.prod(p, a)) <= run.thr
+    summable = ctx.leq(total, one)
+    ok = vanish == summable
+    # Where both hold, p + a is their join, sharp exactly when a is.
+    joined = ok & vanish
+    r_join = np.zeros(run.samples)
+    if joined.any():
+        r = run.res(total[joined], ctx.join(p[joined], a[joined]))
+        same = ctx.is_sharp(total[joined]) == ctx.is_sharp(a[joined])
+        r_join = _spread(joined, r)
+        ok = ok & _spread(joined, (r <= run.thr) & same, True)
+
+    t.tally(ok, r_join, lambda k: _witness(ctx, k, {"p": p, "a": a} | (
+        {"join_residual": r_join} if joined[k]
+        else {"vanishes": vanish, "summable": summable})))
 
 
 @_statement("sea", "le:sharp.v")
 def _sharp_v(run, ctx, smp, t: _Tally) -> None:
-    drawn = smp.draws(run.samples, lambda k: (
+    p, a = smp.draws(run.samples, lambda k: (
         smp.commuting(smp.projection, smp.effect) if k % 2 == 0
         else (smp.projection(), smp.effect())))
-    for k, (p, a) in enumerate(drawn):
-        commute = run.res(run.prod(p, a), run.prod(a, p)) <= run.comm
-        mackey = _mackey(ctx, p, a)
-        t.tally(commute == mackey, 0.0,
-                lambda: {"sample": k, "p": ctx.encode(p), "a": ctx.encode(a),
-                         "commutes": commute, "mackey": mackey})
+    commute = run.res(run.prod(p, a), run.prod(a, p)) <= run.comm
+    mackey = _mackey(ctx, p, a)
+    t.tally(commute == mackey, 0.0, lambda k: _witness(ctx, k, {
+        "p": p, "a": a, "commutes": commute, "mackey": mackey}))
 
 
 @_statement("sea", "le:sharp.vi")
 def _sharp_vi(run, ctx, smp, t: _Tally) -> None:
-    drawn = smp.draws(run.samples,
-                      lambda k: smp.commuting(smp.projection, smp.effect))
-    for k, (p, a) in enumerate(drawn):
-        r = run.res(run.prod(p, a), ctx.meet(p, a))
-        t.tally(r <= run.thr, r, lambda: {"sample": k, "p": ctx.encode(p),
-                                          "a": ctx.encode(a)})
+    p, a = smp.draws(run.samples,
+                     lambda k: smp.commuting(smp.projection, smp.effect))
+    r = run.res(run.prod(p, a), ctx.meet(p, a))
+    t.tally(r <= run.thr, r, lambda k: _witness(ctx, k, {"p": p, "a": a}))
     oracle = run.draws("le:sharp.vi/oracle")
     for k in range(min(run.samples, 24)):
         pvals = (oracle.rng.integers(0, 2, run.n)).astype(float)
@@ -523,24 +556,23 @@ def _sharp_vi(run, ctx, smp, t: _Tally) -> None:
         avals = oracle.rng.uniform(0.0, 1.0, run.n)
         worst = float(np.max(_meet_headroom(pvals, avals, ctx.tol.psd)))
         t.tally(worst <= 1e-6, worst,
-                lambda: {"oracle_sample": k, "p": pvals.tolist(),
-                         "a": avals.round(12).tolist(), "slack": worst})
+                lambda _: {"oracle_sample": k, "p": pvals.tolist(),
+                           "a": avals.round(12).tolist(), "slack": worst})
 
 
 @_statement("sea", "de:strongarch")
 def _strongarch(run, ctx, smp, t: _Tally) -> None:
     bound = 2.0 / ARCHIMEDEAN_RESOLUTION
-    drawn = smp.draws(run.samples, lambda k: (smp.effect(), smp.effect()))
-    for k, (a, b) in enumerate(drawn):
-        least = ctx.extremes(ctx.sub(b, a))[0]
-        if least >= -bound:
-            t.tally(True)
-            continue
-        steps = min(ARCHIMEDEAN_RESOLUTION, 2 * math.ceil(1.0 / (-least)))
-        gap = ctx.extremes(ctx.sub(ctx.shift(b, -1.0 / steps), a))[0]
-        t.tally(gap < 0.0, 0.0,
-                lambda: {"sample": k, "n": steps, "min_eigenvalue": least,
-                         "shifted_min_eigenvalue": gap})
+    a, b = smp.draws(run.samples, lambda k: (smp.effect(), smp.effect()))
+    least = ctx.extremes(ctx.sub(b, a))[0]
+    # The premise: a is not below b up to the resolution.
+    m = ~(least >= -bound)
+    steps = np.minimum(ARCHIMEDEAN_RESOLUTION,
+                       2 * np.ceil(1.0 / -least[m]))
+    gap = ctx.extremes(ctx.sub(ctx.shift(b[m], -1.0 / steps), a[m]))[0]
+    steps, gap = _spread(m, steps.astype(int)), _spread(m, gap)
+    t.tally(~m | (gap < 0.0), 0.0, lambda k: _witness(ctx, k, {
+        "n": steps, "min_eigenvalue": least, "shifted_min_eigenvalue": gap}))
 
 
 def run_sea_suite(model: str = "matrix", dim_or_size: int = 4,
@@ -572,83 +604,77 @@ def _compr(run, ctx, smp, t: _Tally) -> None:
         inker = smp.commuting_with(f, on=0.0) if projection else zero
         return f, a, b, inker, smp.effect()
 
-    for k, (f, a, b, inker, generic) in enumerate(
-            smp.draws(run.samples, draw)):
-        def jmap(x):
-            return ctx.product(f, x)
+    f, a, b, inker, generic = smp.draws(run.samples, draw)
 
-        r_add = run.res(ctx.sub(jmap(ctx.element(ctx.add(a, b))), jmap(a)),
-                        jmap(b))
-        below = ctx.element(jmap(f))
-        r_retract = run.res(jmap(below), below)
-        fperp = ctx.complement(ctx.raw(f))
-        kernel_ok = (run.res(jmap(inker)) <= run.thr) == ctx.leq(inker, fperp)
-        van = run.res(jmap(generic)) <= run.thr
-        under = ctx.leq(generic, fperp)
-        r = max(r_add, r_retract)
-        ok = r <= run.thr and kernel_ok and van == under
-        t.tally(ok, r, lambda: {"sample": k, "focus": ctx.encode(f),
-                                "additivity": r_add,
-                                "retraction": r_retract,
-                                "kernel_clause": kernel_ok,
-                                "generic_clause": bool(van == under)})
+    def jmap(x):
+        return ctx.product(f, x)
+
+    r_add = run.res(ctx.sub(jmap(ctx.element(ctx.add(a, b))), jmap(a)),
+                    jmap(b))
+    below = ctx.element(jmap(f))
+    r_retract = run.res(jmap(below), below)
+    fperp = ctx.complement(ctx.raw(f))
+    kernel_ok = (run.res(jmap(inker)) <= run.thr) == ctx.leq(inker, fperp)
+    generic_ok = ((run.res(jmap(generic)) <= run.thr)
+                  == ctx.leq(generic, fperp))
+    r = np.maximum(r_add, r_retract)
+    t.tally((r <= run.thr) & kernel_ok & generic_ok, r,
+            lambda k: _witness(ctx, k, {
+                "focus": f, "additivity": r_add, "retraction": r_retract,
+                "kernel_clause": kernel_ok, "generic_clause": generic_ok}))
 
 
 @_statement("compression", "cb:C1")
 def _cb_c1(run, ctx, smp, t: _Tally) -> None:
     unit = ctx.unit(run.n)
-    for k, p in enumerate(smp.draws(run.samples,
-                                    lambda k: smp.projection())):
-        r = run.res(ctx.compress(p, unit), p)
-        t.tally(r <= run.thr, r, lambda: {"sample": k, "p": ctx.encode(p)})
+    p = smp.draws(run.samples, lambda k: smp.projection())
+    r = run.res(ctx.compress(p, unit), p)
+    t.tally(r <= run.thr, r, lambda k: _witness(ctx, k, {"p": p}))
 
 
 @_statement("compression", "cb:C2p")
 def _cb_c2p(run, ctx, smp, t: _Tally) -> None:
-    drawn = smp.draws(run.samples, lambda k: (
+    p, q, a = smp.draws(run.samples, lambda k: (
         *smp.commuting(smp.projection, smp.projection), smp.effect()))
-    for k, (p, q, a) in enumerate(drawn):
-        praw, qraw, araw = ctx.raw(p), ctx.raw(q), ctx.raw(a)
-        pq = ctx.mul(praw, qraw)
-        r = run.res(run.sandwich(praw, run.sandwich(qraw, araw)),
-                    ctx.mul(ctx.mul(pq, araw), pq.conj().T))
-        idem = run.res(ctx.mul(pq, pq), pq)
-        t.tally(r <= ctx.tol.comm and idem <= ctx.tol.proj, max(r, idem),
-                lambda: {"sample": k, "p": ctx.encode(p), "q": ctx.encode(q)})
+    praw, qraw, araw = ctx.raw(p), ctx.raw(q), ctx.raw(a)
+    pq = ctx.mul(praw, qraw)
+    r = run.res(run.sandwich(praw, run.sandwich(qraw, araw)),
+                ctx.mul(ctx.mul(pq, araw), ctx.adjoint(pq)))
+    idem = run.res(ctx.mul(pq, pq), pq)
+    t.tally((r <= ctx.tol.comm) & (idem <= ctx.tol.proj), np.maximum(r, idem),
+            lambda k: _witness(ctx, k, {"p": p, "q": q}))
 
 
 @_statement("compression", "cb:C3")
 def _cb_c3(run, ctx, smp, t: _Tally) -> None:
-    drawn = smp.draws(run.samples, lambda k: (
+    (p, q, rr), sizes, a = smp.draws(run.samples, lambda k: (
         *_three_orthogonal(smp, run.n), smp.effect()))
-    for k, ((p, q, rr), sizes, a) in enumerate(drawn):
-        araw = ctx.raw(a)
-        composed = run.sandwich(ctx.add(p, q),
-                                run.sandwich(ctx.add(q, rr), araw))
-        r = run.res(composed, run.sandwich(ctx.raw(q), araw))
-        t.tally(r <= run.thr, r, lambda: {"sample": k, "sizes": sizes})
+    araw = ctx.raw(a)
+    composed = run.sandwich(ctx.add(p, q),
+                            run.sandwich(ctx.add(q, rr), araw))
+    r = run.res(composed, run.sandwich(ctx.raw(q), araw))
+    t.tally(r <= run.thr, r, lambda k: {
+        "sample": k, "sizes": [int(size[k]) for size in sizes]})
 
 
 @_statement("compression", "le:comE")
 def _com_e(run, ctx, smp, t: _Tally) -> None:
     keys = ("compress_below", "block_sum", "interval_sum", "mackey",
             "meet")
-    drawn = smp.draws(run.samples, lambda k: (
+    p, a = smp.draws(run.samples, lambda k: (
         smp.commuting(smp.projection, smp.effect) if k % 2 == 0
         else (smp.projection(), smp.effect())))
-    for k, (p, a) in enumerate(drawn):
-        stmts = _five_way(ctx, p, a)
-        agree = len({stmts[key] for key in keys}) == 1
-        t.tally(agree, stmts["residual"],
-                lambda: {"sample": k, "p": ctx.encode(p), "a": ctx.encode(a),
-                         "statements": {key: stmts[key] for key in keys}})
+    stmts = _five_way(ctx, p, a)
+    agree = np.all([stmts[key] == stmts[keys[0]] for key in keys], axis=0)
+    t.tally(agree, stmts["residual"], lambda k: _witness(ctx, k, {
+        "p": p, "a": a}) | {"statements": {key: stmts[key][k].item()
+                                          for key in keys}})
 
 
 @_statement("compression", "lemma:compatible_projs.i")
 def _compat_i(run, ctx, smp, t: _Tally) -> None:
     if run.n < 2:
-        for _ in range(run.samples):
-            t.tally(True)
+        t.tally(np.ones(run.samples, dtype=bool))
         return
 
     def draw(k):
@@ -658,31 +684,29 @@ def _compat_i(run, ctx, smp, t: _Tally) -> None:
         return (smp.span(u, 0, k1), smp.span(u, k1, k1 + k2),
                 smp.split_effect(u, k1))
 
-    for k, (p, q, a) in enumerate(smp.draws(run.samples, draw)):
-        araw = ctx.raw(a)
-        osum = ctx.add(p, q)
-        r_join = run.res(ctx.join(p, q), osum)
-        rhs = ctx.add(run.sandwich(ctx.raw(p), araw),
-                      run.sandwich(ctx.raw(q), araw))
-        r = max(r_join, run.res(run.sandwich(osum, araw), rhs))
-        t.tally(r <= run.thr, r, lambda: {"sample": k, "p": ctx.encode(p),
-                                          "q": ctx.encode(q),
-                                          "a": ctx.encode(a)})
+    p, q, a = smp.draws(run.samples, draw)
+    araw = ctx.raw(a)
+    osum = ctx.add(p, q)
+    r_join = run.res(ctx.join(p, q), osum)
+    rhs = ctx.add(run.sandwich(ctx.raw(p), araw),
+                  run.sandwich(ctx.raw(q), araw))
+    r = np.maximum(r_join, run.res(run.sandwich(osum, araw), rhs))
+    t.tally(r <= run.thr, r,
+            lambda k: _witness(ctx, k, {"p": p, "q": q, "a": a}))
 
 
 @_statement("compression", "lemma:compatible_projs.ii")
 def _compat_ii(run, ctx, smp, t: _Tally) -> None:
-    drawn = smp.draws(run.samples, lambda k: (
+    p, q, a = smp.draws(run.samples, lambda k: (
         *smp.commuting(smp.projection, smp.projection), smp.effect()))
-    for k, (p, q, a) in enumerate(drawn):
-        praw, qraw, araw = ctx.raw(p), ctx.raw(q), ctx.raw(a)
-        meet = ctx.mul(praw, qraw)
-        x = run.sandwich(praw, run.sandwich(qraw, araw))
-        y = run.sandwich(qraw, run.sandwich(praw, araw))
-        z = ctx.mul(ctx.mul(meet, araw), meet.conj().T)
-        r = max(run.res(x, y), run.res(x, z), run.res(meet, ctx.meet(p, q)))
-        t.tally(r <= run.thr, r,
-                lambda: {"sample": k, "p": ctx.encode(p), "q": ctx.encode(q)})
+    praw, qraw, araw = ctx.raw(p), ctx.raw(q), ctx.raw(a)
+    meet = ctx.mul(praw, qraw)
+    x = run.sandwich(praw, run.sandwich(qraw, araw))
+    y = run.sandwich(qraw, run.sandwich(praw, araw))
+    z = ctx.mul(ctx.mul(meet, araw), ctx.adjoint(meet))
+    r = np.maximum(np.maximum(run.res(x, y), run.res(x, z)),
+                   run.res(meet, ctx.meet(p, q)))
+    t.tally(r <= run.thr, r, lambda k: _witness(ctx, k, {"p": p, "q": q}))
 
 
 def run_compression_suite(model: str = "matrix", dim_or_size: int = 4,
@@ -726,22 +750,25 @@ def _decomp(run, ctx, smp, t: _Tally) -> None:
             r = max(run.res(vp, dec.v_plus), run.res(vm, dec.v_minus))
             worst = max(worst, r)
             ok = ok and r <= run.thr
-        t.tally(ok, worst, lambda: {"sample": k, "v": ctx.encode(v)})
+        t.tally(ok, worst, lambda _: {"sample": k, "v": ctx.encode(v)})
 
 
 @_statement("spectrality", "coro:limit")
 def _limit(run, ctx, smp, t: _Tally) -> None:
     levels = np.arange(1, APPROX_LEVELS + 1)
-    for k, a in enumerate(smp.draws(run.samples, lambda k: smp.effect())):
-        staircase = sp.simple_approximation(a, levels, ctx)
-        # One decomposition of a - a_n gives its norm and its sign.
-        lo, hi = ctx.extremes(ctx.sub(a, staircase))
-        gap = np.maximum(np.abs(lo), np.abs(hi))
-        worst = max(0.0, float(np.max(gap - 2.0 ** -levels)))
-        ok = bool(np.all(gap <= 2.0 ** -levels + run.thr)
-                  and np.all(lo >= -run.thr)
-                  and np.all(ctx.leq(staircase[:-1], staircase[1:])))
-        t.tally(ok, worst, lambda: {"sample": k, "a": ctx.encode(a)})
+    a = smp.draws(run.samples, lambda k: smp.effect())
+    # (sample, level) stacks; each sample's staircases from its clusters.
+    stairs = np.stack([sp.simple_approximation(x, levels, ctx) for x in a])
+    # One decomposition of a - a_n gives its norm and its sign.
+    lo, hi = ctx.extremes(ctx.sub(ctx.raw(a)[:, None], stairs))
+    gap = np.maximum(np.abs(lo), np.abs(hi))
+    over = np.max(gap - 2.0 ** -levels, axis=-1)
+    ok = (np.all(gap <= 2.0 ** -levels + run.thr, axis=-1)
+          & np.all(lo >= -run.thr, axis=-1))
+    if ok.any():
+        ok[ok] = np.all(ctx.leq(stairs[ok, :-1], stairs[ok, 1:]), axis=-1)
+    t.tally(ok, np.where(over > 0.0, over, 0.0),
+            lambda k: _witness(ctx, k, {"a": a}))
 
 
 @_statement("spectrality", "eq:spectprojs")
@@ -773,7 +800,7 @@ def _spectprojs(run, ctx, smp, t: _Tally) -> None:
         for lo, hi in zip(fam.breakpoints, fam.breakpoints[1:]):
             mid = (lo + hi) / 2.0
             ok = ok and run.res(fam.at(mid), fam.at(mid + 1e-12)) <= run.thr
-        t.tally(ok, worst, lambda: {"sample": k, "a": ctx.encode(a)})
+        t.tally(ok, worst, lambda _: {"sample": k, "a": ctx.encode(a)})
 
 
 @_statement("spectrality", "eq:spectresV")
@@ -788,7 +815,7 @@ def _spectres(run, ctx, smp, t: _Tally) -> None:
         for mesh, gap in zip(MESHES, gaps):
             ok = ok and gap <= mesh + run.thr
             worst = max(worst, gap if gap > mesh else 0.0)
-        t.tally(ok, worst, lambda: {"sample": k, "a": ctx.encode(a),
+        t.tally(ok, worst, lambda _: {"sample": k, "a": ctx.encode(a),
                                     "breakpoint_residual": r0})
 
 
@@ -796,7 +823,7 @@ def _spectres(run, ctx, smp, t: _Tally) -> None:
 def _projcov(run, ctx, smp, t: _Tally) -> None:
     drawn = smp.draws(run.samples,
                       lambda k: (smp.simple(), smp.scalar(0.05, 1.0)))
-    for k, (a, lam) in enumerate(drawn):
+    for k, (a, lam) in enumerate(zip(*drawn)):
         cover = ctx.cover(a)
         # Every sub-sum of the eigenprojections (the first 16) lies
         # above a exactly when it lies above the cover.
@@ -813,18 +840,18 @@ def _projcov(run, ctx, smp, t: _Tally) -> None:
             np.all(ctx.leq(a, sums) == ctx.leq(cover, sums)))
         r = run.res(ctx.cover(ctx.scale(lam, a)), cover)
         t.tally(ok and r <= run.thr, r,
-                lambda: {"sample": k, "a": ctx.encode(a), "lambda": lam})
+                lambda _: {"sample": k, "a": ctx.encode(a), "lambda": lam})
 
 
 @_statement("spectrality", "lemma:projcover")
 def _projcover_lemma(run, ctx, smp, t: _Tally) -> None:
     drawn = smp.draws(run.samples, lambda k: (
         smp.orthogonal_pair() if k % 2 == 0 else (smp.effect(), smp.effect())))
-    for k, (a, b) in enumerate(drawn):
+    for k, (a, b) in enumerate(zip(*drawn)):
         r1 = run.res(ctx.product(a, b))
         r2 = run.res(ctx.product(ctx.cover(a), b))
         t.tally((r1 <= run.thr) == (r2 <= run.thr), 0.0,
-                lambda: {"sample": k, "a": ctx.encode(a), "b": ctx.encode(b),
+                lambda _: {"sample": k, "a": ctx.encode(a), "b": ctx.encode(b),
                          "effect_product": r1, "cover_product": r2})
 
 
@@ -843,36 +870,38 @@ def _covex_floor(run, ctx, smp, t: _Tally) -> None:
         r2 = run.res(ctx.floor(ctx.complement(a)),
                      ctx.complement(ctx.raw(ctx.cover(a))))
         r = max(r1, r2)
-        t.tally(r <= run.thr, r, lambda: {"sample": k, "a": ctx.encode(a),
+        t.tally(r <= run.thr, r, lambda _: {"sample": k, "a": ctx.encode(a),
                                           "cluster_route": r1, "duality": r2})
 
 
 @_statement("spectrality", "lemma:floor")
 def _floor_lemma(run, ctx, smp, t: _Tally) -> None:
-    drawn = smp.draws(run.samples, lambda k: smp.with_top(
+    a = smp.draws(run.samples, lambda k: smp.with_top(
         int(smp.rng.integers(1, run.n + 1))))
-    for k, a in enumerate(drawn):
-        flr = run.floor(a)
-        powers = ctx.powers(a, FLOOR_POWER)
-        ok = bool(np.all(ctx.leq(powers[1:4], powers[:3])))
-        ok = ok and ctx.leq(flr, powers[-1])
-        values = ctx.eigenprojections(a)[0]
+    flr = run.floor(a)
+    powers = ctx.powers(a, FLOOR_POWER)
+    ok = np.all(ctx.leq(powers[:, 1:4], powers[:, :3]), axis=-1)
+    if ok.any():
+        ok[ok] = ctx.leq(flr[ok], powers[ok, -1])
+    gap = ctx.norm(ctx.sub(powers[:, -1], flr))
+    bound = []
+    for x in a:
+        values = ctx.eigenprojections(x)[0]
         below_one = values[values < 1.0 - ctx.tol.cluster]
         mu_max = float(below_one[-1]) if below_one.size else 0.0
-        gap = ctx.norm(ctx.sub(powers[-1], flr))
         # Powers of a float round, on the mv model too, so the rate
         # bound keeps the given check tolerance.
-        bound = mu_max ** FLOOR_POWER + run.tol.check
-        ok = ok and gap <= bound
-        t.tally(ok, gap, lambda: {"sample": k, "a": ctx.encode(a),
-                                  "rate_gap": gap, "rate_bound": bound})
+        bound.append(mu_max ** FLOOR_POWER + run.tol.check)
+    bound = np.array(bound)
+    t.tally(ok & (gap <= bound), gap, lambda k: _witness(ctx, k, {
+        "a": a, "rate_gap": gap, "rate_bound": bound}))
 
 
 @_statement("spectrality", "de:b-compar")
 def _b_compar(run, ctx, smp, t: _Tally) -> None:
     drawn = smp.draws(run.samples, lambda k: (
         (smp.effect(), smp.effect()) if k % 4 == 3 else smp.commuting()))
-    for k, (e, f) in enumerate(drawn):
+    for k, (e, f) in enumerate(zip(*drawn)):
         if k % 4 == 3:
             # A generic pair: a witness must exist exactly when it
             # commutes, which on the mv model it always does.
@@ -883,7 +912,7 @@ def _b_compar(run, ctx, smp, t: _Tally) -> None:
                 continue
             if not ctx.commutes(e, f):
                 t.tally(False, 0.0,
-                        lambda: {"sample": k, "e": ctx.encode(e),
+                        lambda _: {"sample": k, "e": ctx.encode(e),
                                  "f": ctx.encode(f), "note": "witness for a "
                                  "non-commuting pair"})
                 continue
@@ -895,7 +924,7 @@ def _b_compar(run, ctx, smp, t: _Tally) -> None:
         comp = ctx.complement(p)
         ok = (ctx.leq(ctx.compress(p, e), ctx.compress(p, f))
               and ctx.leq(ctx.compress(comp, f), ctx.compress(comp, e)))
-        t.tally(ok, 0.0, lambda: {"sample": k, "e": ctx.encode(e),
+        t.tally(ok, 0.0, lambda _: {"sample": k, "e": ctx.encode(e),
                                   "f": ctx.encode(f)})
 
 
@@ -903,14 +932,14 @@ def _b_compar(run, ctx, smp, t: _Tally) -> None:
 def _commut(run, ctx, smp, t: _Tally) -> None:
     drawn = smp.draws(run.samples, lambda k: (
         smp.commuting() if k % 2 == 0 else (smp.effect(), smp.effect())))
-    for k, (a, b) in enumerate(drawn):
+    for k, (a, b) in enumerate(zip(*drawn)):
         sequential = ctx.residual(ctx.product(a, b),
                                   ctx.product(b, a)) <= ctx.tol.comm
         ordinary = ctx.commutes(a, b)
         projections = bool(np.all(ctx.commutes(
             np.stack(ctx.eigenprojections(a)[1]), b)))
         t.tally(sequential == ordinary == projections, 0.0,
-                lambda: {"sample": k, "a": ctx.encode(a), "b": ctx.encode(b),
+                lambda _: {"sample": k, "a": ctx.encode(a), "b": ctx.encode(b),
                          "sequential": sequential, "ordinary": ordinary,
                          "projections": projections})
 
@@ -918,15 +947,16 @@ def _commut(run, ctx, smp, t: _Tally) -> None:
 @_statement("spectrality", "propertyA")
 def _property_a(run, ctx, smp, t: _Tally) -> None:
     levels = np.arange(1, 9)
-    for k, (a, b) in enumerate(smp.draws(run.samples,
-                                         lambda k: smp.commuting())):
-        chain = np.concatenate([
-            sp.simple_approximation(a, levels, ctx), ctx.raw(a)[None],
-            ctx.complement(ctx.powers(ctx.complement(a), 8)),
-            ctx.raw(ctx.cover(a))[None]])
-        ok = bool(np.all(ctx.commutes(chain, b)))
-        t.tally(ok, 0.0, lambda: {"sample": k, "a": ctx.encode(a),
-                                  "b": ctx.encode(b)})
+    a, b = smp.draws(run.samples, lambda k: smp.commuting())
+    # Each sample's chain on a second axis: staircases, a, complements of
+    # the powers of 1 - a, and the cover.
+    chain = np.concatenate([
+        np.stack([sp.simple_approximation(x, levels, ctx) for x in a]),
+        ctx.raw(a)[:, None],
+        ctx.complement(ctx.powers(ctx.complement(a), 8)),
+        ctx.raw(ctx.cover(a))[:, None]], axis=1)
+    ok = np.all(ctx.commutes(chain, ctx.raw(b)[:, None]), axis=-1)
+    t.tally(ok, 0.0, lambda k: _witness(ctx, k, {"a": a, "b": b}))
 
 
 def run_spectrality_suite(model: str = "matrix", dim_or_size: int = 6,
@@ -1010,7 +1040,7 @@ def _closed_form(run, ctx, smp, t: _Tally) -> None:
             ok = ok and all(
                 abs(x - y) <= run.thr
                 for x, y in zip(closed.breakpoints, ref.breakpoints))
-        t.tally(ok, worst, lambda: {
+        t.tally(ok, worst, lambda _: {
             "sample": k, "a": ctx.encode(a),
             "closed_steps": len(closed.projections),
             "family_steps": len(ref.projections)})
@@ -1036,7 +1066,7 @@ def _reduced(run, ctx, smp, t: _Tally) -> None:
                 r = run.res(ctx.mul(p, q))
                 worst = max(worst, r)
                 ok = ok and r <= run.thr
-        t.tally(ok, worst, lambda: {"sample": k, "a": ctx.encode(a)})
+        t.tally(ok, worst, lambda _: {"sample": k, "a": ctx.encode(a)})
 
 
 @_statement("context", "thm:contexts.functions")
@@ -1058,7 +1088,7 @@ def _functions(run, ctx, smp, t: _Tally) -> None:
             r = run.res(_lagrange(ctx, a, nodes, i), proj)
             worst = max(worst, r)
             ok = ok and r <= run.thr
-        t.tally(ok, worst, lambda: {"sample": k, "a": ctx.encode(a),
+        t.tally(ok, worst, lambda _: {"sample": k, "a": ctx.encode(a),
                                     "nodes": [float(x) for x in nodes]})
 
 
@@ -1097,7 +1127,7 @@ def _oracle(run, ctx, smp, t: _Tally) -> None:
     for name, alg in run.algs.items():
         n = alg.size
         for i, ok in enumerate(~alg.principal | alg.sharp):
-            t.tally(bool(ok), 0.0, lambda: {
+            t.tally(bool(ok), 0.0, lambda _: {
                 "table": name, "element": alg.label(i),
                 "clause": "principal implies sharp"})
         # Row i of v is element i's image; pair verdicts are [i, j].
@@ -1113,7 +1143,7 @@ def _oracle(run, ctx, smp, t: _Tally) -> None:
         }
         for i in range(n):
             for clause, oks in per_element.items():
-                t.tally(bool(oks[i]), 0.0, lambda: {
+                t.tally(bool(oks[i]), 0.0, lambda _: {
                     "table": name, "element": alg.label(i),
                     "clause": clause})
         total, s, inf = a + b, alg.table, alg.infima
@@ -1132,7 +1162,7 @@ def _oracle(run, ctx, smp, t: _Tally) -> None:
             for j in range(n):
                 for clause, oks in per_pair.items():
                     t.tally(bool(oks[i, j]), 0.0,
-                            lambda: {"table": name, "a": alg.label(i),
+                            lambda _: {"table": name, "a": alg.label(i),
                                      "b": alg.label(j), "clause": clause})
 
 
@@ -1140,14 +1170,14 @@ def _oracle(run, ctx, smp, t: _Tally) -> None:
 def _diamond_shape(run, ctx, smp, t: _Tally) -> None:
     alg = run.algs["diamond"]
     t.tally(tb.incompatible_pairs(alg) == [(1, 2)], 0.0,
-            lambda: {"clause": "incompatible pair a,b"})
+            lambda _: {"clause": "incompatible pair a,b"})
     t.tally(tb.non_sharp_elements(alg) == [1, 2], 0.0,
-            lambda: {"clause": "a and b are not sharp"})
+            lambda _: {"clause": "a and b are not sharp"})
     t.tally(tb.non_principal_elements(alg) == [1, 2], 0.0,
-            lambda: {"clause": "a and b are not principal"})
+            lambda _: {"clause": "a and b are not principal"})
     t.tally(alg.brute_inf([1, 2]) == 0
             and alg.brute_sup([1, 2]) == 3, 0.0,
-            lambda: {"clause": "lattice bounds of a,b"})
+            lambda _: {"clause": "lattice bounds of a,b"})
 
 
 def run_table_suite(seed: int = 42, tol: Tolerances = DEFAULT,

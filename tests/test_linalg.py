@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from seakit.config import DEFAULT
 from seakit.linalg import (
+    EigenDecomposition,
     NotHermitianError,
     cluster_indices,
     decomposition_from,
@@ -143,3 +144,23 @@ def test_reconstruction_property(xs):
     d = eigh(m)
     assert np.allclose(d.reconstruct(), m, atol=1e-7)
     assert np.all(np.diff(d.values) >= 0)
+
+
+def test_cluster_values_equal_the_per_cluster_mean():
+    """A singleton cluster's value is its eigenvalue, with the bits of the
+    one-element mean (x / 1 is exact); larger clusters keep their mean."""
+    rng = np.random.default_rng(5)
+    sizes = set()
+    for trial in range(300):
+        n = 1 + trial % 9
+        levels = rng.uniform(-1.0, 1.0, rng.integers(1, n + 1))
+        jitter = rng.uniform(-1e-10, 1e-10, n) * (trial % 2)
+        values = np.sort(rng.choice(levels, n) + jitter)
+        d = EigenDecomposition(values, np.eye(n, dtype=np.complex128),
+                               DEFAULT)
+        want = np.array([float(np.mean(values[list(idx)]))
+                         for idx in d.clusters])
+        assert d.cluster_values.dtype == np.float64
+        assert d.cluster_values.tobytes() == want.tobytes()
+        sizes.update(len(idx) for idx in d.clusters)
+    assert {1, 2, 3} <= sizes

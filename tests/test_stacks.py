@@ -5,10 +5,13 @@ must give, member by member, the same bits as one call per member; one
 element is the stack without the leading axis.  ``powers`` returns one
 array, and on matrices it must equal the chained products it replaced;
 so must the staircases of an array of levels.  A block of draws
-(``draws``) must give the bits, and leave the random stream where, the
-same draws made one by one leave it.
+(``draws``), returned as one stack per position of its recipe, must give
+the bits, and leave the random stream where, the same draws made one by
+one leave it.  The element verbs and the verifier's residual and tally
+take stacks with the bits and counts of one call per member.
 """
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ import pytest
 from seakit import fuzzy as fz
 from seakit import matrices as mx
 from seakit import spectral as sp
+from seakit import verify as vf
 from seakit.linalg import (
     decomposition_from,
     frobenius,
@@ -269,10 +273,27 @@ def draw_bits(x):
     return (np.asarray(x).dtype.str, np.shape(x), np.asarray(x).tobytes())
 
 
+def member(column, k):
+    """Sample k of a column of draws, position by position."""
+    if isinstance(column, (tuple, list)):
+        return type(column)(member(x, k) for x in column)
+    return column[k]
+
+
+def column_sizes(column):
+    """The number of samples of each stack in a column of draws."""
+    if isinstance(column, (tuple, list)):
+        return [n for x in column for n in column_sizes(x)]
+    assert isinstance(column, (np.ndarray, mx.Effect)), type(column)
+    return [len(column)]
+
+
 @pytest.mark.parametrize("count", [1, 5])
 @pytest.mark.parametrize("kind", sorted(RECIPES))
 @pytest.mark.parametrize("model", sorted(MODELS))
 def test_a_block_of_draws_equals_the_looped_draws(model, kind, count):
+    """``draws`` returns one stack per position of the recipe, and member k
+    of each has the bits of the draw the one-by-one loop made there."""
     _, sampler = MODELS[model]
     recipe = RECIPES[kind]
     for n in range(2 if kind == "split_effect" else 1, 9):
@@ -281,9 +302,36 @@ def test_a_block_of_draws_equals_the_looped_draws(model, kind, count):
         expected = [recipe(looped, k, fixed) for k in range(count)]
         smp = sampler(n, n)
         got = smp.draws(count, lambda k: recipe(smp, k, fixed))
-        assert type(got) is list and len(got) == count
-        assert draw_bits(got) == draw_bits(expected), (kind, n)
+        assert set(column_sizes(got)) == {count}
+        assert draw_bits([member(got, k) for k in range(count)]) == \
+            draw_bits(expected), (kind, n)
         assert smp.rng.bit_generator.state == looped.rng.bit_generator.state
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_commuting_with_a_span_drawn_in_the_same_block(n):
+    """A span drawn in the block gives ``commuting_with`` its eigensystem
+    (ones on its columns), while its own matrix keeps the bits of the span
+    drawn alone."""
+    def recipe(smp, k):
+        p = smp.span(smp.frame(), 0, 1 + k % (n - 1))
+        return p, smp.commuting_with(p, on=1.0, off=0.25)
+
+    smp, looped = mx.EffectSampler(n, n), mx.EffectSampler(n, n)
+    p, a = smp.draws(6, lambda k: recipe(smp, k))
+    for k in range(6):
+        lp, la = recipe(looped, k)
+        assert same_bits(p[k].matrix, lp.matrix)
+        # a = p + (1 - p) / 4 exactly when a's eigenvectors are p's frame
+        # columns in the order p's decomposition sorts them
+        want = hermitian_part(0.75 * lp.matrix + 0.25 * np.eye(n))
+        assert frobenius(a[k].matrix - want) <= 1e-12
+        assert frobenius(a[k].matrix - la.matrix) <= 1e-12
+    assert smp.rng.bit_generator.state == looped.rng.bit_generator.state
+    smp = mx.EffectSampler(n, n)
+    pair = smp.draws(2, lambda k: smp.commuting_with(
+        smp.span(smp.frame(), 0, 2)))
+    assert len(pair) == 2
 
 
 def eager_effect(rng, n):
@@ -323,3 +371,135 @@ def test_a_block_takes_one_qr_per_frame_size(call_counter):
     assert calls.count == 4
     assert len(smp.draws(3, lambda k: smp.scalar())) == 3
     assert calls.count == 4
+
+
+@pytest.mark.parametrize("model,n,k", CASES)
+def test_element_verbs_on_a_stack_equal_the_member_calls(model, n, k):
+    """product, scale (one λ per member), complement, element, is_sharp
+    and residual of stacks, against one call per member; on matrices the
+    eigensystems a scaled or complemented stack keeps, too."""
+    ctx, sampler = MODELS[model]
+    smp = sampler(n + 10 * k, n)
+    a, b, lam, p = smp.draws(k, lambda i: (
+        smp.effect(), smp.effect(), smp.scalar(), smp.projection()))
+    raw = ctx.raw
+    products = ctx.product(a, b)
+    scaled = ctx.scale(lam, a)
+    scaled_raw = ctx.scale(lam, raw(b))
+    complements = ctx.complement(a)
+    elements = ctx.element(ctx.add(a, b))
+    sharp = np.concatenate([ctx.is_sharp(a), ctx.is_sharp(p)])
+    residuals = ctx.residual(a, b)
+    assert residuals.shape == sharp[:k].shape == (k,)
+    for i in range(k):
+        ai, bi, li = a[i], b[i], float(lam[i])
+        assert same_bits(products[i], ctx.product(ai, bi))
+        assert same_bits(raw(scaled[i]), raw(ctx.scale(li, ai)))
+        assert same_bits(scaled_raw[i], ctx.scale(li, raw(bi)))
+        assert same_bits(raw(complements[i]), raw(ctx.complement(ai)))
+        assert same_bits(raw(elements[i]), raw(ctx.element(ctx.add(ai, bi))))
+        for j, x in ((i, ai), (k + i, p[i])):
+            member = ctx.is_sharp(x)
+            assert type(member) is bool and sharp[j] == member
+        member = ctx.residual(ai, bi)
+        assert type(member) is float and residuals[i].hex() == member.hex()
+        if model == "matrix":
+            for stack, one in ((scaled, ctx.scale(li, ai)),
+                               (complements, ctx.complement(ai))):
+                d = stack.decomposition
+                assert same_bits(d.values[i], one.decomposition.values)
+                assert same_bits(d.vectors[i], one.decomposition.vectors)
+    assert sharp[k:].all()
+    if model == "matrix":
+        with pytest.raises(ValueError):
+            ctx.scale(np.linspace(0.0, 1.5, k + 1)[1:], a)
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 7, 32, 100, 1024])
+def test_mv_residuals_of_a_stack_reduce_over_the_last_axis(size):
+    """An (S, n) mv stack is S elements, not one matrix: the verifier's
+    residual (the 2-norm over the size) and the context's are one per
+    row, with the bits of the row on its own."""
+    ctx = fz.FuzzyContext()
+    rng = np.random.default_rng(size)
+    a, b = rng.uniform(0.0, 1.0, (2, 4, size))
+    run = vf._Run(ctx, None, n=size)
+    got, norms = run.res(a, b), frobenius(a - b, 1)
+    assert got.shape == norms.shape == ctx.residual(a, b).shape == (4,)
+    for i in range(4):
+        assert norms[i].hex() == float(np.linalg.norm(a[i] - b[i])).hex()
+        assert got[i].hex() == run.res(a[i], b[i]).hex()
+        assert ctx.residual(a, b)[i].hex() == ctx.residual(a[i], b[i]).hex()
+
+
+def test_a_tally_of_arrays_equals_the_looped_tally():
+    """One call with arrays gives the counts, the largest residual (NaN
+    skipped) and the witness of the first failing sample that one call per
+    sample gives."""
+    rng = np.random.default_rng(3)
+    for first in (1, 4, 9):
+        ok = np.ones(12, dtype=bool)
+        ok[first] = False
+        ok[first + 1:] &= rng.random(11 - first) > 0.3
+        residual = rng.random(12)
+        residual[2] = np.nan
+        looped, stacked = vf._Tally(), vf._Tally()
+        for k in range(12):
+            looped.tally(bool(ok[k]), float(residual[k]),
+                         lambda _: {"sample": k})
+        stacked.tally(ok, residual, lambda k: {"sample": k})
+        assert stacked.witness == looped.witness == {"sample": first}
+        assert (stacked.samples, stacked.passed) == \
+            (looped.samples, looped.passed) == (12, int(ok.sum()))
+        assert stacked.max_residual.hex() == looped.max_residual.hex()
+    t = vf._Tally()
+    t.tally(np.ones(3, dtype=bool))
+    assert (t.samples, t.passed, t.max_residual, t.witness) == \
+        (3, 3, 0.0, None)
+
+
+class GivenDraws:
+    """A sampler whose block of draws is given up front."""
+
+    def __init__(self, columns):
+        self.columns = columns
+
+    def draws(self, count, recipe):
+        return self.columns
+
+
+@pytest.mark.parametrize("model", sorted(MODELS))
+def test_a_premise_mask_skips_its_members_without_warnings(model):
+    """de:strongarch divides by the least eigenvalue of b - a where its
+    premise holds; members with b = a fail the premise, and their zero
+    must not reach the division."""
+    ctx, sampler = MODELS[model]
+    smp = sampler(4, 3)
+    a, b = smp.draws(6, lambda k: (smp.effect(), smp.effect()))
+    b = ctx.stack([a[k] if k % 2 == 0 else b[k] for k in range(6)])
+    run = vf._Run(ctx, None, n=3, samples=6)
+    t = vf._Tally()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vf._strongarch(run, ctx, GivenDraws((a, b)), t)
+    assert (t.samples, t.passed, t.witness) == (6, 6, None)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
+def test_meet_and_join_of_stacks_equal_the_member_calls(n):
+    """The joint eigenbases of a stack's pairs, found with one stacked eigh
+    per eigenspace block size, give each member's meet and join the bits
+    of the pair on its own; raw stacks too."""
+    ctx = mx.MatrixContext()
+    smp = mx.EffectSampler(n, n)
+    p, a = smp.draws(9, lambda k: smp.commuting(
+        smp.projection if k % 3 else smp.effect, smp.effect))
+    for first in (p, ctx.raw(p)):
+        meets, joins = ctx.meet(first, a), ctx.join(first, a)
+        for i in range(9):
+            member = first[i]
+            assert same_bits(meets[i], ctx.meet(member, a[i]))
+            assert same_bits(joins[i], ctx.join(member, a[i]))
+    if n > 1:
+        with pytest.raises(mx.NotCommutingError):
+            ctx.meet(p, smp.draws(9, lambda k: smp.effect()))

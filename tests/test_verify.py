@@ -572,17 +572,19 @@ def test_suite_all_passes_at_dimension_one(argv, tmp_path, capsys):
 
 def test_trusted_constructors_receive_exactly_hermitian_matrices(
         monkeypatch):
-    """``Effect`` copies its matrix without checking or symmetrizing it,
-    which keeps every result bit only if each caller passes an exactly
-    Hermitian matrix; ``validate_effect`` passes the symmetrized one."""
+    """``Effect`` copies its matrix, or its stack of matrices, without
+    checking or symmetrizing it, which keeps every result bit only if each
+    caller passes exactly Hermitian matrices; ``validate_effect`` passes
+    the symmetrized one.  The count is of matrices, members of a stack
+    included."""
     checked = []
     failures = []
     original = mx.Effect.__init__
 
     def recording(self, matrix, **kwargs):
         m = np.asarray(matrix, dtype=np.complex128)
-        checked.append(m.shape)
-        if not np.array_equal(m, m.conj().T):
+        checked.append(int(np.prod(m.shape[:-2])))
+        if not np.array_equal(m, m.conj().swapaxes(-1, -2)):
             failures.append(m)
         original(self, matrix, **kwargs)
 
@@ -590,7 +592,7 @@ def test_trusted_constructors_receive_exactly_hermitian_matrices(
     for dim in (1, 2, 3, 4):
         for seed in (0, 1, 2):
             run_all("matrix", dim, 6, seed)
-    assert len(checked) > 1000
+    assert sum(checked) > 1000
     assert failures == []
 
 
@@ -601,12 +603,15 @@ def _matrices_in(witness) -> int:
 def test_work_per_request_is_pinned(call_counter, monkeypatch):
     """Counts of one matrix ``verify`` request, which do not depend on the
     machine: the eigensystems it needs (1,561 matrices decomposed) in
-    about half as many LAPACK calls, as each sample's commuting family is
-    decomposed as one stack; the Haar frames in one QR call per statement
+    about a quarter as many LAPACK calls, as each sample's commuting family
+    is decomposed as one stack, the stacked statements decompose all their
+    samples at once and a stack's joint eigenbases take one call per block
+    size; the Haar frames in one QR call per statement
     run and frame size (85 such pairs), as each statement draws its
-    samples as one block; no check of a matrix the verifier built;
-    clustered decompositions only where eigenvectors are used; and witness
-    matrices encoded only for the witnesses a report records."""
+    samples as one block; known eigensystems wrapped once per stack; no
+    check of a matrix the verifier built; clustered decompositions only
+    where eigenvectors are used; and witness matrices encoded only for the
+    witnesses a report records."""
     calls = call_counter("numpy.linalg.eigh", "numpy.linalg.qr",
                          "seakit.linalg.decomposition_from",
                          "seakit.linalg.require_hermitian")
@@ -629,15 +634,30 @@ def test_work_per_request_is_pinned(call_counter, monkeypatch):
 
     monkeypatch.setattr(mx.MatrixContext, "encode", counted)
     reports = run_all("matrix", 4, 12, 42)
-    assert calls["numpy.linalg.eigh"] == 797
+    assert calls["numpy.linalg.eigh"] == 396
     assert decomposed == 1561
     assert calls["numpy.linalg.qr"] == 85
     assert calls["seakit.linalg.require_hermitian"] == 0
-    assert calls["seakit.linalg.decomposition_from"] <= 255
+    assert calls["seakit.linalg.decomposition_from"] <= 60
     recorded = sum(_matrices_in(r.witness) for rep in reports
                    for r in rep.results if r.witness is not None)
     assert recorded > 0
     assert encoded == recorded
+
+
+def test_sea_lapack_calls_do_not_grow_with_the_samples(call_counter):
+    """The stacked sea rows decompose (eigh) and factor (qr) all their
+    samples at once: one call per statement and size, of frame or of
+    joint-eigenbasis block, and at dim 4 every size shows up within 12
+    samples.  So the sea suite makes as many LAPACK calls at 48 samples
+    as at 12; a row that fell back to a per-sample loop would not."""
+    calls = call_counter("numpy.linalg.eigh", "numpy.linalg.qr")
+    counts = []
+    for samples in (12, 48):
+        start = calls.count
+        run_sea_suite("matrix", 4, samples, 42)
+        counts.append(calls.count - start)
+    assert counts[0] == counts[1] > 0
 
 
 def scalar_headroom(pvals, avals, psd):
