@@ -14,8 +14,8 @@ array is a stack of k elements: the pointwise operations act on it member
 by member, ``scale`` takes one λ per member, and ``leq``, ``extremes``,
 ``norm``, ``residual`` and ``is_sharp`` reduce over the last axis, one
 value per member; ``powers`` returns one ``(..., count, n)`` array.  The
-level sets (``eigenprojections``, ``joint_clusters``) are defined for one
-element only.
+level sets (``eigenprojections``, ``joint_clusters``) of a stack come
+level first, as the matrix model's clusters do.
 """
 from __future__ import annotations
 
@@ -26,7 +26,8 @@ import numpy as np
 
 from .config import DEFAULT, Tolerances
 from . import matrices as mx
-from .linalg import frobenius, operator_norm, per_member
+from .linalg import (Runs, cluster_starts, frobenius, operator_norm,
+                     per_member)
 
 MAX_SPACE = 1024
 
@@ -114,12 +115,28 @@ class FuzzyContext:
         """Real values are their own conjugates."""
         return self.raw(v)
 
-    def eigenprojections(self, v) -> tuple[np.ndarray, list[np.ndarray]]:
+    def eigenprojections(self, v) -> tuple[np.ndarray, np.ndarray]:
         """Distinct values, ascending, with their level-set indicators as
-        0/1 arrays."""
+        0/1 arrays, level first: ``values[j]`` and ``projections[j]`` are
+        level j of each member of a stack, and a member with fewer levels
+        repeats its top value there, with a zero indicator."""
         raw = self.raw(v)
-        values = np.unique(raw)
-        return values, [(raw == lam).astype(float) for lam in values]
+        srt = np.sort(raw, axis=-1)
+        runs = Runs(cluster_starts(srt, 0.0))
+        values = runs.padded(srt.reshape(-1, srt.shape[-1])[runs.member,
+                                                            runs.start])
+        return values, self._indicators(runs, (raw, values))
+
+    @staticmethod
+    def _indicators(runs: Runs, *pairs) -> np.ndarray:
+        """The indicator of each level: where every (element, level
+        values) pair takes its level's value, zero past a member's last."""
+        own = np.arange(len(pairs[0][1])).reshape(
+            -1, *(1,) * runs.counts.ndim) < runs.counts
+        mask = own[..., None]
+        for raw, values in pairs:
+            mask = mask & (raw == values[..., None])
+        return mask.astype(float)
 
     def add(self, a, b) -> np.ndarray:
         return self.raw(a) + self.raw(b)
@@ -179,20 +196,26 @@ class FuzzyContext:
         raw = self.raw(a)
         return per_member(np.all((raw == 0.0) | (raw == 1.0), axis=-1))
 
-    def joint_clusters(self, e, f) -> list[tuple[float, float, np.ndarray]]:
+    def joint_clusters(self, e, f) -> tuple[np.ndarray, np.ndarray,
+                                            np.ndarray]:
+        """The distinct value pairs, in ascending order, with the indicator
+        of each, pair first as in ``eigenprojections``."""
         eraw, fraw = self.raw(e), self.raw(f)
         if eraw.shape != fraw.shape:
             raise mx.DimensionMismatchError(
-                f"spaces differ: {eraw.shape[0]} vs {fraw.shape[0]}")
-        pairs = sorted(set(zip(eraw.tolist(), fraw.tolist())))
-        out = []
-        for ev, fv in pairs:
-            mask = (eraw == ev) & (fraw == fv)
-            out.append((ev, fv, mask.astype(float)))
-        return out
+                f"spaces differ: {eraw.shape[-1]} vs {fraw.shape[-1]}")
+        order = np.lexsort((fraw, eraw), axis=-1)
+        es = np.take_along_axis(eraw, order, -1)
+        fs = np.take_along_axis(fraw, order, -1)
+        runs = Runs(cluster_starts(es, 0.0) | cluster_starts(fs, 0.0))
+        n = eraw.shape[-1]
+        ev, fv = (runs.padded(x.reshape(-1, n)[runs.member, runs.start])
+                  for x in (es, fs))
+        return ev, fv, self._indicators(runs, (eraw, ev), (fraw, fv))
 
-    def proj_rank(self, p) -> int:
-        return int(round(float(np.sum(self.raw(p)))))
+    def proj_rank(self, p):
+        """The rank of an indicator (its rounded sum), one per member."""
+        return per_member(np.rint(self.raw(p).sum(-1)).astype(int))
 
 
 @dataclass(frozen=True)

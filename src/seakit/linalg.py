@@ -11,8 +11,14 @@ the leading axis.  ``hermitian_part``, ``operator_norm``, ``frobenius``,
 too, and an ``EigenDecomposition`` of a stack is indexed for a member's;
 ``per_member`` turns a reduction over one element into a Python scalar.
 Clustering happens only where eigenvectors are needed: an
-``EigenDecomposition`` of one matrix groups its values into clusters, and
-builds its cluster values and eigenprojections, on first use and once.
+``EigenDecomposition`` groups the values of every member into clusters at
+once, each against its own width, and builds their values and
+eigenprojections on first use and once.  One routine does this work:
+``Runs`` lists the runs (clusters) of all members, and what is computed
+per run (a mean, a projection ``cols @ cols*``) is computed for the runs
+of one size together, with the bits of one call per run.  The clusters of
+a stack come cluster first, ``(K, ...)`` for the largest count K, and a
+member with fewer repeats its last value there, with a zero projection.
 ``decomposition_from`` wraps a known eigensystem, sorting it only when it
 is not already ascending.  With the same numpy and LAPACK build, identical
 input gives identical output.
@@ -88,20 +94,127 @@ def require_hermitian(m: np.ndarray) -> np.ndarray:
     return h
 
 
-def cluster_indices(values: np.ndarray, width: float) -> tuple[tuple[int, ...], ...]:
-    """Group ascending values into runs separated by gaps larger than width."""
-    groups: list[tuple[int, ...]] = []
-    if len(values) == 0:
-        return tuple()
-    current = [0]
-    for i in range(1, len(values)):
-        if values[i] - values[i - 1] > width:
-            groups.append(tuple(current))
-            current = [i]
-        else:
-            current.append(i)
-    groups.append(tuple(current))
-    return tuple(groups)
+class Runs:
+    """The runs of columns of a mask ``(..., n)`` that is true at each
+    run's first column, for every member at once.
+
+    The runs are listed member by member, in column order: ``member`` (the
+    flat index of the member), ``start`` and ``size``.  Built on first
+    use: ``index`` (the run's place among its member's runs), ``labels``
+    (each column's run) and ``counts`` (each member's number of runs, on
+    the leading axes of the mask), which one element does not need.  What
+    is computed per run is computed for the runs of one size together.
+    """
+
+    def __init__(self, starts: np.ndarray):
+        self.lead = starts.shape[:-1]
+        self._starts = starts.reshape(-1, starts.shape[-1])
+        # a member's first column starts a run, so each run ends where
+        # the next one, or the stack, starts
+        at = self._starts.ravel().nonzero()[0]
+        self.member, self.start = np.divmod(at, starts.shape[-1])
+        stop = np.empty_like(at)
+        stop[:-1], stop[-1:] = at[1:], self._starts.size
+        self.size = stop - at
+
+    @cached_property
+    def counts(self) -> np.ndarray:
+        return np.bincount(self.member, minlength=len(self._starts)
+                           ).reshape(self.lead)
+
+    @cached_property
+    def index(self) -> np.ndarray:
+        count = self.counts.reshape(-1)
+        return np.arange(len(self.member)) - (count.cumsum()
+                                              - count)[self.member]
+
+    @cached_property
+    def labels(self) -> np.ndarray:
+        return self._starts.cumsum(axis=-1) - 1
+
+    def indices(self) -> tuple[tuple[int, ...], ...]:
+        """The column indices of each run, as tuples."""
+        return tuple(tuple(range(s, s + m)) for s, m in zip(
+            self.start.tolist(), self.size.tolist()))
+
+    def means(self, values: np.ndarray) -> np.ndarray:
+        """The mean of each run's values in a flat ``(M, n)`` array, one
+        per run: a singleton's value as it is (x / 1 is exact), and a
+        longer run's as ``numpy.mean`` finds it (its sum, then one
+        division), the runs of one size together."""
+        out = values[self.member, self.start]
+        for m in sorted(set(self.size.tolist()) - {1}):
+            pick = self.size == m
+            out[pick] = np.add.reduce(values[run_index(
+                self.member[pick], self.start[pick], m)], axis=-1) / m
+        return out
+
+    def padded(self, per_run: np.ndarray) -> np.ndarray:
+        """A value per run as a ``(K, *lead)`` array, K the largest count:
+        each member's runs in order, its last run's value repeated after
+        them."""
+        if not self.lead:  # one member: its runs, in order
+            return per_run
+        count = self.counts.reshape(-1)
+        top = int(count.max(initial=0))
+        if len(per_run) == top * len(count):  # every member has K runs
+            return per_run.reshape(len(count), top).T.reshape(top, *self.lead)
+        dense = np.empty((top, len(count)), dtype=per_run.dtype)
+        dense[self.index, self.member] = per_run
+        last = np.minimum(np.arange(top)[:, None], count - 1)
+        return dense[last, np.arange(len(count))].reshape(top, *self.lead)
+
+    def projections(self, vectors: np.ndarray) -> np.ndarray:
+        """The projection onto each run's columns of the unitaries of a
+        flat ``(M, n, n)`` stack, as a ``(K, *lead, n, n)`` array in run
+        order, zero past each member's last run."""
+        per_run = run_projections(vectors, self.member, self.start,
+                                  self.size)
+        if not self.lead:  # one member: its runs, in order
+            return per_run
+        n = vectors.shape[-1]
+        count = self.counts.reshape(-1)
+        out = np.zeros((int(count.max(initial=0)), len(count), n, n),
+                       dtype=np.complex128)
+        out[self.index, self.member] = per_run
+        return out.reshape(len(out), *self.lead, n, n)
+
+
+def run_index(member: np.ndarray, start: np.ndarray, m: int,
+              rows: int | None = None) -> tuple:
+    """The index of columns start:start+m of member ``member`` of a flat
+    stack, one run of m columns per entry: of vectors ``(M, n)``, or with
+    ``rows`` of matrices ``(M, rows, n)``."""
+    cols = start[:, None] + np.arange(m)
+    if rows is None:
+        return member[:, None], cols
+    return member[:, None, None], np.arange(rows)[None, :, None], \
+        cols[:, None, :]
+
+
+def run_projections(vectors: np.ndarray, member: np.ndarray,
+                    start: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """The projection onto columns start:start+size of the unitary
+    vectors[member], one per entry of the index arrays, from a flat
+    ``(M, n, n)`` stack: one stacked ``cols @ cols*`` per run size, with
+    the bits of one product per run, and zero for an empty run."""
+    n = vectors.shape[-1]
+    out = np.zeros((len(start), n, n), dtype=np.complex128)
+    for m in sorted(set(size.tolist()) - {0}):
+        pick = size == m
+        cols = vectors[run_index(member[pick], start[pick], m, n)]
+        out[pick] = hermitian_part(cols @ cols.conj().swapaxes(-1, -2))
+    return out
+
+
+def cluster_starts(values: np.ndarray, width) -> np.ndarray:
+    """Where the clusters of ascending values start: at the first value,
+    and where the gap to the previous one exceeds the width (one width
+    per member of a stack)."""
+    starts = np.ones(np.shape(values), dtype=bool)
+    starts[..., 1:] = (values[..., 1:] - values[..., :-1]
+                       > np.asarray(width)[..., None])
+    return starts
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -111,19 +224,23 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EigenDecomposition:
-    """Eigensystem of a Hermitian matrix with eigenvalue clustering.
+    """Eigensystem of a Hermitian matrix with eigenvalue clustering, or the
+    eigensystems of a stack of them.
 
     values   : eigenvalues sorted ascending (read-only)
     vectors  : unitary matrix whose columns are the matching eigenvectors
                (read-only; decompositions of commuting elements share it)
     tol      : sets the clustering width, tol.cluster * max(1, |values|)
 
-    The clusters, their mean values and their projectors are computed on
-    first use and kept; the arrays handed out are read-only.  The
-    eigensystems of a stack carry its leading axes on both arrays;
-    ``reconstruct`` and ``apply`` work on them member by member, indexing
-    gives a member's (or a sub-stack's) eigensystem, and the clusters are
-    defined for one matrix only.
+    The eigensystems of a stack carry its leading axes on both arrays;
+    ``reconstruct`` and ``apply`` work on them member by member, and
+    indexing gives a member's (or a sub-stack's) eigensystem.  The
+    clusters are found for all members at once, each against its own
+    width, on first use and once: their mean values and their projectors
+    come cluster first, ``cluster_values[j]`` and ``projectors[j]`` being
+    cluster j of every member.  A member with fewer clusters than the
+    most repeats its last value there, with a zero projector.  The arrays
+    handed out are read-only.
     """
 
     values: np.ndarray
@@ -139,28 +256,32 @@ class EigenDecomposition:
         return self.values.shape[-1]
 
     @cached_property
+    def _runs(self) -> Runs:
+        """The clusters: runs of eigenvalues closer than each member's
+        clustering width."""
+        top = np.abs(self.values).max(axis=-1)
+        return Runs(cluster_starts(self.values,
+                                   self.tol.cluster * np.maximum(1.0, top)))
+
+    @property
     def clusters(self) -> tuple[tuple[int, ...], ...]:
-        """Index runs of eigenvalues closer than the clustering width."""
-        top = float(np.max(np.abs(self.values))) if len(self.values) else 1.0
-        return cluster_indices(self.values, self.tol.cluster * max(1.0, top))
+        """The index run of each cluster of one matrix."""
+        return self._runs.indices()
 
     @cached_property
-    def projectors(self) -> tuple[np.ndarray, ...]:
+    def projectors(self) -> np.ndarray:
         """The eigenprojection of each cluster, in cluster order."""
-        out = []
-        for idx in self.clusters:
-            cols = self.vectors[:, list(idx)]
-            out.append(_frozen(hermitian_part(cols @ cols.conj().T)))
-        return tuple(out)
+        return _frozen(self._runs.projections(
+            self.vectors.reshape(-1, self.dim, self.dim)))
 
     @cached_property
     def cluster_values(self) -> np.ndarray:
-        """The mean eigenvalue of each cluster, ascending; a singleton's
-        is its value, as x / 1 is exact."""
-        return _frozen(np.array([
-            float(self.values[idx[0]]) if len(idx) == 1
-            else float(np.mean(self.values[list(idx)]))
-            for idx in self.clusters]))
+        """The mean eigenvalue of each cluster, ascending (``numpy.mean``
+        of the cluster's values; a singleton's is its value, as x / 1 is
+        exact)."""
+        runs = self._runs
+        return _frozen(runs.padded(runs.means(
+            self.values.reshape(-1, self.dim))))
 
     def __getitem__(self, index) -> "EigenDecomposition":
         return EigenDecomposition(self.values[index], self.vectors[index],

@@ -30,7 +30,8 @@ import numpy as np
 from .config import DEFAULT, Tolerances
 from .linalg import (
     EigenDecomposition,
-    cluster_indices,
+    Runs,
+    cluster_starts,
     decomposition_from,
     eigenvalues,
     eigh,
@@ -39,6 +40,8 @@ from .linalg import (
     operator_norm,
     per_member,
     require_hermitian,
+    run_index,
+    run_projections,
 )
 
 # The largest dimension a verifier suite draws its matrices in.
@@ -168,11 +171,15 @@ def _stack(members) -> Effect:
 
 
 def _span(vectors: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """The projection onto the columns of a unitary that ``keep`` marks."""
-    cols = vectors[:, keep]
-    if not cols.shape[1]:
-        return np.zeros(vectors.shape, dtype=np.complex128)
-    return hermitian_part(cols @ cols.conj().T)
+    """The projection onto the columns of a unitary that ``keep`` marks, a
+    run of them; one per member of a stack, the members whose runs are of
+    one size with one stacked product."""
+    flat = keep.reshape(-1, keep.shape[-1])
+    n = vectors.shape[-1]
+    return run_projections(vectors.reshape(-1, n, n), np.arange(len(flat)),
+                           np.argmax(flat, axis=-1),
+                           np.count_nonzero(flat, axis=-1)
+                           ).reshape(vectors.shape)
 
 
 def joint_eigenbasis(x, y, tol: Tolerances = DEFAULT
@@ -194,27 +201,24 @@ def joint_eigenbasis(x, y, tol: Tolerances = DEFAULT
     if np.any(frobenius(xm @ ym - ym @ xm) > tol.comm):
         raise NotCommutingError("matrices do not commute")
     dx = x.decomposition if isinstance(x, Effect) else eigh(xm, tol)
-    vectors = np.zeros(xm.shape, dtype=np.complex128)
-    xvals = np.zeros(xm.shape[:-1])
-    yvals = np.zeros(xm.shape[:-1])
-    sizes: dict[int, list] = {}  # cluster size -> (member, first column, x cols)
-    for i in np.ndindex(xm.shape[:-2]):
-        d, col = dx[i], 0
-        for value, idx in zip(d.cluster_values, d.clusters):
-            m = len(idx)
-            sizes.setdefault(m, []).append((i, col, d.vectors[:, list(idx)]))
-            xvals[i][col:col + m] = value
-            col += m
-    for m, blocks in sizes.items():
-        cols = np.array([c for _, _, c in blocks])
-        ys = np.array([ym[i] for i, _, _ in blocks])
-        db = eigh(hermitian_part(cols.conj().swapaxes(-1, -2) @ ys @ cols),
-                  tol)
-        for (i, col, _), refined, values in zip(blocks, cols @ db.vectors,
-                                                db.values):
-            vectors[i][:, col:col + m] = refined
-            yvals[i][col:col + m] = values
-    return vectors, xvals, yvals
+    n = xm.shape[-1]
+    runs = dx._runs  # x's clusters; y is diagonalized on each of them
+    vectors = np.zeros((len(runs.labels), n, n), dtype=np.complex128)
+    yvals = np.zeros(runs.labels.shape)
+    xvals = dx.cluster_values.reshape(len(dx.cluster_values), -1)[
+        runs.labels, np.arange(len(runs.labels))[:, None]]
+    xflat, yflat = dx.vectors.reshape(-1, n, n), ym.reshape(-1, n, n)
+    for m in sorted(set(runs.size.tolist())):
+        pick = runs.size == m
+        member, start = runs.member[pick], runs.start[pick]
+        block = xflat[run_index(member, start, m, n)]
+        db = eigh(hermitian_part(block.conj().swapaxes(-1, -2)
+                                 @ yflat[member] @ block), tol)
+        vectors[run_index(member, start, m, n)] = block @ db.vectors
+        yvals[run_index(member, start, m)] = db.values
+    shape = xm.shape[:-1]
+    return vectors.reshape(xm.shape), xvals.reshape(shape), \
+        yvals.reshape(shape)
 
 
 class MatrixContext:
@@ -227,12 +231,13 @@ class MatrixContext:
     Every verb also takes a stack of elements (an ``Effect`` stack or a
     raw ``(S, n, n)`` array) on leading axes, as numpy's gufuncs do, with
     the same bits per member as one call per member; reductions give one
-    value per member, and ``scale`` takes one λ per member.  ``cover``
-    and ``floor`` build each member's projection after one stacked
-    decomposition, and ``meet`` and ``join`` diagonalize the eigenspace
-    blocks of all members, one stacked ``eigh`` per block size; the
-    clusters (``eigenprojections``, ``joint_clusters``) are defined for one
-    element only.
+    value per member, and ``scale`` takes one λ per member.  ``rickart``,
+    ``cover`` and ``floor`` build every member's projection after one
+    stacked decomposition, one stacked product per projection rank, and
+    ``meet`` and ``join`` diagonalize the eigenspace blocks of all
+    members, one stacked ``eigh`` per block size.  The clusters
+    (``eigenprojections``, ``joint_clusters``) of a stack come cluster
+    first, as ``linalg.EigenDecomposition`` builds them.
     """
 
     model = "matrix"
@@ -258,19 +263,15 @@ class MatrixContext:
 
     def _projection(self, d: EigenDecomposition, keep: np.ndarray
                     ) -> Effect:
-        """The projection onto the eigenvectors of d that ``keep`` marks,
-        with its eigensystem; one per member of a stack."""
-        if keep.ndim > 1:
-            return _stack([self._projection(d[i], keep[i])
-                           for i in range(len(keep))])
-        dim = d.dim
-        k = int(np.count_nonzero(keep))
-        values = np.concatenate([np.zeros(dim - k), np.ones(k)])
-        vectors = np.concatenate([d.vectors[:, ~keep], d.vectors[:, keep]],
-                                 axis=1)
+        """The projection onto the eigenvectors of d that ``keep`` marks, a
+        run of them, with its eigensystem: the kept columns last, each
+        part in its order; one per member of a stack."""
+        order = np.argsort(keep, axis=-1, kind="stable")
+        decomp = EigenDecomposition(
+            np.take_along_axis(keep, order, -1).astype(float),
+            np.take_along_axis(d.vectors, order[..., None, :], -1), self.tol)
         return Effect(_span(d.vectors, keep), tol=self.tol,
-                      decomposition=EigenDecomposition(values, vectors,
-                                                       self.tol))
+                      decomposition=decomp)
 
     def read(self, doc: dict) -> np.ndarray:
         """The complex matrix of an element document: "re" a square list
@@ -344,11 +345,7 @@ class MatrixContext:
         with |λ| <= kernel tol, as a raw array; one per member of a
         stack."""
         d = self._decomposition(v)
-        keep = np.abs(d.values) <= self.tol.kernel
-        out = np.empty(d.vectors.shape, dtype=np.complex128)
-        for i in np.ndindex(keep.shape[:-1]):
-            out[i] = _span(d.vectors[i], keep[i])
-        return out
+        return _span(d.vectors, np.abs(d.values) <= self.tol.kernel)
 
     def cover(self, a) -> Effect:
         """Support projection: the least projection above the effect."""
@@ -492,23 +489,24 @@ class MatrixContext:
         raw = _matrix(a)
         return frobenius(raw @ raw - raw) / raw.shape[-1] <= self.tol.check
 
-    def joint_clusters(self, e, f) -> list[tuple[float, float, np.ndarray]]:
+    def joint_clusters(self, e, f) -> tuple[np.ndarray, np.ndarray,
+                                            np.ndarray]:
+        """The joint eigenspaces of a commuting pair, cluster first as in
+        ``eigenprojections``: e's mean value, f's mean value and the
+        projection of each; one stack of each per member of a stack."""
         vectors, xvals, yvals = joint_eigenbasis(e, f, self.tol)
-        width = self.tol.cluster * max(1.0, float(np.max(np.abs(xvals)) +
-                                                  np.max(np.abs(yvals))))
-        out = []
-        for xidx in cluster_indices(xvals, width):
-            sub = list(xidx)
-            for yrel in cluster_indices(yvals[sub], width):
-                cols = [sub[i] for i in yrel]
-                block = vectors[:, cols]
-                out.append((float(np.mean(xvals[cols])),
-                            float(np.mean(yvals[cols])),
-                            hermitian_part(block @ block.conj().T)))
-        return out
+        width = self.tol.cluster * np.maximum(1.0, (
+            np.max(np.abs(xvals), axis=-1) + np.max(np.abs(yvals), axis=-1)))
+        runs = Runs(cluster_starts(xvals, width) | cluster_starts(yvals, width))
+        n = xvals.shape[-1]
+        return (runs.padded(runs.means(xvals.reshape(-1, n))),
+                runs.padded(runs.means(yvals.reshape(-1, n))),
+                runs.projections(vectors.reshape(-1, n, n)))
 
-    def proj_rank(self, p) -> int:
-        return int(round(float(np.real(np.trace(_matrix(p))))))
+    def proj_rank(self, p):
+        """The rank of a projection (its rounded trace), one per member."""
+        trace = np.trace(_matrix(p), axis1=-2, axis2=-1).real
+        return per_member(np.rint(trace).astype(int))
 
 
 def _ginibre(rng: np.random.Generator, n: int) -> np.ndarray:

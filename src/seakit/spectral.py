@@ -10,15 +10,23 @@ also reconstructs elements and builds comparability witnesses.  Every
 function takes the context as an argument: each model's context lives in
 the model's module (``matrices.MatrixContext``, ``fuzzy.FuzzyContext``),
 and this module imports neither.
+
+Every function also takes a stack of elements, with the bits of one call
+per member.  The eigenprojections of a stack come cluster first, a member
+with fewer clusters repeating its top value with a zero projection
+(``own_clusters`` tells its own from the padding), so the running sums,
+staircases and tags of all members are formed cluster by cluster on
+arrays, and a member's padding adds nothing.  One element is the stack
+without its leading axis: its values and projections are arrays too.
 """
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import per_member
 
 @dataclass(frozen=True)
 class SpectralFamily:
@@ -26,24 +34,33 @@ class SpectralFamily:
 
     `projections[0]` is the zero projection (the value below the lowest
     breakpoint) and `projections[k]` is the value on
-    [breakpoints[k-1], breakpoints[k]).
+    [breakpoints[k-1], breakpoints[k]).  The families of a stack hold
+    arrays breakpoint (and step) first, as ``eigenprojections`` gives its
+    clusters: a member with fewer breakpoints repeats its last one, and
+    its last step, after them.
     """
 
-    breakpoints: tuple[float, ...]
-    projections: tuple
+    breakpoints: np.ndarray
+    projections: np.ndarray
     model: str
 
     @property
-    def L(self) -> float:
+    def L(self):
         return self.breakpoints[0]
 
     @property
-    def U(self) -> float:
+    def U(self):
         return self.breakpoints[-1]
 
-    def at(self, lam: float):
-        idx = bisect.bisect_right(self.breakpoints, lam)
-        return self.projections[idx]
+    def at(self, lam):
+        """The step at lam; for the families of a stack, one per member,
+        lam a number, one per member, or a stack of those."""
+        lead = self.breakpoints.shape[1:]
+        lam = np.asarray(lam)
+        bps = self.breakpoints.reshape(
+            len(self.breakpoints), *(1,) * max(0, lam.ndim - len(lead)), *lead)
+        idx = np.count_nonzero(bps <= lam, axis=0)
+        return self.projections[(idx, *np.indices(lead, sparse=True))]
 
     def jump(self, k: int) -> np.ndarray:
         """Raw jump at breakpoint k (1-based): p(k) - p(k-1)."""
@@ -52,24 +69,25 @@ class SpectralFamily:
         return self.projections[k] - self.projections[k - 1]
 
     def to_json_dict(self, ctx) -> dict:
-        """The family with each step as the context's element document."""
+        """One element's family with each step as the context's element
+        document."""
         return {
             "model": self.model,
-            "L": self.L,
-            "U": self.U,
-            "breakpoints": list(self.breakpoints),
+            "L": float(self.L),
+            "U": float(self.U),
+            "breakpoints": self.breakpoints.tolist(),
             "projections": [ctx.write(p) for p in self.projections],
         }
 
     def csv_lines(self, ctx, points: int = 101, lo: float = 0.0,
                   hi: float = 1.0) -> list[str]:
-        """The rank of the step at each of ``points`` values from lo to
-        hi."""
-        lines = ["lambda,rank"]
-        for i in range(points):
-            lam = lo + (hi - lo) * i / (points - 1) if points > 1 else lo
-            lines.append(f"{lam:.6f},{ctx.proj_rank(self.at(lam))}")
-        return lines
+        """The rank of one element's step at each of ``points`` values
+        from lo to hi."""
+        lams = [lo + (hi - lo) * i / (points - 1) if points > 1 else lo
+                for i in range(points)]
+        ranks = ctx.proj_rank(self.at(np.array(lams)))
+        return ["lambda,rank"] + [f"{lam:.6f},{rank}"
+                                  for lam, rank in zip(lams, ranks.tolist())]
 
 
 @dataclass(frozen=True)
@@ -102,14 +120,39 @@ class ComparabilityWitness:
 @dataclass(frozen=True)
 class ReducedRepresentation:
     """Strictly increasing coefficients with orthogonal projections
-    summing to one."""
+    summing to one, cluster first for a stack."""
 
-    coefficients: tuple[float, ...]
-    projections: tuple
+    coefficients: np.ndarray
+    projections: np.ndarray
+
+
+def own_clusters(values) -> np.ndarray:
+    """Which entries of a cluster-first array of cluster values, as
+    ``eigenprojections`` gives them, are each member's own: a member's
+    values rise strictly, and its repeated top value is padding."""
+    values = np.asarray(values)
+    rises = np.count_nonzero(values[1:] > values[:-1], axis=0)
+    return np.arange(len(values)).reshape(-1, *(1,) * rises.ndim) <= rises
+
+
+def kept_sum(ctx, keep, projs):
+    """The sum from zero, cluster by cluster, of the projections that
+    ``keep`` (cluster first, as ``projs``) marks for each member: a
+    cluster no member keeps adds nothing, and one all keep is added
+    whole."""
+    flat = np.reshape(keep, (len(keep), -1))
+    every = flat.all(axis=1)
+    acc = np.zeros_like(projs[0])
+    for j in np.flatnonzero(flat.any(axis=1)).tolist():
+        acc = ctx.add(acc, projs[j] if every[j] else np.where(
+            np.reshape(keep[j], np.shape(keep[j]) + (1,) * ctx.element_ndim),
+            projs[j], 0.0))
+    return acc
 
 
 def spectral_family(v, ctx) -> SpectralFamily:
-    """Family p_λ as running sums of the eigenprojections of v.
+    """Family p_λ as running sums of the eigenprojections of v, or of
+    each member of a stack.
 
     The verifier's eq:spectprojs statement checks it against the
     definition, the Rickart projection of (v - λ)⁺.
@@ -121,14 +164,18 @@ def spectral_family(v, ctx) -> SpectralFamily:
 
 def family_from_representation(coefficients, projections, model: str
                                ) -> SpectralFamily:
-    """Closed-form family: cumulative sums of the given raw projections."""
-    if not projections:
+    """Closed-form family: cumulative sums of the given raw projections
+    (one element's, or cluster first those of a stack)."""
+    if not len(projections):
         raise ValueError("at least one projection required")
-    steps = [np.zeros_like(projections[0])]
-    for p in projections:
-        steps.append(steps[-1] + p)
-    return SpectralFamily(tuple(float(c) for c in coefficients),
-                          tuple(steps), model)
+    zero = np.zeros_like(projections[0])[None]
+    return family_from_steps(coefficients, np.cumsum(
+        np.concatenate([zero, projections]), axis=0), model)
+
+
+def family_from_steps(breakpoints, steps, model: str) -> SpectralFamily:
+    """The family with these breakpoints and steps, the zero step first."""
+    return SpectralFamily(np.asarray(breakpoints), np.asarray(steps), model)
 
 
 def eigenprojection(v, lam, ctx):
@@ -139,9 +186,10 @@ def eigenprojection(v, lam, ctx):
 
 
 def spectral_bounds(v, ctx) -> SpectralBounds:
-    """Least and greatest spectral values: L·1 <= v <= U·1, tightly."""
+    """Least and greatest spectral values: L·1 <= v <= U·1, tightly; one
+    of each per member of a stack."""
     values, _ = ctx.eigenprojections(v)
-    return SpectralBounds(float(values[0]), float(values[-1]))
+    return SpectralBounds(per_member(values[0]), per_member(values[-1]))
 
 
 def _tag(b: float, hi: float, mesh: float, count: int) -> float:
@@ -159,30 +207,34 @@ def _tag(b: float, hi: float, mesh: float, count: int) -> float:
 
 
 def reconstruct(family: SpectralFamily, mesh: float | None = None):
-    """Stieltjes sum over a partition with right-endpoint tags.
+    """Stieltjes sum over a partition with right-endpoint tags; one per
+    member of a stack's families.
 
     With mesh=None the partition is exactly the breakpoints and the sum
     telescopes to the element; with a positive mesh the partition covers
     [L - mesh, U] with step `mesh` and the error is at most `mesh`.
     """
-    bps = family.breakpoints
-    jumps = [family.jump(k) for k in range(1, len(bps) + 1)]
+    bps = np.asarray(family.breakpoints)
+    jumps = np.diff(np.asarray(family.projections), axis=0)
     if mesh is None:
-        tags = list(bps)
+        tags = bps
     else:
         if mesh <= 0:
             raise ValueError("mesh must be positive")
-        lo, hi = bps[0], bps[-1]
-        steps = (hi - lo + mesh) / mesh
-        if not math.isfinite(steps):
-            raise ValueError(f"mesh {mesh:g} is too fine to count the "
-                             f"partition of [{lo:g}, {hi:g}]")
-        count = max(1, math.ceil(steps - 1e-12))
-        tags = [_tag(b, hi, mesh, count) for b in bps]
-    acc = np.zeros_like(jumps[0])
-    for tag, jump in zip(tags, jumps):
-        acc = acc + tag * jump
-    return acc
+        # one row of breakpoints per breakpoint index, a column per member
+        rows = bps.reshape(len(bps), -1).tolist()
+        counts = []
+        for lo, hi in zip(rows[0], rows[-1]):
+            steps = (hi - lo + mesh) / mesh
+            if not math.isfinite(steps):
+                raise ValueError(f"mesh {mesh:g} is too fine to count the "
+                                 f"partition of [{lo:g}, {hi:g}]")
+            counts.append(max(1, math.ceil(steps - 1e-12)))
+        tags = np.reshape([[_tag(b, hi, mesh, count) for b, hi, count in zip(
+            row, rows[-1], counts)] for row in rows], bps.shape)
+    # the sum in breakpoint order, from zero
+    return np.add.reduce(tags.reshape(*tags.shape, *(1,) * (
+        jumps.ndim - tags.ndim)) * jumps, axis=0, initial=0.0)
 
 
 def simple_approximation(a, n, ctx):
@@ -191,7 +243,8 @@ def simple_approximation(a, n, ctx):
     The eigenprojections carry the largest multiple of 2^-n below their
     value, so the results ascend with n and sit within 2^-n of a.  With
     an array of levels, the stack of their staircases, one per level,
-    from one pass over the eigenprojections.
+    from one pass over the eigenprojections; for a stack of elements, one
+    such stack per member, ``(S, levels, ...)``.
     """
     levels = np.asarray(n)
     if np.any(levels < 1):
@@ -200,9 +253,11 @@ def simple_approximation(a, n, ctx):
     acc = ctx.zero_like(a)
     scale = 2.0 ** levels
     # one coefficient per level for each eigenprojection; ``ctx.scale``
-    # puts the levels on a leading axis
+    # puts the levels on the axis before the element's
     coeffs = np.floor(np.multiply.outer(np.clip(values, 0.0, 1.0), scale)
                       + 1e-12) / scale
+    if levels.ndim:
+        projs = np.expand_dims(projs, -1 - ctx.element_ndim)
     for coeff, proj in zip(coeffs, projs):
         acc = ctx.add(acc, ctx.scale(coeff, proj))
     return acc
@@ -210,7 +265,8 @@ def simple_approximation(a, n, ctx):
 
 def orthogonal_decomposition(v, ctx) -> OrthogonalDecomposition:
     """Unique split v = v_plus - v_minus with orthogonal positive parts;
-    p is the least sign witness, the support of the positive part.
+    p is the least sign witness, the support of the positive part.  One
+    of each per member of a stack.
 
     The identities are checked against tol.check times the largest real
     or imaginary part of v, or 1 if that is smaller: each residual is
@@ -223,31 +279,38 @@ def orthogonal_decomposition(v, ctx) -> OrthogonalDecomposition:
     comp = ctx.complement(p)
     v_plus = ctx.compress(p, raw)
     v_minus = ctx.scale(-1.0, ctx.compress(comp, raw))
-    shrink = 1.0 / max(1.0, float(np.max(np.abs(np.real(raw)))),
-                       float(np.max(np.abs(np.imag(raw)))))
+    axes = tuple(range(-ctx.element_ndim, 0))
+    shrink = 1.0 / np.maximum(
+        np.maximum(1.0, np.max(np.abs(np.real(raw)), axis=axes)),
+        np.max(np.abs(np.imag(raw)), axis=axes))
     zero = ctx.zero_like(v)
-    worst = max(ctx.residual(ctx.scale(shrink, x), zero) for x in (
-        ctx.sub(raw, ctx.sub(v_plus, v_minus)),
-        ctx.compress(p, v_minus),
-        ctx.compress(comp, v_plus)))
-    if worst > ctx.tol.check:
-        raise ArithmeticError(
-            f"decomposition identities failed: {worst / shrink:.3e}")
+    worst = None
+    for x in (ctx.sub(raw, ctx.sub(v_plus, v_minus)),
+              ctx.compress(p, v_minus), ctx.compress(comp, v_plus)):
+        r = ctx.residual(ctx.scale(shrink, x), zero)
+        worst = r if worst is None else np.where(r > worst, r, worst)
+    failed = np.ravel(worst > ctx.tol.check)
+    if failed.any():
+        k = int(np.argmax(failed))
+        raise ArithmeticError("decomposition identities failed: "
+                              f"{np.ravel(worst / shrink)[k]:.3e}")
     return OrthogonalDecomposition(v_plus, v_minus, p)
 
 
 def sign_witness_projections(v, ctx, limit: int = 64) -> list[np.ndarray]:
     """The projections q with the whole positive part under q and the
     negative part under its complement; one per subset of the kernel
-    clusters."""
+    clusters.  For a stack, the list runs over the subsets of the most
+    kernel clusters a member has, each entry one q per member; a member
+    with fewer repeats its own subsets."""
     values, projs = ctx.eigenprojections(v)
-    pos = ctx.zero_like(v)
-    zero_projs = []
-    for lam, proj in zip(values, projs):
-        if lam > ctx.tol.kernel:
-            pos = ctx.add(pos, proj)
-        elif abs(lam) <= ctx.tol.kernel:
-            zero_projs.append(proj)
+    own = own_clusters(values)
+    kernel = own & (np.abs(values) <= ctx.tol.kernel)
+    pos = kept_sum(ctx, own & (values > ctx.tol.kernel), projs)
+    # the i-th kernel cluster of each member, or zero
+    rank = np.cumsum(kernel, axis=0) - 1
+    zero_projs = [kept_sum(ctx, kernel & (rank == i), projs)
+                  for i in range(int(np.max(rank, initial=-1)) + 1)]
     out = []
     for mask in range(2 ** len(zero_projs)):
         if len(out) >= limit:
@@ -262,40 +325,33 @@ def sign_witness_projections(v, ctx, limit: int = 64) -> list[np.ndarray]:
 
 def comparability_witness(e, f, ctx) -> ComparabilityWitness:
     """A projection p with the e-part below the f-part under p and the
-    reverse under its complement.
+    reverse under its complement; one per pair of members of two stacks.
 
     Built from joint eigenprojections: p collects the joint clusters where
     the e-value does not exceed the f-value (ties included, flagged as
     degenerate).  Raises NotCommutingError for non-commuting input.
     """
-    clusters = ctx.joint_clusters(e, f)
-    width = ctx.tol.cluster * max(
-        1.0, max(abs(ev) + abs(fv) for ev, fv, _ in clusters))
-    p = None
-    degenerate = False
-    for ev, fv, proj in clusters:
-        if abs(ev - fv) <= width:
-            degenerate = True
-        if ev <= fv + width:
-            p = proj if p is None else p + proj
-    if p is None:
-        p = ctx.zero_like(e)
+    ev, fv, projs = ctx.joint_clusters(e, f)
+    width = ctx.tol.cluster * np.maximum(
+        1.0, np.max(np.abs(ev) + np.abs(fv), axis=0))
+    degenerate = np.any(np.abs(ev - fv) <= width, axis=0)
+    p = kept_sum(ctx, ev <= fv + width, projs)
     comp = ctx.complement(p)
-    ok = (ctx.leq(ctx.compress(p, e), ctx.compress(p, f))
-          and ctx.leq(ctx.compress(comp, f), ctx.compress(comp, e)))
-    if not ok:
+    ok = (np.asarray(ctx.leq(ctx.compress(p, e), ctx.compress(p, f)))
+          & ctx.leq(ctx.compress(comp, f), ctx.compress(comp, e)))
+    if not np.all(ok):
         raise ArithmeticError("constructed witness failed its defining order")
-    return ComparabilityWitness(p, degenerate)
+    return ComparabilityWitness(p, per_member(degenerate))
 
 
 def reduced_representation(a, ctx) -> ReducedRepresentation:
-    """Distinct spectral values with their eigenprojections."""
+    """Distinct spectral values with their eigenprojections, the arrays of
+    ``eigenprojections`` (cluster first for a stack)."""
     values, projs = ctx.eigenprojections(a)
-    total = ctx.zero_like(a)
-    for p in projs:
-        total = ctx.add(total, p)
-    gap = ctx.residual(total, ctx.one_like(a))
-    if gap > ctx.tol.check:
-        raise ArithmeticError(f"eigenprojections do not sum to one: {gap:.3e}")
-    return ReducedRepresentation(tuple(float(x) for x in values),
-                                 tuple(projs))
+    # the sum in cluster order, from zero
+    total = np.add.reduce(projs, axis=0, initial=0.0)
+    gap = np.ravel(ctx.residual(total, ctx.one_like(a)))
+    if np.any(gap > ctx.tol.check):
+        raise ArithmeticError("eigenprojections do not sum to one: "
+                              f"{gap[np.argmax(gap > ctx.tol.check)]:.3e}")
+    return ReducedRepresentation(values, projs)

@@ -20,13 +20,20 @@ A body draws first and checks second: one ``smp.draws`` block makes all
 its samples' draws, in the order the per-sample loop made them, and
 returns each as one stack with a leading sample axis.  The checks draw
 nothing, so the random stream, and with it the report, is that of the
-interleaved loop.  The sea and compression statements, ``coro:limit``,
-``lemma:floor`` and ``propertyA`` check all their samples at once: every
-verb works member by member on the stacks, a premise is a mask over the
-samples, and one ``tally`` takes the outcomes and residuals as arrays.
-Ragged work (covers and floors, the clusters, the eigenspace blocks of
-meets and joins) is bookkept per member inside those bodies; the other
-statements loop over the members.
+interleaved loop.  Every statement then checks all its samples at once:
+every verb and engine call works member by member on the stacks, a
+premise is a mask over the samples, and one ``tally`` takes the outcomes
+and residuals as arrays.  The ragged clusters of a stack come cluster
+first, padded past each member's own (``spectral.own_clusters``); what
+is decomposed per cluster is decomposed for the members' own clusters
+only (``_on_own``), so no padding is decomposed, and a sum or maximum over
+the clusters sees a member's own entries alone.  A statement whose
+clusters could outgrow memory takes its samples in runs of at most
+``CHUNK_NUMBERS`` numbers per stack of clusters (``_chunks``): all of them
+at the sizes in use, one at a time only at the largest.  Only
+``thm:contexts.functions`` forms its Lagrange products per sample, as its
+number of nodes varies; the tables oracle tallies each clause group of a
+table as one array.
 """
 from __future__ import annotations
 
@@ -50,6 +57,8 @@ ARCHIMEDEAN_RESOLUTION = 1_000_000
 FLOOR_POWER = 50
 APPROX_LEVELS = 10
 MESHES = (0.1, 0.01, 0.001)
+# The numbers a statement's stack of clusters holds at most (see _chunks).
+CHUNK_NUMBERS = 1 << 18
 
 
 # ---------------------------------------------------------------------------
@@ -140,10 +149,11 @@ def _run_statement(report: SuiteReport, sid: str, body) -> None:
                            t.max_residual, t.witness))
 
 
-def _witness(ctx, k: int, columns: dict) -> dict:
-    """Sample k's witness: its index and each column's member k, an
-    element encoded and a number as a Python number."""
-    out = {"sample": k}
+def _witness(ctx, k: int, columns: dict, first: int = 0) -> dict:
+    """Sample k's witness: its index (counted from ``first``, the columns'
+    first sample) and each column's member k, an element encoded and a
+    number as a Python number."""
+    out = {"sample": first + k}
     for key, column in columns.items():
         x = column[k]
         out[key] = (ctx.encode(x) if np.ndim(ctx.raw(x)) == ctx.element_ndim
@@ -727,132 +737,176 @@ def run_compression_suite(model: str = "matrix", dim_or_size: int = 4,
 # spectrality suite
 
 
+def _chunks(run, *columns):
+    """The samples in runs, each as (its first sample, each column's
+    members there), that keep a run's stacks of clusters (at most n
+    clusters of an n**element_ndim element per sample) to CHUNK_NUMBERS
+    numbers: all the samples at the small sizes, and one at a time where
+    one sample's clusters alone fill that, as in a loop."""
+    size = max(1, CHUNK_NUMBERS // run.n ** (run.ctx.element_ndim + 1))
+    for lo in range(0, run.samples, size):
+        yield lo, tuple(c[lo:lo + size] for c in columns)
+
+
+def _on_own(own: np.ndarray, fn, *stacks) -> np.ndarray:
+    """fn of the entries of cluster-first stacks that ``own`` marks, one
+    call on all of them, as a stack again: past a member's own entries its
+    last own one is repeated, which leaves any all or max over the
+    clusters as it was."""
+    out = fn(*(x[own] for x in stacks))
+    grid = np.zeros(own.shape + out.shape[1:], dtype=out.dtype)
+    grid[own] = out
+    last = np.count_nonzero(own, axis=0) - 1
+    pick = np.minimum(np.arange(len(own)).reshape(-1, *(1,) * last.ndim),
+                      last)
+    return np.take_along_axis(
+        grid, pick.reshape(*pick.shape, *(1,) * (out.ndim - 1)), axis=0)
+
+
 def _rickart_family(a, ctx) -> sp.SpectralFamily:
     """Reference family from the definition: p_λ is the Rickart projection
-    of (a - λ)⁺, freshly decomposed at each spectral value λ (the shifts
-    as one stack)."""
+    of (a - λ)⁺, freshly decomposed at each spectral value λ of each
+    member (the shifts as one stack)."""
     values = ctx.eigenprojections(a)[0]
-    steps = ctx.rickart(ctx.positive_part(ctx.shift(a, values)))
-    return sp.SpectralFamily(tuple(float(x) for x in values),
-                             (ctx.zero_like(a), *steps), ctx.model)
+    steps = _on_own(sp.own_clusters(values), lambda x: ctx.rickart(
+        ctx.positive_part(x)), ctx.shift(a, values))
+    return sp.family_from_steps(
+        values, np.concatenate([np.zeros_like(steps[:1]), steps]), ctx.model)
+
+
+def _most(*residuals):
+    """Each sample's largest residual in some arrays, the samples on
+    their last axis: NaN skipped, and 0 where none is a number, as a
+    running ``max(worst, r)`` from 0 keeps it."""
+    out = 0.0
+    for r in residuals:
+        r = np.asarray(r)
+        out = np.fmax(out, np.fmax.reduce(r.reshape(-1, r.shape[-1]),
+                                          axis=0, initial=0.0))
+    return out
 
 
 @_statement("spectrality", "prop:decomp")
 def _decomp(run, ctx, smp, t: _Tally) -> None:
-    for k, v in enumerate(smp.draws(run.samples, lambda k: smp.signed())):
+    v = smp.draws(run.samples, lambda k: smp.signed())
+    for lo, (v,) in _chunks(run, v):
         dec = sp.orthogonal_decomposition(v, ctx)
-        ok = True
-        worst = 0.0
+        rs = []
         for q in sp.sign_witness_projections(v, ctx, limit=8):
             comp = ctx.complement(q)
             vp = ctx.mul(ctx.mul(q, v), q)
             vm = -ctx.mul(ctx.mul(comp, v), comp)
-            r = max(run.res(vp, dec.v_plus), run.res(vm, dec.v_minus))
-            worst = max(worst, r)
-            ok = ok and r <= run.thr
-        t.tally(ok, worst, lambda _: {"sample": k, "v": ctx.encode(v)})
+            r1, r2 = run.res(vp, dec.v_plus), run.res(vm, dec.v_minus)
+            rs.append(np.where(r2 > r1, r2, r1))
+        rs = np.array(rs)
+        t.tally(np.all(rs <= run.thr, axis=0), _most(rs),
+                lambda k: _witness(ctx, k, {"v": v}, lo))
 
 
 @_statement("spectrality", "coro:limit")
 def _limit(run, ctx, smp, t: _Tally) -> None:
     levels = np.arange(1, APPROX_LEVELS + 1)
     a = smp.draws(run.samples, lambda k: smp.effect())
-    # (sample, level) stacks; each sample's staircases from its clusters.
-    stairs = np.stack([sp.simple_approximation(x, levels, ctx) for x in a])
-    # One decomposition of a - a_n gives its norm and its sign.
-    lo, hi = ctx.extremes(ctx.sub(ctx.raw(a)[:, None], stairs))
-    gap = np.maximum(np.abs(lo), np.abs(hi))
-    over = np.max(gap - 2.0 ** -levels, axis=-1)
-    ok = (np.all(gap <= 2.0 ** -levels + run.thr, axis=-1)
-          & np.all(lo >= -run.thr, axis=-1))
-    if ok.any():
-        ok[ok] = np.all(ctx.leq(stairs[ok, :-1], stairs[ok, 1:]), axis=-1)
-    t.tally(ok, np.where(over > 0.0, over, 0.0),
-            lambda k: _witness(ctx, k, {"a": a}))
+    for lo, (a,) in _chunks(run, a):
+        # (sample, level) stacks of staircases, from the clusters.
+        stairs = sp.simple_approximation(a, levels, ctx)
+        # One decomposition of a - a_n gives its norm and its sign.
+        low, high = ctx.extremes(ctx.sub(ctx.raw(a)[:, None], stairs))
+        gap = np.maximum(np.abs(low), np.abs(high))
+        over = np.max(gap - 2.0 ** -levels, axis=-1)
+        ok = (np.all(gap <= 2.0 ** -levels + run.thr, axis=-1)
+              & np.all(low >= -run.thr, axis=-1))
+        if ok.any():
+            ok[ok] = np.all(ctx.leq(stairs[ok, :-1], stairs[ok, 1:]), axis=-1)
+        t.tally(ok, np.where(over > 0.0, over, 0.0),
+                lambda k: _witness(ctx, k, {"a": a}, lo))
 
 
 @_statement("spectrality", "eq:spectprojs")
 def _spectprojs(run, ctx, smp, t: _Tally) -> None:
-    for k, a in enumerate(smp.draws(run.samples, lambda k: smp.simple())):
+    a = smp.draws(run.samples, lambda k: smp.simple())
+    for lo, (a,) in _chunks(run, a):
         fam = sp.spectral_family(a, ctx)
         ref = _rickart_family(a, ctx)
-        ok = len(fam.breakpoints) == len(ref.breakpoints) and all(
-            abs(x - y) <= run.thr
-            for x, y in zip(fam.breakpoints, ref.breakpoints))
-        steps = np.stack(fam.projections)
-        ok = ok and bool(np.all(ctx.leq(steps[:-1], steps[1:])))
-        worst = 0.0
-        eigs = sp.eigenprojection(a, np.array(fam.breakpoints), ctx)
-        for j, eig in enumerate(eigs, start=1):
-            r = run.res(fam.jump(j), eig)
-            worst = max(worst, r)
-            ok = ok and r <= run.thr
-        for step, ref_step in zip(fam.projections, ref.projections):
-            r = run.res(step, ref_step)
-            worst = max(worst, r)
-            ok = ok and r <= run.thr
+        bps = fam.breakpoints
+        own = sp.own_clusters(bps)
+        ok = np.all(np.abs(bps - ref.breakpoints) <= run.thr, axis=0)
+        steps = fam.projections
+        ok &= np.all(_on_own(own, ctx.leq, steps[:-1], steps[1:]), axis=0)
+        eigs = _on_own(own, lambda x, lam: sp.eigenprojection(x, lam, ctx),
+                       np.broadcast_to(ctx.raw(a), steps[1:].shape), bps)
+        r_jump = np.where(own, run.res(np.diff(steps, axis=0), eigs), 0.0)
+        r_step = run.res(steps, ref.projections)
+        ok &= np.all(r_jump <= run.thr, axis=0)
+        ok &= np.all(r_step <= run.thr, axis=0)
         bounds = sp.spectral_bounds(a, ctx)
         one = ctx.one_like(a)
-        ok = (ok and ctx.leq(bounds.L * one, a)
-              and ctx.leq(a, bounds.U * one))
-        ok = ok and ctx.proj_rank(fam.at(bounds.L - 0.25)) == 0
-        ok = ok and ctx.proj_rank(fam.at(bounds.U)) == run.n
-        for lo, hi in zip(fam.breakpoints, fam.breakpoints[1:]):
-            mid = (lo + hi) / 2.0
-            ok = ok and run.res(fam.at(mid), fam.at(mid + 1e-12)) <= run.thr
-        t.tally(ok, worst, lambda _: {"sample": k, "a": ctx.encode(a)})
+        ok &= (ctx.leq(ctx.scale(bounds.L, one), a)
+               & ctx.leq(a, ctx.scale(bounds.U, one)))
+        ok &= ctx.proj_rank(fam.at(bounds.L - 0.25)) == 0
+        ok &= ctx.proj_rank(fam.at(bounds.U)) == run.n
+        # between each pair of breakpoints the family is constant
+        mids = (bps[:-1] + bps[1:]) / 2.0
+        ok &= np.all(run.res(fam.at(mids), fam.at(mids + 1e-12)) <= run.thr,
+                     axis=0)
+        t.tally(ok, _most(r_jump, r_step),
+                lambda k: _witness(ctx, k, {"a": a}, lo))
 
 
 @_statement("spectrality", "eq:spectresV")
 def _spectres(run, ctx, smp, t: _Tally) -> None:
-    for k, a in enumerate(smp.draws(run.samples, lambda k: smp.effect())):
+    a = smp.draws(run.samples, lambda k: smp.effect())
+    meshes = np.array(MESHES)[:, None]
+    for lo, (a,) in _chunks(run, a):
         fam = sp.spectral_family(a, ctx)
         sums = np.stack([sp.reconstruct(fam)]
                         + [sp.reconstruct(fam, mesh) for mesh in MESHES])
-        r0, *gaps = ctx.norm(ctx.sub(a, sums)).tolist()
-        ok = r0 <= run.thr
+        r0, *gaps = ctx.norm(ctx.sub(a, sums))
+        gaps = np.array(gaps)
         worst = r0
-        for mesh, gap in zip(MESHES, gaps):
-            ok = ok and gap <= mesh + run.thr
-            worst = max(worst, gap if gap > mesh else 0.0)
-        t.tally(ok, worst, lambda _: {"sample": k, "a": ctx.encode(a),
-                                    "breakpoint_residual": r0})
+        for gap in np.where(gaps > meshes, gaps, 0.0):
+            worst = np.where(gap > worst, gap, worst)
+        t.tally((r0 <= run.thr) & np.all(gaps <= meshes + run.thr, axis=0),
+                worst, lambda k: _witness(ctx, k, {
+                    "a": a, "breakpoint_residual": r0}, lo))
 
 
 @_statement("spectrality", "de:projcov")
 def _projcov(run, ctx, smp, t: _Tally) -> None:
     drawn = smp.draws(run.samples,
                       lambda k: (smp.simple(), smp.scalar(0.05, 1.0)))
-    for k, (a, lam) in enumerate(zip(*drawn)):
+    for lo, (a, lam) in _chunks(run, *drawn):
         cover = ctx.cover(a)
         # Every sub-sum of the eigenprojections (the first 16) lies
         # above a exactly when it lies above the cover.
-        projs = ctx.eigenprojections(a)[1]
+        values, projs = ctx.eigenprojections(a)
         sums = []
         for mask in range(min(2 ** len(projs), 16)):
-            q = ctx.zero_like(a)
+            q = np.zeros_like(projs[0])
             for i, proj in enumerate(projs):
                 if mask >> i & 1:
                     q = ctx.add(q, proj)
             sums.append(q)
         sums = np.stack(sums)
-        ok = ctx.leq(a, cover) and bool(
-            np.all(ctx.leq(a, sums) == ctx.leq(cover, sums)))
+        # a member's own sub-sums: those of its own clusters
+        own = np.arange(len(sums))[:, None] < 2 ** np.minimum(
+            4, np.count_nonzero(sp.own_clusters(values), axis=0))
+        same = _on_own(own, lambda x, y, q: ctx.leq(x, q) == ctx.leq(y, q),
+                       *np.broadcast_arrays(ctx.raw(a), ctx.raw(cover), sums))
         r = run.res(ctx.cover(ctx.scale(lam, a)), cover)
-        t.tally(ok and r <= run.thr, r,
-                lambda _: {"sample": k, "a": ctx.encode(a), "lambda": lam})
+        t.tally(ctx.leq(a, cover) & np.all(same, axis=0) & (r <= run.thr), r,
+                lambda k: _witness(ctx, k, {"a": a, "lambda": lam}, lo))
 
 
 @_statement("spectrality", "lemma:projcover")
 def _projcover_lemma(run, ctx, smp, t: _Tally) -> None:
-    drawn = smp.draws(run.samples, lambda k: (
+    a, b = smp.draws(run.samples, lambda k: (
         smp.orthogonal_pair() if k % 2 == 0 else (smp.effect(), smp.effect())))
-    for k, (a, b) in enumerate(zip(*drawn)):
-        r1 = run.res(ctx.product(a, b))
-        r2 = run.res(ctx.product(ctx.cover(a), b))
-        t.tally((r1 <= run.thr) == (r2 <= run.thr), 0.0,
-                lambda _: {"sample": k, "a": ctx.encode(a), "b": ctx.encode(b),
-                         "effect_product": r1, "cover_product": r2})
+    r1 = run.res(ctx.product(a, b))
+    r2 = run.res(ctx.product(ctx.cover(a), b))
+    t.tally((r1 <= run.thr) == (r2 <= run.thr), 0.0,
+            lambda k: _witness(ctx, k, {"a": a, "b": b, "effect_product": r1,
+                                        "cover_product": r2}))
 
 
 @_statement("spectrality", "lemma:covex_floor")
@@ -861,17 +915,16 @@ def _covex_floor(run, ctx, smp, t: _Tally) -> None:
         ones = int(smp.rng.integers(0, run.n)) if k % 2 == 0 else 0
         return smp.with_top(ones) if ones else smp.effect(hi=0.95)
 
-    for k, a in enumerate(smp.draws(run.samples, draw)):
-        top = ctx.zero_like(a)
-        for lam, proj in zip(*ctx.eigenprojections(a)):
-            if lam >= 1.0 - ctx.tol.cluster:
-                top = ctx.add(top, proj)
+    a = smp.draws(run.samples, draw)
+    for lo, (a,) in _chunks(run, a):
+        values, projs = ctx.eigenprojections(a)
+        top = sp.kept_sum(ctx, values >= 1.0 - ctx.tol.cluster, projs)
         r1 = run.res(run.floor(a), top)
         r2 = run.res(ctx.floor(ctx.complement(a)),
                      ctx.complement(ctx.raw(ctx.cover(a))))
-        r = max(r1, r2)
-        t.tally(r <= run.thr, r, lambda _: {"sample": k, "a": ctx.encode(a),
-                                          "cluster_route": r1, "duality": r2})
+        r = np.where(r2 > r1, r2, r1)
+        t.tally(r <= run.thr, r, lambda k: _witness(ctx, k, {
+            "a": a, "cluster_route": r1, "duality": r2}, lo))
 
 
 @_statement("spectrality", "lemma:floor")
@@ -884,79 +937,72 @@ def _floor_lemma(run, ctx, smp, t: _Tally) -> None:
     if ok.any():
         ok[ok] = ctx.leq(flr[ok], powers[ok, -1])
     gap = ctx.norm(ctx.sub(powers[:, -1], flr))
-    bound = []
-    for x in a:
+    mu_max = []
+    for _, (x,) in _chunks(run, a):
         values = ctx.eigenprojections(x)[0]
-        below_one = values[values < 1.0 - ctx.tol.cluster]
-        mu_max = float(below_one[-1]) if below_one.size else 0.0
-        # Powers of a float round, on the mv model too, so the rate
-        # bound keeps the given check tolerance.
-        bound.append(mu_max ** FLOOR_POWER + run.tol.check)
-    bound = np.array(bound)
+        below = values < 1.0 - ctx.tol.cluster
+        # the largest cluster value below one, or 0 if there is none
+        mu_max += np.where(below.any(axis=0), np.max(np.where(
+            below, values, -np.inf), axis=0), 0.0).tolist()
+    # Powers of a float round, on the mv model too, so the rate bound
+    # keeps the given check tolerance.
+    bound = np.array([mu ** FLOOR_POWER + run.tol.check for mu in mu_max])
     t.tally(ok & (gap <= bound), gap, lambda k: _witness(ctx, k, {
         "a": a, "rate_gap": gap, "rate_bound": bound}))
 
 
 @_statement("spectrality", "de:b-compar")
 def _b_compar(run, ctx, smp, t: _Tally) -> None:
-    drawn = smp.draws(run.samples, lambda k: (
+    e, f = smp.draws(run.samples, lambda k: (
         (smp.effect(), smp.effect()) if k % 4 == 3 else smp.commuting()))
-    for k, (e, f) in enumerate(zip(*drawn)):
-        if k % 4 == 3:
-            # A generic pair: a witness must exist exactly when it
-            # commutes, which on the mv model it always does.
-            try:
-                wit = sp.comparability_witness(e, f, ctx)
-            except mx.NotCommutingError:
-                t.tally(True)
-                continue
-            if not ctx.commutes(e, f):
-                t.tally(False, 0.0,
-                        lambda _: {"sample": k, "e": ctx.encode(e),
-                                 "f": ctx.encode(f), "note": "witness for a "
-                                 "non-commuting pair"})
-                continue
-        else:
-            wit = sp.comparability_witness(e, f, ctx)
-        if wit.degenerate:
-            run.degenerate_ties += 1
-        p = wit.p
-        comp = ctx.complement(p)
-        ok = (ctx.leq(ctx.compress(p, e), ctx.compress(p, f))
-              and ctx.leq(ctx.compress(comp, f), ctx.compress(comp, e)))
-        t.tally(ok, 0.0, lambda _: {"sample": k, "e": ctx.encode(e),
-                                  "f": ctx.encode(f)})
+    # A generic pair (every fourth) has a witness exactly when it commutes,
+    # which on the mv model it always does; one that does not passes.
+    generic = np.arange(run.samples) % 4 == 3
+    has = ~generic | ctx.commutes(e, f)
+    for lo, (e, f, has) in _chunks(run, e, f, has):
+        ok = np.ones(len(has), dtype=bool)
+        if has.any():
+            es, fs = e[has], f[has]
+            wit = sp.comparability_witness(es, fs, ctx)
+            run.degenerate_ties += int(np.count_nonzero(wit.degenerate))
+            comp = ctx.complement(wit.p)
+            ok[has] = (ctx.leq(ctx.compress(wit.p, es),
+                               ctx.compress(wit.p, fs))
+                       & ctx.leq(ctx.compress(comp, fs),
+                                 ctx.compress(comp, es)))
+        t.tally(ok, 0.0, lambda k: _witness(ctx, k, {"e": e, "f": f}, lo))
 
 
 @_statement("spectrality", "prop:commut")
 def _commut(run, ctx, smp, t: _Tally) -> None:
-    drawn = smp.draws(run.samples, lambda k: (
+    a, b = smp.draws(run.samples, lambda k: (
         smp.commuting() if k % 2 == 0 else (smp.effect(), smp.effect())))
-    for k, (a, b) in enumerate(zip(*drawn)):
+    for lo, (a, b) in _chunks(run, a, b):
         sequential = ctx.residual(ctx.product(a, b),
                                   ctx.product(b, a)) <= ctx.tol.comm
         ordinary = ctx.commutes(a, b)
-        projections = bool(np.all(ctx.commutes(
-            np.stack(ctx.eigenprojections(a)[1]), b)))
-        t.tally(sequential == ordinary == projections, 0.0,
-                lambda _: {"sample": k, "a": ctx.encode(a), "b": ctx.encode(b),
-                         "sequential": sequential, "ordinary": ordinary,
-                         "projections": projections})
+        projections = np.all(ctx.commutes(ctx.eigenprojections(a)[1],
+                                          ctx.raw(b)), axis=0)
+        t.tally((sequential == ordinary) & (ordinary == projections), 0.0,
+                lambda k: _witness(ctx, k, {
+                    "a": a, "b": b, "sequential": sequential,
+                    "ordinary": ordinary, "projections": projections}, lo))
 
 
 @_statement("spectrality", "propertyA")
 def _property_a(run, ctx, smp, t: _Tally) -> None:
     levels = np.arange(1, 9)
     a, b = smp.draws(run.samples, lambda k: smp.commuting())
-    # Each sample's chain on a second axis: staircases, a, complements of
-    # the powers of 1 - a, and the cover.
-    chain = np.concatenate([
-        np.stack([sp.simple_approximation(x, levels, ctx) for x in a]),
-        ctx.raw(a)[:, None],
-        ctx.complement(ctx.powers(ctx.complement(a), 8)),
-        ctx.raw(ctx.cover(a))[:, None]], axis=1)
-    ok = np.all(ctx.commutes(chain, ctx.raw(b)[:, None]), axis=-1)
-    t.tally(ok, 0.0, lambda k: _witness(ctx, k, {"a": a, "b": b}))
+    for lo, (a, b) in _chunks(run, a, b):
+        # Each sample's chain on a second axis: staircases, a, complements
+        # of the powers of 1 - a, and the cover.
+        chain = np.concatenate([
+            sp.simple_approximation(a, levels, ctx),
+            ctx.raw(a)[:, None],
+            ctx.complement(ctx.powers(ctx.complement(a), 8)),
+            ctx.raw(ctx.cover(a))[:, None]], axis=1)
+        ok = np.all(ctx.commutes(chain, ctx.raw(b)[:, None]), axis=-1)
+        t.tally(ok, 0.0, lambda k: _witness(ctx, k, {"a": a, "b": b}, lo))
 
 
 def run_spectrality_suite(model: str = "matrix", dim_or_size: int = 6,
@@ -1001,19 +1047,19 @@ def _lagrange(ctx, a, nodes, i: int):
     return out
 
 
-def _merge_representation(rep: sp.ReducedRepresentation, delta: float
-                          ) -> tuple[list[float], list[np.ndarray]]:
-    """Merge each coefficient within delta of its block's first one into
-    that block, which keeps the first coefficient."""
-    coeffs: list[float] = []
-    projs: list[np.ndarray] = []
-    for mu, proj in zip(rep.coefficients, rep.projections):
-        if coeffs and delta > 0.0 and mu - coeffs[-1] <= delta:
-            projs[-1] = projs[-1] + proj
-        else:
-            coeffs.append(mu)
-            projs.append(proj)
-    return coeffs, projs
+def _block_starts(values: np.ndarray, delta: float) -> np.ndarray:
+    """Which coefficients start a block when each one within delta of its
+    block's first one is merged into that block, which keeps the first
+    coefficient; values cluster first, as ``eigenprojections`` gives
+    them, one column of verdicts per member."""
+    own = sp.own_clusters(values)
+    starts = np.zeros(values.shape, dtype=bool)
+    starts[0] = True
+    first = values[0]
+    for j in range(1, len(values)):
+        starts[j] = own[j] & ~((delta > 0.0) & (values[j] - first <= delta))
+        first = np.where(starts[j], values[j], first)
+    return starts
 
 
 @_statement("context", "thm:contexts")
@@ -1025,71 +1071,77 @@ def _closed_form(run, ctx, smp, t: _Tally) -> None:
             return smp.with_values(np.resize([0.4, 0.5], run.n))
         return smp.simple(gap=0.15)
 
-    for k, a in enumerate(smp.draws(run.samples, draw)):
+    a = smp.draws(run.samples, draw)
+    for lo, (a,) in _chunks(run, a):
         rep = sp.reduced_representation(a, ctx)
-        coeffs, projs = _merge_representation(rep, run.merge_delta)
-        closed = sp.family_from_representation(coeffs, projs, ctx.model)
         ref = _rickart_family(a, ctx)
-        ok = len(closed.projections) == len(ref.projections)
-        worst = 0.0
-        if ok:
-            for cp, fp in zip(closed.projections, ref.projections):
-                r = run.res(cp, fp)
-                worst = max(worst, r)
-                ok = ok and r <= run.thr
-            ok = ok and all(
-                abs(x - y) <= run.thr
-                for x, y in zip(closed.breakpoints, ref.breakpoints))
-        t.tally(ok, worst, lambda _: {
-            "sample": k, "a": ctx.encode(a),
-            "closed_steps": len(closed.projections),
-            "family_steps": len(ref.projections)})
+        # The closed form of a member with nothing to merge is its family;
+        # one with a merged coefficient has fewer steps than the
+        # definition, and fails.
+        closed = np.count_nonzero(
+            _block_starts(rep.coefficients, run.merge_delta), axis=0)
+        steps = np.count_nonzero(sp.own_clusters(rep.coefficients), axis=0)
+        same = closed == steps
+        fam = sp.family_from_representation(rep.coefficients,
+                                            rep.projections, ctx.model)
+        r = np.where(same, run.res(fam.projections, ref.projections), 0.0)
+        ok = same & np.all(r <= run.thr, axis=0) & np.all(
+            np.abs(fam.breakpoints - ref.breakpoints) <= run.thr, axis=0)
+        t.tally(ok, _most(r), lambda k: _witness(ctx, k, {
+            "a": a, "closed_steps": closed + 1, "family_steps": steps + 1},
+            lo))
 
 
 @_statement("context", "thm:contexts.reduced")
 def _reduced(run, ctx, smp, t: _Tally) -> None:
-    for k, a in enumerate(smp.draws(run.samples,
-                                    lambda k: smp.simple(gap=0.15))):
+    a = smp.draws(run.samples, lambda k: smp.simple(gap=0.15))
+    for lo, (a,) in _chunks(run, a):
         rep = sp.reduced_representation(a, ctx)
         ref = _rickart_family(a, ctx)
-        ok = all(y - x > ctx.tol.cluster for x, y in
-                 zip(rep.coefficients, rep.coefficients[1:]))
-        worst = 0.0
-        for j in range(1, len(ref.breakpoints) + 1):
-            r = run.res(ref.jump(j), rep.projections[j - 1])
-            worst = max(worst, r)
-            ok = ok and r <= run.thr
-            ok = ok and abs(ref.breakpoints[j - 1]
-                            - rep.coefficients[j - 1]) <= run.thr
-        for i, p in enumerate(rep.projections):
-            for q in rep.projections[i + 1:]:
-                r = run.res(ctx.mul(p, q))
-                worst = max(worst, r)
-                ok = ok and r <= run.thr
-        t.tally(ok, worst, lambda _: {"sample": k, "a": ctx.encode(a)})
+        coeffs, projs = rep.coefficients, rep.projections
+        own = sp.own_clusters(coeffs)
+        ok = np.all(~own[1:] | (np.diff(coeffs, axis=0) > ctx.tol.cluster),
+                    axis=0)
+        r_jump = run.res(np.diff(ref.projections, axis=0), projs)
+        ok &= np.all((r_jump <= run.thr)
+                     & (np.abs(ref.breakpoints - coeffs) <= run.thr), axis=0)
+        # the eigenprojections are pairwise orthogonal
+        r_pairs = [run.res(ctx.mul(p, projs[i + 1:]))
+                   for i, p in enumerate(projs[:-1])]
+        for r in r_pairs:
+            ok &= np.all(r <= run.thr, axis=0)
+        t.tally(ok, _most(r_jump, *r_pairs),
+                lambda k: _witness(ctx, k, {"a": a}, lo))
 
 
 @_statement("context", "thm:contexts.functions")
 def _functions(run, ctx, smp, t: _Tally) -> None:
-    for k, a in enumerate(smp.draws(run.samples,
-                                    lambda k: smp.simple(gap=0.15))):
+    a = smp.draws(run.samples, lambda k: smp.simple(gap=0.15))
+    for lo, (a,) in _chunks(run, a):
         rep = sp.reduced_representation(a, ctx)
-        nodes = list(rep.coefficients)
-        if run.merge_delta > 0.0:
-            nodes = [mu for j, mu in enumerate(nodes)
-                     if j == 0 or mu - nodes[j - 1] > run.merge_delta]
-        spread = min((y - x for x, y in zip(nodes, nodes[1:])),
-                     default=1.0)
-        assert spread > ctx.tol.cluster, \
-            "reduced representation carries duplicate coefficients"
-        ok = True
-        worst = 0.0
-        for i, proj in enumerate(rep.projections[:len(nodes)]):
-            r = run.res(_lagrange(ctx, a, nodes, i), proj)
-            worst = max(worst, r)
-            ok = ok and r <= run.thr
-        t.tally(ok, worst, lambda _: {"sample": k, "a": ctx.encode(a),
-                                    "nodes": [float(x) for x in nodes]})
+        own = sp.own_clusters(rep.coefficients)
+        raw = ctx.raw(a)
+        # The number of nodes differs from sample to sample, so the
+        # Lagrange products are formed member by member.
+        for k, elem in enumerate(raw):
+            nodes = rep.coefficients[own[:, k], k].tolist()
+            projs = rep.projections[own[:, k], k]
+            if run.merge_delta > 0.0:
+                nodes = [mu for j, mu in enumerate(nodes)
+                         if j == 0 or mu - nodes[j - 1] > run.merge_delta]
+            spread = min((y - x for x, y in zip(nodes, nodes[1:])),
+                         default=1.0)
+            assert spread > ctx.tol.cluster, \
+                "reduced representation carries duplicate coefficients"
+            ok = True
+            worst = 0.0
+            for i, proj in enumerate(projs[:len(nodes)]):
+                r = run.res(_lagrange(ctx, elem, nodes, i), proj)
+                worst = max(worst, r)
+                ok = ok and r <= run.thr
+            t.tally(ok, worst, lambda _: {"sample": lo + k,
+                                          "a": ctx.encode(elem),
+                                          "nodes": nodes})
 
 
 def run_context_suite(model: str = "matrix", dim_or_size: int = 4,
@@ -1124,12 +1176,13 @@ def _broken_e4_table() -> tb.FiniteEffectAlgebra:
 
 @_statement("tables", "tables:oracle")
 def _oracle(run, ctx, smp, t: _Tally) -> None:
+    # One tally per clause group and table, its verdicts in the order
+    # element (then pair), then clause.
     for name, alg in run.algs.items():
         n = alg.size
-        for i, ok in enumerate(~alg.principal | alg.sharp):
-            t.tally(bool(ok), 0.0, lambda _: {
-                "table": name, "element": alg.label(i),
-                "clause": "principal implies sharp"})
+        t.tally(~alg.principal | alg.sharp, 0.0, lambda i: {
+            "table": name, "element": alg.label(i),
+            "clause": "principal implies sharp"})
         # Row i of v is element i's image; pair verdicts are [i, j].
         v = tb.fuzzy_embedding(name)
         if v is None:
@@ -1141,11 +1194,11 @@ def _oracle(run, ctx, smp, t: _Tally) -> None:
             "sharpness": alg.sharp == ((v == 0.0) | (v == 1.0)).all(
                 axis=1),
         }
-        for i in range(n):
-            for clause, oks in per_element.items():
-                t.tally(bool(oks[i]), 0.0, lambda _: {
-                    "table": name, "element": alg.label(i),
-                    "clause": clause})
+        clauses = list(per_element)
+        t.tally(np.stack(list(per_element.values()), axis=-1), 0.0,
+                lambda k: {"table": name,
+                           "element": alg.label(k // len(clauses)),
+                           "clause": clauses[k % len(clauses)]})
         total, s, inf = a + b, alg.table, alg.infima
         s_def, inf_def = s != tb.UNDEFINED, inf != tb.UNDEFINED
         per_pair = {
@@ -1158,12 +1211,12 @@ def _oracle(run, ctx, smp, t: _Tally) -> None:
                     axis=2),
             "compatibility": alg.compatibility,
         }
-        for i in range(n):
-            for j in range(n):
-                for clause, oks in per_pair.items():
-                    t.tally(bool(oks[i, j]), 0.0,
-                            lambda _: {"table": name, "a": alg.label(i),
-                                     "b": alg.label(j), "clause": clause})
+        clauses = list(per_pair)
+        t.tally(np.stack(list(per_pair.values()), axis=-1), 0.0,
+                lambda k: {"table": name,
+                           "a": alg.label(k // len(clauses) // n),
+                           "b": alg.label(k // len(clauses) % n),
+                           "clause": clauses[k % len(clauses)]})
 
 
 @_statement("tables", "tables:diamond")

@@ -124,7 +124,7 @@ def test_criterion_05_closed_form_families(level_set_family):
         a = fz.FuzzySampler(3100 + k, 6).effect()
         fam = spectral_family(a, MV)
         closed = level_set_family(a)
-        ok = ok and fam.breakpoints == closed.breakpoints
+        ok = ok and np.array_equal(fam.breakpoints, closed.breakpoints)
         for engine_p, closed_p in zip(fam.projections, closed.projections):
             ok = ok and np.array_equal(engine_p, closed_p)
     report(5, ok, "step-formula families, 100 matrix + 100 mv elements")

@@ -12,7 +12,7 @@ from seakit.fuzzy import (
     spectrum_representation,
 )
 from seakit.spectral import reduced_representation, spectral_family
-from seakit.verify import _merge_representation
+from seakit.verify import _block_starts
 
 CTX = FuzzyContext()
 
@@ -56,22 +56,28 @@ def test_sharpness_and_compression():
 
 def test_reduced_representation_level_sets():
     rep = reduced_representation(fs(0.2, 0.2, 0.9), CTX)
-    assert rep.coefficients == (0.2, 0.9)
+    assert rep.coefficients.tolist() == [0.2, 0.9]
     assert [p.tolist() for p in rep.projections] == [
         [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
     rep = reduced_representation(fs(0.4, 0.4, 0.4), CTX)
-    assert rep.coefficients == (0.4,)
+    assert rep.coefficients.tolist() == [0.4]
     assert rep.projections[0].tolist() == [1.0, 1.0, 1.0]
     rep = reduced_representation(fs(0.0, 1.0), CTX)
-    assert rep.coefficients == (0.0, 1.0)
+    assert rep.coefficients.tolist() == [0.0, 1.0]
 
 
 def test_delta_merging_is_opt_in():
     rep = reduced_representation(fs(0.3, 0.4, 0.9), CTX)
-    assert _merge_representation(rep, 0.0)[0] == [0.3, 0.4, 0.9]
-    merged_mu, merged = _merge_representation(rep, 0.15)
+    assert _block_starts(rep.coefficients, 0.0).tolist() == [True] * 3
+    starts = _block_starts(rep.coefficients, 0.15)
+    assert rep.coefficients[starts].tolist() == [0.3, 0.9]
+    merged = np.add.reduceat(rep.projections, np.flatnonzero(starts))
     assert [np.flatnonzero(p).tolist() for p in merged] == [[0, 1], [2]]
-    assert merged_mu == [0.3, 0.9]
+    # a stack: each member merges its own blocks, and padding starts none
+    rep = reduced_representation(
+        np.array([[0.3, 0.4, 0.9], [0.2, 0.2, 0.5]]), CTX)
+    assert _block_starts(rep.coefficients, 0.15).tolist() == [
+        [True, True], [False, True], [True, False]]
 
 
 def test_family_matches_threshold_oracle():
@@ -106,7 +112,7 @@ def test_reduced_representation_is_unique(level_set_family):
     a = fs(0.125, 0.75, 0.125, 0.375)
     rep = reduced_representation(a, CTX)
     closed = level_set_family(a)
-    assert rep.coefficients == closed.breakpoints
+    assert np.array_equal(rep.coefficients, closed.breakpoints)
     for k, p in enumerate(rep.projections, start=1):
         assert np.array_equal(p, closed.jump(k))
 

@@ -8,7 +8,8 @@ from seakit.config import DEFAULT
 from seakit.linalg import (
     EigenDecomposition,
     NotHermitianError,
-    cluster_indices,
+    Runs,
+    cluster_starts,
     decomposition_from,
     eigh,
     frobenius,
@@ -56,9 +57,19 @@ def test_matches_numpy_oracle(dim, rng):
 
 def test_cluster_indices_width():
     values = np.array([0.2, 0.2 + 1e-12, 0.9])
-    assert cluster_indices(values, 1e-8) == ((0, 1), (2,))
-    assert cluster_indices(values, 1e-14) == ((0,), (1,), (2,))
-    assert cluster_indices(np.array([]), 1e-8) == ()
+
+    def clusters(v, width):
+        return Runs(cluster_starts(v, width)).indices()
+
+    assert clusters(values, 1e-8) == ((0, 1), (2,))
+    assert clusters(values, 1e-14) == ((0,), (1,), (2,))
+    # each member of a stack against its own width
+    stack = np.array([values, values])
+    runs = Runs(cluster_starts(stack, np.array([1e-8, 1e-14])))
+    assert runs.indices() == ((0, 1), (2,), (0,), (1,), (2,))
+    assert runs.counts.tolist() == [2, 3]
+    assert runs.index.tolist() == [0, 1, 0, 1, 2]
+    assert runs.labels.tolist() == [[0, 0, 1], [0, 1, 2]]
 
 
 def test_projectors_resolve_identity(rng):

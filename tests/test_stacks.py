@@ -503,3 +503,91 @@ def test_meet_and_join_of_stacks_equal_the_member_calls(n):
     if n > 1:
         with pytest.raises(mx.NotCommutingError):
             ctx.meet(p, smp.draws(9, lambda k: smp.effect()))
+
+
+def cluster_stacks(model, n, k):
+    """Stacks of k elements with generic spectra, repeated eigenvalues
+    (levels, a top cluster, simple draws, a projection) and the signed
+    elements with exact kernels, drawn on model with dimension n."""
+    ctx, sampler = MODELS[model]
+    smp = sampler(7 * n + k, n)
+    levels = np.repeat([0.25, 0.5, 0.75], n)[:n]
+    effects = smp.draws(k, lambda i: (
+        smp.effect(), smp.with_values(np.roll(levels, i)),
+        smp.with_top(i % (n + 1)), smp.simple(), smp.projection()))
+    signed = smp.draws(k, lambda i: smp.signed())
+    return ctx, smp, effects, signed
+
+
+def assert_cluster_first(stacked, members):
+    """Member i of cluster-first arrays: its own entries with the bits of
+    its own call's, then its last one repeated."""
+    for i, member in enumerate(members):
+        own = len(member)
+        assert same_bits(stacked[:own, i], np.asarray(member))
+        for j in range(own, len(stacked)):
+            assert same_bits(stacked[j, i], np.asarray(member)[-1])
+
+
+@pytest.mark.parametrize("model,n,k", CASES)
+def test_cluster_stacks_equal_the_member_calls(model, n, k):
+    """The eigenprojections of a stack, and the representation, family
+    and reconstructions built on them, give each member the bits of its
+    own call: cluster first, a member with fewer clusters repeating its
+    last value and step, with zero projections past its own."""
+    ctx, smp, effects, signed = cluster_stacks(model, n, k)
+    for a in (*effects, signed):
+        members = [a[i] for i in range(k)]
+        values, projs = ctx.eigenprojections(a)
+        rep = sp.reduced_representation(a, ctx)
+        fam = sp.spectral_family(a, ctx)
+        singles = [ctx.eigenprojections(x) for x in members]
+        assert_cluster_first(values, [v for v, _ in singles])
+        assert_cluster_first(rep.coefficients, [v for v, _ in singles])
+        assert_cluster_first(fam.breakpoints, [v for v, _ in singles])
+        for i, (v, p) in enumerate(singles):
+            assert same_bits(projs[:len(v), i], np.asarray(p))
+            assert not projs[len(v):, i].any()
+            assert same_bits(rep.projections[:len(v), i], np.asarray(p))
+        assert_cluster_first(fam.projections[1:], [
+            np.asarray(sp.spectral_family(x, ctx).projections[1:])
+            for x in members])
+        assert not fam.projections[0].any()
+        if a is signed:
+            continue
+        for mesh in (None, *vf.MESHES):
+            sums = sp.reconstruct(fam, mesh)
+            for i, x in enumerate(members):
+                assert same_bits(sums[i], sp.reconstruct(
+                    sp.spectral_family(x, ctx), mesh))
+
+
+@pytest.mark.parametrize("model,n,k", CASES)
+def test_sign_and_comparability_witnesses_of_stacks(model, n, k):
+    """Each member's sign witnesses head the stacked list with the bits of
+    its own call, the rest repeating its own; its comparability witness
+    and tie flag are those of the pair on its own, ties included."""
+    ctx, smp, effects, signed = cluster_stacks(model, n, k)
+    stacked = sp.sign_witness_projections(signed, ctx, limit=8)
+    for i in range(k):
+        own = sp.sign_witness_projections(signed[i], ctx, limit=8)
+        assert len(own) <= len(stacked) <= 8
+        for j, q in enumerate(stacked):
+            if j < len(own):
+                assert same_bits(q[i], own[j])
+            else:
+                assert any(same_bits(q[i], x) for x in own)
+    e, f = smp.draws(k, lambda i: smp.commuting())
+    tie = effects[1]
+    pairs = [(e, f), (tie, tie)]
+    if model == "mv":  # any two elements commute
+        pairs.append((effects[4], tie))
+    for x, y in pairs:
+        wit = sp.comparability_witness(x, y, ctx)
+        assert wit.degenerate.shape == (k,)
+        for i in range(k):
+            one = sp.comparability_witness(x[i], y[i], ctx)
+            assert same_bits(wit.p[i], one.p)
+            assert type(one.degenerate) is bool
+            assert wit.degenerate[i] == one.degenerate
+    assert sp.comparability_witness(tie, tie, ctx).degenerate.all()

@@ -405,3 +405,29 @@ def test_table_oracle_reports_the_first_failing_clause(monkeypatch):
     assert oracle.samples - oracle.passed == 2
     assert oracle.witness == {"table": "lukasiewicz-3", "element": "1/2",
                               "clause": "orthosupplement"}
+
+
+def test_table_oracle_orders_pair_failures_by_pair_then_clause(monkeypatch):
+    """The pair clauses of one table are tallied as one array, pair by
+    pair and clause by clause within a pair: with its compatibility
+    wrong at (0, 0) and its order wrong at (1, 1), the three-chain
+    reports the compatibility clause at (0, 0), though the order clause
+    comes first among the clauses."""
+    real = verify.tb.builtin_table
+
+    def broken(name):
+        alg = real(name)
+        if name == "lukasiewicz-3":
+            _ = alg.sharp, alg.principal  # read off the order before it moves
+            for key, (i, j) in (("compatibility", (0, 0)), ("order", (1, 1))):
+                flipped = getattr(alg, key).copy()
+                flipped[i, j] = ~flipped[i, j]
+                vars(alg)[key] = flipped
+        return alg
+
+    monkeypatch.setattr(verify.tb, "builtin_table", broken)
+    oracle = next(r for r in verify.run_table_suite(seed=1).results
+                  if r.statement_id == "tables:oracle")
+    assert oracle.samples - oracle.passed == 2
+    assert oracle.witness == {"table": "lukasiewicz-3", "a": "0", "b": "0",
+                              "clause": "compatibility"}

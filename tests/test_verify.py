@@ -22,13 +22,16 @@ from seakit.verify import (
     _lagrange,
     _meet_headroom,
     _run_statement,
+    _Tally,
 )
 from seakit.cli import main
 from seakit.config import DEFAULT
+from seakit.linalg import EigenDecomposition
 from seakit import fuzzy as fz
 from seakit import matrices as mx
 from seakit import spectral as sp
 from seakit import tables as tb
+from seakit import verify
 import numpy as np
 
 
@@ -408,6 +411,32 @@ def report_digests():
         print(*key, report_digest(*key))
 
 
+def witness_report_digest(model, n, seed, check):
+    """The sha256 of the merged spectrality and context reports, normal
+    and control, at 12 samples, with ``Tolerances.check`` forced to
+    ``check``: a small check fails rows that pass at the default, and a
+    huge one passes comparisons that must fail, so their witnesses are
+    recorded."""
+    tol = DEFAULT.replace(check=check)
+    return report_sha256(merge_reports([
+        run_spectrality_suite(model, n, 12, seed, tol),
+        run_spectrality_suite(model, n, 12, seed, tol, floor_mode="cover"),
+        run_context_suite(model, n, 12, seed, tol),
+        run_context_suite(model, n, 12, seed, tol, merge_delta=0.25)]))
+
+
+def witness_digests():
+    """Print the digest of each report on the ``WITNESS_DIGESTS`` grid:
+    matrix dim 4 and mv size 5 at seeds 1 and 2, with the check forced to
+    1e-14 and to 1e9 (not to -1, which crashes engine calls, whose
+    reports name source lines).  A change that must keep the witnesses
+    byte-identical prints the same 8 lines before and after:
+    ``PYTHONPATH=src:tests python -c "import test_verify;
+    test_verify.witness_digests()"``."""
+    for key in WITNESS_DIGESTS:
+        print(*key, witness_report_digest(*key))
+
+
 def blas_build():
     """numpy's version, its BLAS library's name and version, and the CPU
     kernel set OpenBLAS chose at run time, which can move last bits too
@@ -465,6 +494,60 @@ def test_reports_are_byte_identical(model, n, seed):
     change.  Regenerate the dict with ``report_digests`` above, after a
     deliberate change of the reports only."""
     assert report_digest(model, n, seed) == REPORT_DIGESTS[model, n, seed]
+
+
+# The witness digests, unrounded, on the build of REPORT_DIGESTS_BUILD.
+WITNESS_DIGESTS = {
+    ("matrix", 4, 1, 1e-14): "4ba5dd25b0ac41c2da5d4b14e0cbda1936cb9d00afa54d79822ace9e2714bd31",
+    ("matrix", 4, 2, 1e-14): "96acbbc30b52c7b2f8267f402f27bbfc5512adba3941ebb86926f5775f20deb3",
+    ("matrix", 4, 1, 1e9): "df941b1b6657264b1275ccb8de845368485b2c95add2dd89e6d8fc8b6b8319be",
+    ("matrix", 4, 2, 1e9): "ab960257c24bda6a62cd17eaca0ae3452e21945454b0299d71b765a38ed790cf",
+    ("mv", 5, 1, 1e-14): "03fac2ed1c4cd36a3202d48e3d9d82b20934d3ca9666d416de351b34fe9c38dd",
+    ("mv", 5, 2, 1e-14): "39a4d93e496624970c66648f5ff9f91cef8434ebe0b12b3323e72c8957455552",
+    ("mv", 5, 1, 1e9): "c6f6d26fd4418d10f156e2d690ca0a2c544a0db6dc4829b7de417f6d731bbcae",
+    ("mv", 5, 2, 1e9): "0f6659c0cbb92aea2ae41c8dc9e2d587a4e1d85ee3557c3d41adb1391662c10f",
+}
+
+
+@pytest.mark.parametrize("model,n,seed,check", sorted(WITNESS_DIGESTS))
+def test_witnesses_are_byte_identical(model, n, seed, check):
+    """The witness of every row that fails at a forced check threshold,
+    key, key order and sample index included, as the per-sample loops
+    recorded them.  The mv digests hold on any host; the matrix ones on
+    the build the report digests were recorded on.  Regenerate the dict
+    with ``witness_digests`` above, after a deliberate change of the
+    witnesses only."""
+    if model == "matrix" and BUILD != REPORT_DIGESTS_BUILD:
+        pytest.skip(f"matrix witness digests were recorded on "
+                    f"{REPORT_DIGESTS_BUILD}; this is {BUILD}")
+    assert witness_report_digest(model, n, seed, check) == \
+        WITNESS_DIGESTS[model, n, seed, check]
+
+
+@pytest.mark.parametrize("model,n", [("matrix", 4), ("mv", 5)])
+def test_chunked_rows_match_the_whole_stack(model, n, monkeypatch):
+    """The statements that take their samples in runs (``_chunks``) give
+    the reports and witnesses of one run over all 12 samples when the
+    runs hold 1, 5 and 7 samples: the sample offsets of the witnesses,
+    the maxima carried across runs and the masks split over them.  At a
+    check of 3e-16 the matrix ``lemma:covex_floor`` first fails past
+    sample 0, so its witness carries a run's offset.  (Not at 1e-16: an
+    engine crash there ends a statement in the run it happens in, so
+    its sample count moves with the runs.)"""
+    checks = (DEFAULT.check, 3e-16, 1e-14, 1e9)
+
+    def digests():
+        return [(witness_report_digest(model, n, seed, check),
+                 report_sha256(run_compression_suite(
+                     model, n, 12, seed, DEFAULT.replace(check=check)
+                 ).to_dict()))
+                for seed in (1, 2) for check in checks]
+
+    whole = digests()
+    per_sample = n ** ({"matrix": 2, "mv": 1}[model] + 1)
+    for size in (1, 5, 7):
+        monkeypatch.setattr(verify, "CHUNK_NUMBERS", size * per_sample)
+        assert digests() == whole, size
 
 
 MV_GOLDEN = {
@@ -603,15 +686,18 @@ def _matrices_in(witness) -> int:
 def test_work_per_request_is_pinned(call_counter, monkeypatch):
     """Counts of one matrix ``verify`` request, which do not depend on the
     machine: the eigensystems it needs (1,561 matrices decomposed) in
-    about a quarter as many LAPACK calls, as each sample's commuting family
-    is decomposed as one stack, the stacked statements decompose all their
-    samples at once and a stack's joint eigenbases take one call per block
-    size; the Haar frames in one QR call per statement
-    run and frame size (85 such pairs), as each statement draws its
-    samples as one block; known eigensystems wrapped once per stack; no
-    check of a matrix the verifier built; clustered decompositions only
-    where eigenvectors are used; and witness matrices encoded only for the
-    witnesses a report records."""
+    about a fourteenth as many LAPACK calls, as each sample's commuting
+    family is decomposed as one stack, every statement but
+    ``thm:contexts.functions`` (which decomposes nothing) checks all its
+    samples at once and a stack's joint eigenbases take one call per
+    block size; the Haar frames in one QR call per statement run and
+    frame size (85 such pairs), as each statement draws its samples as one
+    block; known eigensystems wrapped once per stack; no check of a matrix
+    the verifier built; clustered decompositions only where eigenvectors
+    are used, and few eigensystems built, as no statement indexes its
+    stacks member by member; one tally per statement, or per clause
+    group and table; and witness matrices encoded only for the witnesses
+    a report records."""
     calls = call_counter("numpy.linalg.eigh", "numpy.linalg.qr",
                          "seakit.linalg.decomposition_from",
                          "seakit.linalg.require_hermitian")
@@ -624,25 +710,52 @@ def test_work_per_request_is_pinned(call_counter, monkeypatch):
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counted_matrices)
-    encoded = 0
+    encoded = built = tallies = 0
     encode = mx.MatrixContext.encode
+    post_init = EigenDecomposition.__post_init__
+    tally = _Tally.tally
 
     def counted(self, v):
         nonlocal encoded
         encoded += 1
         return encode(self, v)
 
+    def counted_builds(self):
+        nonlocal built
+        built += 1
+        post_init(self)
+
+    def counted_tallies(self, *args, **kwargs):
+        nonlocal tallies
+        tallies += 1
+        tally(self, *args, **kwargs)
+
     monkeypatch.setattr(mx.MatrixContext, "encode", counted)
+    monkeypatch.setattr(EigenDecomposition, "__post_init__", counted_builds)
+    monkeypatch.setattr(_Tally, "tally", counted_tallies)
     reports = run_all("matrix", 4, 12, 42)
-    assert calls["numpy.linalg.eigh"] == 396
+    assert calls["numpy.linalg.eigh"] == 114
     assert decomposed == 1561
     assert calls["numpy.linalg.qr"] == 85
     assert calls["seakit.linalg.require_hermitian"] == 0
     assert calls["seakit.linalg.decomposition_from"] <= 60
+    assert built == 492
+    assert tallies == 124
     recorded = sum(_matrices_in(r.witness) for rep in reports
                    for r in rep.results if r.witness is not None)
     assert recorded > 0
     assert encoded == recorded
+
+
+def lapack_calls(call_counter, runs) -> list[int]:
+    """The ``eigh`` and ``qr`` calls of each suite run in ``runs``."""
+    calls = call_counter("numpy.linalg.eigh", "numpy.linalg.qr")
+    counts = []
+    for run in runs:
+        start = calls.count
+        run()
+        counts.append(calls.count - start)
+    return counts
 
 
 def test_sea_lapack_calls_do_not_grow_with_the_samples(call_counter):
@@ -651,12 +764,32 @@ def test_sea_lapack_calls_do_not_grow_with_the_samples(call_counter):
     joint-eigenbasis block, and at dim 4 every size shows up within 12
     samples.  So the sea suite makes as many LAPACK calls at 48 samples
     as at 12; a row that fell back to a per-sample loop would not."""
-    calls = call_counter("numpy.linalg.eigh", "numpy.linalg.qr")
-    counts = []
-    for samples in (12, 48):
-        start = calls.count
-        run_sea_suite("matrix", 4, samples, 42)
-        counts.append(calls.count - start)
+    counts = lapack_calls(call_counter, [
+        lambda samples=samples: run_sea_suite("matrix", 4, samples, 42)
+        for samples in (12, 48)])
+    assert counts[0] == counts[1] > 0
+
+
+@pytest.mark.parametrize("run,config", [
+    (run_spectrality_suite, {}),
+    (run_spectrality_suite, {"floor_mode": "cover"}),
+    (run_context_suite, {}),
+    (run_context_suite, {"merge_delta": 0.25}),
+], ids=["spectrality", "spectrality-control", "context", "context-control"])
+def test_cluster_suite_lapack_calls_do_not_grow_with_the_samples(
+        call_counter, run, config):
+    """The spectrality and context rows, normal and control, check all
+    their samples at once: one ``eigh`` per decomposed stack (the
+    clusters and their projections take none, and the joint eigenbases
+    one per block size) and one ``qr`` per frame size of each block of
+    draws.  At dim 4 every cluster and block size shows up within 12
+    samples (seed 42), so 12 and 48 samples make as many LAPACK calls; a
+    row that decomposed or factored per sample would make more.
+    ``thm:contexts.functions`` loops over the samples for its Lagrange
+    products, which decompose nothing."""
+    counts = lapack_calls(call_counter, [
+        lambda samples=samples: run("matrix", 4, samples, 42, **config)
+        for samples in (12, 48)])
     assert counts[0] == counts[1] > 0
 
 
