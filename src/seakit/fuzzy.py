@@ -15,7 +15,9 @@ by member, ``scale`` takes one λ per member, and ``leq``, ``extremes``,
 ``norm``, ``residual`` and ``is_sharp`` reduce over the last axis, one
 value per member; ``powers`` returns one ``(..., count, n)`` array.  The
 level sets (``eigenprojections``, ``joint_clusters``) of a stack come
-level first, as the matrix model's clusters do.
+level first, as the matrix model's clusters do.  ``spectrum_representation``
+maps a matrix effect onto its clusters, one stack of matrices evaluated on
+the clusters of one size together.
 """
 from __future__ import annotations
 
@@ -26,8 +28,8 @@ import numpy as np
 
 from .config import DEFAULT, Tolerances
 from . import matrices as mx
-from .linalg import (Runs, cluster_starts, frobenius, operator_norm,
-                     per_member)
+from .linalg import (EigenDecomposition, Runs, cluster_starts, frobenius,
+                     operator_norm, per_member, run_index)
 
 MAX_SPACE = 1024
 
@@ -115,25 +117,25 @@ class FuzzyContext:
         """Real values are their own conjugates."""
         return self.raw(v)
 
-    def eigenprojections(self, v) -> tuple[np.ndarray, np.ndarray]:
+    def eigenprojections(self, v
+                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Distinct values, ascending, with their level-set indicators as
-        0/1 arrays, level first: ``values[j]`` and ``projections[j]`` are
-        level j of each member of a stack, and a member with fewer levels
-        repeats its top value there, with a zero indicator."""
+        0/1 arrays, level first, and the mask of each member's own levels:
+        ``values[j]`` and ``projections[j]`` are level j of each member of
+        a stack, and a member with fewer levels repeats its top value
+        there, with a zero indicator."""
         raw = self.raw(v)
         srt = np.sort(raw, axis=-1)
         runs = Runs(cluster_starts(srt, 0.0))
         values = runs.padded(srt.reshape(-1, srt.shape[-1])[runs.member,
                                                             runs.start])
-        return values, self._indicators(runs, (raw, values))
+        return values, self._indicators(runs, (raw, values)), runs.own
 
     @staticmethod
     def _indicators(runs: Runs, *pairs) -> np.ndarray:
         """The indicator of each level: where every (element, level
         values) pair takes its level's value, zero past a member's last."""
-        own = np.arange(len(pairs[0][1])).reshape(
-            -1, *(1,) * runs.counts.ndim) < runs.counts
-        mask = own[..., None]
+        mask = runs.own[..., None]
         for raw, values in pairs:
             mask = mask & (raw == values[..., None])
         return mask.astype(float)
@@ -230,21 +232,29 @@ class EmbeddingReport:
     isometry_residual: float
 
 
-def _phi(effect_decomp, matrix: np.ndarray) -> tuple[np.ndarray, float]:
-    """Evaluate a matrix against the eigenbasis clusters of a reference.
+def _phi(reference: EigenDecomposition, mats: np.ndarray
+         ) -> tuple[np.ndarray, float]:
+    """Evaluate a stack of matrices against the eigenbasis clusters of one
+    reference matrix, the clusters of one size together.
 
-    Returns the per-cluster mean diagonal values and the defect measuring
-    how far the matrix is from being constant on each cluster.
+    Returns each matrix's mean diagonal value on each cluster, a row per
+    matrix, and the defect measuring how far the matrices are from being
+    constant on each cluster.
     """
-    vals = []
+    runs, n = reference.runs, reference.dim
+    vectors = reference.vectors.reshape(1, n, n)
+    vals = np.empty((len(mats), len(runs.start)))
     defect = 0.0
-    for idx in effect_decomp.clusters:
-        cols = effect_decomp.vectors[:, list(idx)]
-        block = cols.conj().T @ matrix @ cols
-        mean = float(np.mean(np.real(np.diag(block))))
-        defect = max(defect, frobenius(block - mean * np.eye(len(idx))))
-        vals.append(mean)
-    return np.array(vals), defect
+    for m in sorted(set(runs.size.tolist())):
+        pick = runs.size == m
+        cols = vectors[run_index(runs.member[pick], runs.start[pick], m, n)]
+        block = cols.conj().swapaxes(-1, -2) @ mats[:, None] @ cols
+        mean = np.mean(np.real(np.diagonal(block, axis1=-2, axis2=-1)),
+                       axis=-1)
+        vals[:, pick] = mean
+        defect = max(defect, float(np.max(frobenius(
+            block - mean[..., None, None] * np.eye(m)))))
+    return vals, defect
 
 
 def spectrum_representation(a: mx.Effect, degree: int = 6,
@@ -256,7 +266,8 @@ def spectrum_representation(a: mx.Effect, degree: int = 6,
     The point set is the eigenvalue clusters of the effect.  The report
     checks, on sequential powers up to the given degree, that the map
     turns sequential products into pointwise products and that operator
-    norms match sup norms.
+    norms match sup norms: the identity and the powers as one stack, the
+    pairs' products as another.
     """
     if not 1 <= degree <= 6:
         raise ValueError("degree must be between 1 and 6")
@@ -264,29 +275,20 @@ def spectrum_representation(a: mx.Effect, degree: int = 6,
     image = np.clip(d.cluster_values, 0.0, 1.0)
 
     ctx = mx.MatrixContext(tol)
-    mats = [np.eye(a.dim, dtype=np.complex128), *ctx.powers(a, degree)]
-    phis = []
-    mult = 0.0
-    for m in mats:
-        value, defect = _phi(d, m)
-        phis.append(value)
-        mult = max(mult, defect)
-    elements = [ctx.element(m) for m in mats]
-    samples = 0
-    for i in range(len(mats)):
-        for j in range(len(mats)):
-            if i + j > degree:
-                continue
-            prod = ctx.product(elements[i], elements[j])
-            value, defect = _phi(d, prod)
-            mult = max(mult, defect,
-                       float(np.max(np.abs(value - phis[i] * phis[j]))))
-            samples += 1
-    iso = 0.0
-    for m, phi in zip(mats, phis):
-        iso = max(iso, abs(operator_norm(m) - float(np.max(np.abs(phi)))))
+    mats = np.concatenate([np.eye(a.dim, dtype=np.complex128)[None],
+                           ctx.powers(a, degree)])
+    phis, mult = _phi(d, mats)
+    elements = ctx.element(mats)
+    elements.sqrt_matrix()  # every left operand's root, from one eigh
+    i, j = np.nonzero(np.add.outer(np.arange(degree + 1),
+                                   np.arange(degree + 1)) <= degree)
+    value, defect = _phi(d, ctx.product(elements[i], elements[j]))
+    mult = max(mult, defect,
+               float(np.max(np.abs(value - phis[i] * phis[j]))))
+    iso = float(np.max(np.abs(operator_norm(mats)
+                              - np.max(np.abs(phis), axis=-1))))
     report = EmbeddingReport(space=len(image), degree=degree,
-                             samples=samples, mult_residual=mult,
+                             samples=len(i), mult_residual=mult,
                              isometry_residual=iso)
     return image, report
 

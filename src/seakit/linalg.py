@@ -18,7 +18,9 @@ eigenprojections on first use and once.  One routine does this work:
 per run (a mean, a projection ``cols @ cols*``) is computed for the runs
 of one size together, with the bits of one call per run.  The clusters of
 a stack come cluster first, ``(K, ...)`` for the largest count K, and a
-member with fewer repeats its last value there, with a zero projection.
+member with fewer repeats its last value there, with a zero projection;
+``Runs.own`` (``EigenDecomposition.own``) marks each member's own
+clusters, and is the one place that knows which entries are padding.
 ``decomposition_from`` wraps a known eigensystem, sorting it only when it
 is not already ascending.  With the same numpy and LAPACK build, identical
 input gives identical output.
@@ -101,9 +103,9 @@ class Runs:
     The runs are listed member by member, in column order: ``member`` (the
     flat index of the member), ``start`` and ``size``.  Built on first
     use: ``index`` (the run's place among its member's runs), ``labels``
-    (each column's run) and ``counts`` (each member's number of runs, on
-    the leading axes of the mask), which one element does not need.  What
-    is computed per run is computed for the runs of one size together.
+    (each column's run), ``counts`` (each member's number of runs, on
+    the leading axes of the mask) and ``own``.  What is computed per run
+    is computed for the runs of one size together.
     """
 
     def __init__(self, starts: np.ndarray):
@@ -132,10 +134,14 @@ class Runs:
     def labels(self) -> np.ndarray:
         return self._starts.cumsum(axis=-1) - 1
 
-    def indices(self) -> tuple[tuple[int, ...], ...]:
-        """The column indices of each run, as tuples."""
-        return tuple(tuple(range(s, s + m)) for s, m in zip(
-            self.start.tolist(), self.size.tolist()))
+    @cached_property
+    def own(self) -> np.ndarray:
+        """Which entries of a ``(K, *lead)`` array laid out as ``padded``
+        and ``projections`` lay it are each member's own runs, not padding:
+        all of them for one member."""
+        count = self.counts
+        return _frozen(np.arange(int(count.max(initial=0))).reshape(
+            -1, *(1,) * count.ndim) < count)
 
     def means(self, values: np.ndarray) -> np.ndarray:
         """The mean of each run's values in a flat ``(M, n)`` array, one
@@ -239,8 +245,9 @@ class EigenDecomposition:
     width, on first use and once: their mean values and their projectors
     come cluster first, ``cluster_values[j]`` and ``projectors[j]`` being
     cluster j of every member.  A member with fewer clusters than the
-    most repeats its last value there, with a zero projector.  The arrays
-    handed out are read-only.
+    most repeats its last value there, with a zero projector, and ``own``
+    marks each member's own clusters.  The arrays handed out are
+    read-only.
     """
 
     values: np.ndarray
@@ -256,7 +263,7 @@ class EigenDecomposition:
         return self.values.shape[-1]
 
     @cached_property
-    def _runs(self) -> Runs:
+    def runs(self) -> Runs:
         """The clusters: runs of eigenvalues closer than each member's
         clustering width."""
         top = np.abs(self.values).max(axis=-1)
@@ -264,14 +271,14 @@ class EigenDecomposition:
                                    self.tol.cluster * np.maximum(1.0, top)))
 
     @property
-    def clusters(self) -> tuple[tuple[int, ...], ...]:
-        """The index run of each cluster of one matrix."""
-        return self._runs.indices()
+    def own(self) -> np.ndarray:
+        """Which clusters, cluster first, are each member's own."""
+        return self.runs.own
 
     @cached_property
     def projectors(self) -> np.ndarray:
         """The eigenprojection of each cluster, in cluster order."""
-        return _frozen(self._runs.projections(
+        return _frozen(self.runs.projections(
             self.vectors.reshape(-1, self.dim, self.dim)))
 
     @cached_property
@@ -279,7 +286,7 @@ class EigenDecomposition:
         """The mean eigenvalue of each cluster, ascending (``numpy.mean``
         of the cluster's values; a singleton's is its value, as x / 1 is
         exact)."""
-        runs = self._runs
+        runs = self.runs
         return _frozen(runs.padded(runs.means(
             self.values.reshape(-1, self.dim))))
 

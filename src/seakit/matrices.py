@@ -202,7 +202,7 @@ def joint_eigenbasis(x, y, tol: Tolerances = DEFAULT
         raise NotCommutingError("matrices do not commute")
     dx = x.decomposition if isinstance(x, Effect) else eigh(xm, tol)
     n = xm.shape[-1]
-    runs = dx._runs  # x's clusters; y is diagonalized on each of them
+    runs = dx.runs  # x's clusters; y is diagonalized on each of them
     vectors = np.zeros((len(runs.labels), n, n), dtype=np.complex128)
     yvals = np.zeros(runs.labels.shape)
     xvals = dx.cluster_values.reshape(len(dx.cluster_values), -1)[
@@ -376,12 +376,12 @@ class MatrixContext:
         return np.eye(raw.shape[-1]) - raw
 
     def eigenprojections(self, v
-                         ) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-        """Cluster values with their eigenprojections: the read-only
-        arrays of one (for an Effect, the cached) decomposition, which
-        builds them once."""
+                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Cluster values with their eigenprojections and the mask of each
+        member's own clusters: the read-only arrays of one (for an Effect,
+        the cached) decomposition, which builds them once."""
         d = self._decomposition(v)
-        return d.cluster_values, d.projectors
+        return d.cluster_values, d.projectors, d.own
 
     def add(self, a, b) -> np.ndarray:
         return _matrix(a) + _matrix(b)

@@ -13,11 +13,12 @@ and this module imports neither.
 
 Every function also takes a stack of elements, with the bits of one call
 per member.  The eigenprojections of a stack come cluster first, a member
-with fewer clusters repeating its top value with a zero projection
-(``own_clusters`` tells its own from the padding), so the running sums,
-staircases and tags of all members are formed cluster by cluster on
-arrays, and a member's padding adds nothing.  One element is the stack
-without its leading axis: its values and projections are arrays too.
+with fewer clusters repeating its top value with a zero projection, and
+``eigenprojections`` hands out with them the mask of each member's own
+clusters, so the running sums, staircases and tags of all members are
+formed cluster by cluster on arrays, and a member's padding adds
+nothing.  One element is the stack without its leading axis: its values
+and projections are arrays too.
 """
 from __future__ import annotations
 
@@ -61,12 +62,6 @@ class SpectralFamily:
             len(self.breakpoints), *(1,) * max(0, lam.ndim - len(lead)), *lead)
         idx = np.count_nonzero(bps <= lam, axis=0)
         return self.projections[(idx, *np.indices(lead, sparse=True))]
-
-    def jump(self, k: int) -> np.ndarray:
-        """Raw jump at breakpoint k (1-based): p(k) - p(k-1)."""
-        if not 1 <= k <= len(self.breakpoints):
-            raise IndexError("jump index out of range")
-        return self.projections[k] - self.projections[k - 1]
 
     def to_json_dict(self, ctx) -> dict:
         """One element's family with each step as the context's element
@@ -120,19 +115,12 @@ class ComparabilityWitness:
 @dataclass(frozen=True)
 class ReducedRepresentation:
     """Strictly increasing coefficients with orthogonal projections
-    summing to one, cluster first for a stack."""
+    summing to one, cluster first for a stack, with the mask of each
+    member's own clusters."""
 
     coefficients: np.ndarray
     projections: np.ndarray
-
-
-def own_clusters(values) -> np.ndarray:
-    """Which entries of a cluster-first array of cluster values, as
-    ``eigenprojections`` gives them, are each member's own: a member's
-    values rise strictly, and its repeated top value is padding."""
-    values = np.asarray(values)
-    rises = np.count_nonzero(values[1:] > values[:-1], axis=0)
-    return np.arange(len(values)).reshape(-1, *(1,) * rises.ndim) <= rises
+    own: np.ndarray
 
 
 def kept_sum(ctx, keep, projs):
@@ -188,7 +176,7 @@ def eigenprojection(v, lam, ctx):
 def spectral_bounds(v, ctx) -> SpectralBounds:
     """Least and greatest spectral values: L·1 <= v <= U·1, tightly; one
     of each per member of a stack."""
-    values, _ = ctx.eigenprojections(v)
+    values = ctx.eigenprojections(v)[0]
     return SpectralBounds(per_member(values[0]), per_member(values[-1]))
 
 
@@ -249,7 +237,7 @@ def simple_approximation(a, n, ctx):
     levels = np.asarray(n)
     if np.any(levels < 1):
         raise ValueError("level must be at least 1")
-    values, projs = ctx.eigenprojections(a)
+    values, projs, _ = ctx.eigenprojections(a)
     acc = ctx.zero_like(a)
     scale = 2.0 ** levels
     # one coefficient per level for each eigenprojection; ``ctx.scale``
@@ -303,8 +291,7 @@ def sign_witness_projections(v, ctx, limit: int = 64) -> list[np.ndarray]:
     clusters.  For a stack, the list runs over the subsets of the most
     kernel clusters a member has, each entry one q per member; a member
     with fewer repeats its own subsets."""
-    values, projs = ctx.eigenprojections(v)
-    own = own_clusters(values)
+    values, projs, own = ctx.eigenprojections(v)
     kernel = own & (np.abs(values) <= ctx.tol.kernel)
     pos = kept_sum(ctx, own & (values > ctx.tol.kernel), projs)
     # the i-th kernel cluster of each member, or zero
@@ -347,11 +334,11 @@ def comparability_witness(e, f, ctx) -> ComparabilityWitness:
 def reduced_representation(a, ctx) -> ReducedRepresentation:
     """Distinct spectral values with their eigenprojections, the arrays of
     ``eigenprojections`` (cluster first for a stack)."""
-    values, projs = ctx.eigenprojections(a)
+    values, projs, own = ctx.eigenprojections(a)
     # the sum in cluster order, from zero
     total = np.add.reduce(projs, axis=0, initial=0.0)
     gap = np.ravel(ctx.residual(total, ctx.one_like(a)))
     if np.any(gap > ctx.tol.check):
         raise ArithmeticError("eigenprojections do not sum to one: "
                               f"{gap[np.argmax(gap > ctx.tol.check)]:.3e}")
-    return ReducedRepresentation(values, projs)
+    return ReducedRepresentation(values, projs, own)

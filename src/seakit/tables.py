@@ -79,9 +79,6 @@ class FiniteEffectAlgebra:
     def elements(self) -> range:
         return range(self.size)
 
-    def defined(self, i: int, j: int) -> bool:
-        return self.table[i, j] != UNDEFINED
-
     # -- relations, each computed once -----------------------------------
 
     @cached_property

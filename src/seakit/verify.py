@@ -24,7 +24,8 @@ interleaved loop.  Every statement then checks all its samples at once:
 every verb and engine call works member by member on the stacks, a
 premise is a mask over the samples, and one ``tally`` takes the outcomes
 and residuals as arrays.  The ragged clusters of a stack come cluster
-first, padded past each member's own (``spectral.own_clusters``); what
+first, padded past each member's own, with the mask of each member's own
+clusters (``linalg.Runs.own``, handed out by ``eigenprojections``); what
 is decomposed per cluster is decomposed for the members' own clusters
 only (``_on_own``), so no padding is decomposed, and a sum or maximum over
 the clusters sees a member's own entries alone.  A statement whose
@@ -763,13 +764,13 @@ def _on_own(own: np.ndarray, fn, *stacks) -> np.ndarray:
         grid, pick.reshape(*pick.shape, *(1,) * (out.ndim - 1)), axis=0)
 
 
-def _rickart_family(a, ctx) -> sp.SpectralFamily:
+def _rickart_family(a, rep, ctx) -> sp.SpectralFamily:
     """Reference family from the definition: p_λ is the Rickart projection
-    of (a - λ)⁺, freshly decomposed at each spectral value λ of each
-    member (the shifts as one stack)."""
-    values = ctx.eigenprojections(a)[0]
-    steps = _on_own(sp.own_clusters(values), lambda x: ctx.rickart(
-        ctx.positive_part(x)), ctx.shift(a, values))
+    of (a - λ)⁺, freshly decomposed at each coefficient λ of each
+    member's reduced representation ``rep`` (the shifts as one stack)."""
+    values = rep.coefficients
+    steps = _on_own(rep.own, lambda x: ctx.rickart(ctx.positive_part(x)),
+                    ctx.shift(a, values))
     return sp.family_from_steps(
         values, np.concatenate([np.zeros_like(steps[:1]), steps]), ctx.model)
 
@@ -826,10 +827,11 @@ def _limit(run, ctx, smp, t: _Tally) -> None:
 def _spectprojs(run, ctx, smp, t: _Tally) -> None:
     a = smp.draws(run.samples, lambda k: smp.simple())
     for lo, (a,) in _chunks(run, a):
-        fam = sp.spectral_family(a, ctx)
-        ref = _rickart_family(a, ctx)
-        bps = fam.breakpoints
-        own = sp.own_clusters(bps)
+        rep = sp.reduced_representation(a, ctx)
+        fam = sp.family_from_representation(rep.coefficients,
+                                            rep.projections, ctx.model)
+        ref = _rickart_family(a, rep, ctx)
+        bps, own = fam.breakpoints, rep.own
         ok = np.all(np.abs(bps - ref.breakpoints) <= run.thr, axis=0)
         steps = fam.projections
         ok &= np.all(_on_own(own, ctx.leq, steps[:-1], steps[1:]), axis=0)
@@ -879,7 +881,7 @@ def _projcov(run, ctx, smp, t: _Tally) -> None:
         cover = ctx.cover(a)
         # Every sub-sum of the eigenprojections (the first 16) lies
         # above a exactly when it lies above the cover.
-        values, projs = ctx.eigenprojections(a)
+        _, projs, own = ctx.eigenprojections(a)
         sums = []
         for mask in range(min(2 ** len(projs), 16)):
             q = np.zeros_like(projs[0])
@@ -889,9 +891,9 @@ def _projcov(run, ctx, smp, t: _Tally) -> None:
             sums.append(q)
         sums = np.stack(sums)
         # a member's own sub-sums: those of its own clusters
-        own = np.arange(len(sums))[:, None] < 2 ** np.minimum(
-            4, np.count_nonzero(sp.own_clusters(values), axis=0))
-        same = _on_own(own, lambda x, y, q: ctx.leq(x, q) == ctx.leq(y, q),
+        mine = np.arange(len(sums))[:, None] < 2 ** np.minimum(
+            4, np.count_nonzero(own, axis=0))
+        same = _on_own(mine, lambda x, y, q: ctx.leq(x, q) == ctx.leq(y, q),
                        *np.broadcast_arrays(ctx.raw(a), ctx.raw(cover), sums))
         r = run.res(ctx.cover(ctx.scale(lam, a)), cover)
         t.tally(ctx.leq(a, cover) & np.all(same, axis=0) & (r <= run.thr), r,
@@ -917,7 +919,7 @@ def _covex_floor(run, ctx, smp, t: _Tally) -> None:
 
     a = smp.draws(run.samples, draw)
     for lo, (a,) in _chunks(run, a):
-        values, projs = ctx.eigenprojections(a)
+        values, projs, _ = ctx.eigenprojections(a)
         top = sp.kept_sum(ctx, values >= 1.0 - ctx.tol.cluster, projs)
         r1 = run.res(run.floor(a), top)
         r2 = run.res(ctx.floor(ctx.complement(a)),
@@ -1047,12 +1049,12 @@ def _lagrange(ctx, a, nodes, i: int):
     return out
 
 
-def _block_starts(values: np.ndarray, delta: float) -> np.ndarray:
+def _block_starts(values: np.ndarray, own: np.ndarray,
+                  delta: float) -> np.ndarray:
     """Which coefficients start a block when each one within delta of its
     block's first one is merged into that block, which keeps the first
-    coefficient; values cluster first, as ``eigenprojections`` gives
-    them, one column of verdicts per member."""
-    own = sp.own_clusters(values)
+    coefficient; values cluster first with the mask of each member's own,
+    as ``eigenprojections`` gives them, one column of verdicts per member."""
     starts = np.zeros(values.shape, dtype=bool)
     starts[0] = True
     first = values[0]
@@ -1074,13 +1076,13 @@ def _closed_form(run, ctx, smp, t: _Tally) -> None:
     a = smp.draws(run.samples, draw)
     for lo, (a,) in _chunks(run, a):
         rep = sp.reduced_representation(a, ctx)
-        ref = _rickart_family(a, ctx)
+        ref = _rickart_family(a, rep, ctx)
         # The closed form of a member with nothing to merge is its family;
         # one with a merged coefficient has fewer steps than the
         # definition, and fails.
-        closed = np.count_nonzero(
-            _block_starts(rep.coefficients, run.merge_delta), axis=0)
-        steps = np.count_nonzero(sp.own_clusters(rep.coefficients), axis=0)
+        closed = np.count_nonzero(_block_starts(
+            rep.coefficients, rep.own, run.merge_delta), axis=0)
+        steps = np.count_nonzero(rep.own, axis=0)
         same = closed == steps
         fam = sp.family_from_representation(rep.coefficients,
                                             rep.projections, ctx.model)
@@ -1097,9 +1099,8 @@ def _reduced(run, ctx, smp, t: _Tally) -> None:
     a = smp.draws(run.samples, lambda k: smp.simple(gap=0.15))
     for lo, (a,) in _chunks(run, a):
         rep = sp.reduced_representation(a, ctx)
-        ref = _rickart_family(a, ctx)
-        coeffs, projs = rep.coefficients, rep.projections
-        own = sp.own_clusters(coeffs)
+        ref = _rickart_family(a, rep, ctx)
+        coeffs, projs, own = rep.coefficients, rep.projections, rep.own
         ok = np.all(~own[1:] | (np.diff(coeffs, axis=0) > ctx.tol.cluster),
                     axis=0)
         r_jump = run.res(np.diff(ref.projections, axis=0), projs)
@@ -1119,13 +1120,13 @@ def _functions(run, ctx, smp, t: _Tally) -> None:
     a = smp.draws(run.samples, lambda k: smp.simple(gap=0.15))
     for lo, (a,) in _chunks(run, a):
         rep = sp.reduced_representation(a, ctx)
-        own = sp.own_clusters(rep.coefficients)
         raw = ctx.raw(a)
         # The number of nodes differs from sample to sample, so the
         # Lagrange products are formed member by member.
         for k, elem in enumerate(raw):
-            nodes = rep.coefficients[own[:, k], k].tolist()
-            projs = rep.projections[own[:, k], k]
+            own = rep.own[:, k]
+            nodes = rep.coefficients[own, k].tolist()
+            projs = rep.projections[own, k]
             if run.merge_delta > 0.0:
                 nodes = [mu for j, mu in enumerate(nodes)
                          if j == 0 or mu - nodes[j - 1] > run.merge_delta]

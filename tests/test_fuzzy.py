@@ -5,12 +5,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from seakit import matrices as mx
+from seakit.config import DEFAULT
 from seakit.fuzzy import (
     FuzzyContext,
     FuzzySampler,
     indicator,
     spectrum_representation,
 )
+from seakit.linalg import frobenius, operator_norm
 from seakit.spectral import reduced_representation, spectral_family
 from seakit.verify import _block_starts
 
@@ -68,15 +70,16 @@ def test_reduced_representation_level_sets():
 
 def test_delta_merging_is_opt_in():
     rep = reduced_representation(fs(0.3, 0.4, 0.9), CTX)
-    assert _block_starts(rep.coefficients, 0.0).tolist() == [True] * 3
-    starts = _block_starts(rep.coefficients, 0.15)
+    assert _block_starts(rep.coefficients, rep.own, 0.0).tolist() == [
+        True] * 3
+    starts = _block_starts(rep.coefficients, rep.own, 0.15)
     assert rep.coefficients[starts].tolist() == [0.3, 0.9]
     merged = np.add.reduceat(rep.projections, np.flatnonzero(starts))
     assert [np.flatnonzero(p).tolist() for p in merged] == [[0, 1], [2]]
     # a stack: each member merges its own blocks, and padding starts none
     rep = reduced_representation(
         np.array([[0.3, 0.4, 0.9], [0.2, 0.2, 0.5]]), CTX)
-    assert _block_starts(rep.coefficients, 0.15).tolist() == [
+    assert _block_starts(rep.coefficients, rep.own, 0.15).tolist() == [
         [True, True], [False, True], [True, False]]
 
 
@@ -103,8 +106,8 @@ def test_family_reconstructs_exactly():
     a = fs(0.25, 0.5, 0.5, 1.0)
     fam = spectral_family(a, CTX)
     total = np.zeros(4)
-    for k in range(1, len(fam.breakpoints) + 1):
-        total = total + fam.breakpoints[k - 1] * fam.jump(k)
+    for b, jump in zip(fam.breakpoints, np.diff(fam.projections, axis=0)):
+        total = total + b * jump
     assert np.array_equal(total, a)
 
 
@@ -113,8 +116,9 @@ def test_reduced_representation_is_unique(level_set_family):
     rep = reduced_representation(a, CTX)
     closed = level_set_family(a)
     assert np.array_equal(rep.coefficients, closed.breakpoints)
-    for k, p in enumerate(rep.projections, start=1):
-        assert np.array_equal(p, closed.jump(k))
+    for p, jump in zip(rep.projections,
+                       np.diff(closed.projections, axis=0), strict=True):
+        assert np.array_equal(p, jump)
 
 
 def test_fuzzy_context_thresholds_are_exact():
@@ -152,13 +156,75 @@ def test_spectrum_representation_degenerate_and_sharp():
 
 
 def test_spectrum_representation_wraps_each_power_once(eigh_calls):
-    """Each power is wrapped once, before the product pairs, so it is
-    diagonalized once as a left operand: 14 eigh calls on a generic dim-8
-    effect at degree 6, where wrapping per pair made 35."""
+    """The identity and the powers are wrapped as one stack before the
+    product pairs, so their square roots take one eigh call and their
+    norms one more: 2 on a generic dim-8 effect at degree 6, where
+    wrapping each power on its own made 14, and wrapping per pair 35."""
     a = mx.EffectSampler(3, 8).effect()
     before = eigh_calls.count
     spectrum_representation(a)
-    assert eigh_calls.count - before == 14
+    assert eigh_calls.count - before == 2
+
+
+def looped_representation(a, degree=6, tol=DEFAULT):
+    """``spectrum_representation`` one cluster, one power and one pair at
+    a time, as it was written before the stacks: the image, the number of
+    pairs and the two residuals."""
+    def phi(d, matrix):
+        vals = []
+        defect = 0.0
+        for start, size in zip(d.runs.start.tolist(), d.runs.size.tolist()):
+            cols = d.vectors[:, list(range(start, start + size))]
+            block = cols.conj().T @ matrix @ cols
+            mean = float(np.mean(np.real(np.diag(block))))
+            defect = max(defect, frobenius(block - mean * np.eye(size)))
+            vals.append(mean)
+        return np.array(vals), defect
+
+    d = a.decomposition
+    image = np.clip(d.cluster_values, 0.0, 1.0)
+    ctx = mx.MatrixContext(tol)
+    mats = [np.eye(a.dim, dtype=np.complex128), *ctx.powers(a, degree)]
+    phis = []
+    mult = 0.0
+    for m in mats:
+        value, defect = phi(d, m)
+        phis.append(value)
+        mult = max(mult, defect)
+    elements = [ctx.element(m) for m in mats]
+    samples = 0
+    for i in range(len(mats)):
+        for j in range(len(mats)):
+            if i + j > degree:
+                continue
+            value, defect = phi(d, ctx.product(elements[i], elements[j]))
+            mult = max(mult, defect,
+                       float(np.max(np.abs(value - phis[i] * phis[j]))))
+            samples += 1
+    iso = 0.0
+    for m, phi_m in zip(mats, phis):
+        iso = max(iso, abs(operator_norm(m) - float(np.max(np.abs(phi_m)))))
+    return image, samples, mult, iso
+
+
+def test_spectrum_representation_equals_the_cluster_loop():
+    """The stacked clusters, powers and pairs give the bits of the loop
+    over them, on effects rebuilt from their matrices as ``seakit mv``
+    reads them: generic, simple, with a top cluster, and projections."""
+    for n in range(1, 11):
+        smp = mx.EffectSampler(40 + n, n)
+        drawn = [draw() for _ in range(3) for draw in (
+            smp.effect, smp.simple, lambda: smp.with_top(n // 2),
+            smp.projection)]
+        for x in drawn:
+            for degree in (1, 6):
+                a, b = mx.Effect(x.matrix), mx.Effect(x.matrix)
+                image, rep = spectrum_representation(a, degree)
+                want, samples, mult, iso = looped_representation(b, degree)
+                assert image.tobytes() == want.tobytes()
+                assert rep.samples == samples
+                assert rep.mult_residual.hex() == mult.hex()
+                assert rep.isometry_residual.hex() == iso.hex()
 
 
 def test_spectrum_representation_degree_bounds():

@@ -55,21 +55,29 @@ def test_matches_numpy_oracle(dim, rng):
         assert np.allclose(q.conj().T @ q, np.eye(dim), atol=1e-9)
 
 
+def run_columns(runs):
+    """The column indices of each run, as tuples."""
+    return tuple(tuple(range(s, s + m)) for s, m in zip(
+        runs.start.tolist(), runs.size.tolist()))
+
+
 def test_cluster_indices_width():
     values = np.array([0.2, 0.2 + 1e-12, 0.9])
 
     def clusters(v, width):
-        return Runs(cluster_starts(v, width)).indices()
+        return run_columns(Runs(cluster_starts(v, width)))
 
     assert clusters(values, 1e-8) == ((0, 1), (2,))
     assert clusters(values, 1e-14) == ((0,), (1,), (2,))
+    assert Runs(cluster_starts(values, 1e-8)).own.tolist() == [True] * 2
     # each member of a stack against its own width
     stack = np.array([values, values])
     runs = Runs(cluster_starts(stack, np.array([1e-8, 1e-14])))
-    assert runs.indices() == ((0, 1), (2,), (0,), (1,), (2,))
+    assert run_columns(runs) == ((0, 1), (2,), (0,), (1,), (2,))
     assert runs.counts.tolist() == [2, 3]
     assert runs.index.tolist() == [0, 1, 0, 1, 2]
     assert runs.labels.tolist() == [[0, 0, 1], [0, 1, 2]]
+    assert runs.own.tolist() == [[True, True], [True, True], [False, True]]
 
 
 def test_projectors_resolve_identity(rng):
@@ -83,7 +91,7 @@ def test_projectors_resolve_identity(rng):
 
 def test_clustered_projector_rank():
     d = eigh(np.diag([0.2, 0.2, 0.9]))
-    assert len(d.clusters) == 2
+    assert run_columns(d.runs) == ((0, 1), (2,))
     assert np.allclose(d.projectors[0], np.diag([1.0, 1.0, 0.0]),
                        atol=1e-12)
     assert np.allclose(d.projectors[1], np.diag([0.0, 0.0, 1.0]),
@@ -170,8 +178,8 @@ def test_cluster_values_equal_the_per_cluster_mean():
         d = EigenDecomposition(values, np.eye(n, dtype=np.complex128),
                                DEFAULT)
         want = np.array([float(np.mean(values[list(idx)]))
-                         for idx in d.clusters])
+                         for idx in run_columns(d.runs)])
         assert d.cluster_values.dtype == np.float64
         assert d.cluster_values.tobytes() == want.tobytes()
-        sizes.update(len(idx) for idx in d.clusters)
+        sizes.update(d.runs.size.tolist())
     assert {1, 2, 3} <= sizes

@@ -57,10 +57,9 @@ def test_family_of_projection_and_scalar():
 def test_family_is_right_continuous_with_eigen_jumps():
     a = effect(0.2, 0.5, 0.5)
     fam = spectral_family(a, MATRIX)
-    for k, b in enumerate(fam.breakpoints, start=1):
+    for b, jump in zip(fam.breakpoints, np.diff(fam.projections, axis=0)):
         eps = 1e-9
         assert np.allclose(fam.at(b + eps), fam.at(b), atol=1e-8)
-        jump = fam.jump(k)
         proj = eigenprojection(a, b, MATRIX)
         assert np.allclose(jump, proj, atol=1e-8)
     assert np.allclose(eigenprojection(a, 0.3, MATRIX),
@@ -88,10 +87,10 @@ def test_meshed_tags_match_the_listed_partition():
         lo, hi = bps[0], bps[-1]
         count = max(1, math.ceil((hi - lo + mesh) / mesh - 1e-12))
         points = [hi - (count - i) * mesh for i in range(count + 1)]
-        acc = np.zeros_like(fam.jump(1))
-        for k, b in enumerate(bps, start=1):
+        acc = np.zeros_like(fam.projections[0])
+        for b, jump in zip(bps, np.diff(fam.projections, axis=0)):
             tag = points[min(bisect.bisect_left(points, b), count)]
-            acc = acc + tag * fam.jump(k)
+            acc = acc + tag * jump
         return acc
 
     sampler = mx.EffectSampler(21, 4)

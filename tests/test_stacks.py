@@ -197,7 +197,7 @@ def test_commutes_on_a_stack_equals_the_member_calls(model, n, k):
 def looped_staircase(a, level, ctx):
     """The dyadic staircase at one level, as the loop over the
     eigenprojections that the array of levels replaced."""
-    values, projs = ctx.eigenprojections(a)
+    values, projs, _ = ctx.eigenprojections(a)
     scale = 2.0 ** level
     acc = ctx.zero_like(a)
     for lam, proj in zip(np.clip(values, 0.0, 1.0), projs):
@@ -534,14 +534,22 @@ def test_cluster_stacks_equal_the_member_calls(model, n, k):
     """The eigenprojections of a stack, and the representation, family
     and reconstructions built on them, give each member the bits of its
     own call: cluster first, a member with fewer clusters repeating its
-    last value and step, with zero projections past its own."""
+    last value and step, with zero projections past its own, which the
+    mask of own clusters leaves out; one element's mask is all true."""
     ctx, smp, effects, signed = cluster_stacks(model, n, k)
     for a in (*effects, signed):
         members = [a[i] for i in range(k)]
-        values, projs = ctx.eigenprojections(a)
+        values, projs, own = ctx.eigenprojections(a)
         rep = sp.reduced_representation(a, ctx)
         fam = sp.spectral_family(a, ctx)
         singles = [ctx.eigenprojections(x) for x in members]
+        counts = [len(v) for v, _, _ in singles]
+        want = np.arange(len(values))[:, None] < np.array(counts)
+        assert same_bits(own, want)
+        assert same_bits(rep.own, want)
+        for count, (_, _, one) in zip(counts, singles):
+            assert same_bits(one, np.ones(count, dtype=bool))
+        singles = [(v, p) for v, p, _ in singles]
         assert_cluster_first(values, [v for v, _ in singles])
         assert_cluster_first(rep.coefficients, [v for v, _ in singles])
         assert_cluster_first(fam.breakpoints, [v for v, _ in singles])

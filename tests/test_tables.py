@@ -176,7 +176,8 @@ def ref_is_sharp(alg, i):
 def ref_is_principal(alg, p):
     below = [x for x in alg.elements() if ref_leq(alg, x, p)]
     for a, b in itertools.product(below, repeat=2):
-        if alg.defined(a, b) and not ref_leq(alg, int(alg.table[a, b]), p):
+        ab = int(alg.table[a, b])
+        if ab != UNDEFINED and not ref_leq(alg, ab, p):
             return False
     return True
 
@@ -190,7 +191,7 @@ def ref_mackey_compatible(alg, a, b):
                 if alg.table[b1, c] != b:
                     continue
                 ab = int(alg.table[a1, b1])
-                if ab != UNDEFINED and alg.defined(ab, c):
+                if ab != UNDEFINED and alg.table[ab, c] != UNDEFINED:
                     return True
     return False
 
@@ -296,7 +297,7 @@ def ref_axioms(alg):
     good, witness = 0, None
     for a, b, c in itertools.product(range(n), repeat=3):
         bc = int(alg.table[b, c])
-        if bc != UNDEFINED and alg.defined(a, bc):
+        if bc != UNDEFINED and alg.table[a, bc] != UNDEFINED:
             left = int(alg.table[a, b])
             if (left == UNDEFINED
                     or alg.table[left, c] != alg.table[a, bc]):
@@ -314,7 +315,7 @@ def ref_axioms(alg):
     out.append(("E3", n, good, witness))
     good, witness = 0, None
     for i in range(n):
-        if alg.defined(i, alg.one) and i != alg.zero:
+        if alg.table[i, alg.one] != UNDEFINED and i != alg.zero:
             witness = {"a": lab(i)}
             break
         good += 1

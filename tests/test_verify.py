@@ -289,8 +289,8 @@ def test_verifier_catches_a_wrong_eigenprojection_route(
     original = model_context.eigenprojections
 
     def reversed_projections(self, v):
-        values, projs = original(self, v)
-        return values, projs[::-1]
+        values, projs, own = original(self, v)
+        return values, projs[::-1], own
 
     monkeypatch.setattr(model_context, "eigenprojections",
                         reversed_projections)
