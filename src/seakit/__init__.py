@@ -33,7 +33,6 @@ from .spectral import (
     reconstruct,
     reduced_representation,
     simple_approximation,
-    spectral_bounds,
     spectral_family,
 )
 from .tables import (
@@ -86,7 +85,6 @@ __all__ = [
     "reconstruct",
     "reduced_representation",
     "simple_approximation",
-    "spectral_bounds",
     "spectral_family",
     "FiniteEffectAlgebra",
     "boolean_cube",

@@ -152,18 +152,17 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         raise _UsageError(f"--out {args.out} is where the rank CSV goes; "
                           "give the JSON report another extension")
     _, effect = _classify(ctx, raw)
-    fam = sp.spectral_family(effect, ctx)
-    bounds = sp.spectral_bounds(effect, ctx)
     rep = sp.reduced_representation(effect, ctx)
+    fam = sp.family_from_representation(rep.coefficients, rep.projections)
     exact = sp.reconstruct(fam)
     try:
         meshed = sp.reconstruct(fam, args.mesh)
     except ValueError as exc:
         raise _UsageError(f"--mesh: {exc}") from exc
     doc = {
-        "model": fam.model,
+        "model": ctx.model,
         "family": fam.to_json_dict(ctx),
-        "bounds": {"L": bounds.L, "U": bounds.U},
+        "bounds": {"L": float(fam.L), "U": float(fam.U)},
         "eigenvalues": [float(x) for x in rep.coefficients],
         "eigenprojections": [ctx.write(p) for p in rep.projections],
         "mesh": args.mesh,
@@ -257,7 +256,8 @@ def cmd_mv(args: argparse.Namespace) -> int:
             "space": len(effect),
             "mu": list(rep.coefficients),
             "parts": [np.flatnonzero(p).tolist() for p in rep.projections],
-            "family": sp.spectral_family(effect, ctx).to_json_dict(ctx),
+            "family": sp.family_from_representation(
+                rep.coefficients, rep.projections).to_json_dict(ctx),
             "sharp": ctx.is_sharp(effect),
         }
     else:

@@ -49,8 +49,8 @@ class FuzzyContext:
     stack = staticmethod(np.stack)
 
     def __init__(self, tol: Tolerances = DEFAULT):
-        self.tol = tol.replace(psd=0.0, proj=0.0, kernel=0.0, comm=0.0,
-                               check=0.0)
+        self.tol = tol.replace(psd=0.0, proj=0.0, cluster=0.0, kernel=0.0,
+                               comm=0.0, check=0.0)
 
     def raw(self, v) -> np.ndarray:
         return np.asarray(v, dtype=float)

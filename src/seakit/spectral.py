@@ -4,12 +4,13 @@ A context is any model handle exposing addition, scalar action, order,
 compression, a Rickart map (kernel projection) and ``eigenprojections``,
 the distinct spectral values with their eigenprojections, as raw arrays,
 from one decomposition.  On that one call the engine builds reduced
-representations, spectral families as exact step functions, bounds, dyadic
-simple approximations, sign witnesses and orthogonal decompositions; it
-also reconstructs elements and builds comparability witnesses.  Every
-function takes the context as an argument: each model's context lives in
-the model's module (``matrices.MatrixContext``, ``fuzzy.FuzzyContext``),
-and this module imports neither.
+representations, spectral families as exact step functions (their first
+and last breakpoints are the bounds), dyadic simple approximations and
+orthogonal decompositions with their sign witnesses; it also reconstructs
+elements and builds comparability witnesses.  Every function takes the
+context as an argument: each model's context lives in the model's module
+(``matrices.MatrixContext``, ``fuzzy.FuzzyContext``), and this module
+imports neither.
 
 Every function also takes a stack of elements, with the bits of one call
 per member.  The eigenprojections of a stack come cluster first, a member
@@ -29,6 +30,10 @@ import numpy as np
 
 from .linalg import per_member
 
+# The most sign witnesses ``sign_witness_projections`` lists.
+WITNESS_LIMIT = 8
+
+
 @dataclass(frozen=True)
 class SpectralFamily:
     """Right-continuous step function of projections, held as raw arrays.
@@ -43,7 +48,6 @@ class SpectralFamily:
 
     breakpoints: np.ndarray
     projections: np.ndarray
-    model: str
 
     @property
     def L(self):
@@ -67,7 +71,7 @@ class SpectralFamily:
         """One element's family with each step as the context's element
         document."""
         return {
-            "model": self.model,
+            "model": ctx.model,
             "L": float(self.L),
             "U": float(self.U),
             "breakpoints": self.breakpoints.tolist(),
@@ -86,18 +90,14 @@ class SpectralFamily:
 
 
 @dataclass(frozen=True)
-class SpectralBounds:
-    L: float
-    U: float
-
-
-@dataclass(frozen=True)
 class OrthogonalDecomposition:
-    """Split v = v_plus - v_minus through a commuting projection p."""
+    """Split v = v_plus - v_minus through a commuting projection p, with
+    the sign witnesses of ``sign_witness_projections``, p the first."""
 
     v_plus: np.ndarray
     v_minus: np.ndarray
     p: np.ndarray
+    witnesses: list[np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -146,24 +146,17 @@ def spectral_family(v, ctx) -> SpectralFamily:
     definition, the Rickart projection of (v - λ)⁺.
     """
     rep = reduced_representation(v, ctx)
-    return family_from_representation(rep.coefficients, rep.projections,
-                                      ctx.model)
+    return family_from_representation(rep.coefficients, rep.projections)
 
 
-def family_from_representation(coefficients, projections, model: str
-                               ) -> SpectralFamily:
+def family_from_representation(coefficients, projections) -> SpectralFamily:
     """Closed-form family: cumulative sums of the given raw projections
     (one element's, or cluster first those of a stack)."""
     if not len(projections):
         raise ValueError("at least one projection required")
     zero = np.zeros_like(projections[0])[None]
-    return family_from_steps(coefficients, np.cumsum(
-        np.concatenate([zero, projections]), axis=0), model)
-
-
-def family_from_steps(breakpoints, steps, model: str) -> SpectralFamily:
-    """The family with these breakpoints and steps, the zero step first."""
-    return SpectralFamily(np.asarray(breakpoints), np.asarray(steps), model)
+    return SpectralFamily(np.asarray(coefficients), np.cumsum(
+        np.concatenate([zero, projections]), axis=0))
 
 
 def eigenprojection(v, lam, ctx):
@@ -171,13 +164,6 @@ def eigenprojection(v, lam, ctx):
     With an array of values, the stack of their projections, from one
     decomposition of the stacked shifts."""
     return ctx.rickart(ctx.shift(ctx.raw(v), lam))
-
-
-def spectral_bounds(v, ctx) -> SpectralBounds:
-    """Least and greatest spectral values: L·1 <= v <= U·1, tightly; one
-    of each per member of a stack."""
-    values = ctx.eigenprojections(v)[0]
-    return SpectralBounds(per_member(values[0]), per_member(values[-1]))
 
 
 def _tag(b: float, hi: float, mesh: float, count: int) -> float:
@@ -253,8 +239,9 @@ def simple_approximation(a, n, ctx):
 
 def orthogonal_decomposition(v, ctx) -> OrthogonalDecomposition:
     """Unique split v = v_plus - v_minus with orthogonal positive parts;
-    p is the least sign witness, the support of the positive part.  One
-    of each per member of a stack.
+    p is the least sign witness, the support of the positive part, and
+    the first of the sign witnesses the split carries.  One of each per
+    member of a stack.
 
     The identities are checked against tol.check times the largest real
     or imaginary part of v, or 1 if that is smaller: each residual is
@@ -263,7 +250,8 @@ def orthogonal_decomposition(v, ctx) -> OrthogonalDecomposition:
     overflows, and for parts up to 1 the comparison is the absolute one.
     """
     raw = ctx.raw(v)
-    p = sign_witness_projections(v, ctx, limit=1)[0]
+    witnesses = sign_witness_projections(v, ctx)
+    p = witnesses[0]
     comp = ctx.complement(p)
     v_plus = ctx.compress(p, raw)
     v_minus = ctx.scale(-1.0, ctx.compress(comp, raw))
@@ -282,15 +270,16 @@ def orthogonal_decomposition(v, ctx) -> OrthogonalDecomposition:
         k = int(np.argmax(failed))
         raise ArithmeticError("decomposition identities failed: "
                               f"{np.ravel(worst / shrink)[k]:.3e}")
-    return OrthogonalDecomposition(v_plus, v_minus, p)
+    return OrthogonalDecomposition(v_plus, v_minus, p, witnesses)
 
 
-def sign_witness_projections(v, ctx, limit: int = 64) -> list[np.ndarray]:
+def sign_witness_projections(v, ctx) -> list[np.ndarray]:
     """The projections q with the whole positive part under q and the
     negative part under its complement; one per subset of the kernel
-    clusters.  For a stack, the list runs over the subsets of the most
-    kernel clusters a member has, each entry one q per member; a member
-    with fewer repeats its own subsets."""
+    clusters, the first ``WITNESS_LIMIT`` subsets, the empty one (the
+    least witness) first.  For a stack, the list runs over the subsets of
+    the most kernel clusters a member has, each entry one q per member; a
+    member with fewer repeats its own subsets."""
     values, projs, own = ctx.eigenprojections(v)
     kernel = own & (np.abs(values) <= ctx.tol.kernel)
     pos = kept_sum(ctx, own & (values > ctx.tol.kernel), projs)
@@ -299,9 +288,7 @@ def sign_witness_projections(v, ctx, limit: int = 64) -> list[np.ndarray]:
     zero_projs = [kept_sum(ctx, kernel & (rank == i), projs)
                   for i in range(int(np.max(rank, initial=-1)) + 1)]
     out = []
-    for mask in range(2 ** len(zero_projs)):
-        if len(out) >= limit:
-            break
+    for mask in range(min(2 ** len(zero_projs), WITNESS_LIMIT)):
         q = pos.copy()
         for i, zp in enumerate(zero_projs):
             if mask >> i & 1:

@@ -33,8 +33,8 @@ clusters could outgrow memory takes its samples in runs of at most
 ``CHUNK_NUMBERS`` numbers per stack of clusters (``_chunks``): all of them
 at the sizes in use, one at a time only at the largest.  Only
 ``thm:contexts.functions`` forms its Lagrange products per sample, as its
-number of nodes varies; the tables oracle tallies each clause group of a
-table as one array.
+number of nodes varies, and tallies them once per run; the tables oracle
+tallies each clause group of a table as one array.
 """
 from __future__ import annotations
 
@@ -86,12 +86,11 @@ def _seed_for(seed: int, suite: str, sid: str) -> np.random.SeedSequence:
 class _Tally:
     """Per-statement accumulator; keeps the first failing witness.
 
-    ``tally`` takes one sample's outcome and residual, or an array of
-    outcomes, one per sample in sample order, with a residual (an array or
-    one for all).  The witness is passed as a thunk that takes the index
-    of the first failing sample (0 for one sample) and builds the witness
-    dict; ``tally`` calls it only for the first failure, the one whose
-    witness the report records, so passing samples encode nothing.
+    ``tally`` takes an array of outcomes, one per sample in sample order,
+    with a residual (an array or one for all).  The witness is passed as a
+    thunk that takes the index of the first failing sample and builds the
+    witness dict; ``tally`` calls it only for the first failure, the one
+    whose witness the report records, so passing samples encode nothing.
     """
 
     __slots__ = ("samples", "passed", "max_residual", "witness")
@@ -102,30 +101,20 @@ class _Tally:
         self.max_residual = 0.0
         self.witness = None
 
-    def tally(self, ok, residual=0.0,
+    def tally(self, ok: np.ndarray, residual=0.0,
               witness: Callable[[int], dict] | None = None) -> None:
-        if isinstance(ok, np.ndarray):
-            ok = ok.reshape(-1)
-            passed = int(np.count_nonzero(ok))
-            if passed < ok.size and self.witness is None:
-                first = int(np.argmin(ok))
-                self.witness = witness(first) if witness is not None else {}
-            self.samples += ok.size
-            self.passed += passed
-            # the largest residual, NaN skipped
-            top = float(np.fmax.reduce(residual, axis=None,
-                                       initial=self.max_residual))
-            if top > self.max_residual:
-                self.max_residual = top
-            return
-        if not ok and self.witness is None:
-            self.witness = witness(0) if witness is not None else {}
-        self.samples += 1
-        res = float(residual)
-        if res > self.max_residual:
-            self.max_residual = res
-        if ok:
-            self.passed += 1
+        ok = ok.reshape(-1)
+        passed = int(np.count_nonzero(ok))
+        if passed < ok.size and self.witness is None:
+            first = int(np.argmin(ok))
+            self.witness = witness(first) if witness is not None else {}
+        self.samples += ok.size
+        self.passed += passed
+        # the largest residual, NaN skipped
+        top = float(np.fmax.reduce(residual, axis=None,
+                                   initial=self.max_residual))
+        if top > self.max_residual:
+            self.max_residual = top
 
 
 def _spread(mask: np.ndarray, values, fill=0.0) -> np.ndarray:
@@ -143,7 +132,7 @@ def _run_statement(report: SuiteReport, sid: str, body) -> None:
         body(t)
     except Exception as exc:  # noqa: BLE001 - a crashing check is a failure
         frame = traceback.extract_tb(exc.__traceback__)[-1]
-        t.tally(False, witness=lambda _: {
+        t.tally(np.zeros(1, dtype=bool), witness=lambda _: {
             "error": f"{type(exc).__name__}: {exc}",
             "at": f"{os.path.basename(frame.filename)}:{frame.lineno}"})
     report.add(CheckResult(sid, report.model, t.samples, t.passed,
@@ -329,12 +318,13 @@ def _meet_headroom(pvals: np.ndarray, avals: np.ndarray,
 
     Raising one coordinate leaves the others at min(p, a), which lies
     below both bounds, so each coordinate's test reads that coordinate
-    only and the bisections run side by side on arrays.
+    only and the bisections run side by side on arrays, those of a stack
+    of pairs too.
     """
     cand = np.minimum(pvals, avals)
     p_top, a_top = pvals + psd, avals + psd
-    lo = np.zeros(len(cand))
-    hi = np.ones(len(cand))
+    lo = np.zeros_like(cand)
+    hi = np.ones_like(cand)
     for _ in range(30):
         mid = (lo + hi) / 2.0
         trial = cand + mid
@@ -560,15 +550,19 @@ def _sharp_vi(run, ctx, smp, t: _Tally) -> None:
     r = run.res(run.prod(p, a), ctx.meet(p, a))
     t.tally(r <= run.thr, r, lambda k: _witness(ctx, k, {"p": p, "a": a}))
     oracle = run.draws("le:sharp.vi/oracle")
-    for k in range(min(run.samples, 24)):
-        pvals = (oracle.rng.integers(0, 2, run.n)).astype(float)
-        if not pvals.any():
-            pvals[0] = 1.0
-        avals = oracle.rng.uniform(0.0, 1.0, run.n)
-        worst = float(np.max(_meet_headroom(pvals, avals, ctx.tol.psd)))
-        t.tally(worst <= 1e-6, worst,
-                lambda _: {"oracle_sample": k, "p": pvals.tolist(),
-                           "a": avals.round(12).tolist(), "slack": worst})
+    pvals, avals = [], []
+    for _ in range(min(run.samples, 24)):
+        pv = oracle.rng.integers(0, 2, run.n).astype(float)
+        if not pv.any():
+            pv[0] = 1.0
+        pvals.append(pv)
+        avals.append(oracle.rng.uniform(0.0, 1.0, run.n))
+    pvals, avals = np.array(pvals), np.array(avals)
+    worst = np.max(_meet_headroom(pvals, avals, ctx.tol.psd), axis=-1)
+    t.tally(worst <= 1e-6, worst,
+            lambda k: {"oracle_sample": k, "p": pvals[k].tolist(),
+                       "a": avals[k].round(12).tolist(),
+                       "slack": worst[k].item()})
 
 
 @_statement("sea", "de:strongarch")
@@ -771,8 +765,8 @@ def _rickart_family(a, rep, ctx) -> sp.SpectralFamily:
     values = rep.coefficients
     steps = _on_own(rep.own, lambda x: ctx.rickart(ctx.positive_part(x)),
                     ctx.shift(a, values))
-    return sp.family_from_steps(
-        values, np.concatenate([np.zeros_like(steps[:1]), steps]), ctx.model)
+    return sp.SpectralFamily(
+        values, np.concatenate([np.zeros_like(steps[:1]), steps]))
 
 
 def _most(*residuals):
@@ -793,7 +787,7 @@ def _decomp(run, ctx, smp, t: _Tally) -> None:
     for lo, (v,) in _chunks(run, v):
         dec = sp.orthogonal_decomposition(v, ctx)
         rs = []
-        for q in sp.sign_witness_projections(v, ctx, limit=8):
+        for q in dec.witnesses:
             comp = ctx.complement(q)
             vp = ctx.mul(ctx.mul(q, v), q)
             vm = -ctx.mul(ctx.mul(comp, v), comp)
@@ -829,7 +823,7 @@ def _spectprojs(run, ctx, smp, t: _Tally) -> None:
     for lo, (a,) in _chunks(run, a):
         rep = sp.reduced_representation(a, ctx)
         fam = sp.family_from_representation(rep.coefficients,
-                                            rep.projections, ctx.model)
+                                            rep.projections)
         ref = _rickart_family(a, rep, ctx)
         bps, own = fam.breakpoints, rep.own
         ok = np.all(np.abs(bps - ref.breakpoints) <= run.thr, axis=0)
@@ -841,12 +835,11 @@ def _spectprojs(run, ctx, smp, t: _Tally) -> None:
         r_step = run.res(steps, ref.projections)
         ok &= np.all(r_jump <= run.thr, axis=0)
         ok &= np.all(r_step <= run.thr, axis=0)
-        bounds = sp.spectral_bounds(a, ctx)
         one = ctx.one_like(a)
-        ok &= (ctx.leq(ctx.scale(bounds.L, one), a)
-               & ctx.leq(a, ctx.scale(bounds.U, one)))
-        ok &= ctx.proj_rank(fam.at(bounds.L - 0.25)) == 0
-        ok &= ctx.proj_rank(fam.at(bounds.U)) == run.n
+        ok &= (ctx.leq(ctx.scale(fam.L, one), a)
+               & ctx.leq(a, ctx.scale(fam.U, one)))
+        ok &= ctx.proj_rank(fam.at(fam.L - 0.25)) == 0
+        ok &= ctx.proj_rank(fam.at(fam.U)) == run.n
         # between each pair of breakpoints the family is constant
         mids = (bps[:-1] + bps[1:]) / 2.0
         ok &= np.all(run.res(fam.at(mids), fam.at(mids + 1e-12)) <= run.thr,
@@ -1085,7 +1078,7 @@ def _closed_form(run, ctx, smp, t: _Tally) -> None:
         steps = np.count_nonzero(rep.own, axis=0)
         same = closed == steps
         fam = sp.family_from_representation(rep.coefficients,
-                                            rep.projections, ctx.model)
+                                            rep.projections)
         r = np.where(same, run.res(fam.projections, ref.projections), 0.0)
         ok = same & np.all(r <= run.thr, axis=0) & np.all(
             np.abs(fam.breakpoints - ref.breakpoints) <= run.thr, axis=0)
@@ -1121,6 +1114,7 @@ def _functions(run, ctx, smp, t: _Tally) -> None:
     for lo, (a,) in _chunks(run, a):
         rep = sp.reduced_representation(a, ctx)
         raw = ctx.raw(a)
+        ok, worst, node_lists = [], [], []
         # The number of nodes differs from sample to sample, so the
         # Lagrange products are formed member by member.
         for k, elem in enumerate(raw):
@@ -1134,15 +1128,14 @@ def _functions(run, ctx, smp, t: _Tally) -> None:
                          default=1.0)
             assert spread > ctx.tol.cluster, \
                 "reduced representation carries duplicate coefficients"
-            ok = True
-            worst = 0.0
-            for i, proj in enumerate(projs[:len(nodes)]):
-                r = run.res(_lagrange(ctx, elem, nodes, i), proj)
-                worst = max(worst, r)
-                ok = ok and r <= run.thr
-            t.tally(ok, worst, lambda _: {"sample": lo + k,
-                                          "a": ctx.encode(elem),
-                                          "nodes": nodes})
+            rs = [run.res(_lagrange(ctx, elem, nodes, i), proj)
+                  for i, proj in enumerate(projs[:len(nodes)])]
+            ok.append(all(r <= run.thr for r in rs))
+            worst.append(max([0.0, *rs]))
+            node_lists.append(nodes)
+        t.tally(np.array(ok), np.array(worst), lambda k: {
+            "sample": lo + k, "a": ctx.encode(raw[k]),
+            "nodes": node_lists[k]})
 
 
 def run_context_suite(model: str = "matrix", dim_or_size: int = 4,
@@ -1223,15 +1216,17 @@ def _oracle(run, ctx, smp, t: _Tally) -> None:
 @_statement("tables", "tables:diamond")
 def _diamond_shape(run, ctx, smp, t: _Tally) -> None:
     alg = run.algs["diamond"]
-    t.tally(tb.incompatible_pairs(alg) == [(1, 2)], 0.0,
-            lambda _: {"clause": "incompatible pair a,b"})
-    t.tally(tb.non_sharp_elements(alg) == [1, 2], 0.0,
-            lambda _: {"clause": "a and b are not sharp"})
-    t.tally(tb.non_principal_elements(alg) == [1, 2], 0.0,
-            lambda _: {"clause": "a and b are not principal"})
-    t.tally(alg.brute_inf([1, 2]) == 0
-            and alg.brute_sup([1, 2]) == 3, 0.0,
-            lambda _: {"clause": "lattice bounds of a,b"})
+    clauses = {
+        "incompatible pair a,b": tb.incompatible_pairs(alg) == [(1, 2)],
+        "a and b are not sharp": tb.non_sharp_elements(alg) == [1, 2],
+        "a and b are not principal":
+            tb.non_principal_elements(alg) == [1, 2],
+        "lattice bounds of a,b":
+            alg.brute_inf([1, 2]) == 0 and alg.brute_sup([1, 2]) == 3,
+    }
+    names = list(clauses)
+    t.tally(np.array(list(clauses.values())), 0.0,
+            lambda k: {"clause": names[k]})
 
 
 def run_table_suite(seed: int = 42, tol: Tolerances = DEFAULT,

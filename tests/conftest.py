@@ -81,7 +81,7 @@ def _level_set_family(a) -> SpectralFamily:
     levels = sorted(set(values))
     steps = [np.zeros(len(values))] + [
         np.array([1.0 if x <= mu else 0.0 for x in values]) for mu in levels]
-    return SpectralFamily(np.array(levels), np.array(steps), "fuzzy")
+    return SpectralFamily(np.array(levels), np.array(steps))
 
 
 @pytest.fixture

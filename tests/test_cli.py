@@ -160,7 +160,7 @@ def test_spectrum_round_trip(tmp_path, eff_path, capsys):
     assert doc["eigenvalues"] == pytest.approx([0.2, 0.7])
     ctx = mx.MatrixContext()
     fam = SpectralFamily(tuple(doc["family"]["breakpoints"]), tuple(
-        ctx.read(p) for p in doc["family"]["projections"]), "matrix")
+        ctx.read(p) for p in doc["family"]["projections"]))
     rebuilt = reconstruct(fam)
     gap = float(np.abs(rebuilt - np.diag([0.2, 0.7])).max())
     assert gap <= doc["breakpoint_residual"] + 1e-12
@@ -323,6 +323,17 @@ def test_verify_suite_exit_codes(tmp_path, capsys):
                  "jordan"]) == 2
     assert main(["verify", "--suite", "sea", "--model", "mv", "--product",
                  "jordan"]) == 2
+    capsys.readouterr()
+
+
+def test_mv_verify_is_exact_at_any_cluster_width(capsys):
+    """The mv model compares exactly, so ``--tol-cluster`` leaves its
+    clusters as they are: the suites pass at a wide width too."""
+    for width in ("0.01", "0.5", "1e9"):
+        assert main(["verify", "--suite", "all", "--model", "mv", "--size",
+                     "8", "--samples", "12", "--tol-cluster", width]) == 0
+    assert main(["verify", "--suite", "all", "--model", "mv", "--size", "8",
+                 "--samples", "20", "--tol-cluster", "0.01"]) == 0
     capsys.readouterr()
 
 

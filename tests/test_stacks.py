@@ -435,7 +435,7 @@ def test_mv_residuals_of_a_stack_reduce_over_the_last_axis(size):
 def test_a_tally_of_arrays_equals_the_looped_tally():
     """One call with arrays gives the counts, the largest residual (NaN
     skipped) and the witness of the first failing sample that one call per
-    sample gives."""
+    sample, each a one-sample array, gives."""
     rng = np.random.default_rng(3)
     for first in (1, 4, 9):
         ok = np.ones(12, dtype=bool)
@@ -445,7 +445,7 @@ def test_a_tally_of_arrays_equals_the_looped_tally():
         residual[2] = np.nan
         looped, stacked = vf._Tally(), vf._Tally()
         for k in range(12):
-            looped.tally(bool(ok[k]), float(residual[k]),
+            looped.tally(ok[k:k + 1], residual[k:k + 1],
                          lambda _: {"sample": k})
         stacked.tally(ok, residual, lambda k: {"sample": k})
         assert stacked.witness == looped.witness == {"sample": first}
@@ -576,10 +576,10 @@ def test_sign_and_comparability_witnesses_of_stacks(model, n, k):
     its own call, the rest repeating its own; its comparability witness
     and tie flag are those of the pair on its own, ties included."""
     ctx, smp, effects, signed = cluster_stacks(model, n, k)
-    stacked = sp.sign_witness_projections(signed, ctx, limit=8)
+    stacked = sp.sign_witness_projections(signed, ctx)
     for i in range(k):
-        own = sp.sign_witness_projections(signed[i], ctx, limit=8)
-        assert len(own) <= len(stacked) <= 8
+        own = sp.sign_witness_projections(signed[i], ctx)
+        assert len(own) <= len(stacked) <= sp.WITNESS_LIMIT
         for j, q in enumerate(stacked):
             if j < len(own):
                 assert same_bits(q[i], own[j])

@@ -685,19 +685,20 @@ def _matrices_in(witness) -> int:
 
 def test_work_per_request_is_pinned(call_counter, monkeypatch):
     """Counts of one matrix ``verify`` request, which do not depend on the
-    machine: the eigensystems it needs (1,561 matrices decomposed) in
-    about a fourteenth as many LAPACK calls, as each sample's commuting
-    family is decomposed as one stack, every statement but
-    ``thm:contexts.functions`` (which decomposes nothing) checks all its
-    samples at once and a stack's joint eigenbases take one call per
-    block size; the Haar frames in one QR call per statement run and
-    frame size (85 such pairs), as each statement draws its samples as one
-    block; known eigensystems wrapped once per stack; no check of a matrix
-    the verifier built; clustered decompositions only where eigenvectors
-    are used, and few eigensystems built, as no statement indexes its
-    stacks member by member; one tally per statement, or per clause
-    group and table; and witness matrices encoded only for the witnesses
-    a report records."""
+    machine: the eigensystems it needs (1,546 matrices decomposed, each
+    element's clusters read once) in about a fourteenth as many LAPACK
+    calls, as each sample's commuting family is decomposed as one stack,
+    every statement but ``thm:contexts.functions`` (which decomposes
+    nothing) checks all its samples at once and a stack's joint
+    eigenbases take one call per block size; the Haar frames in one QR
+    call per statement run and frame size (85 such pairs), as each
+    statement draws its samples as one block; known eigensystems wrapped
+    once per stack; no check of a matrix the verifier built; clustered
+    decompositions only where eigenvectors are used, and few eigensystems
+    built, as no statement indexes its stacks member by member; every
+    tally on an array, about one per statement, or per clause group and
+    table; and witness matrices encoded only for the witnesses a report
+    records."""
     calls = call_counter("numpy.linalg.eigh", "numpy.linalg.qr",
                          "seakit.linalg.decomposition_from",
                          "seakit.linalg.require_hermitian")
@@ -734,17 +735,69 @@ def test_work_per_request_is_pinned(call_counter, monkeypatch):
     monkeypatch.setattr(EigenDecomposition, "__post_init__", counted_builds)
     monkeypatch.setattr(_Tally, "tally", counted_tallies)
     reports = run_all("matrix", 4, 12, 42)
-    assert calls["numpy.linalg.eigh"] == 114
-    assert decomposed == 1561
+    assert calls["numpy.linalg.eigh"] == 112
+    assert decomposed == 1546
     assert calls["numpy.linalg.qr"] == 85
     assert calls["seakit.linalg.require_hermitian"] == 0
     assert calls["seakit.linalg.decomposition_from"] <= 60
-    assert built == 492
-    assert tallies == 124
+    assert built == 490
+    assert tallies == 95
     recorded = sum(_matrices_in(r.witness) for rep in reports
                    for r in rep.results if r.witness is not None)
     assert recorded > 0
     assert encoded == recorded
+
+
+def test_each_element_is_read_once(monkeypatch, tmp_path, capsys):
+    """One read of an element's clusters gives everything reported about
+    it: every statement reads ``eigenprojections`` at most once per run of
+    samples, and each element verb once per input."""
+    reads = 0
+    for context in (mx.MatrixContext, fz.FuzzyContext):
+        def counted(self, v, _original=context.eigenprojections):
+            nonlocal reads
+            reads += 1
+            return _original(self, v)
+
+        monkeypatch.setattr(context, "eigenprojections", counted)
+    per_statement = {}
+
+    def counted_statement(report, sid, body):
+        start = reads
+        _run_statement(report, sid, body)
+        key = (report.suite, sid, "negative_control" in report.metadata)
+        per_statement[key] = max(per_statement.get(key, 0), reads - start)
+
+    monkeypatch.setattr(verify, "_run_statement", counted_statement)
+    for model, n in (("matrix", 4), ("mv", 8)):
+        for seed in (1, 42):
+            run_all(model, n, 12, seed)
+    assert per_statement
+    assert {k: v for k, v in per_statement.items() if v > 1} == {}
+    inputs = {
+        "matrix": {"re": [[0.4, 0.1, 0.0], [0.1, 0.4, 0.0],
+                          [0.0, 0.0, 0.9]]},
+        "fuzzy": {"values": [0.25, 0.5, 0.5, 1.0]},
+        "signed matrix": {"re": [[0.3, 0.0], [0.0, -0.4]]},
+        "signed fuzzy": {"values": [0.3, -0.4, 0.0]},
+    }
+    verbs = {"spectrum": ("matrix", "fuzzy"), "mv": ("matrix", "fuzzy"),
+             "approx": ("matrix", "fuzzy"),
+             "decompose": ("signed matrix", "signed fuzzy")}
+    for verb, names in verbs.items():
+        for name in names:
+            path = tmp_path / "in.json"
+            path.write_text(json.dumps(inputs[name]))
+            start = reads
+            assert main([verb, "--input", str(path), "--out",
+                         str(tmp_path / "out.json")]) == 0
+            if verb == "mv" and name == "matrix":
+                # the spectrum representation reads the decomposition
+                # itself, not ``eigenprojections``
+                assert reads - start <= 1, (verb, name)
+            else:
+                assert reads - start == 1, (verb, name)
+    capsys.readouterr()
 
 
 def lapack_calls(call_counter, runs) -> list[int]:
@@ -834,3 +887,13 @@ def test_meet_headroom_matches_the_scalar_bisection():
         for lo_t in expected:
             worst = max(worst, lo_t)
         assert float(np.max(got)).hex() == float(worst).hex()
+    # a stack of pairs, as the le:sharp.vi oracle passes them, row by row
+    for dim in (1, 4, 8):
+        pvals = rng.integers(0, 2, (24, dim)).astype(float)
+        avals = rng.uniform(0.0, 1.0, (24, dim))
+        got = _meet_headroom(pvals, avals, DEFAULT.psd)
+        assert got.shape == (24, dim)
+        for row, p, a in zip(got, pvals, avals):
+            expected = np.array(scalar_headroom(p, a, DEFAULT.psd))
+            assert np.array_equal(row.view(np.uint64),
+                                  expected.view(np.uint64))
