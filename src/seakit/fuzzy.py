@@ -215,6 +215,13 @@ class FuzzyContext:
                   for x in (es, fs))
         return ev, fv, self._indicators(runs, (eraw, ev), (fraw, fv))
 
+    def overlaps(self, projs) -> np.ndarray:
+        """‖p_i p_j‖ for every pair of a list of elements, ``(K, K)``, or
+        ``(K, K, S)`` for a cluster-first stack: the square roots of one
+        Gram product (P∘P)(P∘P)ᵀ, exact on indicators."""
+        sq = np.moveaxis(np.square(self.raw(projs)), 0, -2)
+        return np.sqrt(np.moveaxis(sq @ sq.swapaxes(-1, -2), (-2, -1), (0, 1)))
+
     def proj_rank(self, p):
         """The rank of an indicator (its rounded sum), one per member."""
         return per_member(np.rint(self.raw(p).sum(-1)).astype(int))

@@ -83,10 +83,12 @@ def require_hermitian(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NotHermitianError(f"expected a square matrix, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise NotHermitianError("matrix has non-finite entries")
     with np.errstate(over="ignore", invalid="ignore"):
         h = hermitian_part(m)
     if not np.all(np.isfinite(h)):
-        raise NotHermitianError("matrix has non-finite entries")
+        raise NotHermitianError("matrix entries overflow when symmetrized")
     top = float(np.max(np.abs([m.real, m.imag]), initial=1.0))
     u = m / top  # parts in [-1, 1], so no norm below overflows to inf
     defect = frobenius(u - u.conj().T)

@@ -503,6 +503,16 @@ class MatrixContext:
                 runs.padded(runs.means(yvals.reshape(-1, n))),
                 runs.projections(vectors.reshape(-1, n, n)))
 
+    def overlaps(self, projs) -> np.ndarray:
+        """‖p_i p_j‖_F for every pair of a list of projections, ``(K, K)``,
+        or ``(K, K, S)`` for a cluster-first stack: one stacked product of
+        each with all.  (Not from tr(p_i p_j), the Gram matrix of the
+        flattened projections: that equals ‖p_i p_j‖_F² only to first order
+        in their rounding, so its square root reads about 1e-8 on
+        orthogonal ones.)"""
+        m = _matrix(projs)
+        return np.stack([frobenius(p @ m) for p in m])
+
     def proj_rank(self, p):
         """The rank of a projection (its rounded trace), one per member."""
         trace = np.trace(_matrix(p), axis1=-2, axis2=-1).real

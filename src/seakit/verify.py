@@ -31,10 +31,10 @@ only (``_on_own``), so no padding is decomposed, and a sum or maximum over
 the clusters sees a member's own entries alone.  A statement whose
 clusters could outgrow memory takes its samples in runs of at most
 ``CHUNK_NUMBERS`` numbers per stack of clusters (``_chunks``): all of them
-at the sizes in use, one at a time only at the largest.  Only
-``thm:contexts.functions`` forms its Lagrange products per sample, as its
-number of nodes varies, and tallies them once per run; the tables oracle
-tallies each clause group of a table as one array.
+at the sizes in use, one at a time only at the largest.  The ragged
+Lagrange nodes of ``thm:contexts.functions`` come first, padded past each
+member's own; the tables oracle tallies each clause group of a table as
+one array.
 """
 from __future__ import annotations
 
@@ -1025,21 +1025,31 @@ def run_spectrality_suite(model: str = "matrix", dim_or_size: int = 6,
 # context suite
 
 
-def _lagrange(ctx, a, nodes, i: int):
-    """The i-th Lagrange basis polynomial on ``nodes`` at a, in product
-    form: L_i(a) = prod_{j != i} (a - x_j) / (x_i - x_j).
-
-    At a node x_k every factor is (x_k - x_j) / (x_i - x_j): for i = k
-    each is a number over itself, exactly 1, and for i != k the factor
-    j = k is exactly 0.  So where a's values are the nodes, as on the mv
-    model, the products are exactly 0 or 1.
-    """
-    out = ctx.one_like(a)
-    shifts = ctx.shift(a, np.array(nodes))
-    for j, x in enumerate(nodes):
-        if j != i:
-            out = ctx.mul(out, shifts[j] / (nodes[i] - x))
-    return out
+def _lagrange(ctx, a, nodes: np.ndarray, valid: np.ndarray) -> np.ndarray:
+    """The Lagrange basis L_i(a) = prod_{j != i} (a - x_j) / (x_i - x_j) on
+    each member's nodes (first in ``nodes``, as ``valid`` marks), one
+    ``(M, S, ...)`` stack; past its nodes a member's shifts are the identity
+    and its differences 1.  Each numerator is the running product of the
+    shifts before i times that of those after, each denominator the same
+    products of the x_i - x_j in the same order: where a's value is a node
+    x_k, as on the mv model, L_k is a float over itself, exactly 1, and
+    every other L_i has a factor exactly 0."""
+    m, grid, tail = len(nodes), np.arange(len(nodes)), (1,) * ctx.element_ndim
+    one = ctx.one_like(a)
+    shifts = np.where(valid.reshape(valid.shape + tail), ctx.shift(a, nodes),
+                      one)
+    before = [np.broadcast_to(one, shifts.shape[1:])]
+    after = before[:]
+    for j in range(m - 1):
+        before.append(ctx.mul(before[-1], shifts[j]))
+        after.append(ctx.mul(shifts[m - 1 - j], after[-1]))
+    # [i, j] = x_i - x_j, 1 on the diagonal and past a member's nodes
+    paired = valid & valid[:, None] & ~np.eye(m, dtype=bool)[..., None]
+    diffs = np.where(paired, nodes[:, None] - nodes, 1.0)
+    den = (np.cumprod(diffs, axis=1)[grid, grid]
+           * np.cumprod(diffs[:, ::-1], axis=1)[grid, m - 1 - grid])
+    return (ctx.mul(np.stack(before), np.stack(after[::-1]))
+            / den.reshape(den.shape + tail))
 
 
 def _block_starts(values: np.ndarray, own: np.ndarray,
@@ -1099,12 +1109,10 @@ def _reduced(run, ctx, smp, t: _Tally) -> None:
         r_jump = run.res(np.diff(ref.projections, axis=0), projs)
         ok &= np.all((r_jump <= run.thr)
                      & (np.abs(ref.breakpoints - coeffs) <= run.thr), axis=0)
-        # the eigenprojections are pairwise orthogonal
-        r_pairs = [run.res(ctx.mul(p, projs[i + 1:]))
-                   for i, p in enumerate(projs[:-1])]
-        for r in r_pairs:
-            ok &= np.all(r <= run.thr, axis=0)
-        t.tally(ok, _most(r_jump, *r_pairs),
+        # the eigenprojections are pairwise orthogonal: ‖p_i p_j‖, i < j
+        r_pairs = ctx.overlaps(projs)[np.triu_indices(len(projs), 1)] / run.n
+        ok &= np.all(r_pairs <= run.thr, axis=0)
+        t.tally(ok, _most(r_jump, r_pairs),
                 lambda k: _witness(ctx, k, {"a": a}, lo))
 
 
@@ -1113,29 +1121,21 @@ def _functions(run, ctx, smp, t: _Tally) -> None:
     a = smp.draws(run.samples, lambda k: smp.simple(gap=0.15))
     for lo, (a,) in _chunks(run, a):
         rep = sp.reduced_representation(a, ctx)
-        raw = ctx.raw(a)
-        ok, worst, node_lists = [], [], []
-        # The number of nodes differs from sample to sample, so the
-        # Lagrange products are formed member by member.
-        for k, elem in enumerate(raw):
-            own = rep.own[:, k]
-            nodes = rep.coefficients[own, k].tolist()
-            projs = rep.projections[own, k]
-            if run.merge_delta > 0.0:
-                nodes = [mu for j, mu in enumerate(nodes)
-                         if j == 0 or mu - nodes[j - 1] > run.merge_delta]
-            spread = min((y - x for x, y in zip(nodes, nodes[1:])),
-                         default=1.0)
-            assert spread > ctx.tol.cluster, \
-                "reduced representation carries duplicate coefficients"
-            rs = [run.res(_lagrange(ctx, elem, nodes, i), proj)
-                  for i, proj in enumerate(projs[:len(nodes)])]
-            ok.append(all(r <= run.thr for r in rs))
-            worst.append(max([0.0, *rs]))
-            node_lists.append(nodes)
-        t.tally(np.array(ok), np.array(worst), lambda k: {
-            "sample": lo + k, "a": ctx.encode(raw[k]),
-            "nodes": node_lists[k]})
+        # each member's nodes first; merge_delta drops any near the one before
+        keep = rep.own.copy()
+        if run.merge_delta > 0.0:
+            keep[1:] &= np.diff(rep.coefficients, axis=0) > run.merge_delta
+        count = np.count_nonzero(keep, axis=0)
+        valid = np.arange(count.max())[:, None] < count
+        nodes = np.take_along_axis(rep.coefficients, np.argsort(
+            ~keep, axis=0, kind="stable")[:len(valid)], axis=0)
+        assert np.all(np.diff(nodes, axis=0)[valid[1:]] > ctx.tol.cluster), \
+            "reduced representation carries duplicate coefficients"
+        r = np.where(valid, run.res(_lagrange(ctx, a, nodes, valid),
+                                    rep.projections[:len(valid)]), 0.0)
+        t.tally(np.all(r <= run.thr, axis=0), _most(r), lambda k: {
+            "sample": lo + k, "a": ctx.encode(ctx.raw(a)[k]),
+            "nodes": nodes[:count[k], k].tolist()})
 
 
 def run_context_suite(model: str = "matrix", dim_or_size: int = 4,

@@ -245,6 +245,26 @@ def test_decompose_near_the_float_limit_writes_no_warning(tmp_path):
         assert proc.stderr == ""
 
 
+def test_validate_names_overflow_apart_from_non_finite_entries(tmp_path):
+    """Entries of 1e308 are finite; only their symmetrization overflows,
+    and ``validate`` says so: exit 1, one line, no traceback or warning.
+    NaN input keeps the non-finite wording."""
+    env = dict(os.environ, PYTHONPATH=str(Path(mx.__file__).parents[1]))
+    for doc, wording in (
+            ({"re": [[1e308, 0.0], [0.0, 1e308]]},
+             "not an effect (matrix entries overflow when symmetrized)\n"),
+            ({"re": [[float("nan"), 0.0], [0.0, 0.5]]},
+             "not an effect (matrix has non-finite entries)\n")):
+        path = write(tmp_path / "doc.json", doc)
+        proc = subprocess.run(
+            [sys.executable, "-W", "always::RuntimeWarning", "-m",
+             "seakit.cli", "validate", "--input", path],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 1
+        assert proc.stdout == wording
+        assert proc.stderr == ""
+
+
 def test_witness_pair(tmp_path, capsys):
     e = write(tmp_path / "e.json", {"re": [[0.3, 0.0], [0.0, 0.6]]})
     f = write(tmp_path / "f.json", {"re": [[0.5, 0.0], [0.0, 0.4]]})
@@ -474,7 +494,7 @@ CLI_GOLDEN = {
     "approx-m3": "89e19aecb57579c197e0b8d391d2476fd8a83545cdd15b39cd16d595557d182f",
     "decompose-fsigned": "6c4e53f55f4c934c9d7442721ef3511ef7f69a538d5ec4b6a972702c8b4f4ce6",
     "decompose-m2": "de71ffdf1b9d99bbf7da958fb77728c5c5d22122ac55082e958bb8ff5f14c5e5",
-    "decompose-mhuge": "825483113973f6b87fac55eb60ddb32f4ac38dc8f18d9c766ede39659c7d36a5",
+    "decompose-mhuge": "c3992fa4ea40708125f6382bca55be829f2bf8f64fd79e676f40240cfa1331ed",
     "decompose-msigned": "ff496a4afc1501f71d110355d157ea2f3304de0cce53334461f3ba5650336280",
     "mv-f4": "063ed41914082af36d23f660860b44bdcd8b605e3ebfe086ec8c15b2f180da19",
     "mv-fsharp": "079c3a77768704ae19a1bdcdab4998885ede323ab36cbcffce9efc11da306500",
@@ -504,8 +524,10 @@ def test_element_verbs_are_golden(tmp_path):
 
     Recorded before the engine took its context as an argument; since
     then only the two error cases have changed, on purpose:
-    ``decompose-mhuge`` exits 1 with one line instead of raising, and
-    ``spectrum-f4-csv`` exits 2 instead of writing its CSV over its JSON.
+    ``decompose-mhuge`` exits 1 with one line instead of raising (a line
+    that now says the symmetrization overflows, not that the entries are
+    non-finite), and ``spectrum-f4-csv`` exits 2 instead of writing its
+    CSV over its JSON.
     """
     digests = {}
     for name in sorted(CLI_CASES):

@@ -132,11 +132,12 @@ def test_require_hermitian_rejects_asymmetric():
 
 
 def test_require_hermitian_rejects_what_is_not_finite_once_symmetrized():
-    # 1e308 is finite, but (1e308 + 1e308) / 2 overflows to inf; neither
-    # case raises a warning on the way.
-    for m in (np.diag([1e308, 1e308]), np.diag([np.nan, 0.5]),
-              np.array([[0.5, np.inf], [0.0, 0.5]])):
-        with pytest.raises(NotHermitianError, match="non-finite"):
+    # 1e308 is finite, but (1e308 + 1e308) / 2 overflows to inf, which is
+    # refused under its own name; no case raises a warning on the way.
+    for m, match in ((np.diag([1e308, 1e308]), "overflow when symmetrized"),
+                     (np.diag([np.nan, 0.5]), "non-finite"),
+                     (np.array([[0.5, np.inf], [0.0, 0.5]]), "non-finite")):
+        with pytest.raises(NotHermitianError, match=match):
             require_hermitian(m)
     m = np.array([[1e200, 3e199 + 1j], [3e199 - 1j, -1e200]])
     assert np.array_equal(require_hermitian(m), m)

@@ -313,24 +313,92 @@ def test_every_normal_suite_passes_for_every_seed(name):
     assert failed == []
 
 
+def looped_lagrange(ctx, a, nodes, i):
+    """The i-th Lagrange basis polynomial on ``nodes`` at one element a, as
+    its own product of the k - 1 factors (a - x_j) / (x_i - x_j): the route
+    ``thm:contexts.functions`` took per sample and per node before the
+    stacked ``verify._lagrange``, kept as its reference."""
+    out = ctx.one_like(a)
+    shifts = ctx.shift(a, np.array(nodes))
+    for j, x in enumerate(nodes):
+        if j != i:
+            out = ctx.mul(out, shifts[j] / (nodes[i] - x))
+    return out
+
+
+def stacked_lagrange(ctx, a, node_lists):
+    """``verify._lagrange`` on a stack whose member k has the nodes
+    ``node_lists[k]``, padded past them with its last node, as the engine
+    pads its clusters: the ``(M, S, ...)`` basis."""
+    m = max(map(len, node_lists))
+    valid = np.arange(m)[:, None] < [len(x) for x in node_lists]
+    nodes = np.array([x + x[-1:] * (m - len(x)) for x in node_lists]).T
+    return _lagrange(ctx, a, nodes, valid)
+
+
 def test_lagrange_basis_is_exact_at_the_nodes():
-    """On the mv model a's values are the nodes, where the product form
-    gives exactly 0 and 1: the indicators of the level sets."""
+    """On the mv model a's values are the nodes, where the prefix and
+    suffix products give exactly 0 and 1: the indicators of the level
+    sets, for every member of a ragged stack."""
     rng = np.random.default_rng(4)
     ctx = fz.FuzzyContext(DEFAULT)
     for size in (1, 2, 5, 17, 64):
-        for _ in range(20):
-            a = rng.integers(0, 257, size) / 256
-            nodes = sorted(set(a.tolist()))
+        a = rng.integers(0, 257, (20, size)) / 256
+        node_lists = [sorted(set(x.tolist())) for x in a]
+        basis = stacked_lagrange(ctx, a, node_lists)
+        for k, nodes in enumerate(node_lists):
             for i, x in enumerate(nodes):
-                assert np.array_equal(_lagrange(ctx, a, nodes, i),
-                                      (a == x).astype(float))
+                assert np.array_equal(basis[i, k], (a[k] == x).astype(float))
     ctx = mx.MatrixContext(DEFAULT)
     a = mx.EffectSampler(5, 3).with_values([0.25, 0.5, 0.5])
+    basis = stacked_lagrange(ctx, a, [[0.25, 0.5]])
     for i, x in enumerate((0.25, 0.5)):
         expected = sp.eigenprojection(a, x, ctx)
-        assert np.allclose(_lagrange(ctx, a, [0.25, 0.5], i), expected,
-                           atol=1e-12)
+        assert np.allclose(basis[i, 0], expected, atol=1e-12)
+
+
+@pytest.mark.parametrize("model_context,sampler", [
+    (mx.MatrixContext, mx.EffectSampler),
+    (fz.FuzzyContext, fz.FuzzySampler),
+], ids=["matrix", "mv"])
+def test_stacked_lagrange_equals_the_looped_products(model_context, sampler):
+    """The stacked basis against the looped reference on ragged stacks: a
+    member with one node, one with the most, random ones, and the nodes
+    that ``merge_delta=0.25`` keeps, taken from the reduced representation
+    by the per-sample loop's filter.  On mv the two agree bit for bit, as
+    exact indicators, wherever a member's value is one of its nodes: at
+    all its points unless nodes were merged away.  At a value that is not
+    a node, and on matrices everywhere, the two products associate
+    differently and agree within 1e-12."""
+    ctx, smp = model_context(DEFAULT), sampler(3, 6)
+    values = np.array([[128] * 6, [0, 32, 64, 96, 128, 160],
+                       [0, 25, 77, 154, 230, 243], [3, 3, 90, 90, 200, 255],
+                       *np.random.default_rng(8).integers(0, 257, (4, 6))
+                       ]) / 256
+    a = smp.draws(len(values), lambda k: smp.with_values(values[k]))
+    rep = sp.reduced_representation(a, ctx)
+    exact = model_context is fz.FuzzyContext
+    for delta in (0.0, 0.25):
+        node_lists = []
+        for k in range(len(values)):
+            nodes = rep.coefficients[rep.own[:, k], k].tolist()
+            node_lists.append([mu for j, mu in enumerate(nodes) if j == 0
+                               or delta == 0.0 or mu - nodes[j - 1] > delta])
+        # one node, the most, and (merged) 3 of 6 values
+        counts = [len(x) for x in node_lists]
+        assert min(counts) == 1 and max(counts) == (3 if delta else 6)
+        assert counts[2] == (3 if delta else 6)
+        basis = stacked_lagrange(ctx, a, node_lists)
+        for k, nodes in enumerate(node_lists):
+            member = ctx.raw(a)[k]
+            at_node = np.isin(values[k], nodes)
+            for i in range(len(nodes)):
+                ref, got = looped_lagrange(ctx, member, nodes, i), basis[i, k]
+                assert np.max(np.abs(got - ref)) <= 1e-12, (delta, k, i)
+                if exact:
+                    assert np.array_equal(got[at_node], ref[at_node])
+                    assert np.array_equal(got[at_node],
+                                          1.0 * (member == nodes[i])[at_node])
 
 
 def report_sha256(doc):
@@ -454,18 +522,22 @@ def blas_build():
     return np.__version__, f"{blas.get('name')} {blas.get('version')}", core
 
 
-# The report digests, unrounded, on the build they were recorded on.
+# The report digests, unrounded, on the build they were recorded on.  The
+# matrix ones at (3, 1) and dim 4 were last re-recorded when
+# ``thm:contexts.functions`` took its Lagrange basis from running
+# products, which re-associate the products of commuting polynomials
+# in a, so its residuals moved in their last bits.
 REPORT_DIGESTS_BUILD = ("2.4.6", "scipy-openblas 0.3.31.188.0", "SkylakeX")
 REPORT_DIGESTS = {
     ("matrix", 2, 1): "fc9d917cbd1ef291b320165483fe1986aed82c2de3e486cb7763cd022eaf0344",
     ("matrix", 2, 7): "109c083d53802f117befdbbc1d1d54432070dc3577262db26f91cfb3b4db6b47",
     ("matrix", 2, 42): "3bf27875fb23feae270a15075861bc8b0e99bc390a7c6f056d961ce1b700ce71",
-    ("matrix", 3, 1): "c7d49d9cc017fe2862d2004e3831096f945b37515d8f875be957dc88913ab22b",
+    ("matrix", 3, 1): "86305dc2ddb31d9485d72fd3d0804ea36c895143a019b264f0651c73e5b673ef",
     ("matrix", 3, 7): "f5e6a83e55e5ca88e54c51490e795942c72781eb039f9a68e49a97cc80d2aff7",
     ("matrix", 3, 42): "b4cd5f97aa6bafb679750b7e8424dba0f0fe4389a1a68d278ba7fb5626b6ec7a",
-    ("matrix", 4, 1): "11b0213c1fb63420418389b8d1c6775578fda51982f0a81a95f504d556299653",
-    ("matrix", 4, 7): "97ca37e1431777873607e0fe1af14b3fed39a8a8c316c1dee37744d3ce9a81dc",
-    ("matrix", 4, 42): "6925263327b51c32e0efa1d10afa0b7080b89e36bb5f203386b8e4d95f66161c",
+    ("matrix", 4, 1): "284e32ad865b1fa856072fee3376e68b903585704d2fb286312404f8c5b7c13f",
+    ("matrix", 4, 7): "14e5c5d62375e4571449bb084ba757774578b36a9066e57a18076a896527a1b1",
+    ("matrix", 4, 42): "0b9ee164f411a44e5f2c9fe5532cb8b0568f17d884489a2c0df29898352ba039",
     ("mv", 4, 1): "96128ccbe4a046038ed3f58f823a64b45ab54f97e9e8c1711e597e723ae24e48",
     ("mv", 4, 7): "15e218d7c3272d30eb8fb1efa0357f59c592be087d9286efe9d874d2b01173d3",
     ("mv", 4, 42): "820f49550913dce415463e9d75c421aa887a143d595e7b5b6a42ebdffcee13b5",
@@ -496,12 +568,13 @@ def test_reports_are_byte_identical(model, n, seed):
     assert report_digest(model, n, seed) == REPORT_DIGESTS[model, n, seed]
 
 
-# The witness digests, unrounded, on the build of REPORT_DIGESTS_BUILD.
+# The witness digests, unrounded, on the build of REPORT_DIGESTS_BUILD;
+# the matrix ones re-recorded with the matrix report digests.
 WITNESS_DIGESTS = {
-    ("matrix", 4, 1, 1e-14): "4ba5dd25b0ac41c2da5d4b14e0cbda1936cb9d00afa54d79822ace9e2714bd31",
-    ("matrix", 4, 2, 1e-14): "96acbbc30b52c7b2f8267f402f27bbfc5512adba3941ebb86926f5775f20deb3",
-    ("matrix", 4, 1, 1e9): "df941b1b6657264b1275ccb8de845368485b2c95add2dd89e6d8fc8b6b8319be",
-    ("matrix", 4, 2, 1e9): "ab960257c24bda6a62cd17eaca0ae3452e21945454b0299d71b765a38ed790cf",
+    ("matrix", 4, 1, 1e-14): "9bf30514ebe78937598a13b79338419d1853bf758634af39644781ac670adfc6",
+    ("matrix", 4, 2, 1e-14): "0ba66ca866b666e6dc91a9f9ffc70461a954f3a368fd88cc962ab59120ae02c2",
+    ("matrix", 4, 1, 1e9): "8e84dea694840c865a1643fe6ca23ac5ad0b88635ff5f10f165c7d205b6561b0",
+    ("matrix", 4, 2, 1e9): "512ddc7516f9126baa2782172f0fb1ee18721d26bab716439c37e3f46ac2be57",
     ("mv", 5, 1, 1e-14): "03fac2ed1c4cd36a3202d48e3d9d82b20934d3ca9666d416de351b34fe9c38dd",
     ("mv", 5, 2, 1e-14): "39a4d93e496624970c66648f5ff9f91cef8434ebe0b12b3323e72c8957455552",
     ("mv", 5, 1, 1e9): "c6f6d26fd4418d10f156e2d690ca0a2c544a0db6dc4829b7de417f6d731bbcae",
@@ -688,8 +761,7 @@ def test_work_per_request_is_pinned(call_counter, monkeypatch):
     machine: the eigensystems it needs (1,546 matrices decomposed, each
     element's clusters read once) in about a fourteenth as many LAPACK
     calls, as each sample's commuting family is decomposed as one stack,
-    every statement but ``thm:contexts.functions`` (which decomposes
-    nothing) checks all its samples at once and a stack's joint
+    every statement checks all its samples at once and a stack's joint
     eigenbases take one call per block size; the Haar frames in one QR
     call per statement run and frame size (85 such pairs), as each
     statement draws its samples as one block; known eigensystems wrapped
@@ -838,12 +910,88 @@ def test_cluster_suite_lapack_calls_do_not_grow_with_the_samples(
     draws.  At dim 4 every cluster and block size shows up within 12
     samples (seed 42), so 12 and 48 samples make as many LAPACK calls; a
     row that decomposed or factored per sample would make more.
-    ``thm:contexts.functions`` loops over the samples for its Lagrange
-    products, which decompose nothing."""
+    ``thm:contexts.functions`` decomposes nothing past the clusters: its
+    Lagrange products are running products over node positions, all
+    samples at once."""
     counts = lapack_calls(call_counter, [
         lambda samples=samples: run("matrix", 4, samples, 42, **config)
         for samples in (12, 48)])
     assert counts[0] == counts[1] > 0
+
+
+def context_work(monkeypatch, runs) -> dict:
+    """Each run's work per statement: (run index, statement id) -> (calls
+    of ``FuzzyContext`` verbs, array elements those calls return).  Every
+    public method is counted, nested calls too, and the elements are the
+    ``.size`` of every array a call returns, so the count sees an O(k²·n)
+    product, which a count of calls does not."""
+    work = [0, 0]
+
+    def counted(fn):
+        def verb(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            work[0] += 1
+            work[1] += sum(x.size for x in (
+                out if isinstance(out, tuple) else (out,))
+                if isinstance(x, np.ndarray))
+            return out
+        return verb
+
+    for name, attr in list(vars(fz.FuzzyContext).items()):
+        if isinstance(attr, staticmethod):
+            monkeypatch.setattr(fz.FuzzyContext, name,
+                                staticmethod(counted(attr.__func__)))
+        elif inspect.isfunction(attr) and not name.startswith("_"):
+            monkeypatch.setattr(fz.FuzzyContext, name, counted(attr))
+    per_statement, index = {}, 0
+
+    def counted_statement(report, sid, body):
+        start = tuple(work)
+        _run_statement(report, sid, body)
+        per_statement[index, sid] = (work[0] - start[0], work[1] - start[1])
+
+    monkeypatch.setattr(verify, "_run_statement", counted_statement)
+    for index, run in enumerate(runs):
+        run()
+    return per_statement
+
+
+LADDER_ROWS = ("thm:contexts.functions", "thm:contexts.reduced")
+
+
+def test_context_work_grows_as_levels_times_size(monkeypatch):
+    """The work ladder of the mv context rows at sizes 16, 32, 64 and 128
+    (12 samples, seed 42), counted in array elements the context verbs
+    return.  An element of size n has k <= min(n, 257) levels, which grow
+    with n at these sizes, and each row's work is O(k·n) per sample: the
+    Lagrange basis from running products of the shifts, and pairwise
+    orthogonality from one Gram product, whose k² entries per sample are
+    not n-point arrays.  So doubling the size multiplies the work by less
+    than 4; k² n-point products, the per-node route, would multiply it by
+    about 8.  A change that cuts the work on purpose tightens this bound;
+    a regression must not loosen it.  (Measured: at most 3.93; with the
+    per-node products, 6.86.)"""
+    sizes = (16, 32, 64, 128)
+    work = context_work(monkeypatch, [
+        lambda n=n: run_context_suite("mv", n, 12, 42) for n in sizes])
+    for sid in LADDER_ROWS:
+        elements = [work[i, sid][1] for i in range(len(sizes))]
+        ratios = [b / a for a, b in zip(elements, elements[1:])]
+        assert max(ratios) <= 4.0, (sid, ratios)
+
+
+def test_context_verb_calls_do_not_grow_with_the_samples(monkeypatch):
+    """The mv context rows, normal and control, make as many context-verb
+    calls at 48 samples as at 12 (size 16, where every member of both
+    stacks has at most 16 levels, and some have 16): their loops run over
+    node positions, not samples."""
+    work = context_work(monkeypatch, [
+        lambda samples=samples, delta=delta: run_context_suite(
+            "mv", 16, samples, 42, merge_delta=delta)
+        for delta in (0.0, 0.25) for samples in (12, 48)])
+    for sid in LADDER_ROWS:
+        for normal in (0, 2):
+            assert work[normal, sid][0] == work[normal + 1, sid][0] > 0, sid
 
 
 def scalar_headroom(pvals, avals, psd):
