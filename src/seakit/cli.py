@@ -294,7 +294,8 @@ def _summarize(doc: dict) -> None:
     print(f"verdict: {doc['verdict']}")
 
 
-# --suite -> its runner; every runner checks its own arguments.
+# --suite -> its runner; every runner checks its own arguments, and
+# cmd_verify the --product name.
 _SUITES = {
     "sea": verify.run_sea_suite,
     "compression": verify.run_compression_suite,
@@ -308,9 +309,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
     tol = _tolerances(args)
     model = args.model
     dim_or_size = args.size if model == "mv" else args.dim
-    if args.product != "standard" and args.suite != "sea":
-        raise _UsageError("--product applies to the sea suite only")
-    extra = {"product": args.product} if args.suite == "sea" else {}
+    if args.product != "standard":
+        if args.suite != "sea":
+            raise _UsageError("--product applies to the sea suite only")
+        control = verify.CONTROL_PRODUCT[model]
+        if args.product != control:
+            raise _UsageError(f"{model} model control product is {control!r}")
+    extra = ({"control": args.product != "standard"} if args.suite == "sea"
+             else {})
     try:
         result = _SUITES[args.suite](model, dim_or_size, args.samples,
                                      args.seed, tol, **extra)

@@ -32,6 +32,9 @@ from .linalg import (EigenDecomposition, Runs, cluster_starts, frobenius,
                      operator_norm, per_member, run_index)
 
 MAX_SPACE = 1024
+# The highest sequential power on which spectrum_representation checks
+# the embedding.
+EMBEDDING_DEGREE = 6
 
 
 def indicator(space: int, points) -> np.ndarray:
@@ -163,9 +166,8 @@ class FuzzyContext:
         return (per_member(np.min(raw, axis=-1)),
                 per_member(np.max(raw, axis=-1)))
 
-    def leq(self, a, b, slack: float = 0.0):
-        return per_member(np.all(self.raw(a) <= self.raw(b) + slack,
-                                 axis=-1))
+    def leq(self, a, b):
+        return per_member(np.all(self.raw(a) <= self.raw(b), axis=-1))
 
     def commutes(self, a, b):
         """Always: True, or one True per member of a stack."""
@@ -264,20 +266,18 @@ def _phi(reference: EigenDecomposition, mats: np.ndarray
     return vals, defect
 
 
-def spectrum_representation(a: mx.Effect, degree: int = 6,
-                            tol: Tolerances = DEFAULT
+def spectrum_representation(a: mx.Effect, tol: Tolerances = DEFAULT
                             ) -> tuple[np.ndarray, EmbeddingReport]:
     """Map an effect to the fuzzy set of its spectral values, as their
     value array.
 
     The point set is the eigenvalue clusters of the effect.  The report
-    checks, on sequential powers up to the given degree, that the map
+    checks, on sequential powers up to ``EMBEDDING_DEGREE``, that the map
     turns sequential products into pointwise products and that operator
     norms match sup norms: the identity and the powers as one stack, the
     pairs' products as another.
     """
-    if not 1 <= degree <= 6:
-        raise ValueError("degree must be between 1 and 6")
+    degree = EMBEDDING_DEGREE
     d = a.decomposition
     image = np.clip(d.cluster_values, 0.0, 1.0)
 
@@ -364,10 +364,10 @@ class FuzzySampler:
         return (self.rng.integers(-self.denom, self.denom + 1, self.space)
                 / self.denom)
 
-    def with_top(self, ones: int, ceiling: float = 0.95) -> np.ndarray:
-        """Values one on the first ``ones`` points and in [2^-8, ceiling]
+    def with_top(self, ones: int) -> np.ndarray:
+        """Values one on the first ``ones`` points and in [2^-8, 0.95]
         elsewhere."""
-        drawn = self.effect(1.0 / self.denom, ceiling)
+        drawn = self.effect(1.0 / self.denom, 0.95)
         return np.where(np.arange(self.space) < ones, 1.0, drawn)
 
     def commuting_with(self, p: np.ndarray, on=None, off=None) -> np.ndarray:

@@ -322,11 +322,8 @@ def decomposition_from(values: np.ndarray, vectors: np.ndarray,
     vectors = np.asarray(vectors, dtype=np.complex128)
     if not np.all(values[..., 1:] >= values[..., :-1]):
         order = np.argsort(values, axis=-1, kind="stable")
-        if values.ndim == 1:
-            values, vectors = values[order], vectors[:, order]
-        else:
-            values = np.take_along_axis(values, order, -1)
-            vectors = np.take_along_axis(vectors, order[..., None, :], -1)
+        values = np.take_along_axis(values, order, -1)
+        vectors = np.take_along_axis(vectors, order[..., None, :], -1)
     return EigenDecomposition(values, vectors, tol)
 
 

@@ -421,12 +421,10 @@ class MatrixContext:
         vals = eigenvalues(_matrix(v))
         return per_member(vals[..., 0]), per_member(vals[..., -1])
 
-    def leq(self, a, b, slack: float | None = None):
-        """a <= b: the least eigenvalue of b - a is at least -slack
-        (by default tol.check)."""
-        if slack is None:
-            slack = self.tol.check
-        return per_member(eigenvalues(self.sub(b, a))[..., 0] >= -slack)
+    def leq(self, a, b):
+        """a <= b: the least eigenvalue of b - a is at least -tol.check."""
+        return per_member(
+            eigenvalues(self.sub(b, a))[..., 0] >= -self.tol.check)
 
     def commutes(self, a, b):
         """ab = ba within tol.comm, one verdict per member of a stack."""
@@ -534,11 +532,6 @@ def _haar(z: np.ndarray) -> np.ndarray:
     q, r = np.linalg.qr(z)
     d = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (d / np.abs(d))[..., None, :]
-
-
-def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Haar-distributed n x n unitary."""
-    return _haar(_ginibre(rng, n))
 
 
 class _Pending:
@@ -804,14 +797,14 @@ class EffectSampler:
         return self._later(build)
 
     @_drawn
-    def with_top(self, ones: int, ceiling: float = 0.95) -> Effect:
+    def with_top(self, ones: int) -> Effect:
         """Effect with an exact eigenvalue-one cluster of size ``ones`` and
-        the other eigenvalues below ``ceiling``."""
+        the other eigenvalues below 0.95."""
         n = self.dim
         ones = min(ones, n)
         values = np.concatenate([
             np.ones(ones),
-            self.rng.uniform(0.0, ceiling, n - ones),
+            self.rng.uniform(0.0, 0.95, n - ones),
         ])
         return self.with_values(values)
 

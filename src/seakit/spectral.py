@@ -78,12 +78,10 @@ class SpectralFamily:
             "projections": [ctx.write(p) for p in self.projections],
         }
 
-    def csv_lines(self, ctx, points: int = 101, lo: float = 0.0,
-                  hi: float = 1.0) -> list[str]:
-        """The rank of one element's step at each of ``points`` values
-        from lo to hi."""
-        lams = [lo + (hi - lo) * i / (points - 1) if points > 1 else lo
-                for i in range(points)]
+    def csv_lines(self, ctx) -> list[str]:
+        """The rank of one element's step at each of 101 values from 0 to
+        1."""
+        lams = [i / 100 for i in range(101)]
         ranks = ctx.proj_rank(self.at(np.array(lams)))
         return ["lambda,rank"] + [f"{lam:.6f},{rank}"
                                   for lam, rank in zip(lams, ranks.tolist())]

@@ -140,9 +140,6 @@ class FiniteEffectAlgebra:
                 f"element {self.label(i)} has {count} orthosupplements")
         return int((self.table[i] == self.one).argmax())
 
-    def leq(self, i: int, j: int) -> bool:
-        return bool(self.order[i, j])
-
     def brute_inf(self, elements) -> int | None:
         """Greatest lower bound by exhaustion; None when it does not exist."""
         elements = list(elements)

@@ -2,9 +2,10 @@
 
 Each suite samples deterministic random inputs, evaluates one statement
 per check, and reports integer pass counts with a first witness for any
-failure.  Suites accept a deliberately broken configuration (wrong
-product, soft focus, wrong floor, merged clusters, corrupted tables) so
-that negative controls can prove the checks are not vacuous.
+failure.  Each runner takes one ``control`` switch, which runs the suite
+on its one deliberately broken configuration (wrong product, soft focus,
+cover for floor, merged clusters, corrupted tables), so that negative
+controls can prove the checks are not vacuous.
 
 Each statement is one row of ``STATEMENTS``, registered beside its body,
 which is written once over the model protocol: the model's context
@@ -60,6 +61,10 @@ APPROX_LEVELS = 10
 MESHES = (0.1, 0.01, 0.001)
 # The numbers a statement's stack of clusters holds at most (see _chunks).
 CHUNK_NUMBERS = 1 << 18
+# The negative controls' broken settings: each model's wrong sequential
+# product, and the width within which the context control merges levels.
+CONTROL_PRODUCT = {"matrix": "jordan", "mv": "lukasiewicz"}
+MERGE_DELTA = 0.25
 
 
 # ---------------------------------------------------------------------------
@@ -170,20 +175,15 @@ class _Run:
     tol: Tolerances = DEFAULT
     thr: float = 0.0  # the context's check threshold, 0 on the mv model
     comm: float = 0.0  # and its commutation threshold
+    control: bool = False  # the suite's broken configuration
     prod: Callable | None = None  # sea: the sequential product under test
     planted: tuple | None = None  # sea: the S1 witness it plants
-    focus: str = "projection"  # compression
-    floor: Callable | None = None  # spectrality: the floor, or the cover
     degenerate_ties: int = 0  # spectrality: comparability ties
-    merge_delta: float = 0.0  # context
     algs: dict | None = None  # tables: the built-in algebras by name
 
     def res(self, x, y=None):
-        """The residual of x, or of x - y; one per member of a stack.
-        ``_res`` inlined, as the mv context suite calls this thousands of
-        times a run."""
-        m = x if y is None else self.ctx.sub(x, y)
-        return frobenius(m, self.ctx.element_ndim) / self.n
+        """The residual of x, or of x - y; one per member of a stack."""
+        return _res(self.ctx, x if y is None else self.ctx.sub(x, y))
 
     def sandwich(self, x, a):
         return self.ctx.mul(self.ctx.mul(x, a), x)
@@ -202,13 +202,11 @@ def _run_rows(report: SuiteReport, run: _Run) -> SuiteReport:
 # the models
 
 
-def _products(model: str, ctx, n: int, product: str):
-    """The sequential product by name, with the S1 witness it plants."""
-    if product == "standard":
+def _products(model: str, ctx, n: int, control: bool):
+    """The sequential product under test, the model's own or its control
+    product (``CONTROL_PRODUCT``), with the S1 witness it plants."""
+    if not control:
         return ctx.product, None
-    control = "jordan" if model == "matrix" else "lukasiewicz"
-    if product != control:
-        raise ValueError(f"{model} model control product is {control!r}")
     if model == "matrix":
         # The symmetrized ordinary product (a b + b a) / 2: not a
         # sequential product, and its value need not be an effect.
@@ -251,7 +249,7 @@ def _suite(suite: str, model: str, n: int, samples: int, seed: int,
     if control:
         report.metadata["negative_control"] = True
     return report, _Run(ctx, draws, n, samples, tol, ctx.tol.check,
-                        ctx.tol.comm)
+                        ctx.tol.comm, control)
 
 
 def _three_orthogonal(smp, n: int) -> tuple[list, list[int]]:
@@ -583,12 +581,14 @@ def _strongarch(run, ctx, smp, t: _Tally) -> None:
 def run_sea_suite(model: str = "matrix", dim_or_size: int = 4,
                   samples: int = 200, seed: int = 42,
                   tol: Tolerances = DEFAULT,
-                  product: str = "standard") -> SuiteReport:
-    """Sequential-product axioms, affinity, sharpness, archimedeanity."""
+                  control: bool = False) -> SuiteReport:
+    """Sequential-product axioms, affinity, sharpness, archimedeanity; the
+    control runs them on the model's ``CONTROL_PRODUCT``."""
     report, run = _suite(
-        "sea", model, dim_or_size, samples, seed, tol, product != "standard",
-        product=product, archimedean_resolution=ARCHIMEDEAN_RESOLUTION)
-    run.prod, run.planted = _products(model, run.ctx, dim_or_size, product)
+        "sea", model, dim_or_size, samples, seed, tol, control,
+        product=CONTROL_PRODUCT.get(model) if control else "standard",
+        archimedean_resolution=ARCHIMEDEAN_RESOLUTION)
+    run.prod, run.planted = _products(model, run.ctx, dim_or_size, control)
     return _run_rows(report, run)
 
 
@@ -598,7 +598,7 @@ def run_sea_suite(model: str = "matrix", dim_or_size: int = 4,
 
 @_statement("compression", "de:compr")
 def _compr(run, ctx, smp, t: _Tally) -> None:
-    projection = run.focus == "projection"
+    projection = not run.control
     zero = ctx.element(ctx.zero_like(ctx.unit(run.n)))
 
     def draw(k):
@@ -717,14 +717,12 @@ def _compat_ii(run, ctx, smp, t: _Tally) -> None:
 def run_compression_suite(model: str = "matrix", dim_or_size: int = 4,
                           samples: int = 200, seed: int = 42,
                           tol: Tolerances = DEFAULT,
-                          focus: str = "projection") -> SuiteReport:
-    """Compression-base axioms and the compatibility equivalences."""
-    if focus not in ("projection", "soft"):
-        raise ValueError(f"unknown focus {focus!r}")
+                          control: bool = False) -> SuiteReport:
+    """Compression-base axioms and the compatibility equivalences; the
+    control compresses by a soft effect in place of a projection."""
     report, run = _suite(
-        "compression", model, dim_or_size, samples, seed, tol,
-        focus != "projection", focus=focus)
-    run.focus = focus
+        "compression", model, dim_or_size, samples, seed, tol, control,
+        focus="soft" if control else "projection")
     return _run_rows(report, run)
 
 
@@ -914,7 +912,7 @@ def _covex_floor(run, ctx, smp, t: _Tally) -> None:
     for lo, (a,) in _chunks(run, a):
         values, projs, _ = ctx.eigenprojections(a)
         top = sp.kept_sum(ctx, values >= 1.0 - ctx.tol.cluster, projs)
-        r1 = run.res(run.floor(a), top)
+        r1 = run.res((ctx.cover if run.control else ctx.floor)(a), top)
         r2 = run.res(ctx.floor(ctx.complement(a)),
                      ctx.complement(ctx.raw(ctx.cover(a))))
         r = np.where(r2 > r1, r2, r1)
@@ -926,7 +924,7 @@ def _covex_floor(run, ctx, smp, t: _Tally) -> None:
 def _floor_lemma(run, ctx, smp, t: _Tally) -> None:
     a = smp.draws(run.samples, lambda k: smp.with_top(
         int(smp.rng.integers(1, run.n + 1))))
-    flr = run.floor(a)
+    flr = (ctx.cover if run.control else ctx.floor)(a)
     powers = ctx.powers(a, FLOOR_POWER)
     ok = np.all(ctx.leq(powers[:, 1:4], powers[:, :3]), axis=-1)
     if ok.any():
@@ -1003,19 +1001,17 @@ def _property_a(run, ctx, smp, t: _Tally) -> None:
 def run_spectrality_suite(model: str = "matrix", dim_or_size: int = 6,
                           samples: int = 100, seed: int = 7,
                           tol: Tolerances = DEFAULT,
-                          floor_mode: str = "floor") -> SuiteReport:
-    """Covers, floors, comparability, decompositions, reconstruction."""
-    if floor_mode not in ("floor", "cover"):
-        raise ValueError(f"unknown floor mode {floor_mode!r}")
+                          control: bool = False) -> SuiteReport:
+    """Covers, floors, comparability, decompositions, reconstruction; the
+    control takes the cover where the floor lemmas want the floor."""
     report, run = _suite(
-        "spectrality", model, dim_or_size, samples, seed, tol,
-        floor_mode != "floor", floor_mode=floor_mode,
+        "spectrality", model, dim_or_size, samples, seed, tol, control,
+        floor_mode="cover" if control else "floor",
         floor_power=FLOOR_POWER, approx_levels=APPROX_LEVELS,
         meshes=list(MESHES))
     report.metadata["property_a_coverage"] = (
         "constructed chains only: dyadic approximations and complements of "
         "sequential powers")
-    run.floor = run.ctx.floor if floor_mode == "floor" else run.ctx.cover
     _run_rows(report, run)
     report.metadata["degenerate_comparability_ties"] = run.degenerate_ties
     return report
@@ -1070,7 +1066,7 @@ def _block_starts(values: np.ndarray, own: np.ndarray,
 @_statement("context", "thm:contexts")
 def _closed_form(run, ctx, smp, t: _Tally) -> None:
     def draw(k):
-        if k == 0 and run.merge_delta > 0.0:
+        if k == 0 and run.control:
             # Two levels 0.1 apart always merge, so the control fails
             # for every seed, not only when sampled levels happen to.
             return smp.with_values(np.resize([0.4, 0.5], run.n))
@@ -1084,7 +1080,8 @@ def _closed_form(run, ctx, smp, t: _Tally) -> None:
         # one with a merged coefficient has fewer steps than the
         # definition, and fails.
         closed = np.count_nonzero(_block_starts(
-            rep.coefficients, rep.own, run.merge_delta), axis=0)
+            rep.coefficients, rep.own, MERGE_DELTA if run.control else 0.0),
+            axis=0)
         steps = np.count_nonzero(rep.own, axis=0)
         same = closed == steps
         fam = sp.family_from_representation(rep.coefficients,
@@ -1121,10 +1118,11 @@ def _functions(run, ctx, smp, t: _Tally) -> None:
     a = smp.draws(run.samples, lambda k: smp.simple(gap=0.15))
     for lo, (a,) in _chunks(run, a):
         rep = sp.reduced_representation(a, ctx)
-        # each member's nodes first; merge_delta drops any near the one before
+        # each member's nodes first; the control drops any within
+        # MERGE_DELTA of the one before
         keep = rep.own.copy()
-        if run.merge_delta > 0.0:
-            keep[1:] &= np.diff(rep.coefficients, axis=0) > run.merge_delta
+        if run.control:
+            keep[1:] &= np.diff(rep.coefficients, axis=0) > MERGE_DELTA
         count = np.count_nonzero(keep, axis=0)
         valid = np.arange(count.max())[:, None] < count
         nodes = np.take_along_axis(rep.coefficients, np.argsort(
@@ -1141,12 +1139,12 @@ def _functions(run, ctx, smp, t: _Tally) -> None:
 def run_context_suite(model: str = "matrix", dim_or_size: int = 4,
                       samples: int = 200, seed: int = 42,
                       tol: Tolerances = DEFAULT,
-                      merge_delta: float = 0.0) -> SuiteReport:
-    """Reduced representations, closed-form families, functions of a."""
+                      control: bool = False) -> SuiteReport:
+    """Reduced representations, closed-form families, functions of a; the
+    control merges the levels within ``MERGE_DELTA`` of each other."""
     report, run = _suite(
-        "context", model, dim_or_size, samples, seed, tol,
-        merge_delta > 0.0, merge_delta=merge_delta)
-    run.merge_delta = merge_delta
+        "context", model, dim_or_size, samples, seed, tol, control,
+        merge_delta=MERGE_DELTA if control else 0.0)
     return _run_rows(report, run)
 
 
@@ -1230,14 +1228,15 @@ def _diamond_shape(run, ctx, smp, t: _Tally) -> None:
 
 
 def run_table_suite(seed: int = 42, tol: Tolerances = DEFAULT,
-                    corrupted: bool = False) -> SuiteReport:
+                    control: bool = False) -> SuiteReport:
     """Exhaustive axiom checks on the built-in Cayley tables, plus the
-    cross-model oracle against the fuzzy embeddings."""
+    cross-model oracle against the fuzzy embeddings; the control checks
+    two corrupted tables instead."""
     report = SuiteReport(
         suite="tables", model="table", seed=seed,
-        config={"tables": list(tb.BUILTIN_NAMES), "corrupted": corrupted,
+        config={"tables": list(tb.BUILTIN_NAMES), "corrupted": control,
                 "tolerances": tol.to_dict()})
-    if corrupted:
+    if control:
         report.metadata["negative_control"] = True
         for name, factory in (("broken-e1", _broken_e1_table),
                               ("broken-e4", _broken_e4_table)):
@@ -1275,21 +1274,16 @@ def run_all(model: str = "matrix", dim_or_size: int = 4, samples: int = 200,
     """Every suite plus its negative control, in a stable order.  A control
     that ``control_omitted`` names is left out, and the suite it controls
     records why."""
-    broken = {
-        run_sea_suite: {"product": ("jordan" if model == "matrix"
-                                    else "lukasiewicz")},
-        run_compression_suite: {"focus": "soft"},
-        run_spectrality_suite: {"floor_mode": "cover"},
-        run_context_suite: {"merge_delta": 0.25},
-    }
-    reports = [run(model, dim_or_size, samples, seed, tol) for run in broken]
-    reports.append(run_table_suite(seed=seed, tol=tol))
-    for normal, (run, config) in zip(reports[:4], broken.items()):
+    runs = (run_sea_suite, run_compression_suite, run_spectrality_suite,
+            run_context_suite)
+    reports = [run(model, dim_or_size, samples, seed, tol) for run in runs]
+    reports.append(run_table_suite(seed, tol))
+    for normal, run in zip(reports[:4], runs):
         reason = control_omitted(normal.suite, model, dim_or_size)
         if reason:
             normal.metadata["control_omitted"] = reason
         else:
             reports.append(run(model, dim_or_size, max(1, samples // 4),
-                               seed, tol, **config))
-    reports.append(run_table_suite(seed=seed, tol=tol, corrupted=True))
+                               seed, tol, control=True))
+    reports.append(run_table_suite(seed, tol, control=True))
     return reports

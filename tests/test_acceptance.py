@@ -58,7 +58,7 @@ def test_criterion_01_sea_axioms():
 
 
 def test_criterion_02_symmetrized_product_control():
-    rep = run_sea_suite("matrix", 2, samples=200, seed=42, product="jordan")
+    rep = run_sea_suite("matrix", 2, samples=200, seed=42, control=True)
     s3 = next(r for r in rep.results if r.statement_id == "S3")
     ok = (not rep.verdict and s3.passed < s3.samples
           and s3.witness is not None and "min_eigenvalue" in s3.witness)
@@ -141,7 +141,7 @@ def test_criterion_06_simple_approximation():
             gap = operator_norm(np.asarray(a.matrix) - an)
             ok = ok and gap <= 2.0 ** -n + CHECK
             if previous is not None:
-                ok = ok and MATRIX.leq(previous, an, slack=CHECK)
+                ok = ok and MATRIX.leq(previous, an)
             previous = an
     report(6, ok, "dyadic approximations within 2^-n, ascending, n=1..10")
 
@@ -152,7 +152,7 @@ def test_criterion_07_floor_identities():
     for k in range(100):
         dim = 2 + k % 7
         sampler = mx.EffectSampler(5000 + k, dim)
-        a = sampler.with_top(1, ceiling=0.95)
+        a = sampler.with_top(1)
         base = MATRIX.floor(a)
         d = a.decomposition
         cols = d.vectors[:, d.values >= 1.0 - DEFAULT.cluster]
@@ -226,7 +226,7 @@ def test_criterion_10_finite_table_oracle():
         ok = ok and incompatible_pairs(alg) == []
         for i in range(alg.size):
             for j in range(alg.size):
-                ok = ok and alg.leq(i, j) == MV.leq(emb[i], emb[j])
+                ok = ok and alg.order[i, j] == MV.leq(emb[i], emb[j])
                 ok = ok and bool(alg.compatibility[i, j])
                 inf = alg.brute_inf([i, j])
                 ok = ok and inf is not None

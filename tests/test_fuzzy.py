@@ -217,22 +217,13 @@ def test_spectrum_representation_equals_the_cluster_loop():
             smp.effect, smp.simple, lambda: smp.with_top(n // 2),
             smp.projection)]
         for x in drawn:
-            for degree in (1, 6):
-                a, b = mx.Effect(x.matrix), mx.Effect(x.matrix)
-                image, rep = spectrum_representation(a, degree)
-                want, samples, mult, iso = looped_representation(b, degree)
-                assert image.tobytes() == want.tobytes()
-                assert rep.samples == samples
-                assert rep.mult_residual.hex() == mult.hex()
-                assert rep.isometry_residual.hex() == iso.hex()
-
-
-def test_spectrum_representation_degree_bounds():
-    a = mx.validate_effect(np.diag([0.2, 0.7]))
-    with pytest.raises(ValueError):
-        spectrum_representation(a, degree=0)
-    with pytest.raises(ValueError):
-        spectrum_representation(a, degree=7)
+            a, b = mx.Effect(x.matrix), mx.Effect(x.matrix)
+            image, rep = spectrum_representation(a)
+            want, samples, mult, iso = looped_representation(b)
+            assert image.tobytes() == want.tobytes()
+            assert rep.samples == samples
+            assert rep.mult_residual.hex() == mult.hex()
+            assert rep.isometry_residual.hex() == iso.hex()
 
 
 def test_sampler_reproducible_and_summable():

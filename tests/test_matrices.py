@@ -106,7 +106,8 @@ def test_order_and_positivity_helpers():
     leq = CTX.leq
     assert leq(np.zeros((2, 2)), diag(0.0, 0.1))
     assert not leq(np.zeros((2, 2)), diag(-1e-3, 0.1))
-    assert leq(np.zeros((2, 2)), diag(-1e-3, 0.1), slack=1e-2)
+    loose = MatrixContext(DEFAULT.replace(check=1e-2))
+    assert loose.leq(np.zeros((2, 2)), diag(-1e-3, 0.1))
     assert leq(validate_effect(diag(0.2, 0.3)), validate_effect(diag(0.2, 0.9)))
     assert not leq(validate_effect(diag(0.5, 0.3)),
                    validate_effect(diag(0.2, 0.9)))
@@ -174,8 +175,8 @@ def test_floor_below_effect_below_cover(seed, dim):
     a = EffectSampler(seed, dim).effect()
     low = CTX.floor(a)
     high = CTX.cover(a)
-    assert CTX.leq(low, a, slack=1e-8)
-    assert CTX.leq(a, high, slack=1e-8)
+    assert CTX.leq(low, a)
+    assert CTX.leq(a, high)
     # the cover compresses a to itself
     assert frobenius(CTX.compress(high, a) - a.matrix) <= 1e-8
 

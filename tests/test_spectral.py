@@ -203,10 +203,11 @@ def test_fuzzy_elements_use_the_same_engine(level_set_family):
 
 def test_csv_lines_format():
     fam = spectral_family(effect(0.2, 0.7), MATRIX)
-    lines = fam.csv_lines(MATRIX, points=5, lo=0.0, hi=1.0)
+    lines = fam.csv_lines(MATRIX)
     assert lines[0] == "lambda,rank"
-    assert len(lines) == 6
+    assert len(lines) == 102
     assert lines[1].startswith("0.000000,")
+    assert lines[51] == "0.500000,1"
     assert lines[-1].endswith(",2")
 
 

@@ -132,7 +132,7 @@ def test_embedding_preserves_sums_and_order(name):
                 assert not MV.leq(image, MV.one_like(image))
             else:
                 assert np.array_equal(image, emb[total])
-            assert alg.leq(i, j) == MV.leq(emb[i], emb[j])
+            assert alg.order[i, j] == MV.leq(emb[i], emb[j])
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +199,7 @@ def ref_mackey_compatible(alg, a, b):
 def assert_relations_agree(alg):
     n = alg.size
     for i, j in itertools.product(range(n), repeat=2):
-        assert alg.leq(i, j) == ref_leq(alg, i, j), (i, j)
+        assert alg.order[i, j] == ref_leq(alg, i, j), (i, j)
         assert alg.compatibility[i, j] == ref_mackey_compatible(
             alg, i, j), (i, j)
         inf, sup = ref_inf(alg, [i, j]), ref_sup(alg, [i, j])
@@ -344,7 +344,7 @@ def test_control_tables_count_cases_before_the_first_failure():
     number of passing cases: the broken-e1 table satisfies E2 on 24 of its
     27 triples, but its first failure is the fifth."""
     rows = {(r.model, r.statement_id): (r.passed, r.samples, r.witness)
-            for r in verify.run_table_suite(seed=1, corrupted=True).results}
+            for r in verify.run_table_suite(seed=1, control=True).results}
     assert rows["broken-e1", "E1"] == (1, 9, {"a": "0", "b": "1/2"})
     assert rows["broken-e1", "E2"] == (
         4, 27, {"a": "0", "b": "1/2", "c": "1/2"})
@@ -373,7 +373,7 @@ TABLE_GOLDEN = {
 
 
 def table_report_sha256(seed, corrupted):
-    doc = verify.run_table_suite(seed=seed, corrupted=corrupted).to_dict()
+    doc = verify.run_table_suite(seed=seed, control=corrupted).to_dict()
     text = json.dumps(doc, sort_keys=True, indent=2)
     return hashlib.sha256(text.encode()).hexdigest()
 

@@ -70,14 +70,86 @@ def test_models_share_one_protocol():
     assert fz.FuzzyContext.__module__ == fz.FuzzySampler.__module__
 
 
+def test_each_runner_takes_one_control_switch():
+    """A suite's negative control is one switch, ``control``, on its
+    runner; ``run_all`` runs each runner twice and takes no switch."""
+    model_suite = ["model", "dim_or_size", "samples", "seed", "tol",
+                   "control"]
+    runners = {run: model_suite for run in (
+        run_sea_suite, run_compression_suite, run_spectrality_suite,
+        run_context_suite)}
+    runners[run_table_suite] = ["seed", "tol", "control"]
+    for run, names in runners.items():
+        params = inspect.signature(run).parameters
+        assert list(params) == names, run.__name__
+        assert params["control"].default is False
+        assert params["control"].annotation == "bool"
+    assert list(inspect.signature(run_all).parameters) == model_suite[:-1]
+
+
+def _recorded(monkeypatch, owners) -> tuple[set, set]:
+    """Replace every public method of each class, and every public function
+    a module defines, by a proxy that records its name when called.
+    Returns (the names proxied, the set the calls are recorded in)."""
+    names, called = set(), set()
+
+    def proxy(name, fn):
+        def call(*args, **kwargs):
+            called.add(name)
+            return fn(*args, **kwargs)
+        return call
+
+    for owner in owners:
+        for attr, value in list(vars(owner).items()):
+            name = f"{owner.__name__}.{attr}"
+            if attr.startswith("_"):
+                continue
+            if isinstance(value, staticmethod):
+                wrapped = staticmethod(proxy(name, value.__func__))
+            elif inspect.isfunction(value) and (
+                    inspect.isclass(owner)
+                    or value.__module__ == owner.__name__):
+                wrapped = proxy(name, value)
+            else:
+                continue
+            names.add(name)
+            monkeypatch.setattr(owner, attr, wrapped)
+    return names, called
+
+
+def test_every_model_operation_and_engine_call_is_read(
+        monkeypatch, tmp_path, capsys):
+    """Every public method of the two contexts and the two samplers, and
+    every public function of ``spectral``, is called by some statement of
+    ``run_all`` (controls included) on either model or by some element
+    verb on a matrix or a pointwise document: what nothing reads is
+    deleted, and this keeps it from coming back."""
+    names, called = _recorded(monkeypatch, (
+        mx.MatrixContext, fz.FuzzyContext, mx.EffectSampler,
+        fz.FuzzySampler, sp))
+    run_all("matrix", 3, 12, 1)
+    run_all("mv", 6, 12, 1)
+    for doc in ({"re": [[0.6, 0.2], [0.2, 0.3]]},
+                {"values": [0.25, 0.5, 1.0, 0.0]}):
+        path = tmp_path / "element.json"
+        path.write_text(json.dumps(doc))
+        for verb in ("validate", "spectrum", "approx", "decompose",
+                     "witness", "mv"):
+            inputs = [str(path)] * (2 if verb == "witness" else 1)
+            assert main([verb, "--input", *inputs]) == 0, (verb, doc)
+    capsys.readouterr()
+    assert {"MatrixContext.mul", "FuzzySampler.draws",
+            "seakit.spectral.kept_sum"} <= names
+    assert sorted(names - called) == []
+
+
 def test_sea_suite_passes_both_models():
     assert run_sea_suite("matrix", 2, samples=25, seed=3).verdict
     assert run_sea_suite("mv", 4, samples=25, seed=3).verdict
 
 
 def test_symmetrized_product_breaks_the_kernel_axiom():
-    report = run_sea_suite("matrix", 3, samples=40, seed=5,
-                           product="jordan")
+    report = run_sea_suite("matrix", 3, samples=40, seed=5, control=True)
     assert not report.verdict
     assert report.metadata["negative_control"]
     bad = failing_ids(report)
@@ -88,8 +160,7 @@ def test_symmetrized_product_breaks_the_kernel_axiom():
 
 
 def test_truncated_sum_product_breaks_distributivity():
-    report = run_sea_suite("mv", 6, samples=40, seed=5,
-                           product="lukasiewicz")
+    report = run_sea_suite("mv", 6, samples=40, seed=5, control=True)
     assert not report.verdict
     assert "S1" in failing_ids(report)
 
@@ -98,7 +169,7 @@ def test_compression_suite_and_soft_focus_control():
     assert run_compression_suite("matrix", 3, samples=20, seed=2).verdict
     assert run_compression_suite("mv", 5, samples=20, seed=2).verdict
     soft = run_compression_suite("matrix", 3, samples=20, seed=2,
-                                 focus="soft")
+                                 control=True)
     assert not soft.verdict
     assert "de:compr" in failing_ids(soft)
 
@@ -107,7 +178,7 @@ def test_spectrality_suite_and_cover_control():
     assert run_spectrality_suite("matrix", 4, samples=12, seed=7).verdict
     assert run_spectrality_suite("mv", 6, samples=12, seed=7).verdict
     broken = run_spectrality_suite("matrix", 4, samples=12, seed=7,
-                                   floor_mode="cover")
+                                   control=True)
     assert not broken.verdict
     assert "lemma:floor" in failing_ids(broken)
 
@@ -116,14 +187,14 @@ def test_context_suite_and_merge_control():
     assert run_context_suite("matrix", 4, samples=15, seed=11).verdict
     assert run_context_suite("mv", 6, samples=15, seed=11).verdict
     merged = run_context_suite("matrix", 4, samples=15, seed=11,
-                               merge_delta=0.25)
+                               control=True)
     assert not merged.verdict
     assert "thm:contexts" in failing_ids(merged)
 
 
 def test_table_suite_and_corrupted_control():
     assert run_table_suite(seed=1).verdict
-    broken = run_table_suite(seed=1, corrupted=True)
+    broken = run_table_suite(seed=1, control=True)
     assert not broken.verdict
     assert {"E1", "E4"} <= failing_ids(broken)
 
@@ -179,11 +250,10 @@ def test_readme_lists_every_statement_with_its_suite():
     assert listed == expected
 
 
-# run -> (suite, the controls it cannot fail at dimension 1, by model)
+# run -> (suite, the models whose control it cannot fail at dimension 1)
 CONTROLS_AT_ONE = {
-    run_sea_suite: ("sea", {"matrix": {"product": "jordan"}}),
-    run_context_suite: ("context", {"matrix": {"merge_delta": 0.25},
-                                    "mv": {"merge_delta": 0.25}}),
+    run_sea_suite: ("sea", ("matrix",)),
+    run_context_suite: ("context", ("matrix", "mv")),
 }
 
 
@@ -199,17 +269,11 @@ def test_suites_reject_bad_arguments_up_front(run):
             run(model, n, samples=2, seed=1)
     # A control that cannot fail is refused, with the reason run_all
     # records, before anything is drawn.
-    suite, controls = CONTROLS_AT_ONE.get(run, ("", {}))
-    for model, config in controls.items():
+    suite, models = CONTROLS_AT_ONE.get(run, ("", ()))
+    for model in models:
         with pytest.raises(ValueError) as info:
-            run(model, 1, samples=2, seed=1, **config)
+            run(model, 1, samples=2, seed=1, control=True)
         assert str(info.value) == control_omitted(suite, model, 1)
-    if run is run_sea_suite:
-        # a product that is not the model's control names the control
-        for model, other, control in (("matrix", "lukasiewicz", "jordan"),
-                                      ("mv", "jordan", "lukasiewicz")):
-            with pytest.raises(ValueError, match=f"'{control}'"):
-                run(model, 4, samples=2, seed=1, product=other)
 
 
 def test_runs_are_deterministic():
@@ -248,30 +312,27 @@ def test_check_result_invariants():
     assert ids == ["S1", "S2"]
 
 
-# name -> (suite runner, model, broken configuration).
+# name -> (suite runner, model), run normal and as its control.
 CONTROLS = {
-    "matrix-sea": (run_sea_suite, "matrix", {"product": "jordan"}),
-    "matrix-compression": (run_compression_suite, "matrix",
-                           {"focus": "soft"}),
-    "matrix-spectrality": (run_spectrality_suite, "matrix",
-                           {"floor_mode": "cover"}),
-    "matrix-context": (run_context_suite, "matrix", {"merge_delta": 0.25}),
-    "mv-sea": (run_sea_suite, "mv", {"product": "lukasiewicz"}),
-    "mv-compression": (run_compression_suite, "mv", {"focus": "soft"}),
-    "mv-spectrality": (run_spectrality_suite, "mv",
-                       {"floor_mode": "cover"}),
-    "mv-context": (run_context_suite, "mv", {"merge_delta": 0.25}),
+    "matrix-sea": (run_sea_suite, "matrix"),
+    "matrix-compression": (run_compression_suite, "matrix"),
+    "matrix-spectrality": (run_spectrality_suite, "matrix"),
+    "matrix-context": (run_context_suite, "matrix"),
+    "mv-sea": (run_sea_suite, "mv"),
+    "mv-compression": (run_compression_suite, "mv"),
+    "mv-spectrality": (run_spectrality_suite, "mv"),
+    "mv-context": (run_context_suite, "mv"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(CONTROLS))
 def test_every_control_fails_for_every_seed(name):
     # run_all gives controls samples // 4 samples, so small runs see 1-3.
-    run, model, broken = CONTROLS[name]
+    run, model = CONTROLS[name]
     passed = [(dim, samples, seed)
               for dim in (2, 3, 4) for samples in (1, 2, 3)
               for seed in range(10)
-              if run(model, dim, samples, seed, **broken).verdict]
+              if run(model, dim, samples, seed, control=True).verdict]
     assert passed == []
 
 
@@ -299,13 +360,9 @@ def test_verifier_catches_a_wrong_eigenprojection_route(
     assert failing_ids(spectral) | failing_ids(context) == failures
 
 
-# name -> (suite runner, model); the normal configuration of each control.
-NORMALS = {name: (run, model) for name, (run, model, _) in CONTROLS.items()}
-
-
-@pytest.mark.parametrize("name", sorted(NORMALS))
+@pytest.mark.parametrize("name", sorted(CONTROLS))
 def test_every_normal_suite_passes_for_every_seed(name):
-    run, model = NORMALS[name]
+    run, model = CONTROLS[name]
     failed = [(dim, samples, seed)
               for dim in (2, 3, 4) for samples in (1, 2, 3)
               for seed in range(10)
@@ -364,7 +421,7 @@ def test_lagrange_basis_is_exact_at_the_nodes():
 def test_stacked_lagrange_equals_the_looped_products(model_context, sampler):
     """The stacked basis against the looped reference on ragged stacks: a
     member with one node, one with the most, random ones, and the nodes
-    that ``merge_delta=0.25`` keeps, taken from the reduced representation
+    that the control's ``MERGE_DELTA`` (0.25) keeps, taken from the reduced representation
     by the per-sample loop's filter.  On mv the two agree bit for bit, as
     exact indicators, wherever a member's value is one of its nodes: at
     all its points unless nodes were merged away.  At a value that is not
@@ -378,7 +435,7 @@ def test_stacked_lagrange_equals_the_looped_products(model_context, sampler):
     a = smp.draws(len(values), lambda k: smp.with_values(values[k]))
     rep = sp.reduced_representation(a, ctx)
     exact = model_context is fz.FuzzyContext
-    for delta in (0.0, 0.25):
+    for delta in (0.0, verify.MERGE_DELTA):
         node_lists = []
         for k in range(len(values)):
             nodes = rep.coefficients[rep.own[:, k], k].tolist()
@@ -488,9 +545,9 @@ def witness_report_digest(model, n, seed, check):
     tol = DEFAULT.replace(check=check)
     return report_sha256(merge_reports([
         run_spectrality_suite(model, n, 12, seed, tol),
-        run_spectrality_suite(model, n, 12, seed, tol, floor_mode="cover"),
+        run_spectrality_suite(model, n, 12, seed, tol, control=True),
         run_context_suite(model, n, 12, seed, tol),
-        run_context_suite(model, n, 12, seed, tol, merge_delta=0.25)]))
+        run_context_suite(model, n, 12, seed, tol, control=True)]))
 
 
 def witness_digests():
@@ -895,14 +952,14 @@ def test_sea_lapack_calls_do_not_grow_with_the_samples(call_counter):
     assert counts[0] == counts[1] > 0
 
 
-@pytest.mark.parametrize("run,config", [
-    (run_spectrality_suite, {}),
-    (run_spectrality_suite, {"floor_mode": "cover"}),
-    (run_context_suite, {}),
-    (run_context_suite, {"merge_delta": 0.25}),
+@pytest.mark.parametrize("run,control", [
+    (run_spectrality_suite, False),
+    (run_spectrality_suite, True),
+    (run_context_suite, False),
+    (run_context_suite, True),
 ], ids=["spectrality", "spectrality-control", "context", "context-control"])
 def test_cluster_suite_lapack_calls_do_not_grow_with_the_samples(
-        call_counter, run, config):
+        call_counter, run, control):
     """The spectrality and context rows, normal and control, check all
     their samples at once: one ``eigh`` per decomposed stack (the
     clusters and their projections take none, and the joint eigenbases
@@ -914,7 +971,8 @@ def test_cluster_suite_lapack_calls_do_not_grow_with_the_samples(
     Lagrange products are running products over node positions, all
     samples at once."""
     counts = lapack_calls(call_counter, [
-        lambda samples=samples: run("matrix", 4, samples, 42, **config)
+        lambda samples=samples: run("matrix", 4, samples, 42,
+                                    control=control)
         for samples in (12, 48)])
     assert counts[0] == counts[1] > 0
 
@@ -986,9 +1044,9 @@ def test_context_verb_calls_do_not_grow_with_the_samples(monkeypatch):
     stacks has at most 16 levels, and some have 16): their loops run over
     node positions, not samples."""
     work = context_work(monkeypatch, [
-        lambda samples=samples, delta=delta: run_context_suite(
-            "mv", 16, samples, 42, merge_delta=delta)
-        for delta in (0.0, 0.25) for samples in (12, 48)])
+        lambda samples=samples, control=control: run_context_suite(
+            "mv", 16, samples, 42, control=control)
+        for control in (False, True) for samples in (12, 48)])
     for sid in LADDER_ROWS:
         for normal in (0, 2):
             assert work[normal, sid][0] == work[normal + 1, sid][0] > 0, sid
