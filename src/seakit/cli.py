@@ -235,7 +235,7 @@ def cmd_witness(args: argparse.Namespace) -> int:
         wit = sp.comparability_witness(e, f, ctx)
     except mx.NotCommutingError as exc:
         raise _DomainError("elements do not commute") from exc
-    except mx.DimensionMismatchError as exc:
+    except (mx.DimensionMismatchError, ArithmeticError) as exc:
         raise _DomainError(str(exc)) from exc
     doc = {
         "model": ctx.model,

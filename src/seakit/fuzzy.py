@@ -14,10 +14,10 @@ array is a stack of k elements: the pointwise operations act on it member
 by member, ``scale`` takes one λ per member, and ``leq``, ``extremes``,
 ``norm``, ``residual`` and ``is_sharp`` reduce over the last axis, one
 value per member; ``powers`` returns one ``(..., count, n)`` array.  The
-level sets (``eigenprojections``, ``joint_clusters``) of a stack come
-level first, as the matrix model's clusters do.  ``spectrum_representation``
-maps a matrix effect onto its clusters, one stack of matrices evaluated on
-the clusters of one size together.
+level sets (``eigenprojections``) of a stack come level first, as the
+matrix model's clusters do.  ``spectrum_representation`` maps a matrix
+effect onto its clusters, one stack of matrices evaluated on the clusters
+of one size together.
 """
 from __future__ import annotations
 
@@ -50,6 +50,16 @@ class FuzzyContext:
     element_ndim = 1  # the trailing axes one element spans
     mul = staticmethod(np.multiply)   # the ordinary product of raw elements
     stack = staticmethod(np.stack)
+
+    # The verbs with one formula on both models, written once there.
+    add = mx.MatrixContext.add
+    sub = mx.MatrixContext.sub
+    residual = mx.MatrixContext.residual
+    norm = mx.MatrixContext.norm
+    leq = mx.MatrixContext.leq
+    is_sharp = mx.MatrixContext.is_sharp
+    zero_like = mx.MatrixContext.zero_like
+    shift = mx.MatrixContext.shift
 
     def __init__(self, tol: Tolerances = DEFAULT):
         self.tol = tol.replace(psd=0.0, proj=0.0, cluster=0.0, kernel=0.0,
@@ -91,14 +101,6 @@ class FuzzyContext:
     def one_like(self, v) -> np.ndarray:
         return np.ones(self.raw(v).shape[-1])
 
-    def zero_like(self, v) -> np.ndarray:
-        return np.zeros(self.raw(v).shape[-1])
-
-    def shift(self, v, lam) -> np.ndarray:
-        """v - lam: with an array of k values, the (k, n) stack of
-        shifts."""
-        return self.raw(v) - np.asarray(lam)[..., None]
-
     def positive_part(self, v) -> np.ndarray:
         return np.maximum(self.raw(v), 0.0)
 
@@ -132,42 +134,18 @@ class FuzzyContext:
         runs = Runs(cluster_starts(srt, 0.0))
         values = runs.padded(srt.reshape(-1, srt.shape[-1])[runs.member,
                                                             runs.start])
-        return values, self._indicators(runs, (raw, values)), runs.own
-
-    @staticmethod
-    def _indicators(runs: Runs, *pairs) -> np.ndarray:
-        """The indicator of each level: where every (element, level
-        values) pair takes its level's value, zero past a member's last."""
-        mask = runs.own[..., None]
-        for raw, values in pairs:
-            mask = mask & (raw == values[..., None])
-        return mask.astype(float)
-
-    def add(self, a, b) -> np.ndarray:
-        return self.raw(a) + self.raw(b)
-
-    def sub(self, a, b) -> np.ndarray:
-        return self.raw(a) - self.raw(b)
+        projs = runs.own[..., None] & (raw == values[..., None])
+        return values, projs.astype(float), runs.own
 
     def scale(self, lam, v) -> np.ndarray:
         """lam * v, with lam a number or an array of one per member."""
         return np.asarray(lam)[..., None] * self.raw(v)
-
-    def residual(self, a, b):
-        return per_member(np.max(np.abs(self.raw(a) - self.raw(b)),
-                                 axis=-1))
-
-    def norm(self, v):
-        return per_member(np.max(np.abs(self.raw(v)), axis=-1))
 
     def extremes(self, v):
         """Least and greatest value."""
         raw = self.raw(v)
         return (per_member(np.min(raw, axis=-1)),
                 per_member(np.max(raw, axis=-1)))
-
-    def leq(self, a, b):
-        return per_member(np.all(self.raw(a) <= self.raw(b), axis=-1))
 
     def commutes(self, a, b):
         """Always: True, or one True per member of a stack."""
@@ -195,27 +173,6 @@ class FuzzyContext:
 
     def join(self, a, b) -> np.ndarray:
         return np.maximum(self.raw(a), self.raw(b))
-
-    def is_sharp(self, a):
-        raw = self.raw(a)
-        return per_member(np.all((raw == 0.0) | (raw == 1.0), axis=-1))
-
-    def joint_clusters(self, e, f) -> tuple[np.ndarray, np.ndarray,
-                                            np.ndarray]:
-        """The distinct value pairs, in ascending order, with the indicator
-        of each, pair first as in ``eigenprojections``."""
-        eraw, fraw = self.raw(e), self.raw(f)
-        if eraw.shape != fraw.shape:
-            raise mx.DimensionMismatchError(
-                f"spaces differ: {eraw.shape[-1]} vs {fraw.shape[-1]}")
-        order = np.lexsort((fraw, eraw), axis=-1)
-        es = np.take_along_axis(eraw, order, -1)
-        fs = np.take_along_axis(fraw, order, -1)
-        runs = Runs(cluster_starts(es, 0.0) | cluster_starts(fs, 0.0))
-        n = eraw.shape[-1]
-        ev, fv = (runs.padded(x.reshape(-1, n)[runs.member, runs.start])
-                  for x in (es, fs))
-        return ev, fv, self._indicators(runs, (eraw, ev), (fraw, fv))
 
     def overlaps(self, projs) -> np.ndarray:
         """‖p_i p_j‖ for every pair of a list of elements, ``(K, K)``, or

@@ -42,6 +42,14 @@ class NotHermitianError(ValueError):
     """Input matrix is not Hermitian within tolerance."""
 
 
+class DimensionMismatchError(ValueError):
+    """Operands live on spaces of different dimension."""
+
+
+class NotCommutingError(ValueError):
+    """Operation requires a commuting pair."""
+
+
 def frobenius(m: np.ndarray, ndim: int = 2):
     """The Frobenius norm of one element spanning the last ``ndim`` axes
     (a matrix, or with ``ndim=1`` a vector), a float, or of each member of

@@ -29,15 +29,14 @@ import numpy as np
 
 from .config import DEFAULT, Tolerances
 from .linalg import (
+    DimensionMismatchError,
     EigenDecomposition,
-    Runs,
-    cluster_starts,
+    NotCommutingError,
     decomposition_from,
     eigenvalues,
     eigh,
     frobenius,
     hermitian_part,
-    operator_norm,
     per_member,
     require_hermitian,
     run_index,
@@ -48,20 +47,12 @@ from .linalg import (
 MAX_DIM = 1024
 
 
-class DimensionMismatchError(ValueError):
-    """Operands live on spaces of different dimension."""
-
-
 class NotAnEffectError(ValueError):
     """Matrix has an eigenvalue outside [0, 1]."""
 
     def __init__(self, message: str, eigenvalue: float | None = None):
         super().__init__(message)
         self.eigenvalue = eigenvalue
-
-
-class NotCommutingError(ValueError):
-    """Operation requires a commuting pair."""
 
 
 class Effect:
@@ -236,8 +227,12 @@ class MatrixContext:
     stacked decomposition, one stacked product per projection rank, and
     ``meet`` and ``join`` diagonalize the eigenspace blocks of all
     members, one stacked ``eigh`` per block size.  The clusters
-    (``eigenprojections``, ``joint_clusters``) of a stack come cluster
-    first, as ``linalg.EigenDecomposition`` builds them.
+    (``eigenprojections``) of a stack come cluster first, as
+    ``linalg.EigenDecomposition`` builds them.
+
+    ``add``, ``sub``, ``residual``, ``norm``, ``leq``, ``is_sharp``,
+    ``zero_like`` and ``shift`` read only ``raw``, ``mul``, ``extremes``,
+    ``one_like`` and ``element_ndim``; ``fuzzy.FuzzyContext`` shares them.
     """
 
     model = "matrix"
@@ -327,14 +322,11 @@ class MatrixContext:
         return np.eye(n, dtype=np.complex128)
 
     def zero_like(self, v) -> np.ndarray:
-        n = np.shape(_matrix(v))[-1]
-        return np.zeros((n, n), dtype=np.complex128)
+        return np.zeros_like(self.one_like(v))
 
     def shift(self, v, lam) -> np.ndarray:
-        """v - lam: with an array of k values, the (k, n, n) stack of
-        shifts."""
-        m = _matrix(v)
-        return m - np.multiply.outer(lam, np.eye(m.shape[-1]))
+        """v - lam: with an array of k values, the stack of k shifts."""
+        return self.raw(v) - np.multiply.outer(lam, self.one_like(v))
 
     def positive_part(self, v) -> np.ndarray:
         d = eigh(_matrix(v), self.tol)
@@ -384,10 +376,10 @@ class MatrixContext:
         return d.cluster_values, d.projectors, d.own
 
     def add(self, a, b) -> np.ndarray:
-        return _matrix(a) + _matrix(b)
+        return self.raw(a) + self.raw(b)
 
     def sub(self, a, b) -> np.ndarray:
-        return _matrix(a) - _matrix(b)
+        return self.raw(a) - self.raw(b)
 
     def scale(self, lam, v):
         """lam * v, with lam a number or an array of one per member: for
@@ -406,15 +398,17 @@ class MatrixContext:
                       decomposition=decomp)
 
     def residual(self, a, b):
-        """The Frobenius norm of a - b, one per member of a stack."""
-        return frobenius(_matrix(a) - _matrix(b))
+        """The Frobenius norm of a - b (on mv, its 2-norm), one per member."""
+        return frobenius(self.sub(a, b), self.element_ndim)
 
     def adjoint(self, v) -> np.ndarray:
         """The conjugate transpose, member by member."""
         return _matrix(v).conj().swapaxes(-1, -2)
 
     def norm(self, v):
-        return operator_norm(_matrix(v))
+        """The largest |spectral value|, from ``extremes``."""
+        low, high = self.extremes(v)
+        return per_member(np.maximum(np.abs(low), np.abs(high)))
 
     def extremes(self, v):
         """Least and greatest eigenvalue."""
@@ -422,9 +416,8 @@ class MatrixContext:
         return per_member(vals[..., 0]), per_member(vals[..., -1])
 
     def leq(self, a, b):
-        """a <= b: the least eigenvalue of b - a is at least -tol.check."""
-        return per_member(
-            eigenvalues(self.sub(b, a))[..., 0] >= -self.tol.check)
+        """a <= b: b - a's least spectral value is at least -tol.check."""
+        return per_member(self.extremes(self.sub(b, a))[0] >= -self.tol.check)
 
     def commutes(self, a, b):
         """ab = ba within tol.comm, one verdict per member of a stack."""
@@ -483,23 +476,15 @@ class MatrixContext:
         return self._apply(a, b, np.maximum)
 
     def is_sharp(self, a):
-        """a² = a within tol.check, one verdict per member of a stack."""
-        raw = _matrix(a)
-        return frobenius(raw @ raw - raw) / raw.shape[-1] <= self.tol.check
-
-    def joint_clusters(self, e, f) -> tuple[np.ndarray, np.ndarray,
-                                            np.ndarray]:
-        """The joint eigenspaces of a commuting pair, cluster first as in
-        ``eigenprojections``: e's mean value, f's mean value and the
-        projection of each; one stack of each per member of a stack."""
-        vectors, xvals, yvals = joint_eigenbasis(e, f, self.tol)
-        width = self.tol.cluster * np.maximum(1.0, (
-            np.max(np.abs(xvals), axis=-1) + np.max(np.abs(yvals), axis=-1)))
-        runs = Runs(cluster_starts(xvals, width) | cluster_starts(yvals, width))
-        n = xvals.shape[-1]
-        return (runs.padded(runs.means(xvals.reshape(-1, n))),
-                runs.padded(runs.means(yvals.reshape(-1, n))),
-                runs.projections(vectors.reshape(-1, n, n)))
+        """a² = a within tol.check, one verdict per member of a stack;
+        entry by entry where |a² - a| underflows to 0 (exact on mv)."""
+        raw = self.raw(a)
+        d = self.mul(raw, raw) - raw
+        r = frobenius(d, self.element_ndim)
+        entries = np.all(np.abs(d) <= self.tol.check,
+                         axis=tuple(range(-self.element_ndim, 0)))
+        return per_member((r / raw.shape[-1] <= self.tol.check)
+                          & ((r > 0.0) | entries))
 
     def overlaps(self, projs) -> np.ndarray:
         """‖p_i p_j‖_F for every pair of a list of projections, ``(K, K)``,

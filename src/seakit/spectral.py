@@ -7,10 +7,10 @@ from one decomposition.  On that one call the engine builds reduced
 representations, spectral families as exact step functions (their first
 and last breakpoints are the bounds), dyadic simple approximations and
 orthogonal decompositions with their sign witnesses; it also reconstructs
-elements and builds comparability witnesses.  Every function takes the
-context as an argument: each model's context lives in the model's module
-(``matrices.MatrixContext``, ``fuzzy.FuzzyContext``), and this module
-imports neither.
+elements, and builds comparability witnesses from the eigenprojections of
+a difference.  Every function takes the context as an argument: each
+model's context lives in the model's module (``matrices.MatrixContext``,
+``fuzzy.FuzzyContext``), and this module imports neither.
 
 Every function also takes a stack of elements, with the bits of one call
 per member.  The eigenprojections of a stack come cluster first, a member
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import per_member
+from .linalg import DimensionMismatchError, NotCommutingError, per_member
 
 # The most sign witnesses ``sign_witness_projections`` lists.
 WITNESS_LIMIT = 8
@@ -299,15 +299,22 @@ def comparability_witness(e, f, ctx) -> ComparabilityWitness:
     """A projection p with the e-part below the f-part under p and the
     reverse under its complement; one per pair of members of two stacks.
 
-    Built from joint eigenprojections: p collects the joint clusters where
-    the e-value does not exceed the f-value (ties included, flagged as
-    degenerate).  Raises NotCommutingError for non-commuting input.
+    p is the spectral projection of e - f on (-∞, 0]: the sum of its own
+    clusters at values up to their clustering width (a cluster within
+    that width of 0, a tie, is flagged as degenerate).  Raises
+    DimensionMismatchError, NotCommutingError, and ArithmeticError if p
+    fails its defining order.
     """
-    ev, fv, projs = ctx.joint_clusters(e, f)
-    width = ctx.tol.cluster * np.maximum(
-        1.0, np.max(np.abs(ev) + np.abs(fv), axis=0))
-    degenerate = np.any(np.abs(ev - fv) <= width, axis=0)
-    p = kept_sum(ctx, ev <= fv + width, projs)
+    eraw, fraw = ctx.raw(e), ctx.raw(f)
+    if eraw.shape != fraw.shape:
+        raise DimensionMismatchError(
+            f"dimensions differ: {eraw.shape[-1]} vs {fraw.shape[-1]}")
+    if not np.all(ctx.commutes(e, f)):
+        raise NotCommutingError("elements do not commute")
+    values, projs, own = ctx.eigenprojections(ctx.sub(e, f))
+    width = ctx.tol.cluster * np.maximum(1.0, np.max(np.abs(values), axis=0))
+    degenerate = np.any(own & (np.abs(values) <= width), axis=0)
+    p = kept_sum(ctx, own & (values <= width), projs)
     comp = ctx.complement(p)
     ok = (np.asarray(ctx.leq(ctx.compress(p, e), ctx.compress(p, f)))
           & ctx.leq(ctx.compress(comp, f), ctx.compress(comp, e)))

@@ -268,16 +268,16 @@ def _three_orthogonal(smp, n: int) -> tuple[list, list[int]]:
 # SEA suite
 
 
-def _mackey(ctx, p, a) -> np.ndarray:
+def _mackey(ctx, p, a, inside) -> tuple[np.ndarray, np.ndarray]:
     """Mackey compatibility of a projection and an effect, or of each pair
-    of members: with c = p a p, both a - c and 1 - a - p + c are positive
-    (the second tested only where the first holds)."""
-    inside = ctx.compress(p, a)
+    of members, given c = p a p (``inside``): whether a - c is positive,
+    and whether 1 - a - p + c is too (tested where the first holds)."""
     rest = ctx.add(ctx.sub(ctx.sub(ctx.one_like(a), a), p), inside)
-    ok = np.array(ctx.leq(inside, a))
+    below = np.array(ctx.leq(inside, a))
+    ok = below.copy()
     if ok.any():
         ok[ok] = ctx.leq(ctx.zero_like(a), rest[ok])
-    return ok
+    return below, ok
 
 
 def _five_way(ctx, p, a) -> dict:
@@ -299,11 +299,12 @@ def _five_way(ctx, p, a) -> dict:
         r_meet = _res(ctx, ctx.sub(inside[meet], ctx.meet(p[meet], a[meet])))
         residual[meet] = np.maximum(residual[meet], np.minimum(r_meet, thr))
         meet[meet] = r_meet <= thr
+    below, mackey = _mackey(ctx, praw, araw, inside)
     return {key: per_member(x) for key, x in (
-        ("compress_below", ctx.leq(inside, a)),
+        ("compress_below", below),
         ("block_sum", r_block <= thr),
         ("interval_sum", r_off <= thr),
-        ("mackey", _mackey(ctx, p, a)),
+        ("mackey", mackey),
         ("meet", meet),
         ("residual", residual))}
 
@@ -536,7 +537,7 @@ def _sharp_v(run, ctx, smp, t: _Tally) -> None:
         smp.commuting(smp.projection, smp.effect) if k % 2 == 0
         else (smp.projection(), smp.effect())))
     commute = run.res(run.prod(p, a), run.prod(a, p)) <= run.comm
-    mackey = _mackey(ctx, p, a)
+    _, mackey = _mackey(ctx, p, a, ctx.compress(p, a))
     t.tally(commute == mackey, 0.0, lambda k: _witness(ctx, k, {
         "p": p, "a": a, "commutes": commute, "mackey": mackey}))
 
@@ -926,10 +927,11 @@ def _floor_lemma(run, ctx, smp, t: _Tally) -> None:
         int(smp.rng.integers(1, run.n + 1))))
     flr = (ctx.cover if run.control else ctx.floor)(a)
     powers = ctx.powers(a, FLOOR_POWER)
-    ok = np.all(ctx.leq(powers[:, 1:4], powers[:, :3]), axis=-1)
-    if ok.any():
-        ok[ok] = ctx.leq(flr[ok], powers[ok, -1])
-    gap = ctx.norm(ctx.sub(powers[:, -1], flr))
+    # One decomposition of aᴺ - floor gives its norm and its sign.
+    low, high = ctx.extremes(ctx.sub(powers[:, -1], flr))
+    gap = np.maximum(np.abs(low), np.abs(high))
+    ok = (np.all(ctx.leq(powers[:, 1:4], powers[:, :3]), axis=-1)
+          & (low >= -ctx.tol.check))
     mu_max = []
     for _, (x,) in _chunks(run, a):
         values = ctx.eigenprojections(x)[0]

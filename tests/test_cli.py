@@ -280,6 +280,20 @@ def test_witness_pair(tmp_path, capsys):
     assert main(["witness", "--input", e]) == 2
 
 
+def test_witness_without_a_valid_projection_exits_one(tmp_path, capsys):
+    """A clustering width of 0.5 still separates the values -0.3 and 0.6
+    of e - f; one of 1e9 merges them, and the projection built then fails
+    its defining order: one line and exit 1, never a traceback."""
+    e = write(tmp_path / "e.json", {"re": [[0.2, 0.0], [0.0, 0.9]]})
+    f = write(tmp_path / "f.json", {"re": [[0.5, 0.0], [0.0, 0.3]]})
+    assert main(["witness", "--input", e, f, "--tol-cluster", "0.5"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["p"]["re"] == [[1.0, 0.0], [0.0, 0.0]]
+    assert main(["witness", "--input", e, f, "--tol-cluster", "1e9"]) == 1
+    out = capsys.readouterr().out
+    assert "defining order" in out and out.count("\n") == 1
+
+
 def test_mv_reports(tmp_path, capsys):
     fuzzy = write(tmp_path / "a.json", {"values": [0.25, 0.5, 0.5, 1.0]})
     assert main(["mv", "--input", fuzzy]) == 0
@@ -316,7 +330,7 @@ def test_mv_matches_the_level_set_closed_form(tmp_path, capsys,
 
 @pytest.mark.parametrize("e,f,message", [
     ({"values": [0.5, 0.25]}, {"values": [0.5, 0.25, 0.75]},
-     "spaces differ"),
+     "dimensions differ: 2 vs 3"),
     ({"re": [[0.3, 0.0], [0.0, 0.6]]},
      {"re": [[0.3, 0.0, 0.0], [0.0, 0.6, 0.0], [0.0, 0.0, 0.1]]},
      "dimensions differ"),
@@ -569,5 +583,5 @@ def test_eigh_operands_are_exactly_hermitian(tmp_path, monkeypatch, capsys):
                    {"re": [[0.3, 0.1], [0.1 + 1e-12, 0.5]]})
     for verb in ("validate", "spectrum", "approx", "decompose", "mv"):
         assert main([verb, "--input", tilted]) == 0
-    assert seen > 20000
+    assert seen > 19000
     assert failures == []

@@ -13,7 +13,11 @@ from seakit.fuzzy import (
     spectrum_representation,
 )
 from seakit.linalg import frobenius, operator_norm
-from seakit.spectral import reduced_representation, spectral_family
+from seakit.spectral import (
+    comparability_witness,
+    reduced_representation,
+    spectral_family,
+)
 from seakit.verify import _block_starts
 
 CTX = FuzzyContext()
@@ -29,8 +33,6 @@ def test_partial_sum():
     assert not CTX.leq(CTX.add(fs(0.8, 0.0), fs(0.3, 0.0)), np.ones(2))
     a = fs(0.7, 0.1)
     assert np.array_equal(CTX.add(a, np.zeros(2)), a)
-    with pytest.raises(mx.DimensionMismatchError, match="spaces differ"):
-        CTX.joint_clusters(fs(0.5), fs(0.5, 0.5))
 
 
 def test_pointwise_product():
@@ -50,6 +52,10 @@ def test_difference_and_negation():
 def test_sharpness_and_compression():
     assert CTX.is_sharp(indicator(3, [0, 2]))
     assert not CTX.is_sharp(fs(0.5, 0.0))
+    # 1e-200 squared underflows; the check stays exact all the same
+    assert not CTX.is_sharp(fs(1e-200, 1.0))
+    assert list(CTX.is_sharp(np.array([[1e-200, 1.0], [0.0, 1.0]]))) == [
+        False, True]
     p = indicator(2, [0])
     assert np.array_equal(CTX.compress(p, fs(0.3, 0.6)), [0.3, 0.0])
     assert np.array_equal(CTX.floor(fs(1.0, 0.5, 0.0)), [1.0, 0.0, 0.0])
@@ -130,6 +136,35 @@ def test_fuzzy_context_thresholds_are_exact():
                                        np.array([0.5, 0.25, 0.8])),
                           [0.5, 0.25, 0.0])
     assert ctx.commutes(a, np.array([0.9, 0.1, 0.0]))
+
+
+@pytest.mark.parametrize("verb", ["add", "sub", "residual", "norm", "leq",
+                                  "is_sharp", "zero_like", "shift"])
+def test_verbs_with_one_formula_are_written_once(verb):
+    """The verbs whose formula reads only ``raw``, ``mul``, ``extremes``,
+    ``one_like`` and ``element_ndim`` are the matrix model's functions."""
+    assert getattr(FuzzyContext, verb) is getattr(mx.MatrixContext, verb)
+
+
+def test_witness_is_the_indicator_of_e_below_f():
+    """On the mv model the comparability witness is exact: p is the
+    indicator of e <= f, ties included, and a pair is degenerate exactly
+    where some value ties; each member's as the pair's on its own."""
+    smp = FuzzySampler(5, 6)
+    e, f = (np.array([smp.effect() for _ in range(8)]) for _ in range(2))
+    f[::2, :3] = e[::2, :3]  # three ties in every other member
+    f[1] = e[1]
+    wit = comparability_witness(e, f, CTX)
+    assert np.array_equal(wit.p, (e <= f).astype(float))
+    assert np.array_equal(wit.degenerate, np.any(e == f, axis=-1))
+    assert wit.degenerate.any() and not wit.degenerate.all()
+    for i in range(len(e)):
+        one = comparability_witness(e[i], f[i], CTX)
+        assert np.array_equal(one.p, (e[i] <= f[i]).astype(float))
+        assert one.degenerate == bool(np.any(e[i] == f[i]))
+    with pytest.raises(mx.DimensionMismatchError,
+                       match="dimensions differ: 1 vs 2"):
+        comparability_witness(fs(0.5), fs(0.5, 0.5), CTX)
 
 
 def test_spectrum_representation_of_diagonal():
