@@ -39,7 +39,6 @@ from .linalg import (
     hermitian_part,
     per_member,
     require_hermitian,
-    run_index,
     run_projections,
 )
 
@@ -173,45 +172,6 @@ def _span(vectors: np.ndarray, keep: np.ndarray) -> np.ndarray:
                            ).reshape(vectors.shape)
 
 
-def joint_eigenbasis(x, y, tol: Tolerances = DEFAULT
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Common eigenbasis of a commuting Hermitian pair, or of each pair of
-    members of two stacks.
-
-    Returns (vectors, x values, y values) with one value pair per column.
-    y is diagonalized on each eigenspace (cluster) of x; the blocks of one
-    size, over all members, take one stacked ``eigh``.  Raises
-    DimensionMismatchError for matrices of different sizes and
-    NotCommutingError when an ordinary commutator is not negligible.
-    """
-    xm = np.asarray(_matrix(x), dtype=np.complex128)
-    ym = np.asarray(_matrix(y), dtype=np.complex128)
-    if xm.shape != ym.shape:
-        raise DimensionMismatchError(
-            f"dimensions differ: {xm.shape[-1]} vs {ym.shape[-1]}")
-    if np.any(frobenius(xm @ ym - ym @ xm) > tol.comm):
-        raise NotCommutingError("matrices do not commute")
-    dx = x.decomposition if isinstance(x, Effect) else eigh(xm, tol)
-    n = xm.shape[-1]
-    runs = dx.runs  # x's clusters; y is diagonalized on each of them
-    vectors = np.zeros((len(runs.labels), n, n), dtype=np.complex128)
-    yvals = np.zeros(runs.labels.shape)
-    xvals = dx.cluster_values.reshape(len(dx.cluster_values), -1)[
-        runs.labels, np.arange(len(runs.labels))[:, None]]
-    xflat, yflat = dx.vectors.reshape(-1, n, n), ym.reshape(-1, n, n)
-    for m in sorted(set(runs.size.tolist())):
-        pick = runs.size == m
-        member, start = runs.member[pick], runs.start[pick]
-        block = xflat[run_index(member, start, m, n)]
-        db = eigh(hermitian_part(block.conj().swapaxes(-1, -2)
-                                 @ yflat[member] @ block), tol)
-        vectors[run_index(member, start, m, n)] = block @ db.vectors
-        yvals[run_index(member, start, m)] = db.values
-    shape = xm.shape[:-1]
-    return vectors.reshape(xm.shape), xvals.reshape(shape), \
-        yvals.reshape(shape)
-
-
 class MatrixContext:
     """Hermitian matrices with p a p compressions and kernel projections.
 
@@ -225,8 +185,8 @@ class MatrixContext:
     value per member, and ``scale`` takes one λ per member.  ``rickart``,
     ``cover`` and ``floor`` build every member's projection after one
     stacked decomposition, one stacked product per projection rank, and
-    ``meet`` and ``join`` diagonalize the eigenspace blocks of all
-    members, one stacked ``eigh`` per block size.  The clusters
+    ``meet`` and ``join`` are a - (a - b)⁺ and b + (a - b)⁺, one stacked
+    ``eigh`` of the differences and no clustering.  The clusters
     (``eigenprojections``) of a stack come cluster first, as
     ``linalg.EigenDecomposition`` builds them.
 
@@ -460,20 +420,25 @@ class MatrixContext:
         return np.concatenate([mat, hermitian_part(roots @ mat @ roots)],
                               axis=-3)
 
-    def _apply(self, a, b, fn) -> np.ndarray:
-        """A two-argument spectral function of a commuting pair, or of
-        each pair of members of two stacks."""
-        vectors, avals, bvals = joint_eigenbasis(a, b, self.tol)
-        return hermitian_part((vectors * fn(avals, bvals)[..., None, :])
-                              @ vectors.conj().swapaxes(-1, -2))
+    def _excess(self, a, b) -> np.ndarray:
+        """(a - b)⁺ of a commuting pair, or of each pair of members of two
+        stacks: one stacked ``eigh`` of the difference."""
+        am, bm = _matrix(a), _matrix(b)
+        if np.shape(am) != np.shape(bm):
+            raise DimensionMismatchError(
+                f"dimensions differ: {np.shape(am)[-1]} vs "
+                f"{np.shape(bm)[-1]}")
+        if not np.all(self.commutes(am, bm)):
+            raise NotCommutingError("matrices do not commute")
+        return self.positive_part(self.sub(am, bm))
 
     def meet(self, a, b) -> np.ndarray:
-        """Meet of a commuting pair."""
-        return self._apply(a, b, np.minimum)
+        """Meet of a commuting pair: a - (a - b)⁺."""
+        return self.sub(a, self._excess(a, b))
 
     def join(self, a, b) -> np.ndarray:
-        """Join of a commuting pair."""
-        return self._apply(a, b, np.maximum)
+        """Join of a commuting pair: b + (a - b)⁺."""
+        return self.add(b, self._excess(a, b))
 
     def is_sharp(self, a):
         """a² = a within tol.check, one verdict per member of a stack;

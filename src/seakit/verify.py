@@ -309,30 +309,6 @@ def _five_way(ctx, p, a) -> dict:
         ("residual", residual))}
 
 
-def _meet_headroom(pvals: np.ndarray, avals: np.ndarray,
-                  psd: float) -> np.ndarray:
-    """For each coordinate, how far min(p, a) can be raised there and stay
-    below p + psd and a + psd (psd >= 0): 30 bisection steps on [0, 1], all
-    coordinates at once.
-
-    Raising one coordinate leaves the others at min(p, a), which lies
-    below both bounds, so each coordinate's test reads that coordinate
-    only and the bisections run side by side on arrays, those of a stack
-    of pairs too.
-    """
-    cand = np.minimum(pvals, avals)
-    p_top, a_top = pvals + psd, avals + psd
-    lo = np.zeros_like(cand)
-    hi = np.ones_like(cand)
-    for _ in range(30):
-        mid = (lo + hi) / 2.0
-        trial = cand + mid
-        fits = (trial <= p_top) & (trial <= a_top)
-        lo = np.where(fits, mid, lo)
-        hi = np.where(fits, hi, mid)
-    return lo
-
-
 @_statement("sea", "S1")
 def _s1(run, ctx, smp, t: _Tally) -> None:
     a, b, c = smp.draws(run.samples,
@@ -548,20 +524,6 @@ def _sharp_vi(run, ctx, smp, t: _Tally) -> None:
                      lambda k: smp.commuting(smp.projection, smp.effect))
     r = run.res(run.prod(p, a), ctx.meet(p, a))
     t.tally(r <= run.thr, r, lambda k: _witness(ctx, k, {"p": p, "a": a}))
-    oracle = run.draws("le:sharp.vi/oracle")
-    pvals, avals = [], []
-    for _ in range(min(run.samples, 24)):
-        pv = oracle.rng.integers(0, 2, run.n).astype(float)
-        if not pv.any():
-            pv[0] = 1.0
-        pvals.append(pv)
-        avals.append(oracle.rng.uniform(0.0, 1.0, run.n))
-    pvals, avals = np.array(pvals), np.array(avals)
-    worst = np.max(_meet_headroom(pvals, avals, ctx.tol.psd), axis=-1)
-    t.tally(worst <= 1e-6, worst,
-            lambda k: {"oracle_sample": k, "p": pvals[k].tolist(),
-                       "a": avals[k].round(12).tolist(),
-                       "slack": worst[k].item()})
 
 
 @_statement("sea", "de:strongarch")

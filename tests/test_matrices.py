@@ -10,14 +10,18 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from seakit.config import DEFAULT
-from seakit.linalg import NotHermitianError, frobenius, hermitian_part
+from seakit.linalg import (
+    DimensionMismatchError,
+    NotHermitianError,
+    frobenius,
+    hermitian_part,
+)
 from seakit.matrices import (
     Effect,
     EffectSampler,
     MatrixContext,
     NotAnEffectError,
     NotCommutingError,
-    joint_eigenbasis,
     validate_effect,
 )
 
@@ -120,16 +124,46 @@ def test_meet_and_join_of_commuting_projections():
     assert np.allclose(CTX.join(p, q), diag(1.0, 1.0, 1.0), atol=1e-10)
 
 
-def test_joint_eigenbasis_requires_commutation():
+def test_meet_and_join_require_a_commuting_pair_of_one_size():
     a = validate_effect(np.array([[0.5, 0.1], [0.1, 0.5]]))
     b = validate_effect(diag(0.3, 0.8))
-    with pytest.raises(NotCommutingError):
-        joint_eigenbasis(a, b)
-    vectors, avals, bvals = joint_eigenbasis(validate_effect(diag(0.2, 0.7)),
-                                             b)
-    assert vectors.shape == (2, 2)
-    assert sorted(avals) == pytest.approx([0.2, 0.7])
-    assert sorted(bvals) == pytest.approx([0.3, 0.8])
+    small, large = np.stack([diag(0.2, 0.7)] * 2), np.stack([np.eye(3)] * 2)
+    for verb in (CTX.meet, CTX.join):
+        with pytest.raises(NotCommutingError):
+            verb(a, b)
+        with pytest.raises(NotCommutingError):
+            verb(np.stack([a.matrix, b.matrix]), np.stack([b.matrix] * 2))
+        with pytest.raises(DimensionMismatchError):
+            verb(b, validate_effect(np.eye(3)))
+        with pytest.raises(DimensionMismatchError):
+            verb(small, large)
+
+
+@pytest.mark.parametrize("width", [0.0, DEFAULT.cluster, 2.0])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_meet_and_join_are_the_pointwise_ones_in_a_common_basis(n, width):
+    """U diag(f) U* and U diag(g) U* with U Haar and f, g on a grid of five
+    values, so ties occur within and across the pair: their meet and join
+    are U diag(min(f, g)) U* and U diag(max(f, g)) U* at any clustering
+    width, which a - (a - b)⁺ and b + (a - b)⁺ never read."""
+    ctx = MatrixContext(DEFAULT.replace(cluster=width))
+    rng = np.random.default_rng(100 + n)
+    grid = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+    for _ in range(10):
+        z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        q, r = np.linalg.qr(z)
+        u = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+        f, g = rng.choice(grid, n), rng.choice(grid, n)
+
+        def conj(values):
+            return hermitian_part((u * values) @ u.conj().T)
+
+        a, b = conj(f), conj(g)
+        for x, y in ((a, b), (validate_effect(a, ctx.tol), b)):
+            assert np.max(np.abs(ctx.meet(x, y) - conj(np.minimum(f, g)))) \
+                <= 1e-12
+            assert np.max(np.abs(ctx.join(x, y) - conj(np.maximum(f, g)))) \
+                <= 1e-12
 
 
 def test_scalar_action_bounds():

@@ -491,9 +491,9 @@ def test_a_premise_mask_skips_its_members_without_warnings(model):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
 def test_meet_and_join_of_stacks_equal_the_member_calls(n):
-    """The joint eigenbases of a stack's pairs, found with one stacked eigh
-    per eigenspace block size, give each member's meet and join the bits
-    of the pair on its own; raw stacks too."""
+    """a - (a - b)⁺ and b + (a - b)⁺ of a stack's pairs, with one stacked
+    eigh of the differences, give each member's meet and join the bits of
+    the pair on its own; raw stacks too."""
     ctx = mx.MatrixContext()
     smp = mx.EffectSampler(n, n)
     p, a = smp.draws(9, lambda k: smp.commuting(
