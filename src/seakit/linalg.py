@@ -112,9 +112,9 @@ class Runs:
 
     The runs are listed member by member, in column order: ``member`` (the
     flat index of the member), ``start`` and ``size``.  Built on first
-    use: ``index`` (the run's place among its member's runs), ``labels``
-    (each column's run), ``counts`` (each member's number of runs, on
-    the leading axes of the mask) and ``own``.  What is computed per run
+    use: ``index`` (the run's place among its member's runs), ``counts``
+    (each member's number of runs, on the leading axes of the mask) and
+    ``own``.  What is computed per run
     is computed for the runs of one size together.
     """
 
@@ -139,10 +139,6 @@ class Runs:
         count = self.counts.reshape(-1)
         return np.arange(len(self.member)) - (count.cumsum()
                                               - count)[self.member]
-
-    @cached_property
-    def labels(self) -> np.ndarray:
-        return self._starts.cumsum(axis=-1) - 1
 
     @cached_property
     def own(self) -> np.ndarray:

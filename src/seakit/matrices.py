@@ -581,7 +581,7 @@ def _drawn(draw):
     def drawn(self, *args, **kwargs):
         if self._block is None:
             return _member(
-                self.draws(1, lambda k: draw(self, *args, **kwargs)), 0)
+                self.draws((0,), lambda k: draw(self, *args, **kwargs)), 0)
         return draw(self, *args, **kwargs)
     return drawn
 
@@ -595,15 +595,15 @@ class EffectSampler:
     have the names and parameters of ``fuzzy.FuzzySampler``'s, so one
     verifier statement serves both models; a frame here is a Haar unitary.
 
-    ``draws(count, recipe)`` makes a block of draws: it runs ``recipe(k)``
-    for each k and consumes the random stream exactly as that loop does,
-    since the linear algebra draws no random numbers.  Inside the block a
-    frame is only its Ginibre matrix and an effect only its values; at the
-    block's end every frame size takes one stacked QR and the effects one
-    stacked reconstruct, with the same bits per member as one call each.
-    Each position of the recipe comes back as one stack: member k of it is
-    the draw ``recipe(k)`` made there.  A draw made outside a block is
-    member 0 of a block of one.
+    ``draws(ks, recipe)`` makes a block of draws: it runs ``recipe(k)``
+    for each sample index k in ks and consumes the random stream exactly as
+    that loop does, since the linear algebra draws no random numbers.
+    Inside the block a frame is only its Ginibre matrix and an effect only
+    its values; at the block's end every frame size takes one stacked QR
+    and the effects one stacked reconstruct, with the same bits per member
+    as one call each.  Each position of the recipe comes back as one
+    stack: member i of it is the draw ``recipe(ks[i])`` made there.  A draw
+    made outside a block is member 0 of a block of one.
     """
 
     _block: _Block | None = None  # the open block of draws, if any
@@ -618,16 +618,16 @@ class EffectSampler:
         self.dim = dim
         self.tol = tol
 
-    def draws(self, count: int, recipe):
-        """``[recipe(k) for k in range(count)]``, settled as one block and
-        returned as one stack per position of the recipe: a tuple of
-        stacks for a recipe that returns a tuple.  Effects stack as an
-        ``Effect`` (on the mv model, as a ``(count, n)`` array), frames,
-        arrays and numbers as one array."""
+    def draws(self, ks, recipe):
+        """``[recipe(k) for k in ks]``, the draws of the samples indexed
+        ``ks``, settled as one block and returned as one stack per position
+        of the recipe: a tuple of stacks for a recipe that returns a tuple.
+        Effects stack as an ``Effect`` (on the mv model, as a
+        ``(len(ks), n)`` array), frames, arrays and numbers as one array."""
         outer = self._block
         block = self._block = _Block()
         try:
-            out = [recipe(k) for k in range(count)]
+            out = [recipe(k) for k in ks]
         finally:
             self._block = outer
         if block:

@@ -17,25 +17,24 @@ the draws, under the same method names on both models.  A comparison is
 every comparison there is exact.  What stays per model here is the
 sampler lookup, the broken products and the planted control witnesses.
 
-A body draws first and checks second: one ``smp.draws`` block makes all
-its samples' draws, in the order the per-sample loop made them, and
-returns each as one stack with a leading sample axis.  The checks draw
-nothing, so the random stream, and with it the report, is that of the
-interleaved loop.  Every statement then checks all its samples at once:
-every verb and engine call works member by member on the stacks, a
-premise is a mask over the samples, and one ``tally`` takes the outcomes
-and residuals as arrays.  The ragged clusters of a stack come cluster
-first, padded past each member's own, with the mask of each member's own
-clusters (``linalg.Runs.own``, handed out by ``eigenprojections``); what
-is decomposed per cluster is decomposed for the members' own clusters
-only (``_on_own``), so no padding is decomposed, and a sum or maximum over
-the clusters sees a member's own entries alone.  A statement whose
-clusters could outgrow memory takes its samples in runs of at most
-``CHUNK_NUMBERS`` numbers per stack of clusters (``_chunks``): all of them
-at the sizes in use, one at a time only at the largest.  The ragged
-Lagrange nodes of ``thm:contexts.functions`` come first, padded past each
-member's own; the tables oracle tallies each clause group of a table as
-one array.
+The runner calls each body once per run of samples, as many as keep a
+stack of clusters to ``CHUNK_NUMBERS`` numbers: all of them at the sizes
+in use, one at a time only at the largest.  A body draws first and checks
+second: one ``smp.draws`` block makes its run's draws, in the order the
+per-sample loop made them, and returns each as one stack with a leading
+sample axis.  The checks draw nothing, so the random stream, and with it
+the report, is that of the interleaved loop.  Every statement then checks
+its run's samples at once: every verb and engine call works member by
+member on the stacks, a premise is a mask over the samples, and one
+``tally`` takes the outcomes and residuals as arrays.  The ragged clusters
+of a stack come cluster first, padded past each member's own, with the
+mask of each member's own clusters (``linalg.Runs.own``, handed out by
+``eigenprojections``); what is decomposed per cluster is decomposed for
+the members' own clusters only (``_on_own``), so no padding is
+decomposed, and a sum or maximum over the clusters sees a member's own
+entries alone.  The ragged Lagrange nodes of ``thm:contexts.functions``
+come first, padded past each member's own; the tables oracle tallies each
+clause group of a table as one array.
 """
 from __future__ import annotations
 
@@ -59,7 +58,7 @@ ARCHIMEDEAN_RESOLUTION = 1_000_000
 FLOOR_POWER = 50
 APPROX_LEVELS = 10
 MESHES = (0.1, 0.01, 0.001)
-# The numbers a statement's stack of clusters holds at most (see _chunks).
+# The numbers a statement's stack of clusters holds at most (see _run_rows).
 CHUNK_NUMBERS = 1 << 18
 # The negative controls' broken settings: each model's wrong sequential
 # product, and the width within which the context control merges levels.
@@ -96,15 +95,18 @@ class _Tally:
     thunk that takes the index of the first failing sample and builds the
     witness dict; ``tally`` calls it only for the first failure, the one
     whose witness the report records, so passing samples encode nothing.
+    While ``ks`` holds the run's sample indices, the witness records the
+    failing one's as its ``sample``.
     """
 
-    __slots__ = ("samples", "passed", "max_residual", "witness")
+    __slots__ = ("samples", "passed", "max_residual", "witness", "ks")
 
     def __init__(self):
         self.samples = 0
         self.passed = 0
         self.max_residual = 0.0
         self.witness = None
+        self.ks = None
 
     def tally(self, ok: np.ndarray, residual=0.0,
               witness: Callable[[int], dict] | None = None) -> None:
@@ -112,7 +114,10 @@ class _Tally:
         passed = int(np.count_nonzero(ok))
         if passed < ok.size and self.witness is None:
             first = int(np.argmin(ok))
-            self.witness = witness(first) if witness is not None else {}
+            self.witness = {} if self.ks is None else {
+                "sample": int(self.ks[first])}
+            if witness is not None:
+                self.witness |= witness(first)
         self.samples += ok.size
         self.passed += passed
         # the largest residual, NaN skipped
@@ -137,6 +142,7 @@ def _run_statement(report: SuiteReport, sid: str, body) -> None:
         body(t)
     except Exception as exc:  # noqa: BLE001 - a crashing check is a failure
         frame = traceback.extract_tb(exc.__traceback__)[-1]
+        t.ks = None  # a crash is no one sample's
         t.tally(np.zeros(1, dtype=bool), witness=lambda _: {
             "error": f"{type(exc).__name__}: {exc}",
             "at": f"{os.path.basename(frame.filename)}:{frame.lineno}"})
@@ -144,11 +150,10 @@ def _run_statement(report: SuiteReport, sid: str, body) -> None:
                            t.max_residual, t.witness))
 
 
-def _witness(ctx, k: int, columns: dict, first: int = 0) -> dict:
-    """Sample k's witness: its index (counted from ``first``, the columns'
-    first sample) and each column's member k, an element encoded and a
-    number as a Python number."""
-    out = {"sample": first + k}
+def _witness(ctx, k: int, columns: dict) -> dict:
+    """Each column's member k, an element encoded and a number as a Python
+    number."""
+    out = {}
     for key, column in columns.items():
         x = column[k]
         out[key] = (ctx.encode(x) if np.ndim(ctx.raw(x)) == ctx.element_ndim
@@ -191,10 +196,24 @@ class _Run:
 
 def _run_rows(report: SuiteReport, run: _Run) -> SuiteReport:
     """Run the suite's rows in table order, each body on a sampler seeded
-    by its own statement id."""
+    by its own statement id, called once per run of sample indices: as
+    many as keep a run's stacks of clusters (at most n clusters of an
+    n**element_ndim element per sample) to CHUNK_NUMBERS numbers.  The
+    tables rows draw nothing and run once."""
+    runs = [None]
+    if run.ctx is not None:
+        size = max(1, CHUNK_NUMBERS // run.n ** (run.ctx.element_ndim + 1))
+        runs = np.split(np.arange(run.samples),
+                        np.arange(size, run.samples, size))
+
+    def each_run(statement, smp, t):
+        for ks in runs:
+            t.ks = ks
+            statement(run, run.ctx, smp, ks, t)
+
     for sid, statement in STATEMENTS[report.suite]:
-        _run_statement(report, sid,
-                       lambda t: statement(run, run.ctx, run.draws(sid), t))
+        _run_statement(report, sid, lambda t: each_run(
+            statement, run.draws(sid), t))
     return report
 
 
@@ -310,10 +329,9 @@ def _five_way(ctx, p, a) -> dict:
 
 
 @_statement("sea", "S1")
-def _s1(run, ctx, smp, t: _Tally) -> None:
-    a, b, c = smp.draws(run.samples,
-                        lambda k: (smp.effect(), *smp.summable_pair()))
-    if run.planted is not None:
+def _s1(run, ctx, smp, ks, t: _Tally) -> None:
+    a, b, c = smp.draws(ks, lambda k: (smp.effect(), *smp.summable_pair()))
+    if run.planted is not None and ks[0] == 0:
         a, b, c = (np.concatenate([x[None], y[1:]])
                    for x, y in zip(run.planted, (a, b, c)))
     bc = ctx.element(ctx.add(b, c))
@@ -323,20 +341,20 @@ def _s1(run, ctx, smp, t: _Tally) -> None:
 
 
 @_statement("sea", "S2")
-def _s2(run, ctx, smp, t: _Tally) -> None:
+def _s2(run, ctx, smp, ks, t: _Tally) -> None:
     one = ctx.unit(run.n)
-    a = smp.draws(run.samples, lambda k: smp.effect())
+    a = smp.draws(ks, lambda k: smp.effect())
     r = np.maximum(run.res(run.prod(one, a), a), run.res(run.prod(a, one), a))
     t.tally(r <= run.thr, r, lambda k: _witness(ctx, k, {"a": a}))
 
 
 @_statement("sea", "S3")
-def _s3(run, ctx, smp, t: _Tally) -> None:
-    a, b = smp.draws(run.samples, lambda k: (
+def _s3(run, ctx, smp, ks, t: _Tally) -> None:
+    a, b = smp.draws(ks, lambda k: (
         smp.orthogonal_pair() if k % 2 == 0 else (smp.effect(), smp.effect())))
     # Even samples: ab vanishes exactly when ba does; odd ones: ab is an
     # effect.
-    even = np.arange(run.samples) % 2 == 0
+    even = ks % 2 == 0
     ab = run.prod(a, b)
     r_ab = _spread(even, run.res(ab[even]))
     r_ba = _spread(even, run.res(run.prod(b[even], a[even])))
@@ -352,9 +370,8 @@ def _s3(run, ctx, smp, t: _Tally) -> None:
 
 
 @_statement("sea", "S4")
-def _s4(run, ctx, smp, t: _Tally) -> None:
-    a, b, c = smp.draws(run.samples,
-                        lambda k: (*smp.commuting(), smp.effect()))
+def _s4(run, ctx, smp, ks, t: _Tally) -> None:
+    a, b, c = smp.draws(ks, lambda k: (*smp.commuting(), smp.effect()))
     # The premise: a and b commute sequentially.
     m = ~(run.res(run.prod(a, b), run.prod(b, a)) > run.comm)
     am, bm, cm = a[m], b[m], c[m]
@@ -368,8 +385,8 @@ def _s4(run, ctx, smp, t: _Tally) -> None:
 
 
 @_statement("sea", "S5")
-def _s5(run, ctx, smp, t: _Tally) -> None:
-    c, a, b = smp.draws(run.samples, lambda k: smp.refined_commuting())
+def _s5(run, ctx, smp, ks, t: _Tally) -> None:
+    c, a, b = smp.draws(ks, lambda k: smp.refined_commuting())
     # The premise: c commutes sequentially with a and with b.
     m = ~((run.res(run.prod(c, a), run.prod(a, c)) > run.comm)
           | (run.res(run.prod(c, b), run.prod(b, c)) > run.comm))
@@ -384,8 +401,8 @@ def _s5(run, ctx, smp, t: _Tally) -> None:
 
 
 @_statement("sea", "le:aff")
-def _aff(run, ctx, smp, t: _Tally) -> None:
-    a, b, lam, ca, cb = smp.draws(run.samples, lambda k: (
+def _aff(run, ctx, smp, ks, t: _Tally) -> None:
+    a, b, lam, ca, cb = smp.draws(ks, lambda k: (
         smp.effect(), smp.effect(), smp.scalar(), *smp.commuting()))
     scaled = ctx.scale(lam, run.prod(a, b))
     r1 = run.res(run.prod(a, ctx.scale(lam, b)), scaled)
@@ -398,8 +415,8 @@ def _aff(run, ctx, smp, t: _Tally) -> None:
 
 
 @_statement("sea", "convex:C1")
-def _convex_c1(run, ctx, smp, t: _Tally) -> None:
-    a, lam, mu = smp.draws(run.samples, lambda k: (
+def _convex_c1(run, ctx, smp, ks, t: _Tally) -> None:
+    a, lam, mu = smp.draws(ks, lambda k: (
         smp.effect(), smp.scalar(), smp.scalar()))
     r = run.res(ctx.scale(mu, ctx.scale(lam, a)), ctx.scale(lam * mu, a))
     t.tally(r <= run.thr, r,
@@ -407,12 +424,12 @@ def _convex_c1(run, ctx, smp, t: _Tally) -> None:
 
 
 @_statement("sea", "convex:C2")
-def _convex_c2(run, ctx, smp, t: _Tally) -> None:
+def _convex_c2(run, ctx, smp, ks, t: _Tally) -> None:
     def draw(k):
         a, lam = smp.effect(), smp.scalar()
         return a, lam, smp.scalar(0.0, 1.0 - lam)
 
-    a, lam, mu = smp.draws(run.samples, draw)
+    a, lam, mu = smp.draws(ks, draw)
     r = run.res(ctx.add(ctx.scale(lam, a), ctx.scale(mu, a)),
                 ctx.scale(lam + mu, a))
     t.tally(r <= run.thr, r,
@@ -420,9 +437,8 @@ def _convex_c2(run, ctx, smp, t: _Tally) -> None:
 
 
 @_statement("sea", "convex:C3")
-def _convex_c3(run, ctx, smp, t: _Tally) -> None:
-    a, b, lam = smp.draws(run.samples,
-                          lambda k: (*smp.summable_pair(), smp.scalar()))
+def _convex_c3(run, ctx, smp, ks, t: _Tally) -> None:
+    a, b, lam = smp.draws(ks, lambda k: (*smp.summable_pair(), smp.scalar()))
     s = ctx.element(ctx.add(a, b))
     r = run.res(ctx.sub(ctx.scale(lam, s), ctx.scale(lam, a)),
                 ctx.scale(lam, b))
@@ -430,15 +446,15 @@ def _convex_c3(run, ctx, smp, t: _Tally) -> None:
 
 
 @_statement("sea", "convex:C4")
-def _convex_c4(run, ctx, smp, t: _Tally) -> None:
-    a = smp.draws(run.samples, lambda k: smp.effect())
+def _convex_c4(run, ctx, smp, ks, t: _Tally) -> None:
+    a = smp.draws(ks, lambda k: smp.effect())
     r = run.res(ctx.scale(1.0, a), a)
     t.tally(r <= run.thr, r, lambda k: _witness(ctx, k, {}))
 
 
 @_statement("sea", "le:sharp.i")
-def _sharp_i(run, ctx, smp, t: _Tally) -> None:
-    a = smp.draws(run.samples, lambda k: (
+def _sharp_i(run, ctx, smp, ks, t: _Tally) -> None:
+    a = smp.draws(ks, lambda k: (
         smp.projection() if k % 2 == 0 else smp.effect()))
     sharp = ctx.is_sharp(a)
     kills = run.res(run.prod(a, ctx.complement(a))) <= run.thr
@@ -450,13 +466,13 @@ def _sharp_i(run, ctx, smp, t: _Tally) -> None:
 
 
 @_statement("sea", "le:sharp.ii")
-def _sharp_ii(run, ctx, smp, t: _Tally) -> None:
+def _sharp_ii(run, ctx, smp, ks, t: _Tally) -> None:
     def draw(k):
         p = smp.projection()
         return p, (smp.commuting_with(p, on=1.0) if k % 2 == 0
                    else smp.effect())
 
-    p, a = smp.draws(run.samples, draw)
+    p, a = smp.draws(ks, draw)
     below = ctx.leq(p, a)
     rp = np.maximum(run.res(run.prod(p, a), p), run.res(run.prod(a, p), p))
     t.tally(below == (rp <= run.thr), 0.0, lambda k: _witness(ctx, k, {
@@ -464,13 +480,13 @@ def _sharp_ii(run, ctx, smp, t: _Tally) -> None:
 
 
 @_statement("sea", "le:sharp.iii")
-def _sharp_iii(run, ctx, smp, t: _Tally) -> None:
+def _sharp_iii(run, ctx, smp, ks, t: _Tally) -> None:
     def draw(k):
         p = smp.projection()
         return p, (smp.commuting_with(p, off=0.0) if k % 2 == 0
                    else smp.effect())
 
-    p, a = smp.draws(run.samples, draw)
+    p, a = smp.draws(ks, draw)
     below = ctx.leq(a, p)
     rp = np.maximum(run.res(run.prod(p, a), a), run.res(run.prod(a, p), a))
     t.tally(below == (rp <= run.thr), 0.0, lambda k: _witness(ctx, k, {
@@ -478,24 +494,24 @@ def _sharp_iii(run, ctx, smp, t: _Tally) -> None:
 
 
 @_statement("sea", "le:sharp.iv")
-def _sharp_iv(run, ctx, smp, t: _Tally) -> None:
+def _sharp_iv(run, ctx, smp, ks, t: _Tally) -> None:
     one = ctx.unit(run.n)
-    x, y = smp.draws(run.samples, lambda k: (
+    x, y = smp.draws(ks, lambda k: (
         smp.orthogonal_pair() if k % 2 == 0
         else (smp.projection(), smp.effect())))
     # Even samples compare covers of an orthogonal pair (every fourth
     # keeps the second effect itself); odd ones a projection and an effect.
-    p = ctx.stack([ctx.cover(x[k]) if k % 2 == 0 else x[k]
-                   for k in range(run.samples)])
-    a = ctx.stack([ctx.cover(y[k]) if k % 4 == 2 else y[k]
-                   for k in range(run.samples)])
+    p = ctx.stack([ctx.cover(x[i]) if k % 2 == 0 else x[i]
+                   for i, k in enumerate(ks)])
+    a = ctx.stack([ctx.cover(y[i]) if k % 4 == 2 else y[i]
+                   for i, k in enumerate(ks)])
     total = ctx.add(p, a)
     vanish = run.res(run.prod(p, a)) <= run.thr
     summable = ctx.leq(total, one)
     ok = vanish == summable
     # Where both hold, p + a is their join, sharp exactly when a is.
     joined = ok & vanish
-    r_join = np.zeros(run.samples)
+    r_join = np.zeros(len(ks))
     if joined.any():
         r = run.res(total[joined], ctx.join(p[joined], a[joined]))
         same = ctx.is_sharp(total[joined]) == ctx.is_sharp(a[joined])
@@ -508,8 +524,8 @@ def _sharp_iv(run, ctx, smp, t: _Tally) -> None:
 
 
 @_statement("sea", "le:sharp.v")
-def _sharp_v(run, ctx, smp, t: _Tally) -> None:
-    p, a = smp.draws(run.samples, lambda k: (
+def _sharp_v(run, ctx, smp, ks, t: _Tally) -> None:
+    p, a = smp.draws(ks, lambda k: (
         smp.commuting(smp.projection, smp.effect) if k % 2 == 0
         else (smp.projection(), smp.effect())))
     commute = run.res(run.prod(p, a), run.prod(a, p)) <= run.comm
@@ -519,17 +535,16 @@ def _sharp_v(run, ctx, smp, t: _Tally) -> None:
 
 
 @_statement("sea", "le:sharp.vi")
-def _sharp_vi(run, ctx, smp, t: _Tally) -> None:
-    p, a = smp.draws(run.samples,
-                     lambda k: smp.commuting(smp.projection, smp.effect))
+def _sharp_vi(run, ctx, smp, ks, t: _Tally) -> None:
+    p, a = smp.draws(ks, lambda k: smp.commuting(smp.projection, smp.effect))
     r = run.res(run.prod(p, a), ctx.meet(p, a))
     t.tally(r <= run.thr, r, lambda k: _witness(ctx, k, {"p": p, "a": a}))
 
 
 @_statement("sea", "de:strongarch")
-def _strongarch(run, ctx, smp, t: _Tally) -> None:
+def _strongarch(run, ctx, smp, ks, t: _Tally) -> None:
     bound = 2.0 / ARCHIMEDEAN_RESOLUTION
-    a, b = smp.draws(run.samples, lambda k: (smp.effect(), smp.effect()))
+    a, b = smp.draws(ks, lambda k: (smp.effect(), smp.effect()))
     least = ctx.extremes(ctx.sub(b, a))[0]
     # The premise: a is not below b up to the resolution.
     m = ~(least >= -bound)
@@ -560,7 +575,7 @@ def run_sea_suite(model: str = "matrix", dim_or_size: int = 4,
 
 
 @_statement("compression", "de:compr")
-def _compr(run, ctx, smp, t: _Tally) -> None:
+def _compr(run, ctx, smp, ks, t: _Tally) -> None:
     projection = not run.control
     zero = ctx.element(ctx.zero_like(ctx.unit(run.n)))
 
@@ -572,7 +587,7 @@ def _compr(run, ctx, smp, t: _Tally) -> None:
         inker = smp.commuting_with(f, on=0.0) if projection else zero
         return f, a, b, inker, smp.effect()
 
-    f, a, b, inker, generic = smp.draws(run.samples, draw)
+    f, a, b, inker, generic = smp.draws(ks, draw)
 
     def jmap(x):
         return ctx.product(f, x)
@@ -593,16 +608,16 @@ def _compr(run, ctx, smp, t: _Tally) -> None:
 
 
 @_statement("compression", "cb:C1")
-def _cb_c1(run, ctx, smp, t: _Tally) -> None:
+def _cb_c1(run, ctx, smp, ks, t: _Tally) -> None:
     unit = ctx.unit(run.n)
-    p = smp.draws(run.samples, lambda k: smp.projection())
+    p = smp.draws(ks, lambda k: smp.projection())
     r = run.res(ctx.compress(p, unit), p)
     t.tally(r <= run.thr, r, lambda k: _witness(ctx, k, {"p": p}))
 
 
 @_statement("compression", "cb:C2p")
-def _cb_c2p(run, ctx, smp, t: _Tally) -> None:
-    p, q, a = smp.draws(run.samples, lambda k: (
+def _cb_c2p(run, ctx, smp, ks, t: _Tally) -> None:
+    p, q, a = smp.draws(ks, lambda k: (
         *smp.commuting(smp.projection, smp.projection), smp.effect()))
     praw, qraw, araw = ctx.raw(p), ctx.raw(q), ctx.raw(a)
     pq = ctx.mul(praw, qraw)
@@ -614,22 +629,22 @@ def _cb_c2p(run, ctx, smp, t: _Tally) -> None:
 
 
 @_statement("compression", "cb:C3")
-def _cb_c3(run, ctx, smp, t: _Tally) -> None:
-    (p, q, rr), sizes, a = smp.draws(run.samples, lambda k: (
+def _cb_c3(run, ctx, smp, ks, t: _Tally) -> None:
+    (p, q, rr), sizes, a = smp.draws(ks, lambda k: (
         *_three_orthogonal(smp, run.n), smp.effect()))
     araw = ctx.raw(a)
     composed = run.sandwich(ctx.add(p, q),
                             run.sandwich(ctx.add(q, rr), araw))
     r = run.res(composed, run.sandwich(ctx.raw(q), araw))
-    t.tally(r <= run.thr, r, lambda k: {
-        "sample": k, "sizes": [int(size[k]) for size in sizes]})
+    t.tally(r <= run.thr, r,
+            lambda k: {"sizes": [int(size[k]) for size in sizes]})
 
 
 @_statement("compression", "le:comE")
-def _com_e(run, ctx, smp, t: _Tally) -> None:
+def _com_e(run, ctx, smp, ks, t: _Tally) -> None:
     keys = ("compress_below", "block_sum", "interval_sum", "mackey",
             "meet")
-    p, a = smp.draws(run.samples, lambda k: (
+    p, a = smp.draws(ks, lambda k: (
         smp.commuting(smp.projection, smp.effect) if k % 2 == 0
         else (smp.projection(), smp.effect())))
     stmts = _five_way(ctx, p, a)
@@ -640,9 +655,9 @@ def _com_e(run, ctx, smp, t: _Tally) -> None:
 
 
 @_statement("compression", "lemma:compatible_projs.i")
-def _compat_i(run, ctx, smp, t: _Tally) -> None:
+def _compat_i(run, ctx, smp, ks, t: _Tally) -> None:
     if run.n < 2:
-        t.tally(np.ones(run.samples, dtype=bool))
+        t.tally(np.ones(len(ks), dtype=bool))
         return
 
     def draw(k):
@@ -652,7 +667,7 @@ def _compat_i(run, ctx, smp, t: _Tally) -> None:
         return (smp.span(u, 0, k1), smp.span(u, k1, k1 + k2),
                 smp.split_effect(u, k1))
 
-    p, q, a = smp.draws(run.samples, draw)
+    p, q, a = smp.draws(ks, draw)
     araw = ctx.raw(a)
     osum = ctx.add(p, q)
     r_join = run.res(ctx.join(p, q), osum)
@@ -664,8 +679,8 @@ def _compat_i(run, ctx, smp, t: _Tally) -> None:
 
 
 @_statement("compression", "lemma:compatible_projs.ii")
-def _compat_ii(run, ctx, smp, t: _Tally) -> None:
-    p, q, a = smp.draws(run.samples, lambda k: (
+def _compat_ii(run, ctx, smp, ks, t: _Tally) -> None:
+    p, q, a = smp.draws(ks, lambda k: (
         *smp.commuting(smp.projection, smp.projection), smp.effect()))
     praw, qraw, araw = ctx.raw(p), ctx.raw(q), ctx.raw(a)
     meet = ctx.mul(praw, qraw)
@@ -691,17 +706,6 @@ def run_compression_suite(model: str = "matrix", dim_or_size: int = 4,
 
 # ---------------------------------------------------------------------------
 # spectrality suite
-
-
-def _chunks(run, *columns):
-    """The samples in runs, each as (its first sample, each column's
-    members there), that keep a run's stacks of clusters (at most n
-    clusters of an n**element_ndim element per sample) to CHUNK_NUMBERS
-    numbers: all the samples at the small sizes, and one at a time where
-    one sample's clusters alone fill that, as in a loop."""
-    size = max(1, CHUNK_NUMBERS // run.n ** (run.ctx.element_ndim + 1))
-    for lo in range(0, run.samples, size):
-        yield lo, tuple(c[lo:lo + size] for c in columns)
 
 
 def _on_own(own: np.ndarray, fn, *stacks) -> np.ndarray:
@@ -743,120 +747,112 @@ def _most(*residuals):
 
 
 @_statement("spectrality", "prop:decomp")
-def _decomp(run, ctx, smp, t: _Tally) -> None:
-    v = smp.draws(run.samples, lambda k: smp.signed())
-    for lo, (v,) in _chunks(run, v):
-        dec = sp.orthogonal_decomposition(v, ctx)
-        rs = []
-        for q in dec.witnesses:
-            comp = ctx.complement(q)
-            vp = ctx.mul(ctx.mul(q, v), q)
-            vm = -ctx.mul(ctx.mul(comp, v), comp)
-            r1, r2 = run.res(vp, dec.v_plus), run.res(vm, dec.v_minus)
-            rs.append(np.where(r2 > r1, r2, r1))
-        rs = np.array(rs)
-        t.tally(np.all(rs <= run.thr, axis=0), _most(rs),
-                lambda k: _witness(ctx, k, {"v": v}, lo))
+def _decomp(run, ctx, smp, ks, t: _Tally) -> None:
+    v = smp.draws(ks, lambda k: smp.signed())
+    dec = sp.orthogonal_decomposition(v, ctx)
+    rs = []
+    for q in dec.witnesses:
+        comp = ctx.complement(q)
+        vp = ctx.mul(ctx.mul(q, v), q)
+        vm = -ctx.mul(ctx.mul(comp, v), comp)
+        r1, r2 = run.res(vp, dec.v_plus), run.res(vm, dec.v_minus)
+        rs.append(np.where(r2 > r1, r2, r1))
+    rs = np.array(rs)
+    t.tally(np.all(rs <= run.thr, axis=0), _most(rs),
+            lambda k: _witness(ctx, k, {"v": v}))
 
 
 @_statement("spectrality", "coro:limit")
-def _limit(run, ctx, smp, t: _Tally) -> None:
+def _limit(run, ctx, smp, ks, t: _Tally) -> None:
     levels = np.arange(1, APPROX_LEVELS + 1)
-    a = smp.draws(run.samples, lambda k: smp.effect())
-    for lo, (a,) in _chunks(run, a):
-        # (sample, level) stacks of staircases, from the clusters.
-        stairs = sp.simple_approximation(a, levels, ctx)
-        # One decomposition of a - a_n gives its norm and its sign.
-        low, high = ctx.extremes(ctx.sub(ctx.raw(a)[:, None], stairs))
-        gap = np.maximum(np.abs(low), np.abs(high))
-        over = np.max(gap - 2.0 ** -levels, axis=-1)
-        ok = (np.all(gap <= 2.0 ** -levels + run.thr, axis=-1)
-              & np.all(low >= -run.thr, axis=-1))
-        if ok.any():
-            ok[ok] = np.all(ctx.leq(stairs[ok, :-1], stairs[ok, 1:]), axis=-1)
-        t.tally(ok, np.where(over > 0.0, over, 0.0),
-                lambda k: _witness(ctx, k, {"a": a}, lo))
+    a = smp.draws(ks, lambda k: smp.effect())
+    # (sample, level) stacks of staircases, from the clusters.
+    stairs = sp.simple_approximation(a, levels, ctx)
+    # One decomposition of a - a_n gives its norm and its sign.
+    low, high = ctx.extremes(ctx.sub(ctx.raw(a)[:, None], stairs))
+    gap = np.maximum(np.abs(low), np.abs(high))
+    over = np.max(gap - 2.0 ** -levels, axis=-1)
+    ok = (np.all(gap <= 2.0 ** -levels + run.thr, axis=-1)
+          & np.all(low >= -run.thr, axis=-1))
+    if ok.any():
+        ok[ok] = np.all(ctx.leq(stairs[ok, :-1], stairs[ok, 1:]), axis=-1)
+    t.tally(ok, np.where(over > 0.0, over, 0.0),
+            lambda k: _witness(ctx, k, {"a": a}))
 
 
 @_statement("spectrality", "eq:spectprojs")
-def _spectprojs(run, ctx, smp, t: _Tally) -> None:
-    a = smp.draws(run.samples, lambda k: smp.simple())
-    for lo, (a,) in _chunks(run, a):
-        rep = sp.reduced_representation(a, ctx)
-        fam = sp.family_from_representation(rep.coefficients,
-                                            rep.projections)
-        ref = _rickart_family(a, rep, ctx)
-        bps, own = fam.breakpoints, rep.own
-        ok = np.all(np.abs(bps - ref.breakpoints) <= run.thr, axis=0)
-        steps = fam.projections
-        ok &= np.all(_on_own(own, ctx.leq, steps[:-1], steps[1:]), axis=0)
-        eigs = _on_own(own, lambda x, lam: sp.eigenprojection(x, lam, ctx),
-                       np.broadcast_to(ctx.raw(a), steps[1:].shape), bps)
-        r_jump = np.where(own, run.res(np.diff(steps, axis=0), eigs), 0.0)
-        r_step = run.res(steps, ref.projections)
-        ok &= np.all(r_jump <= run.thr, axis=0)
-        ok &= np.all(r_step <= run.thr, axis=0)
-        one = ctx.one_like(a)
-        ok &= (ctx.leq(ctx.scale(fam.L, one), a)
-               & ctx.leq(a, ctx.scale(fam.U, one)))
-        ok &= ctx.proj_rank(fam.at(fam.L - 0.25)) == 0
-        ok &= ctx.proj_rank(fam.at(fam.U)) == run.n
-        # between each pair of breakpoints the family is constant
-        mids = (bps[:-1] + bps[1:]) / 2.0
-        ok &= np.all(run.res(fam.at(mids), fam.at(mids + 1e-12)) <= run.thr,
-                     axis=0)
-        t.tally(ok, _most(r_jump, r_step),
-                lambda k: _witness(ctx, k, {"a": a}, lo))
+def _spectprojs(run, ctx, smp, ks, t: _Tally) -> None:
+    a = smp.draws(ks, lambda k: smp.simple())
+    rep = sp.reduced_representation(a, ctx)
+    fam = sp.family_from_representation(rep.coefficients, rep.projections)
+    ref = _rickart_family(a, rep, ctx)
+    bps, own = fam.breakpoints, rep.own
+    ok = np.all(np.abs(bps - ref.breakpoints) <= run.thr, axis=0)
+    steps = fam.projections
+    ok &= np.all(_on_own(own, ctx.leq, steps[:-1], steps[1:]), axis=0)
+    eigs = _on_own(own, lambda x, lam: sp.eigenprojection(x, lam, ctx),
+                   np.broadcast_to(ctx.raw(a), steps[1:].shape), bps)
+    r_jump = np.where(own, run.res(np.diff(steps, axis=0), eigs), 0.0)
+    r_step = run.res(steps, ref.projections)
+    ok &= np.all(r_jump <= run.thr, axis=0)
+    ok &= np.all(r_step <= run.thr, axis=0)
+    one = ctx.one_like(a)
+    ok &= (ctx.leq(ctx.scale(fam.L, one), a)
+           & ctx.leq(a, ctx.scale(fam.U, one)))
+    ok &= ctx.proj_rank(fam.at(fam.L - 0.25)) == 0
+    ok &= ctx.proj_rank(fam.at(fam.U)) == run.n
+    # between each pair of breakpoints the family is constant
+    mids = (bps[:-1] + bps[1:]) / 2.0
+    ok &= np.all(run.res(fam.at(mids), fam.at(mids + 1e-12)) <= run.thr,
+                 axis=0)
+    t.tally(ok, _most(r_jump, r_step), lambda k: _witness(ctx, k, {"a": a}))
 
 
 @_statement("spectrality", "eq:spectresV")
-def _spectres(run, ctx, smp, t: _Tally) -> None:
-    a = smp.draws(run.samples, lambda k: smp.effect())
+def _spectres(run, ctx, smp, ks, t: _Tally) -> None:
+    a = smp.draws(ks, lambda k: smp.effect())
     meshes = np.array(MESHES)[:, None]
-    for lo, (a,) in _chunks(run, a):
-        fam = sp.spectral_family(a, ctx)
-        sums = np.stack([sp.reconstruct(fam)]
-                        + [sp.reconstruct(fam, mesh) for mesh in MESHES])
-        r0, *gaps = ctx.norm(ctx.sub(a, sums))
-        gaps = np.array(gaps)
-        worst = r0
-        for gap in np.where(gaps > meshes, gaps, 0.0):
-            worst = np.where(gap > worst, gap, worst)
-        t.tally((r0 <= run.thr) & np.all(gaps <= meshes + run.thr, axis=0),
-                worst, lambda k: _witness(ctx, k, {
-                    "a": a, "breakpoint_residual": r0}, lo))
+    fam = sp.spectral_family(a, ctx)
+    sums = np.stack([sp.reconstruct(fam)]
+                    + [sp.reconstruct(fam, mesh) for mesh in MESHES])
+    r0, *gaps = ctx.norm(ctx.sub(a, sums))
+    gaps = np.array(gaps)
+    worst = r0
+    for gap in np.where(gaps > meshes, gaps, 0.0):
+        worst = np.where(gap > worst, gap, worst)
+    t.tally((r0 <= run.thr) & np.all(gaps <= meshes + run.thr, axis=0),
+            worst, lambda k: _witness(ctx, k, {
+                "a": a, "breakpoint_residual": r0}))
 
 
 @_statement("spectrality", "de:projcov")
-def _projcov(run, ctx, smp, t: _Tally) -> None:
-    drawn = smp.draws(run.samples,
-                      lambda k: (smp.simple(), smp.scalar(0.05, 1.0)))
-    for lo, (a, lam) in _chunks(run, *drawn):
-        cover = ctx.cover(a)
-        # Every sub-sum of the eigenprojections (the first 16) lies
-        # above a exactly when it lies above the cover.
-        _, projs, own = ctx.eigenprojections(a)
-        sums = []
-        for mask in range(min(2 ** len(projs), 16)):
-            q = np.zeros_like(projs[0])
-            for i, proj in enumerate(projs):
-                if mask >> i & 1:
-                    q = ctx.add(q, proj)
-            sums.append(q)
-        sums = np.stack(sums)
-        # a member's own sub-sums: those of its own clusters
-        mine = np.arange(len(sums))[:, None] < 2 ** np.minimum(
-            4, np.count_nonzero(own, axis=0))
-        same = _on_own(mine, lambda x, y, q: ctx.leq(x, q) == ctx.leq(y, q),
-                       *np.broadcast_arrays(ctx.raw(a), ctx.raw(cover), sums))
-        r = run.res(ctx.cover(ctx.scale(lam, a)), cover)
-        t.tally(ctx.leq(a, cover) & np.all(same, axis=0) & (r <= run.thr), r,
-                lambda k: _witness(ctx, k, {"a": a, "lambda": lam}, lo))
+def _projcov(run, ctx, smp, ks, t: _Tally) -> None:
+    a, lam = smp.draws(ks, lambda k: (smp.simple(), smp.scalar(0.05, 1.0)))
+    cover = ctx.cover(a)
+    # Every sub-sum of the eigenprojections (the first 16) lies
+    # above a exactly when it lies above the cover.
+    _, projs, own = ctx.eigenprojections(a)
+    sums = []
+    for mask in range(min(2 ** len(projs), 16)):
+        q = np.zeros_like(projs[0])
+        for i, proj in enumerate(projs):
+            if mask >> i & 1:
+                q = ctx.add(q, proj)
+        sums.append(q)
+    sums = np.stack(sums)
+    # a member's own sub-sums: those of its own clusters
+    mine = np.arange(len(sums))[:, None] < 2 ** np.minimum(
+        4, np.count_nonzero(own, axis=0))
+    same = _on_own(mine, lambda x, y, q: ctx.leq(x, q) == ctx.leq(y, q),
+                   *np.broadcast_arrays(ctx.raw(a), ctx.raw(cover), sums))
+    r = run.res(ctx.cover(ctx.scale(lam, a)), cover)
+    t.tally(ctx.leq(a, cover) & np.all(same, axis=0) & (r <= run.thr), r,
+            lambda k: _witness(ctx, k, {"a": a, "lambda": lam}))
 
 
 @_statement("spectrality", "lemma:projcover")
-def _projcover_lemma(run, ctx, smp, t: _Tally) -> None:
-    a, b = smp.draws(run.samples, lambda k: (
+def _projcover_lemma(run, ctx, smp, ks, t: _Tally) -> None:
+    a, b = smp.draws(ks, lambda k: (
         smp.orthogonal_pair() if k % 2 == 0 else (smp.effect(), smp.effect())))
     r1 = run.res(ctx.product(a, b))
     r2 = run.res(ctx.product(ctx.cover(a), b))
@@ -866,26 +862,25 @@ def _projcover_lemma(run, ctx, smp, t: _Tally) -> None:
 
 
 @_statement("spectrality", "lemma:covex_floor")
-def _covex_floor(run, ctx, smp, t: _Tally) -> None:
+def _covex_floor(run, ctx, smp, ks, t: _Tally) -> None:
     def draw(k):
         ones = int(smp.rng.integers(0, run.n)) if k % 2 == 0 else 0
         return smp.with_top(ones) if ones else smp.effect(hi=0.95)
 
-    a = smp.draws(run.samples, draw)
-    for lo, (a,) in _chunks(run, a):
-        values, projs, _ = ctx.eigenprojections(a)
-        top = sp.kept_sum(ctx, values >= 1.0 - ctx.tol.cluster, projs)
-        r1 = run.res((ctx.cover if run.control else ctx.floor)(a), top)
-        r2 = run.res(ctx.floor(ctx.complement(a)),
-                     ctx.complement(ctx.raw(ctx.cover(a))))
-        r = np.where(r2 > r1, r2, r1)
-        t.tally(r <= run.thr, r, lambda k: _witness(ctx, k, {
-            "a": a, "cluster_route": r1, "duality": r2}, lo))
+    a = smp.draws(ks, draw)
+    values, projs, _ = ctx.eigenprojections(a)
+    top = sp.kept_sum(ctx, values >= 1.0 - ctx.tol.cluster, projs)
+    r1 = run.res((ctx.cover if run.control else ctx.floor)(a), top)
+    r2 = run.res(ctx.floor(ctx.complement(a)),
+                 ctx.complement(ctx.raw(ctx.cover(a))))
+    r = np.where(r2 > r1, r2, r1)
+    t.tally(r <= run.thr, r, lambda k: _witness(ctx, k, {
+        "a": a, "cluster_route": r1, "duality": r2}))
 
 
 @_statement("spectrality", "lemma:floor")
-def _floor_lemma(run, ctx, smp, t: _Tally) -> None:
-    a = smp.draws(run.samples, lambda k: smp.with_top(
+def _floor_lemma(run, ctx, smp, ks, t: _Tally) -> None:
+    a = smp.draws(ks, lambda k: smp.with_top(
         int(smp.rng.integers(1, run.n + 1))))
     flr = (ctx.cover if run.control else ctx.floor)(a)
     powers = ctx.powers(a, FLOOR_POWER)
@@ -894,13 +889,11 @@ def _floor_lemma(run, ctx, smp, t: _Tally) -> None:
     gap = np.maximum(np.abs(low), np.abs(high))
     ok = (np.all(ctx.leq(powers[:, 1:4], powers[:, :3]), axis=-1)
           & (low >= -ctx.tol.check))
-    mu_max = []
-    for _, (x,) in _chunks(run, a):
-        values = ctx.eigenprojections(x)[0]
-        below = values < 1.0 - ctx.tol.cluster
-        # the largest cluster value below one, or 0 if there is none
-        mu_max += np.where(below.any(axis=0), np.max(np.where(
-            below, values, -np.inf), axis=0), 0.0).tolist()
+    values = ctx.eigenprojections(a)[0]
+    below = values < 1.0 - ctx.tol.cluster
+    # the largest cluster value below one, or 0 if there is none
+    mu_max = np.where(below.any(axis=0), np.max(np.where(
+        below, values, -np.inf), axis=0), 0.0).tolist()
     # Powers of a float round, on the mv model too, so the rate bound
     # keeps the given check tolerance.
     bound = np.array([mu ** FLOOR_POWER + run.tol.check for mu in mu_max])
@@ -909,57 +902,52 @@ def _floor_lemma(run, ctx, smp, t: _Tally) -> None:
 
 
 @_statement("spectrality", "de:b-compar")
-def _b_compar(run, ctx, smp, t: _Tally) -> None:
-    e, f = smp.draws(run.samples, lambda k: (
+def _b_compar(run, ctx, smp, ks, t: _Tally) -> None:
+    e, f = smp.draws(ks, lambda k: (
         (smp.effect(), smp.effect()) if k % 4 == 3 else smp.commuting()))
     # A generic pair (every fourth) has a witness exactly when it commutes,
     # which on the mv model it always does; one that does not passes.
-    generic = np.arange(run.samples) % 4 == 3
+    generic = ks % 4 == 3
     has = ~generic | ctx.commutes(e, f)
-    for lo, (e, f, has) in _chunks(run, e, f, has):
-        ok = np.ones(len(has), dtype=bool)
-        if has.any():
-            es, fs = e[has], f[has]
-            wit = sp.comparability_witness(es, fs, ctx)
-            run.degenerate_ties += int(np.count_nonzero(wit.degenerate))
-            comp = ctx.complement(wit.p)
-            ok[has] = (ctx.leq(ctx.compress(wit.p, es),
-                               ctx.compress(wit.p, fs))
-                       & ctx.leq(ctx.compress(comp, fs),
-                                 ctx.compress(comp, es)))
-        t.tally(ok, 0.0, lambda k: _witness(ctx, k, {"e": e, "f": f}, lo))
+    ok = np.ones(len(has), dtype=bool)
+    if has.any():
+        es, fs = e[has], f[has]
+        wit = sp.comparability_witness(es, fs, ctx)
+        run.degenerate_ties += int(np.count_nonzero(wit.degenerate))
+        comp = ctx.complement(wit.p)
+        ok[has] = (ctx.leq(ctx.compress(wit.p, es), ctx.compress(wit.p, fs))
+                   & ctx.leq(ctx.compress(comp, fs), ctx.compress(comp, es)))
+    t.tally(ok, 0.0, lambda k: _witness(ctx, k, {"e": e, "f": f}))
 
 
 @_statement("spectrality", "prop:commut")
-def _commut(run, ctx, smp, t: _Tally) -> None:
-    a, b = smp.draws(run.samples, lambda k: (
+def _commut(run, ctx, smp, ks, t: _Tally) -> None:
+    a, b = smp.draws(ks, lambda k: (
         smp.commuting() if k % 2 == 0 else (smp.effect(), smp.effect())))
-    for lo, (a, b) in _chunks(run, a, b):
-        sequential = ctx.residual(ctx.product(a, b),
-                                  ctx.product(b, a)) <= ctx.tol.comm
-        ordinary = ctx.commutes(a, b)
-        projections = np.all(ctx.commutes(ctx.eigenprojections(a)[1],
-                                          ctx.raw(b)), axis=0)
-        t.tally((sequential == ordinary) & (ordinary == projections), 0.0,
-                lambda k: _witness(ctx, k, {
-                    "a": a, "b": b, "sequential": sequential,
-                    "ordinary": ordinary, "projections": projections}, lo))
+    sequential = ctx.residual(ctx.product(a, b),
+                              ctx.product(b, a)) <= ctx.tol.comm
+    ordinary = ctx.commutes(a, b)
+    projections = np.all(ctx.commutes(ctx.eigenprojections(a)[1],
+                                      ctx.raw(b)), axis=0)
+    t.tally((sequential == ordinary) & (ordinary == projections), 0.0,
+            lambda k: _witness(ctx, k, {
+                "a": a, "b": b, "sequential": sequential,
+                "ordinary": ordinary, "projections": projections}))
 
 
 @_statement("spectrality", "propertyA")
-def _property_a(run, ctx, smp, t: _Tally) -> None:
+def _property_a(run, ctx, smp, ks, t: _Tally) -> None:
     levels = np.arange(1, 9)
-    a, b = smp.draws(run.samples, lambda k: smp.commuting())
-    for lo, (a, b) in _chunks(run, a, b):
-        # Each sample's chain on a second axis: staircases, a, complements
-        # of the powers of 1 - a, and the cover.
-        chain = np.concatenate([
-            sp.simple_approximation(a, levels, ctx),
-            ctx.raw(a)[:, None],
-            ctx.complement(ctx.powers(ctx.complement(a), 8)),
-            ctx.raw(ctx.cover(a))[:, None]], axis=1)
-        ok = np.all(ctx.commutes(chain, ctx.raw(b)[:, None]), axis=-1)
-        t.tally(ok, 0.0, lambda k: _witness(ctx, k, {"a": a, "b": b}, lo))
+    a, b = smp.draws(ks, lambda k: smp.commuting())
+    # Each sample's chain on a second axis: staircases, a, complements
+    # of the powers of 1 - a, and the cover.
+    chain = np.concatenate([
+        sp.simple_approximation(a, levels, ctx),
+        ctx.raw(a)[:, None],
+        ctx.complement(ctx.powers(ctx.complement(a), 8)),
+        ctx.raw(ctx.cover(a))[:, None]], axis=1)
+    ok = np.all(ctx.commutes(chain, ctx.raw(b)[:, None]), axis=-1)
+    t.tally(ok, 0.0, lambda k: _witness(ctx, k, {"a": a, "b": b}))
 
 
 def run_spectrality_suite(model: str = "matrix", dim_or_size: int = 6,
@@ -1028,7 +1016,7 @@ def _block_starts(values: np.ndarray, own: np.ndarray,
 
 
 @_statement("context", "thm:contexts")
-def _closed_form(run, ctx, smp, t: _Tally) -> None:
+def _closed_form(run, ctx, smp, ks, t: _Tally) -> None:
     def draw(k):
         if k == 0 and run.control:
             # Two levels 0.1 apart always merge, so the control fails
@@ -1036,68 +1024,61 @@ def _closed_form(run, ctx, smp, t: _Tally) -> None:
             return smp.with_values(np.resize([0.4, 0.5], run.n))
         return smp.simple(gap=0.15)
 
-    a = smp.draws(run.samples, draw)
-    for lo, (a,) in _chunks(run, a):
-        rep = sp.reduced_representation(a, ctx)
-        ref = _rickart_family(a, rep, ctx)
-        # The closed form of a member with nothing to merge is its family;
-        # one with a merged coefficient has fewer steps than the
-        # definition, and fails.
-        closed = np.count_nonzero(_block_starts(
-            rep.coefficients, rep.own, MERGE_DELTA if run.control else 0.0),
-            axis=0)
-        steps = np.count_nonzero(rep.own, axis=0)
-        same = closed == steps
-        fam = sp.family_from_representation(rep.coefficients,
-                                            rep.projections)
-        r = np.where(same, run.res(fam.projections, ref.projections), 0.0)
-        ok = same & np.all(r <= run.thr, axis=0) & np.all(
-            np.abs(fam.breakpoints - ref.breakpoints) <= run.thr, axis=0)
-        t.tally(ok, _most(r), lambda k: _witness(ctx, k, {
-            "a": a, "closed_steps": closed + 1, "family_steps": steps + 1},
-            lo))
+    a = smp.draws(ks, draw)
+    rep = sp.reduced_representation(a, ctx)
+    ref = _rickart_family(a, rep, ctx)
+    # The closed form of a member with nothing to merge is its family;
+    # one with a merged coefficient has fewer steps than the
+    # definition, and fails.
+    closed = np.count_nonzero(_block_starts(
+        rep.coefficients, rep.own, MERGE_DELTA if run.control else 0.0),
+        axis=0)
+    steps = np.count_nonzero(rep.own, axis=0)
+    same = closed == steps
+    fam = sp.family_from_representation(rep.coefficients, rep.projections)
+    r = np.where(same, run.res(fam.projections, ref.projections), 0.0)
+    ok = same & np.all(r <= run.thr, axis=0) & np.all(
+        np.abs(fam.breakpoints - ref.breakpoints) <= run.thr, axis=0)
+    t.tally(ok, _most(r), lambda k: _witness(ctx, k, {
+        "a": a, "closed_steps": closed + 1, "family_steps": steps + 1}))
 
 
 @_statement("context", "thm:contexts.reduced")
-def _reduced(run, ctx, smp, t: _Tally) -> None:
-    a = smp.draws(run.samples, lambda k: smp.simple(gap=0.15))
-    for lo, (a,) in _chunks(run, a):
-        rep = sp.reduced_representation(a, ctx)
-        ref = _rickart_family(a, rep, ctx)
-        coeffs, projs, own = rep.coefficients, rep.projections, rep.own
-        ok = np.all(~own[1:] | (np.diff(coeffs, axis=0) > ctx.tol.cluster),
-                    axis=0)
-        r_jump = run.res(np.diff(ref.projections, axis=0), projs)
-        ok &= np.all((r_jump <= run.thr)
-                     & (np.abs(ref.breakpoints - coeffs) <= run.thr), axis=0)
-        # the eigenprojections are pairwise orthogonal: ‖p_i p_j‖, i < j
-        r_pairs = ctx.overlaps(projs)[np.triu_indices(len(projs), 1)] / run.n
-        ok &= np.all(r_pairs <= run.thr, axis=0)
-        t.tally(ok, _most(r_jump, r_pairs),
-                lambda k: _witness(ctx, k, {"a": a}, lo))
+def _reduced(run, ctx, smp, ks, t: _Tally) -> None:
+    a = smp.draws(ks, lambda k: smp.simple(gap=0.15))
+    rep = sp.reduced_representation(a, ctx)
+    ref = _rickart_family(a, rep, ctx)
+    coeffs, projs, own = rep.coefficients, rep.projections, rep.own
+    ok = np.all(~own[1:] | (np.diff(coeffs, axis=0) > ctx.tol.cluster),
+                axis=0)
+    r_jump = run.res(np.diff(ref.projections, axis=0), projs)
+    ok &= np.all((r_jump <= run.thr)
+                 & (np.abs(ref.breakpoints - coeffs) <= run.thr), axis=0)
+    # the eigenprojections are pairwise orthogonal: ‖p_i p_j‖, i < j
+    r_pairs = ctx.overlaps(projs)[np.triu_indices(len(projs), 1)] / run.n
+    ok &= np.all(r_pairs <= run.thr, axis=0)
+    t.tally(ok, _most(r_jump, r_pairs), lambda k: _witness(ctx, k, {"a": a}))
 
 
 @_statement("context", "thm:contexts.functions")
-def _functions(run, ctx, smp, t: _Tally) -> None:
-    a = smp.draws(run.samples, lambda k: smp.simple(gap=0.15))
-    for lo, (a,) in _chunks(run, a):
-        rep = sp.reduced_representation(a, ctx)
-        # each member's nodes first; the control drops any within
-        # MERGE_DELTA of the one before
-        keep = rep.own.copy()
-        if run.control:
-            keep[1:] &= np.diff(rep.coefficients, axis=0) > MERGE_DELTA
-        count = np.count_nonzero(keep, axis=0)
-        valid = np.arange(count.max())[:, None] < count
-        nodes = np.take_along_axis(rep.coefficients, np.argsort(
-            ~keep, axis=0, kind="stable")[:len(valid)], axis=0)
-        assert np.all(np.diff(nodes, axis=0)[valid[1:]] > ctx.tol.cluster), \
-            "reduced representation carries duplicate coefficients"
-        r = np.where(valid, run.res(_lagrange(ctx, a, nodes, valid),
-                                    rep.projections[:len(valid)]), 0.0)
-        t.tally(np.all(r <= run.thr, axis=0), _most(r), lambda k: {
-            "sample": lo + k, "a": ctx.encode(ctx.raw(a)[k]),
-            "nodes": nodes[:count[k], k].tolist()})
+def _functions(run, ctx, smp, ks, t: _Tally) -> None:
+    a = smp.draws(ks, lambda k: smp.simple(gap=0.15))
+    rep = sp.reduced_representation(a, ctx)
+    # each member's nodes first; the control drops any within
+    # MERGE_DELTA of the one before
+    keep = rep.own.copy()
+    if run.control:
+        keep[1:] &= np.diff(rep.coefficients, axis=0) > MERGE_DELTA
+    count = np.count_nonzero(keep, axis=0)
+    valid = np.arange(count.max())[:, None] < count
+    nodes = np.take_along_axis(rep.coefficients, np.argsort(
+        ~keep, axis=0, kind="stable")[:len(valid)], axis=0)
+    assert np.all(np.diff(nodes, axis=0)[valid[1:]] > ctx.tol.cluster), \
+        "reduced representation carries duplicate coefficients"
+    r = np.where(valid, run.res(_lagrange(ctx, a, nodes, valid),
+                                rep.projections[:len(valid)]), 0.0)
+    t.tally(np.all(r <= run.thr, axis=0), _most(r), lambda k: {
+        "a": ctx.encode(ctx.raw(a)[k]), "nodes": nodes[:count[k], k].tolist()})
 
 
 def run_context_suite(model: str = "matrix", dim_or_size: int = 4,
@@ -1131,7 +1112,7 @@ def _broken_e4_table() -> tb.FiniteEffectAlgebra:
 
 
 @_statement("tables", "tables:oracle")
-def _oracle(run, ctx, smp, t: _Tally) -> None:
+def _oracle(run, ctx, smp, ks, t: _Tally) -> None:
     # One tally per clause group and table, its verdicts in the order
     # element (then pair), then clause.
     for name, alg in run.algs.items():
@@ -1176,7 +1157,7 @@ def _oracle(run, ctx, smp, t: _Tally) -> None:
 
 
 @_statement("tables", "tables:diamond")
-def _diamond_shape(run, ctx, smp, t: _Tally) -> None:
+def _diamond_shape(run, ctx, smp, ks, t: _Tally) -> None:
     alg = run.algs["diamond"]
     clauses = {
         "incompatible pair a,b": tb.incompatible_pairs(alg) == [(1, 2)],

@@ -76,7 +76,6 @@ def test_cluster_indices_width():
     assert run_columns(runs) == ((0, 1), (2,), (0,), (1,), (2,))
     assert runs.counts.tolist() == [2, 3]
     assert runs.index.tolist() == [0, 1, 0, 1, 2]
-    assert runs.labels.tolist() == [[0, 0, 1], [0, 1, 2]]
     assert runs.own.tolist() == [[True, True], [True, True], [False, True]]
 
 

@@ -305,7 +305,7 @@ def test_a_block_of_draws_equals_the_looped_draws(model, kind, count):
         looped = sampler(n, n)
         expected = [recipe(looped, k, fixed) for k in range(count)]
         smp = sampler(n, n)
-        got = smp.draws(count, lambda k: recipe(smp, k, fixed))
+        got = smp.draws(range(count), lambda k: recipe(smp, k, fixed))
         assert set(column_sizes(got)) == {count}
         assert draw_bits([member(got, k) for k in range(count)]) == \
             draw_bits(expected), (kind, n)
@@ -322,7 +322,7 @@ def test_commuting_with_a_span_drawn_in_the_same_block(n):
         return p, smp.commuting_with(p, on=1.0, off=0.25)
 
     smp, looped = mx.EffectSampler(n, n), mx.EffectSampler(n, n)
-    p, a = smp.draws(6, lambda k: recipe(smp, k))
+    p, a = smp.draws(range(6), lambda k: recipe(smp, k))
     for k in range(6):
         lp, la = recipe(looped, k)
         assert same_bits(p[k].matrix, lp.matrix)
@@ -333,7 +333,7 @@ def test_commuting_with_a_span_drawn_in_the_same_block(n):
         assert frobenius(a[k].matrix - la.matrix) <= 1e-12
     assert smp.rng.bit_generator.state == looped.rng.bit_generator.state
     smp = mx.EffectSampler(n, n)
-    pair = smp.draws(2, lambda k: smp.commuting_with(
+    pair = smp.draws(range(2), lambda k: smp.commuting_with(
         smp.span(smp.frame(), 0, 2)))
     assert len(pair) == 2
 
@@ -359,7 +359,7 @@ def test_a_block_of_effects_equals_the_eager_construction(n):
     smp = mx.EffectSampler(n, n)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(n)))
     for count in (1, 5, 12):
-        for effect in smp.draws(count, lambda k: smp.effect()):
+        for effect in smp.draws(range(count), lambda k: smp.effect()):
             d = effect.decomposition
             assert draw_bits([effect.matrix, d.values, d.vectors]) == \
                 draw_bits(list(eager_effect(rng, n)))
@@ -368,12 +368,12 @@ def test_a_block_of_effects_equals_the_eager_construction(n):
 def test_a_block_takes_one_qr_per_frame_size(call_counter):
     smp = mx.EffectSampler(3, 4)
     calls = call_counter("numpy.linalg.qr")
-    smp.draws(12, lambda k: (smp.commuting(), smp.effect(),
+    smp.draws(range(12), lambda k: (smp.commuting(), smp.effect(),
                              smp.split_effect(smp.frame(), 1)))
     assert calls.count == 3  # the frames of size 4, 1 and 3
-    smp.draws(12, lambda k: smp.orthogonal_pair())
+    smp.draws(range(12), lambda k: smp.orthogonal_pair())
     assert calls.count == 4
-    assert len(smp.draws(3, lambda k: smp.scalar())) == 3
+    assert len(smp.draws(range(3), lambda k: smp.scalar())) == 3
     assert calls.count == 4
 
 
@@ -384,7 +384,7 @@ def test_element_verbs_on_a_stack_equal_the_member_calls(model, n, k):
     eigensystems a scaled or complemented stack keeps, too."""
     ctx, sampler = MODELS[model]
     smp = sampler(n + 10 * k, n)
-    a, b, lam, p = smp.draws(k, lambda i: (
+    a, b, lam, p = smp.draws(range(k), lambda i: (
         smp.effect(), smp.effect(), smp.scalar(), smp.projection()))
     raw = ctx.raw
     products = ctx.product(a, b)
@@ -468,7 +468,7 @@ class GivenDraws:
     def __init__(self, columns):
         self.columns = columns
 
-    def draws(self, count, recipe):
+    def draws(self, ks, recipe):
         return self.columns
 
 
@@ -479,13 +479,13 @@ def test_a_premise_mask_skips_its_members_without_warnings(model):
     must not reach the division."""
     ctx, sampler = MODELS[model]
     smp = sampler(4, 3)
-    a, b = smp.draws(6, lambda k: (smp.effect(), smp.effect()))
+    a, b = smp.draws(range(6), lambda k: (smp.effect(), smp.effect()))
     b = ctx.stack([a[k] if k % 2 == 0 else b[k] for k in range(6)])
     run = vf._Run(ctx, None, n=3, samples=6)
     t = vf._Tally()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        vf._strongarch(run, ctx, GivenDraws((a, b)), t)
+        vf._strongarch(run, ctx, GivenDraws((a, b)), np.arange(6), t)
     assert (t.samples, t.passed, t.witness) == (6, 6, None)
 
 
@@ -496,7 +496,7 @@ def test_meet_and_join_of_stacks_equal_the_member_calls(n):
     the pair on its own; raw stacks too."""
     ctx = mx.MatrixContext()
     smp = mx.EffectSampler(n, n)
-    p, a = smp.draws(9, lambda k: smp.commuting(
+    p, a = smp.draws(range(9), lambda k: smp.commuting(
         smp.projection if k % 3 else smp.effect, smp.effect))
     for first in (p, ctx.raw(p)):
         meets, joins = ctx.meet(first, a), ctx.join(first, a)
@@ -506,7 +506,7 @@ def test_meet_and_join_of_stacks_equal_the_member_calls(n):
             assert same_bits(joins[i], ctx.join(member, a[i]))
     if n > 1:
         with pytest.raises(mx.NotCommutingError):
-            ctx.meet(p, smp.draws(9, lambda k: smp.effect()))
+            ctx.meet(p, smp.draws(range(9), lambda k: smp.effect()))
 
 
 def cluster_stacks(model, n, k):
@@ -516,10 +516,10 @@ def cluster_stacks(model, n, k):
     ctx, sampler = MODELS[model]
     smp = sampler(7 * n + k, n)
     levels = np.repeat([0.25, 0.5, 0.75], n)[:n]
-    effects = smp.draws(k, lambda i: (
+    effects = smp.draws(range(k), lambda i: (
         smp.effect(), smp.with_values(np.roll(levels, i)),
         smp.with_top(i % (n + 1)), smp.simple(), smp.projection()))
-    signed = smp.draws(k, lambda i: smp.signed())
+    signed = smp.draws(range(k), lambda i: smp.signed())
     return ctx, smp, effects, signed
 
 
@@ -589,7 +589,7 @@ def test_sign_and_comparability_witnesses_of_stacks(model, n, k):
                 assert same_bits(q[i], own[j])
             else:
                 assert any(same_bits(q[i], x) for x in own)
-    e, f = smp.draws(k, lambda i: smp.commuting())
+    e, f = smp.draws(range(k), lambda i: smp.commuting())
     tie = effects[1]
     pairs = [(e, f), (tie, tie)]
     if model == "mv":  # any two elements commute

@@ -4,6 +4,7 @@ import hashlib
 import inspect
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -447,7 +448,7 @@ def test_stacked_lagrange_equals_the_looped_products(model_context, sampler):
                        [0, 25, 77, 154, 230, 243], [3, 3, 90, 90, 200, 255],
                        *np.random.default_rng(8).integers(0, 257, (4, 6))
                        ]) / 256
-    a = smp.draws(len(values), lambda k: smp.with_values(values[k]))
+    a = smp.draws(range(len(values)), lambda k: smp.with_values(values[k]))
     rep = sp.reduced_representation(a, ctx)
     exact = model_context is fz.FuzzyContext
     for delta in (0.0, verify.MERGE_DELTA):
@@ -664,21 +665,33 @@ def test_witnesses_are_byte_identical(model, n, seed, check):
 
 @pytest.mark.parametrize("model,n", [("matrix", 4), ("mv", 5)])
 def test_chunked_rows_match_the_whole_stack(model, n, monkeypatch):
-    """The statements that take their samples in runs (``_chunks``) give
-    the reports and witnesses of one run over all 12 samples when the
-    runs hold 1, 5 and 7 samples: the sample offsets of the witnesses,
-    the maxima carried across runs and the masks split over them.  At a
-    check of 3e-16 the matrix ``lemma:covex_floor`` first fails past
-    sample 0, so its witness carries a run's offset.  (Not at 1e-16: an
-    engine crash there ends a statement in the run it happens in, so
-    its sample count moves with the runs.)"""
+    """Every suite, and the sea suite's control with its planted S1
+    witness, gives the reports and witnesses of one run over all 12
+    samples when the runner's runs hold 1, 5 and 7 samples: the sample
+    indices of the witnesses, the maxima carried across runs and the masks
+    split over them.  At a check of 3e-16 the matrix ``lemma:covex_floor``
+    first fails past sample 0, so its witness's index is global.  An
+    engine crash ends a statement in the run where it happens, so its
+    sample count moves with the runs: at a check of 1e9 the matrix
+    ``le:sharp.iv`` joins a pair that does not commute, which raises
+    ``NotCommutingError``, so that row is left out there; and no check of
+    1e-16, where engine calls crash."""
     checks = (DEFAULT.check, 3e-16, 1e-14, 1e9)
+
+    def sea_digest(seed, tol):
+        doc = merge_reports([run_sea_suite(model, n, 12, seed, tol, control)
+                             for control in (False, True)])
+        for suite in doc["suites"]:
+            suite["results"] = [r for r in suite["results"] if not (
+                tol.check == 1e9 and r["statement_id"] == "le:sharp.iv")]
+        return report_sha256(doc)
 
     def digests():
         return [(witness_report_digest(model, n, seed, check),
                  report_sha256(run_compression_suite(
                      model, n, 12, seed, DEFAULT.replace(check=check)
-                 ).to_dict()))
+                 ).to_dict()),
+                 sea_digest(seed, DEFAULT.replace(check=check)))
                 for seed in (1, 2) for check in checks]
 
     whole = digests()
@@ -686,6 +699,28 @@ def test_chunked_rows_match_the_whole_stack(model, n, monkeypatch):
     for size in (1, 5, 7):
         monkeypatch.setattr(verify, "CHUNK_NUMBERS", size * per_sample)
         assert digests() == whole, size
+
+
+@pytest.mark.parametrize("run", [run_sea_suite, run_compression_suite,
+                                 run_spectrality_suite, run_context_suite],
+                         ids=["sea", "compression", "spectrality", "context"])
+def test_memory_does_not_grow_with_the_samples(run, monkeypatch):
+    """With runs of four samples (matrix dim 8), a suite's peak of traced
+    memory at 200 samples stays within 1.5 times its peak at 8: each
+    statement holds one run's draws and stacks at a time, and the report
+    keeps counts, not samples.  A row that drew or stacked all its samples
+    at once would grow with them, about 25 times over."""
+    monkeypatch.setattr(verify, "CHUNK_NUMBERS", 4 * 8 ** 3)
+    run("matrix", 8, 8, 42)  # caches and lazy imports, not counted below
+    peaks = []
+    for samples in (8, 200):
+        tracemalloc.start()
+        try:
+            run("matrix", 8, samples, 42)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0], peaks
 
 
 @pytest.mark.parametrize("size,seed", sorted(
@@ -824,10 +859,10 @@ def test_work_per_request_is_pinned(call_counter, monkeypatch):
     statement draws its samples as one block; known eigensystems wrapped
     once per stack; no check of a matrix the verifier built; clustered
     decompositions only where eigenvectors are used, and few eigensystems
-    built, as no statement indexes its stacks member by member; every
-    tally on an array, about one per statement, or per clause group and
-    table; and witness matrices encoded only for the witnesses a report
-    records."""
+    built, as no statement indexes its stacks member by member or slices
+    them into runs; every tally on an array, about one per statement, or
+    per clause group and table; and witness matrices encoded only for the
+    witnesses a report records."""
     calls = call_counter("numpy.linalg.eigh", "numpy.linalg.qr",
                          "seakit.linalg.decomposition_from",
                          "seakit.linalg.require_hermitian")
@@ -869,7 +904,7 @@ def test_work_per_request_is_pinned(call_counter, monkeypatch):
     assert calls["numpy.linalg.qr"] == 85
     assert calls["seakit.linalg.require_hermitian"] == 0
     assert calls["seakit.linalg.decomposition_from"] <= 60
-    assert built == 466
+    assert built == 436
     assert tallies == 93
     recorded = sum(_matrices_in(r.witness) for rep in reports
                    for r in rep.results if r.witness is not None)
