@@ -21,7 +21,6 @@ of one size together.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,19 +36,12 @@ MAX_SPACE = 1024
 EMBEDDING_DEGREE = 6
 
 
-def indicator(space: int, points) -> np.ndarray:
-    vals = np.zeros(space)
-    vals[list(points)] = 1.0
-    return vals
-
-
 class FuzzyContext:
     """Spectral context over value vectors; thresholds are exact."""
 
     model = "fuzzy"
     element_ndim = 1  # the trailing axes one element spans
     mul = staticmethod(np.multiply)   # the ordinary product of raw elements
-    stack = staticmethod(np.stack)
 
     # The verbs with one formula on both models, written once there.
     add = mx.MatrixContext.add
@@ -60,6 +52,7 @@ class FuzzyContext:
     is_sharp = mx.MatrixContext.is_sharp
     zero_like = mx.MatrixContext.zero_like
     shift = mx.MatrixContext.shift
+    where = mx.MatrixContext.where
 
     def __init__(self, tol: Tolerances = DEFAULT):
         self.tol = tol.replace(psd=0.0, proj=0.0, cluster=0.0, kernel=0.0,
@@ -261,10 +254,13 @@ class FuzzySampler:
     """Deterministic dyadic fuzzy sets; all sampled values are multiples
     of 2^-8, so sums and products are exact in double precision.
 
-    The draws have the names and parameters of ``matrices.EffectSampler``'s,
-    so one verifier statement serves both models.  A frame here is an
-    ordering of the points; every element is diagonal in every frame, so
-    the draws ignore the frame they are given.
+    The draws are ``matrices.EffectSampler``'s, with its names and
+    parameters and its stream: a stack per call, each sample from a fixed
+    slice of the stream at each position, so one verifier statement
+    serves both models.  The draws with one formula on both models are
+    written there.  A frame here gives each point its place in an
+    ordering, and a row of values in a frame gives each point the value
+    at its place; every element is diagonal in every frame.
     """
 
     BITS = 8
@@ -272,84 +268,59 @@ class FuzzySampler:
     def __init__(self, seed: int | np.random.SeedSequence, space: int):
         if not 1 <= space <= MAX_SPACE:
             raise ValueError("space out of range")
-        if not isinstance(seed, np.random.SeedSequence):
-            seed = np.random.SeedSequence(seed)
-        self.rng = np.random.Generator(np.random.PCG64(seed))
-        self.space = space
+        self.dim = space
         self.denom = 2 ** self.BITS
+        self._open(seed)
 
-    def _ticks(self, lo: float, hi: float, size=None):
-        return self.rng.integers(math.ceil(lo * self.denom),
-                                 math.floor(hi * self.denom) + 1, size)
-
-    def scalar(self, lo: float = 0.0, hi: float = 1.0) -> float:
-        """A multiple of 2^-8 in [lo, hi]."""
-        return float(self._ticks(lo, hi)) / self.denom
-
-    def frame(self) -> np.ndarray:
-        """A random ordering of the points."""
-        return self.rng.permutation(self.space)
-
-    def span(self, frame: np.ndarray, lo: int, hi: int) -> np.ndarray:
-        """The indicator of the points at positions lo:hi of a frame."""
-        return indicator(self.space, frame[lo:hi])
-
-    # One frame, each draw in it, and a block of draws: the same as on
-    # matrices, where nothing here waits for the block's end.
-    _block = None
+    # The draws with one formula on both models, written once there.
+    _open = mx.EffectSampler._open
+    _uniform = mx.EffectSampler._uniform
+    integers = mx.EffectSampler.integers
+    scalar = mx.EffectSampler.scalar
+    span = mx.EffectSampler.span
     commuting = mx.EffectSampler.commuting
-    draws = mx.EffectSampler.draws
+    effect = mx.EffectSampler.effect
+    projection = mx.EffectSampler.projection
+    with_values = mx.EffectSampler.with_values
+    signed = mx.EffectSampler.signed
+    with_top = mx.EffectSampler.with_top
+    commuting_with = mx.EffectSampler.commuting_with
+    orthogonal_pair = mx.EffectSampler.orthogonal_pair
 
-    def effect(self, lo: float = 0.0, hi: float = 1.0,
-               frame: np.ndarray | None = None) -> np.ndarray:
-        """Values drawn from the multiples of 2^-8 in [lo, hi]."""
-        return self._ticks(lo, hi, self.space) / self.denom
+    def _between(self, ks, lo, hi, *shape) -> np.ndarray:
+        """Multiples of 2^-8 in [lo, hi], uniform."""
+        d = self.denom
+        lo, top = np.ceil(np.multiply(lo, d)), np.floor(np.multiply(hi, d))
+        return (lo + np.floor(self._uniform(ks, *shape) * (top - lo + 1))) / d
 
-    def projection(self, frame: np.ndarray | None = None) -> np.ndarray:
-        return self.rng.integers(0, 2, self.space).astype(float)
+    def frame(self, ks) -> np.ndarray:
+        """Random places of the points, a permutation per sample."""
+        return np.argsort(self._uniform(ks, self.dim), axis=-1)
 
-    def with_values(self, values) -> np.ndarray:
-        return np.asarray(values, dtype=float)
+    def _in_frame(self, ks, values, frame=None) -> np.ndarray:
+        """The values, each row placed by its frame where one is given:
+        point p takes the value at its place ``frame[p]``."""
+        if frame is None:
+            return values
+        return np.take_along_axis(values, frame, -1)
 
-    def simple(self, gap: float = 0.12) -> np.ndarray:
+    def _spectrum(self, p) -> tuple[np.ndarray, None]:
+        return np.asarray(p), None
+
+    def simple(self, ks, gap: float = 0.12) -> np.ndarray:
         """Any draw: a dyadic fuzzy set has its levels at least 2^-8
         apart, whatever the gap asked for."""
-        return self.effect()
+        return self.effect(ks)
 
-    def signed(self) -> np.ndarray:
-        """Multiples of 2^-8 in [-1, 1]."""
-        return (self.rng.integers(-self.denom, self.denom + 1, self.space)
-                / self.denom)
+    def split_effect(self, ks, frame: np.ndarray, k) -> np.ndarray:
+        return self.effect(ks)
 
-    def with_top(self, ones: int) -> np.ndarray:
-        """Values one on the first ``ones`` points and in [2^-8, 0.95]
-        elsewhere."""
-        drawn = self.effect(1.0 / self.denom, 0.95)
-        return np.where(np.arange(self.space) < ones, 1.0, drawn)
+    def summable_pair(self, ks) -> tuple[np.ndarray, np.ndarray]:
+        a = self._between(ks, 0.0, 1.0, self.dim)
+        return a, self._between(ks, 0.0, 1.0 - a, self.dim)
 
-    def commuting_with(self, p: np.ndarray, on=None, off=None) -> np.ndarray:
-        """Values ``on`` where p is one and ``off`` where it is zero;
-        either left as None is drawn there."""
-        drawn = self.effect()
-        return np.where(p > 0.5, drawn if on is None else on,
-                        drawn if off is None else off)
-
-    def split_effect(self, frame: np.ndarray, k: int) -> np.ndarray:
-        return self.effect()
-
-    def orthogonal_pair(self) -> tuple[np.ndarray, np.ndarray]:
-        """Two elements with disjoint supports (their product vanishes)."""
-        mask = self.rng.integers(0, 2, self.space).astype(float)
-        return self.effect() * mask, self.effect() * (1.0 - mask)
-
-    def summable_pair(self) -> tuple[np.ndarray, np.ndarray]:
-        ka = self.rng.integers(0, self.denom + 1, self.space)
-        kb = self.rng.integers(0, self.denom + 1 - ka)
-        return ka / self.denom, kb / self.denom
-
-    def refined_commuting(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Triple (c, a, b) with a + b + c <= 1; all elements commute."""
-        ka = self.rng.integers(0, self.denom + 1, self.space)
-        kb = self.rng.integers(0, self.denom + 1 - ka)
-        kc = self.rng.integers(0, self.denom + 1 - ka - kb)
-        return kc / self.denom, ka / self.denom, kb / self.denom
+    def refined_commuting(self, ks) -> tuple[np.ndarray, np.ndarray,
+                                             np.ndarray]:
+        """Triples (c, a, b) with a + b + c <= 1; all elements commute."""
+        a, b = self.summable_pair(ks)
+        return self._between(ks, 0.0, 1.0 - a - b, self.dim), a, b

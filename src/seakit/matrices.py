@@ -16,13 +16,12 @@ matrices with its ``(S, n)`` values and ``(S, n, n)`` vectors, whose
 members an index gives.  The context's verbs take such stacks, and raw
 ``(S, n, n)`` arrays, member by member with the same bits as one call per
 member, and decompose a stack in one LAPACK call; ``powers`` returns one
-``(..., count, n, n)`` array.  The sampler draws in blocks: a block's
-Haar frames take one stacked QR per size, its effects one stacked
-reconstruct, and each position of its recipe comes back as one stack.
+``(..., count, n, n)`` array.  The sampler draws a run's samples as
+stacks from array calls, each sample from a fixed slice of its stream.
 """
 from __future__ import annotations
 
-import functools
+import math
 import sys
 
 import numpy as np
@@ -147,19 +146,6 @@ def _matrix(x) -> np.ndarray:
     return x.matrix if isinstance(x, Effect) else np.asarray(x)
 
 
-def _stack(members) -> Effect:
-    """Effects of one dimension as one stack, with their eigensystems
-    where every member's is known."""
-    decomps = [m._decomp for m in members]
-    known = None
-    if all(d is not None for d in decomps):
-        known = EigenDecomposition(np.array([d.values for d in decomps]),
-                                   np.array([d.vectors for d in decomps]),
-                                   members[0].tol)
-    return Effect(np.array([m.matrix for m in members]), tol=members[0].tol,
-                  decomposition=known)
-
-
 def _span(vectors: np.ndarray, keep: np.ndarray) -> np.ndarray:
     """The projection onto the columns of a unitary that ``keep`` marks, a
     run of them; one per member of a stack, the members whose runs are of
@@ -191,15 +177,15 @@ class MatrixContext:
     ``linalg.EigenDecomposition`` builds them.
 
     ``add``, ``sub``, ``residual``, ``norm``, ``leq``, ``is_sharp``,
-    ``zero_like`` and ``shift`` read only ``raw``, ``mul``, ``extremes``,
-    ``one_like`` and ``element_ndim``; ``fuzzy.FuzzyContext`` shares them.
+    ``zero_like``, ``shift`` and ``where`` read only ``raw``, ``mul``,
+    ``extremes``, ``one_like`` and ``element_ndim``;
+    ``fuzzy.FuzzyContext`` shares them.
     """
 
     model = "matrix"
     element_ndim = 2  # the trailing axes one element spans
     mul = staticmethod(np.matmul)   # the ordinary product of raw elements
     raw = staticmethod(_matrix)
-    stack = staticmethod(_stack)
 
     def __init__(self, tol: Tolerances = DEFAULT):
         self.tol = tol
@@ -327,6 +313,21 @@ class MatrixContext:
         raw = _matrix(v)
         return np.eye(raw.shape[-1]) - raw
 
+    def where(self, mask, a, b):
+        """a's members where the mask over a stack holds and b's elsewhere,
+        an unstacked a or b broadcast: for two Effects an Effect, keeping
+        the eigensystems both carry; a raw array otherwise."""
+        m = np.asarray(mask).reshape(-1, *(1,) * self.element_ndim)
+        out = np.where(m, self.raw(a), self.raw(b))
+        if not (isinstance(a, Effect) and isinstance(b, Effect)):
+            return out
+        decomp = None
+        if a._decomp is not None and b._decomp is not None:
+            decomp = EigenDecomposition(
+                np.where(m[..., 0], a._decomp.values, b._decomp.values),
+                np.where(m, a._decomp.vectors, b._decomp.vectors), self.tol)
+        return Effect(out, tol=self.tol, decomposition=decomp)
+
     def eigenprojections(self, v
                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Cluster values with their eigenprojections and the mask of each
@@ -358,8 +359,15 @@ class MatrixContext:
                       decomposition=decomp)
 
     def residual(self, a, b):
-        """The Frobenius norm of a - b (on mv, its 2-norm), one per member."""
-        return frobenius(self.sub(a, b), self.element_ndim)
+        """The Frobenius norm of a - b (on mv, its 2-norm), one per member:
+        of the difference over its largest entry, scaled back, so that
+        tiny entries do not underflow to 0 when squared (as
+        ``require_hermitian`` scales)."""
+        d = self.sub(a, b)
+        axes = tuple(range(-self.element_ndim, 0))
+        top = np.max(np.abs(d), axis=axes)
+        unit = d / np.expand_dims(np.where(top > 0.0, top, 1.0), axes)
+        return per_member(frobenius(unit, self.element_ndim) * top)
 
     def adjoint(self, v) -> np.ndarray:
         """The conjugate transpose, member by member."""
@@ -467,377 +475,251 @@ class MatrixContext:
         return per_member(np.rint(trace).astype(int))
 
 
-def _ginibre(rng: np.random.Generator, n: int) -> np.ndarray:
-    """A complex Ginibre matrix: the random numbers of one Haar unitary."""
-    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-
-
 def _haar(z: np.ndarray) -> np.ndarray:
-    """The Haar unitary of a Ginibre matrix, or of each member of a stack.
+    """The Haar unitary of each member of a stack of Ginibre matrices.
 
     The QR factor, with the phases of R's diagonal moved into Q so that
-    the law is exactly Haar (Mezzadri, Notices AMS 2007); a stack takes
-    one LAPACK call, with the same bits per member as one call each.
+    the law is exactly Haar (Mezzadri, Notices AMS 2007), in one LAPACK
+    call with the same bits per member as one call each.  A Ginibre
+    matrix that is zero off the diagonal blocks of a partition of the
+    columns into runs gives a unitary with those blocks, each Haar.
     """
     q, r = np.linalg.qr(z)
     d = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (d / np.abs(d))[..., None, :]
 
 
-class _Pending:
-    """A draw made in a block, whose value the block sets at its end; a
-    span also carries its eigenvalues and an eigenvector thunk."""
-
-    __slots__ = ("value", "values", "vectors")
-
-
-class _Known(_Pending):
-    """An effect drawn with a known eigensystem: its eigenvalues, unsorted,
-    and a thunk that gives the matching eigenvectors, as columns, once the
-    block's frames are drawn.  At the block's end it is row ``row`` of the
-    block's stack of effects."""
-
-    __slots__ = ("stack", "row")
-
-    def __init__(self, values: np.ndarray, vectors):
-        self.values = values
-        self.vectors = vectors
-
-    @property
-    def value(self) -> Effect:
-        return self.stack[self.row]
-
-
-def _value(x):
-    """A frame or an element: its value, if it was pending."""
-    return x.value if isinstance(x, _Pending) else x
-
-
-def _column(draws: list):
-    """The draws at one position of a block's recipe, one per sample, as
-    one value: tuples and lists position by position, effects as one
-    Effect stack, and arrays and numbers as one array."""
-    first = draws[0]
-    if isinstance(first, (tuple, list)):
-        return type(first)(_column([x[i] for x in draws])
-                           for i in range(len(first)))
-    if all(isinstance(x, _Known) for x in draws):
-        return first.stack[np.array([x.row for x in draws])]
-    values = [_value(x) for x in draws]
-    if isinstance(values[0], Effect):
-        return _stack(values)
-    return np.array(values)
-
-
-def _member(column, k: int):
-    """Sample k of a column of draws."""
-    if isinstance(column, (tuple, list)):
-        return type(column)(_member(x, k) for x in column)
-    return column[k]
-
-
-class _Block:
-    """What the draws of one ``EffectSampler.draws`` call leave for its end:
-    Ginibre matrices, known eigensystems and ragged builds."""
-
-    def __init__(self):
-        self.frames: list[tuple[_Pending, np.ndarray]] = []
-        self.known: list[_Known] = []
-        self.ragged: list[tuple[_Pending, object]] = []
-
-    def __bool__(self) -> bool:
-        return bool(self.frames or self.known or self.ragged)
-
-    def complete(self, tol: Tolerances) -> None:
-        """Set every pending value: one stacked QR per frame size, the
-        ragged builds one by one, and one stacked, stably sorted
-        reconstruct of the effects (all of the sampler's dimension), one
-        Effect stack with its eigensystems."""
-        sizes: dict[int, list] = {}
-        for frame, z in self.frames:
-            sizes.setdefault(z.shape[0], []).append((frame, z))
-        for group in sizes.values():
-            unitaries = _haar(np.stack([z for _, z in group]))
-            for (frame, _), u in zip(group, unitaries):
-                frame.value = u
-        for pending, build in self.ragged:
-            pending.value = build()
-        if self.known:
-            values = np.stack([e.values for e in self.known])
-            order = np.argsort(values, axis=-1, kind="stable")
-            d = EigenDecomposition(
-                np.take_along_axis(values, order, -1),
-                np.take_along_axis(np.stack([e.vectors() for e in self.known]),
-                                   order[:, None, :], -1), tol)
-            stack = Effect(d.reconstruct(), tol=tol, decomposition=d)
-            for row, e in enumerate(self.known):
-                e.stack, e.row = stack, row
-
-
-def _drawn(draw):
-    """A draw of ``EffectSampler``: in a block it defers its linear algebra
-    to the block's end, and outside one it is a block of one."""
-    @functools.wraps(draw)
-    def drawn(self, *args, **kwargs):
-        if self._block is None:
-            return _member(
-                self.draws((0,), lambda k: draw(self, *args, **kwargs)), 0)
-        return draw(self, *args, **kwargs)
-    return drawn
-
-
 class EffectSampler:
     """Deterministic random matrices for tests and verifier suites.
 
-    Unitaries are Haar-distributed (QR of a complex Ginibre matrix);
-    effects and projections are built from a sampled unitary and explicit
-    eigenvalue lists, so their eigensystems are known up front.  The draws
-    have the names and parameters of ``fuzzy.FuzzySampler``'s, so one
-    verifier statement serves both models; a frame here is a Haar unitary.
+    Every draw takes the global indices ``ks`` of a run's samples, which
+    are consecutive, and returns their stack from array calls: effects as
+    one ``Effect`` with its eigensystems, frames (Haar unitaries) as one
+    ``(len(ks), n, n)`` array, numbers as one array.  An effect is a row of eigenvalues in a
+    frame: one Box-Muller Ginibre stack, one stacked QR and one stacked
+    reconstruct.
 
-    ``draws(ks, recipe)`` makes a block of draws: it runs ``recipe(k)``
-    for each sample index k in ks and consumes the random stream exactly as
-    that loop does, since the linear algebra draws no random numbers.
-    Inside the block a frame is only its Ginibre matrix and an effect only
-    its values; at the block's end every frame size takes one stacked QR
-    and the effects one stacked reconstruct, with the same bits per member
-    as one call each.  Each position of the recipe comes back as one
-    stack: member i of it is the draw ``recipe(ks[i])`` made there.  A draw
-    made outside a block is member 0 of a block of one.
+    Each law a draw calls reads the next position of the seed's stream,
+    one Philox counter range per position (Salmon et al., SC 2011), in
+    which sample k's uniforms are a fixed slice at k times the law's
+    stride.  Normals (Box-Muller), integers (floor(u·m)) and random picks
+    (the ranks of uniforms) are made from those uniforms alone, so a
+    sample's draws have the same bits however the samples are split into
+    runs, as long as each run makes the same calls on a fresh sampler.
+    The draws have the names and parameters of ``fuzzy.FuzzySampler``'s,
+    so one verifier statement serves both models, and those with one
+    formula on both models are written once, here.
     """
-
-    _block: _Block | None = None  # the open block of draws, if any
 
     def __init__(self, seed: int | np.random.SeedSequence, dim: int,
                  tol: Tolerances = DEFAULT):
         if dim < 1:
             raise ValueError("dimension must be positive")
-        if not isinstance(seed, np.random.SeedSequence):
-            seed = np.random.SeedSequence(seed)
-        self.rng = np.random.Generator(np.random.PCG64(seed))
         self.dim = dim
         self.tol = tol
+        self._open(seed)
 
-    def draws(self, ks, recipe):
-        """``[recipe(k) for k in ks]``, the draws of the samples indexed
-        ``ks``, settled as one block and returned as one stack per position
-        of the recipe: a tuple of stacks for a recipe that returns a tuple.
-        Effects stack as an ``Effect`` (on the mv model, as a
-        ``(len(ks), n)`` array), frames, arrays and numbers as one array."""
-        outer = self._block
-        block = self._block = _Block()
-        try:
-            out = [recipe(k) for k in ks]
-        finally:
-            self._block = outer
-        if block:
-            block.complete(self.tol)
-        return _column(out)
+    def _open(self, seed) -> None:
+        """Key the stream by the seed (an int or a SeedSequence), at its
+        first position."""
+        self._bits = np.random.Philox(seed)
+        self._state = self._bits.state  # counter 0, an empty buffer
+        self._words = np.random.Generator(self._bits)
+        self._position = 0
 
-    def _known(self, values, vectors) -> _Known:
-        """An effect with these eigenvalues and the eigenvectors the thunk
-        ``vectors`` gives at the block's end."""
-        effect = _Known(np.asarray(values, dtype=float), vectors)
-        self._block.known.append(effect)
-        return effect
+    def _uniform(self, ks, *shape) -> np.ndarray:
+        """Uniforms in [0, 1), ``(len(ks), *shape)``, for the consecutive
+        sample indices ks, from the stream's next position, the third word
+        of the Philox counter.  Sample k's are the words from k times the
+        stride on, the stride being the size of ``shape`` rounded up to
+        whole counter blocks of 4 words."""
+        size = math.prod(shape)
+        stride = -(-size // 4) * 4
+        self._state["state"]["counter"] = np.array(
+            [int(ks[0]) * stride // 4, 0, self._position, 0], dtype=np.uint64)
+        self._bits.state = self._state
+        self._position += 1
+        rows = self._words.random((len(ks), stride))
+        return rows[:, :size].reshape(len(ks), *shape)
 
-    def _diagonal(self, values, frame) -> _Known:
-        return self._known(values, lambda: _value(frame))
+    def integers(self, ks, lo, hi) -> np.ndarray:
+        """An integer uniform in [lo, hi) per sample, each bound one for
+        all or one per sample: floor(u·(hi - lo)) past lo."""
+        lo = np.asarray(lo)
+        return (lo + np.floor(self._uniform(ks) * (np.asarray(hi) - lo))
+                ).astype(int)
 
-    def _later(self, build) -> _Pending:
-        """A draw that ``build`` makes per member, after the block's QR."""
-        pending = _Pending()
-        self._block.ragged.append((pending, build))
-        return pending
+    def _between(self, ks, lo, hi, *shape) -> np.ndarray:
+        """Values uniform in [lo, hi]."""
+        return lo + (hi - lo) * self._uniform(ks, *shape)
 
-    def _unitary(self, n: int) -> _Pending:
-        """An n x n Haar unitary: its Ginibre matrix now, its QR stacked."""
-        frame = _Pending()
-        self._block.frames.append((frame, _ginibre(self.rng, n)))
-        return frame
+    def scalar(self, ks, lo=0.0, hi=1.0) -> np.ndarray:
+        """A number in [lo, hi] per sample."""
+        return self._between(ks, lo, hi)
 
-    def scalar(self, lo: float = 0.0, hi: float = 1.0) -> float:
-        return float(self.rng.uniform(lo, hi))
+    def _gaussian(self, ks, *shape) -> np.ndarray:
+        """Complex normals, real and imaginary parts N(0, 1), from pairs
+        of uniforms by Box-Muller."""
+        u = self._uniform(ks, 2, *shape)
+        return np.sqrt(-2.0 * np.log1p(-u[:, 0])) * np.exp(2j * np.pi
+                                                            * u[:, 1])
 
-    @_drawn
-    def frame(self) -> np.ndarray:
-        """A Haar unitary; effects diagonal in one frame commute."""
-        return self._unitary(self.dim)
+    def frame(self, ks) -> np.ndarray:
+        """Haar unitaries; effects diagonal in one frame commute."""
+        return _haar(self._gaussian(ks, self.dim, self.dim))
 
-    @_drawn
-    def span(self, frame: np.ndarray, lo: int, hi: int) -> Effect:
-        """The projection onto columns lo:hi of a frame, which are
-        orthonormal.  Its matrix is built from those columns, and its
-        eigensystem (ones on lo:hi) serves only ``commuting_with``."""
-        def build() -> Effect:
-            cols = _value(frame)[:, lo:hi]
-            return Effect(hermitian_part(cols @ cols.conj().T), tol=self.tol)
-        span = self._later(build)
-        span.values = np.zeros(self.dim)
-        span.values[lo:hi] = 1.0
-        span.vectors = lambda: _value(frame)
-        return span
+    def _blocks(self, ks, labels) -> np.ndarray:
+        """Unitaries block-diagonal on the runs of equal labels (ascending
+        along each row), each block Haar."""
+        same = labels[..., :, None] == labels[..., None, :]
+        return _haar(self._gaussian(ks, self.dim, self.dim) * same)
 
-    @_drawn
-    def commuting(self, *draws) -> tuple:
-        """One sample of each draw, by default two effects, all diagonal in
-        one frame, so they commute; each draw takes ``frame=``."""
-        u = self.frame()
-        return tuple(draw(frame=u)
+    def _in_frame(self, ks, values, frame=None) -> Effect:
+        """The effects with these eigenvalues, one row per sample, on the
+        columns of their frames, fresh ones where none is given: stably
+        sorted, one stacked reconstruct."""
+        if frame is None:
+            frame = self.frame(ks)
+        order = np.argsort(values, axis=-1, kind="stable")
+        d = EigenDecomposition(
+            np.take_along_axis(values, order, -1),
+            np.take_along_axis(frame, order[..., None, :], -1), self.tol)
+        return Effect(d.reconstruct(), tol=self.tol, decomposition=d)
+
+    def _spectrum(self, p) -> tuple[np.ndarray, np.ndarray]:
+        """A stack's eigenvalues and the frames they sit in."""
+        d = p.decomposition
+        return d.values, d.vectors
+
+    def span(self, frame: np.ndarray, lo, hi):
+        """The projection onto columns lo:hi of each frame, the bounds one
+        for all or one per member."""
+        cols = np.arange(self.dim)
+        inside = ((np.asarray(lo)[..., None] <= cols)
+                  & (cols < np.asarray(hi)[..., None]))
+        return self._in_frame(None, np.broadcast_to(
+            inside, (len(frame), self.dim)).astype(float), frame)
+
+    def commuting(self, ks, *draws) -> tuple:
+        """A stack of each draw, by default two effects, all diagonal in
+        one frame per sample, so they commute; each draw takes ``frame=``."""
+        u = self.frame(ks)
+        return tuple(draw(ks, frame=u)
                      for draw in draws or (self.effect, self.effect))
 
-    @_drawn
-    def effect(self, lo: float = 0.0, hi: float = 1.0,
-               frame: np.ndarray | None = None) -> Effect:
-        """Effect with spectrum drawn from [lo, hi]."""
-        values = self.rng.uniform(lo, hi, self.dim)
-        return self._diagonal(values, self.frame() if frame is None else frame)
+    def effect(self, ks, lo=0.0, hi=1.0, frame=None):
+        """Effects with spectra drawn from [lo, hi]."""
+        return self._in_frame(ks, self._between(ks, lo, hi, self.dim), frame)
 
-    @_drawn
-    def projection(self, frame: np.ndarray | None = None) -> Effect:
+    def projection(self, ks, frame=None):
+        """Projections of rank 1 to n - 1 (1 at n = 1) onto columns
+        picked at random."""
+        rank = self.integers(ks, 1, max(self.dim, 2))
+        order = np.argsort(np.argsort(self._uniform(ks, self.dim), axis=-1),
+                           axis=-1)
+        return self._in_frame(ks, (order < rank[:, None]).astype(float),
+                              frame)
+
+    def with_values(self, ks, values):
+        """Effects with the given spectrum, one for all samples or one row
+        per sample, in fresh frames."""
+        return self._in_frame(ks, np.broadcast_to(
+            np.asarray(values, dtype=float), (len(ks), self.dim)).copy())
+
+    def signed(self, ks) -> np.ndarray:
+        """Hermitian elements, as raw arrays, with spectra in [-1, 1] and
+        an exact kernel of dimension up to two, below the full dimension."""
         n = self.dim
-        rank = int(self.rng.integers(1, n)) if n > 1 else 1
-        if frame is None:
-            frame = self.frame()
-        values = np.zeros(n)
-        values[:rank] = 1.0
-        return self._diagonal(self.rng.permutation(values), frame)
+        zeros = self.integers(ks, 0, min(2, n - 1) + 1)
+        values = np.where(np.arange(n) < zeros[:, None], 0.0,
+                          self._between(ks, -1.0, 1.0, n))
+        return _matrix(self._in_frame(ks, values))
 
-    @_drawn
-    def with_values(self, values) -> Effect:
-        """Effect with the given spectrum in a fresh frame."""
-        return self._diagonal(values, self.frame())
+    def with_top(self, ks, ones):
+        """Effects with an exact eigenvalue-one cluster of size ``ones``
+        (one for all samples, or one per sample) and the other
+        eigenvalues in [2⁻⁸, 0.95], none zero, so that the cover is the
+        floor only where every eigenvalue is one."""
+        n = self.dim
+        values = np.where(np.arange(n) < np.asarray(ones)[..., None], 1.0,
+                          self._between(ks, 2.0 ** -8, 0.95, n))
+        return self._in_frame(ks, values)
 
-    def _separated_values(self, count: int, gap: float) -> np.ndarray:
-        """Ascending values in [0, 1] on a jittered grid with pairwise gaps
-        >= 0.6*gap."""
+    def commuting_with(self, ks, p, on=None, off=None):
+        """Effects equal to ``on`` on p and to ``off`` on 1 - p, one per
+        member of the stack of projections p; either left as None is
+        drawn there."""
+        values, frame = self._spectrum(p)
+        drawn = self._between(ks, 0.0, 1.0, self.dim)
+        return self._in_frame(ks, np.where(
+            values > 0.5, drawn if on is None else on,
+            drawn if off is None else off), frame)
+
+    def orthogonal_pair(self, ks) -> tuple:
+        """Two effects with orthogonal supports (their product vanishes):
+        one frame, split after a count of 1 to n - 1 columns."""
+        n = self.dim
+        u = self.frame(ks)
+        first = np.arange(n) < self.integers(ks, 1, max(n, 2))[:, None]
+        x = self._between(ks, 0.05, 1.0, n)
+        return (self._in_frame(ks, np.where(first, x, 0.0), u),
+                self._in_frame(ks, np.where(first, 0.0, x), u))
+
+    def _labels(self, ks, count) -> np.ndarray:
+        """Each column's level, count levels per sample: the first count
+        columns one each, the others a uniform one."""
+        cols = np.arange(self.dim)
+        count = count[:, None]
+        return np.where(cols < count, cols, np.floor(
+            self._uniform(ks, self.dim) * count).astype(int))
+
+    def _levels(self, ks, count, most: int, gap: float) -> np.ndarray:
+        """count ascending values in [0, 1] per sample, first in a row of
+        ``most``, on a jittered grid with pairwise gaps >= 0.6*gap."""
         grid = np.arange(0.0, 1.0 + 1e-12, gap)
-        if count > len(grid):
+        if most > len(grid):
             raise ValueError("not enough grid room for requested separation")
-        picks = np.sort(self.rng.choice(len(grid), size=count, replace=False))
-        vals = grid[picks] + self.rng.uniform(-gap / 5.0, gap / 5.0, count)
-        return np.clip(vals, 0.0, 1.0)
+        picks = np.argsort(self._uniform(ks, len(grid)), axis=-1)[:, :most]
+        picks = np.sort(np.where(np.arange(most) < count[:, None], picks,
+                                 len(grid) - 1), axis=-1)
+        jitter = self._between(ks, -gap / 5.0, gap / 5.0, most)
+        return np.clip(grid[picks] + jitter, 0.0, 1.0)
 
-    @_drawn
-    def simple(self, gap: float = 0.12) -> Effect:
-        """Effect with at most five well-separated eigenvalue levels."""
-        n = self.dim
-        k = int(self.rng.integers(1, min(n, 5) + 1))
-        levels = self._separated_values(k, gap)
-        counts = np.ones(k, dtype=int)
-        for _ in range(n - k):
-            counts[self.rng.integers(0, k)] += 1
-        return self.with_values(np.repeat(levels, counts))
+    def simple(self, ks, gap: float = 0.12):
+        """Effects with at most five well-separated eigenvalue levels."""
+        most = min(self.dim, 5)
+        count = self.integers(ks, 1, most + 1)
+        levels = self._levels(ks, count, most, gap)
+        return self._in_frame(ks, np.take_along_axis(
+            levels, self._labels(ks, count), -1))
 
-    @_drawn
-    def signed(self) -> np.ndarray:
-        """Hermitian matrix with spectrum in [-1, 1] and an exact kernel of
-        dimension up to two, below the full dimension."""
-        n = self.dim
-        zeros = int(self.rng.integers(0, min(2, n - 1) + 1))
-        values = np.concatenate([
-            np.zeros(zeros),
-            self.rng.uniform(-1.0, 1.0, n - zeros),
-        ])
-        u = self.frame()
+    def split_effect(self, ks, frame: np.ndarray, k):
+        """Effects commuting with the span of the first k columns of each
+        frame, k one for all or one per member."""
+        labels = np.arange(self.dim) >= np.asarray(k)[..., None]
+        return self._in_frame(ks, self._between(ks, 0.0, 1.0, self.dim),
+                              frame @ self._blocks(ks, labels))
 
-        def build() -> np.ndarray:
-            frame = _value(u)
-            return hermitian_part((frame * values) @ frame.conj().T)
-        return self._later(build)
-
-    @_drawn
-    def with_top(self, ones: int) -> Effect:
-        """Effect with an exact eigenvalue-one cluster of size ``ones`` and
-        the other eigenvalues below 0.95."""
-        n = self.dim
-        ones = min(ones, n)
-        values = np.concatenate([
-            np.ones(ones),
-            self.rng.uniform(0.0, 0.95, n - ones),
-        ])
-        return self.with_values(values)
-
-    @_drawn
-    def commuting_with(self, p: Effect, on=None, off=None) -> Effect:
-        """Effect equal to ``on`` on p and to ``off`` on 1 - p; either left
-        as None is drawn there."""
-        if isinstance(p, _Pending):
-            # p's eigensystem as its decomposition will sort it
-            order = np.argsort(p.values, kind="stable")
-            values, vectors = p.values[order], lambda: p.vectors()[:, order]
-        else:
-            d = p.decomposition
-            values, vectors = d.values, lambda: d.vectors
-        drawn = self.rng.uniform(0.0, 1.0, self.dim)
-        vals = np.where(values > 0.5, drawn if on is None else on,
-                        drawn if off is None else off)
-        return self._known(vals, vectors)
-
-    @_drawn
-    def split_effect(self, frame: np.ndarray, k: int) -> Effect:
-        """Effect commuting with the span of the first k columns of a
-        frame."""
-        qa, qb = self._unitary(k), self._unitary(self.dim - k)
-
-        def vectors() -> np.ndarray:
-            u = _value(frame)
-            return np.concatenate([u[:, :k] @ qa.value, u[:, k:] @ qb.value],
-                                  axis=1)
-        return self._known(self.rng.uniform(0.0, 1.0, self.dim), vectors)
-
-    @_drawn
-    def orthogonal_pair(self) -> tuple[Effect, Effect]:
-        """Two effects with orthogonal supports (their product vanishes)."""
-        n = self.dim
-        u = self.frame()
-        k = int(self.rng.integers(1, n)) if n > 1 else 1
-        va = np.zeros(n)
-        vb = np.zeros(n)
-        va[:k] = self.rng.uniform(0.05, 1.0, k)
-        vb[k:] = self.rng.uniform(0.05, 1.0, n - k)
-        return self._diagonal(va, u), self._diagonal(vb, u)
-
-    @_drawn
-    def summable_pair(self) -> tuple[Effect, Effect]:
+    def summable_pair(self, ks) -> tuple:
         """Two effects with a + b <= 1."""
-        return self.effect(hi=0.5), self.effect(hi=0.5)
+        return self.effect(ks, hi=0.5), self.effect(ks, hi=0.5)
 
-    @_drawn
-    def refined_commuting(self) -> tuple[Effect, Effect, Effect]:
-        """Triple (c, a, b) where a and b both commute with c and
+    def refined_commuting(self, ks) -> tuple:
+        """Triples (c, a, b) where a and b both commute with c and
         a + b <= 1.
 
-        c has constant blocks in a shared basis; a and b refine those
-        blocks independently, so they rarely commute with each other.
+        c has two or three constant blocks (one at n = 1) in one frame; a
+        and b refine those blocks independently, so they rarely commute
+        with each other.
         """
         n = self.dim
-        if n == 1:
-            c = self.with_values([self.scalar()])
-            a = self.with_values([self.scalar(0.0, 0.5)])
-            b = self.with_values([self.scalar(0.0, 0.5)])
-            return c, a, b
-        k = int(self.rng.integers(2, min(n, 3) + 1))
-        sizes = np.ones(k, dtype=int)
-        for _ in range(n - k):
-            sizes[self.rng.integers(0, k)] += 1
-        u = self.frame()
-        levels = self._separated_values(k, gap=0.15)
-        c = self._diagonal(np.repeat(levels, sizes), u)
-        starts = np.cumsum(sizes) - sizes
-
-        def refined() -> _Known:
-            blocks = []
-            vals = []
-            for m in sizes:
-                blocks.append(self._unitary(int(m)))
-                vals.append(self.rng.uniform(0.0, 0.5, int(m)))
-
-            def vectors() -> np.ndarray:
-                frame = _value(u)
-                return np.concatenate(
-                    [frame[:, start:start + m] @ q.value
-                     for q, start, m in zip(blocks, starts, sizes)], axis=1)
-            return self._known(np.concatenate(vals), vectors)
-
-        return c, refined(), refined()
+        most = min(n, 3)
+        count = self.integers(ks, min(n, 2), most + 1)
+        labels = np.sort(self._labels(ks, count), axis=-1)
+        u = self.frame(ks)
+        c = self._in_frame(ks, np.take_along_axis(
+            self._levels(ks, count, most, 0.15), labels, -1), u)
+        a, b = (self._in_frame(ks, self._between(ks, 0.0, 0.5, n),
+                               u @ self._blocks(ks, labels))
+                for _ in range(2))
+        return c, a, b

@@ -20,19 +20,21 @@ sampler lookup, the broken products and the planted control witnesses.
 The runner calls each body once per run of samples, as many as keep a
 stack of clusters to ``CHUNK_NUMBERS`` numbers: all of them at the sizes
 in use, one at a time only at the largest.  A body draws first and checks
-second: one ``smp.draws`` block makes its run's draws, in the order the
-per-sample loop made them, and returns each as one stack with a leading
-sample axis.  The checks draw nothing, so the random stream, and with it
-the report, is that of the interleaved loop.  Every statement then checks
-its run's samples at once: every verb and engine call works member by
-member on the stacks, a premise is a mask over the samples, and one
-``tally`` takes the outcomes and residuals as arrays.  The ragged clusters
-of a stack come cluster first, padded past each member's own, with the
-mask of each member's own clusters (``linalg.Runs.own``, handed out by
-``eigenprojections``); what is decomposed per cluster is decomposed for
-the members' own clusters only (``_on_own``), so no padding is
-decomposed, and a sum or maximum over the clusters sees a member's own
-entries alone.  The ragged Lagrange nodes of ``thm:contexts.functions``
+second: each draw takes the run's sample indices and returns one stack
+with a leading sample axis, from array calls on a fresh sampler, each
+sample reading a fixed slice of the stream at each draw position, so the
+report does not depend on how the samples are split into runs.  Where
+samples differ in kind (by parity, or the control's sample 0), both kinds
+are drawn and a mask over the indices selects (``ctx.where``).  Every
+statement then checks its run's samples at once: every verb and engine
+call works member by member on the stacks, a premise is a mask over the
+samples, and one ``tally`` takes the outcomes and residuals as arrays.
+The ragged clusters of a stack come cluster first, padded past each
+member's own, with the mask of each member's own clusters
+(``linalg.Runs.own``, handed out by ``eigenprojections``); what is
+decomposed per cluster is decomposed for the members' own clusters only
+(``_on_own``), so no padding is decomposed, and a sum or maximum over the
+clusters sees a member's own entries alone.  The ragged Lagrange nodes of ``thm:contexts.functions``
 come first, padded past each member's own; the tables oracle tallies each
 clause group of a table as one array.
 """
@@ -142,7 +144,10 @@ def _run_statement(report: SuiteReport, sid: str, body) -> None:
         body(t)
     except Exception as exc:  # noqa: BLE001 - a crashing check is a failure
         frame = traceback.extract_tb(exc.__traceback__)[-1]
-        t.ks = None  # a crash is no one sample's
+        # The crash is the statement's whole report, and no one sample's,
+        # whichever run of samples it ended: what the runs before it
+        # tallied is dropped, so the report does not depend on the runs.
+        t = _Tally()
         t.tally(np.zeros(1, dtype=bool), witness=lambda _: {
             "error": f"{type(exc).__name__}: {exc}",
             "at": f"{os.path.basename(frame.filename)}:{frame.lineno}"})
@@ -170,8 +175,9 @@ def _res(ctx, m):
 
 @dataclasses.dataclass
 class _Run:
-    """What a suite run's statement bodies share; ``draws`` maps a statement
-    id to its seeded sampler, and ``run_*_suite`` fills in the settings."""
+    """What a suite run's statement bodies share; ``draws`` makes a fresh
+    sampler seeded by a statement id, and ``run_*_suite`` fills in the
+    settings."""
 
     ctx: object
     draws: Callable
@@ -195,8 +201,8 @@ class _Run:
 
 
 def _run_rows(report: SuiteReport, run: _Run) -> SuiteReport:
-    """Run the suite's rows in table order, each body on a sampler seeded
-    by its own statement id, called once per run of sample indices: as
+    """Run the suite's rows in table order, each body called once per run
+    of sample indices, on a fresh sampler seeded by its statement id: as
     many as keep a run's stacks of clusters (at most n clusters of an
     n**element_ndim element per sample) to CHUNK_NUMBERS numbers.  The
     tables rows draw nothing and run once."""
@@ -206,14 +212,13 @@ def _run_rows(report: SuiteReport, run: _Run) -> SuiteReport:
         runs = np.split(np.arange(run.samples),
                         np.arange(size, run.samples, size))
 
-    def each_run(statement, smp, t):
+    def each_run(sid, statement, t):
         for ks in runs:
             t.ks = ks
-            statement(run, run.ctx, smp, ks, t)
+            statement(run, run.ctx, run.draws(sid), ks, t)
 
     for sid, statement in STATEMENTS[report.suite]:
-        _run_statement(report, sid, lambda t: each_run(
-            statement, run.draws(sid), t))
+        _run_statement(report, sid, lambda t: each_run(sid, statement, t))
     return report
 
 
@@ -271,16 +276,23 @@ def _suite(suite: str, model: str, n: int, samples: int, seed: int,
                         ctx.tol.comm, control)
 
 
-def _three_orthogonal(smp, n: int) -> tuple[list, list[int]]:
-    """Three orthogonal projections on consecutive runs of one frame, the
-    first two nonempty where the dimension allows, with their ranks."""
-    u = smp.frame()
-    k1 = int(smp.rng.integers(1, n)) if n > 1 else 1
-    k2 = int(smp.rng.integers(1, n - k1 + 1)) if n - k1 else 0
-    k3 = int(smp.rng.integers(0, n - k1 - k2 + 1))
+def _three_orthogonal(smp, ks, n: int) -> tuple[list, list]:
+    """Three orthogonal projections on consecutive runs of one frame per
+    sample, the first two nonempty where the dimension allows, with their
+    ranks, one per sample."""
+    u = smp.frame(ks)
+    k1 = smp.integers(ks, 1, max(n, 2))
+    k2 = smp.integers(ks, np.minimum(1, n - k1), n - k1 + 1)
+    k3 = smp.integers(ks, 0, n - k1 - k2 + 1)
     cuts = (0, k1, k1 + k2, k1 + k2 + k3)
     spans = [smp.span(u, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
     return spans, [k1, k2, k3]
+
+
+def _either(ctx, mask, these, those) -> tuple:
+    """Draws of two kinds, position by position: these where the mask
+    over the samples holds and those elsewhere."""
+    return tuple(ctx.where(mask, x, y) for x, y in zip(these, those))
 
 
 # ---------------------------------------------------------------------------
@@ -330,10 +342,9 @@ def _five_way(ctx, p, a) -> dict:
 
 @_statement("sea", "S1")
 def _s1(run, ctx, smp, ks, t: _Tally) -> None:
-    a, b, c = smp.draws(ks, lambda k: (smp.effect(), *smp.summable_pair()))
-    if run.planted is not None and ks[0] == 0:
-        a, b, c = (np.concatenate([x[None], y[1:]])
-                   for x, y in zip(run.planted, (a, b, c)))
+    a, (b, c) = smp.effect(ks), smp.summable_pair(ks)
+    if run.planted is not None:
+        a, b, c = _either(ctx, ks == 0, run.planted, (a, b, c))
     bc = ctx.element(ctx.add(b, c))
     r = run.res(ctx.sub(run.prod(a, bc), run.prod(a, b)), run.prod(a, c))
     t.tally(r <= run.thr, r,
@@ -343,18 +354,18 @@ def _s1(run, ctx, smp, ks, t: _Tally) -> None:
 @_statement("sea", "S2")
 def _s2(run, ctx, smp, ks, t: _Tally) -> None:
     one = ctx.unit(run.n)
-    a = smp.draws(ks, lambda k: smp.effect())
+    a = smp.effect(ks)
     r = np.maximum(run.res(run.prod(one, a), a), run.res(run.prod(a, one), a))
     t.tally(r <= run.thr, r, lambda k: _witness(ctx, k, {"a": a}))
 
 
 @_statement("sea", "S3")
 def _s3(run, ctx, smp, ks, t: _Tally) -> None:
-    a, b = smp.draws(ks, lambda k: (
-        smp.orthogonal_pair() if k % 2 == 0 else (smp.effect(), smp.effect())))
     # Even samples: ab vanishes exactly when ba does; odd ones: ab is an
     # effect.
     even = ks % 2 == 0
+    a, b = _either(ctx, even, smp.orthogonal_pair(ks),
+                   (smp.effect(ks), smp.effect(ks)))
     ab = run.prod(a, b)
     r_ab = _spread(even, run.res(ab[even]))
     r_ba = _spread(even, run.res(run.prod(b[even], a[even])))
@@ -371,7 +382,7 @@ def _s3(run, ctx, smp, ks, t: _Tally) -> None:
 
 @_statement("sea", "S4")
 def _s4(run, ctx, smp, ks, t: _Tally) -> None:
-    a, b, c = smp.draws(ks, lambda k: (*smp.commuting(), smp.effect()))
+    (a, b), c = smp.commuting(ks), smp.effect(ks)
     # The premise: a and b commute sequentially.
     m = ~(run.res(run.prod(a, b), run.prod(b, a)) > run.comm)
     am, bm, cm = a[m], b[m], c[m]
@@ -386,7 +397,7 @@ def _s4(run, ctx, smp, ks, t: _Tally) -> None:
 
 @_statement("sea", "S5")
 def _s5(run, ctx, smp, ks, t: _Tally) -> None:
-    c, a, b = smp.draws(ks, lambda k: smp.refined_commuting())
+    c, a, b = smp.refined_commuting(ks)
     # The premise: c commutes sequentially with a and with b.
     m = ~((run.res(run.prod(c, a), run.prod(a, c)) > run.comm)
           | (run.res(run.prod(c, b), run.prod(b, c)) > run.comm))
@@ -402,8 +413,8 @@ def _s5(run, ctx, smp, ks, t: _Tally) -> None:
 
 @_statement("sea", "le:aff")
 def _aff(run, ctx, smp, ks, t: _Tally) -> None:
-    a, b, lam, ca, cb = smp.draws(ks, lambda k: (
-        smp.effect(), smp.effect(), smp.scalar(), *smp.commuting()))
+    a, b, lam = smp.effect(ks), smp.effect(ks), smp.scalar(ks)
+    ca, cb = smp.commuting(ks)
     scaled = ctx.scale(lam, run.prod(a, b))
     r1 = run.res(run.prod(a, ctx.scale(lam, b)), scaled)
     r2 = run.res(run.prod(ctx.scale(lam, a), b), scaled)
@@ -416,8 +427,7 @@ def _aff(run, ctx, smp, ks, t: _Tally) -> None:
 
 @_statement("sea", "convex:C1")
 def _convex_c1(run, ctx, smp, ks, t: _Tally) -> None:
-    a, lam, mu = smp.draws(ks, lambda k: (
-        smp.effect(), smp.scalar(), smp.scalar()))
+    a, lam, mu = smp.effect(ks), smp.scalar(ks), smp.scalar(ks)
     r = run.res(ctx.scale(mu, ctx.scale(lam, a)), ctx.scale(lam * mu, a))
     t.tally(r <= run.thr, r,
             lambda k: _witness(ctx, k, {"lambda": lam, "mu": mu}))
@@ -425,11 +435,8 @@ def _convex_c1(run, ctx, smp, ks, t: _Tally) -> None:
 
 @_statement("sea", "convex:C2")
 def _convex_c2(run, ctx, smp, ks, t: _Tally) -> None:
-    def draw(k):
-        a, lam = smp.effect(), smp.scalar()
-        return a, lam, smp.scalar(0.0, 1.0 - lam)
-
-    a, lam, mu = smp.draws(ks, draw)
+    a, lam = smp.effect(ks), smp.scalar(ks)
+    mu = smp.scalar(ks, 0.0, 1.0 - lam)
     r = run.res(ctx.add(ctx.scale(lam, a), ctx.scale(mu, a)),
                 ctx.scale(lam + mu, a))
     t.tally(r <= run.thr, r,
@@ -438,7 +445,7 @@ def _convex_c2(run, ctx, smp, ks, t: _Tally) -> None:
 
 @_statement("sea", "convex:C3")
 def _convex_c3(run, ctx, smp, ks, t: _Tally) -> None:
-    a, b, lam = smp.draws(ks, lambda k: (*smp.summable_pair(), smp.scalar()))
+    (a, b), lam = smp.summable_pair(ks), smp.scalar(ks)
     s = ctx.element(ctx.add(a, b))
     r = run.res(ctx.sub(ctx.scale(lam, s), ctx.scale(lam, a)),
                 ctx.scale(lam, b))
@@ -447,15 +454,14 @@ def _convex_c3(run, ctx, smp, ks, t: _Tally) -> None:
 
 @_statement("sea", "convex:C4")
 def _convex_c4(run, ctx, smp, ks, t: _Tally) -> None:
-    a = smp.draws(ks, lambda k: smp.effect())
+    a = smp.effect(ks)
     r = run.res(ctx.scale(1.0, a), a)
     t.tally(r <= run.thr, r, lambda k: _witness(ctx, k, {}))
 
 
 @_statement("sea", "le:sharp.i")
 def _sharp_i(run, ctx, smp, ks, t: _Tally) -> None:
-    a = smp.draws(ks, lambda k: (
-        smp.projection() if k % 2 == 0 else smp.effect()))
+    a = ctx.where(ks % 2 == 0, smp.projection(ks), smp.effect(ks))
     sharp = ctx.is_sharp(a)
     kills = run.res(run.prod(a, ctx.complement(a))) <= run.thr
     idem = run.res(run.prod(a, a), a) <= run.thr
@@ -467,12 +473,9 @@ def _sharp_i(run, ctx, smp, ks, t: _Tally) -> None:
 
 @_statement("sea", "le:sharp.ii")
 def _sharp_ii(run, ctx, smp, ks, t: _Tally) -> None:
-    def draw(k):
-        p = smp.projection()
-        return p, (smp.commuting_with(p, on=1.0) if k % 2 == 0
-                   else smp.effect())
-
-    p, a = smp.draws(ks, draw)
+    p = smp.projection(ks)
+    a = ctx.where(ks % 2 == 0, smp.commuting_with(ks, p, on=1.0),
+                  smp.effect(ks))
     below = ctx.leq(p, a)
     rp = np.maximum(run.res(run.prod(p, a), p), run.res(run.prod(a, p), p))
     t.tally(below == (rp <= run.thr), 0.0, lambda k: _witness(ctx, k, {
@@ -481,12 +484,9 @@ def _sharp_ii(run, ctx, smp, ks, t: _Tally) -> None:
 
 @_statement("sea", "le:sharp.iii")
 def _sharp_iii(run, ctx, smp, ks, t: _Tally) -> None:
-    def draw(k):
-        p = smp.projection()
-        return p, (smp.commuting_with(p, off=0.0) if k % 2 == 0
-                   else smp.effect())
-
-    p, a = smp.draws(ks, draw)
+    p = smp.projection(ks)
+    a = ctx.where(ks % 2 == 0, smp.commuting_with(ks, p, off=0.0),
+                  smp.effect(ks))
     below = ctx.leq(a, p)
     rp = np.maximum(run.res(run.prod(p, a), a), run.res(run.prod(a, p), a))
     t.tally(below == (rp <= run.thr), 0.0, lambda k: _witness(ctx, k, {
@@ -496,21 +496,22 @@ def _sharp_iii(run, ctx, smp, ks, t: _Tally) -> None:
 @_statement("sea", "le:sharp.iv")
 def _sharp_iv(run, ctx, smp, ks, t: _Tally) -> None:
     one = ctx.unit(run.n)
-    x, y = smp.draws(ks, lambda k: (
-        smp.orthogonal_pair() if k % 2 == 0
-        else (smp.projection(), smp.effect())))
     # Even samples compare covers of an orthogonal pair (every fourth
     # keeps the second effect itself); odd ones a projection and an effect.
-    p = ctx.stack([ctx.cover(x[i]) if k % 2 == 0 else x[i]
-                   for i, k in enumerate(ks)])
-    a = ctx.stack([ctx.cover(y[i]) if k % 4 == 2 else y[i]
-                   for i, k in enumerate(ks)])
+    even = ks % 2 == 0
+    x, y = _either(ctx, even, smp.orthogonal_pair(ks),
+                   (smp.projection(ks), smp.effect(ks)))
+    p = ctx.where(even, ctx.cover(x), x)
+    a = ctx.where(ks % 4 == 2, ctx.cover(y), y)
     total = ctx.add(p, a)
     vanish = run.res(run.prod(p, a)) <= run.thr
     summable = ctx.leq(total, one)
     ok = vanish == summable
-    # Where both hold, p + a is their join, sharp exactly when a is.
-    joined = ok & vanish
+    # Where both hold, p + a is their join, sharp exactly when a is; the
+    # join is taken of commuting pairs only, which any pair whose product
+    # vanishes is, unless the check is loose enough to pass one that
+    # does not.
+    joined = ok & vanish & ctx.commutes(p, a)
     r_join = np.zeros(len(ks))
     if joined.any():
         r = run.res(total[joined], ctx.join(p[joined], a[joined]))
@@ -525,9 +526,8 @@ def _sharp_iv(run, ctx, smp, ks, t: _Tally) -> None:
 
 @_statement("sea", "le:sharp.v")
 def _sharp_v(run, ctx, smp, ks, t: _Tally) -> None:
-    p, a = smp.draws(ks, lambda k: (
-        smp.commuting(smp.projection, smp.effect) if k % 2 == 0
-        else (smp.projection(), smp.effect())))
+    p, a = smp.commuting(ks, smp.projection, smp.effect)
+    a = ctx.where(ks % 2 == 0, a, smp.effect(ks))
     commute = run.res(run.prod(p, a), run.prod(a, p)) <= run.comm
     _, mackey = _mackey(ctx, p, a, ctx.compress(p, a))
     t.tally(commute == mackey, 0.0, lambda k: _witness(ctx, k, {
@@ -536,7 +536,7 @@ def _sharp_v(run, ctx, smp, ks, t: _Tally) -> None:
 
 @_statement("sea", "le:sharp.vi")
 def _sharp_vi(run, ctx, smp, ks, t: _Tally) -> None:
-    p, a = smp.draws(ks, lambda k: smp.commuting(smp.projection, smp.effect))
+    p, a = smp.commuting(ks, smp.projection, smp.effect)
     r = run.res(run.prod(p, a), ctx.meet(p, a))
     t.tally(r <= run.thr, r, lambda k: _witness(ctx, k, {"p": p, "a": a}))
 
@@ -544,7 +544,7 @@ def _sharp_vi(run, ctx, smp, ks, t: _Tally) -> None:
 @_statement("sea", "de:strongarch")
 def _strongarch(run, ctx, smp, ks, t: _Tally) -> None:
     bound = 2.0 / ARCHIMEDEAN_RESOLUTION
-    a, b = smp.draws(ks, lambda k: (smp.effect(), smp.effect()))
+    a, b = smp.effect(ks), smp.effect(ks)
     least = ctx.extremes(ctx.sub(b, a))[0]
     # The premise: a is not below b up to the resolution.
     m = ~(least >= -bound)
@@ -579,15 +579,11 @@ def _compr(run, ctx, smp, ks, t: _Tally) -> None:
     projection = not run.control
     zero = ctx.element(ctx.zero_like(ctx.unit(run.n)))
 
-    def draw(k):
-        u = smp.frame()
-        f = (smp.projection(frame=u) if projection
-             else smp.effect(lo=0.3, hi=0.7, frame=u))
-        a, b = smp.summable_pair()
-        inker = smp.commuting_with(f, on=0.0) if projection else zero
-        return f, a, b, inker, smp.effect()
-
-    f, a, b, inker, generic = smp.draws(ks, draw)
+    f = (smp.projection(ks) if projection
+         else smp.effect(ks, lo=0.3, hi=0.7))
+    a, b = smp.summable_pair(ks)
+    inker = smp.commuting_with(ks, f, on=0.0) if projection else zero
+    generic = smp.effect(ks)
 
     def jmap(x):
         return ctx.product(f, x)
@@ -610,15 +606,15 @@ def _compr(run, ctx, smp, ks, t: _Tally) -> None:
 @_statement("compression", "cb:C1")
 def _cb_c1(run, ctx, smp, ks, t: _Tally) -> None:
     unit = ctx.unit(run.n)
-    p = smp.draws(ks, lambda k: smp.projection())
+    p = smp.projection(ks)
     r = run.res(ctx.compress(p, unit), p)
     t.tally(r <= run.thr, r, lambda k: _witness(ctx, k, {"p": p}))
 
 
 @_statement("compression", "cb:C2p")
 def _cb_c2p(run, ctx, smp, ks, t: _Tally) -> None:
-    p, q, a = smp.draws(ks, lambda k: (
-        *smp.commuting(smp.projection, smp.projection), smp.effect()))
+    (p, q), a = (smp.commuting(ks, smp.projection, smp.projection),
+                 smp.effect(ks))
     praw, qraw, araw = ctx.raw(p), ctx.raw(q), ctx.raw(a)
     pq = ctx.mul(praw, qraw)
     r = run.res(run.sandwich(praw, run.sandwich(qraw, araw)),
@@ -630,8 +626,8 @@ def _cb_c2p(run, ctx, smp, ks, t: _Tally) -> None:
 
 @_statement("compression", "cb:C3")
 def _cb_c3(run, ctx, smp, ks, t: _Tally) -> None:
-    (p, q, rr), sizes, a = smp.draws(ks, lambda k: (
-        *_three_orthogonal(smp, run.n), smp.effect()))
+    ((p, q, rr), sizes), a = (_three_orthogonal(smp, ks, run.n),
+                              smp.effect(ks))
     araw = ctx.raw(a)
     composed = run.sandwich(ctx.add(p, q),
                             run.sandwich(ctx.add(q, rr), araw))
@@ -644,9 +640,8 @@ def _cb_c3(run, ctx, smp, ks, t: _Tally) -> None:
 def _com_e(run, ctx, smp, ks, t: _Tally) -> None:
     keys = ("compress_below", "block_sum", "interval_sum", "mackey",
             "meet")
-    p, a = smp.draws(ks, lambda k: (
-        smp.commuting(smp.projection, smp.effect) if k % 2 == 0
-        else (smp.projection(), smp.effect())))
+    p, a = smp.commuting(ks, smp.projection, smp.effect)
+    a = ctx.where(ks % 2 == 0, a, smp.effect(ks))
     stmts = _five_way(ctx, p, a)
     agree = np.all([stmts[key] == stmts[keys[0]] for key in keys], axis=0)
     t.tally(agree, stmts["residual"], lambda k: _witness(ctx, k, {
@@ -660,14 +655,11 @@ def _compat_i(run, ctx, smp, ks, t: _Tally) -> None:
         t.tally(np.ones(len(ks), dtype=bool))
         return
 
-    def draw(k):
-        u = smp.frame()
-        k1 = int(smp.rng.integers(1, run.n))
-        k2 = int(smp.rng.integers(1, run.n - k1 + 1))
-        return (smp.span(u, 0, k1), smp.span(u, k1, k1 + k2),
-                smp.split_effect(u, k1))
-
-    p, q, a = smp.draws(ks, draw)
+    u = smp.frame(ks)
+    k1 = smp.integers(ks, 1, run.n)
+    k2 = smp.integers(ks, 1, run.n - k1 + 1)
+    p, q = smp.span(u, 0, k1), smp.span(u, k1, k1 + k2)
+    a = smp.split_effect(ks, u, k1)
     araw = ctx.raw(a)
     osum = ctx.add(p, q)
     r_join = run.res(ctx.join(p, q), osum)
@@ -680,8 +672,8 @@ def _compat_i(run, ctx, smp, ks, t: _Tally) -> None:
 
 @_statement("compression", "lemma:compatible_projs.ii")
 def _compat_ii(run, ctx, smp, ks, t: _Tally) -> None:
-    p, q, a = smp.draws(ks, lambda k: (
-        *smp.commuting(smp.projection, smp.projection), smp.effect()))
+    (p, q), a = (smp.commuting(ks, smp.projection, smp.projection),
+                 smp.effect(ks))
     praw, qraw, araw = ctx.raw(p), ctx.raw(q), ctx.raw(a)
     meet = ctx.mul(praw, qraw)
     x = run.sandwich(praw, run.sandwich(qraw, araw))
@@ -748,7 +740,7 @@ def _most(*residuals):
 
 @_statement("spectrality", "prop:decomp")
 def _decomp(run, ctx, smp, ks, t: _Tally) -> None:
-    v = smp.draws(ks, lambda k: smp.signed())
+    v = smp.signed(ks)
     dec = sp.orthogonal_decomposition(v, ctx)
     rs = []
     for q in dec.witnesses:
@@ -765,7 +757,7 @@ def _decomp(run, ctx, smp, ks, t: _Tally) -> None:
 @_statement("spectrality", "coro:limit")
 def _limit(run, ctx, smp, ks, t: _Tally) -> None:
     levels = np.arange(1, APPROX_LEVELS + 1)
-    a = smp.draws(ks, lambda k: smp.effect())
+    a = smp.effect(ks)
     # (sample, level) stacks of staircases, from the clusters.
     stairs = sp.simple_approximation(a, levels, ctx)
     # One decomposition of a - a_n gives its norm and its sign.
@@ -782,7 +774,7 @@ def _limit(run, ctx, smp, ks, t: _Tally) -> None:
 
 @_statement("spectrality", "eq:spectprojs")
 def _spectprojs(run, ctx, smp, ks, t: _Tally) -> None:
-    a = smp.draws(ks, lambda k: smp.simple())
+    a = smp.simple(ks)
     rep = sp.reduced_representation(a, ctx)
     fam = sp.family_from_representation(rep.coefficients, rep.projections)
     ref = _rickart_family(a, rep, ctx)
@@ -810,7 +802,7 @@ def _spectprojs(run, ctx, smp, ks, t: _Tally) -> None:
 
 @_statement("spectrality", "eq:spectresV")
 def _spectres(run, ctx, smp, ks, t: _Tally) -> None:
-    a = smp.draws(ks, lambda k: smp.effect())
+    a = smp.effect(ks)
     meshes = np.array(MESHES)[:, None]
     fam = sp.spectral_family(a, ctx)
     sums = np.stack([sp.reconstruct(fam)]
@@ -827,7 +819,7 @@ def _spectres(run, ctx, smp, ks, t: _Tally) -> None:
 
 @_statement("spectrality", "de:projcov")
 def _projcov(run, ctx, smp, ks, t: _Tally) -> None:
-    a, lam = smp.draws(ks, lambda k: (smp.simple(), smp.scalar(0.05, 1.0)))
+    a, lam = smp.simple(ks), smp.scalar(ks, 0.05, 1.0)
     cover = ctx.cover(a)
     # Every sub-sum of the eigenprojections (the first 16) lies
     # above a exactly when it lies above the cover.
@@ -852,8 +844,8 @@ def _projcov(run, ctx, smp, ks, t: _Tally) -> None:
 
 @_statement("spectrality", "lemma:projcover")
 def _projcover_lemma(run, ctx, smp, ks, t: _Tally) -> None:
-    a, b = smp.draws(ks, lambda k: (
-        smp.orthogonal_pair() if k % 2 == 0 else (smp.effect(), smp.effect())))
+    a, b = _either(ctx, ks % 2 == 0, smp.orthogonal_pair(ks),
+                   (smp.effect(ks), smp.effect(ks)))
     r1 = run.res(ctx.product(a, b))
     r2 = run.res(ctx.product(ctx.cover(a), b))
     t.tally((r1 <= run.thr) == (r2 <= run.thr), 0.0,
@@ -863,11 +855,9 @@ def _projcover_lemma(run, ctx, smp, ks, t: _Tally) -> None:
 
 @_statement("spectrality", "lemma:covex_floor")
 def _covex_floor(run, ctx, smp, ks, t: _Tally) -> None:
-    def draw(k):
-        ones = int(smp.rng.integers(0, run.n)) if k % 2 == 0 else 0
-        return smp.with_top(ones) if ones else smp.effect(hi=0.95)
-
-    a = smp.draws(ks, draw)
+    # even samples with a top cluster of up to n - 1 ones, odd ones none
+    a = smp.with_top(ks, np.where(ks % 2 == 0,
+                                  smp.integers(ks, 0, run.n), 0))
     values, projs, _ = ctx.eigenprojections(a)
     top = sp.kept_sum(ctx, values >= 1.0 - ctx.tol.cluster, projs)
     r1 = run.res((ctx.cover if run.control else ctx.floor)(a), top)
@@ -880,8 +870,7 @@ def _covex_floor(run, ctx, smp, ks, t: _Tally) -> None:
 
 @_statement("spectrality", "lemma:floor")
 def _floor_lemma(run, ctx, smp, ks, t: _Tally) -> None:
-    a = smp.draws(ks, lambda k: smp.with_top(
-        int(smp.rng.integers(1, run.n + 1))))
+    a = smp.with_top(ks, smp.integers(ks, 1, run.n + 1))
     flr = (ctx.cover if run.control else ctx.floor)(a)
     powers = ctx.powers(a, FLOOR_POWER)
     # One decomposition of aᴺ - floor gives its norm and its sign.
@@ -903,11 +892,11 @@ def _floor_lemma(run, ctx, smp, ks, t: _Tally) -> None:
 
 @_statement("spectrality", "de:b-compar")
 def _b_compar(run, ctx, smp, ks, t: _Tally) -> None:
-    e, f = smp.draws(ks, lambda k: (
-        (smp.effect(), smp.effect()) if k % 4 == 3 else smp.commuting()))
     # A generic pair (every fourth) has a witness exactly when it commutes,
     # which on the mv model it always does; one that does not passes.
     generic = ks % 4 == 3
+    e, f = smp.commuting(ks)
+    f = ctx.where(generic, smp.effect(ks), f)
     has = ~generic | ctx.commutes(e, f)
     ok = np.ones(len(has), dtype=bool)
     if has.any():
@@ -922,8 +911,8 @@ def _b_compar(run, ctx, smp, ks, t: _Tally) -> None:
 
 @_statement("spectrality", "prop:commut")
 def _commut(run, ctx, smp, ks, t: _Tally) -> None:
-    a, b = smp.draws(ks, lambda k: (
-        smp.commuting() if k % 2 == 0 else (smp.effect(), smp.effect())))
+    a, b = smp.commuting(ks)
+    b = ctx.where(ks % 2 == 0, b, smp.effect(ks))
     sequential = ctx.residual(ctx.product(a, b),
                               ctx.product(b, a)) <= ctx.tol.comm
     ordinary = ctx.commutes(a, b)
@@ -938,7 +927,7 @@ def _commut(run, ctx, smp, ks, t: _Tally) -> None:
 @_statement("spectrality", "propertyA")
 def _property_a(run, ctx, smp, ks, t: _Tally) -> None:
     levels = np.arange(1, 9)
-    a, b = smp.draws(ks, lambda k: smp.commuting())
+    a, b = smp.commuting(ks)
     # Each sample's chain on a second axis: staircases, a, complements
     # of the powers of 1 - a, and the cover.
     chain = np.concatenate([
@@ -1017,14 +1006,12 @@ def _block_starts(values: np.ndarray, own: np.ndarray,
 
 @_statement("context", "thm:contexts")
 def _closed_form(run, ctx, smp, ks, t: _Tally) -> None:
-    def draw(k):
-        if k == 0 and run.control:
-            # Two levels 0.1 apart always merge, so the control fails
-            # for every seed, not only when sampled levels happen to.
-            return smp.with_values(np.resize([0.4, 0.5], run.n))
-        return smp.simple(gap=0.15)
-
-    a = smp.draws(ks, draw)
+    a = smp.simple(ks, gap=0.15)
+    if run.control:
+        # Sample 0's two levels 0.1 apart always merge, so the control
+        # fails for every seed, not only when sampled levels happen to.
+        a = ctx.where(ks == 0, smp.with_values(
+            ks, np.resize([0.4, 0.5], run.n)), a)
     rep = sp.reduced_representation(a, ctx)
     ref = _rickart_family(a, rep, ctx)
     # The closed form of a member with nothing to merge is its family;
@@ -1045,7 +1032,7 @@ def _closed_form(run, ctx, smp, ks, t: _Tally) -> None:
 
 @_statement("context", "thm:contexts.reduced")
 def _reduced(run, ctx, smp, ks, t: _Tally) -> None:
-    a = smp.draws(ks, lambda k: smp.simple(gap=0.15))
+    a = smp.simple(ks, gap=0.15)
     rep = sp.reduced_representation(a, ctx)
     ref = _rickart_family(a, rep, ctx)
     coeffs, projs, own = rep.coefficients, rep.projections, rep.own
@@ -1062,7 +1049,7 @@ def _reduced(run, ctx, smp, ks, t: _Tally) -> None:
 
 @_statement("context", "thm:contexts.functions")
 def _functions(run, ctx, smp, ks, t: _Tally) -> None:
-    a = smp.draws(ks, lambda k: smp.simple(gap=0.15))
+    a = smp.simple(ks, gap=0.15)
     rep = sp.reduced_representation(a, ctx)
     # each member's nodes first; the control drops any within
     # MERGE_DELTA of the one before

@@ -72,15 +72,14 @@ def test_criterion_03_five_way_equivalence():
     keys = ("compress_below", "block_sum", "interval_sum", "mackey", "meet")
     for dim in DIMS:
         sampler = mx.EffectSampler(1000 + dim, dim)
-        for k in range(500):
-            if k % 2 == 0:
-                p, a = sampler.commuting(sampler.projection, sampler.effect)
-            else:
-                p, a = sampler.projection(), sampler.effect()
-            flags = _five_way(MATRIX, p, a)
-            total += 1
-            if len({flags[key] for key in keys}) != 1:
-                disagreements += 1
+        ks = np.arange(500)
+        # even pairs commute, odd ones are drawn in two frames
+        p, a = sampler.commuting(ks, sampler.projection, sampler.effect)
+        a = MATRIX.where(ks % 2 == 0, a, sampler.effect(ks))
+        flags = _five_way(MATRIX, p, a)
+        total += len(ks)
+        disagreements += int(np.count_nonzero(~np.all(
+            [flags[key] == flags[keys[0]] for key in keys], axis=0)))
     ok = disagreements == 0 and total == 500 * len(DIMS)
     report(3, ok, f"five-way equivalence agreed on {total} pairs "
                   f"({disagreements} disagreements)")
@@ -92,8 +91,7 @@ def test_criterion_04_spectral_reconstruction():
     ok = True
     for dim in DIMS:
         sampler = mx.EffectSampler(2000 + dim, dim)
-        for _ in range(100):
-            a = sampler.effect()
+        for a in sampler.effect(range(100)):
             fam = spectral_family(a, MATRIX)
             gap = operator_norm(np.asarray(a.matrix) - reconstruct(fam))
             worst_exact = max(worst_exact, gap)
@@ -111,7 +109,7 @@ def test_criterion_05_closed_form_families(level_set_family):
     ok = True
     for k in range(100):
         dim = 2 + k % 7
-        a = mx.EffectSampler(3000 + k, dim).simple()
+        a = mx.EffectSampler(3000 + k, dim).simple(range(1))[0]
         rep = reduced_representation(a, MATRIX)
         fam = spectral_family(a, MATRIX)
         steps = [np.zeros((dim, dim), dtype=np.complex128)]
@@ -121,7 +119,7 @@ def test_criterion_05_closed_form_families(level_set_family):
         for engine_p, closed_p in zip(fam.projections, steps):
             ok = ok and frobenius(engine_p - closed_p) <= CHECK
     for k in range(100):
-        a = fz.FuzzySampler(3100 + k, 6).effect()
+        a = fz.FuzzySampler(3100 + k, 6).effect(range(1))[0]
         fam = spectral_family(a, MV)
         closed = level_set_family(a)
         ok = ok and np.array_equal(fam.breakpoints, closed.breakpoints)
@@ -134,7 +132,7 @@ def test_criterion_06_simple_approximation():
     ok = True
     for k in range(100):
         dim = 2 + k % 7
-        a = mx.EffectSampler(4000 + k, dim).effect()
+        a = mx.EffectSampler(4000 + k, dim).effect(range(1))[0]
         previous = None
         for n in range(1, 11):
             an = np.asarray(simple_approximation(a, n, MATRIX))
@@ -152,7 +150,7 @@ def test_criterion_07_floor_identities():
     for k in range(100):
         dim = 2 + k % 7
         sampler = mx.EffectSampler(5000 + k, dim)
-        a = sampler.with_top(1)
+        a = sampler.with_top(range(1), 1)[0]
         base = MATRIX.floor(a)
         d = a.decomposition
         cols = d.vectors[:, d.values >= 1.0 - DEFAULT.cluster]
@@ -175,9 +173,9 @@ def test_criterion_08_commutation_equivalence():
         dim = 2 + k % 7
         sampler = mx.EffectSampler(6000 + k, dim)
         if k < 200:
-            a, b = sampler.commuting()
+            a, b = (x[0] for x in sampler.commuting(range(1)))
         else:
-            a, b = sampler.effect(), sampler.effect()
+            a, b = sampler.effect(range(2))
         am, bm = np.asarray(a.matrix), np.asarray(b.matrix)
         seq = frobenius(MATRIX.product(a, b)
                         - MATRIX.product(b, a)) <= CHECK
@@ -197,13 +195,13 @@ def test_criterion_09_decomposition_uniqueness():
     ok = True
     checked = 0
     for dim in DIMS:
-        sampler = mx.EffectSampler(7000 + dim, dim)
-        for k in range(100):
+        rng = np.random.default_rng(7000 + dim)
+        frames = mx.EffectSampler(7000 + dim, dim).frame(range(100))
+        for k, u in enumerate(frames):
             # A Hermitian matrix with a kernel of dimension k % 3.
             zeros = k % 3 if dim > 2 else k % 2
             values = np.concatenate([
-                np.zeros(zeros), sampler.rng.uniform(-1.0, 1.0, dim - zeros)])
-            u = sampler.frame()
+                np.zeros(zeros), rng.uniform(-1.0, 1.0, dim - zeros)])
             v = hermitian_part((u * values) @ u.conj().T)
             splits = []
             for q in sign_witness_projections(v, MATRIX):

@@ -9,7 +9,6 @@ from seakit.config import DEFAULT
 from seakit.fuzzy import (
     FuzzyContext,
     FuzzySampler,
-    indicator,
     spectrum_representation,
 )
 from seakit.linalg import frobenius, operator_norm
@@ -27,6 +26,12 @@ def fs(*values):
     return np.array(values, dtype=float)
 
 
+def indicator(space: int, points) -> np.ndarray:
+    vals = np.zeros(space)
+    vals[list(points)] = 1.0
+    return vals
+
+
 def test_partial_sum():
     total = CTX.add(fs(0.2, 0.5), fs(0.3, 0.5))
     assert np.array_equal(total, [0.5, 1.0]) and CTX.leq(total, np.ones(2))
@@ -42,6 +47,19 @@ def test_pointwise_product():
     assert np.array_equal(CTX.product(a, np.ones(2)), a)
     p = indicator(2, [0])
     assert np.array_equal(CTX.product(p, a), CTX.meet(p, a))
+
+
+def test_residual_of_tiny_values_does_not_underflow():
+    """The norm of a - b is taken of the difference over its largest
+    entry and scaled back, so a difference of 1e-200, whose square
+    underflows to 0, reads as itself; on matrices too, for 1e-200·I."""
+    assert CTX.residual(fs(1e-200), fs(0.0)) == 1e-200
+    assert CTX.residual(np.array([[1e-200], [0.5], [0.0]]),
+                        fs(0.0)).tolist() == [1e-200, 0.5, 0.0]
+    matrix = mx.MatrixContext()
+    assert matrix.residual(1e-200 * np.eye(1), np.zeros((1, 1))) == 1e-200
+    assert matrix.residual(1e-200 * np.eye(3), np.zeros((3, 3))) == \
+        pytest.approx(3 ** 0.5 * 1e-200, rel=1e-15)
 
 
 def test_difference_and_negation():
@@ -139,7 +157,7 @@ def test_fuzzy_context_thresholds_are_exact():
 
 
 @pytest.mark.parametrize("verb", ["add", "sub", "residual", "norm", "leq",
-                                  "is_sharp", "zero_like", "shift"])
+                                  "is_sharp", "zero_like", "shift", "where"])
 def test_verbs_with_one_formula_are_written_once(verb):
     """The verbs whose formula reads only ``raw``, ``mul``, ``extremes``,
     ``one_like`` and ``element_ndim`` are the matrix model's functions."""
@@ -151,7 +169,7 @@ def test_witness_is_the_indicator_of_e_below_f():
     indicator of e <= f, ties included, and a pair is degenerate exactly
     where some value ties; each member's as the pair's on its own."""
     smp = FuzzySampler(5, 6)
-    e, f = (np.array([smp.effect() for _ in range(8)]) for _ in range(2))
+    e, f = (np.array(smp.effect(range(8))) for _ in range(2))
     f[::2, :3] = e[::2, :3]  # three ties in every other member
     f[1] = e[1]
     wit = comparability_witness(e, f, CTX)
@@ -185,7 +203,7 @@ def test_spectrum_representation_degenerate_and_sharp():
     assert report.space == 1
     assert image.tolist() == pytest.approx([0.3])
     sampler = mx.EffectSampler(3, 4)
-    p = sampler.span(sampler.frame(), 0, 2)
+    p = sampler.span(sampler.frame(range(1)), 0, 2)[0]
     image, _ = spectrum_representation(p)
     assert set(np.round(image, 8)) <= {0.0, 1.0}
 
@@ -195,7 +213,7 @@ def test_spectrum_representation_wraps_each_power_once(eigh_calls):
     product pairs, so their square roots take one eigh call and their
     norms one more: 2 on a generic dim-8 effect at degree 6, where
     wrapping each power on its own made 14, and wrapping per pair 35."""
-    a = mx.EffectSampler(3, 8).effect()
+    a = mx.EffectSampler(3, 8).effect(range(1))[0]
     before = eigh_calls.count
     spectrum_representation(a)
     assert eigh_calls.count - before == 2
@@ -248,9 +266,10 @@ def test_spectrum_representation_equals_the_cluster_loop():
     reads them: generic, simple, with a top cluster, and projections."""
     for n in range(1, 11):
         smp = mx.EffectSampler(40 + n, n)
-        drawn = [draw() for _ in range(3) for draw in (
-            smp.effect, smp.simple, lambda: smp.with_top(n // 2),
-            smp.projection)]
+        drawn = [stack[i] for stack in (
+            smp.effect(range(3)), smp.simple(range(3)),
+            smp.with_top(range(3), n // 2), smp.projection(range(3)))
+            for i in range(3)]
         for x in drawn:
             a, b = mx.Effect(x.matrix), mx.Effect(x.matrix)
             image, rep = spectrum_representation(a)
@@ -264,14 +283,17 @@ def test_spectrum_representation_equals_the_cluster_loop():
 def test_sampler_reproducible_and_summable():
     one_s = FuzzySampler(3, 5)
     two_s = FuzzySampler(3, 5)
-    assert np.array_equal(one_s.effect(), two_s.effect())
-    a, b = one_s.summable_pair()
-    assert CTX.leq(CTX.add(a, b), np.ones(5))
-    a, b = one_s.orthogonal_pair()
+    ks = range(6)
+    assert np.array_equal(one_s.effect(ks), two_s.effect(ks))
+    a, b = one_s.summable_pair(ks)
+    assert CTX.leq(CTX.add(a, b), np.ones(5)).all()
+    c, a, b = one_s.refined_commuting(ks)
+    assert CTX.leq(CTX.add(CTX.add(a, b), c), np.ones(5)).all()
+    a, b = one_s.orthogonal_pair(ks)
     assert not CTX.product(a, b).any()
-    lam = one_s.scalar(0.05, 1.0)
-    assert 0.05 <= lam <= 1.0 and (lam * 256).is_integer()
-    ticks = one_s.effect(0.3, 0.7) * 256
+    lam = one_s.scalar(ks, 0.05, 1.0)
+    assert np.all((0.05 <= lam) & (lam <= 1.0) & (lam * 256 % 1 == 0))
+    ticks = one_s.effect(ks, 0.3, 0.7) * 256
     assert np.all((ticks >= 77) & (ticks <= 179) & (ticks % 1 == 0))
 
 
@@ -279,18 +301,20 @@ def test_sampler_draws_are_float_arrays():
     """An mv element is its value array: every draw that gives elements
     gives float arrays, one value per point."""
     smp = FuzzySampler(5, 6)
-    u = smp.frame()
-    p = smp.projection()
-    draws = [smp.span(u, 1, 4), smp.effect(), smp.effect(0.25, 0.5), p,
-             smp.with_values([0, 1, 0.5, 0.25, 1, 0]), smp.simple(),
-             smp.signed(), smp.with_top(2), smp.commuting_with(p),
-             smp.commuting_with(p, on=1.0), smp.split_effect(u, 2),
-             *smp.commuting(), *smp.commuting(smp.projection, smp.effect),
-             *smp.orthogonal_pair(), *smp.summable_pair(),
-             *smp.refined_commuting()]
+    ks = range(3)
+    u = smp.frame(ks)
+    p = smp.projection(ks)
+    draws = [smp.span(u, 1, 4), smp.effect(ks), smp.effect(ks, 0.25, 0.5), p,
+             smp.with_values(ks, [0, 1, 0.5, 0.25, 1, 0]), smp.simple(ks),
+             smp.signed(ks), smp.with_top(ks, 2), smp.commuting_with(ks, p),
+             smp.commuting_with(ks, p, on=1.0), smp.split_effect(ks, u, 2),
+             *smp.commuting(ks),
+             *smp.commuting(ks, smp.projection, smp.effect),
+             *smp.orthogonal_pair(ks), *smp.summable_pair(ks),
+             *smp.refined_commuting(ks)]
     for x in draws:
         assert type(x) is np.ndarray and x.dtype == np.float64
-        assert x.shape == (6,)
+        assert x.shape == (3, 6)
 
 
 dyadic = st.integers(min_value=0, max_value=256).map(lambda k: k / 256)

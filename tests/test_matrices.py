@@ -179,34 +179,35 @@ def test_scalar_action_bounds():
 def test_sampler_is_reproducible():
     one = EffectSampler(11, 3)
     two = EffectSampler(11, 3)
-    assert np.array_equal(one.effect().matrix, two.effect().matrix)
-    assert np.array_equal(one.projection().matrix,
-                          two.projection().matrix)
+    ks = range(3)
+    assert np.array_equal(one.effect(ks).matrix, two.effect(ks).matrix)
+    assert np.array_equal(one.projection(ks).matrix,
+                          two.projection(ks).matrix)
     for n in (1, 2, 8):
-        q = EffectSampler(11, n).frame()
-        assert np.linalg.norm(q.conj().T @ q - np.eye(n)) <= 1e-12
+        for q in EffectSampler(11, n).frame(ks):
+            assert np.linalg.norm(q.conj().T @ q - np.eye(n)) <= 1e-12
 
 
 def test_sampler_products_stay_effects():
     sampler = EffectSampler(5, 4)
-    for _ in range(20):
-        a, b = sampler.effect(), sampler.effect()
-        vals = CTX.element(CTX.product(a, b)).decomposition.values
-        assert vals[0] >= -1e-9 and vals[-1] <= 1.0 + 1e-9
+    a, b = sampler.effect(range(20)), sampler.effect(range(20))
+    vals = CTX.element(CTX.product(a, b)).decomposition.values
+    assert np.all(vals[:, 0] >= -1e-9) and np.all(vals[:, -1] <= 1.0 + 1e-9)
 
 
 def test_sampler_commuting_and_orthogonal_constructions():
     sampler = EffectSampler(7, 4)
-    a, b = sampler.commuting()
-    assert frobenius(a.matrix @ b.matrix - b.matrix @ a.matrix) <= 1e-9
-    p, q = sampler.orthogonal_pair()
-    assert frobenius(p.matrix @ q.matrix) <= 1e-9
+    a, b = sampler.commuting(range(5))
+    assert np.all(frobenius(a.matrix @ b.matrix - b.matrix @ a.matrix)
+                  <= 1e-9)
+    p, q = sampler.orthogonal_pair(range(5))
+    assert np.all(frobenius(p.matrix @ q.matrix) <= 1e-9)
 
 
 @given(st.integers(min_value=0, max_value=2 ** 32 - 1),
        st.integers(min_value=2, max_value=5))
 def test_floor_below_effect_below_cover(seed, dim):
-    a = EffectSampler(seed, dim).effect()
+    a = EffectSampler(seed, dim).effect(range(1))[0]
     low = CTX.floor(a)
     high = CTX.cover(a)
     assert CTX.leq(low, a)
@@ -218,7 +219,7 @@ def test_floor_below_effect_below_cover(seed, dim):
 @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
 def test_product_with_complement_vanishes_iff_sharp(seed):
     sampler = EffectSampler(seed, 3)
-    p = sampler.projection()
+    p = sampler.projection(range(1))[0]
     gap = CTX.product(p, p.complement())
     assert frobenius(gap) <= 1e-9
 
@@ -229,7 +230,7 @@ def test_rickart_of_an_array_trusts_it(call_counter):
     positive part and one for its kernel, and nothing checks or
     symmetrizes the array again.  An array from outside the program is
     checked where it enters, by ``validate_effect``."""
-    u = EffectSampler(3, 4).frame()
+    u = EffectSampler(3, 4).frame(range(1))[0]
     x = hermitian_part((u * np.array([-0.5, -0.2, 0.3, 0.7])) @ u.conj().T)
     calls = call_counter("numpy.linalg.eigh",
                          "seakit.linalg.require_hermitian",

@@ -67,8 +67,7 @@ def test_family_is_right_continuous_with_eigen_jumps():
 
 def test_reconstruction_error_tracks_mesh():
     sampler = mx.EffectSampler(13, 5)
-    for _ in range(5):
-        a = sampler.effect()
+    for a in sampler.effect(range(5)):
         fam = spectral_family(a, MATRIX)
         exact = reconstruct(fam)
         assert operator_norm(np.asarray(a.matrix) - exact) <= 1e-8
@@ -93,8 +92,8 @@ def test_meshed_tags_match_the_listed_partition():
 
     sampler = mx.EffectSampler(21, 4)
     rng = np.random.default_rng(21)
-    elements = [(MATRIX, sampler.effect()) for _ in range(4)]
-    elements += [(MATRIX, sampler.simple()) for _ in range(4)]
+    elements = [(MATRIX, a) for a in sampler.effect(range(4))]
+    elements += [(MATRIX, a) for a in sampler.simple(range(4))]
     elements += [(MATRIX, effect(0.0, 0.25, 1.0)),
                  (MATRIX, effect(0.5, 0.5, 0.5))]
     elements += [(FUZZY, rng.integers(0, 257, 9) / 256)
@@ -178,7 +177,8 @@ def test_family_json_round_trip(level_set_family):
     """Each step of a family's JSON, read back by its context's reader,
     is the step itself."""
     families = (
-        (MATRIX, spectral_family(mx.EffectSampler(21, 3).effect(), MATRIX)),
+        (MATRIX, spectral_family(mx.EffectSampler(21, 3).effect(range(1))[0],
+                                 MATRIX)),
         (FUZZY, level_set_family(np.array([0.25, 0.75]))),
     )
     for ctx, fam in families:
@@ -225,7 +225,7 @@ def test_one_decomposition_per_element(eigh_calls, tmp_path):
     spectra = {"two": np.repeat([0.25, 0.75], 4),
                "eight": np.linspace(0.05, 0.95, 8)}
     for name, values in spectra.items():
-        a = sampler.with_values(values)
+        a = sampler.with_values(range(1), values)[0]
         for fn_name, fn in ENGINE.items():
             before = eigh_calls.count
             fn(a, MATRIX)
@@ -248,7 +248,7 @@ def test_order_and_norm_checks_decompose_nothing(call_counter):
     """``operator_norm``, ``leq`` and ``extremes`` read eigenvalues only:
     one LAPACK call each and no clustered decomposition."""
     sampler = mx.EffectSampler(3, 4)
-    a, b = sampler.effect(), sampler.effect()
+    a, b = sampler.effect(range(2))
     ctx = mx.MatrixContext()
     calls = call_counter("numpy.linalg.eigh",
                          "seakit.linalg.decomposition_from",

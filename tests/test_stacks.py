@@ -4,11 +4,11 @@ On both models a stack (``(k, n, n)`` matrices, ``(k, n)`` value arrays)
 must give, member by member, the same bits as one call per member; one
 element is the stack without the leading axis.  ``powers`` returns one
 array, and on matrices it must equal the chained products it replaced;
-so must the staircases of an array of levels.  A block of draws
-(``draws``), returned as one stack per position of its recipe, must give
-the bits, and leave the random stream where, the same draws made one by
-one leave it.  The element verbs and the verifier's residual and tally
-take stacks with the bits and counts of one call per member.
+so must the staircases of an array of levels.  A stack of draws must
+give each sample the bits that the same draws give it in runs of other
+sizes, each run on a fresh sampler, and keep the draw's law.  The element
+verbs and the verifier's residual and tally take stacks with the bits and
+counts of one call per member.
 """
 import math
 import warnings
@@ -47,15 +47,15 @@ def draws(model, n, k, seed=0):
     as raw arrays; the signed stack and the effects are stacked."""
     ctx, sampler = MODELS[model]
     smp = sampler(seed, n)
-    effects = np.stack([ctx.raw(smp.effect()) for _ in range(k)])
-    signed = np.stack([ctx.raw(smp.signed()) for _ in range(k)])
+    effects = ctx.raw(smp.effect(range(k)))
+    signed = smp.signed(range(k))
     return ctx, smp, effects, signed
 
 
 @pytest.mark.parametrize("model,n,k", CASES)
 def test_reductions_on_a_stack_equal_the_member_calls(model, n, k):
     ctx, smp, effects, signed = draws(model, n, k)
-    one = ctx.raw(smp.effect())
+    one = ctx.raw(smp.effect(range(1)))[0]
     for stack in (effects, signed, ctx.sub(effects, signed)):
         lo, hi = ctx.extremes(stack)
         norms = ctx.norm(stack)
@@ -141,7 +141,8 @@ def test_powers_are_one_array_of_the_chained_products(model, n):
         chained_mv_powers
     for seed in range(4):
         smp = sampler(seed, n)
-        for a in (smp.effect(), smp.with_top(1), smp.projection()):
+        for a in (smp.effect(range(1))[0], smp.with_top(range(1), 1)[0],
+                  smp.projection(range(1))[0]):
             powers = ctx.powers(a, 12)
             shape = np.shape(ctx.raw(a))
             assert powers.shape == (12, *shape)
@@ -152,13 +153,13 @@ def test_powers_are_one_array_of_the_chained_products(model, n):
             for count in (2, 5):
                 assert same_bits(ctx.powers(a, count), powers[:count])
         with pytest.raises(ValueError):
-            ctx.powers(smp.effect(), 0)
+            ctx.powers(smp.effect(range(1))[0], 0)
 
 
 def test_one_lapack_call_decomposes_a_stack(call_counter):
     ctx = mx.MatrixContext()
     smp = mx.EffectSampler(5, 4)
-    stack = np.stack([smp.signed() for _ in range(6)])
+    stack = smp.signed(range(6))
     calls = call_counter("numpy.linalg.eigh")
     for verb in (ctx.norm, ctx.extremes, ctx.positive_part, ctx.rickart,
                  lambda x: ctx.leq(x, stack[0])):
@@ -178,7 +179,7 @@ def test_per_member_unwraps_only_a_single_result():
 @pytest.mark.parametrize("model,n,k", CASES)
 def test_commutes_on_a_stack_equals_the_member_calls(model, n, k):
     ctx, smp, effects, signed = draws(model, n, k)
-    a, b = smp.commuting()
+    a, b = (x[0] for x in smp.commuting(range(1)))
     stack = np.concatenate([effects, ctx.raw(a)[None]])
     for x, y in ((stack, b), (b, stack), (stack, stack[::-1])):
         got = ctx.commutes(x, y)
@@ -214,7 +215,9 @@ def looped_staircase(a, level, ctx):
 def test_staircases_of_an_array_of_levels_equal_the_level_loop(model, n, k):
     ctx, smp, effects, signed = draws(model, n, k)
     levels = np.arange(1, 2 * k + 1)
-    for a in (smp.effect(), smp.simple(), smp.projection(), smp.with_top(1)):
+    for a in (x[0] for x in (smp.effect(range(1)), smp.simple(range(1)),
+                             smp.projection(range(1)),
+                             smp.with_top(range(1), 1))):
         shape = np.shape(ctx.raw(a))
         stairs = sp.simple_approximation(a, levels, ctx)
         assert stairs.shape == (len(levels), *shape)
@@ -226,41 +229,43 @@ def test_staircases_of_an_array_of_levels_equal_the_level_loop(model, n, k):
         sp.simple_approximation(a, np.array([2, 0]), ctx)
 
 
-def commuting_with(smp, k, fixed):
-    p = smp.projection()
-    return (p, smp.commuting_with(p, on=1.0), smp.commuting_with(p, off=0.0),
-            smp.commuting_with(p))
+def commuting_with(smp, ks):
+    p = smp.projection(ks)
+    return (p, smp.commuting_with(ks, p, on=1.0),
+            smp.commuting_with(ks, p, off=0.0), smp.commuting_with(ks, p))
 
 
-# Each draw kind as a recipe ``(sampler, k, fixed) -> draws``; ``fixed`` is
-# a projection drawn before the block, by another sampler.
+# Each draw kind as a recipe ``(sampler, ks) -> draws``; a parameter that
+# differs by sample is an array over ks.
 RECIPES = {
-    "frame": lambda smp, k, fixed: smp.frame(),
-    "span": lambda smp, k, fixed: smp.span(smp.frame(), 0,
-                                           k % (smp_dim(smp) + 1)),
-    "commuting": lambda smp, k, fixed: smp.commuting(),
-    "commuting_family": lambda smp, k, fixed: smp.commuting(
-        smp.projection, smp.effect, smp.projection),
-    "effect": lambda smp, k, fixed: smp.effect(0.25, 0.75),
-    "effect_in_frame": lambda smp, k, fixed: smp.effect(frame=smp.frame()),
-    "projection": lambda smp, k, fixed: smp.projection(),
-    "with_values": lambda smp, k, fixed: smp.with_values(
-        np.linspace(1.0, 0.0, smp_dim(smp))),
-    "simple": lambda smp, k, fixed: smp.simple(),
-    "signed": lambda smp, k, fixed: smp.signed(),
-    "with_top": lambda smp, k, fixed: smp.with_top(k % (smp_dim(smp) + 1)),
+    "frame": lambda smp, ks: smp.frame(ks),
+    "span": lambda smp, ks: smp.span(smp.frame(ks), 0, ks % (smp.dim + 1)),
+    "commuting": lambda smp, ks: smp.commuting(ks),
+    "commuting_family": lambda smp, ks: smp.commuting(
+        ks, smp.projection, smp.effect, smp.projection),
+    "effect": lambda smp, ks: smp.effect(ks, 0.25, 0.75),
+    "effect_in_frame": lambda smp, ks: smp.effect(ks, frame=smp.frame(ks)),
+    "projection": lambda smp, ks: smp.projection(ks),
+    "with_values": lambda smp, ks: smp.with_values(
+        ks, np.arange(smp.dim)[::-1] / 8.0),
+    "simple": lambda smp, ks: smp.simple(ks),
+    "signed": lambda smp, ks: smp.signed(ks),
+    "with_top": lambda smp, ks: smp.with_top(ks, ks % (smp.dim + 1)),
     "commuting_with": commuting_with,
-    "commuting_with_fixed": lambda smp, k, fixed: smp.commuting_with(fixed),
-    "split_effect": lambda smp, k, fixed: smp.split_effect(
-        smp.frame(), 1 + k % (smp_dim(smp) - 1)),
-    "orthogonal_pair": lambda smp, k, fixed: smp.orthogonal_pair(),
-    "summable_pair": lambda smp, k, fixed: smp.summable_pair(),
-    "refined_commuting": lambda smp, k, fixed: smp.refined_commuting(),
+    # around projections drawn by another sampler
+    "commuting_with_fixed": lambda smp, ks: smp.commuting_with(
+        ks, type(smp)(99, smp.dim).projection(ks)),
+    "split_effect": lambda smp, ks: smp.split_effect(
+        ks, smp.frame(ks), 1 + ks % (smp.dim - 1)),
+    "orthogonal_pair": lambda smp, ks: smp.orthogonal_pair(ks),
+    "summable_pair": lambda smp, ks: smp.summable_pair(ks),
+    "refined_commuting": lambda smp, ks: smp.refined_commuting(ks),
+    "numbers": lambda smp, ks: (smp.scalar(ks, 0.25, 0.75),
+                                smp.integers(ks, 1, smp.dim + 1)),
 }
-
-
-def smp_dim(smp) -> int:
-    return smp.dim if isinstance(smp, mx.EffectSampler) else smp.space
+# The range each kind's values keep, where it is not [0, 1].
+BOUNDS = {"effect": (0.25, 0.75), "numbers": (0.25, 0.75),
+          "signed": (-1.0, 1.0)}
 
 
 def draw_bits(x):
@@ -273,7 +278,7 @@ def draw_bits(x):
         d = x.decomposition
         return [draw_bits(x.matrix), draw_bits(d.values),
                 draw_bits(d.vectors)]
-    assert isinstance(x, (np.ndarray, float, int)), type(x)
+    assert isinstance(x, (np.ndarray, np.generic)), type(x)
     return (np.asarray(x).dtype.str, np.shape(x), np.asarray(x).tobytes())
 
 
@@ -292,89 +297,131 @@ def column_sizes(column):
     return [len(column)]
 
 
+def assert_laws(model, kind, n, draws):
+    """The laws of a stack of draws: effect spectra (and mv values) lie in
+    the kind's range, mv values are multiples of 2⁻⁸, matrix frames are
+    unitary within 1e-12 and mv frames orderings of the points, integers
+    lie in [1, n], and projections have ranks 1 to n - 1 (1 at n = 1)."""
+    ctx, _ = MODELS[model]
+    lo, hi = BOUNDS.get(kind, (0.0, 1.0))
+    for x in draws if isinstance(draws, tuple) else (draws,):
+        if isinstance(x, mx.Effect):
+            values = x.decomposition.values
+            assert np.all((lo <= values) & (values <= hi))
+            low, high = ctx.extremes(x)
+            assert np.all((low >= lo - 1e-12) & (high <= hi + 1e-12))
+        elif x.dtype.kind == "i" and kind == "frame":
+            assert np.array_equal(np.sort(x, axis=-1),
+                                  np.broadcast_to(np.arange(n), x.shape))
+        elif x.dtype.kind == "i":
+            assert np.all((1 <= x) & (x <= n))
+        elif kind == "frame":
+            gram = x @ x.conj().swapaxes(-1, -2)
+            assert np.max(frobenius(gram - np.eye(n))) <= 1e-12
+        elif model == "matrix" and x.ndim == 3:
+            low, high = ctx.extremes(x)
+            assert np.all((low >= lo - 1e-12) & (high <= hi + 1e-12))
+        else:
+            assert np.all((lo <= x) & (x <= hi))
+            if model == "mv":
+                assert np.array_equal(x * 256, np.floor(x * 256))
+    if kind == "projection":
+        rank = ctx.proj_rank(draws)
+        assert np.all((1 <= rank) & (rank <= max(n - 1, 1)))
+
+
 @pytest.mark.parametrize("count", [1, 5])
 @pytest.mark.parametrize("kind", sorted(RECIPES))
 @pytest.mark.parametrize("model", sorted(MODELS))
 def test_a_block_of_draws_equals_the_looped_draws(model, kind, count):
-    """``draws`` returns one stack per position of the recipe, and member k
-    of each has the bits of the draw the one-by-one loop made there."""
+    """A stack of draws for the samples 0..11 gives each sample the bits
+    it gets in the runs [0, count) and [count, 12), and one sample at a
+    time, each run on a fresh sampler: every sample reads a fixed slice
+    of the stream at each position.  The stack keeps the draw's laws."""
     _, sampler = MODELS[model]
     recipe = RECIPES[kind]
+    ks = np.arange(12)
     for n in range(2 if kind == "split_effect" else 1, 9):
-        fixed = sampler(99, n).projection()
-        looped = sampler(n, n)
-        expected = [recipe(looped, k, fixed) for k in range(count)]
-        smp = sampler(n, n)
-        got = smp.draws(range(count), lambda k: recipe(smp, k, fixed))
-        assert set(column_sizes(got)) == {count}
-        assert draw_bits([member(got, k) for k in range(count)]) == \
-            draw_bits(expected), (kind, n)
-        assert smp.rng.bit_generator.state == looped.rng.bit_generator.state
+        whole = recipe(sampler(n, n), ks)
+        assert set(column_sizes(whole)) == {12}
+        want = draw_bits([member(whole, k) for k in ks])
+        for runs in ([ks[:count], ks[count:]], np.split(ks, 12)):
+            got = [member(recipe(sampler(n, n), run), i)
+                   for run in runs for i in range(len(run))]
+            assert draw_bits(got) == want, (kind, n, len(runs))
+        assert_laws(model, kind, n, whole)
 
 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_commuting_with_a_span_drawn_in_the_same_block(n):
-    """A span drawn in the block gives ``commuting_with`` its eigensystem
-    (ones on its columns), while its own matrix keeps the bits of the span
-    drawn alone."""
-    def recipe(smp, k):
-        p = smp.span(smp.frame(), 0, 1 + k % (n - 1))
-        return p, smp.commuting_with(p, on=1.0, off=0.25)
-
-    smp, looped = mx.EffectSampler(n, n), mx.EffectSampler(n, n)
-    p, a = smp.draws(range(6), lambda k: recipe(smp, k))
-    for k in range(6):
-        lp, la = recipe(looped, k)
-        assert same_bits(p[k].matrix, lp.matrix)
-        # a = p + (1 - p) / 4 exactly when a's eigenvectors are p's frame
-        # columns in the order p's decomposition sorts them
-        want = hermitian_part(0.75 * lp.matrix + 0.25 * np.eye(n))
-        assert frobenius(a[k].matrix - want) <= 1e-12
-        assert frobenius(a[k].matrix - la.matrix) <= 1e-12
-    assert smp.rng.bit_generator.state == looped.rng.bit_generator.state
+    """A span gives ``commuting_with`` its eigensystem, ones on its
+    columns, whose count differs by member: with 1 on the span and 1/4
+    off it, the draw is p + (1 - p) / 4."""
+    ctx = mx.MatrixContext()
     smp = mx.EffectSampler(n, n)
-    pair = smp.draws(range(2), lambda k: smp.commuting_with(
-        smp.span(smp.frame(), 0, 2)))
-    assert len(pair) == 2
+    ks = np.arange(6)
+    p = smp.span(smp.frame(ks), 0, 1 + ks % (n - 1))
+    a = smp.commuting_with(ks, p, on=1.0, off=0.25)
+    assert np.array_equal(ctx.proj_rank(p), 1 + ks % (n - 1))
+    want = hermitian_part(0.75 * p.matrix + 0.25 * np.eye(n))
+    assert np.max(frobenius(a.matrix - want)) <= 1e-12
 
 
-def eager_effect(rng, n):
-    """An effect as the sampler drew it one at a time: its values, then the
-    Haar unitary of its own Ginibre matrix (QR with the phases of R's
-    diagonal moved into Q), then its own stably sorted reconstruct; the
-    matrix, values and vectors."""
-    values = rng.uniform(0.0, 1.0, n)
-    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+def eager_effect(seed, n, k):
+    """Sample k's effect as ``effect`` draws it, made on its own from the
+    seed's Philox stream advanced to the sample's slice: its values from
+    the first position, a Ginibre matrix by Box-Muller from the second,
+    the Haar unitary of that matrix (QR with the phases of R's diagonal
+    moved into Q), then the stably sorted reconstruct; the matrix, values
+    and vectors."""
+    key = np.random.Philox(seed).state["state"]["key"]
+
+    def uniforms(position, size):
+        stride = -(-size // 4) * 4
+        bits = np.random.Philox(key=key, counter=[0, 0, position, 0])
+        bits.advance(k * stride // 4)
+        return np.random.Generator(bits).random(stride)[:size]
+
+    values = uniforms(0, n)
+    u = uniforms(1, 2 * n * n).reshape(2, n, n)
+    z = np.sqrt(-2.0 * np.log1p(-u[0])) * np.exp(2j * np.pi * u[1])
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)
-    u = q * (d / np.abs(d))
+    frame = q * (d / np.abs(d))
     order = np.argsort(values, kind="stable")
-    values, vectors = values[order], u[:, order]
+    values, vectors = values[order], frame[:, order]
     return hermitian_part((vectors * values) @ vectors.conj().T), values, \
         vectors
 
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_a_block_of_effects_equals_the_eager_construction(n):
-    smp = mx.EffectSampler(n, n)
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(n)))
     for count in (1, 5, 12):
-        for effect in smp.draws(range(count), lambda k: smp.effect()):
+        smp = mx.EffectSampler(n, n)
+        for k, effect in enumerate(smp.effect(range(count))):
             d = effect.decomposition
             assert draw_bits([effect.matrix, d.values, d.vectors]) == \
-                draw_bits(list(eager_effect(rng, n)))
+                draw_bits(list(eager_effect(n, n, k)))
 
 
 def test_a_block_takes_one_qr_per_frame_size(call_counter):
-    smp = mx.EffectSampler(3, 4)
+    """A stack of draws takes one QR call per frame it draws, whatever
+    the number of samples: one for a commuting family, one for an effect
+    in a fresh frame, and one for a split effect's block-diagonal
+    refinement of its frame; numbers take none."""
     calls = call_counter("numpy.linalg.qr")
-    smp.draws(range(12), lambda k: (smp.commuting(), smp.effect(),
-                             smp.split_effect(smp.frame(), 1)))
-    assert calls.count == 3  # the frames of size 4, 1 and 3
-    smp.draws(range(12), lambda k: smp.orthogonal_pair())
-    assert calls.count == 4
-    assert len(smp.draws(range(3), lambda k: smp.scalar())) == 3
-    assert calls.count == 4
+    for count in (1, 12):
+        smp = mx.EffectSampler(3, 4)
+        ks = np.arange(count)
+        before = calls.count
+        smp.commuting(ks)
+        smp.effect(ks)
+        smp.split_effect(ks, smp.frame(ks), 1)
+        assert calls.count - before == 4
+        smp.orthogonal_pair(ks)
+        assert calls.count - before == 5
+        assert len(smp.scalar(ks)) == len(smp.integers(ks, 0, 4)) == count
+        assert calls.count - before == 5
 
 
 @pytest.mark.parametrize("model,n,k", CASES)
@@ -384,8 +431,9 @@ def test_element_verbs_on_a_stack_equal_the_member_calls(model, n, k):
     eigensystems a scaled or complemented stack keeps, too."""
     ctx, sampler = MODELS[model]
     smp = sampler(n + 10 * k, n)
-    a, b, lam, p = smp.draws(range(k), lambda i: (
-        smp.effect(), smp.effect(), smp.scalar(), smp.projection()))
+    ks = range(k)
+    a, b = smp.effect(ks), smp.effect(ks)
+    lam, p = smp.scalar(ks), smp.projection(ks)
     raw = ctx.raw
     products = ctx.product(a, b)
     scaled = ctx.scale(lam, a)
@@ -463,13 +511,14 @@ def test_a_tally_of_arrays_equals_the_looped_tally():
 
 
 class GivenDraws:
-    """A sampler whose block of draws is given up front."""
+    """A sampler whose stacks of effects are given up front, handed out
+    in order."""
 
-    def __init__(self, columns):
-        self.columns = columns
+    def __init__(self, *stacks):
+        self.stacks = list(stacks)
 
-    def draws(self, ks, recipe):
-        return self.columns
+    def effect(self, ks):
+        return self.stacks.pop(0)
 
 
 @pytest.mark.parametrize("model", sorted(MODELS))
@@ -479,13 +528,14 @@ def test_a_premise_mask_skips_its_members_without_warnings(model):
     must not reach the division."""
     ctx, sampler = MODELS[model]
     smp = sampler(4, 3)
-    a, b = smp.draws(range(6), lambda k: (smp.effect(), smp.effect()))
-    b = ctx.stack([a[k] if k % 2 == 0 else b[k] for k in range(6)])
+    ks = np.arange(6)
+    a = smp.effect(ks)
+    b = ctx.where(ks % 2 == 0, a, smp.effect(ks))
     run = vf._Run(ctx, None, n=3, samples=6)
     t = vf._Tally()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        vf._strongarch(run, ctx, GivenDraws((a, b)), np.arange(6), t)
+        vf._strongarch(run, ctx, GivenDraws(a, b), ks, t)
     assert (t.samples, t.passed, t.witness) == (6, 6, None)
 
 
@@ -496,8 +546,11 @@ def test_meet_and_join_of_stacks_equal_the_member_calls(n):
     the pair on its own; raw stacks too."""
     ctx = mx.MatrixContext()
     smp = mx.EffectSampler(n, n)
-    p, a = smp.draws(range(9), lambda k: smp.commuting(
-        smp.projection if k % 3 else smp.effect, smp.effect))
+    ks = np.arange(9)
+    u = smp.frame(ks)
+    p = ctx.where(ks % 3 != 0, smp.projection(ks, frame=u),
+                  smp.effect(ks, frame=u))
+    a = smp.effect(ks, frame=u)
     for first in (p, ctx.raw(p)):
         meets, joins = ctx.meet(first, a), ctx.join(first, a)
         for i in range(9):
@@ -506,7 +559,7 @@ def test_meet_and_join_of_stacks_equal_the_member_calls(n):
             assert same_bits(joins[i], ctx.join(member, a[i]))
     if n > 1:
         with pytest.raises(mx.NotCommutingError):
-            ctx.meet(p, smp.draws(range(9), lambda k: smp.effect()))
+            ctx.meet(p, smp.effect(ks))
 
 
 def cluster_stacks(model, n, k):
@@ -516,10 +569,11 @@ def cluster_stacks(model, n, k):
     ctx, sampler = MODELS[model]
     smp = sampler(7 * n + k, n)
     levels = np.repeat([0.25, 0.5, 0.75], n)[:n]
-    effects = smp.draws(range(k), lambda i: (
-        smp.effect(), smp.with_values(np.roll(levels, i)),
-        smp.with_top(i % (n + 1)), smp.simple(), smp.projection()))
-    signed = smp.draws(range(k), lambda i: smp.signed())
+    ks = np.arange(k)
+    effects = (smp.effect(ks), smp.with_values(ks, np.array(
+        [np.roll(levels, i) for i in ks])), smp.with_top(ks, ks % (n + 1)),
+        smp.simple(ks), smp.projection(ks))
+    signed = smp.signed(ks)
     return ctx, smp, effects, signed
 
 
@@ -589,7 +643,7 @@ def test_sign_and_comparability_witnesses_of_stacks(model, n, k):
                 assert same_bits(q[i], own[j])
             else:
                 assert any(same_bits(q[i], x) for x in own)
-    e, f = smp.draws(range(k), lambda i: smp.commuting())
+    e, f = smp.commuting(range(k))
     tie = effects[1]
     pairs = [(e, f), (tie, tie)]
     if model == "mv":  # any two elements commute
