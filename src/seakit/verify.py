@@ -5,7 +5,9 @@ per check, and reports integer pass counts with a first witness for any
 failure.  Each runner takes one ``control`` switch, which runs the suite
 on its one deliberately broken configuration (wrong product, soft focus,
 cover for floor, merged clusters, corrupted tables), so that negative
-controls can prove the checks are not vacuous.
+controls can prove the checks are not vacuous.  A control runs only the
+rows marked, where they are registered, as reading its switch; any other
+would redraw the normal run's samples and pass.
 
 Each statement is one row of ``STATEMENTS``, registered beside its body,
 which is written once over the model protocol: the model's context
@@ -71,15 +73,17 @@ MERGE_DELTA = 0.25
 # ---------------------------------------------------------------------------
 # the statement table
 
-# Suite -> its rows, (statement id, body), in run order; ``_statement``
-# adds a row where the body is defined.  A body takes the suite's run,
-# the model's context, its own seeded sampler and its tally.
-STATEMENTS: dict[str, list[tuple[str, Callable]]] = {}
+# Suite -> its rows, (statement id, body, control mark), in run order;
+# ``_statement`` adds a row where the body is defined.  A body takes the
+# suite's run, the model's context, its own seeded sampler and its tally.
+# The mark is set on a row whose body reads the suite's switch (the run's
+# ``control``, ``prod`` or ``planted``): a control runs those rows alone.
+STATEMENTS: dict[str, list[tuple[str, Callable, bool]]] = {}
 
 
-def _statement(suite: str, sid: str):
+def _statement(suite: str, sid: str, control: bool = False):
     def register(body):
-        STATEMENTS.setdefault(suite, []).append((sid, body))
+        STATEMENTS.setdefault(suite, []).append((sid, body, control))
         return body
     return register
 
@@ -201,11 +205,11 @@ class _Run:
 
 
 def _run_rows(report: SuiteReport, run: _Run) -> SuiteReport:
-    """Run the suite's rows in table order, each body called once per run
-    of sample indices, on a fresh sampler seeded by its statement id: as
-    many as keep a run's stacks of clusters (at most n clusters of an
-    n**element_ndim element per sample) to CHUNK_NUMBERS numbers.  The
-    tables rows draw nothing and run once."""
+    """Run the suite's rows in table order, a control's marked rows alone,
+    each body called once per run of sample indices, on a fresh sampler
+    seeded by its statement id: as many as keep a run's stacks of clusters
+    (at most n clusters of an n**element_ndim element per sample) to
+    CHUNK_NUMBERS numbers.  The tables rows draw nothing and run once."""
     runs = [None]
     if run.ctx is not None:
         size = max(1, CHUNK_NUMBERS // run.n ** (run.ctx.element_ndim + 1))
@@ -217,8 +221,9 @@ def _run_rows(report: SuiteReport, run: _Run) -> SuiteReport:
             t.ks = ks
             statement(run, run.ctx, run.draws(sid), ks, t)
 
-    for sid, statement in STATEMENTS[report.suite]:
-        _run_statement(report, sid, lambda t: each_run(sid, statement, t))
+    for sid, statement, marked in STATEMENTS[report.suite]:
+        if marked or not run.control:
+            _run_statement(report, sid, lambda t: each_run(sid, statement, t))
     return report
 
 
@@ -340,7 +345,7 @@ def _five_way(ctx, p, a) -> dict:
         ("residual", residual))}
 
 
-@_statement("sea", "S1")
+@_statement("sea", "S1", control=True)
 def _s1(run, ctx, smp, ks, t: _Tally) -> None:
     a, (b, c) = smp.effect(ks), smp.summable_pair(ks)
     if run.planted is not None:
@@ -351,7 +356,7 @@ def _s1(run, ctx, smp, ks, t: _Tally) -> None:
             lambda k: _witness(ctx, k, {"a": a, "b": b, "c": c}))
 
 
-@_statement("sea", "S2")
+@_statement("sea", "S2", control=True)
 def _s2(run, ctx, smp, ks, t: _Tally) -> None:
     one = ctx.unit(run.n)
     a = smp.effect(ks)
@@ -359,7 +364,7 @@ def _s2(run, ctx, smp, ks, t: _Tally) -> None:
     t.tally(r <= run.thr, r, lambda k: _witness(ctx, k, {"a": a}))
 
 
-@_statement("sea", "S3")
+@_statement("sea", "S3", control=True)
 def _s3(run, ctx, smp, ks, t: _Tally) -> None:
     # Even samples: ab vanishes exactly when ba does; odd ones: ab is an
     # effect.
@@ -380,7 +385,7 @@ def _s3(run, ctx, smp, ks, t: _Tally) -> None:
                 else {"min_eigenvalue": lo, "max_eigenvalue": hi})))
 
 
-@_statement("sea", "S4")
+@_statement("sea", "S4", control=True)
 def _s4(run, ctx, smp, ks, t: _Tally) -> None:
     (a, b), c = smp.commuting(ks), smp.effect(ks)
     # The premise: a and b commute sequentially.
@@ -395,7 +400,7 @@ def _s4(run, ctx, smp, ks, t: _Tally) -> None:
         "a": a, "b": b, "c": c, "complement": r1, "associativity": r2}))
 
 
-@_statement("sea", "S5")
+@_statement("sea", "S5", control=True)
 def _s5(run, ctx, smp, ks, t: _Tally) -> None:
     c, a, b = smp.refined_commuting(ks)
     # The premise: c commutes sequentially with a and with b.
@@ -411,7 +416,7 @@ def _s5(run, ctx, smp, ks, t: _Tally) -> None:
             lambda k: _witness(ctx, k, {"c": c, "a": a, "b": b}))
 
 
-@_statement("sea", "le:aff")
+@_statement("sea", "le:aff", control=True)
 def _aff(run, ctx, smp, ks, t: _Tally) -> None:
     a, b, lam = smp.effect(ks), smp.effect(ks), smp.scalar(ks)
     ca, cb = smp.commuting(ks)
@@ -459,7 +464,7 @@ def _convex_c4(run, ctx, smp, ks, t: _Tally) -> None:
     t.tally(r <= run.thr, r, lambda k: _witness(ctx, k, {}))
 
 
-@_statement("sea", "le:sharp.i")
+@_statement("sea", "le:sharp.i", control=True)
 def _sharp_i(run, ctx, smp, ks, t: _Tally) -> None:
     a = ctx.where(ks % 2 == 0, smp.projection(ks), smp.effect(ks))
     sharp = ctx.is_sharp(a)
@@ -471,7 +476,7 @@ def _sharp_i(run, ctx, smp, ks, t: _Tally) -> None:
                                         "idempotent": idem}))
 
 
-@_statement("sea", "le:sharp.ii")
+@_statement("sea", "le:sharp.ii", control=True)
 def _sharp_ii(run, ctx, smp, ks, t: _Tally) -> None:
     p = smp.projection(ks)
     a = ctx.where(ks % 2 == 0, smp.commuting_with(ks, p, on=1.0),
@@ -482,7 +487,7 @@ def _sharp_ii(run, ctx, smp, ks, t: _Tally) -> None:
         "p": p, "a": a, "order": below, "product_residual": rp}))
 
 
-@_statement("sea", "le:sharp.iii")
+@_statement("sea", "le:sharp.iii", control=True)
 def _sharp_iii(run, ctx, smp, ks, t: _Tally) -> None:
     p = smp.projection(ks)
     a = ctx.where(ks % 2 == 0, smp.commuting_with(ks, p, off=0.0),
@@ -493,7 +498,7 @@ def _sharp_iii(run, ctx, smp, ks, t: _Tally) -> None:
         "p": p, "a": a, "order": below, "product_residual": rp}))
 
 
-@_statement("sea", "le:sharp.iv")
+@_statement("sea", "le:sharp.iv", control=True)
 def _sharp_iv(run, ctx, smp, ks, t: _Tally) -> None:
     one = ctx.unit(run.n)
     # Even samples compare covers of an orthogonal pair (every fourth
@@ -524,7 +529,7 @@ def _sharp_iv(run, ctx, smp, ks, t: _Tally) -> None:
         else {"vanishes": vanish, "summable": summable})))
 
 
-@_statement("sea", "le:sharp.v")
+@_statement("sea", "le:sharp.v", control=True)
 def _sharp_v(run, ctx, smp, ks, t: _Tally) -> None:
     p, a = smp.commuting(ks, smp.projection, smp.effect)
     a = ctx.where(ks % 2 == 0, a, smp.effect(ks))
@@ -534,7 +539,7 @@ def _sharp_v(run, ctx, smp, ks, t: _Tally) -> None:
         "p": p, "a": a, "commutes": commute, "mackey": mackey}))
 
 
-@_statement("sea", "le:sharp.vi")
+@_statement("sea", "le:sharp.vi", control=True)
 def _sharp_vi(run, ctx, smp, ks, t: _Tally) -> None:
     p, a = smp.commuting(ks, smp.projection, smp.effect)
     r = run.res(run.prod(p, a), ctx.meet(p, a))
@@ -561,7 +566,8 @@ def run_sea_suite(model: str = "matrix", dim_or_size: int = 4,
                   tol: Tolerances = DEFAULT,
                   control: bool = False) -> SuiteReport:
     """Sequential-product axioms, affinity, sharpness, archimedeanity; the
-    control runs them on the model's ``CONTROL_PRODUCT``."""
+    control runs the rows that take the product, S1-S5, ``le:aff`` and
+    ``le:sharp.i``-``vi``, on the model's ``CONTROL_PRODUCT``."""
     report, run = _suite(
         "sea", model, dim_or_size, samples, seed, tol, control,
         product=CONTROL_PRODUCT.get(model) if control else "standard",
@@ -574,7 +580,7 @@ def run_sea_suite(model: str = "matrix", dim_or_size: int = 4,
 # compression suite
 
 
-@_statement("compression", "de:compr")
+@_statement("compression", "de:compr", control=True)
 def _compr(run, ctx, smp, ks, t: _Tally) -> None:
     projection = not run.control
     zero = ctx.element(ctx.zero_like(ctx.unit(run.n)))
@@ -689,7 +695,8 @@ def run_compression_suite(model: str = "matrix", dim_or_size: int = 4,
                           tol: Tolerances = DEFAULT,
                           control: bool = False) -> SuiteReport:
     """Compression-base axioms and the compatibility equivalences; the
-    control compresses by a soft effect in place of a projection."""
+    control runs ``de:compr`` alone, with a soft effect for its focus in
+    place of a projection."""
     report, run = _suite(
         "compression", model, dim_or_size, samples, seed, tol, control,
         focus="soft" if control else "projection")
@@ -853,7 +860,7 @@ def _projcover_lemma(run, ctx, smp, ks, t: _Tally) -> None:
                                         "cover_product": r2}))
 
 
-@_statement("spectrality", "lemma:covex_floor")
+@_statement("spectrality", "lemma:covex_floor", control=True)
 def _covex_floor(run, ctx, smp, ks, t: _Tally) -> None:
     # even samples with a top cluster of up to n - 1 ones, odd ones none
     a = smp.with_top(ks, np.where(ks % 2 == 0,
@@ -868,7 +875,7 @@ def _covex_floor(run, ctx, smp, ks, t: _Tally) -> None:
         "a": a, "cluster_route": r1, "duality": r2}))
 
 
-@_statement("spectrality", "lemma:floor")
+@_statement("spectrality", "lemma:floor", control=True)
 def _floor_lemma(run, ctx, smp, ks, t: _Tally) -> None:
     a = smp.with_top(ks, smp.integers(ks, 1, run.n + 1))
     flr = (ctx.cover if run.control else ctx.floor)(a)
@@ -944,17 +951,19 @@ def run_spectrality_suite(model: str = "matrix", dim_or_size: int = 6,
                           tol: Tolerances = DEFAULT,
                           control: bool = False) -> SuiteReport:
     """Covers, floors, comparability, decompositions, reconstruction; the
-    control takes the cover where the floor lemmas want the floor."""
+    control runs the two floor lemmas alone, with the cover where they want
+    the floor, and its report keeps no metadata of the rows it leaves."""
     report, run = _suite(
         "spectrality", model, dim_or_size, samples, seed, tol, control,
         floor_mode="cover" if control else "floor",
         floor_power=FLOOR_POWER, approx_levels=APPROX_LEVELS,
         meshes=list(MESHES))
-    report.metadata["property_a_coverage"] = (
-        "constructed chains only: dyadic approximations and complements of "
-        "sequential powers")
     _run_rows(report, run)
-    report.metadata["degenerate_comparability_ties"] = run.degenerate_ties
+    if not control:  # propertyA and de:b-compar run in the normal run
+        report.metadata["property_a_coverage"] = (
+            "constructed chains only: dyadic approximations and complements "
+            "of sequential powers")
+        report.metadata["degenerate_comparability_ties"] = run.degenerate_ties
     return report
 
 
@@ -1004,7 +1013,7 @@ def _block_starts(values: np.ndarray, own: np.ndarray,
     return starts
 
 
-@_statement("context", "thm:contexts")
+@_statement("context", "thm:contexts", control=True)
 def _closed_form(run, ctx, smp, ks, t: _Tally) -> None:
     a = smp.simple(ks, gap=0.15)
     if run.control:
@@ -1047,7 +1056,7 @@ def _reduced(run, ctx, smp, ks, t: _Tally) -> None:
     t.tally(ok, _most(r_jump, r_pairs), lambda k: _witness(ctx, k, {"a": a}))
 
 
-@_statement("context", "thm:contexts.functions")
+@_statement("context", "thm:contexts.functions", control=True)
 def _functions(run, ctx, smp, ks, t: _Tally) -> None:
     a = smp.simple(ks, gap=0.15)
     rep = sp.reduced_representation(a, ctx)
@@ -1073,7 +1082,8 @@ def run_context_suite(model: str = "matrix", dim_or_size: int = 4,
                       tol: Tolerances = DEFAULT,
                       control: bool = False) -> SuiteReport:
     """Reduced representations, closed-form families, functions of a; the
-    control merges the levels within ``MERGE_DELTA`` of each other."""
+    control runs ``thm:contexts`` and ``thm:contexts.functions`` alone,
+    merging the levels within ``MERGE_DELTA`` of each other."""
     report, run = _suite(
         "context", model, dim_or_size, samples, seed, tol, control,
         merge_delta=MERGE_DELTA if control else 0.0)

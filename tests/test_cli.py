@@ -583,5 +583,6 @@ def test_eigh_operands_are_exactly_hermitian(tmp_path, monkeypatch, capsys):
                    {"re": [[0.3, 0.1], [0.1 + 1e-12, 0.5]]})
     for verb in ("validate", "spectrum", "approx", "decompose", "mv"):
         assert main([verb, "--input", tilted]) == 0
-    assert seen > 18000
+    # 15,562 when a control came to run only the rows that read its switch
+    assert seen > 15500
     assert failures == []

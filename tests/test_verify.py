@@ -237,10 +237,10 @@ def _axiom_ids() -> set:
 
 
 def test_run_all_reports_exactly_the_statement_table():
-    """Every suite, normal and control, reports exactly its rows of
-    ``STATEMENTS``; the tables suite adds the axiom checks, and its
-    corrupted control reports those alone."""
-    ids = [sid for rows in STATEMENTS.values() for sid, _ in rows]
+    """Every normal suite reports exactly its rows of ``STATEMENTS``, and
+    every control its marked rows alone; the tables suite adds the axiom
+    checks, and its corrupted control reports those alone."""
+    ids = [sid for rows in STATEMENTS.values() for sid, _, _ in rows]
     assert len(ids) == len(set(ids))
     for model, n in (("matrix", 3), ("mv", 4)):
         reports = run_all(model, n, samples=12, seed=13)
@@ -249,25 +249,102 @@ def test_run_all_reports_exactly_the_statement_table():
         assert len(controls) == 5
         assert all(not c.verdict for c in controls)
         for rep in reports:
-            rows = {sid for sid, _ in STATEMENTS[rep.suite]}
+            control = rep.metadata.get("negative_control", False)
+            rows = {sid for sid, _, marked in STATEMENTS[rep.suite]
+                    if marked or not control}
             if rep.suite == "tables":
-                rows = (_axiom_ids() if rep.metadata.get("negative_control")
-                        else rows | _axiom_ids())
+                rows = _axiom_ids() if control else rows | _axiom_ids()
             assert {r.statement_id for r in rep.results} == rows, rep.suite
+
+
+SAMPLED_RUNNERS = (run_sea_suite, run_compression_suite,
+                   run_spectrality_suite, run_context_suite)
+
+
+def test_control_mark_is_set_on_exactly_the_rows_that_read_the_switch(
+        monkeypatch):
+    """A control runs only its suite's marked rows, so the mark must be set
+    on exactly the rows whose body reads the suite's switch: the run's
+    ``control``, ``prod`` or ``planted``, in the body or in any helper it
+    hands the run to.  Every sampled row runs once, on both models, on a
+    run that records those reads: a mark dropped from a row that reads one,
+    or set on a row that reads none, fails here.  (Reading the switch is
+    not changing the result: under the Jordan product the matrix
+    ``le:sharp.i``-``iv`` give the results of the standard one.)"""
+    read, reads = set(), {}
+
+    class RecordingRun(verify._Run):
+        def __getattribute__(self, name):
+            if name in ("control", "prod", "planted"):
+                read.add(name)
+            return super().__getattribute__(name)
+
+    def recorded(report, sid, body):
+        read.clear()
+        _run_statement(report, sid, body)
+        reads.setdefault((report.suite, sid), set()).update(read)
+
+    monkeypatch.setattr(verify, "_Run", RecordingRun)
+    monkeypatch.setattr(verify, "_run_statement", recorded)
+    for model, n in (("matrix", 3), ("mv", 4)):
+        for run in SAMPLED_RUNNERS:
+            assert run(model, n, 4, 1).verdict, (model, run.__name__)
+    marks = {(suite, sid): marked for suite, rows in STATEMENTS.items()
+             if suite != "tables" for sid, _, marked in rows}
+    assert {key: bool(names) for key, names in reads.items()} == marks
+    assert sum(marks.values()) == 17
+
+
+@pytest.mark.parametrize("model,n", [("matrix", 3), ("mv", 8)])
+def test_unmarked_rows_give_equal_results_with_the_switch_on_and_off(
+        model, n, monkeypatch):
+    """With every row marked, so that the control runs them all, each
+    unmarked row gives an equal result with the switch on and off: its
+    seed does not read the switch, and neither does its body, so leaving
+    it out of the control loses nothing."""
+    unmarked = {sid for rows in STATEMENTS.values()
+                for sid, _, marked in rows if not marked}
+    for suite, rows in list(STATEMENTS.items()):
+        monkeypatch.setitem(STATEMENTS, suite,
+                            [(sid, body, True) for sid, body, _ in rows])
+    for run in SAMPLED_RUNNERS:
+        normal, control = ({r.statement_id: r for r in run(
+            model, n, 12, 1, control=switch).results if r.statement_id
+            in unmarked} for switch in (False, True))
+        assert normal and normal == control, run.__name__
+
+
+def test_spectrality_control_keeps_no_notes_of_the_rows_it_leaves():
+    """``property_a_coverage`` describes ``propertyA`` and
+    ``degenerate_comparability_ties`` counts in ``de:b-compar``; the
+    control runs neither, so its report carries neither note."""
+    notes = {"property_a_coverage", "degenerate_comparability_ties"}
+    for model in ("matrix", "mv"):
+        normal = run_spectrality_suite(model, 4, 4, 1)
+        control = run_spectrality_suite(model, 4, 4, 1, control=True)
+        assert notes <= normal.metadata.keys()
+        assert not notes & control.metadata.keys()
+        assert [r.statement_id for r in control.results] == [
+            "lemma:covex_floor", "lemma:floor"]
 
 
 def test_readme_lists_every_statement_with_its_suite():
     """The README's statement table names every row, and the axiom
-    checks, in full and with the suite that reports it."""
+    checks, in full and with the suite that reports it, and marks the
+    rows its suite's control runs: the marked rows of ``STATEMENTS`` and
+    the axiom checks, which the tables control runs on corrupted
+    tables."""
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     section = readme.split("## Statement identifiers", 1)[1]
     section = section.split("\n## ", 1)[0]
-    listed = set(re.findall(r"^\| `([^`]+)` \| `([^`]+)` \|", section,
-                            flags=re.M))
-    expected = {(sid, suite) for suite, rows in STATEMENTS.items()
-                for sid, _ in rows}
-    expected |= {(sid, "tables") for sid in _axiom_ids()}
-    assert listed == expected
+    listed = re.findall(r"^\| `([^`]+)` \| `([^`]+)` \| (yes|) \|", section,
+                        flags=re.M)
+    rows = {(sid, suite): marked for suite, rows in STATEMENTS.items()
+            for sid, _, marked in rows}
+    rows |= {(sid, "tables"): True for sid in _axiom_ids()}
+    assert {(sid, suite): mark == "yes" for sid, suite, mark in listed} \
+        == rows
+    assert len(listed) == len(rows)
 
 
 # run -> (suite, the models whose control it cannot fail at dimension 1)
@@ -597,30 +674,30 @@ def blas_build():
 
 # The report digests, unrounded; the matrix ones on the build they were
 # recorded on.  All were last re-recorded, with ``WITNESS_DIGESTS`` and
-# ``MATRIX_GOLDEN``, when the samplers began to draw stacks: each sample
-# reads a fixed slice of a Philox stream per draw position, and normals
-# come by Box-Muller, so every draw changed.  The scaled ``residual``
-# that came with it moved no digest on the draws of the new stream.
+# ``MATRIX_GOLDEN``, when a control came to run only the rows that read
+# its switch: the control reports lost their other rows, and the
+# spectrality control its two notes on rows it no longer runs.  Every
+# kept row, and every normal report, kept its bytes.
 REPORT_DIGESTS_BUILD = ("2.4.6", "scipy-openblas 0.3.31.188.0", "SkylakeX")
 REPORT_DIGESTS = {
-    ("matrix", 2, 1): "b91bf138f4f3924a966b0afc07d06d81421a7c0e2e47d092bfaa92f4dc74cb7d",
-    ("matrix", 2, 7): "90e6448343950df61ee8f5f25be60c220e215d454dfc0a6b964d5d97e133c900",
-    ("matrix", 2, 42): "cf0538378e8bc69ecbc0a9aa17943b7257b3ecd666a4309718b3c1084c5c3d69",
-    ("matrix", 3, 1): "93fafd1ea15eb8dcb4e8dbf117834c94e44900f60bf1b1d0c70126de25e21cb8",
-    ("matrix", 3, 7): "42032b7296796d56b6926fb319b23de68c9b27846b6e52a07379b2ad62a9ae53",
-    ("matrix", 3, 42): "4d1ed51d1b023ce1c3d0b943d42e8cb4b333acad71ffa3651b4b487f6088a0e4",
-    ("matrix", 4, 1): "53092d6c0d19087fb28e3dd8138aef84679071ab5cbfcb02d0ae8efbb21698e0",
-    ("matrix", 4, 7): "8a80c507f7afa2128b15981e37aae017e0bcb087f4f8da86bba8a1861baa33e1",
-    ("matrix", 4, 42): "f6d43580bbe28f0b65d7ab7094d567173106ceacdaf8b96017ec32121d50105d",
-    ("mv", 4, 1): "a2ab49d36d7a72c3fa2efc9d3dcf2f10df48a77ed43ff1f2944ca96c2f0734fe",
-    ("mv", 4, 7): "61415bc2ae19e88fd82a135a30f6bfd9b66c45ff3cf20541f9f2ef455bf32ca5",
-    ("mv", 4, 42): "ef2512347b2b14488547933b8bda0fcb160af3a852ddfd20468b4cc091db153d",
-    ("mv", 8, 1): "03600ba7c595602d03f2e1207d53a57ee10c1d34dbb70e110b275063c01a8878",
-    ("mv", 8, 7): "3e827a5633b84345a0ecaf19a90ca73775fafbfd5b44bbe380c49d5c9fa8ea4c",
-    ("mv", 8, 42): "5066f13a8d1409e64c7557934930b9a14dc982d108bff57959160878065e26d8",
-    ("mv", 32, 1): "5e0299e5020af87e69865ec10dec1e7aa5e03aca7543863c3b2d44534a7cdf63",
-    ("mv", 32, 7): "5cbcda5d9731aa62dd409f411949401fbdb6f7d6d71a55e052338187d769cd06",
-    ("mv", 32, 42): "715733edcc9b396c2eed674ae99e50b158dd5d12f2f38f4bc9143bd75923c747",
+    ("matrix", 2, 1): "4925e809085452738cfea1795ac87e264eecf9acac01819440764b0d3a1c5feb",
+    ("matrix", 2, 7): "f31b1773c805663a6bce6b276d668ed47efcb77bf625b5a7738dbded1188117e",
+    ("matrix", 2, 42): "2b72479d9a11ce245f940304774e2a7ab725e9d8333b49cf70fcf45e0b603c46",
+    ("matrix", 3, 1): "c3cd5501a3e25b9e0a88c2e618177798c0bca2e30aefd50cea25250b7d9a8b0d",
+    ("matrix", 3, 7): "7ac660a2905f8b186988ba6d3f685598e07918c98ee3ae8a47c9e62320e8495f",
+    ("matrix", 3, 42): "36a220c591ce2873d62a2d09af32885d41ff16dd794a00e59c31fbdf6d25db6b",
+    ("matrix", 4, 1): "045c40a0cf1ccf7f8d45b046a7113151a3a6ffbdacdbf0a2101476041aef94eb",
+    ("matrix", 4, 7): "f329b102f2a0fc2234b2a8ca7a1ad61dcb161bdab745667df64ce1aa55334a91",
+    ("matrix", 4, 42): "442a3ad1953127cd4643964215f8e6f11a9f70bbfcae3a21b8673f7ae7b4072d",
+    ("mv", 4, 1): "b7e9fb8c79cf4ca4c7fe9bafd6961ffb3786f7f6bf7bc9641207beceb447ea64",
+    ("mv", 4, 7): "816ca0a372a10c63901b91716743ede388db2e4c7dfc555968be841065cf0657",
+    ("mv", 4, 42): "94296bb62a946b655b5548503e4528ff9fd04d0ce254371524f192d5116a5023",
+    ("mv", 8, 1): "3660b08810e6392ab086899ddf52045e5e52bd6b8a105de9428b564a717c19dc",
+    ("mv", 8, 7): "26c221c0b0054e72c93aa9a7666c29292b2394484dcf31b1fbe9d449ed567f00",
+    ("mv", 8, 42): "67378c3d8a0ad1c5161fc7c3f195f8b69fad1dca909a604c88b9d3e4067d993a",
+    ("mv", 32, 1): "6cab58236038b30212803efaaf729650885e063aa6eb6b73d61e92f62f7e6769",
+    ("mv", 32, 7): "cab0d2d05bd896008484a0aa71c699dc65748383def86130e5ea988e428feffa",
+    ("mv", 32, 42): "d482634e17bde71dfa520eeda54431244c1c681bea2f72efff9ab76e3a505be8",
 }
 
 
@@ -646,14 +723,14 @@ def test_reports_are_byte_identical(model, n, seed):
 # The witness digests, unrounded, on the build of REPORT_DIGESTS_BUILD;
 # the matrix ones re-recorded with the matrix report digests.
 WITNESS_DIGESTS = {
-    ("matrix", 4, 1, 1e-14): "3c11a8dd81d1fea686623425f41a3dcd8b0a054f03564301851dc045aed38aec",
-    ("matrix", 4, 2, 1e-14): "882acdf5909db89942941b24b05c2e612013811b9573cfeb377eadd6c0935e39",
-    ("matrix", 4, 1, 1e9): "d48e4b1c1cb19c08ad868ee869c6e6b208b845bbb6993057bed0b9a8aaf97985",
-    ("matrix", 4, 2, 1e9): "98ba05fbf4c9a3e2e1da912c12a49b3d505502a0f4b80ba1c6c408c9442df479",
-    ("mv", 5, 1, 1e-14): "05b0e05728107fb5ffa8ddf19e1dac67fe966b579255848ed8264a9fc9d68999",
-    ("mv", 5, 2, 1e-14): "6c169d019632a17b700caf040ce955a3add1537ddaac72c6d2dc464920d50e81",
-    ("mv", 5, 1, 1e9): "55f3734c6f823a6a71a4356970e04107866453855337db787e912fe8d386fe3f",
-    ("mv", 5, 2, 1e9): "39b39b838bf1ccddaef7d8e48a8348bacf02b767dd6fbe22a88aff46f6dcbacb",
+    ("matrix", 4, 1, 1e-14): "c6b72e783ac060609c6e66436feb3e7b6bc2829b630a5fb76ad30f4343c8b136",
+    ("matrix", 4, 2, 1e-14): "4540dfc35958a843ebd67eb76377159ab2ab7f4572a58b34fc519f71a5a46397",
+    ("matrix", 4, 1, 1e9): "42df17de179cdf630c0bea5fe7588a33781bf7e41fb785a6ffd77b0f46c2fb77",
+    ("matrix", 4, 2, 1e9): "8316c75ce4d7d430719ebd70c36d1eca46613e34c0da872e9feeb47aeda5b36b",
+    ("mv", 5, 1, 1e-14): "a4bbabe7b0f0f24bde44c0ac65aee9fb9959b3bc2dfac5ea696767d18ade521d",
+    ("mv", 5, 2, 1e-14): "b2edb0102d80ba5de589fd312642a35b295eec593d8009987125fb8977b8717a",
+    ("mv", 5, 1, 1e9): "bf8da84f14093ce0c9aa913e9aaa5a59a0e295af02ae78a9c55913ccf695b6cc",
+    ("mv", 5, 2, 1e9): "9c43fd479e5dc849db227d4448871e937b051373181ae77c33784e60dbafff8b",
 }
 
 
@@ -744,15 +821,15 @@ def test_mv_reports_are_golden(size, seed, tmp_path, capsys):
 
 
 MATRIX_GOLDEN = {
-    (2, 1): "39cb4d552b7fe10a1e9c5d6c8d4466f39da05b604b940e223b776780d5515f43",
-    (2, 7): "1f1374b456680b9c3addf361d8d46597e7b0386fd9b8d0521a92f14836445e4e",
-    (2, 42): "91041777b87eea0f35cbd00010162e855036bbe22ddcd65120e9643bd2566461",
-    (3, 1): "d2662735eb49452b30b4e465cbc451c7ceb579d07cfd487380742733fd17ff5a",
-    (3, 7): "c8f440b963f0040942b471341c288b9f7a349e3474f77b95236cdd2a0d09f415",
-    (3, 42): "b78e92a1a7abedff010211fbc5efd7cfee49bb558ebf9fd747c876ff72dd0ac3",
-    (4, 1): "0526eea893e389edb8584600543c29fba6b25445cbc2a75af4314a4d9f997b99",
-    (4, 7): "7156bf2e9a5d0cdb5fd3834a99e9f91b392d418c7560e0cf42603b493593e592",
-    (4, 42): "a427525985c32a96461990f0327c83d9ae9ea5a3ed36117a7b737402c1838d8e",
+    (2, 1): "3fcca0c084cea1113500fff9868ae19fc0235c209466af678d926665a6dd887a",
+    (2, 7): "6ddb407f508c767b09a2178963ff63d1b4a3edc1756e1c4bfe310221fcf046f0",
+    (2, 42): "0abfa50f364010ea49159d9829cf78577f618fd9945a60413dc693f19cb8bb19",
+    (3, 1): "1973a030546768dbd8d6f977d3da9819fce9e7bb658970be47cdd2bd7a9bdeb9",
+    (3, 7): "b028a9f1cc03ef3648a8584bf8612b595325d44a2c119cbbc21f621d5cd0d072",
+    (3, 42): "9baa81eb2ba31e84fa74f828d7a2295b6a1427e975de9ef9261957f9e15c5a90",
+    (4, 1): "ecb8184f708379562c49f4e830de4d8e273ecc892325f455aa7e3d1f201df531",
+    (4, 7): "e00f0d67d03015a95035f8f0e1f880379050500ecf9503330dbb3c14aef14d08",
+    (4, 42): "239924c5d832605c3193cbe2f42049cdc61fc5bc1c4a0d951665bf86338a4e46",
 }
 
 
@@ -762,8 +839,8 @@ def test_matrix_reports_are_golden(dim, seed):
     so the merged report is hashed with every float rounded to 6 decimal
     places.  Regenerate the dict with ``print_goldens`` above.
 
-    Last re-recorded with ``REPORT_DIGESTS``, when the samplers began
-    to draw stacks from a new stream.
+    Last re-recorded with ``REPORT_DIGESTS``, when the control reports
+    came to list only the rows that read their switch.
     """
     assert matrix_report_sha256(dim, seed) == MATRIX_GOLDEN[dim, seed]
 
@@ -852,13 +929,14 @@ def _matrices_in(witness) -> int:
 
 def test_work_per_request_is_pinned(call_counter, monkeypatch):
     """Counts of one matrix ``verify`` request, which do not depend on the
-    machine: the eigensystems it needs (1,300 matrices decomposed, each
-    element's clusters read once) in about a fourteenth as many LAPACK
+    machine: the eigensystems it needs (1,119 matrices decomposed, each
+    element's clusters read once) in about an eighteenth as many LAPACK
     calls, as each sample's commuting family is decomposed as one stack,
     every statement checks all its samples at once and a stack's meets
     and joins take one call on the differences; the Haar frames in one QR
-    call per frame a statement run draws (135), each for all its samples,
-    as the draws return stacks; known eigensystems wrapped
+    call per frame a statement run draws (103), each for all its samples,
+    as the draws return stacks; the controls run only the 17 rows that
+    read their switch; known eigensystems wrapped
     once per stack; no check of a matrix the verifier built; clustered
     decompositions only where eigenvectors are used, and few eigensystems
     built, as no statement indexes its stacks member by member or slices
@@ -901,13 +979,13 @@ def test_work_per_request_is_pinned(call_counter, monkeypatch):
     monkeypatch.setattr(EigenDecomposition, "__post_init__", counted_builds)
     monkeypatch.setattr(_Tally, "tally", counted_tallies)
     reports = run_all("matrix", 4, 12, 42)
-    assert calls["numpy.linalg.eigh"] == 90
-    assert decomposed == 1300
-    assert calls["numpy.linalg.qr"] == 135
+    assert calls["numpy.linalg.eigh"] == 63
+    assert decomposed == 1119
+    assert calls["numpy.linalg.qr"] == 103
     assert calls["seakit.linalg.require_hermitian"] == 0
     assert calls["seakit.linalg.decomposition_from"] <= 60
-    assert built == 390
-    assert tallies == 93
+    assert built == 295
+    assert tallies == 72
     recorded = sum(_matrices_in(r.witness) for rep in reports
                    for r in rep.results if r.witness is not None)
     assert recorded > 0
@@ -1076,13 +1154,14 @@ def test_context_work_grows_as_levels_times_size(monkeypatch):
 
 
 def test_context_verb_calls_do_not_grow_with_the_samples(monkeypatch):
-    """The mv context rows, normal and control, make as many context-verb
-    calls at 48 samples as at 12 (size 16), past the two running products
-    ``_lagrange`` takes per node position after the first: their loops
-    run over node positions, not samples.  The positions are the most
-    nodes a member keeps: 16 in both normal stacks, where every member
-    has at most 16 levels and some have 16, and in the control's, after
-    its merging, as many as the draws leave."""
+    """The mv context rows, and ``thm:contexts.functions`` in the control,
+    which leaves out ``thm:contexts.reduced`` as it reads no switch, make
+    as many context-verb calls at 48 samples as at 12 (size 16), past the
+    two running products ``_lagrange`` takes per node position after the
+    first: their loops run over node positions, not samples.  The
+    positions are the most nodes a member keeps: 16 in both normal stacks,
+    where every member has at most 16 levels and some have 16, and in the
+    control's, after its merging, as many as the draws leave."""
     positions = []
     lagrange = verify._lagrange
 
@@ -1098,8 +1177,10 @@ def test_context_verb_calls_do_not_grow_with_the_samples(monkeypatch):
     assert positions[:2] == [16, 16]
     products = {(i, "thm:contexts.functions"): 2 * (m - 1)
                 for i, m in enumerate(positions)}
-    for sid in LADDER_ROWS:
-        for normal in (0, 2):
-            calls = [work[i, sid][0] - products.get((i, sid), 0)
-                     for i in (normal, normal + 1)]
-            assert calls[0] == calls[1] > 0, sid
+    assert (2, "thm:contexts.reduced") not in work
+    # (the first of the pair of runs at 12 and 48 samples, the row)
+    for first, sid in ((0, LADDER_ROWS[0]), (0, LADDER_ROWS[1]),
+                       (2, LADDER_ROWS[0])):
+        calls = [work[i, sid][0] - products.get((i, sid), 0)
+                 for i in (first, first + 1)]
+        assert calls[0] == calls[1] > 0, (first, sid)
