@@ -3,11 +3,26 @@
 Verbs: validate, spectrum, approx, decompose, witness, verify, mv.
 Exit codes: 0 on success or a passing suite, 1 on a domain failure
 (invalid element, failing suite, non-commuting pair), 2 on usage or
-parse errors.  All JSON output is pretty-printed with sorted keys.
+parse errors.
+
+All JSON output is the bytes of ``json.dumps(doc, indent=2,
+sort_keys=True)`` plus a newline, written by ``_dumps``.  With an indent
+``json.dumps`` runs its pure-Python encoder, one generator step per
+number; ``_dumps`` writes each row of floats (a matrix row, a value
+list) in one ``str.join`` of ``float.__repr__``, the repr ``json``
+itself uses.
+
+The parser is built once per process (``build_parser`` is cached): a
+tree of eight argparse parsers costs more to build than the engine
+spends on a dim-8 element.  ``main`` looks up the ``cmd_*`` function
+of the parsed verb when the call runs, not when the tree is built, so a
+function rebound in this module after the first call (a test's
+monkeypatch, a tracer's wrapper) is the one that runs.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -73,8 +88,39 @@ def _load_element(path: str, tol: Tolerances) -> tuple:
     return _parse_element(_load_doc(path), tol)
 
 
+def _dumps(x, pad: str = "\n") -> str:
+    """``json.dumps(x, indent=2, sort_keys=True)``, byte for byte, with
+    every line after the first indented by ``pad`` (after its newline).
+
+    Non-empty lists and dicts with only ``str`` keys are written here, a
+    list of finite floats in one join of ``float.__repr__`` (the repr
+    ``json`` uses).  A JSON string never holds a raw newline, so the
+    rest, written by ``json`` and re-indented by ``replace``, is exact
+    at any depth.  A scalar reads the same at any indent, so it goes
+    through ``json``'s default encoder, which is C.
+    """
+    if isinstance(x, (list, tuple)) and x:
+        inner = pad + "  "
+        try:
+            body = ("," + inner).join(map(float.__repr__, x))
+        except TypeError:            # not all floats
+            body = None
+        if body is None or "n" in body:     # "nan" and "inf" are not JSON
+            body = ("," + inner).join([_dumps(v, inner) for v in x])
+        return "[" + inner + body + pad + "]"
+    if isinstance(x, dict) and x and all(type(k) is str for k in x):
+        inner = pad + "  "
+        key = json.encoder.encode_basestring_ascii
+        return "{" + inner + ("," + inner).join(
+            [key(k) + ": " + _dumps(x[k], inner) for k in sorted(x)]
+        ) + pad + "}"
+    if isinstance(x, (list, tuple, dict)):
+        return json.dumps(x, indent=2, sort_keys=True).replace("\n", pad)
+    return json.dumps(x)
+
+
 def _write_json(doc: dict, out: str | None) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    text = _dumps(doc) + "\n"
     if out is None:
         sys.stdout.write(text)
         return
@@ -333,7 +379,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, shared by every call: do not change it."""
     io_flags = argparse.ArgumentParser(add_help=False)
     io_flags.add_argument("--input", nargs="+", required=True,
                           help="JSON element file(s)")
@@ -354,32 +402,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("validate", parents=[io_flags, common],
                    help="classify an element as effect, projection, or "
-                        "neither").set_defaults(fn=cmd_validate)
+                        "neither")
 
     p = sub.add_parser("spectrum", parents=[io_flags, common],
                        help="spectral family, bounds, and reconstruction")
     p.add_argument("--mesh", type=float, default=0.01,
                    help="partition mesh for the reconstruction residual")
-    p.set_defaults(fn=cmd_spectrum)
 
     p = sub.add_parser("approx", parents=[io_flags, common],
                        help="dyadic simple approximations")
     p.add_argument("--levels", type=int, default=8,
                    help="number of approximation levels")
-    p.set_defaults(fn=cmd_approx)
 
     sub.add_parser("decompose", parents=[io_flags, common],
-                   help="orthogonal positive/negative decomposition"
-                   ).set_defaults(fn=cmd_decompose)
+                   help="orthogonal positive/negative decomposition")
 
     sub.add_parser("witness", parents=[io_flags, common],
-                   help="comparability witness for a commuting pair"
-                   ).set_defaults(fn=cmd_witness)
+                   help="comparability witness for a commuting pair")
 
     sub.add_parser("mv", parents=[io_flags, common],
                    help="context-spectral data (fuzzy input) or the "
-                        "commutative spectrum representation (matrix input)"
-                   ).set_defaults(fn=cmd_mv)
+                        "commutative spectrum representation (matrix input)")
 
     p = sub.add_parser("verify", parents=[common],
                        help="run a property suite")
@@ -396,7 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default="standard",
                    help="sequential product for the sea suite; the "
                         "non-standard choices are failing controls")
-    p.set_defaults(fn=cmd_verify)
 
     return parser
 
@@ -408,7 +450,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.fn(args)
+        # Looked up now, not when the cached tree was built.
+        return globals()[f"cmd_{args.verb}"](args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

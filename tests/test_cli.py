@@ -13,7 +13,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from seakit import cli
 from seakit import matrices as mx
 from seakit.cli import main
 from seakit.config import DEFAULT
@@ -381,6 +384,78 @@ def test_verify_reports_are_byte_identical(tmp_path, capsys):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+def test_one_parser_serves_every_call_in_any_order(tmp_path, capsys):
+    """The parser is built once per process and keeps no state between
+    calls: a parse error, a domain failure and one good call of each verb
+    give the same exit code and output in either order."""
+    e = write(tmp_path / "e.json", {"re": [[0.3, 0.0], [0.0, 0.6]]})
+    f = write(tmp_path / "f.json", {"re": [[0.5, 0.0], [0.0, 0.4]]})
+    bad = write(tmp_path / "bad.json", {"re": [[1.5, 0.0], [0.0, 0.2]]})
+    calls = [["approx", "--input", e, "--levels", "many"],
+             ["validate", "--input", bad],
+             ["validate", "--input", e],
+             ["spectrum", "--input", e],
+             ["approx", "--input", e, "--levels", "3"],
+             ["decompose", "--input", e],
+             ["witness", "--input", e, f],
+             ["mv", "--input", e],
+             ["verify", "--suite", "sea", "--dim", "2", "--samples", "4"]]
+    assert cli.build_parser() is cli.build_parser()
+    runs = []
+    for order in (calls, calls[::-1]):
+        seen = {}
+        for argv in order:
+            code = main(argv)
+            seen[tuple(argv)] = (code, *capsys.readouterr())
+        runs.append(seen)
+    assert runs[0] == runs[1]
+    assert [runs[0][tuple(argv)][0] for argv in calls] == [2, 1] + [0] * 7
+    assert runs[0][tuple(calls[0])][2].startswith("usage: seakit approx")
+
+
+def test_main_looks_up_the_verb_when_called(monkeypatch, eff_path, capsys):
+    """``main`` finds ``cmd_<verb>`` in the module when it runs, so a
+    function rebound after the parser was built (a tracer's wrapper) is
+    the one called."""
+    assert main(["spectrum", "--input", eff_path]) == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_spectrum",
+                        lambda args: seen.append(args.input) or 7)
+    assert main(["spectrum", "--input", eff_path]) == 7
+    assert seen == [[eff_path]]
+    capsys.readouterr()
+
+
+# Leaves of the documents the JSON writer is compared on: floats of every
+# kind (NaN, ±inf, -0.0, subnormals, numpy scalars), ints past 2**53, and
+# text with control and non-ASCII characters.
+_LEAVES = (st.floats() | st.sampled_from([-0.0, 5e-324, float("nan")])
+           | st.floats().map(np.float64)
+           | st.integers(-2 ** 70, 2 ** 70) | st.booleans() | st.none()
+           | st.text())
+_ROWS = st.lists(st.floats(allow_nan=False, allow_infinity=False)
+                 | st.floats(allow_nan=False).map(np.float64), min_size=1)
+
+
+@settings(max_examples=400)
+@given(st.recursive(
+    _LEAVES | _ROWS,
+    lambda kids: (st.lists(kids, max_size=4)
+                  | st.lists(kids, max_size=3).map(tuple)
+                  | st.dictionaries(st.text(max_size=4), kids, max_size=4)
+                  | st.dictionaries(st.integers(-3, 3), kids, max_size=2)),
+    max_leaves=30))
+def test_json_writer_matches_json_dumps(doc):
+    """The writer is ``json.dumps(indent=2, sort_keys=True)``, byte for
+    byte, on any document of JSON types."""
+    assert cli._dumps(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+def _is_canonical(text: str) -> bool:
+    doc = json.loads(text)
+    return text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
 # ---------------------------------------------------------------------------
 # every element verb's output, pinned
 
@@ -458,17 +533,14 @@ def _canonical(text: str, exact: bool) -> str:
         return _NUMBER.sub(lambda m: repr(round(float(m.group()), 6)), text)
 
 
-def cli_case_sha256(name: str, workdir: Path, exact: bool | None = None
-                    ) -> str:
-    """Run one case in an empty ``workdir`` and hash what a user sees: the
-    exit code, stdout, stderr and every file the call wrote.  A call that
-    raises is recorded by the exception's type, as a traceback would
-    show it.  Warnings are left out: Python shows each once per process
-    and source line, so whether one appears depends on what ran before."""
+def run_cli_case(name: str, workdir: Path) -> tuple:
+    """Run one case in an empty ``workdir``: what a user sees, as (exit
+    code, stdout, stderr, {name: text} of every file the call wrote).  A
+    call that raises is recorded by the exception's type, as a traceback
+    would show it.  Warnings are left out: Python shows each once per
+    process and source line, so whether one appears depends on what ran
+    before."""
     argv = CLI_CASES[name]
-    if exact is None:
-        exact = all(a.startswith("f") for a in argv if a.endswith(".json")
-                    and a in CLI_DOCS)
     for doc_name, doc in CLI_DOCS.items():
         (workdir / doc_name).write_text(json.dumps(doc))
     out, err = io.StringIO(), io.StringIO()
@@ -484,10 +556,22 @@ def cli_case_sha256(name: str, workdir: Path, exact: bool | None = None
                 code = f"raised {type(exc).__name__}"
     finally:
         os.chdir(cwd)
-    files = {p.name: _canonical(p.read_text(), exact)
+    files = {p.name: p.read_text()
              for p in sorted(workdir.iterdir()) if p.name not in CLI_DOCS}
-    seen = {"exit": code, "stdout": _canonical(out.getvalue(), exact),
-            "stderr": err.getvalue(), "files": files}
+    return code, out.getvalue(), err.getvalue(), files
+
+
+def cli_case_sha256(name: str, workdir: Path, exact: bool | None = None
+                    ) -> str:
+    """The sha256 of what ``run_cli_case`` records, with every float
+    rounded unless ``exact``; by default a case is exact when all its
+    inputs are pointwise."""
+    if exact is None:
+        exact = all(a.startswith("f") for a in CLI_CASES[name]
+                    if a.endswith(".json") and a in CLI_DOCS)
+    code, out, err, files = run_cli_case(name, workdir)
+    seen = {"exit": code, "stdout": _canonical(out, exact), "stderr": err,
+            "files": {k: _canonical(v, exact) for k, v in files.items()}}
     text = json.dumps(seen, sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -549,6 +633,34 @@ def test_element_verbs_are_golden(tmp_path):
         workdir.mkdir()
         digests[name] = cli_case_sha256(name, workdir)
     assert digests == CLI_GOLDEN
+
+
+def test_every_json_output_is_canonical(tmp_path):
+    """Every JSON document a case writes, to a file or to stdout, and a
+    ``verify --out`` report of each model are the bytes of
+    ``json.dumps(indent=2, sort_keys=True)`` and a newline.  The matrix
+    goldens hash a rounded re-dump, so only this pins the writer's bytes
+    on matrix outputs."""
+    checked = 0
+    for name in sorted(CLI_CASES):
+        workdir = tmp_path / name
+        workdir.mkdir()
+        code, out, _, files = run_cli_case(name, workdir)
+        texts = [text for file, text in files.items()
+                 if file.endswith(".json")]
+        if code == 0 and CLI_CASES[name][0] != "validate" \
+                and "--out" not in CLI_CASES[name]:
+            texts.append(out)
+        for text in texts:
+            assert _is_canonical(text), name
+            checked += 1
+    assert checked == 22             # 11 files, 11 documents on stdout
+    for model in (["--dim", "3"], ["--model", "mv", "--size", "8"]):
+        report = tmp_path / "report.json"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["verify", "--suite", "all", *model, "--samples",
+                         "8", "--out", str(report)]) == 0
+        assert _is_canonical(report.read_text()), model
 
 
 def test_eigh_operands_are_exactly_hermitian(tmp_path, monkeypatch, capsys):
