@@ -18,12 +18,20 @@ spends on a dim-8 element.  ``main`` looks up the ``cmd_*`` function
 of the parsed verb when the call runs, not when the tree is built, so a
 function rebound in this module after the first call (a test's
 monkeypatch, a tracer's wrapper) is the one that runs.
+
+A verb loads only what it runs.  Start-up imports ``config``,
+``linalg``, ``matrices`` and ``spectral``; the pointwise model
+(``fuzzy``) is imported when a ``"values"`` document is read or ``mv``
+embeds a matrix, and the verifier with its tables and reports when
+``verify`` runs.  ``cmd_verify`` looks its runner up on ``verify`` when
+it runs, by the same rule as ``main``.
 """
 from __future__ import annotations
 
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 
@@ -31,11 +39,8 @@ import numpy as np
 
 from .config import DEFAULT, Tolerances
 from .linalg import NotHermitianError, frobenius, require_hermitian
-from .report import merge_reports
-from . import fuzzy as fz
 from . import matrices as mx
 from . import spectral as sp
-from . import verify
 
 
 class _UsageError(Exception):
@@ -72,7 +77,8 @@ def _parse_element(doc, tol: Tolerances) -> tuple:
     if not isinstance(doc, dict):
         raise _UsageError("top-level JSON object expected")
     if "values" in doc:
-        ctx = fz.FuzzyContext(tol)
+        from .fuzzy import FuzzyContext
+        ctx = FuzzyContext(tol)
     elif "re" in doc:
         ctx = mx.MatrixContext(tol)
     else:
@@ -88,6 +94,9 @@ def _load_element(path: str, tol: Tolerances) -> tuple:
     return _parse_element(_load_doc(path), tol)
 
 
+_LITERALS = {True: "true", False: "false", None: "null"}
+
+
 def _dumps(x, pad: str = "\n") -> str:
     """``json.dumps(x, indent=2, sort_keys=True)``, byte for byte, with
     every line after the first indented by ``pad`` (after its newline).
@@ -96,8 +105,11 @@ def _dumps(x, pad: str = "\n") -> str:
     list of finite floats in one join of ``float.__repr__`` (the repr
     ``json`` uses).  A JSON string never holds a raw newline, so the
     rest, written by ``json`` and re-indented by ``replace``, is exact
-    at any depth.  A scalar reads the same at any indent, so it goes
-    through ``json``'s default encoder, which is C.
+    at any depth.  A scalar reads the same at any indent: one of exact
+    type ``float`` (finite), ``int``, ``str``, ``bool`` or ``None`` is
+    written here by the function ``json`` itself calls for it, and any
+    other (a subclass such as ``numpy.float64`` or an ``IntEnum``, or a
+    non-finite float) goes through ``json.dumps``.
     """
     if isinstance(x, (list, tuple)) and x:
         inner = pad + "  "
@@ -116,6 +128,15 @@ def _dumps(x, pad: str = "\n") -> str:
         ) + pad + "}"
     if isinstance(x, (list, tuple, dict)):
         return json.dumps(x, indent=2, sort_keys=True).replace("\n", pad)
+    kind = type(x)
+    if kind is float and math.isfinite(x):
+        return float.__repr__(x)
+    if kind is int:
+        return int.__repr__(x)
+    if kind is str:
+        return json.encoder.encode_basestring_ascii(x)
+    if kind is bool or x is None:
+        return _LITERALS[x]
     return json.dumps(x)
 
 
@@ -307,7 +328,8 @@ def cmd_mv(args: argparse.Namespace) -> int:
             "sharp": ctx.is_sharp(effect),
         }
     else:
-        image, rep = fz.spectrum_representation(effect, tol=tol)
+        from .fuzzy import spectrum_representation
+        image, rep = spectrum_representation(effect, tol=tol)
         doc = {
             "space": rep.space,
             "degree": rep.degree,
@@ -340,18 +362,16 @@ def _summarize(doc: dict) -> None:
     print(f"verdict: {doc['verdict']}")
 
 
-# --suite -> its runner; every runner checks its own arguments, and
-# cmd_verify the --product name.
-_SUITES = {
-    "sea": verify.run_sea_suite,
-    "compression": verify.run_compression_suite,
-    "spectrality": verify.run_spectrality_suite,
-    "context": verify.run_context_suite,
-    "all": verify.run_all,
-}
+# What --suite offers.  cmd_verify finds the runner on ``verify`` when it
+# runs: ``run_all`` for "all", ``run_<suite>_suite`` otherwise.  Every
+# runner checks its own arguments, and cmd_verify the --product name.
+_SUITES = ("sea", "compression", "spectrality", "context", "all")
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from . import verify
+    from .report import merge_reports
+
     tol = _tolerances(args)
     model = args.model
     dim_or_size = args.size if model == "mv" else args.dim
@@ -363,9 +383,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
             raise _UsageError(f"{model} model control product is {control!r}")
     extra = ({"control": args.product != "standard"} if args.suite == "sea"
              else {})
+    runner = getattr(verify, "run_all" if args.suite == "all"
+                     else f"run_{args.suite}_suite")
     try:
-        result = _SUITES[args.suite](model, dim_or_size, args.samples,
-                                     args.seed, tol, **extra)
+        result = runner(model, dim_or_size, args.samples, args.seed, tol,
+                        **extra)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
     doc = merge_reports(result) if args.suite == "all" else result.to_dict()
@@ -426,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[common],
                        help="run a property suite")
-    p.add_argument("--suite", required=True, choices=list(_SUITES))
+    p.add_argument("--suite", required=True, choices=_SUITES)
     p.add_argument("--model", choices=["matrix", "mv"], default="matrix")
     p.add_argument("--dim", type=int, default=4,
                    help="matrix dimension (matrix model)")

@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, output documents, round trips."""
 import contextlib
+import enum
 import hashlib
 import io
 import json
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seakit import cli
@@ -426,13 +427,81 @@ def test_main_looks_up_the_verb_when_called(monkeypatch, eff_path, capsys):
     capsys.readouterr()
 
 
+def test_verify_looks_up_the_suite_runner_when_called(monkeypatch, capsys):
+    """``verify --suite`` finds its runner on ``seakit.verify`` when it
+    runs, so a runner rebound there (a tracer's wrapper) is the one
+    called."""
+    from seakit import verify
+    seen = []
+    original = verify.run_sea_suite
+
+    def recording(*args, **kwargs):
+        seen.append(args[:4])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "run_sea_suite", recording)
+    assert main(["verify", "--suite", "sea", "--samples", "2"]) == 0
+    assert seen == [("matrix", 4, 2, 42)]
+    capsys.readouterr()
+
+
+# The modules only some verbs need; start-up loads none of them.
+_DEFERRED = ("seakit.fuzzy", "seakit.report", "seakit.tables",
+             "seakit.verify")
+# Imports the command line and builds its parser, then runs each call of
+# the JSON list in argv[1]; prints, as JSON, the deferred modules loaded
+# after start-up and, for each call, its exit code and those loaded then.
+_LOAD_PROBE = f"""
+import contextlib, io, json, sys
+import seakit.cli
+seakit.cli.build_parser()
+loaded = lambda: [m for m in {_DEFERRED!r} if m in sys.modules]
+steps = [loaded()]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        steps.append([seakit.cli.main(argv), loaded()])
+print(json.dumps(steps))
+"""
+
+
+def test_a_verb_loads_only_what_it_runs(tmp_path):
+    """In a fresh interpreter, start-up and the element verbs on matrices
+    load none of the verifier, its tables and reports, or the pointwise
+    model; ``mv`` on a pointwise document loads the model alone, and
+    ``verify`` all four."""
+    e = write(tmp_path / "e.json", {"re": [[0.3, 0.0], [0.0, 0.6]]})
+    f = write(tmp_path / "f.json", {"re": [[0.5, 0.0], [0.0, 0.4]]})
+    values = write(tmp_path / "v.json", {"values": [0.25, 0.5, 1.0]})
+    calls = [["validate", "--input", e], ["spectrum", "--input", e],
+             ["approx", "--input", e], ["decompose", "--input", e],
+             ["witness", "--input", e, f], ["mv", "--input", values],
+             ["verify", "--suite", "all", "--dim", "2", "--samples", "8"]]
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [package_root] + ([os.environ["PYTHONPATH"]]
+                          if os.environ.get("PYTHONPATH") else [])))
+    proc = subprocess.run([sys.executable, "-c", _LOAD_PROBE,
+                           json.dumps(calls)], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, check=True)
+    steps = json.loads(proc.stdout)
+    assert steps[0] == []
+    assert steps[1:6] == [[0, []]] * 5
+    assert steps[6] == [0, ["seakit.fuzzy"]]
+    assert steps[7] == [0, list(_DEFERRED)]
+
+
+class _Level(enum.IntEnum):
+    LOW = -1
+    HIGH = 3
+
+
 # Leaves of the documents the JSON writer is compared on: floats of every
-# kind (NaN, ±inf, -0.0, subnormals, numpy scalars), ints past 2**53, and
-# text with control and non-ASCII characters.
+# kind (NaN, ±inf, -0.0, subnormals, numpy scalars), ints past 2**53 and
+# ``IntEnum`` members, and text with control and non-ASCII characters.
 _LEAVES = (st.floats() | st.sampled_from([-0.0, 5e-324, float("nan")])
            | st.floats().map(np.float64)
-           | st.integers(-2 ** 70, 2 ** 70) | st.booleans() | st.none()
-           | st.text())
+           | st.integers(-2 ** 70, 2 ** 70) | st.sampled_from(_Level)
+           | st.booleans() | st.none() | st.text())
 _ROWS = st.lists(st.floats(allow_nan=False, allow_infinity=False)
                  | st.floats(allow_nan=False).map(np.float64), min_size=1)
 
@@ -445,9 +514,20 @@ _ROWS = st.lists(st.floats(allow_nan=False, allow_infinity=False)
                   | st.dictionaries(st.text(max_size=4), kids, max_size=4)
                   | st.dictionaries(st.integers(-3, 3), kids, max_size=2)),
     max_leaves=30))
+@example(0.1)
+@example(-0.0)
+@example(float("-inf"))
+@example(np.float64(0.1))
+@example(np.float64("nan"))
+@example(2 ** 70)
+@example(_Level.HIGH)
+@example(True)
+@example(None)
+@example("\u00e9\n\"")
 def test_json_writer_matches_json_dumps(doc):
     """The writer is ``json.dumps(indent=2, sort_keys=True)``, byte for
-    byte, on any document of JSON types."""
+    byte, on any document of JSON types, and on a scalar alone: one of
+    exact type, or a subclass the writer hands to ``json``."""
     assert cli._dumps(doc) == json.dumps(doc, indent=2, sort_keys=True)
 
 
