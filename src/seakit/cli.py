@@ -266,17 +266,20 @@ def cmd_approx(args: argparse.Namespace) -> int:
 
 def cmd_decompose(args: argparse.Namespace) -> int:
     ctx, raw = _load_element(_single_input(args), _tolerances(args))
-    # The engine is inside the try too, and quiet on overflow: it decomposes
-    # entries near the float limit, where a product may still overflow.
     try:
         if ctx.model == "matrix":
             raw = require_hermitian(raw)
         elif not np.all(np.isfinite(raw)):
             raise _DomainError("values must be finite")
-        with np.errstate(over="ignore", invalid="ignore"):
-            dec = sp.orthogonal_decomposition(raw, ctx)
-    except (NotHermitianError, ArithmeticError) as exc:
+    except NotHermitianError as exc:
         raise _DomainError(str(exc)) from exc
+    # Quiet on overflow: on entries near the float limit a product of the
+    # split may overflow, and such a split is refused.
+    with np.errstate(over="ignore", invalid="ignore"):
+        dec = sp.orthogonal_decomposition(raw, ctx)
+    if not all(np.all(np.isfinite(x)) for x in (dec.v_plus, dec.v_minus)):
+        raise _DomainError("decomposition overflows: entries too close to "
+                           "the float limit")
     doc = {
         "model": ctx.model,
         "v_plus": ctx.write(dec.v_plus),
@@ -302,8 +305,13 @@ def cmd_witness(args: argparse.Namespace) -> int:
         wit = sp.comparability_witness(e, f, ctx)
     except mx.NotCommutingError as exc:
         raise _DomainError("elements do not commute") from exc
-    except (mx.DimensionMismatchError, ArithmeticError) as exc:
+    except mx.DimensionMismatchError as exc:
         raise _DomainError(str(exc)) from exc
+    # A --tol-cluster wider than the gaps of e - f merges values of both signs.
+    comp = ctx.complement(wit.p)
+    if not (ctx.leq(ctx.compress(wit.p, e), ctx.compress(wit.p, f))
+            and ctx.leq(ctx.compress(comp, f), ctx.compress(comp, e))):
+        raise _DomainError("constructed witness failed its defining order")
     doc = {
         "model": ctx.model,
         "p": ctx.write(wit.p),

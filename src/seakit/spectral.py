@@ -12,6 +12,12 @@ a difference.  Every function takes the context as an argument: each
 model's context lives in the model's module (``matrices.MatrixContext``,
 ``fuzzy.FuzzyContext``), and this module imports neither.
 
+The engine returns what it builds and raises only on its inputs.  Each
+law of its answers is checked once, per sample, by the verifier's
+statement of it: v = v⁺ − v⁻ by ``prop:decomp``, a comparability
+witness's order by ``de:b-compar``, and eigenprojections summing to one
+by ``eq:spectprojs`` and ``thm:contexts.reduced``.
+
 Every function also takes a stack of elements, with the bits of one call
 per member.  The eigenprojections of a stack come cluster first, a member
 with fewer clusters repeating its top value with a zero projection, and
@@ -239,35 +245,13 @@ def orthogonal_decomposition(v, ctx) -> OrthogonalDecomposition:
     """Unique split v = v_plus - v_minus with orthogonal positive parts;
     p is the least sign witness, the support of the positive part, and
     the first of the sign witnesses the split carries.  One of each per
-    member of a stack.
-
-    The identities are checked against tol.check times the largest real
-    or imaginary part of v, or 1 if that is smaller: each residual is
-    measured on its argument times the reciprocal of that scale, whose
-    parts are at most about 1, so neither the scale nor the residual
-    overflows, and for parts up to 1 the comparison is the absolute one.
-    """
+    member of a stack, as built: v_plus = p v p and v_minus =
+    -(1 - p) v (1 - p)."""
     raw = ctx.raw(v)
     witnesses = sign_witness_projections(v, ctx)
     p = witnesses[0]
-    comp = ctx.complement(p)
     v_plus = ctx.compress(p, raw)
-    v_minus = ctx.scale(-1.0, ctx.compress(comp, raw))
-    axes = tuple(range(-ctx.element_ndim, 0))
-    shrink = 1.0 / np.maximum(
-        np.maximum(1.0, np.max(np.abs(np.real(raw)), axis=axes)),
-        np.max(np.abs(np.imag(raw)), axis=axes))
-    zero = ctx.zero_like(v)
-    worst = None
-    for x in (ctx.sub(raw, ctx.sub(v_plus, v_minus)),
-              ctx.compress(p, v_minus), ctx.compress(comp, v_plus)):
-        r = ctx.residual(ctx.scale(shrink, x), zero)
-        worst = r if worst is None else np.where(r > worst, r, worst)
-    failed = np.ravel(worst > ctx.tol.check)
-    if failed.any():
-        k = int(np.argmax(failed))
-        raise ArithmeticError("decomposition identities failed: "
-                              f"{np.ravel(worst / shrink)[k]:.3e}")
+    v_minus = ctx.scale(-1.0, ctx.compress(ctx.complement(p), raw))
     return OrthogonalDecomposition(v_plus, v_minus, p, witnesses)
 
 
@@ -301,9 +285,8 @@ def comparability_witness(e, f, ctx) -> ComparabilityWitness:
 
     p is the spectral projection of e - f on (-∞, 0]: the sum of its own
     clusters at values up to their clustering width (a cluster within
-    that width of 0, a tie, is flagged as degenerate).  Raises
-    DimensionMismatchError, NotCommutingError, and ArithmeticError if p
-    fails its defining order.
+    that width of 0, a tie, is flagged as degenerate), as built.  Raises
+    DimensionMismatchError and NotCommutingError on its inputs.
     """
     eraw, fraw = ctx.raw(e), ctx.raw(f)
     if eraw.shape != fraw.shape:
@@ -315,22 +298,10 @@ def comparability_witness(e, f, ctx) -> ComparabilityWitness:
     width = ctx.tol.cluster * np.maximum(1.0, np.max(np.abs(values), axis=0))
     degenerate = np.any(own & (np.abs(values) <= width), axis=0)
     p = kept_sum(ctx, own & (values <= width), projs)
-    comp = ctx.complement(p)
-    ok = (np.asarray(ctx.leq(ctx.compress(p, e), ctx.compress(p, f)))
-          & ctx.leq(ctx.compress(comp, f), ctx.compress(comp, e)))
-    if not np.all(ok):
-        raise ArithmeticError("constructed witness failed its defining order")
     return ComparabilityWitness(p, per_member(degenerate))
 
 
 def reduced_representation(a, ctx) -> ReducedRepresentation:
     """Distinct spectral values with their eigenprojections, the arrays of
-    ``eigenprojections`` (cluster first for a stack)."""
-    values, projs, own = ctx.eigenprojections(a)
-    # the sum in cluster order, from zero
-    total = np.add.reduce(projs, axis=0, initial=0.0)
-    gap = np.ravel(ctx.residual(total, ctx.one_like(a)))
-    if np.any(gap > ctx.tol.check):
-        raise ArithmeticError("eigenprojections do not sum to one: "
-                              f"{gap[np.argmax(gap > ctx.tol.check)]:.3e}")
-    return ReducedRepresentation(values, projs, own)
+    ``eigenprojections`` (cluster first for a stack), as given."""
+    return ReducedRepresentation(*ctx.eigenprojections(a))

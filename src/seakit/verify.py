@@ -749,7 +749,8 @@ def _most(*residuals):
 def _decomp(run, ctx, smp, ks, t: _Tally) -> None:
     v = smp.signed(ks)
     dec = sp.orthogonal_decomposition(v, ctx)
-    rs = []
+    # v = v⁺ - v⁻, then each sign witness q gives the same parts
+    rs = [run.res(v, ctx.sub(dec.v_plus, dec.v_minus))]
     for q in dec.witnesses:
         comp = ctx.complement(q)
         vp = ctx.mul(ctx.mul(q, v), q)
@@ -1069,8 +1070,6 @@ def _functions(run, ctx, smp, ks, t: _Tally) -> None:
     valid = np.arange(count.max())[:, None] < count
     nodes = np.take_along_axis(rep.coefficients, np.argsort(
         ~keep, axis=0, kind="stable")[:len(valid)], axis=0)
-    assert np.all(np.diff(nodes, axis=0)[valid[1:]] > ctx.tol.cluster), \
-        "reduced representation carries duplicate coefficients"
     r = np.where(valid, run.res(_lagrange(ctx, a, nodes, valid),
                                 rep.projections[:len(valid)]), 0.0)
     t.tally(np.all(r <= run.thr, axis=0), _most(r), lambda k: {

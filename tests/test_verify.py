@@ -5,6 +5,7 @@ import inspect
 import json
 import re
 import tracemalloc
+import types
 from pathlib import Path
 
 import pytest
@@ -26,7 +27,7 @@ from seakit.verify import (
 )
 from seakit.cli import main
 from seakit.config import DEFAULT
-from seakit.linalg import EigenDecomposition
+from seakit.linalg import EigenDecomposition, hermitian_part
 from seakit import fuzzy as fz
 from seakit import matrices as mx
 from seakit import spectral as sp
@@ -460,6 +461,83 @@ def test_verifier_catches_a_wrong_eigenprojection_route(
     assert failing_ids(spectral) | failing_ids(context) == failures
 
 
+def test_every_row_reports_its_samples_at_a_tiny_check():
+    """At a check of 3e-16, below the rounding of many matrix identities,
+    rows fail sample by sample and none crashes: the engine returns what
+    it builds, and each law is checked by its own statement, so no engine
+    call raises on an answer of its own.  ``prop:decomp`` at dim 4, seed
+    2 reports its 12 samples and the first that fails."""
+    tol = DEFAULT.replace(check=3e-16)
+    results = {}
+    for n in (2, 3, 4):
+        for seed in (1, 2, 3):
+            for run in (run_spectrality_suite, run_context_suite):
+                for control in (False, True):
+                    for r in run("matrix", n, 12, seed, tol,
+                                 control=control).results:
+                        results[n, seed, control, r.statement_id] = r
+    assert [key for key, r in results.items()
+            if r.witness is not None and "error" in r.witness] == []
+    decomp = results[4, 2, False, "prop:decomp"]
+    assert decomp.samples == 12 and decomp.passed < 12
+    assert "sample" in decomp.witness
+
+
+def _inside(fn, **names):
+    """A copy of the engine function ``fn`` that reads the given names of
+    ``seakit.spectral`` as the values given: a fault injected inside the
+    engine, before anything the function does with its result."""
+    return types.FunctionType(fn.__code__, {**fn.__globals__, **names},
+                              fn.__name__, fn.__defaults__, fn.__closure__)
+
+
+def _unkept_sum(ctx, keep, projs):
+    """``kept_sum`` of the clusters it was not asked to keep: the
+    complement of each member's sum."""
+    return sp.kept_sum(ctx, ~np.asarray(keep), projs)
+
+
+def _turned_witnesses(v, ctx):
+    """The sign witnesses, each turned by one fixed rotation of the first
+    two axes: projections of the same ranks that, in a Haar frame, do not
+    commute with v."""
+    turn = np.eye(np.shape(v)[-1])
+    turn[:2, :2] = [[np.cos(0.5), -np.sin(0.5)], [np.sin(0.5), np.cos(0.5)]]
+    return [hermitian_part(turn @ q @ turn.T)
+            for q in sp.sign_witness_projections(v, ctx)]
+
+
+# Engine faults that keep the shape of every answer: name -> (models, the
+# engine function, the name it reads, the fault read in its place).
+ENGINE_MUTANTS = {
+    "complemented-comparability-witness": (
+        ("matrix", "mv"), "comparability_witness", "kept_sum", _unkept_sum),
+    "sign-witness-off-the-commutant": (
+        ("matrix",), "orthogonal_decomposition", "sign_witness_projections",
+        _turned_witnesses),
+}
+
+
+@pytest.mark.parametrize("name,model", [
+    (name, model) for name, (models, *_) in ENGINE_MUTANTS.items()
+    for model in models])
+def test_engine_mutants_fail_a_sample(name, model, monkeypatch):
+    """Each engine mutant makes some normal statement fail on a sample,
+    for seeds 1-3 at matrix dim 3 and mv size 6: the statement checking
+    the law, not the engine, catches the fault, and its witness is a
+    sample.  A crash witness is not a kill."""
+    _, fn, read, fault = ENGINE_MUTANTS[name]
+    monkeypatch.setattr(sp, fn, _inside(getattr(sp, fn), **{read: fault}))
+    n = {"matrix": 3, "mv": 6}[model]
+    for seed in (1, 2, 3):
+        failed = [r for run in (run_sea_suite, run_compression_suite,
+                                run_spectrality_suite, run_context_suite)
+                  for r in run(model, n, 12, seed).results
+                  if r.passed < r.samples]
+        kills = [r.statement_id for r in failed if "error" not in r.witness]
+        assert kills, (seed, [r.witness for r in failed])
+
+
 @pytest.mark.parametrize("name", sorted(CONTROLS))
 def test_every_normal_suite_passes_for_every_seed(name):
     run, model = CONTROLS[name]
@@ -646,8 +724,7 @@ def witness_report_digest(model, n, seed, check):
 def witness_digests():
     """Print the digest of each report on the ``WITNESS_DIGESTS`` grid:
     matrix dim 4 and mv size 5 at seeds 1 and 2, with the check forced to
-    1e-14 and to 1e9 (not to -1, which crashes engine calls, whose
-    reports name source lines).  A change that must keep the witnesses
+    1e-14 and to 1e9.  A change that must keep the witnesses
     byte-identical prints the same 8 lines before and after:
     ``PYTHONPATH=src:tests python -c "import test_verify;
     test_verify.witness_digests()"``."""
@@ -676,19 +753,21 @@ def blas_build():
 # recorded on.  All were last re-recorded, with ``WITNESS_DIGESTS`` and
 # ``MATRIX_GOLDEN``, when a control came to run only the rows that read
 # its switch: the control reports lost their other rows, and the
-# spectrality control its two notes on rows it no longer runs.  Every
-# kept row, and every normal report, kept its bytes.
+# spectrality control its two notes on rows it no longer runs.  The matrix
+# ones were re-recorded again, with the matrix witness digests, when
+# ``prop:decomp`` came to check v = v⁺ - v⁻ itself: only the
+# ``max_residual`` of its matrix rows moved (mv residuals are exact 0).
 REPORT_DIGESTS_BUILD = ("2.4.6", "scipy-openblas 0.3.31.188.0", "SkylakeX")
 REPORT_DIGESTS = {
-    ("matrix", 2, 1): "4925e809085452738cfea1795ac87e264eecf9acac01819440764b0d3a1c5feb",
-    ("matrix", 2, 7): "f31b1773c805663a6bce6b276d668ed47efcb77bf625b5a7738dbded1188117e",
-    ("matrix", 2, 42): "2b72479d9a11ce245f940304774e2a7ab725e9d8333b49cf70fcf45e0b603c46",
-    ("matrix", 3, 1): "c3cd5501a3e25b9e0a88c2e618177798c0bca2e30aefd50cea25250b7d9a8b0d",
-    ("matrix", 3, 7): "7ac660a2905f8b186988ba6d3f685598e07918c98ee3ae8a47c9e62320e8495f",
-    ("matrix", 3, 42): "36a220c591ce2873d62a2d09af32885d41ff16dd794a00e59c31fbdf6d25db6b",
-    ("matrix", 4, 1): "045c40a0cf1ccf7f8d45b046a7113151a3a6ffbdacdbf0a2101476041aef94eb",
-    ("matrix", 4, 7): "f329b102f2a0fc2234b2a8ca7a1ad61dcb161bdab745667df64ce1aa55334a91",
-    ("matrix", 4, 42): "442a3ad1953127cd4643964215f8e6f11a9f70bbfcae3a21b8673f7ae7b4072d",
+    ("matrix", 2, 1): "91a6d36f50c776d4e55f5e3ee26164c67d9640d64374227e5de76cdb2d4d79d1",
+    ("matrix", 2, 7): "b2efa65852b217f586573caa00de1bc63bcff9fea2c3bfbc91d23c916735aca8",
+    ("matrix", 2, 42): "d6df060d2748a778eaa8d1a65676a5ad372ede68de738c0d11422da75a007a10",
+    ("matrix", 3, 1): "c5ae6f45dd72b574683059d1e069a7acb7d714292b23c2af44712916442ba681",
+    ("matrix", 3, 7): "971924175c896e796dffeddfc4d5a566011fca7ed54831cbed7e36fd0a09e14a",
+    ("matrix", 3, 42): "1920b4b260041ee523dcd8b59a781d9989d4933192c5efec3e12a445375b633d",
+    ("matrix", 4, 1): "0ac68d7a797a401a45ca99db3e720b8e4b2c6720ebd8e3b7c1642c70a2d60765",
+    ("matrix", 4, 7): "caaba575b3892049f0dc9151738b63b44c16090ca307deed190fa2f105f44826",
+    ("matrix", 4, 42): "ef94e7dfcbc919107571e47c2f3d2a8f4e44729c202473058501a77bbebae039",
     ("mv", 4, 1): "b7e9fb8c79cf4ca4c7fe9bafd6961ffb3786f7f6bf7bc9641207beceb447ea64",
     ("mv", 4, 7): "816ca0a372a10c63901b91716743ede388db2e4c7dfc555968be841065cf0657",
     ("mv", 4, 42): "94296bb62a946b655b5548503e4528ff9fd04d0ce254371524f192d5116a5023",
@@ -723,10 +802,10 @@ def test_reports_are_byte_identical(model, n, seed):
 # The witness digests, unrounded, on the build of REPORT_DIGESTS_BUILD;
 # the matrix ones re-recorded with the matrix report digests.
 WITNESS_DIGESTS = {
-    ("matrix", 4, 1, 1e-14): "c6b72e783ac060609c6e66436feb3e7b6bc2829b630a5fb76ad30f4343c8b136",
-    ("matrix", 4, 2, 1e-14): "4540dfc35958a843ebd67eb76377159ab2ab7f4572a58b34fc519f71a5a46397",
-    ("matrix", 4, 1, 1e9): "42df17de179cdf630c0bea5fe7588a33781bf7e41fb785a6ffd77b0f46c2fb77",
-    ("matrix", 4, 2, 1e9): "8316c75ce4d7d430719ebd70c36d1eca46613e34c0da872e9feeb47aeda5b36b",
+    ("matrix", 4, 1, 1e-14): "52dd954348e317b912c21a5401cb78164b6f87cf53b9162fda10c172d29dce20",
+    ("matrix", 4, 2, 1e-14): "47042da3871072e8a6643dce83bbc4d289b8738c047b884dac8f085bfecb0b3b",
+    ("matrix", 4, 1, 1e9): "ee3c7ce8fa93d425cea91d2c3de47378eec9044ffb0801e7dae1257bd885df45",
+    ("matrix", 4, 2, 1e9): "d0dd3f65e8d6488ff1422999e5467d3a9e067149a6d05435bb4574fff10189a0",
     ("mv", 5, 1, 1e-14): "a4bbabe7b0f0f24bde44c0ac65aee9fb9959b3bc2dfac5ea696767d18ade521d",
     ("mv", 5, 2, 1e-14): "b2edb0102d80ba5de589fd312642a35b295eec593d8009987125fb8977b8717a",
     ("mv", 5, 1, 1e9): "bf8da84f14093ce0c9aa913e9aaa5a59a0e295af02ae78a9c55913ccf695b6cc",
@@ -757,9 +836,8 @@ def test_chunked_rows_match_the_whole_stack(model, n, monkeypatch):
     the sample indices of the witnesses, the maxima carried across runs
     and the masks split over them.  At a check of 3e-16 the matrix
     ``lemma:covex_floor`` first fails past sample 0, so its witness's
-    index is global.  An engine crash ends a statement in the run where
-    it happens, so its sample count would move with the runs; no check of
-    1e-16, where engine calls crash."""
+    index is global, and rows such as ``prop:decomp`` fail some samples
+    and pass others."""
     checks = (DEFAULT.check, 3e-16, 1e-14, 1e9)
 
     def sea_digest(seed, tol):
@@ -929,7 +1007,7 @@ def _matrices_in(witness) -> int:
 
 def test_work_per_request_is_pinned(call_counter, monkeypatch):
     """Counts of one matrix ``verify`` request, which do not depend on the
-    machine: the eigensystems it needs (1,119 matrices decomposed, each
+    machine: the eigensystems it needs (1,101 matrices decomposed, each
     element's clusters read once) in about an eighteenth as many LAPACK
     calls, as each sample's commuting family is decomposed as one stack,
     every statement checks all its samples at once and a stack's meets
@@ -979,12 +1057,12 @@ def test_work_per_request_is_pinned(call_counter, monkeypatch):
     monkeypatch.setattr(EigenDecomposition, "__post_init__", counted_builds)
     monkeypatch.setattr(_Tally, "tally", counted_tallies)
     reports = run_all("matrix", 4, 12, 42)
-    assert calls["numpy.linalg.eigh"] == 63
-    assert decomposed == 1119
+    assert calls["numpy.linalg.eigh"] == 61
+    assert decomposed == 1101
     assert calls["numpy.linalg.qr"] == 103
     assert calls["seakit.linalg.require_hermitian"] == 0
     assert calls["seakit.linalg.decomposition_from"] <= 60
-    assert built == 295
+    assert built == 293
     assert tallies == 72
     recorded = sum(_matrices_in(r.witness) for rep in reports
                    for r in rep.results if r.witness is not None)
