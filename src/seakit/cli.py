@@ -307,7 +307,8 @@ def cmd_witness(args: argparse.Namespace) -> int:
         raise _DomainError("elements do not commute") from exc
     except mx.DimensionMismatchError as exc:
         raise _DomainError(str(exc)) from exc
-    # A --tol-cluster wider than the gaps of e - f merges values of both signs.
+    # p keeps a value of e - f up to tol.kernel; rounding in the
+    # compressions can take one just under it past tol.check.
     comp = ctx.complement(wit.p)
     if not (ctx.leq(ctx.compress(wit.p, e), ctx.compress(wit.p, f))
             and ctx.leq(ctx.compress(comp, f), ctx.compress(comp, e))):

@@ -5,12 +5,10 @@ one place and reports can record the exact configuration they ran under.
 """
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Tolerances:
+class Tolerances(NamedTuple):
     """Tolerance bundle for the matrix model.
 
     psd      : slack allowed below zero when testing positive semidefiniteness
@@ -29,10 +27,10 @@ class Tolerances:
     check: float = 1e-8
 
     def replace(self, **changes: float) -> "Tolerances":
-        return dataclasses.replace(self, **changes)
+        return self._replace(**changes)
 
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        return dict(self._asdict())
 
 
 DEFAULT = Tolerances()

@@ -3,25 +3,25 @@
 The commutative model: partial addition is pointwise sum when it stays
 under one, the sequential product is the pointwise product, and order,
 meet, and join are pointwise.  ``FuzzyContext`` holds these operations
-under the same names as ``matrices.MatrixContext``, and ``FuzzySampler``
-the draws under ``matrices.EffectSampler``'s.  Arithmetic is exact for
-dyadic inputs, so checks in this model compare with threshold zero.
+under the same names as ``matrices.MatrixContext``; its random draws are
+``sampling.FuzzySampler``'s.  Arithmetic is exact for dyadic inputs, so
+checks in this model compare with threshold zero.
 
 An element is its float array of values.  Values are checked where they
 enter the program (``read`` checks the document's shape, the command line
-their range); every operation and draw here trusts them.  A ``(k, n)``
-array is a stack of k elements: the pointwise operations act on it member
-by member, ``scale`` takes one λ per member, and ``leq``, ``extremes``,
-``norm``, ``residual`` and ``is_sharp`` reduce over the last axis, one
-value per member; ``powers`` returns one ``(..., count, n)`` array.  The
-level sets (``eigenprojections``) of a stack come level first, as the
-matrix model's clusters do.  ``spectrum_representation`` maps a matrix
-effect onto its clusters, one stack of matrices evaluated on the clusters
-of one size together.
+their range); every operation here, and every draw, trusts them.  A
+``(k, n)`` array is a stack of k elements: the pointwise operations act
+on it member by member, ``scale`` takes one λ per member, and ``leq``,
+``extremes``, ``norm``, ``residual`` and ``is_sharp`` reduce over the
+last axis, one value per member; ``powers`` returns one
+``(..., count, n)`` array.  The level sets (``eigenprojections``) of a
+stack come level first, as the matrix model's clusters do.
+``spectrum_representation`` maps a matrix effect onto its clusters, one
+stack of matrices evaluated on the clusters of one size together.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -179,8 +179,7 @@ class FuzzyContext:
         return per_member(np.rint(self.raw(p).sum(-1)).astype(int))
 
 
-@dataclass(frozen=True)
-class EmbeddingReport:
+class EmbeddingReport(NamedTuple):
     """Residuals of the functional-calculus embedding on a polynomial
     family."""
 
@@ -248,79 +247,3 @@ def spectrum_representation(a: mx.Effect, tol: Tolerances = DEFAULT
                              samples=len(i), mult_residual=mult,
                              isometry_residual=iso)
     return image, report
-
-
-class FuzzySampler:
-    """Deterministic dyadic fuzzy sets; all sampled values are multiples
-    of 2^-8, so sums and products are exact in double precision.
-
-    The draws are ``matrices.EffectSampler``'s, with its names and
-    parameters and its stream: a stack per call, each sample from a fixed
-    slice of the stream at each position, so one verifier statement
-    serves both models.  The draws with one formula on both models are
-    written there.  A frame here gives each point its place in an
-    ordering, and a row of values in a frame gives each point the value
-    at its place; every element is diagonal in every frame.
-    """
-
-    BITS = 8
-
-    def __init__(self, seed: int | np.random.SeedSequence, space: int):
-        if not 1 <= space <= MAX_SPACE:
-            raise ValueError("space out of range")
-        self.dim = space
-        self.denom = 2 ** self.BITS
-        self._open(seed)
-
-    # The draws with one formula on both models, written once there.
-    _open = mx.EffectSampler._open
-    _uniform = mx.EffectSampler._uniform
-    integers = mx.EffectSampler.integers
-    scalar = mx.EffectSampler.scalar
-    span = mx.EffectSampler.span
-    commuting = mx.EffectSampler.commuting
-    effect = mx.EffectSampler.effect
-    projection = mx.EffectSampler.projection
-    with_values = mx.EffectSampler.with_values
-    signed = mx.EffectSampler.signed
-    with_top = mx.EffectSampler.with_top
-    commuting_with = mx.EffectSampler.commuting_with
-    orthogonal_pair = mx.EffectSampler.orthogonal_pair
-
-    def _between(self, ks, lo, hi, *shape) -> np.ndarray:
-        """Multiples of 2^-8 in [lo, hi], uniform."""
-        d = self.denom
-        lo, top = np.ceil(np.multiply(lo, d)), np.floor(np.multiply(hi, d))
-        return (lo + np.floor(self._uniform(ks, *shape) * (top - lo + 1))) / d
-
-    def frame(self, ks) -> np.ndarray:
-        """Random places of the points, a permutation per sample."""
-        return np.argsort(self._uniform(ks, self.dim), axis=-1)
-
-    def _in_frame(self, ks, values, frame=None) -> np.ndarray:
-        """The values, each row placed by its frame where one is given:
-        point p takes the value at its place ``frame[p]``."""
-        if frame is None:
-            return values
-        return np.take_along_axis(values, frame, -1)
-
-    def _spectrum(self, p) -> tuple[np.ndarray, None]:
-        return np.asarray(p), None
-
-    def simple(self, ks, gap: float = 0.12) -> np.ndarray:
-        """Any draw: a dyadic fuzzy set has its levels at least 2^-8
-        apart, whatever the gap asked for."""
-        return self.effect(ks)
-
-    def split_effect(self, ks, frame: np.ndarray, k) -> np.ndarray:
-        return self.effect(ks)
-
-    def summable_pair(self, ks) -> tuple[np.ndarray, np.ndarray]:
-        a = self._between(ks, 0.0, 1.0, self.dim)
-        return a, self._between(ks, 0.0, 1.0 - a, self.dim)
-
-    def refined_commuting(self, ks) -> tuple[np.ndarray, np.ndarray,
-                                             np.ndarray]:
-        """Triples (c, a, b) with a + b + c <= 1; all elements commute."""
-        a, b = self.summable_pair(ks)
-        return self._between(ks, 0.0, 1.0 - a - b, self.dim), a, b

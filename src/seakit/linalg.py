@@ -28,7 +28,6 @@ input gives identical output.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -234,7 +233,6 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
 class EigenDecomposition:
     """Eigensystem of a Hermitian matrix with eigenvalue clustering, or the
     eigensystems of a stack of them.
@@ -242,7 +240,8 @@ class EigenDecomposition:
     values   : eigenvalues sorted ascending (read-only)
     vectors  : unitary matrix whose columns are the matching eigenvectors
                (read-only; decompositions of commuting elements share it)
-    tol      : sets the clustering width, tol.cluster * max(1, |values|)
+    tol      : sets the clustering width, tol.cluster * max(1, |values|),
+               and the kernel bounds ±tol.kernel, which no cluster spans
 
     The eigensystems of a stack carry its leading axes on both arrays;
     ``reconstruct`` and ``apply`` work on them member by member, and
@@ -256,13 +255,11 @@ class EigenDecomposition:
     read-only.
     """
 
-    values: np.ndarray
-    vectors: np.ndarray
-    tol: Tolerances
-
-    def __post_init__(self):
-        _frozen(self.values)
-        _frozen(self.vectors)
+    def __init__(self, values: np.ndarray, vectors: np.ndarray,
+                 tol: Tolerances):
+        self.values = _frozen(values)
+        self.vectors = _frozen(vectors)
+        self.tol = tol
 
     @property
     def dim(self) -> int:
@@ -271,10 +268,16 @@ class EigenDecomposition:
     @cached_property
     def runs(self) -> Runs:
         """The clusters: runs of eigenvalues closer than each member's
-        clustering width."""
-        top = np.abs(self.values).max(axis=-1)
-        return Runs(cluster_starts(self.values,
-                                   self.tol.cluster * np.maximum(1.0, top)))
+        clustering width, none across -tol.kernel or tol.kernel, so that
+        every value of a cluster has the sign its mean has (negative,
+        zero within tol.kernel, or positive) whatever the width."""
+        values, kernel = self.values, self.tol.kernel
+        top = np.abs(values).max(axis=-1)
+        starts = cluster_starts(values,
+                                self.tol.cluster * np.maximum(1.0, top))
+        sign = (values >= -kernel).astype(np.int8) + (values > kernel)
+        starts[..., 1:] |= sign[..., 1:] != sign[..., :-1]
+        return Runs(starts)
 
     @property
     def own(self) -> np.ndarray:

@@ -30,7 +30,7 @@ and projections are arrays too.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,8 +40,7 @@ from .linalg import DimensionMismatchError, NotCommutingError, per_member
 WITNESS_LIMIT = 8
 
 
-@dataclass(frozen=True)
-class SpectralFamily:
+class SpectralFamily(NamedTuple):
     """Right-continuous step function of projections, held as raw arrays.
 
     `projections[0]` is the zero projection (the value below the lowest
@@ -93,8 +92,7 @@ class SpectralFamily:
                                   for lam, rank in zip(lams, ranks.tolist())]
 
 
-@dataclass(frozen=True)
-class OrthogonalDecomposition:
+class OrthogonalDecomposition(NamedTuple):
     """Split v = v_plus - v_minus through a commuting projection p, with
     the sign witnesses of ``sign_witness_projections``, p the first."""
 
@@ -104,8 +102,7 @@ class OrthogonalDecomposition:
     witnesses: list[np.ndarray]
 
 
-@dataclass(frozen=True)
-class ComparabilityWitness:
+class ComparabilityWitness(NamedTuple):
     """The projection comparing a commuting pair sidewise.
 
     `degenerate` marks ties between the paired values, where more than
@@ -116,8 +113,7 @@ class ComparabilityWitness:
     degenerate: bool = False
 
 
-@dataclass(frozen=True)
-class ReducedRepresentation:
+class ReducedRepresentation(NamedTuple):
     """Strictly increasing coefficients with orthogonal projections
     summing to one, cluster first for a stack, with the mask of each
     member's own clusters."""
@@ -284,9 +280,10 @@ def comparability_witness(e, f, ctx) -> ComparabilityWitness:
     reverse under its complement; one per pair of members of two stacks.
 
     p is the spectral projection of e - f on (-∞, 0]: the sum of its own
-    clusters at values up to their clustering width (a cluster within
-    that width of 0, a tie, is flagged as degenerate), as built.  Raises
-    DimensionMismatchError and NotCommutingError on its inputs.
+    clusters at values up to tol.kernel, which no cluster straddles (a
+    cluster within the clustering width of 0, a tie, is flagged as
+    degenerate), as built.  Raises DimensionMismatchError and
+    NotCommutingError on its inputs.
     """
     eraw, fraw = ctx.raw(e), ctx.raw(f)
     if eraw.shape != fraw.shape:
@@ -297,7 +294,7 @@ def comparability_witness(e, f, ctx) -> ComparabilityWitness:
     values, projs, own = ctx.eigenprojections(ctx.sub(e, f))
     width = ctx.tol.cluster * np.maximum(1.0, np.max(np.abs(values), axis=0))
     degenerate = np.any(own & (np.abs(values) <= width), axis=0)
-    p = kept_sum(ctx, own & (values <= width), projs)
+    p = kept_sum(ctx, own & (values <= ctx.tol.kernel), projs)
     return ComparabilityWitness(p, per_member(degenerate))
 
 

@@ -13,8 +13,8 @@ Each statement is one row of ``STATEMENTS``, registered beside its body,
 which is written once over the model protocol: the model's context
 (``ctx``, ``matrices.MatrixContext`` or ``fuzzy.FuzzyContext``) supplies
 the operations, and the statement's sampler (``smp``,
-``matrices.EffectSampler`` or ``fuzzy.FuzzySampler``), seeded by its id,
-the draws, under the same method names on both models.  A comparison is
+``sampling.EffectSampler`` or ``sampling.FuzzySampler``), seeded by its
+id, the draws, under the same method names on both models.  A comparison is
 ``run.res(x, y) <= run.thr``, and that threshold is 0 on the mv model, so
 every comparison there is exact.  What stays per model here is the
 sampler lookup, the broken products and the planted control witnesses.
@@ -55,6 +55,7 @@ from .linalg import frobenius, hermitian_part, per_member
 from .report import CheckResult, SuiteReport
 from . import fuzzy as fz
 from . import matrices as mx
+from . import sampling as sm
 from . import spectral as sp
 from . import tables as tb
 
@@ -259,10 +260,10 @@ def _suite(suite: str, model: str, n: int, samples: int, seed: int,
         raise ValueError("seed must be non-negative")
     if model == "matrix":
         limit, ctx, draws = mx.MAX_DIM, mx.MatrixContext(tol), (
-            lambda sid: mx.EffectSampler(_seed_for(seed, suite, sid), n, tol))
+            lambda sid: sm.EffectSampler(_seed_for(seed, suite, sid), n, tol))
     elif model == "mv":
         limit, ctx, draws = fz.MAX_SPACE, fz.FuzzyContext(tol), (
-            lambda sid: fz.FuzzySampler(_seed_for(seed, suite, sid), n))
+            lambda sid: sm.FuzzySampler(_seed_for(seed, suite, sid), n))
     else:
         raise ValueError(f"unknown model {model!r}")
     if not 1 <= n <= limit:

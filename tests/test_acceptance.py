@@ -12,6 +12,7 @@ import pytest
 
 from seakit import fuzzy as fz
 from seakit import matrices as mx
+from seakit import sampling as sm
 from seakit.cli import main
 from seakit.config import DEFAULT
 from seakit.linalg import frobenius, hermitian_part, operator_norm
@@ -71,7 +72,7 @@ def test_criterion_03_five_way_equivalence():
     total = 0
     keys = ("compress_below", "block_sum", "interval_sum", "mackey", "meet")
     for dim in DIMS:
-        sampler = mx.EffectSampler(1000 + dim, dim)
+        sampler = sm.EffectSampler(1000 + dim, dim)
         ks = np.arange(500)
         # even pairs commute, odd ones are drawn in two frames
         p, a = sampler.commuting(ks, sampler.projection, sampler.effect)
@@ -90,7 +91,7 @@ def test_criterion_04_spectral_reconstruction():
     worst_mesh = 0.0
     ok = True
     for dim in DIMS:
-        sampler = mx.EffectSampler(2000 + dim, dim)
+        sampler = sm.EffectSampler(2000 + dim, dim)
         for a in sampler.effect(range(100)):
             fam = spectral_family(a, MATRIX)
             gap = operator_norm(np.asarray(a.matrix) - reconstruct(fam))
@@ -109,7 +110,7 @@ def test_criterion_05_closed_form_families(level_set_family):
     ok = True
     for k in range(100):
         dim = 2 + k % 7
-        a = mx.EffectSampler(3000 + k, dim).simple(range(1))[0]
+        a = sm.EffectSampler(3000 + k, dim).simple(range(1))[0]
         rep = reduced_representation(a, MATRIX)
         fam = spectral_family(a, MATRIX)
         steps = [np.zeros((dim, dim), dtype=np.complex128)]
@@ -119,7 +120,7 @@ def test_criterion_05_closed_form_families(level_set_family):
         for engine_p, closed_p in zip(fam.projections, steps):
             ok = ok and frobenius(engine_p - closed_p) <= CHECK
     for k in range(100):
-        a = fz.FuzzySampler(3100 + k, 6).effect(range(1))[0]
+        a = sm.FuzzySampler(3100 + k, 6).effect(range(1))[0]
         fam = spectral_family(a, MV)
         closed = level_set_family(a)
         ok = ok and np.array_equal(fam.breakpoints, closed.breakpoints)
@@ -132,7 +133,7 @@ def test_criterion_06_simple_approximation():
     ok = True
     for k in range(100):
         dim = 2 + k % 7
-        a = mx.EffectSampler(4000 + k, dim).effect(range(1))[0]
+        a = sm.EffectSampler(4000 + k, dim).effect(range(1))[0]
         previous = None
         for n in range(1, 11):
             an = np.asarray(simple_approximation(a, n, MATRIX))
@@ -149,7 +150,7 @@ def test_criterion_07_floor_identities():
     worst = 0.0
     for k in range(100):
         dim = 2 + k % 7
-        sampler = mx.EffectSampler(5000 + k, dim)
+        sampler = sm.EffectSampler(5000 + k, dim)
         a = sampler.with_top(range(1), 1)[0]
         base = MATRIX.floor(a)
         d = a.decomposition
@@ -171,7 +172,7 @@ def test_criterion_08_commutation_equivalence():
     disagreements = 0
     for k in range(400):
         dim = 2 + k % 7
-        sampler = mx.EffectSampler(6000 + k, dim)
+        sampler = sm.EffectSampler(6000 + k, dim)
         if k < 200:
             a, b = (x[0] for x in sampler.commuting(range(1)))
         else:
@@ -196,7 +197,7 @@ def test_criterion_09_decomposition_uniqueness():
     checked = 0
     for dim in DIMS:
         rng = np.random.default_rng(7000 + dim)
-        frames = mx.EffectSampler(7000 + dim, dim).frame(range(100))
+        frames = sm.EffectSampler(7000 + dim, dim).frame(range(100))
         for k, u in enumerate(frames):
             # A Hermitian matrix with a kernel of dimension k % 3.
             zeros = k % 3 if dim > 2 else k % 2

@@ -288,17 +288,109 @@ def test_witness_pair(tmp_path, capsys):
 
 
 def test_witness_without_a_valid_projection_exits_one(tmp_path, capsys):
-    """A clustering width of 0.5 still separates the values -0.3 and 0.6
-    of e - f; one of 1e9 merges them, and the projection built then fails
-    its defining order: one line and exit 1, never a traceback."""
+    """No cluster of e - f straddles the kernel, however wide the
+    clustering width: its values -0.3 and 0.6 give p = diag(1, 0) at
+    widths 0.5 and 1e9 alike.  A value of e - f just under tol.kernel is
+    kept in p, and when rounding in the compressions takes it past
+    tol.check the projection fails its defining order: one line and
+    exit 1, never a traceback."""
     e = write(tmp_path / "e.json", {"re": [[0.2, 0.0], [0.0, 0.9]]})
     f = write(tmp_path / "f.json", {"re": [[0.5, 0.0], [0.0, 0.3]]})
-    assert main(["witness", "--input", e, f, "--tol-cluster", "0.5"]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["p"]["re"] == [[1.0, 0.0], [0.0, 0.0]]
-    assert main(["witness", "--input", e, f, "--tol-cluster", "1e9"]) == 1
+    for width in ("0.5", "1e9"):
+        assert main(["witness", "--input", e, f, "--tol-cluster", width]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["p"]["re"] == [[1.0, 0.0], [0.0, 0.0]]
+    # e - f has the values -0.60000001 and 9.99999991e-09
+    e = write(tmp_path / "e.json", {"re": [[0.1, 0.1], [0.1, 0.1]]})
+    f = write(tmp_path / "f.json",
+              {"re": [[0.4, -0.20000001], [-0.20000001, 0.4]]})
+    assert main(["witness", "--input", e, f]) == 1
     out = capsys.readouterr().out
     assert "defining order" in out and out.count("\n") == 1
+
+
+# Entries of the property inputs: values at and around 0 and tol.kernel
+# (1e-8) as well as arbitrary ones, so that clusters of both signs meet.
+_ENTRIES = (st.sampled_from([0.0, 1e-8, -1e-8, 5e-9, -5e-9, 2e-8, 0.3, -0.3,
+                             0.6, 1.0, -1.0])
+            | st.floats(-1.0, 1.0, allow_subnormal=False))
+_WIDTHS = st.sampled_from(["0", "1e-8", "2", "1e9", "1e300"])
+
+
+@st.composite
+def _hermitian(draw):
+    """A Hermitian 2x2 to 4x4 element document: diagonal half the time,
+    so its eigenvalues are the drawn entries, and otherwise with the upper
+    triangle drawn and mirrored exactly."""
+    n = draw(st.integers(2, 4))
+    re = [[0.0] * n for _ in range(n)]
+    im = [[0.0] * n for _ in range(n)]
+    diagonal = draw(st.booleans())
+    for i in range(n):
+        re[i][i] = draw(_ENTRIES)
+        for j in range(i + 1, n) if not diagonal else ():
+            re[i][j] = re[j][i] = draw(_ENTRIES)
+            im[i][j] = draw(_ENTRIES)
+            im[j][i] = -im[i][j]
+    return {"re": re, "im": im}
+
+
+def _run_main(argv: list) -> tuple:
+    """``main``'s exit code and its standard output."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+@settings(max_examples=150)
+@given(_hermitian(), _WIDTHS)
+@example({"re": [[-0.3, 0.0], [0.0, 0.6]]}, "1e9")
+@example({"re": [[5e-9, 0.0], [0.0, -0.3]]}, "2")
+def test_decompose_splits_into_positive_parts_at_any_width(doc, width):
+    """No cluster straddles the kernel, so at any clustering width
+    ``decompose`` gives v = v⁺ - v⁻ within tol.psd, with v⁺ >= 0 within
+    tol.psd and v⁻ >= 0 within tol.kernel: v⁻ carries the values that
+    count as zero, |λ| <= tol.kernel, under 1 - p (tol.psd is the
+    smaller); or it exits 1."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write(Path(tmp) / "v.json", doc)
+        code, out = _run_main(["decompose", "--input", path,
+                               "--tol-cluster", width])
+    assert code in (0, 1)
+    if code == 1:
+        return
+    ctx = mx.MatrixContext(DEFAULT)
+    split = json.loads(out)
+    v = ctx.read(doc)
+    v_plus, v_minus = ctx.read(split["v_plus"]), ctx.read(split["v_minus"])
+    assert frobenius(v - (v_plus - v_minus)) <= DEFAULT.psd
+    assert np.linalg.eigvalsh(v_plus)[0] >= -DEFAULT.psd
+    assert np.linalg.eigvalsh(v_minus)[0] >= -DEFAULT.kernel
+
+
+@settings(max_examples=150)
+@given(st.integers(2, 4).flatmap(lambda n: st.tuples(*[st.lists(
+    st.floats(0.0, 1.0) | st.sampled_from([0.0, 5e-9, 1e-8, 2e-8]),
+    min_size=n, max_size=n)] * 2)), _WIDTHS)
+@example(([0.2, 0.9], [0.5, 0.3]), "1e9")
+def test_witness_of_a_commuting_pair_meets_its_order_at_any_width(
+        pair, width):
+    """For e and f diagonal, so commuting exactly, ``witness`` exits 0 at
+    any clustering width with a diagonal 0/1 projection p under which
+    e <= f, and over whose complement f <= e, within tol.check."""
+    a, b = (np.array(x) for x in pair)
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [write(Path(tmp) / f"{name}.json",
+                       {"re": np.diag(x).tolist()})
+                 for name, x in (("e", a), ("f", b))]
+        code, out = _run_main(["witness", "--input", *paths,
+                               "--tol-cluster", width])
+    assert code == 0, out
+    p = np.array(json.loads(out)["p"]["re"])
+    keep = np.diag(p)
+    assert np.array_equal(p, np.diag(keep)) and set(keep) <= {0.0, 1.0}
+    assert np.all(np.where(keep == 1.0, a - b, b - a) <= DEFAULT.check)
 
 
 def test_mv_reports(tmp_path, capsys):
@@ -450,7 +542,8 @@ def test_verify_looks_up_the_suite_runner_when_called(monkeypatch, capsys):
 
 # The modules only some verbs need; start-up loads none of them.
 _DEFERRED = ("seakit.fuzzy", "seakit.report", "seakit.tables",
-             "seakit.verify")
+             "seakit.verify", "seakit.sampling", "dataclasses",
+             "numpy.random")
 # Imports the command line and builds its parser, then runs each call of
 # the JSON list in argv[1]; prints, as JSON, the deferred modules loaded
 # after start-up and, for each call, its exit code and those loaded then.
@@ -469,15 +562,17 @@ print(json.dumps(steps))
 
 def test_a_verb_loads_only_what_it_runs(tmp_path):
     """In a fresh interpreter, start-up and the element verbs on matrices
-    load none of the verifier, its tables and reports, or the pointwise
-    model; ``mv`` on a pointwise document loads the model alone, and
-    ``verify`` all four."""
+    load none of the verifier, its tables and reports, its samplers,
+    ``dataclasses``, ``numpy.random`` or the pointwise model; ``mv`` on
+    either kind of document loads the model alone, and ``verify`` all of
+    them."""
     e = write(tmp_path / "e.json", {"re": [[0.3, 0.0], [0.0, 0.6]]})
     f = write(tmp_path / "f.json", {"re": [[0.5, 0.0], [0.0, 0.4]]})
     values = write(tmp_path / "v.json", {"values": [0.25, 0.5, 1.0]})
     calls = [["validate", "--input", e], ["spectrum", "--input", e],
              ["approx", "--input", e], ["decompose", "--input", e],
-             ["witness", "--input", e, f], ["mv", "--input", values],
+             ["witness", "--input", e, f], ["mv", "--input", e],
+             ["mv", "--input", values],
              ["verify", "--suite", "all", "--dim", "2", "--samples", "8"]]
     package_root = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -489,8 +584,8 @@ def test_a_verb_loads_only_what_it_runs(tmp_path):
     steps = json.loads(proc.stdout)
     assert steps[0] == []
     assert steps[1:6] == [[0, []]] * 5
-    assert steps[6] == [0, ["seakit.fuzzy"]]
-    assert steps[7] == [0, list(_DEFERRED)]
+    assert steps[6:8] == [[0, ["seakit.fuzzy"]]] * 2
+    assert steps[8] == [0, list(_DEFERRED)]
 
 
 class _Level(enum.IntEnum):

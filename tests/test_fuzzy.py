@@ -6,12 +6,9 @@ from hypothesis import strategies as st
 
 from seakit import matrices as mx
 from seakit.config import DEFAULT
-from seakit.fuzzy import (
-    FuzzyContext,
-    FuzzySampler,
-    spectrum_representation,
-)
+from seakit.fuzzy import FuzzyContext, spectrum_representation
 from seakit.linalg import frobenius, operator_norm
+from seakit.sampling import EffectSampler, FuzzySampler
 from seakit.spectral import (
     comparability_witness,
     reduced_representation,
@@ -202,7 +199,7 @@ def test_spectrum_representation_degenerate_and_sharp():
     image, report = spectrum_representation(lam_i)
     assert report.space == 1
     assert image.tolist() == pytest.approx([0.3])
-    sampler = mx.EffectSampler(3, 4)
+    sampler = EffectSampler(3, 4)
     p = sampler.span(sampler.frame(range(1)), 0, 2)[0]
     image, _ = spectrum_representation(p)
     assert set(np.round(image, 8)) <= {0.0, 1.0}
@@ -213,7 +210,7 @@ def test_spectrum_representation_wraps_each_power_once(eigh_calls):
     product pairs, so their square roots take one eigh call and their
     norms one more: 2 on a generic dim-8 effect at degree 6, where
     wrapping each power on its own made 14, and wrapping per pair 35."""
-    a = mx.EffectSampler(3, 8).effect(range(1))[0]
+    a = EffectSampler(3, 8).effect(range(1))[0]
     before = eigh_calls.count
     spectrum_representation(a)
     assert eigh_calls.count - before == 2
@@ -265,7 +262,7 @@ def test_spectrum_representation_equals_the_cluster_loop():
     over them, on effects rebuilt from their matrices as ``seakit mv``
     reads them: generic, simple, with a top cluster, and projections."""
     for n in range(1, 11):
-        smp = mx.EffectSampler(40 + n, n)
+        smp = EffectSampler(40 + n, n)
         drawn = [stack[i] for stack in (
             smp.effect(range(3)), smp.simple(range(3)),
             smp.with_top(range(3), n // 2), smp.projection(range(3)))

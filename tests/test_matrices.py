@@ -18,12 +18,12 @@ from seakit.linalg import (
 )
 from seakit.matrices import (
     Effect,
-    EffectSampler,
     MatrixContext,
     NotAnEffectError,
     NotCommutingError,
     validate_effect,
 )
+from seakit.sampling import EffectSampler
 
 CTX = MatrixContext()
 

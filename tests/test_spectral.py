@@ -8,6 +8,7 @@ import pytest
 
 from seakit import fuzzy as fz
 from seakit import matrices as mx
+from seakit import sampling as sm
 from seakit.cli import main
 from seakit.config import DEFAULT
 from seakit.linalg import operator_norm
@@ -66,7 +67,7 @@ def test_family_is_right_continuous_with_eigen_jumps():
 
 
 def test_reconstruction_error_tracks_mesh():
-    sampler = mx.EffectSampler(13, 5)
+    sampler = sm.EffectSampler(13, 5)
     for a in sampler.effect(range(5)):
         fam = spectral_family(a, MATRIX)
         exact = reconstruct(fam)
@@ -90,7 +91,7 @@ def test_meshed_tags_match_the_listed_partition():
             acc = acc + tag * jump
         return acc
 
-    sampler = mx.EffectSampler(21, 4)
+    sampler = sm.EffectSampler(21, 4)
     rng = np.random.default_rng(21)
     elements = [(MATRIX, a) for a in sampler.effect(range(4))]
     elements += [(MATRIX, a) for a in sampler.simple(range(4))]
@@ -177,7 +178,7 @@ def test_family_json_round_trip(level_set_family):
     """Each step of a family's JSON, read back by its context's reader,
     is the step itself."""
     families = (
-        (MATRIX, spectral_family(mx.EffectSampler(21, 3).effect(range(1))[0],
+        (MATRIX, spectral_family(sm.EffectSampler(21, 3).effect(range(1))[0],
                                  MATRIX)),
         (FUZZY, level_set_family(np.array([0.25, 0.75]))),
     )
@@ -221,7 +222,7 @@ ENGINE = {
 
 
 def test_one_decomposition_per_element(eigh_calls, tmp_path):
-    sampler = mx.EffectSampler(8, 8)
+    sampler = sm.EffectSampler(8, 8)
     spectra = {"two": np.repeat([0.25, 0.75], 4),
                "eight": np.linspace(0.05, 0.95, 8)}
     for name, values in spectra.items():
@@ -247,7 +248,7 @@ def test_one_decomposition_per_element(eigh_calls, tmp_path):
 def test_order_and_norm_checks_decompose_nothing(call_counter):
     """``operator_norm``, ``leq`` and ``extremes`` read eigenvalues only:
     one LAPACK call each and no clustered decomposition."""
-    sampler = mx.EffectSampler(3, 4)
+    sampler = sm.EffectSampler(3, 4)
     a, b = sampler.effect(range(2))
     ctx = mx.MatrixContext()
     calls = call_counter("numpy.linalg.eigh",

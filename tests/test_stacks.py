@@ -19,6 +19,7 @@ import pytest
 from seakit.config import DEFAULT
 from seakit import fuzzy as fz
 from seakit import matrices as mx
+from seakit import sampling as sm
 from seakit import spectral as sp
 from seakit import verify as vf
 from seakit.linalg import (
@@ -29,8 +30,8 @@ from seakit.linalg import (
 )
 
 MODELS = {
-    "matrix": (mx.MatrixContext(), lambda seed, n: mx.EffectSampler(seed, n)),
-    "mv": (fz.FuzzyContext(), lambda seed, n: fz.FuzzySampler(seed, n)),
+    "matrix": (mx.MatrixContext(), lambda seed, n: sm.EffectSampler(seed, n)),
+    "mv": (fz.FuzzyContext(), lambda seed, n: sm.FuzzySampler(seed, n)),
 }
 CASES = [(model, n, k) for model in sorted(MODELS)
          for n in (1, 2, 3, 4, 8) for k in (1, 5)]
@@ -158,7 +159,7 @@ def test_powers_are_one_array_of_the_chained_products(model, n):
 
 def test_one_lapack_call_decomposes_a_stack(call_counter):
     ctx = mx.MatrixContext()
-    smp = mx.EffectSampler(5, 4)
+    smp = sm.EffectSampler(5, 4)
     stack = smp.signed(range(6))
     calls = call_counter("numpy.linalg.eigh")
     for verb in (ctx.norm, ctx.extremes, ctx.positive_part, ctx.rickart,
@@ -358,7 +359,7 @@ def test_commuting_with_a_span_drawn_in_the_same_block(n):
     columns, whose count differs by member: with 1 on the span and 1/4
     off it, the draw is p + (1 - p) / 4."""
     ctx = mx.MatrixContext()
-    smp = mx.EffectSampler(n, n)
+    smp = sm.EffectSampler(n, n)
     ks = np.arange(6)
     p = smp.span(smp.frame(ks), 0, 1 + ks % (n - 1))
     a = smp.commuting_with(ks, p, on=1.0, off=0.25)
@@ -397,7 +398,7 @@ def eager_effect(seed, n, k):
 @pytest.mark.parametrize("n", range(1, 9))
 def test_a_block_of_effects_equals_the_eager_construction(n):
     for count in (1, 5, 12):
-        smp = mx.EffectSampler(n, n)
+        smp = sm.EffectSampler(n, n)
         for k, effect in enumerate(smp.effect(range(count))):
             d = effect.decomposition
             assert draw_bits([effect.matrix, d.values, d.vectors]) == \
@@ -411,7 +412,7 @@ def test_a_block_takes_one_qr_per_frame_size(call_counter):
     refinement of its frame; numbers take none."""
     calls = call_counter("numpy.linalg.qr")
     for count in (1, 12):
-        smp = mx.EffectSampler(3, 4)
+        smp = sm.EffectSampler(3, 4)
         ks = np.arange(count)
         before = calls.count
         smp.commuting(ks)
@@ -545,7 +546,7 @@ def test_meet_and_join_of_stacks_equal_the_member_calls(n):
     eigh of the differences, give each member's meet and join the bits of
     the pair on its own; raw stacks too."""
     ctx = mx.MatrixContext()
-    smp = mx.EffectSampler(n, n)
+    smp = sm.EffectSampler(n, n)
     ks = np.arange(9)
     u = smp.frame(ks)
     p = ctx.where(ks % 3 != 0, smp.projection(ks, frame=u),
