@@ -63,15 +63,18 @@ class FuzzyContext:
 
     def read(self, doc: dict) -> np.ndarray:
         """The values of an element document: "values" a non-empty list of
-        at most ``MAX_SPACE`` numbers, and "space" (optional) its length.
-        Raises ValueError on any other shape; the values themselves are
-        not checked."""
+        at most ``MAX_SPACE`` numbers, and "space" (optional) its length, an
+        integer.  Raises ValueError on any other shape; the values
+        themselves are not checked."""
         vals = doc["values"]
         if not mx.is_number_list(vals) or not vals:
             raise ValueError("values must be a non-empty list of numbers")
         if len(vals) > MAX_SPACE:
             raise ValueError(f"values must have at most {MAX_SPACE} entries")
-        if "space" in doc and doc["space"] != len(vals):
+        space = doc.get("space", len(vals))
+        if type(space) is not int:  # a JSON integer, not true or 1.0
+            raise ValueError("space field must be an integer")
+        if space != len(vals):
             raise ValueError("space field disagrees with the value count")
         return np.asarray(vals, dtype=float)
 

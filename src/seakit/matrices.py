@@ -29,6 +29,7 @@ from .linalg import (
     DimensionMismatchError,
     EigenDecomposition,
     NotCommutingError,
+    _sorted_system,
     decomposition_from,
     eigenvalues,
     eigh,
@@ -205,25 +206,26 @@ class MatrixContext:
         """The projection onto the eigenvectors of d that ``keep`` marks, a
         run of them, with its eigensystem: the kept columns last, each
         part in its order; one per member of a stack."""
-        order = np.argsort(keep, axis=-1, kind="stable")
-        decomp = EigenDecomposition(
-            np.take_along_axis(keep, order, -1).astype(float),
-            np.take_along_axis(d.vectors, order[..., None, :], -1), self.tol)
+        values, vectors = _sorted_system(keep, d.vectors)
+        decomp = EigenDecomposition(values.astype(float), vectors, self.tol)
         return Effect(_span(d.vectors, keep), tol=self.tol,
                       decomposition=decomp)
 
     def read(self, doc: dict) -> np.ndarray:
         """The complex matrix of an element document: "re" a square list
         of number rows, "im" (optional) of the same shape, and "dim"
-        (optional) the size.  Raises ValueError on any other shape; the
-        values themselves are not checked."""
+        (optional) the size, an integer.  Raises ValueError on any other
+        shape; the values themselves are not checked."""
         re = doc["re"]
         if (not isinstance(re, list) or not re
                 or any(not is_number_list(row) or len(row) != len(re)
                        for row in re)):
             raise ValueError("re must be a square matrix of numbers")
         n = len(re)
-        if "dim" in doc and doc["dim"] != n:
+        dim = doc.get("dim", n)
+        if type(dim) is not int:  # a JSON integer, not true or 1.0
+            raise ValueError("dim field must be an integer")
+        if dim != n:
             raise ValueError("dim field disagrees with the matrix size")
         arr = np.asarray(re, dtype=float).astype(np.complex128)
         if "im" in doc:

@@ -14,10 +14,11 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .config import DEFAULT, Tolerances
 from .fuzzy import MAX_SPACE
-from .linalg import EigenDecomposition
+from .linalg import EigenDecomposition, _sorted_system
 from .matrices import Effect, _matrix
 
 
@@ -29,10 +30,21 @@ def _haar(z: np.ndarray) -> np.ndarray:
     call with the same bits per member as one call each.  A Ginibre
     matrix that is zero off the diagonal blocks of a partition of the
     columns into runs gives a unitary with those blocks, each Haar.
+
+    It calls the two gufuncs that ``numpy.linalg.qr`` calls, on a copy of
+    the stack: ``qr_r_raw`` (zgeqrf) factors the copy in place, leaving R
+    on and above its diagonal, and ``qr_reduced`` (zungqr) forms Q from
+    the factored copy.  So Q and R's diagonal have every bit of the
+    public function's, without its ``triu``, casts, error-state blocks and
+    result tuple, which at dim 4 cost about as much as the factorization
+    itself.  LAPACK clears its floating-point flags on finite input, so
+    no warning is raised.
     """
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (d / np.abs(d))[..., None, :]
+    a = np.array(z, dtype=np.complex128)
+    tau = _umath_linalg.qr_r_raw(a, signature="D->D")
+    d = np.diagonal(a, axis1=-2, axis2=-1)
+    phases = (d / np.abs(d))[..., None, :]
+    return _umath_linalg.qr_reduced(a, tau, signature="DD->D") * phases
 
 
 class EffectSampler:
@@ -126,10 +138,7 @@ class EffectSampler:
         sorted, one stacked reconstruct."""
         if frame is None:
             frame = self.frame(ks)
-        order = np.argsort(values, axis=-1, kind="stable")
-        d = EigenDecomposition(
-            np.take_along_axis(values, order, -1),
-            np.take_along_axis(frame, order[..., None, :], -1), self.tol)
+        d = EigenDecomposition(*_sorted_system(values, frame), self.tol)
         return Effect(d.reconstruct(), tol=self.tol, decomposition=d)
 
     def _spectrum(self, p) -> tuple[np.ndarray, np.ndarray]:
@@ -236,8 +245,8 @@ class EffectSampler:
         most = min(self.dim, 5)
         count = self.integers(ks, 1, most + 1)
         levels = self._levels(ks, count, most, gap)
-        return self._in_frame(ks, np.take_along_axis(
-            levels, self._labels(ks, count), -1))
+        rows = np.arange(len(levels))[:, None]
+        return self._in_frame(ks, levels[rows, self._labels(ks, count)])
 
     def split_effect(self, ks, frame: np.ndarray, k):
         """Effects commuting with the span of the first k columns of each
@@ -263,8 +272,9 @@ class EffectSampler:
         count = self.integers(ks, min(n, 2), most + 1)
         labels = np.sort(self._labels(ks, count), axis=-1)
         u = self.frame(ks)
-        c = self._in_frame(ks, np.take_along_axis(
-            self._levels(ks, count, most, 0.15), labels, -1), u)
+        levels = self._levels(ks, count, most, 0.15)
+        rows = np.arange(len(levels))[:, None]
+        c = self._in_frame(ks, levels[rows, labels], u)
         a, b = (self._in_frame(ks, self._between(ks, 0.0, 0.5, n),
                                u @ self._blocks(ks, labels))
                 for _ in range(2))
@@ -324,7 +334,7 @@ class FuzzySampler:
         point p takes the value at its place ``frame[p]``."""
         if frame is None:
             return values
-        return np.take_along_axis(values, frame, -1)
+        return values[np.arange(len(values))[:, None], frame]
 
     def _spectrum(self, p) -> tuple[np.ndarray, None]:
         return np.asarray(p), None

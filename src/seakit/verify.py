@@ -65,6 +65,8 @@ APPROX_LEVELS = 10
 MESHES = (0.1, 0.01, 0.001)
 # The numbers a statement's stack of clusters holds at most (see _run_rows).
 CHUNK_NUMBERS = 1 << 18
+# The most samples a suite takes; _run_rows indexes them in one array.
+MAX_SAMPLES = 10 ** 6
 # The negative controls' broken settings: each model's wrong sequential
 # product, and the width within which the context control merges levels.
 CONTROL_PRODUCT = {"matrix": "jordan", "mv": "lukasiewicz"}
@@ -254,8 +256,9 @@ def _products(model: str, ctx, n: int, control: bool):
 def _suite(suite: str, model: str, n: int, samples: int, seed: int,
            tol: Tolerances, control: bool, **config):
     """Check the arguments and start a suite's report and its run."""
-    if samples < 1:
-        raise ValueError("samples must be positive")
+    if not 1 <= samples <= MAX_SAMPLES:
+        raise ValueError(f"samples {samples} out of range: the suites take "
+                         f"1 to {MAX_SAMPLES}")
     if seed < 0:
         raise ValueError("seed must be non-negative")
     if model == "matrix":

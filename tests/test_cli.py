@@ -23,7 +23,7 @@ from seakit.cli import main
 from seakit.config import DEFAULT
 from seakit.linalg import frobenius
 from seakit.spectral import SpectralFamily, reconstruct
-from seakit.verify import control_omitted, run_all
+from seakit.verify import MAX_SAMPLES, control_omitted, run_all
 from test_verify import rounded
 
 
@@ -79,8 +79,27 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     mismatch = write(tmp_path / "m.json",
                      {"dim": 3, "re": [[0.1, 0.0], [0.0, 0.2]]})
     assert main(["validate", "--input", mismatch]) == 2
+    # A size field that is not a JSON integer, though it equals the size
+    # as a Python number (True == 1 == 1.0), is a usage error too.
+    capsys.readouterr()
+    for doc in ({"re": [[0.5]], "dim": True}, {"re": [[0.5]], "dim": 1.0},
+                {"values": [0.5], "space": True},
+                {"values": [0.5], "space": 1.0}):
+        bad = write(tmp_path / "size.json", doc)
+        for verb in ("validate", "spectrum", "approx", "decompose", "mv"):
+            assert main([verb, "--input", bad]) == 2, (doc, verb)
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
     assert main(["verify", "--suite", "bogus"]) == 2
     assert main(["verify", "--suite", "sea", "--samples", "0"]) == 2
+    # A count too large to index the samples by: one line, no traceback.
+    capsys.readouterr()
+    for samples in (MAX_SAMPLES + 1, 10 ** 11):
+        assert main(["verify", "--suite", "sea", "--samples", str(samples),
+                     "--dim", "2"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: samples {samples} out of range: the suites take 1 to "
+            f"{MAX_SAMPLES}\n")
     for suite in ("sea", "all"):
         assert main(["verify", "--suite", suite, "--seed", "-1"]) == 2
     for dim in ("0", str(mx.MAX_DIM + 1)):

@@ -368,6 +368,31 @@ def test_commuting_with_a_span_drawn_in_the_same_block(n):
     assert np.max(frobenius(a.matrix - want)) <= 1e-12
 
 
+def eager_uniforms(seed, k, position, size):
+    """Sample k's uniforms at a draw position of the seed's Philox stream,
+    made on their own: the stream advanced to the sample's slice."""
+    key = np.random.Philox(seed).state["state"]["key"]
+    stride = -(-size // 4) * 4
+    bits = np.random.Philox(key=key, counter=[0, 0, position, 0])
+    bits.advance(k * stride // 4)
+    return np.random.Generator(bits).random(stride)[:size]
+
+
+def eager_ginibre(seed, k, position, n):
+    """Sample k's n × n Ginibre matrix at a draw position, by Box-Muller
+    from its uniforms."""
+    u = eager_uniforms(seed, k, position, 2 * n * n).reshape(2, n, n)
+    return np.sqrt(-2.0 * np.log1p(-u[0])) * np.exp(2j * np.pi * u[1])
+
+
+def eager_haar(z):
+    """The Haar unitary of one Ginibre matrix through the public
+    ``numpy.linalg.qr``, with the phases of R's diagonal moved into Q."""
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
+
+
 def eager_effect(seed, n, k):
     """Sample k's effect as ``effect`` draws it, made on its own from the
     seed's Philox stream advanced to the sample's slice: its values from
@@ -375,20 +400,8 @@ def eager_effect(seed, n, k):
     the Haar unitary of that matrix (QR with the phases of R's diagonal
     moved into Q), then the stably sorted reconstruct; the matrix, values
     and vectors."""
-    key = np.random.Philox(seed).state["state"]["key"]
-
-    def uniforms(position, size):
-        stride = -(-size // 4) * 4
-        bits = np.random.Philox(key=key, counter=[0, 0, position, 0])
-        bits.advance(k * stride // 4)
-        return np.random.Generator(bits).random(stride)[:size]
-
-    values = uniforms(0, n)
-    u = uniforms(1, 2 * n * n).reshape(2, n, n)
-    z = np.sqrt(-2.0 * np.log1p(-u[0])) * np.exp(2j * np.pi * u[1])
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    frame = q * (d / np.abs(d))
+    values = eager_uniforms(seed, k, 0, n)
+    frame = eager_haar(eager_ginibre(seed, k, 1, n))
     order = np.argsort(values, kind="stable")
     values, vectors = values[order], frame[:, order]
     return hermitian_part((vectors * values) @ vectors.conj().T), values, \
@@ -405,12 +418,34 @@ def test_a_block_of_effects_equals_the_eager_construction(n):
                 draw_bits(list(eager_effect(n, n, k)))
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_a_block_of_block_diagonal_frames_equals_the_eager_construction(n):
+    """The unitaries ``split_effect`` and ``refined_commuting`` refine
+    their frames by, drawn first on a fresh sampler, against sample k's
+    own: its Ginibre matrix zeroed off the blocks of equal labels, through
+    ``numpy.linalg.qr`` with R's phases moved into Q.  Labels split the
+    columns after k mod (n + 1) of them, as ``split_effect``'s do, or
+    into up to three ascending runs, as ``refined_commuting``'s do."""
+    for count in (1, 5, 12):
+        ks = np.arange(count)
+        cols = np.arange(n)
+        for labels in (cols >= (ks % (n + 1))[:, None],
+                       np.sort((cols * (ks[:, None] + 1)) % 3, axis=-1)):
+            blocks = sm.EffectSampler(n, n)._blocks(ks, labels)
+            for k in range(count):
+                same = labels[k][:, None] == labels[k][None, :]
+                want = eager_haar(eager_ginibre(n, k, 0, n) * same)
+                assert draw_bits(blocks[k]) == draw_bits(want)
+
+
 def test_a_block_takes_one_qr_per_frame_size(call_counter):
     """A stack of draws takes one QR call per frame it draws, whatever
     the number of samples: one for a commuting family, one for an effect
     in a fresh frame, and one for a split effect's block-diagonal
-    refinement of its frame; numbers take none."""
-    calls = call_counter("numpy.linalg.qr")
+    refinement of its frame; numbers take none.  The count is taken at
+    ``qr_r_raw``, the factorization that ``_haar`` calls as
+    ``numpy.linalg.qr`` does."""
+    calls = call_counter("numpy.linalg._umath_linalg.qr_r_raw")
     for count in (1, 12):
         smp = sm.EffectSampler(3, 4)
         ks = np.arange(count)
