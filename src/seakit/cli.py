@@ -3,10 +3,10 @@
 Verbs: validate, spectrum, approx, decompose, witness, verify, mv.
 Exit codes: 0 on success or a passing suite, 1 on a domain failure
 (invalid element, failing suite, non-commuting pair), 2 on usage or
-parse errors.
+parse errors, a file that cannot be read or written among them.
 
 All JSON output is the bytes of ``json.dumps(doc, indent=2,
-sort_keys=True)`` plus a newline, written by ``_dumps``.  With an indent
+sort_keys=True)``, written by ``_dumps``, and a newline.  With an indent
 ``json.dumps`` runs its pure-Python encoder, one generator step per
 number; ``_dumps`` writes each row of floats (a matrix row, a value
 list) in one ``str.join`` of ``float.__repr__``, the repr ``json``
@@ -61,7 +61,7 @@ def _load_doc(path: str) -> dict:
             return json.load(fh)
     except OSError as exc:
         raise _UsageError(f"cannot read {path}: {exc.strerror}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, not UTF-8, or an int too long
         raise _UsageError(f"{path} is not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise _UsageError(f"{path} is nested too deeply to read") from exc
@@ -140,13 +140,17 @@ def _dumps(x, pad: str = "\n") -> str:
     return json.dumps(x)
 
 
-def _write_json(doc: dict, out: str | None) -> None:
-    text = _dumps(doc) + "\n"
+def _write(text: str, out: str | None) -> None:
+    """Write text and a newline to the file out, or to stdout when out
+    is None."""
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.write(text + "\n")
         return
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    try:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+    except OSError as exc:
+        raise _UsageError(f"cannot write {out}: {exc.strerror}") from exc
 
 
 def _tolerances(args: argparse.Namespace) -> Tolerances:
@@ -201,12 +205,12 @@ def cmd_validate(args: argparse.Namespace) -> int:
     except _DomainError as exc:
         print(exc)
         if args.out:
-            _write_json({"classification": "not-an-effect",
-                         "detail": str(exc)}, args.out)
+            _write(_dumps({"classification": "not-an-effect",
+                           "detail": str(exc)}), args.out)
         return 1
     print(label)
     if args.out:
-        _write_json({"classification": label}, args.out)
+        _write(_dumps({"classification": label}), args.out)
     return 0
 
 
@@ -236,10 +240,9 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         "reconstruction_residual": ctx.norm(ctx.sub(effect, meshed)),
         "breakpoint_residual": ctx.norm(ctx.sub(effect, exact)),
     }
-    _write_json(doc, args.out)
+    _write(_dumps(doc), args.out)
     if args.out:
-        with open(csv_path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(fam.csv_lines(ctx)) + "\n")
+        _write("\n".join(fam.csv_lines(ctx)), csv_path)
         print(f"wrote {args.out} and {csv_path}; reconstruction residual "
               f"{doc['reconstruction_residual']:.3g} at mesh {args.mesh:g}")
     return 0
@@ -257,7 +260,7 @@ def cmd_approx(args: argparse.Namespace) -> int:
              "element": ctx.write(an)}
             for n, an, gap in zip(levels, stairs, gaps)]
     doc = {"model": ctx.model, "levels": rows}
-    _write_json(doc, args.out)
+    _write(_dumps(doc), args.out)
     if args.out:
         print(f"wrote {args.out}; worst gap "
               f"{max(r['gap'] for r in rows):.3g}")
@@ -286,7 +289,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         "v_minus": ctx.write(dec.v_minus),
         "projection": ctx.write(dec.p),
     }
-    _write_json(doc, args.out)
+    _write(_dumps(doc), args.out)
     return 0
 
 
@@ -318,7 +321,7 @@ def cmd_witness(args: argparse.Namespace) -> int:
         "p": ctx.write(wit.p),
         "degenerate": wit.degenerate,
     }
-    _write_json(doc, args.out)
+    _write(_dumps(doc), args.out)
     return 0
 
 
@@ -347,7 +350,7 @@ def cmd_mv(args: argparse.Namespace) -> int:
             "mult_residual": rep.mult_residual,
             "isometry_residual": rep.isometry_residual,
         }
-    _write_json(doc, args.out)
+    _write(_dumps(doc), args.out)
     return 0
 
 
@@ -402,7 +405,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     doc = merge_reports(result) if args.suite == "all" else result.to_dict()
     _summarize(doc)
     if args.out:
-        _write_json(doc, args.out)
+        _write(_dumps(doc), args.out)
     return 0 if doc["verdict"] == "pass" else 1
 
 

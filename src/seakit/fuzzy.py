@@ -12,10 +12,10 @@ enter the program (``read`` checks the document's shape, the command line
 their range); every operation here, and every draw, trusts them.  A
 ``(k, n)`` array is a stack of k elements: the pointwise operations act
 on it member by member, ``scale`` takes one λ per member, and ``leq``,
-``extremes``, ``norm``, ``residual`` and ``is_sharp`` reduce over the
-last axis, one value per member; ``powers`` returns one
-``(..., count, n)`` array.  The level sets (``eigenprojections``) of a
-stack come level first, as the matrix model's clusters do.
+``extremes``, ``norm`` and ``is_sharp`` reduce over the last axis, one
+value per member; ``powers`` returns one ``(..., count, n)`` array.  The
+level sets (``eigenprojections``) of a stack come level first, as the
+matrix model's clusters do.
 ``spectrum_representation`` maps a matrix effect onto its clusters, one
 stack of matrices evaluated on the clusters of one size together.
 """
@@ -28,7 +28,7 @@ import numpy as np
 from .config import DEFAULT, Tolerances
 from . import matrices as mx
 from .linalg import (EigenDecomposition, Runs, cluster_starts, frobenius,
-                     operator_norm, per_member, run_index)
+                     per_member, run_index)
 
 MAX_SPACE = 1024
 # The highest sequential power on which spectrum_representation checks
@@ -46,7 +46,6 @@ class FuzzyContext:
     # The verbs with one formula on both models, written once there.
     add = mx.MatrixContext.add
     sub = mx.MatrixContext.sub
-    residual = mx.MatrixContext.residual
     norm = mx.MatrixContext.norm
     leq = mx.MatrixContext.leq
     is_sharp = mx.MatrixContext.is_sharp
@@ -244,7 +243,7 @@ def spectrum_representation(a: mx.Effect, tol: Tolerances = DEFAULT
     value, defect = _phi(d, ctx.product(elements[i], elements[j]))
     mult = max(mult, defect,
                float(np.max(np.abs(value - phis[i] * phis[j]))))
-    iso = float(np.max(np.abs(operator_norm(mats)
+    iso = float(np.max(np.abs(ctx.norm(mats)
                               - np.max(np.abs(phis), axis=-1))))
     report = EmbeddingReport(space=len(image), degree=degree,
                              samples=len(i), mult_residual=mult,

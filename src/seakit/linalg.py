@@ -6,10 +6,11 @@ a matrix from outside so.  ``eigenvalues`` is its values-only accessor.
 Both take a stack of matrices on leading axes, as numpy's gufuncs do: one
 LAPACK call decomposes a ``(k, n, n)`` stack, member by member, with the
 same bits as ``k`` calls on the members; one matrix is the stack without
-the leading axis.  ``hermitian_part``, ``operator_norm``, ``frobenius``,
-``decomposition_from`` and ``EigenDecomposition.apply`` work on stacks
-too, and an ``EigenDecomposition`` of a stack is indexed for a member's;
-``per_member`` turns a reduction over one element into a Python scalar.
+the leading axis.  ``hermitian_part``, ``frobenius``,
+``decomposition_from`` and ``EigenDecomposition.apply`` (with a function
+axis after a stack's, too) work on stacks, and an ``EigenDecomposition``
+of a stack is indexed for a member's; ``per_member`` turns a reduction
+over one element into a Python scalar.
 Clustering happens only where eigenvectors are needed: an
 ``EigenDecomposition`` groups the values of every member into clusters at
 once, each against its own width, and builds their values and
@@ -166,8 +167,6 @@ class Runs:
         """A value per run as a ``(K, *lead)`` array, K the largest count:
         each member's runs in order, its last run's value repeated after
         them."""
-        if not self.lead:  # one member: its runs, in order
-            return per_run
         count = self.counts.reshape(-1)
         top = int(count.max(initial=0))
         if len(per_run) == top * len(count):  # every member has K runs
@@ -183,8 +182,6 @@ class Runs:
         order, zero past each member's last run."""
         per_run = run_projections(vectors, self.member, self.start,
                                   self.size)
-        if not self.lead:  # one member: its runs, in order
-            return per_run
         n = vectors.shape[-1]
         count = self.counts.reshape(-1)
         out = np.zeros((int(count.max(initial=0)), len(count), n, n),
@@ -288,7 +285,7 @@ class EigenDecomposition:
 
     @cached_property
     def projectors(self) -> np.ndarray:
-        """The eigenprojection of each cluster, in cluster order."""
+        """The projection onto each cluster's eigenvectors, in order."""
         return _frozen(self.runs.projections(
             self.vectors.reshape(-1, self.dim, self.dim)))
 
@@ -311,12 +308,15 @@ class EigenDecomposition:
     def apply(self, fn) -> np.ndarray:
         """Matrix function through the spectral theorem: Q fn(L) Q*.
 
-        fn may return values with more leading axes than it was given,
-        say one row per power, for a stack of functions of one matrix in
-        its own eigenbasis."""
+        fn may return values with more axes than it was given, after the
+        stack's, say one row per power, for a stack of functions of each
+        member in its own eigenbasis: ``(*lead, *extra, n)`` values give
+        ``(*lead, *extra, n, n)`` matrices."""
         vals = fn(self.values)
-        return hermitian_part((self.vectors * vals[..., None, :])
-                              @ self.vectors.conj().swapaxes(-1, -2))
+        q = self.vectors.reshape(self.values.shape[:-1] + (1,) * (
+            vals.ndim - self.values.ndim) + self.vectors.shape[-2:])
+        return hermitian_part((q * vals[..., None, :])
+                              @ q.conj().swapaxes(-1, -2))
 
 
 def decomposition_from(values: np.ndarray, vectors: np.ndarray,
@@ -364,9 +364,3 @@ def eigenvalues(a: np.ndarray) -> np.ndarray:
     member of a stack: the LAPACK call of ``eigh``, with nothing
     clustered."""
     return eigh(a).values
-
-
-def operator_norm(a: np.ndarray):
-    """The largest |eigenvalue|: a float, or one per member of a stack."""
-    vals = eigenvalues(a)
-    return per_member(np.maximum(np.abs(vals[..., 0]), np.abs(vals[..., -1])))

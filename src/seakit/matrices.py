@@ -175,7 +175,7 @@ class MatrixContext:
     (``eigenprojections``) of a stack come cluster first, as
     ``linalg.EigenDecomposition`` builds them.
 
-    ``add``, ``sub``, ``residual``, ``norm``, ``leq``, ``is_sharp``,
+    ``add``, ``sub``, ``norm``, ``leq``, ``is_sharp``,
     ``zero_like``, ``shift`` and ``where`` read only ``raw``, ``mul``,
     ``extremes``, ``one_like`` and ``element_ndim``;
     ``fuzzy.FuzzyContext`` shares them.
@@ -358,17 +358,6 @@ class MatrixContext:
         return Effect(lam[..., None, None] * v.matrix, tol=v.tol,
                       decomposition=decomp)
 
-    def residual(self, a, b):
-        """The Frobenius norm of a - b (on mv, its 2-norm), one per member:
-        of the difference over its largest entry, scaled back, so that
-        tiny entries do not underflow to 0 when squared (as
-        ``require_hermitian`` scales)."""
-        d = self.sub(a, b)
-        axes = tuple(range(-self.element_ndim, 0))
-        top = np.max(np.abs(d), axis=axes)
-        unit = d / np.expand_dims(np.where(top > 0.0, top, 1.0), axes)
-        return per_member(frobenius(unit, self.element_ndim) * top)
-
     def adjoint(self, v) -> np.ndarray:
         """The conjugate transpose, member by member."""
         return _matrix(v).conj().swapaxes(-1, -2)
@@ -410,20 +399,17 @@ class MatrixContext:
         (count, n, n) array, or (S, count, n, n) for a stack.
 
         The powers of a share its eigenbasis, so the square root of the
-        k-th is formed there from the k-th cumulative product of its
-        values, and the (k+1)-th power is √(aᵏ) a √(aᵏ): every power is
-        one stacked product, and nothing is re-diagonalized.
+        k-th is formed there (``apply``) from the k-th cumulative product
+        of its values, and the (k+1)-th power is √(aᵏ) a √(aᵏ): every
+        power is one stacked product, and nothing is re-diagonalized.
         """
         if count < 1:
             raise ValueError("count must be at least 1")
         a = self._effect(a)
-        d = a.decomposition
-        x = np.clip(d.values, 0.0, 1.0)[..., None, :]
-        vals = np.sqrt(np.cumprod(np.broadcast_to(
-            x, (*x.shape[:-2], count - 1, x.shape[-1])), axis=-2))
-        vectors = d.vectors[..., None, :, :]
-        roots = hermitian_part((vectors * vals[..., None, :])
-                               @ vectors.conj().swapaxes(-1, -2))
+        roots = a.decomposition.apply(lambda v: np.sqrt(np.cumprod(
+            np.broadcast_to(np.clip(v, 0.0, 1.0)[..., None, :],
+                            (*v.shape[:-1], count - 1, v.shape[-1])),
+            axis=-2)))
         mat = a.matrix[..., None, :, :]
         return np.concatenate([mat, hermitian_part(roots @ mat @ roots)],
                               axis=-3)

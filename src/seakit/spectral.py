@@ -36,9 +36,6 @@ import numpy as np
 
 from .linalg import DimensionMismatchError, NotCommutingError, per_member
 
-# The most sign witnesses ``sign_witness_projections`` lists.
-WITNESS_LIMIT = 8
-
 
 class SpectralFamily(NamedTuple):
     """Right-continuous step function of projections, held as raw arrays.
@@ -159,13 +156,6 @@ def family_from_representation(coefficients, projections) -> SpectralFamily:
         np.concatenate([zero, projections]), axis=0))
 
 
-def eigenprojection(v, lam, ctx):
-    """Kernel projection of v - lam; zero unless lam is an eigenvalue.
-    With an array of values, the stack of their projections, from one
-    decomposition of the stacked shifts."""
-    return ctx.rickart(ctx.shift(ctx.raw(v), lam))
-
-
 def _tag(b: float, hi: float, mesh: float, count: int) -> float:
     """Least partition point hi - j * mesh (0 <= j <= count) at or above
     b <= hi, found by bisecting over j: no point list is built, so the
@@ -226,7 +216,7 @@ def simple_approximation(a, n, ctx):
     values, projs, _ = ctx.eigenprojections(a)
     acc = ctx.zero_like(a)
     scale = 2.0 ** levels
-    # one coefficient per level for each eigenprojection; ``ctx.scale``
+    # one coefficient per level for each cluster's projection; ``ctx.scale``
     # puts the levels on the axis before the element's
     coeffs = np.floor(np.multiply.outer(np.clip(values, 0.0, 1.0), scale)
                       + 1e-12) / scale
@@ -252,27 +242,14 @@ def orthogonal_decomposition(v, ctx) -> OrthogonalDecomposition:
 
 
 def sign_witness_projections(v, ctx) -> list[np.ndarray]:
-    """The projections q with the whole positive part under q and the
-    negative part under its complement; one per subset of the kernel
-    clusters, the first ``WITNESS_LIMIT`` subsets, the empty one (the
-    least witness) first.  For a stack, the list runs over the subsets of
-    the most kernel clusters a member has, each entry one q per member; a
-    member with fewer repeats its own subsets."""
+    """The least and the greatest projection q with the whole positive
+    part under q and the negative part under its complement: the
+    positive clusters' sum, then that plus the kernel clusters'; each
+    one q per member of a stack."""
     values, projs, own = ctx.eigenprojections(v)
-    kernel = own & (np.abs(values) <= ctx.tol.kernel)
     pos = kept_sum(ctx, own & (values > ctx.tol.kernel), projs)
-    # the i-th kernel cluster of each member, or zero
-    rank = np.cumsum(kernel, axis=0) - 1
-    zero_projs = [kept_sum(ctx, kernel & (rank == i), projs)
-                  for i in range(int(np.max(rank, initial=-1)) + 1)]
-    out = []
-    for mask in range(min(2 ** len(zero_projs), WITNESS_LIMIT)):
-        q = pos.copy()
-        for i, zp in enumerate(zero_projs):
-            if mask >> i & 1:
-                q = q + zp
-        out.append(q)
-    return out
+    kernel = kept_sum(ctx, own & (np.abs(values) <= ctx.tol.kernel), projs)
+    return [pos, pos + kernel]
 
 
 def comparability_witness(e, f, ctx) -> ComparabilityWitness:

@@ -794,7 +794,7 @@ def _spectprojs(run, ctx, smp, ks, t: _Tally) -> None:
     ok = np.all(np.abs(bps - ref.breakpoints) <= run.thr, axis=0)
     steps = fam.projections
     ok &= np.all(_on_own(own, ctx.leq, steps[:-1], steps[1:]), axis=0)
-    eigs = _on_own(own, lambda x, lam: sp.eigenprojection(x, lam, ctx),
+    eigs = _on_own(own, lambda x, lam: ctx.rickart(ctx.shift(x, lam)),
                    np.broadcast_to(ctx.raw(a), steps[1:].shape), bps)
     r_jump = np.where(own, run.res(np.diff(steps, axis=0), eigs), 0.0)
     r_step = run.res(steps, ref.projections)
@@ -925,8 +925,8 @@ def _b_compar(run, ctx, smp, ks, t: _Tally) -> None:
 def _commut(run, ctx, smp, ks, t: _Tally) -> None:
     a, b = smp.commuting(ks)
     b = ctx.where(ks % 2 == 0, b, smp.effect(ks))
-    sequential = ctx.residual(ctx.product(a, b),
-                              ctx.product(b, a)) <= ctx.tol.comm
+    sequential = frobenius(ctx.sub(ctx.product(a, b), ctx.product(b, a)),
+                           ctx.element_ndim) <= ctx.tol.comm
     ordinary = ctx.commutes(a, b)
     projections = np.all(ctx.commutes(ctx.eigenprojections(a)[1],
                                       ctx.raw(b)), axis=0)

@@ -15,7 +15,7 @@ from seakit import matrices as mx
 from seakit import sampling as sm
 from seakit.cli import main
 from seakit.config import DEFAULT
-from seakit.linalg import frobenius, hermitian_part, operator_norm
+from seakit.linalg import frobenius, hermitian_part
 from seakit.spectral import (
     reconstruct,
     reduced_representation,
@@ -94,11 +94,11 @@ def test_criterion_04_spectral_reconstruction():
         sampler = sm.EffectSampler(2000 + dim, dim)
         for a in sampler.effect(range(100)):
             fam = spectral_family(a, MATRIX)
-            gap = operator_norm(np.asarray(a.matrix) - reconstruct(fam))
+            gap = MATRIX.norm(np.asarray(a.matrix) - reconstruct(fam))
             worst_exact = max(worst_exact, gap)
             for mesh in (0.1, 0.01, 0.001):
-                gap = operator_norm(np.asarray(a.matrix)
-                                    - reconstruct(fam, mesh))
+                gap = MATRIX.norm(np.asarray(a.matrix)
+                                  - reconstruct(fam, mesh))
                 ok = ok and gap <= mesh
                 worst_mesh = max(worst_mesh, gap / mesh)
     ok = ok and worst_exact <= CHECK
@@ -137,7 +137,7 @@ def test_criterion_06_simple_approximation():
         previous = None
         for n in range(1, 11):
             an = np.asarray(simple_approximation(a, n, MATRIX))
-            gap = operator_norm(np.asarray(a.matrix) - an)
+            gap = MATRIX.norm(np.asarray(a.matrix) - an)
             ok = ok and gap <= 2.0 ** -n + CHECK
             if previous is not None:
                 ok = ok and MATRIX.leq(previous, an)
@@ -161,7 +161,7 @@ def test_criterion_07_floor_identities():
         mu_max = float(max((v for v in d.values if v < 1.0 - DEFAULT.cluster),
                            default=0.0))
         power = MATRIX.powers(a, 50)[-1]
-        rate_gap = operator_norm(power - np.asarray(base.matrix))
+        rate_gap = MATRIX.norm(power - np.asarray(base.matrix))
         ok = ok and rate_gap <= mu_max ** 50 + CHECK
         worst = max(worst, rate_gap)
     report(7, ok, f"floor equals top cluster and a^50 converges "

@@ -148,6 +148,47 @@ def test_usage_errors_exit_two(tmp_path, capsys):
             assert main(args) == 2, (doc, args)
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1
+    # A file that is not UTF-8, and an integer past the interpreter's
+    # limit on the digits it converts, in each size and number field.
+    long_int = "1" * 5000
+    texts = [b'{"re": [[0.5]]}\xff', b'\xfe\xff{"values": [0.5]}']
+    texts += [text.replace("N", long_int).encode() for text in (
+        '{"re": [[N]]}', '{"re": [[0.5]], "dim": N}', '{"values": [N]}',
+        '{"values": [0.5], "space": N}')]
+    bad = tmp_path / "unreadable.json"
+    for text in texts:
+        bad.write_bytes(text)
+        for verb in ("validate", "spectrum", "approx", "decompose", "mv"):
+            assert main([verb, "--input", str(bad)]) == 2, (text[:20], verb)
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_an_unwritable_out_exits_two(tmp_path, eff_path, capsys):
+    """Every verb that writes a report refuses an --out it cannot write,
+    as it refuses an --input it cannot read: one line, no traceback;
+    spectrum's rank CSV too."""
+    out = str(tmp_path / "missing" / "x.json")
+    bad = write(tmp_path / "bad.json", {"re": [[1.5]]})
+    for args in (["validate", "--input", eff_path],
+                 ["validate", "--input", bad],
+                 ["spectrum", "--input", eff_path],
+                 ["approx", "--input", eff_path, "--levels", "2"],
+                 ["decompose", "--input", eff_path],
+                 ["witness", "--input", eff_path, eff_path],
+                 ["mv", "--input", eff_path],
+                 ["verify", "--suite", "sea", "--samples", "2"]):
+        assert main(args + ["--out", out]) == 2, args
+        err = capsys.readouterr().err
+        assert err == (f"error: cannot write {out}: No such file or "
+                       "directory\n"), args
+    # The JSON report is written, and then its CSV cannot be.
+    (tmp_path / "fam.csv").mkdir()
+    json_out = tmp_path / "fam.json"
+    assert main(["spectrum", "--input", eff_path, "--out", str(json_out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: cannot write {tmp_path / 'fam.csv'}: ")
+    assert json.loads(json_out.read_text())["model"] == "matrix"
 
 
 @pytest.mark.parametrize("text", [

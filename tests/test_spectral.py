@@ -11,10 +11,8 @@ from seakit import matrices as mx
 from seakit import sampling as sm
 from seakit.cli import main
 from seakit.config import DEFAULT
-from seakit.linalg import operator_norm
 from seakit.spectral import (
     comparability_witness,
-    eigenprojection,
     family_from_representation,
     orthogonal_decomposition,
     reconstruct,
@@ -59,9 +57,9 @@ def test_family_is_right_continuous_with_eigen_jumps():
     for b, jump in zip(fam.breakpoints, np.diff(fam.projections, axis=0)):
         eps = 1e-9
         assert np.allclose(fam.at(b + eps), fam.at(b), atol=1e-8)
-        proj = eigenprojection(a, b, MATRIX)
+        proj = MATRIX.rickart(MATRIX.shift(a, b))
         assert np.allclose(jump, proj, atol=1e-8)
-    assert np.allclose(eigenprojection(a, 0.3, MATRIX),
+    assert np.allclose(MATRIX.rickart(MATRIX.shift(a, 0.3)),
                        np.zeros((3, 3)),
                        atol=1e-10)
 
@@ -71,10 +69,10 @@ def test_reconstruction_error_tracks_mesh():
     for a in sampler.effect(range(5)):
         fam = spectral_family(a, MATRIX)
         exact = reconstruct(fam)
-        assert operator_norm(np.asarray(a.matrix) - exact) <= 1e-8
+        assert MATRIX.norm(np.asarray(a.matrix) - exact) <= 1e-8
         for mesh in (0.1, 0.01, 0.001):
             approx = reconstruct(fam, mesh)
-            assert operator_norm(np.asarray(a.matrix) - approx) <= mesh
+            assert MATRIX.norm(np.asarray(a.matrix) - approx) <= mesh
 
 
 def test_meshed_tags_match_the_listed_partition():
@@ -107,7 +105,7 @@ def test_meshed_tags_match_the_listed_partition():
     a = elements[0][1]
     fam = spectral_family(a, MATRIX)
     fine = reconstruct(fam, 1e-12)
-    assert operator_norm(np.asarray(a.matrix) - fine) <= 1e-8
+    assert MATRIX.norm(np.asarray(a.matrix) - fine) <= 1e-8
     for mesh in (1e-320, 5e-324):
         with pytest.raises(ValueError, match="too fine"):
             reconstruct(fam, mesh)
@@ -246,7 +244,7 @@ def test_one_decomposition_per_element(eigh_calls, tmp_path):
 
 
 def test_order_and_norm_checks_decompose_nothing(call_counter):
-    """``operator_norm``, ``leq`` and ``extremes`` read eigenvalues only:
+    """``norm``, ``leq`` and ``extremes`` read eigenvalues only:
     one LAPACK call each and no clustered decomposition."""
     sampler = sm.EffectSampler(3, 4)
     a, b = sampler.effect(range(2))
@@ -255,7 +253,7 @@ def test_order_and_norm_checks_decompose_nothing(call_counter):
                          "seakit.linalg.decomposition_from",
                          "seakit.linalg.cluster_starts")
     checks = {
-        "operator_norm": lambda: operator_norm(a.matrix - b.matrix),
+        "norm": lambda: ctx.norm(a.matrix - b.matrix),
         "leq": lambda: ctx.leq(a, b),
         "extremes": lambda: ctx.extremes(a.matrix - b.matrix),
     }
